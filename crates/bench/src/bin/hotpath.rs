@@ -20,8 +20,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use taxorec_bench::time_it;
 use taxorec_core::init;
-use taxorec_data::{select_top_k, TopKAccumulator};
-use taxorec_geometry::batch::{fused_scores_multi, BlockCache, TagChannelMulti};
+use taxorec_data::{select_top_k, TopKAccumulator, TopKSink};
+use taxorec_geometry::batch::{fused_rank, BlockCache, TagChannelMulti};
 use taxorec_geometry::lorentz;
 
 /// Tag-irrelevant spatial dims — the paper's D − D_t = 52 rounded up to
@@ -155,53 +155,35 @@ fn eval_naive(fx: &Fixture) -> f64 {
     tops.iter().sum()
 }
 
-/// Eval-shaped work, fused path: blocks of [`EVAL_USER_CHUNK`] users,
-/// scored one [`FUSED_ITEM_CHUNK`]-wide catalogue slice at a time into
-/// per-worker scratch buffers and ranked through per-user
-/// [`TopKAccumulator`]s while each slice's scores are cache-hot —
-/// mirroring the production `Recommender::top_k_block` streaming path.
-///
-/// [`FUSED_ITEM_CHUNK`]: taxorec_geometry::batch::FUSED_ITEM_CHUNK
+/// Eval-shaped work, fused path: blocks of [`EVAL_USER_CHUNK`] users
+/// ranked through per-user [`TopKAccumulator`]s by the fused ranking
+/// kernel — the production `Recommender::top_k_block` streaming path.
 fn eval_fused(fx: &Fixture) -> f64 {
-    let chunk = taxorec_geometry::batch::FUSED_ITEM_CHUNK;
     let n_chunks = fx.n_users.div_ceil(EVAL_USER_CHUNK);
     let tops = taxorec_parallel::par_map("hotpath.eval.fused", n_chunks, |c| {
         let lo = c * EVAL_USER_CHUNK;
         let hi = (lo + EVAL_USER_CHUNK).min(fx.n_users);
-        let b = hi - lo;
         let anchors_ir: Vec<&[f64]> = (lo..hi).map(|u| fx.u_ir_row(u)).collect();
         let anchors_tg: Vec<&[f64]> = (lo..hi).map(|u| fx.u_tg_row(u)).collect();
-        let mut accs: Vec<TopKAccumulator> = (0..b).map(|_| TopKAccumulator::new(TOP_K)).collect();
-        let buf_len = b * fx.n_items.min(chunk);
-        taxorec_core::scratch::with_buf(buf_len, |scores| {
-            taxorec_core::scratch::with_buf(buf_len, |scr| {
-                let mut v0 = 0;
-                while v0 < fx.n_items {
-                    let v1 = (v0 + chunk).min(fx.n_items);
-                    let m = v1 - v0;
-                    fused_scores_multi(
-                        &fx.ir_cache,
-                        &anchors_ir,
-                        Some(TagChannelMulti {
-                            cache: &fx.tg_cache,
-                            anchors: &anchors_tg,
-                            alphas: &fx.alphas[lo..hi],
-                        }),
-                        v0,
-                        v1,
-                        &mut scr[..b * m],
-                        &mut scores[..b * m],
-                    );
-                    for (pos, acc) in accs.iter_mut().enumerate() {
-                        let row = &scores[pos * m..(pos + 1) * m];
-                        for (i, &s) in row.iter().enumerate() {
-                            acc.push((v0 + i) as u32, s);
-                        }
-                    }
-                    v0 = v1;
-                }
-            });
-        });
+        let mut accs: Vec<TopKAccumulator> =
+            (lo..hi).map(|_| TopKAccumulator::new(TOP_K)).collect();
+        fused_rank(
+            &fx.ir_cache,
+            &anchors_ir,
+            Some(TagChannelMulti {
+                cache: &fx.tg_cache,
+                anchors: &anchors_tg,
+                alphas: &fx.alphas[lo..hi],
+            }),
+            0,
+            fx.n_items,
+            &mut TopKSink {
+                accs: &mut accs,
+                acc_of: None,
+                item_ids: None,
+                exclude: |_, _| false,
+            },
+        );
         let mut acc = 0.0;
         for a in accs {
             let top = a.into_sorted();

@@ -21,9 +21,11 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use taxorec_autodiff::{Csr, Matrix, Tape, Var};
-use taxorec_data::{select_top_k, Dataset, NegativeSampler, Recommender, Split, TopKAccumulator};
+use taxorec_data::{
+    select_top_k, Dataset, NegativeSampler, Recommender, Split, TopKAccumulator, TopKSink,
+};
 use taxorec_geometry::batch::{
-    fused_scores_block, fused_scores_multi, BlockCache, TagChannel, TagChannelMulti,
+    fused_rank, fused_scores_block, fused_scores_multi, BlockCache, TagChannel, TagChannelMulti,
 };
 use taxorec_geometry::{convert, lorentz};
 use taxorec_taxonomy::{construct_taxonomy, ConstructConfig, RegularizerPlan, Taxonomy};
@@ -1092,18 +1094,14 @@ impl Recommender for TaxoRec {
         }
     }
 
-    /// Streaming block ranking: scores the user block one
-    /// [`FUSED_ITEM_CHUNK`]-wide catalogue slice at a time and feeds each
-    /// slice through per-user [`TopKAccumulator`]s while its scores are
-    /// still cache-hot, so ranking a block never materializes
-    /// `B × n_items` score rows — per-worker scratch stays a few hundred
-    /// KiB regardless of catalogue size. Scores are computed by the same
-    /// [`fused_scores_multi`] kernel over sub-ranges (per-pair arithmetic
-    /// is range-independent) and items are offered in ascending id order,
-    /// so by the accumulator contract the result is exactly the default
-    /// full-row ranking.
-    ///
-    /// [`FUSED_ITEM_CHUNK`]: taxorec_geometry::batch::FUSED_ITEM_CHUNK
+    /// Streaming block ranking through the fused ranking kernel
+    /// ([`fused_rank`]): the item panels stream once for the whole user
+    /// block, and only items that can still enter a user's top-K are
+    /// finished and offered to that user's [`TopKAccumulator`] — ranking
+    /// a block never materializes `B × n_items` score rows. Offered
+    /// scores are the bits [`fused_scores_multi`] computes and withheld
+    /// items provably rank below the `k`-th, so by the accumulator
+    /// contract the result is exactly the default full-row ranking.
     fn top_k_block(
         &self,
         users: &[u32],
@@ -1128,11 +1126,6 @@ impl Recommender for TaxoRec {
                 })
                 .collect();
         };
-        let n_items = caches.ir.rows();
-        let b = users.len();
-        if b == 0 || n_items == 0 {
-            return vec![Vec::new(); b];
-        }
         let anchors_ir: Vec<&[f64]> = users
             .iter()
             .map(|&u| self.final_u_ir.row(u as usize))
@@ -1151,43 +1144,25 @@ impl Recommender for TaxoRec {
                 .collect();
             (tg_cache, anchors_tg, alphas)
         });
-        let chunk = taxorec_geometry::batch::FUSED_ITEM_CHUNK;
-        let buf_len = b * n_items.min(chunk);
-        let mut accs: Vec<TopKAccumulator> = (0..b).map(|_| TopKAccumulator::new(k)).collect();
-        scratch::with_buf(buf_len, |buf| {
-            scratch::with_buf(if tg.is_some() { buf_len } else { 0 }, |scr| {
-                let mut lo = 0;
-                while lo < n_items {
-                    let hi = (lo + chunk).min(n_items);
-                    let m = hi - lo;
-                    let channel = tg.as_ref().map(|(cache, anchors, alphas)| TagChannelMulti {
-                        cache,
-                        anchors: anchors.as_slice(),
-                        alphas: alphas.as_slice(),
-                    });
-                    let scr_len = if tg.is_some() { b * m } else { 0 };
-                    fused_scores_multi(
-                        &caches.ir,
-                        &anchors_ir,
-                        channel,
-                        lo,
-                        hi,
-                        &mut scr[..scr_len],
-                        &mut buf[..b * m],
-                    );
-                    for (pos, acc) in accs.iter_mut().enumerate() {
-                        let row = &buf[pos * m..(pos + 1) * m];
-                        for (i, &score) in row.iter().enumerate() {
-                            let item = (lo + i) as u32;
-                            if !exclude(pos, item) {
-                                acc.push(item, score);
-                            }
-                        }
-                    }
-                    lo = hi;
-                }
-            });
-        });
+        let mut accs: Vec<TopKAccumulator> =
+            users.iter().map(|_| TopKAccumulator::new(k)).collect();
+        fused_rank(
+            &caches.ir,
+            &anchors_ir,
+            tg.as_ref().map(|(cache, anchors, alphas)| TagChannelMulti {
+                cache,
+                anchors,
+                alphas,
+            }),
+            0,
+            caches.ir.rows(),
+            &mut TopKSink {
+                accs: &mut accs,
+                acc_of: None,
+                item_ids: None,
+                exclude,
+            },
+        );
         accs.into_iter().map(|a| a.into_sorted()).collect()
     }
 }

@@ -14,7 +14,7 @@ pub mod tsv;
 
 pub use dataset::{Dataset, DatasetStats, Interaction};
 pub use negative::NegativeSampler;
-pub use recommender::{select_top_k, Recommender, TopKAccumulator};
+pub use recommender::{select_top_k, Recommender, TopKAccumulator, TopKSink};
 pub use split::Split;
 pub use synth::{generate, generate_preset, Preset, Scale, SynthConfig};
 pub use synth_embed::{generate_embeddings, EmbedConfig, SynthEmbeddings, EMBED_CHUNK};

@@ -6,6 +6,8 @@
 
 use std::collections::BinaryHeap;
 
+use taxorec_geometry::batch::RankSink;
+
 use crate::dataset::Dataset;
 use crate::split::Split;
 
@@ -116,6 +118,18 @@ impl TopKAccumulator {
         }
     }
 
+    /// The worst retained score once `k > 0` candidates are held — what
+    /// a new candidate must at least tie to displace anything — and
+    /// `None` before that. Read by the fused ranking kernel to skip
+    /// candidates that provably score below it.
+    #[inline]
+    pub fn floor(&self) -> Option<f64> {
+        if self.k == 0 || self.heap.len() < self.k {
+            return None;
+        }
+        self.heap.peek().map(|worst| worst.score)
+    }
+
     /// The accumulated top-K as `(index, score)` pairs, best first.
     pub fn into_sorted(self) -> Vec<(u32, f64)> {
         // Ascending by `Ord` = best first (the ordering is inverted).
@@ -124,6 +138,47 @@ impl TopKAccumulator {
             .into_iter()
             .map(|e| (e.idx, e.score))
             .collect()
+    }
+}
+
+/// Routes a fused ranking pass ([`fused_rank`]) into per-query
+/// [`TopKAccumulator`]s — the one adapter between the kernel's
+/// `(anchor, cache row)` coordinates and a caller's
+/// `(accumulator, item id)` ones.
+///
+/// [`fused_rank`]: taxorec_geometry::batch::fused_rank
+pub struct TopKSink<'a, X> {
+    /// The accumulators candidates are pushed into.
+    pub accs: &'a mut [TopKAccumulator],
+    /// Accumulator of each anchor of the block; `None` when anchor `a`
+    /// ranks into `accs[a]`.
+    pub acc_of: Option<&'a [usize]>,
+    /// Item id of each cache row; `None` when row `i` is item `i`.
+    pub item_ids: Option<&'a [u32]>,
+    /// `exclude(accumulator, item)` — candidates to skip.
+    pub exclude: X,
+}
+
+impl<X: Fn(usize, u32) -> bool> TopKSink<'_, X> {
+    #[inline]
+    fn acc_index(&self, anchor: usize) -> usize {
+        self.acc_of.map_or(anchor, |map| map[anchor])
+    }
+}
+
+impl<X: Fn(usize, u32) -> bool> RankSink for TopKSink<'_, X> {
+    #[inline]
+    fn floor(&self, anchor: usize) -> Option<f64> {
+        self.accs[self.acc_index(anchor)].floor()
+    }
+
+    #[inline]
+    fn offer(&mut self, anchor: usize, slot: usize, score: f64) {
+        let acc = self.acc_index(anchor);
+        let item = self.item_ids.map_or(slot as u32, |ids| ids[slot]);
+        if !(self.exclude)(acc, item) {
+            self.accs[acc].push(item, score);
+        }
     }
 }
 

@@ -35,6 +35,13 @@
 //! after every optimizer step that touches the rows — in this repo that is
 //! `TaxoRec::finalize()`, which runs once per epoch after RSGD (see
 //! DESIGN.md §12 for the full invalidation contract).
+//!
+//! Two families of entry points share the sweeps. [`fused_scores_block`]
+//! / [`fused_scores_multi`] write every score of a range (training-side
+//! scoring, and the reference the tests compare against). [`fused_rank`]
+//! is the one *ranking* entry: same sweeps, but the `arcosh` finisher
+//! runs only for items that can still enter the caller's top-K — an
+//! exact pruning, argued in DESIGN.md §12.
 
 use crate::arcosh;
 
@@ -570,20 +577,35 @@ pub fn fused_scores_block(
             t.cache.neg_inner_block(t.anchor, lo, hi, scratch);
             let alpha = t.alpha;
             for (o, &ni_tg) in out.iter_mut().zip(scratch.iter()) {
-                let d_ir = arcosh(*o);
-                let mut g = d_ir * d_ir;
-                let d_tg = arcosh(ni_tg);
-                g += alpha * (d_tg * d_tg);
-                *o = -g;
+                *o = finish_two_channel(*o, ni_tg, alpha);
             }
         }
         None => {
             for o in out.iter_mut() {
-                let d = arcosh(*o);
-                *o = -(d * d);
+                *o = finish_one_channel(*o);
             }
         }
     }
+}
+
+/// The single-channel finisher: `−arcosh(ni_ir)²` from a negated inner
+/// product. One definition for every fused entry point, so "the same
+/// score bits" is the same code.
+#[inline(always)]
+fn finish_one_channel(ni_ir: f64) -> f64 {
+    let d = arcosh(ni_ir);
+    -(d * d)
+}
+
+/// The two-channel finisher of Eq. 17, in the scalar loop's order:
+/// `d = arcosh(·); g = d·d; g += α·(d_tg·d_tg); −g`.
+#[inline(always)]
+fn finish_two_channel(ni_ir: f64, ni_tg: f64, alpha: f64) -> f64 {
+    let d_ir = arcosh(ni_ir);
+    let mut g = d_ir * d_ir;
+    let d_tg = arcosh(ni_tg);
+    g += alpha * (d_tg * d_tg);
+    -g
 }
 
 /// Second distance channel of a multi-anchor fused score pass: one tag
@@ -655,25 +677,146 @@ pub fn fused_scores_multi(
                     let orow = &mut out[u * n + c0..u * n + c1];
                     let srow = &scr[u * m..(u + 1) * m];
                     for (o, &ni_tg) in orow.iter_mut().zip(srow.iter()) {
-                        let d_ir = arcosh(*o);
-                        let mut g = d_ir * d_ir;
-                        let d_tg = arcosh(ni_tg);
-                        g += alpha * (d_tg * d_tg);
-                        *o = -g;
+                        *o = finish_two_channel(*o, ni_tg, alpha);
                     }
                 }
             }
             None => {
                 for u in 0..b {
                     for o in &mut out[u * n + c0..u * n + c1] {
-                        let d = arcosh(*o);
-                        *o = -(d * d);
+                        *o = finish_one_channel(*o);
                     }
                 }
             }
         }
         c0 = c1;
     }
+}
+
+/// Receiver of a fused ranking pass ([`fused_rank`]): one bounded top-K
+/// selection per anchor of the block.
+pub trait RankSink {
+    /// `Some(τ)` once `anchor`'s selection is full, `τ` being its worst
+    /// retained score: a candidate scoring **strictly** below `τ` can no
+    /// longer enter (an equal score still can — ties break by item id),
+    /// so the pass may withhold it. `None` while every candidate counts.
+    fn floor(&self, anchor: usize) -> Option<f64>;
+
+    /// Offers cache row `slot` with its fused score for `anchor`.
+    fn offer(&mut self, anchor: usize, slot: usize, score: f64);
+}
+
+/// Relative slack on the pruning cut. The rule needs
+/// `x > cut ⇒ fl(fl(acosh x)²) > −τ`; the libm calls on either side
+/// (`sqrt`, `cosh`, `acosh`) are each good to a few ulp but not proven
+/// monotone, and `1e-9` on the argument moves `acosh` by at least `1e-9`
+/// — seven orders of magnitude more than those errors (DESIGN.md §12).
+const PRUNE_SLACK: f64 = 1.0 + 1e-9;
+
+/// The negated inner product above which the interaction term alone
+/// scores strictly below `floor`: `cosh(√−τ)·(1+1e‑9)`. NaN — which
+/// compares false, so nothing is pruned — without a floor, and for a
+/// floor that is NaN or positive; `+∞` (same effect) for `−∞`.
+#[inline]
+fn prune_cut(floor: Option<f64>) -> f64 {
+    match floor {
+        Some(tau) => (-tau).sqrt().cosh() * PRUNE_SLACK,
+        None => f64::NAN,
+    }
+}
+
+thread_local! {
+    /// Per-thread sweep buffers of [`fused_rank`] (one chunk of negated
+    /// inner products per channel), kept across calls so a ranking pass
+    /// allocates nothing in steady state. Taken out for the duration of a
+    /// call, so a sink that re-enters the kernel just allocates.
+    static RANK_SCRATCH: std::cell::Cell<(Vec<f64>, Vec<f64>)> =
+        const { std::cell::Cell::new((Vec::new(), Vec::new())) };
+}
+
+/// Fused *ranking* of a block of anchors against the rows `lo..hi`:
+/// sweeps the negated inner products of each [`FUSED_ITEM_CHUNK`] exactly
+/// as [`fused_scores_multi`] does, then runs the finisher — and offers
+/// the item to `sink` — only for items that can still enter the anchor's
+/// top-K. Offers arrive in ascending slot order per anchor.
+///
+/// **Pruning rule.** With a full selection whose worst score is `τ`, an
+/// item with `ni_ir > cosh(√−τ)·(1+1e‑9)` has `−arcosh(ni_ir)² < τ`; the
+/// tag term `α·d_tg²` is `≥ 0` and rounding of `+` is monotone, so the
+/// whole score is below `τ` as well and the item is skipped on that
+/// compare, with no `arcosh`. Everything the rule cannot vouch for is
+/// scored: an anchor whose `α` is negative or non-finite is never pruned,
+/// nor is a NaN inner product (which `arcosh` clamps to distance 0 — the
+/// *best* score), a tag inner product that is NaN or `+∞` (`0·∞`), or
+/// anything while the floor is NaN. Survivors run the unchanged finisher,
+/// so `sink` sees, bit for bit, every `(slot, score)` of
+/// [`fused_scores_multi`] that a top-K selection would retain, and never
+/// a different score.
+pub fn fused_rank<S: RankSink + ?Sized>(
+    ir: &BlockCache,
+    u_irs: &[&[f64]],
+    tag: Option<TagChannelMulti<'_>>,
+    lo: usize,
+    hi: usize,
+    sink: &mut S,
+) {
+    assert!(lo <= hi && hi <= ir.rows(), "block {lo}..{hi} out of range");
+    let b = u_irs.len();
+    if let Some(t) = &tag {
+        assert_eq!(t.anchors.len(), b, "tag anchors/users mismatch");
+        assert_eq!(t.alphas.len(), b, "tag alphas/users mismatch");
+        assert!(hi <= t.cache.rows(), "block {lo}..{hi} out of tag range");
+    }
+    let (mut ni_ir, mut ni_tg) = RANK_SCRATCH.take();
+    let buf_len = b * (hi - lo).min(FUSED_ITEM_CHUNK);
+    if ni_ir.len() < buf_len {
+        ni_ir.resize(buf_len, 0.0);
+    }
+    if tag.is_some() && ni_tg.len() < buf_len {
+        ni_tg.resize(buf_len, 0.0);
+    }
+    let mut c0 = lo;
+    while c0 < hi {
+        let c1 = (c0 + FUSED_ITEM_CHUNK).min(hi);
+        let m = c1 - c0;
+        ir.neg_inner_multi_dispatch(u_irs, c0, m, m, &mut ni_ir[..b * m]);
+        if let Some(t) = &tag {
+            t.cache
+                .neg_inner_multi_dispatch(t.anchors, c0, m, m, &mut ni_tg[..b * m]);
+        }
+        for u in 0..b {
+            let row = &ni_ir[u * m..(u + 1) * m];
+            match &tag {
+                Some(t) => {
+                    let alpha = t.alphas[u];
+                    let trow = &ni_tg[u * m..(u + 1) * m];
+                    // The rule needs a tag term that is `≥ 0`, never NaN.
+                    let sound = (0.0..f64::INFINITY).contains(&alpha);
+                    let cut_now = |sink: &S| prune_cut(sink.floor(u).filter(|_| sound));
+                    let mut cut = cut_now(sink);
+                    for (i, (&ni, &nt)) in row.iter().zip(trow).enumerate() {
+                        if ni > cut && nt < f64::INFINITY {
+                            continue;
+                        }
+                        sink.offer(u, c0 + i, finish_two_channel(ni, nt, alpha));
+                        cut = cut_now(sink);
+                    }
+                }
+                None => {
+                    let mut cut = prune_cut(sink.floor(u));
+                    for (i, &ni) in row.iter().enumerate() {
+                        if ni > cut {
+                            continue;
+                        }
+                        sink.offer(u, c0 + i, finish_one_channel(ni));
+                        cut = prune_cut(sink.floor(u));
+                    }
+                }
+            }
+        }
+        c0 = c1;
+    }
+    RANK_SCRATCH.set((ni_ir, ni_tg));
 }
 
 #[cfg(test)]
@@ -905,6 +1048,90 @@ mod tests {
                     single[i].to_bits(),
                     "user {u} item {i} (single channel)"
                 );
+            }
+        }
+    }
+
+    /// A sink that shares nothing with the production accumulator: it
+    /// keeps every offer and reports the k-th best score seen so far.
+    struct KeepAll {
+        k: usize,
+        offers: Vec<Vec<(usize, f64)>>,
+    }
+
+    impl RankSink for KeepAll {
+        fn floor(&self, anchor: usize) -> Option<f64> {
+            let mut scores: Vec<f64> = self.offers[anchor].iter().map(|o| o.1).collect();
+            scores.sort_by(|a, b| b.total_cmp(a));
+            scores.get(self.k.checked_sub(1)?).copied()
+        }
+
+        fn offer(&mut self, anchor: usize, slot: usize, score: f64) {
+            self.offers[anchor].push((slot, score));
+        }
+    }
+
+    #[test]
+    fn fused_rank_offers_the_top_k_with_fused_scores_bits_and_prunes_the_rest() {
+        // 300 points marching away from the anchors: once k are held,
+        // everything farther is skipped on the compare.
+        let pts: Vec<Vec<f64>> = (0..300)
+            .map(|i| lorentz::from_spatial(&[0.01 * i as f64, 0.2, -0.1]))
+            .collect();
+        let ir = BlockCache::build(&flat(&pts), 4);
+        let tg_pts: Vec<Vec<f64>> = (0..300)
+            .map(|i| lorentz::from_spatial(&[0.3, 0.002 * i as f64]))
+            .collect();
+        let tg = BlockCache::build(&flat(&tg_pts), 3);
+        let u_ir = [
+            lorentz::from_spatial(&[0.0, 0.2, -0.1]),
+            lorentz::from_spatial(&[0.5, 0.0, 0.0]),
+        ];
+        let u_tg = [
+            lorentz::from_spatial(&[0.3, 0.0]),
+            lorentz::from_spatial(&[0.0, 0.3]),
+        ];
+        let u_irs: Vec<&[f64]> = u_ir.iter().map(Vec::as_slice).collect();
+        let u_tgs: Vec<&[f64]> = u_tg.iter().map(Vec::as_slice).collect();
+        let alphas = [0.4, 0.0];
+        let (lo, hi, k) = (7, 291, 5);
+        for with_tag in [true, false] {
+            let mut sink = KeepAll {
+                k,
+                offers: vec![Vec::new(); 2],
+            };
+            let tag = with_tag.then_some(TagChannelMulti {
+                cache: &tg,
+                anchors: &u_tgs,
+                alphas: &alphas,
+            });
+            fused_rank(&ir, &u_irs, tag, lo, hi, &mut sink);
+            for u in 0..2 {
+                let mut all = vec![0.0; hi - lo];
+                let tag = with_tag.then_some(TagChannel {
+                    cache: &tg,
+                    anchor: u_tgs[u],
+                    alpha: alphas[u],
+                });
+                fused_scores_block(
+                    &ir,
+                    u_irs[u],
+                    tag,
+                    lo,
+                    hi,
+                    &mut vec![0.0; hi - lo],
+                    &mut all,
+                );
+                let rank = |v: &mut Vec<(usize, f64)>| {
+                    v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                    v.truncate(k);
+                    v.iter().map(|&(i, s)| (i, s.to_bits())).collect::<Vec<_>>()
+                };
+                let mut want: Vec<(usize, f64)> =
+                    all.iter().enumerate().map(|(i, &s)| (lo + i, s)).collect();
+                let offered = sink.offers[u].len();
+                assert_eq!(rank(&mut sink.offers[u]), rank(&mut want), "anchor {u}");
+                assert!(offered < (hi - lo) / 2, "anchor {u}: {offered} offers");
             }
         }
     }

@@ -53,11 +53,8 @@ use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use taxorec_data::TopKAccumulator;
-use taxorec_geometry::batch::{
-    fused_scores_block, fused_scores_multi, BlockCache, TagChannel, TagChannelMulti,
-    FUSED_ITEM_CHUNK,
-};
+use taxorec_data::{TopKAccumulator, TopKSink};
+use taxorec_geometry::batch::{fused_rank, BlockCache, TagChannelMulti};
 use taxorec_geometry::{convert, lorentz, poincare};
 use taxorec_taxonomy::{poincare_kmeans, Seeding, Taxonomy};
 
@@ -648,8 +645,6 @@ impl TaxoIndex {
         let beam = self.effective_beam(beam);
         let leaves = self.route(anchor_ir, tag, beam);
         let mut acc = TopKAccumulator::new(k);
-        let mut scores = vec![0.0; FUSED_ITEM_CHUNK];
-        let mut scratch = vec![0.0; if tag.is_some() { FUSED_ITEM_CHUNK } else { 0 }];
         let mut candidates = 0;
         for &leaf in &leaves {
             let (lo, hi) = (
@@ -657,16 +652,7 @@ impl TaxoIndex {
                 self.parts.end[leaf] as usize,
             );
             candidates += hi - lo;
-            self.score_range(
-                anchor_ir,
-                tag,
-                lo,
-                hi,
-                &mut scores,
-                &mut scratch,
-                exclude,
-                &mut acc,
-            );
+            self.score_range(anchor_ir, tag, lo, hi, exclude, &mut acc);
         }
         (
             acc.into_sorted(),
@@ -692,18 +678,7 @@ impl TaxoIndex {
     ) -> Vec<(u32, f64)> {
         self.check_tag(tag.is_some());
         let mut acc = TopKAccumulator::new(k);
-        let mut scores = vec![0.0; FUSED_ITEM_CHUNK];
-        let mut scratch = vec![0.0; if tag.is_some() { FUSED_ITEM_CHUNK } else { 0 }];
-        self.score_range(
-            anchor_ir,
-            tag,
-            0,
-            self.parts.n_items,
-            &mut scores,
-            &mut scratch,
-            exclude,
-            &mut acc,
-        );
+        self.score_range(anchor_ir, tag, 0, self.parts.n_items, exclude, &mut acc);
         acc.into_sorted()
     }
 
@@ -749,8 +724,6 @@ impl TaxoIndex {
             }
         }
         let mut accs: Vec<TopKAccumulator> = (0..b).map(|_| TopKAccumulator::new(k)).collect();
-        let mut out = Vec::new();
-        let mut scratch = Vec::new();
         for (leaf, queries) in by_leaf {
             let sub_ir: Vec<&[f64]> = queries.iter().map(|&q| anchors_ir[q]).collect();
             let sub_tg: Option<(Vec<&[f64]>, Vec<f64>)> = tag.map(|(a, al)| {
@@ -759,43 +732,23 @@ impl TaxoIndex {
                     queries.iter().map(|&q| al[q]).collect(),
                 )
             });
-            let (lo, hi) = (
+            fused_rank(
+                &self.items_ir,
+                &sub_ir,
+                sub_tg.as_ref().map(|(anchors, alphas)| TagChannelMulti {
+                    cache: self.items_tg.as_ref().expect("tag cache present"),
+                    anchors,
+                    alphas,
+                }),
                 self.parts.start[leaf] as usize,
                 self.parts.end[leaf] as usize,
+                &mut TopKSink {
+                    accs: &mut accs,
+                    acc_of: Some(&queries),
+                    item_ids: Some(&self.parts.item_ids),
+                    exclude,
+                },
             );
-            let mut c0 = lo;
-            while c0 < hi {
-                let c1 = (c0 + FUSED_ITEM_CHUNK).min(hi);
-                let m = c1 - c0;
-                out.resize(queries.len() * m, 0.0);
-                let tag_multi = sub_tg.as_ref().map(|(anchors, alphas)| {
-                    scratch.resize(queries.len() * m, 0.0);
-                    TagChannelMulti {
-                        cache: self.items_tg.as_ref().expect("tag cache present"),
-                        anchors,
-                        alphas,
-                    }
-                });
-                fused_scores_multi(
-                    &self.items_ir,
-                    &sub_ir,
-                    tag_multi,
-                    c0,
-                    c1,
-                    &mut scratch,
-                    &mut out[..queries.len() * m],
-                );
-                for (pos, &q) in queries.iter().enumerate() {
-                    let row = &out[pos * m..(pos + 1) * m];
-                    for (j, &score) in row.iter().enumerate() {
-                        let orig = self.parts.item_ids[c0 + j];
-                        if !exclude(q, orig) {
-                            accs[q].push(orig, score);
-                        }
-                    }
-                }
-                c0 = c1;
-            }
         }
         (accs.into_iter().map(|a| a.into_sorted()).collect(), stats)
     }
@@ -816,48 +769,36 @@ impl TaxoIndex {
         );
     }
 
-    /// Fused-scores the slot range `lo..hi` in cache-sized chunks and
-    /// offers every candidate (by *original* item id) to the
-    /// accumulator. Shared by the beam and exact paths, which is what
-    /// makes their per-item scores identical.
-    #[allow(clippy::too_many_arguments)]
+    /// Ranks the slot range `lo..hi` into the accumulator (by *original*
+    /// item id) through the fused ranking kernel, which offers every
+    /// candidate that can still enter it. Shared by the beam and exact
+    /// paths, which is what makes their per-item scores identical.
     fn score_range(
         &self,
         anchor_ir: &[f64],
         tag: Option<(&[f64], f64)>,
         lo: usize,
         hi: usize,
-        scores: &mut [f64],
-        scratch: &mut [f64],
         exclude: &dyn Fn(u32) -> bool,
         acc: &mut TopKAccumulator,
     ) {
-        let mut c0 = lo;
-        while c0 < hi {
-            let c1 = (c0 + FUSED_ITEM_CHUNK).min(hi);
-            let m = c1 - c0;
-            let tag_channel = tag.map(|(anchor, alpha)| TagChannel {
+        fused_rank(
+            &self.items_ir,
+            &[anchor_ir],
+            tag.as_ref().map(|(anchor, alpha)| TagChannelMulti {
                 cache: self.items_tg.as_ref().expect("tag cache present"),
-                anchor,
-                alpha,
-            });
-            fused_scores_block(
-                &self.items_ir,
-                anchor_ir,
-                tag_channel,
-                c0,
-                c1,
-                scratch,
-                &mut scores[..m],
-            );
-            for (j, &score) in scores[..m].iter().enumerate() {
-                let orig = self.parts.item_ids[c0 + j];
-                if !exclude(orig) {
-                    acc.push(orig, score);
-                }
-            }
-            c0 = c1;
-        }
+                anchors: std::slice::from_ref(anchor),
+                alphas: std::slice::from_ref(alpha),
+            }),
+            lo,
+            hi,
+            &mut TopKSink {
+                accs: std::slice::from_mut(acc),
+                acc_of: None,
+                item_ids: Some(&self.parts.item_ids),
+                exclude: |_, item| exclude(item),
+            },
+        );
     }
 
     /// Beam descent: returns the selected leaf ids, ascending. See the
@@ -1037,6 +978,7 @@ fn taxonomy_groups(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taxorec_geometry::batch::fused_scores_block;
 
     /// Four well-separated planted clusters in a 3-ambient (2-spatial)
     /// Lorentz space, `per` items each.

@@ -1,17 +1,19 @@
-//! The micro-batching scheduler: a bounded request channel drained by a
-//! scorer pool into user-blocks.
+//! The work-conserving batching scheduler: a bounded request channel
+//! drained by a scorer pool into user-blocks.
 //!
-//! The hot-path kernels (DESIGN.md §12) are fastest on 32-user fused
-//! blocks, but an HTTP front end naturally produces one request at a
-//! time. This module closes the gap with the classic batching bargain:
-//! requests enqueue into a bounded channel; each scorer thread takes the
-//! oldest waiting request and then gathers more — up to
-//! [`BatchOptions::max_batch`] — until the **batching deadline**
-//! (measured from the *first* request's enqueue instant) expires, so a
-//! lone request is never stalled longer than the deadline and a burst is
-//! coalesced into one fused-kernel pass. The production shape follows
-//! Chamberlain et al.'s "Scalable Hyperbolic Recommender Systems"
-//! offline-train / online-batch-serve split.
+//! The hot-path kernels (DESIGN.md §12) amortize their item-side memory
+//! traffic over up to 32 users per block, but an HTTP front end produces
+//! one request at a time. This module closes the gap **without ever
+//! idling a scorer that holds work**: requests enqueue into a bounded
+//! channel, and a scorer that finds a request takes it together with
+//! whatever else is already queued — up to [`BatchOptions::max_batch`] —
+//! and scores at once. A lone request is therefore dispatched the moment
+//! a scorer is free; batches form exactly while every scorer is busy,
+//! which is when coalescing pays (the backlog shares one pass over the
+//! catalogue) and when it costs nothing (the requests were waiting
+//! anyway). There is no batching deadline to tune. The production shape
+//! follows Chamberlain et al.'s "Scalable Hyperbolic Recommender
+//! Systems" offline-train / online-batch-serve split.
 //!
 //! The scheduler is generic over the request type `R` and the response
 //! type `S`; the serving tier instantiates it with parsed `/recommend`
@@ -30,11 +32,12 @@
 //!   exactly the batch's length, same order) is checked, and a handler
 //!   that breaks it fails the whole batch to `fallback` rather than
 //!   mis-delivering.
-//! * **Bounded queue wait** — a request either enters a batch within
-//!   `deadline` of the batch's first member (plus scheduling noise and
-//!   the service time of batches ahead of it) or was never admitted:
-//!   [`Batcher::try_submit`] refuses at capacity so the caller can shed
-//!   load with `503 + Retry-After` instead of queueing unboundedly.
+//! * **Work conservation** — no request waits in the queue while a
+//!   scorer is idle, and a queued request waits at most the service time
+//!   of the batches ahead of it (plus wake-up noise). Or it was never
+//!   admitted: [`Batcher::try_submit`] refuses at capacity so the caller
+//!   can shed load with `503 + Retry-After` instead of queueing
+//!   unboundedly.
 //! * **Panic isolation** — a panicking batch fails only its own
 //!   requests (`serve.batch.panics`); the scorer thread lives on. The
 //!   `serve.batch` fault site makes this deterministically testable
@@ -46,7 +49,9 @@
 //! `serve.batch.wait_ms` (histogram, per-request queue wait),
 //! `serve.batch.queue.depth` (gauge), `serve.batch.batches` /
 //! `serve.batch.requests` / `serve.batch.shed` / `serve.batch.panics`
-//! (counters).
+//! (counters). The handles are resolved once per scheduler, not per
+//! batch: a registry lookup is a `String` allocation under the global
+//! registry mutex, and most batches hold one request.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -55,8 +60,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Idle poll interval while waiting for the first request of a batch
-/// (bounds shutdown latency; wakes normally arrive via the condvar).
+use taxorec_telemetry::{Counter, Gauge, Histogram};
+
+/// Idle poll interval while waiting for a request (bounds shutdown
+/// latency; wakes normally arrive via the condvar).
 const IDLE_POLL: Duration = Duration::from_millis(10);
 
 /// Tuning knobs for the [`Batcher`]. [`BatchOptions::from_env`] reads
@@ -68,11 +75,6 @@ pub struct BatchOptions {
     /// fused-kernel block size (DESIGN.md §12).
     /// Env: `TAXOREC_SERVE_BATCH_MAX`.
     pub max_batch: usize,
-    /// How long a forming batch waits for more requests, measured from
-    /// its first request's enqueue instant. A lone request is scored at
-    /// most this long after arriving.
-    /// Env: `TAXOREC_SERVE_BATCH_DEADLINE_US` (microseconds).
-    pub deadline: Duration,
     /// Requests allowed to wait in the batch queue; beyond this
     /// [`Batcher::try_submit`] refuses and the caller sheds load.
     /// Env: `TAXOREC_SERVE_BATCH_QUEUE`.
@@ -86,7 +88,6 @@ impl Default for BatchOptions {
     fn default() -> Self {
         Self {
             max_batch: 32,
-            deadline: Duration::from_millis(2),
             queue_capacity: 1024,
             n_scorers: 2,
         }
@@ -95,15 +96,12 @@ impl Default for BatchOptions {
 
 impl BatchOptions {
     /// Defaults overridden by `TAXOREC_SERVE_BATCH_MAX`,
-    /// `TAXOREC_SERVE_BATCH_DEADLINE_US`, `TAXOREC_SERVE_BATCH_QUEUE`,
-    /// and `TAXOREC_SERVE_SCORERS` where set and parseable.
+    /// `TAXOREC_SERVE_BATCH_QUEUE`, and `TAXOREC_SERVE_SCORERS` where
+    /// set and parseable.
     pub fn from_env() -> Self {
         let mut o = Self::default();
         if let Some(b) = env_usize("TAXOREC_SERVE_BATCH_MAX") {
             o.max_batch = b.clamp(1, 1024);
-        }
-        if let Some(us) = env_usize("TAXOREC_SERVE_BATCH_DEADLINE_US") {
-            o.deadline = Duration::from_micros(us as u64);
         }
         if let Some(q) = env_usize("TAXOREC_SERVE_BATCH_QUEUE") {
             o.queue_capacity = q.max(1);
@@ -120,8 +118,8 @@ fn env_usize(name: &str) -> Option<usize> {
 }
 
 /// A request waiting in (or drained from) the batch queue, with the
-/// instant it entered — the batching deadline and the queue-wait
-/// telemetry are both measured from `enqueued`.
+/// instant it entered — the queue-wait telemetry is measured from
+/// `enqueued`.
 pub struct BatchJob<R> {
     /// The submitted request.
     pub req: R,
@@ -134,6 +132,32 @@ struct BatchShared<R> {
     ready: Condvar,
     shutdown: AtomicBool,
     opts: BatchOptions,
+    metrics: BatchMetrics,
+}
+
+/// The scheduler's telemetry handles, resolved once at spawn.
+struct BatchMetrics {
+    size: Arc<Histogram>,
+    wait_ms: Arc<Histogram>,
+    queue_depth: Arc<Gauge>,
+    batches: Arc<Counter>,
+    requests: Arc<Counter>,
+    shed: Arc<Counter>,
+    panics: Arc<Counter>,
+}
+
+impl BatchMetrics {
+    fn resolve() -> Self {
+        Self {
+            size: taxorec_telemetry::histogram("serve.batch.size"),
+            wait_ms: taxorec_telemetry::histogram("serve.batch.wait_ms"),
+            queue_depth: taxorec_telemetry::gauge("serve.batch.queue.depth"),
+            batches: taxorec_telemetry::counter("serve.batch.batches"),
+            requests: taxorec_telemetry::counter("serve.batch.requests"),
+            shed: taxorec_telemetry::counter("serve.batch.shed"),
+            panics: taxorec_telemetry::counter("serve.batch.panics"),
+        }
+    }
 }
 
 fn lock_queue<R>(
@@ -181,6 +205,7 @@ impl<R: Send + 'static> Batcher<R> {
             ready: Condvar::new(),
             shutdown: AtomicBool::new(false),
             opts,
+            metrics: BatchMetrics::resolve(),
         });
         let stages: Arc<(H, F, C)> = Arc::new((handler, fallback, complete));
         let n = shared.opts.n_scorers.max(1);
@@ -227,14 +252,14 @@ impl<R: Send + 'static> Batcher<R> {
         let mut q = lock_queue(&self.shared.queue);
         if q.len() >= self.shared.opts.queue_capacity {
             drop(q);
-            taxorec_telemetry::counter("serve.batch.shed").inc(1);
+            self.shared.metrics.shed.inc(1);
             return Err(req);
         }
         q.push_back(BatchJob {
             req,
             enqueued: Instant::now(),
         });
-        taxorec_telemetry::gauge("serve.batch.queue.depth").set(q.len() as f64);
+        self.shared.metrics.queue_depth.set(q.len() as f64);
         drop(q);
         self.shared.ready.notify_one();
         Ok(())
@@ -278,9 +303,8 @@ impl<R: Send + 'static> Drop for Batcher<R> {
     }
 }
 
-/// One scorer: assemble a batch (first job + gather until full or the
-/// deadline from the first job's enqueue), score it with panic
-/// isolation, fan the responses out.
+/// One scorer: wait for work, take everything queued (up to
+/// `max_batch`), score it with panic isolation, fan the responses out.
 fn scorer_loop<R, S, H, F, C>(shared: &BatchShared<R>, stages: &(H, F, C))
 where
     R: Send + 'static,
@@ -290,14 +314,15 @@ where
     C: Fn(R, S),
 {
     let (handler, fallback, complete) = stages;
+    let metrics = &shared.metrics;
     loop {
-        // Phase 1: block until a first request (or drained shutdown).
-        let first = {
+        // Phase 1: block until there is work (or a drained shutdown),
+        // then take the backlog in arrival order. Never wait for a batch
+        // to fill: whatever queued up while every scorer was busy is the
+        // batch.
+        let batch: Vec<BatchJob<R>> = {
             let mut q = lock_queue(&shared.queue);
-            loop {
-                if let Some(j) = q.pop_front() {
-                    break j;
-                }
+            while q.is_empty() {
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
@@ -307,48 +332,20 @@ where
                     .unwrap_or_else(|e| e.into_inner());
                 q = guard;
             }
+            let take = q.len().min(shared.opts.max_batch.max(1));
+            let batch = q.drain(..take).collect();
+            metrics.queue_depth.set(q.len() as f64);
+            batch
         };
-        // Phase 2: gather until the batch is full or the deadline —
-        // anchored at the *first* request's enqueue, so a request that
-        // already waited its deadline in a backlog is scored immediately.
-        let mut batch = Vec::with_capacity(shared.opts.max_batch);
-        batch.push(first);
-        let deadline_at = batch[0].enqueued + shared.opts.deadline;
-        {
-            let mut q = lock_queue(&shared.queue);
-            loop {
-                while batch.len() < shared.opts.max_batch {
-                    match q.pop_front() {
-                        Some(j) => batch.push(j),
-                        None => break,
-                    }
-                }
-                if batch.len() >= shared.opts.max_batch || shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let now = Instant::now();
-                let Some(wait) = deadline_at
-                    .checked_duration_since(now)
-                    .filter(|w| !w.is_zero())
-                else {
-                    break;
-                };
-                let (guard, _) = shared
-                    .ready
-                    .wait_timeout(q, wait)
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
-            }
-            taxorec_telemetry::gauge("serve.batch.queue.depth").set(q.len() as f64);
-        }
-        // Phase 3: score with panic isolation and per-batch telemetry.
+        // Phase 2: score with panic isolation and per-batch telemetry.
         let formed = Instant::now();
-        taxorec_telemetry::histogram("serve.batch.size").observe(batch.len() as f64);
-        taxorec_telemetry::counter("serve.batch.batches").inc(1);
-        taxorec_telemetry::counter("serve.batch.requests").inc(batch.len() as u64);
-        let wait_hist = taxorec_telemetry::histogram("serve.batch.wait_ms");
+        metrics.size.observe(batch.len() as f64);
+        metrics.batches.inc(1);
+        metrics.requests.inc(batch.len() as u64);
         for j in &batch {
-            wait_hist.observe(formed.saturating_duration_since(j.enqueued).as_secs_f64() * 1e3);
+            metrics
+                .wait_ms
+                .observe(formed.saturating_duration_since(j.enqueued).as_secs_f64() * 1e3);
         }
         let scored = catch_unwind(AssertUnwindSafe(|| {
             // Deterministic failure hook: `panic@serve.batch` dooms this
@@ -357,7 +354,7 @@ where
             taxorec_resilience::inject_panic_or_stall("serve.batch");
             handler(&batch)
         }));
-        // Phase 4: fan out — exactly one completion per request, even
+        // Phase 3: fan out — exactly one completion per request, even
         // when the handler panicked or broke the length contract.
         match scored {
             Ok(responses) if responses.len() == batch.len() => {
@@ -366,7 +363,7 @@ where
                 }
             }
             outcome => {
-                taxorec_telemetry::counter("serve.batch.panics").inc(1);
+                metrics.panics.inc(1);
                 taxorec_telemetry::sink::warn(match outcome {
                     Ok(_) => {
                         "batch handler broke the one-response-per-request contract; \
@@ -411,7 +408,6 @@ mod tests {
         let (batcher, spawned) = Batcher::spawn(
             BatchOptions {
                 max_batch: 4,
-                deadline: Duration::from_millis(5),
                 queue_capacity: 1024,
                 n_scorers: 2,
             },
@@ -445,7 +441,6 @@ mod tests {
         let (batcher, _) = Batcher::spawn(
             BatchOptions {
                 max_batch: 1,
-                deadline: Duration::ZERO,
                 queue_capacity: 2,
                 n_scorers: 1,
             },
@@ -490,7 +485,6 @@ mod tests {
         let (batcher, _) = Batcher::spawn(
             BatchOptions {
                 max_batch: 8,
-                deadline: Duration::from_millis(50),
                 queue_capacity: 1024,
                 n_scorers: 1,
             },
@@ -508,17 +502,24 @@ mod tests {
     }
 
     #[test]
-    fn lone_request_is_released_by_the_deadline_not_a_full_batch() {
+    fn lone_request_is_dispatched_without_waiting_for_company() {
+        // `max_batch` can never fill and nothing else will arrive: the
+        // request must still complete, as a batch of one — nothing in
+        // the scheduler waits for company.
         let completed = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&completed);
+        let sizes = Arc::new(Mutex::new(Vec::new()));
+        let seen_sizes = Arc::clone(&sizes);
         let (batcher, _) = Batcher::spawn(
             BatchOptions {
-                max_batch: 32, // would never fill
-                deadline: Duration::from_millis(20),
+                max_batch: 32,
                 queue_capacity: 16,
                 n_scorers: 1,
             },
-            |jobs: &[BatchJob<u32>]| jobs.iter().map(|j| format!("r{}", j.req)).collect(),
+            move |jobs: &[BatchJob<u32>]| {
+                seen_sizes.lock().unwrap().push(jobs.len());
+                jobs.iter().map(|j| format!("r{}", j.req)).collect()
+            },
             |_job| "fallback".to_string(),
             move |req, resp: String| sink.lock().unwrap().push((req, resp)),
         )
@@ -526,6 +527,58 @@ mod tests {
         batcher.try_submit(7).expect("submit");
         let got = drain_all(&completed, 1);
         assert_eq!(got[0], (7, "r7".to_string()));
+        assert_eq!(*sizes.lock().unwrap(), vec![1], "dispatched alone");
+        batcher.shutdown();
+    }
+
+    #[test]
+    fn backlog_behind_a_busy_scorer_is_taken_as_one_batch() {
+        // The single scorer is held inside its first batch while three
+        // more requests queue up; released, it must take all three in
+        // one pass (arrival order), not one at a time.
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let gate_h = Arc::clone(&gate);
+        let completed = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&completed);
+        let batches = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&batches);
+        let (batcher, _) = Batcher::spawn(
+            BatchOptions {
+                max_batch: 8,
+                queue_capacity: 16,
+                n_scorers: 1,
+            },
+            move |jobs: &[BatchJob<u32>]| {
+                seen.lock()
+                    .unwrap()
+                    .push(jobs.iter().map(|j| j.req).collect::<Vec<_>>());
+                let (open, cv) = &*gate_h;
+                let mut open = open.lock().unwrap();
+                while !*open {
+                    open = cv.wait(open).unwrap();
+                }
+                jobs.iter().map(|j| format!("r{}", j.req)).collect()
+            },
+            |_job| "fallback".to_string(),
+            move |req, resp: String| sink.lock().unwrap().push((req, resp)),
+        )
+        .expect("spawn");
+        batcher.try_submit(0).expect("submit");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while batches.lock().unwrap().is_empty() {
+            assert!(Instant::now() < deadline, "scorer never took the first job");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for i in 1..4u32 {
+            batcher.try_submit(i).expect("queued");
+        }
+        {
+            let (open, cv) = &*gate;
+            *open.lock().unwrap() = true;
+            cv.notify_all();
+        }
+        drain_all(&completed, 4);
+        assert_eq!(*batches.lock().unwrap(), vec![vec![0], vec![1, 2, 3]]);
         batcher.shutdown();
     }
 }

@@ -18,11 +18,12 @@
 //! workers read and route them. Endpoints other than `/recommend` — and
 //! `/recommend` cache **hits** — are answered inline by the parser
 //! worker. Cache misses become [`RecommendReq`]s submitted to the
-//! [`Batcher`]: scorer threads coalesce up to
-//! [`BatchOptions::max_batch`] requests (bounded by the batching
-//! deadline, so a lone request is never stalled) and score the block in
+//! [`Batcher`]: a free scorer thread takes a request together with
+//! whatever else is already queued (up to [`BatchOptions::max_batch`];
+//! it never waits for company, so a lone request is scored at once and
+//! batches form only while every scorer is busy) and ranks the block in
 //! one fused [`ServingModel::recommend_many`] pass — **bit-identical**
-//! to the single-request path. Completed requests fan out to a responder
+//! to a batch of one. Completed requests fan out to a responder
 //! pool that owns the socket writes, so a slow-reading client can only
 //! ever occupy a parser worker or a responder — never a scorer.
 //!

@@ -30,12 +30,8 @@
 use std::sync::{Arc, Mutex};
 
 use taxorec_core::{ModelState, TaxoRec, TaxoRecConfig};
-use taxorec_data::{Dataset, Split, TopKAccumulator};
-use taxorec_eval::top_k;
-use taxorec_geometry::batch::{
-    fused_scores_block, fused_scores_multi, BlockCache, TagChannel, TagChannelMulti,
-    FUSED_ITEM_CHUNK,
-};
+use taxorec_data::{Dataset, Split, TopKAccumulator, TopKSink};
+use taxorec_geometry::batch::{fused_rank, BlockCache, TagChannelMulti};
 use taxorec_geometry::{convert, lorentz};
 use taxorec_retrieval::{RetrievalMode, TaxoIndex};
 use taxorec_taxonomy::Taxonomy;
@@ -336,117 +332,25 @@ impl ServingModel {
         }
     }
 
-    /// The user-side inputs every retrieval query needs: the Lorentz
-    /// anchor and, when the tag channel is active, the tag anchor with
-    /// its weight `gain·α_u` — the same pair the exhaustive kernels use,
-    /// so beam scoring stays bit-compatible per item.
-    fn anchor(&self, u: usize) -> (&[f64], Option<(&[f64], f64)>) {
-        let s = &self.state;
-        let tag = self.tg_cache.as_ref().map(|_| {
-            let alpha = s.config.tag_channel_gain * s.alphas.get(u).copied().unwrap_or(0.0);
-            (s.u_tg.row(u), alpha)
-        });
-        (s.u_ir.row(u), tag)
-    }
-
-    /// Index-backed candidate generation for one user: route, score the
-    /// selected clusters, count candidates and routing latency.
-    fn beam_search_one(&self, u: usize, beam: usize, k: usize, seen: &[u32]) -> Vec<(u32, f64)> {
-        let index = self.index.as_ref().expect("beam mode requires an index");
-        let (anchor_ir, tag) = self.anchor(u);
-        let t0 = std::time::Instant::now();
-        let (top, stats) =
-            index.search(anchor_ir, tag, beam, k, &|v| seen.binary_search(&v).is_ok());
-        taxorec_telemetry::counter("serve.retrieval.candidates").inc(stats.candidates as u64);
-        taxorec_telemetry::histogram("serve.retrieval.routed_ms")
-            .observe(t0.elapsed().as_secs_f64() * 1e3);
-        top
-    }
-
-    /// Preference score of `user` for every item — identical arithmetic
-    /// (and therefore identical bits) to [`TaxoRec::scores_for_user`],
-    /// computed with the fused block kernels over the construction-time
-    /// caches into a caller-provided buffer.
-    fn scores_into(&self, u: usize, out: &mut Vec<f64>) {
-        let s = &self.state;
-        let n_items = s.v_ir.rows();
-        // Every element is overwritten below; skip the zero-refill when a
-        // reused buffer already has the right length.
-        if out.len() != n_items {
-            out.clear();
-            out.resize(n_items, 0.0);
-        }
-        if n_items == 0 {
-            return;
-        }
-        let urow_ir = s.u_ir.row(u);
-        let alpha = s.config.tag_channel_gain * s.alphas.get(u).copied().unwrap_or(0.0);
-        match &self.tg_cache {
-            Some(tg) => taxorec_core::scratch::with_buf(n_items, |scr| {
-                fused_scores_block(
-                    &self.ir_cache,
-                    urow_ir,
-                    Some(TagChannel {
-                        cache: tg,
-                        anchor: s.u_tg.row(u),
-                        alpha,
-                    }),
-                    0,
-                    n_items,
-                    scr,
-                    out,
-                );
-            }),
-            None => fused_scores_block(&self.ir_cache, urow_ir, None, 0, n_items, &mut [], out),
-        }
-    }
-
     /// The `k` best unseen items for `user`, best first, with scores.
     ///
     /// Items from the user's training history (when the artifact carries
     /// seen-item lists) are excluded. Results are memoized in the LRU
     /// response cache; `serve.cache.hit` / `serve.cache.miss` count the
-    /// outcomes.
+    /// outcomes. A miss is a [`ServingModel::recommend_many`] batch of
+    /// one — there is a single scoring path. The `score` span (with the
+    /// fused ranking under `kernel`) is inert unless the ambient request
+    /// is sampled.
     pub fn recommend(&self, user: u32, k: usize) -> Result<Ranking, ServeError> {
-        let u = user as usize;
-        if u >= self.n_users() {
-            return Err(ServeError::UnknownUser {
-                user,
-                n_users: self.n_users(),
-            });
-        }
-        if let Some(hit) = self.cached(user, k) {
-            return Ok(hit);
-        }
-        let seen: &[u32] = self.seen.get(u).map(Vec::as_slice).unwrap_or(&[]);
-        // Any k beyond the catalogue returns the full unseen list, so
-        // clamp before sizing accumulators (a u32::MAX-sized heap would
-        // abort the allocator). The cache key keeps the requested k.
-        let k_eff = k.min(self.n_items());
-        // Score into a per-worker scratch buffer: a cache miss allocates
-        // only its `k`-entry result after warm-up. The `score` span (with
-        // the fused block scoring under `kernel`) is inert unless the
-        // ambient request is sampled.
-        let _score_span = taxorec_telemetry::trace::child_span("score");
-        let top = match self.beam_width() {
-            Some(beam) => {
-                let _kernel_span = taxorec_telemetry::trace::child_span("kernel");
-                self.beam_search_one(u, beam, k_eff, seen)
+        if (user as usize) < self.n_users() {
+            if let Some(hit) = self.cached(user, k) {
+                return Ok(hit);
             }
-            None => taxorec_core::scratch::with_vec(|scores| {
-                {
-                    let _kernel_span = taxorec_telemetry::trace::child_span("kernel");
-                    self.scores_into(u, scores);
-                }
-                top_k(scores, k_eff, |v| seen.binary_search(&(v as u32)).is_ok())
-            }),
-        };
-        let result = Arc::new(top);
-        self.cache
-            .lock()
-            .unwrap()
-            .put(cache_key(user, k), Arc::clone(&result));
-        Ok(result)
+        }
+        let _score_span = taxorec_telemetry::trace::child_span("score");
+        self.recommend_many(&[(user, k)])
+            .pop()
+            .expect("one answer per query")
     }
 
     /// Probes the response cache for `(user, k)` without scoring,
@@ -477,23 +381,24 @@ impl ServingModel {
         self.cache.lock().unwrap().get(&key).map(Arc::clone)
     }
 
-    /// Answers a heterogeneous batch of `(user, k)` queries in one call
-    /// through the fused multi-anchor kernels: cache misses are grouped
-    /// into user-blocks of [`SERVE_BLOCK`], each block streams the item
-    /// panels **once** for all its users ([`fused_scores_multi`]), and
-    /// every user is ranked through a per-query [`TopKAccumulator`]
-    /// while the scores are cache-hot.
+    /// Answers a heterogeneous batch of `(user, k)` queries in one call —
+    /// the one cache-miss path of the engine. Misses are grouped into
+    /// user-blocks of [`SERVE_BLOCK`]; each block streams the item panels
+    /// **once** for all its users through the fused ranking kernel
+    /// ([`fused_rank`]), which finishes and offers to each query's
+    /// [`TopKAccumulator`] only the items that can still enter it.
     ///
     /// Result order matches `queries`; each entry fails independently
     /// (an unknown user does not poison the batch), and duplicates and
     /// mixed `k` are fine — every query gets its own accumulator.
     ///
-    /// **Bit-identical to the single-request path**: the multi-anchor
-    /// kernels preserve [`fused_scores_block`]'s per-pair arithmetic
-    /// (DESIGN.md §12) and the accumulator offered ascending item ids
-    /// replays [`top_k`]'s exact heap sequence, so each entry equals
-    /// [`ServingModel::recommend`] for that `(user, k)` — not merely
-    /// close. The batching integration tests assert exact equality.
+    /// **Batch-shape independent and exact**: per `(user, item)` pair the
+    /// kernel runs the scalar loop's arithmetic (DESIGN.md §12), pruning
+    /// only withholds items that provably rank below the `k`-th, and the
+    /// accumulator is insertion-order independent — so every entry is,
+    /// bit for bit, the exhaustive scalar ranking of that `(user, k)`,
+    /// whatever else shared its block. The tests check that against a
+    /// kernel-free reference.
     pub fn recommend_many(&self, queries: &[(u32, usize)]) -> Vec<Result<Ranking, ServeError>> {
         let mut out: Vec<Option<Result<Ranking, ServeError>>> = Vec::new();
         out.resize_with(queries.len(), || None);
@@ -526,19 +431,16 @@ impl ServingModel {
             .collect()
     }
 
-    /// Scores one block of known-user cache misses (`block` indexes into
-    /// `queries`) with one multi-anchor fused pass per catalogue chunk,
-    /// ranking each query through its own accumulator with its own `k`
-    /// and seen-item exclusion.
+    /// Ranks one block of known-user cache misses (`block` indexes into
+    /// `queries`), each query with its own `k` and seen-item exclusion:
+    /// one fused ranking pass over the catalogue in exact mode, batched
+    /// routing through [`TaxoIndex::search_block`] in beam mode (each
+    /// selected leaf streams once for all queries that chose it).
     fn score_block(&self, queries: &[(u32, usize)], block: &[usize]) -> Vec<Vec<(u32, f64)>> {
         let s = &self.state;
         let n_items = s.v_ir.rows();
-        let b = block.len();
-        if b == 0 || n_items == 0 {
-            return vec![Vec::new(); b];
-        }
-        if let Some(beam) = self.beam_width() {
-            return self.beam_score_block(queries, block, beam);
+        if block.is_empty() || n_items == 0 {
+            return vec![Vec::new(); block.len()];
         }
         let users: Vec<usize> = block.iter().map(|&qi| queries[qi].0 as usize).collect();
         let anchors_ir: Vec<&[f64]> = users.iter().map(|&u| s.u_ir.row(u)).collect();
@@ -550,101 +452,59 @@ impl ServingModel {
                 .collect();
             (tg_cache, anchors_tg, alphas)
         });
-        let chunk = FUSED_ITEM_CHUNK;
-        let buf_len = b * n_items.min(chunk);
+        let seen: Vec<&[u32]> = users
+            .iter()
+            .map(|&u| self.seen.get(u).map(Vec::as_slice).unwrap_or(&[]))
+            .collect();
+        let exclude = |pos: usize, item: u32| seen[pos].binary_search(&item).is_ok();
+        let _kernel_span = taxorec_telemetry::trace::child_span("kernel");
+        if let (Some(beam), Some(index)) = (self.beam_width(), &self.index) {
+            // The index is queried at the block's largest `k` and each
+            // result truncated to its own: a top-`k` list is a prefix of
+            // the top-`k_max` list under the same total order.
+            let k_max = block.iter().map(|&qi| queries[qi].1).max().unwrap_or(0);
+            let t0 = std::time::Instant::now();
+            let (mut results, stats) = index.search_block(
+                &anchors_ir,
+                tg.as_ref().map(|(_, a, al)| (a.as_slice(), al.as_slice())),
+                beam,
+                // Any k beyond the catalogue returns the full unseen
+                // list, so clamp before sizing accumulators (a
+                // u32::MAX-sized heap would abort the allocator).
+                k_max.min(n_items),
+                &exclude,
+            );
+            let candidates: usize = stats.iter().map(|st| st.candidates).sum();
+            taxorec_telemetry::counter("serve.retrieval.candidates").inc(candidates as u64);
+            taxorec_telemetry::histogram("serve.retrieval.routed_ms")
+                .observe(t0.elapsed().as_secs_f64() * 1e3);
+            for (pos, &qi) in block.iter().enumerate() {
+                results[pos].truncate(queries[qi].1);
+            }
+            return results;
+        }
         let mut accs: Vec<TopKAccumulator> = block
             .iter()
             .map(|&qi| TopKAccumulator::new(queries[qi].1.min(n_items)))
             .collect();
-        taxorec_core::scratch::with_buf(buf_len, |buf| {
-            taxorec_core::scratch::with_buf(if tg.is_some() { buf_len } else { 0 }, |scr| {
-                let mut lo = 0;
-                while lo < n_items {
-                    let hi = (lo + chunk).min(n_items);
-                    let m = hi - lo;
-                    let channel = tg.as_ref().map(|(cache, anchors, alphas)| TagChannelMulti {
-                        cache,
-                        anchors: anchors.as_slice(),
-                        alphas: alphas.as_slice(),
-                    });
-                    let scr_len = if tg.is_some() { b * m } else { 0 };
-                    fused_scores_multi(
-                        &self.ir_cache,
-                        &anchors_ir,
-                        channel,
-                        lo,
-                        hi,
-                        &mut scr[..scr_len],
-                        &mut buf[..b * m],
-                    );
-                    for (pos, acc) in accs.iter_mut().enumerate() {
-                        let seen: &[u32] =
-                            self.seen.get(users[pos]).map(Vec::as_slice).unwrap_or(&[]);
-                        let row = &buf[pos * m..(pos + 1) * m];
-                        for (i, &score) in row.iter().enumerate() {
-                            let item = (lo + i) as u32;
-                            if seen.binary_search(&item).is_err() {
-                                acc.push(item, score);
-                            }
-                        }
-                    }
-                    lo = hi;
-                }
-            });
-        });
-        accs.into_iter().map(|a| a.into_sorted()).collect()
-    }
-
-    /// Beam-mode counterpart of [`ServingModel::score_block`]: batched
-    /// routing through [`TaxoIndex::search_block`] (each selected leaf
-    /// streams once for all queries that chose it). The index is queried
-    /// at the block's largest `k` and each result truncated to its own —
-    /// a top-`k` list is a prefix of the top-`k_max` list under the same
-    /// total order, so every entry stays bit-identical to a lone
-    /// [`ServingModel::recommend`] call.
-    fn beam_score_block(
-        &self,
-        queries: &[(u32, usize)],
-        block: &[usize],
-        beam: usize,
-    ) -> Vec<Vec<(u32, f64)>> {
-        let index = self.index.as_ref().expect("beam mode requires an index");
-        let s = &self.state;
-        let users: Vec<usize> = block.iter().map(|&qi| queries[qi].0 as usize).collect();
-        let k_max = block
-            .iter()
-            .map(|&qi| queries[qi].1)
-            .max()
-            .unwrap_or(0)
-            .min(self.n_items());
-        let anchors_ir: Vec<&[f64]> = users.iter().map(|&u| s.u_ir.row(u)).collect();
-        let tg = self.tg_cache.as_ref().map(|_| {
-            let anchors_tg: Vec<&[f64]> = users.iter().map(|&u| s.u_tg.row(u)).collect();
-            let alphas: Vec<f64> = users
-                .iter()
-                .map(|&u| s.config.tag_channel_gain * s.alphas.get(u).copied().unwrap_or(0.0))
-                .collect();
-            (anchors_tg, alphas)
-        });
-        let t0 = std::time::Instant::now();
-        let (mut results, stats) = index.search_block(
+        fused_rank(
+            &self.ir_cache,
             &anchors_ir,
-            tg.as_ref().map(|(a, al)| (a.as_slice(), al.as_slice())),
-            beam,
-            k_max,
-            &|pos, v| {
-                let seen: &[u32] = self.seen.get(users[pos]).map(Vec::as_slice).unwrap_or(&[]);
-                seen.binary_search(&v).is_ok()
+            tg.as_ref().map(|(cache, anchors, alphas)| TagChannelMulti {
+                cache,
+                anchors,
+                alphas,
+            }),
+            0,
+            n_items,
+            &mut TopKSink {
+                accs: &mut accs,
+                acc_of: None,
+                item_ids: None,
+                exclude,
             },
         );
-        let candidates: usize = stats.iter().map(|st| st.candidates).sum();
-        taxorec_telemetry::counter("serve.retrieval.candidates").inc(candidates as u64);
-        taxorec_telemetry::histogram("serve.retrieval.routed_ms")
-            .observe(t0.elapsed().as_secs_f64() * 1e3);
-        for (pos, &qi) in block.iter().enumerate() {
-            results[pos].truncate(queries[qi].1);
-        }
-        results
+        accs.into_iter().map(|a| a.into_sorted()).collect()
     }
 
     /// Answers many users in one call: blocks of [`SERVE_BLOCK`] users
@@ -849,8 +709,28 @@ mod tests {
         }
     }
 
+    /// The kernel-free reference: the scalar per-item loop of Eq. 17
+    /// over the exported state (the `NaiveScorer` of
+    /// `tests/parallel_determinism.rs`), ranked by one `select_top_k`
+    /// pass. Shares no code with the fused ranking path.
+    fn scalar_ranking(m: &TaxoRec, s: &Split, user: u32, k: usize) -> Vec<(u32, f64)> {
+        let st = m.export_state();
+        let u = user as usize;
+        let alpha = st.config.tag_channel_gain * st.alphas[u];
+        let scores: Vec<f64> = (0..st.v_ir.rows())
+            .map(|v| {
+                let mut g = lorentz::distance_sq(st.u_ir.row(u), st.v_ir.row(v));
+                if st.tags_active {
+                    g += alpha * lorentz::distance_sq(st.u_tg.row(u), st.v_tg.row(v));
+                }
+                -g
+            })
+            .collect();
+        select_top_k(&scores, k, |v| s.train[u].contains(&(v as u32)))
+    }
+
     #[test]
-    fn recommend_many_is_bit_identical_to_recommend() {
+    fn recommend_many_is_bit_identical_to_the_scalar_exhaustive_ranking() {
         let (m, d, s) = trained();
         let serving = ServingModel::from_model(&m, &d, &s).unwrap();
         // Heterogeneous batch: mixed k, duplicate users (same and
@@ -865,22 +745,22 @@ mod tests {
         queries.push((0, 0));
         queries.push((1, d.n_items + 50));
         let got = serving.recommend_many(&queries);
-        // Reference answers from a fresh engine so every query runs the
-        // single-request scoring path (no cross-talk via the shared
-        // cache).
-        let reference = ServingModel::from_model(&m, &d, &s).unwrap();
+        // A batch of one on a fresh engine (no cross-talk via the shared
+        // cache) must give the same answer as any other batch shape.
+        let lone = ServingModel::from_model(&m, &d, &s).unwrap();
         assert_eq!(got.len(), queries.len());
         for (&(u, k), res) in queries.iter().zip(&got) {
-            let want = reference.recommend(u, k).unwrap();
-            let have = res.as_ref().unwrap();
-            assert_eq!(have.len(), want.len(), "user {u} k {k}");
-            for (a, b) in have.iter().zip(want.iter()) {
-                assert_eq!(a.0, b.0, "user {u} k {k}: item mismatch");
-                assert_eq!(
-                    a.1.to_bits(),
-                    b.1.to_bits(),
-                    "user {u} k {k}: score not bit-identical"
-                );
+            let want = scalar_ranking(&m, &s, u, k);
+            for have in [res.as_ref().unwrap(), &lone.recommend(u, k).unwrap()] {
+                assert_eq!(have.len(), want.len(), "user {u} k {k}");
+                for (a, b) in have.iter().zip(want.iter()) {
+                    assert_eq!(a.0, b.0, "user {u} k {k}: item mismatch");
+                    assert_eq!(
+                        a.1.to_bits(),
+                        b.1.to_bits(),
+                        "user {u} k {k}: score not bit-identical"
+                    );
+                }
             }
         }
     }

@@ -15,6 +15,7 @@ use std::time::Duration;
 
 use taxorec_core::{TaxoRec, TaxoRecConfig};
 use taxorec_data::{generate_preset, Preset, Recommender, Scale, Split};
+use taxorec_resilience::{disable, install, FaultSpec};
 use taxorec_serve::{serve_with, BatchOptions, ServeOptions, ServingModel};
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -92,8 +93,11 @@ fn expected_body(user: u32, k: usize, items: &[(u32, f64)]) -> String {
 fn concurrent_clients_get_bit_identical_responses_and_batches_form() {
     let _g = lock();
     let (served, reference, n_users) = two_engines();
-    // One scorer and a wide deadline so the concurrent burst below is
-    // forced through shared batches rather than 24 singleton ones.
+    // One scorer, stalled inside its first batch (a primer request): the
+    // concurrent burst below queues up behind it, and the scheduler takes
+    // what queued as shared batches rather than 24 singleton ones.
+    std::env::set_var("TAXOREC_FAULT_STALL_MS", "1000");
+    install(FaultSpec::parse("stall@serve.batch:1").expect("spec"));
     let handle = serve_with(
         Arc::new(served),
         "127.0.0.1:0",
@@ -102,7 +106,6 @@ fn concurrent_clients_get_bit_identical_responses_and_batches_form() {
             io_timeout: Duration::from_secs(5),
             batch: BatchOptions {
                 max_batch: 32,
-                deadline: Duration::from_millis(100),
                 queue_capacity: 1024,
                 n_scorers: 1,
             },
@@ -112,7 +115,19 @@ fn concurrent_clients_get_bit_identical_responses_and_batches_form() {
     .expect("bind");
     let addr = handle.local_addr();
 
-    let batches_before = taxorec_telemetry::counter("serve.batch.batches").get();
+    let batch_count = taxorec_telemetry::counter("serve.batch.batches");
+    let primed_at = batch_count.get();
+    // `k = 1` is a key no burst client asks for.
+    let primer = std::thread::spawn(move || http_get(addr, "/recommend?user=0&k=1").0);
+    let give_up = std::time::Instant::now() + Duration::from_secs(10);
+    while batch_count.get() == primed_at {
+        assert!(
+            std::time::Instant::now() < give_up,
+            "scorer never took the primer"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let batches_before = batch_count.get();
     let n_clients = 24.min(n_users);
     let barrier = Arc::new(Barrier::new(n_clients));
     let mut clients = Vec::new();
@@ -130,6 +145,9 @@ fn concurrent_clients_get_bit_identical_responses_and_batches_form() {
         .into_iter()
         .map(|t| t.join().expect("client"))
         .collect();
+    assert_eq!(primer.join().expect("primer"), 200);
+    disable();
+    std::env::remove_var("TAXOREC_FAULT_STALL_MS");
 
     for (user, k, status, response) in &responses {
         assert_eq!(*status, 200, "user {user}: {response}");
@@ -149,7 +167,7 @@ fn concurrent_clients_get_bit_identical_responses_and_batches_form() {
         "no multi-request batch formed (max size {})",
         sizes.max()
     );
-    let batches = taxorec_telemetry::counter("serve.batch.batches").get() - batches_before;
+    let batches = batch_count.get() - batches_before;
     assert!(
         batches < n_clients as u64,
         "{n_clients} requests took {batches} batches — no coalescing"

@@ -194,7 +194,6 @@ fn full_batch_queue_sheds_with_503_and_retry_after() {
             io_timeout: Duration::from_secs(5),
             batch: BatchOptions {
                 max_batch: 1,
-                deadline: Duration::ZERO,
                 queue_capacity: 1,
                 n_scorers: 1,
             },
@@ -257,7 +256,6 @@ fn panicking_batch_fails_only_its_own_requests() {
             io_timeout: Duration::from_secs(5),
             batch: BatchOptions {
                 max_batch: 1,
-                deadline: Duration::ZERO,
                 queue_capacity: 16,
                 n_scorers: 1,
             },

@@ -1,0 +1,275 @@
+//! Exactness of the pruned ranking kernel (`geometry::batch::fused_rank`).
+//!
+//! The kernel skips the `arcosh` finisher for items whose interaction
+//! term alone already puts them below the current K-th score. That must
+//! never show: for ANY block of anchors and ANY catalogue range, ranking
+//! through the kernel has to return exactly what `select_top_k` returns
+//! over the unpruned `fused_scores_block` scores — same item ids in the
+//! same order (ties → lower id) with `f64::to_bits`-identical scores.
+//! The generated inputs aim at where a pruning rule could go wrong:
+//! rows at the origin and on the clip shell (distances near 0 and near
+//! the largest the model produces), duplicated rows (exact score ties),
+//! `α` of 0 / denormal / huge, `k` of 0 / 1 / n / beyond n, exclusions,
+//! multi-anchor blocks, ranges that straddle strip and chunk boundaries,
+//! and candidates offered leaf by leaf out of order, the way the
+//! retrieval index offers them.
+
+use proptest::prelude::*;
+use taxorec::data::{select_top_k, TopKAccumulator, TopKSink};
+use taxorec::geometry::batch::{
+    fused_rank, fused_scores_block, BlockCache, TagChannel, TagChannelMulti,
+};
+use taxorec::geometry::convert::poincare_to_lorentz;
+
+const DIM_IR: usize = 3;
+const DIM_TG: usize = 2;
+
+/// One generated row: a kind selector and a direction per channel.
+type RowSpec = (u32, Vec<f64>, Vec<f64>);
+
+fn row_spec() -> impl Strategy<Value = RowSpec> {
+    (
+        0u32..10,
+        proptest::collection::vec(-1.0f64..1.0, DIM_IR),
+        proptest::collection::vec(-1.0f64..1.0, DIM_TG),
+    )
+}
+
+/// Lifts a direction onto the hyperboloid at the radius `kind` selects:
+/// next to the origin, on the clip shell (the ball point lies outside
+/// `MAX_BALL_NORM`, so the conversion clips it), or mid-ball.
+fn lift(kind: u32, dir: &[f64]) -> Vec<f64> {
+    let norm = dir.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-12);
+    let scale = match kind {
+        0 | 1 => 1e-9,
+        2 | 3 => 1.5 / norm,
+        _ => 0.55,
+    };
+    let ball: Vec<f64> = dir.iter().map(|x| x * scale).collect();
+    let mut out = vec![0.0; dir.len() + 1];
+    poincare_to_lorentz(&ball, &mut out);
+    out
+}
+
+/// Flat row-major `(ir, tg)` matrices. Row `i > 0` whose `dups` entry
+/// starts with 0 copies an earlier row in both channels — an exact tie.
+fn matrices(specs: &[RowSpec], dups: &[(u32, usize)]) -> (Vec<f64>, Vec<f64>) {
+    let mut rows: Vec<(Vec<f64>, Vec<f64>)> = Vec::with_capacity(specs.len());
+    for (i, (kind, ir, tg)) in specs.iter().enumerate() {
+        let (dup, source) = dups[i % dups.len()];
+        if i > 0 && dup == 0 {
+            rows.push(rows[source % i].clone());
+        } else {
+            rows.push((lift(*kind, ir), lift(*kind, tg)));
+        }
+    }
+    (
+        rows.iter().flat_map(|r| r.0.iter().copied()).collect(),
+        rows.iter().flat_map(|r| r.1.iter().copied()).collect(),
+    )
+}
+
+/// The reference: unpruned scores of `lo..hi` for one anchor, then one
+/// `select_top_k` pass keyed by item id.
+#[allow(clippy::too_many_arguments)]
+fn exhaustive(
+    ir: &BlockCache,
+    tg: Option<&BlockCache>,
+    u_ir: &[f64],
+    u_tg: &[f64],
+    alpha: f64,
+    (lo, hi): (usize, usize),
+    ids: &[u32],
+    k: usize,
+    exclude: impl Fn(u32) -> bool,
+) -> Vec<(u32, f64)> {
+    let mut scores = vec![0.0; hi - lo];
+    let mut scratch = vec![0.0; hi - lo];
+    let tag = tg.map(|cache| TagChannel {
+        cache,
+        anchor: u_tg,
+        alpha,
+    });
+    fused_scores_block(ir, u_ir, tag, lo, hi, &mut scratch, &mut scores);
+    let mut by_id: Vec<Option<f64>> = vec![None; ids.len()];
+    for (slot, &score) in (lo..hi).zip(&scores) {
+        by_id[ids[slot] as usize] = Some(score);
+    }
+    let dense: Vec<f64> = by_id.iter().map(|s| s.unwrap_or(0.0)).collect();
+    select_top_k(&dense, k, |id| by_id[id].is_none() || exclude(id as u32))
+}
+
+fn assert_same(got: &[(u32, f64)], want: &[(u32, f64)], what: &str) -> Result<(), String> {
+    if got.len() != want.len() {
+        return Err(format!("{what}: {} items, want {}", got.len(), want.len()));
+    }
+    for (rank, (g, w)) in got.iter().zip(want).enumerate() {
+        if g.0 != w.0 || g.1.to_bits() != w.1.to_bits() {
+            return Err(format!("{what}: rank {rank} is {g:?}, want {w:?}"));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn pruned_ranking_equals_select_top_k_over_unpruned_scores(
+        specs in proptest::collection::vec(row_spec(), 40..1400),
+        dups in proptest::collection::vec((0u32..6, 0usize..10_000), 1..64),
+        anchors in proptest::collection::vec((row_spec(), 0usize..5), 1..7),
+        with_tag in 0u32..4,
+        k_choice in 0usize..6,
+        range in (0usize..10_000, 0usize..10_000),
+        stride in 1usize..7,
+        cuts in proptest::collection::vec(0usize..10_000, 0..6),
+        order in 0u32..3,
+        reverse_ids in 0u32..2,
+    ) {
+        let n = specs.len();
+        let (v_ir, v_tg) = matrices(&specs, &dups);
+        let ir = BlockCache::build(&v_ir, DIM_IR + 1);
+        let tg_cache = BlockCache::build(&v_tg, DIM_TG + 1);
+        let tg = (with_tag > 0).then_some(&tg_cache);
+
+        let alphas_of = [0.0, f64::MIN_POSITIVE, 1e-9, 0.5, 1e6];
+        let u_ir: Vec<Vec<f64>> = anchors.iter().map(|((kind, d, _), _)| lift(*kind, d)).collect();
+        let u_tg: Vec<Vec<f64>> = anchors.iter().map(|((kind, _, d), _)| lift(*kind, d)).collect();
+        let alphas: Vec<f64> = anchors.iter().map(|&(_, a)| alphas_of[a]).collect();
+        let u_ir_refs: Vec<&[f64]> = u_ir.iter().map(Vec::as_slice).collect();
+        let u_tg_refs: Vec<&[f64]> = u_tg.iter().map(Vec::as_slice).collect();
+
+        // A sub-range with no regard for STRIP or FUSED_ITEM_CHUNK.
+        let lo = range.0 % n;
+        let hi = lo + range.1 % (n - lo + 1);
+        let k = [0, 1, 10, n, n + 7, hi - lo][k_choice];
+        let ids: Vec<u32> = if reverse_ids == 1 {
+            (0..n as u32).rev().collect()
+        } else {
+            (0..n as u32).collect()
+        };
+        let exclude = |pos: usize, item: u32| stride > 1 && (item as usize + pos).is_multiple_of(stride);
+
+        // Leaves: the range cut at generated points, offered in routing
+        // order — ascending, descending, or evens before odds.
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| lo + c % (hi - lo + 1)).collect();
+        bounds.extend([lo, hi]);
+        bounds.sort_unstable();
+        let mut leaves: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1])).collect();
+        match order {
+            1 => leaves.reverse(),
+            2 => {
+                let (even, odd): (Vec<_>, Vec<_>) =
+                    leaves.iter().enumerate().partition(|(i, _)| i % 2 == 0);
+                leaves = even.into_iter().chain(odd).map(|(_, &l)| l).collect();
+            }
+            _ => {}
+        }
+
+        let mut accs: Vec<TopKAccumulator> =
+            anchors.iter().map(|_| TopKAccumulator::new(k)).collect();
+        for &(leaf_lo, leaf_hi) in &leaves {
+            fused_rank(
+                &ir,
+                &u_ir_refs,
+                tg.map(|cache| TagChannelMulti { cache, anchors: &u_tg_refs, alphas: &alphas }),
+                leaf_lo,
+                leaf_hi,
+                &mut TopKSink { accs: &mut accs, acc_of: None, item_ids: Some(&ids), exclude },
+            );
+        }
+        for (pos, acc) in accs.into_iter().enumerate() {
+            let want = exhaustive(
+                &ir, tg, &u_ir[pos], &u_tg[pos], alphas[pos], (lo, hi), &ids, k,
+                |item| exclude(pos, item),
+            );
+            if let Err(e) = assert_same(&acc.into_sorted(), &want, &format!("anchor {pos}")) {
+                prop_assert!(false, "{e} (n {n}, range {lo}..{hi}, k {k}, alpha {})", alphas[pos]);
+            }
+        }
+    }
+}
+
+/// Checkpoints are outside input: nothing stops an artifact from carrying
+/// a negative or non-finite `α`, or NaN / infinite embedding rows. The
+/// pruning rule is only sound for `α ∈ [0, ∞)` and ordered compares, so
+/// each of these must fall back to scoring everything — and still rank
+/// exactly as the unpruned path does (where a NaN inner product clamps
+/// to distance 0, the *best* score, and `0·∞` poisons a score to NaN).
+#[test]
+fn hostile_alphas_and_nan_rows_rank_as_the_unpruned_path() {
+    let n = 700;
+    let specs: Vec<RowSpec> = (0..n)
+        .map(|i| {
+            let t = i as f64;
+            (
+                (i % 10) as u32,
+                vec![(t * 0.37).sin(), (t * 0.11).cos(), (t * 0.05).sin()],
+                vec![(t * 0.23).cos(), (t * 0.07).sin()],
+            )
+        })
+        .collect();
+    let (mut v_ir, mut v_tg) = matrices(&specs, &[(1, 0)]);
+    // Late rows, so the accumulators are full and pruning long before.
+    v_ir[650 * (DIM_IR + 1) + 1] = f64::NAN;
+    v_tg[660 * (DIM_TG + 1)] = f64::INFINITY;
+    v_tg[670 * (DIM_TG + 1) + 1] = f64::NAN;
+    let ir = BlockCache::build(&v_ir, DIM_IR + 1);
+    let tg = BlockCache::build(&v_tg, DIM_TG + 1);
+
+    let plain_ir = lift(5, &[0.3, -0.2, 0.5]);
+    let plain_tg = lift(5, &[-0.4, 0.1]);
+    let mut nan_ir = plain_ir.clone();
+    nan_ir[2] = f64::NAN;
+    // (α, ir anchor): hostile weights on a clean anchor, then a NaN
+    // anchor row, then the two weights whose tag term can turn NaN.
+    let cases: [(f64, &[f64]); 7] = [
+        (-0.5, &plain_ir),
+        (f64::NAN, &plain_ir),
+        (f64::INFINITY, &plain_ir),
+        (f64::NEG_INFINITY, &plain_ir),
+        (0.5, &nan_ir),
+        (0.0, &plain_ir),
+        (1e300, &plain_ir),
+    ];
+    let u_irs: Vec<&[f64]> = cases.iter().map(|c| c.1).collect();
+    let u_tgs: Vec<&[f64]> = cases.iter().map(|_| plain_tg.as_slice()).collect();
+    let alphas: Vec<f64> = cases.iter().map(|c| c.0).collect();
+    let ids: Vec<u32> = (0..n as u32).collect();
+    for k in [1, 10] {
+        let mut accs: Vec<TopKAccumulator> =
+            cases.iter().map(|_| TopKAccumulator::new(k)).collect();
+        fused_rank(
+            &ir,
+            &u_irs,
+            Some(TagChannelMulti {
+                cache: &tg,
+                anchors: &u_tgs,
+                alphas: &alphas,
+            }),
+            0,
+            n,
+            &mut TopKSink {
+                accs: &mut accs,
+                acc_of: None,
+                item_ids: None,
+                exclude: |_, _| false,
+            },
+        );
+        for (pos, acc) in accs.into_iter().enumerate() {
+            let want = exhaustive(
+                &ir,
+                Some(&tg),
+                u_irs[pos],
+                &plain_tg,
+                alphas[pos],
+                (0, n),
+                &ids,
+                k,
+                |_| false,
+            );
+            assert_same(&acc.into_sorted(), &want, &format!("case {pos} k {k}")).unwrap();
+        }
+    }
+}
