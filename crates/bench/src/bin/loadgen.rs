@@ -23,11 +23,12 @@
 //! exits non-zero when achieved throughput falls below the floor or any
 //! response was non-2xx — the CI load-smoke gate.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use taxorec_serve::client;
 
 const USAGE: &str = "\
 taxorec-loadgen — open-loop load generator for the TaxoRec serving tier
@@ -160,40 +161,23 @@ fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
     sorted_ms[idx.min(sorted_ms.len() - 1)]
 }
 
-/// Issues one `/recommend` request and measures from `scheduled` (the
-/// open-loop arrival instant) to the full response being read.
-fn one_request(addr: SocketAddr, user: u32, k: usize, scheduled: Instant) -> Sample {
-    let result = (|| -> Result<u16, &'static str> {
-        // Refused is its own phase: it is the signature of a target
-        // restarting (failover drills), distinct from timeouts or
-        // resets, and `--allow-refused` exempts exactly this bucket.
-        let mut stream = TcpStream::connect(addr).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::ConnectionRefused {
-                "refused"
-            } else {
-                "connect"
-            }
-        })?;
-        stream.set_nodelay(true).ok();
-        stream.set_read_timeout(Some(Duration::from_secs(30))).ok();
-        write!(
-            stream,
-            "GET /recommend?user={user}&k={k} HTTP/1.1\r\nHost: loadgen\r\n\r\n"
-        )
-        .map_err(|_| "send")?;
-        let mut response = Vec::with_capacity(1024);
-        stream.read_to_end(&mut response).map_err(|_| "read")?;
-        let head = std::str::from_utf8(&response).map_err(|_| "parse")?;
-        head.split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or("parse")
-    })();
+/// Closes one measured exchange: latency runs from `scheduled` (the
+/// open-loop arrival instant) to the full response being read. A
+/// transport failure keeps its phase — `refused` is its own bucket, the
+/// signature of a target restarting (failover drills), and
+/// `--allow-refused` exempts exactly it.
+fn sample(scheduled: Instant, result: Result<client::Response, client::Error>) -> Sample {
     Sample {
         latency: scheduled.elapsed(),
-        status: *result.as_ref().unwrap_or(&0),
-        error: result.err(),
+        status: result.as_ref().map_or(0, |r| r.status),
+        error: result.err().map(|e| e.phase.as_str()),
     }
+}
+
+/// Issues one `/recommend` request.
+fn one_request(addr: SocketAddr, user: u32, k: usize, scheduled: Instant) -> Sample {
+    let target = format!("/recommend?user={user}&k={k}");
+    sample(scheduled, client::get(addr, &target))
 }
 
 /// Issues one `POST /ingest` batch: `batch` interactions from `user`
@@ -220,52 +204,24 @@ fn one_ingest(addr: SocketAddr, user: u32, seq: usize, batch: usize, scheduled: 
         }
     }
     body.push_str("]}");
-    let result = (|| -> Result<u16, &'static str> {
-        let mut stream = TcpStream::connect(addr).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::ConnectionRefused {
-                "refused"
-            } else {
-                "connect"
-            }
-        })?;
-        stream.set_nodelay(true).ok();
-        stream.set_read_timeout(Some(Duration::from_secs(30))).ok();
-        write!(
-            stream,
-            "POST /ingest HTTP/1.1\r\nHost: loadgen\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        )
-        .map_err(|_| "send")?;
-        let mut response = Vec::with_capacity(256);
-        stream.read_to_end(&mut response).map_err(|_| "read")?;
-        let head = std::str::from_utf8(&response).map_err(|_| "parse")?;
-        head.split_whitespace()
-            .nth(1)
-            .and_then(|s| s.parse().ok())
-            .ok_or("parse")
-    })();
-    Sample {
-        latency: scheduled.elapsed(),
-        status: *result.as_ref().unwrap_or(&0),
-        error: result.err(),
-    }
+    let timeouts = client::Timeouts::default();
+    sample(
+        scheduled,
+        client::request(addr, "POST", "/ingest", "", &body, timeouts),
+    )
 }
 
 /// Reads `"users":N` off the target's `/healthz` so virtual users map
 /// onto real model ids in both target modes.
 fn model_users(addr: SocketAddr) -> Result<usize, String> {
-    let mut stream =
-        TcpStream::connect(addr).map_err(|e| format!("healthz connect {addr}: {e}"))?;
-    stream.set_read_timeout(Some(Duration::from_secs(10))).ok();
-    write!(stream, "GET /healthz HTTP/1.1\r\nHost: loadgen\r\n\r\n")
-        .map_err(|e| format!("healthz send: {e}"))?;
-    let mut response = String::new();
-    stream
-        .read_to_string(&mut response)
-        .map_err(|e| format!("healthz read: {e}"))?;
-    if !response.starts_with("HTTP/1.1 200") {
-        return Err(format!("target not healthy:\n{response}"));
+    let health = client::get(addr, "/healthz").map_err(|e| format!("healthz {addr}: {e}"))?;
+    if health.status != 200 {
+        return Err(format!(
+            "target not healthy:\n{}\n\n{}",
+            health.head, health.body
+        ));
     }
+    let response = health.body;
     let tag = "\"users\":";
     let at = response
         .find(tag)

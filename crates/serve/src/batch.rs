@@ -53,18 +53,14 @@
 //! batch: a registry lookup is a `String` allocation under the global
 //! registry mutex, and most batches hold one request.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
-use taxorec_telemetry::{Counter, Gauge, Histogram};
+use taxorec_telemetry::{Counter, Histogram};
 
-/// Idle poll interval while waiting for a request (bounds shutdown
-/// latency; wakes normally arrive via the condvar).
-const IDLE_POLL: Duration = Duration::from_millis(10);
+use crate::net::{PoolSpec, Stage};
+use crate::online::env_usize;
 
 /// Tuning knobs for the [`Batcher`]. [`BatchOptions::from_env`] reads
 /// the `TAXOREC_SERVE_BATCH_*` / `TAXOREC_SERVE_SCORERS` variables;
@@ -113,10 +109,6 @@ impl BatchOptions {
     }
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
 /// A request waiting in (or drained from) the batch queue, with the
 /// instant it entered — the queue-wait telemetry is measured from
 /// `enqueued`.
@@ -127,19 +119,11 @@ pub struct BatchJob<R> {
     pub enqueued: Instant,
 }
 
-struct BatchShared<R> {
-    queue: Mutex<VecDeque<BatchJob<R>>>,
-    ready: Condvar,
-    shutdown: AtomicBool,
-    opts: BatchOptions,
-    metrics: BatchMetrics,
-}
-
-/// The scheduler's telemetry handles, resolved once at spawn.
+/// The scheduler's telemetry handles, resolved once at spawn
+/// (`serve.batch.queue.depth` lives in the stage).
 struct BatchMetrics {
     size: Arc<Histogram>,
     wait_ms: Arc<Histogram>,
-    queue_depth: Arc<Gauge>,
     batches: Arc<Counter>,
     requests: Arc<Counter>,
     shed: Arc<Counter>,
@@ -151,7 +135,6 @@ impl BatchMetrics {
         Self {
             size: taxorec_telemetry::histogram("serve.batch.size"),
             wait_ms: taxorec_telemetry::histogram("serve.batch.wait_ms"),
-            queue_depth: taxorec_telemetry::gauge("serve.batch.queue.depth"),
             batches: taxorec_telemetry::counter("serve.batch.batches"),
             requests: taxorec_telemetry::counter("serve.batch.requests"),
             shed: taxorec_telemetry::counter("serve.batch.shed"),
@@ -160,19 +143,12 @@ impl BatchMetrics {
     }
 }
 
-fn lock_queue<R>(
-    q: &Mutex<VecDeque<BatchJob<R>>>,
-) -> std::sync::MutexGuard<'_, VecDeque<BatchJob<R>>> {
-    // Scorer panics are caught around the handler, never while holding
-    // the queue lock, but a poisoned queue must not wedge the pipeline.
-    q.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// The micro-batching scheduler: bounded queue + scorer pool. See the
 /// module docs for the guarantees.
 pub struct Batcher<R: Send + 'static> {
-    shared: Arc<BatchShared<R>>,
-    scorers: Mutex<Vec<JoinHandle<()>>>,
+    stage: Arc<Stage<BatchJob<R>>>,
+    opts: BatchOptions,
+    metrics: Arc<BatchMetrics>,
 }
 
 impl<R: Send + 'static> Batcher<R> {
@@ -200,44 +176,36 @@ impl<R: Send + 'static> Batcher<R> {
         F: Fn(&BatchJob<R>) -> S + Send + Sync + 'static,
         C: Fn(R, S) + Send + Sync + 'static,
     {
-        let shared = Arc::new(BatchShared {
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            opts,
-            metrics: BatchMetrics::resolve(),
-        });
-        let stages: Arc<(H, F, C)> = Arc::new((handler, fallback, complete));
-        let n = shared.opts.n_scorers.max(1);
-        let mut scorers = Vec::with_capacity(n);
-        let mut last_err = None;
-        for i in 0..n {
-            let shared = Arc::clone(&shared);
-            let stages = Arc::clone(&stages);
-            match std::thread::Builder::new()
-                .name(format!("taxorec-scorer-{i}"))
-                .spawn(move || scorer_loop(&shared, &stages))
-            {
-                Ok(h) => scorers.push(h),
-                Err(e) => {
-                    taxorec_telemetry::counter("serve.scorer.spawn_failed").inc(1);
-                    taxorec_telemetry::sink::warn(&format!(
-                        "failed to spawn scorer {i}: {e}; continuing with fewer"
-                    ));
-                    last_err = Some(e);
-                }
-            }
-        }
-        if scorers.is_empty() {
-            return Err(
-                last_err.unwrap_or_else(|| std::io::Error::other("no scorers could be spawned"))
-            );
-        }
-        let spawned = scorers.len();
+        let stage = Stage::new(
+            opts.queue_capacity,
+            Some(taxorec_telemetry::gauge("serve.batch.queue.depth")),
+        );
+        let metrics = Arc::new(BatchMetrics::resolve());
+        let max_batch = opts.max_batch.max(1);
+        let scorer_metrics = Arc::clone(&metrics);
+        let spawned = stage.spawn_workers(
+            &PoolSpec {
+                thread: "taxorec-scorer",
+                metric: "serve.scorer",
+                fault_site: None,
+            },
+            opts.n_scorers.max(1),
+            move |stage| {
+                scorer_loop(
+                    stage,
+                    max_batch,
+                    &scorer_metrics,
+                    &handler,
+                    &fallback,
+                    &complete,
+                )
+            },
+        )?;
         Ok((
             Self {
-                shared,
-                scorers: Mutex::new(scorers),
+                stage,
+                opts,
+                metrics,
             },
             spawned,
         ))
@@ -246,54 +214,35 @@ impl<R: Send + 'static> Batcher<R> {
     /// Enqueues a request, or returns it when the queue is at capacity
     /// (or the batcher is shutting down) so the caller can shed load.
     pub fn try_submit(&self, req: R) -> Result<(), R> {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            return Err(req);
-        }
-        let mut q = lock_queue(&self.shared.queue);
-        if q.len() >= self.shared.opts.queue_capacity {
-            drop(q);
-            self.shared.metrics.shed.inc(1);
-            return Err(req);
-        }
-        q.push_back(BatchJob {
+        let job = BatchJob {
             req,
             enqueued: Instant::now(),
-        });
-        self.shared.metrics.queue_depth.set(q.len() as f64);
-        drop(q);
-        self.shared.ready.notify_one();
-        Ok(())
+        };
+        self.stage.push(job).map_err(|job| {
+            self.metrics.shed.inc(1);
+            job.req
+        })
     }
 
     /// Requests currently waiting (not yet drained into a batch).
     pub fn queue_depth(&self) -> usize {
-        lock_queue(&self.shared.queue).len()
+        self.stage.len()
     }
 
     /// The configured queue bound.
     pub fn capacity(&self) -> usize {
-        self.shared.opts.queue_capacity
+        self.opts.queue_capacity
     }
 
     /// The configured options.
     pub fn options(&self) -> &BatchOptions {
-        &self.shared.opts
+        &self.opts
     }
 
     /// Stops accepting work, drains every queued request through the
     /// scorers, and joins the pool. Idempotent.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.ready.notify_all();
-        let handles: Vec<_> = self
-            .scorers
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-            .collect();
-        for h in handles {
-            let _ = h.join();
-        }
+        self.stage.shutdown();
     }
 }
 
@@ -305,38 +254,29 @@ impl<R: Send + 'static> Drop for Batcher<R> {
 
 /// One scorer: wait for work, take everything queued (up to
 /// `max_batch`), score it with panic isolation, fan the responses out.
-fn scorer_loop<R, S, H, F, C>(shared: &BatchShared<R>, stages: &(H, F, C))
-where
+fn scorer_loop<R, S, H, F, C>(
+    stage: &Stage<BatchJob<R>>,
+    max_batch: usize,
+    metrics: &BatchMetrics,
+    handler: &H,
+    fallback: &F,
+    complete: &C,
+) where
     R: Send + 'static,
     S: Send + 'static,
     H: Fn(&[BatchJob<R>]) -> Vec<S>,
     F: Fn(&BatchJob<R>) -> S,
     C: Fn(R, S),
 {
-    let (handler, fallback, complete) = stages;
-    let metrics = &shared.metrics;
     loop {
         // Phase 1: block until there is work (or a drained shutdown),
         // then take the backlog in arrival order. Never wait for a batch
         // to fill: whatever queued up while every scorer was busy is the
         // batch.
-        let batch: Vec<BatchJob<R>> = {
-            let mut q = lock_queue(&shared.queue);
-            while q.is_empty() {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let (guard, _) = shared
-                    .ready
-                    .wait_timeout(q, IDLE_POLL)
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
-            }
-            let take = q.len().min(shared.opts.max_batch.max(1));
-            let batch = q.drain(..take).collect();
-            metrics.queue_depth.set(q.len() as f64);
-            batch
-        };
+        let batch = stage.drain_up_to(max_batch);
+        if batch.is_empty() {
+            return;
+        }
         // Phase 2: score with panic isolation and per-batch telemetry.
         let formed = Instant::now();
         metrics.size.observe(batch.len() as f64);
@@ -383,6 +323,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
 
     fn drain_all(completed: &Mutex<Vec<(u32, String)>>, n: usize) -> Vec<(u32, String)> {
         let deadline = Instant::now() + Duration::from_secs(10);

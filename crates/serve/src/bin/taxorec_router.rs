@@ -13,11 +13,11 @@
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
 
 use taxorec_serve::RouterOptions;
+
+mod cli;
+use cli::flag;
 
 const USAGE: &str = "\
 taxorec-router — consistent-hash router over taxorec-serve shards
@@ -56,16 +56,6 @@ fn main() -> ExitCode {
             eprintln!("taxorec-router: {msg}");
             ExitCode::FAILURE
         }
-    }
-}
-
-fn flag<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .map(|s| Some(s.as_str()))
-            .ok_or_else(|| format!("{name} requires a value")),
     }
 }
 
@@ -111,7 +101,7 @@ fn run(args: &[String]) -> Result<(), String> {
         handle.local_addr()
     );
     println!("close stdin (Ctrl-D) or send SIGTERM to shut down");
-    wait_for_exit();
+    taxorec_serve::signal::wait_for_exit();
     if taxorec_serve::signal::triggered() {
         println!("signal received; draining…");
         handle.set_draining();
@@ -122,28 +112,4 @@ fn run(args: &[String]) -> Result<(), String> {
     taxorec_telemetry::sink::flush();
     println!("bye");
     Ok(())
-}
-
-/// Blocks until stdin reaches EOF or a SIGTERM/SIGINT arrives (same
-/// structure as `taxorec-serve serve`).
-fn wait_for_exit() {
-    taxorec_serve::signal::install();
-    let stdin_done = Arc::new(AtomicBool::new(false));
-    {
-        let stdin_done = Arc::clone(&stdin_done);
-        std::thread::spawn(move || {
-            let mut sink = String::new();
-            while std::io::stdin()
-                .read_line(&mut sink)
-                .map(|n| n > 0)
-                .unwrap_or(false)
-            {
-                sink.clear();
-            }
-            stdin_done.store(true, Ordering::SeqCst);
-        });
-    }
-    while !taxorec_serve::signal::triggered() && !stdin_done.load(Ordering::SeqCst) {
-        std::thread::sleep(Duration::from_millis(50));
-    }
 }

@@ -21,6 +21,9 @@ use taxorec_data::{generate_preset, Preset, Scale, Split};
 use taxorec_resilience::RetryPolicy;
 use taxorec_serve::{Checkpoint, IndexConfig, RetrievalMode, TrainCheckpoint};
 
+mod cli;
+use cli::flag;
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.first().map(String::as_str) {
@@ -92,17 +95,6 @@ USAGE:
 /// Boolean `--flag`s (no value); `positional` must not skip an argument
 /// after these.
 const BOOL_FLAGS: &[&str] = &["--follow", "--index", "--ingest"];
-
-/// `--flag value` lookup over the raw argument list.
-fn flag<'a>(args: &'a [String], name: &str) -> Result<Option<&'a str>, String> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => args
-            .get(i + 1)
-            .map(|s| Some(s.as_str()))
-            .ok_or_else(|| format!("{name} requires a value")),
-    }
-}
 
 fn positional<'a>(args: &'a [String], idx: usize, what: &str) -> Result<&'a str, String> {
     let mut seen = 0;
@@ -372,7 +364,7 @@ fn run_server(args: &[String]) -> Result<(), String> {
         handle.local_addr()
     );
     println!("close stdin (Ctrl-D) or send SIGTERM to shut down");
-    wait_for_exit();
+    taxorec_serve::signal::wait_for_exit();
     if taxorec_serve::signal::triggered() {
         // Signal-driven stop is a *graceful drain*: advertise
         // `draining` on /healthz first, give a fronting router one
@@ -392,35 +384,6 @@ fn run_server(args: &[String]) -> Result<(), String> {
     taxorec_telemetry::sink::flush();
     println!("bye");
     Ok(())
-}
-
-/// Blocks until stdin reaches EOF *or* a SIGTERM/SIGINT arrives.
-///
-/// stdin is read on a helper thread — `read_line` on Linux restarts
-/// after a handled signal, so the main thread polls the signal latch
-/// instead of waiting inside the blocked read.
-fn wait_for_exit() {
-    taxorec_serve::signal::install();
-    let stdin_done = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    {
-        let stdin_done = Arc::clone(&stdin_done);
-        std::thread::spawn(move || {
-            let mut sink = String::new();
-            while std::io::stdin()
-                .read_line(&mut sink)
-                .map(|n| n > 0)
-                .unwrap_or(false)
-            {
-                sink.clear();
-            }
-            stdin_done.store(true, std::sync::atomic::Ordering::SeqCst);
-        });
-    }
-    while !taxorec_serve::signal::triggered()
-        && !stdin_done.load(std::sync::atomic::Ordering::SeqCst)
-    {
-        std::thread::sleep(Duration::from_millis(50));
-    }
 }
 
 /// How long a signal-stopped shard advertises `draining` before it

@@ -74,12 +74,10 @@
 //! `serve.http.requests` counter and a per-endpoint latency histogram
 //! (`serve.http.<endpoint>.ms`).
 
-use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -89,17 +87,17 @@ use taxorec_telemetry::{flight, flight_event, trace, TraceContext};
 use crate::batch::{BatchJob, BatchOptions, Batcher};
 use crate::checkpoint::{write_atomic, ArtifactInfo, Checkpoint, FORMAT_VERSION};
 use crate::model::{ModelSlot, Ranking, ServeError, ServingModel};
-use crate::online::{self, IngestOptions, Journal};
+use crate::net::{
+    self, param, require_param, Conn, Edge, Front, PoolSpec, Reply, Request, Shedder, Stage,
+};
+use crate::online::{self, env_usize, IngestOptions, Journal};
 
-const JSON_CONTENT_TYPE: &str = "application/json";
-
-/// Parser-worker condvar poll interval (shutdown-flag recheck bound).
+/// Updater sleep slice (stop-flag recheck bound).
 const POLL_INTERVAL: Duration = Duration::from_millis(10);
-/// Per-read deadline while draining a shed connection's request bytes.
-/// Bounds how long one rejection can occupy the thread that sheds it.
-const SHED_DRAIN_TIMEOUT: Duration = Duration::from_millis(5);
-/// Drain reads attempted per shed before the socket drops regardless.
-const SHED_DRAIN_READS: usize = 8;
+/// Responder threads writing completed batched responses back to their
+/// sockets. Two keep one slow-reading client from delaying every other
+/// batched response; no deployment has asked for another number.
+const N_RESPONDERS: usize = 2;
 /// Default `k` when `/recommend` omits it.
 const DEFAULT_K: usize = 10;
 /// Upper bound on `k` per request (keeps a typo from ranking the world).
@@ -126,10 +124,6 @@ pub struct ServeOptions {
     /// Micro-batching scheduler knobs (`TAXOREC_SERVE_BATCH_*`,
     /// `TAXOREC_SERVE_SCORERS`).
     pub batch: BatchOptions,
-    /// Responder threads writing completed batched responses back to
-    /// their sockets (≥ 1 enforced).
-    /// Env: `TAXOREC_SERVE_RESPONDERS`.
-    pub n_responders: usize,
     /// Shard identity reported by `/healthz` (`"shard":{"id":…}`), so a
     /// router aggregating a fleet can tell which process answered.
     /// Env: `TAXOREC_SHARD_ID`.
@@ -153,7 +147,6 @@ impl Default for ServeOptions {
             max_request_bytes: 16 * 1024,
             max_queue: 64,
             batch: BatchOptions::default(),
-            n_responders: 2,
             shard_id: None,
             admin: true,
             ingest: IngestOptions::default(),
@@ -164,7 +157,7 @@ impl Default for ServeOptions {
 impl ServeOptions {
     /// Defaults overridden by `TAXOREC_SERVE_WORKERS`,
     /// `TAXOREC_SERVE_TIMEOUT_MS`, `TAXOREC_SERVE_MAX_REQUEST_BYTES`,
-    /// `TAXOREC_SERVE_MAX_QUEUE`, `TAXOREC_SERVE_RESPONDERS`, and the
+    /// `TAXOREC_SERVE_MAX_QUEUE`, and the
     /// `TAXOREC_SERVE_BATCH_*` / `TAXOREC_SERVE_SCORERS` family where
     /// set and parseable.
     pub fn from_env() -> Self {
@@ -181,9 +174,6 @@ impl ServeOptions {
         if let Some(q) = env_usize("TAXOREC_SERVE_MAX_QUEUE") {
             o.max_queue = q.max(1);
         }
-        if let Some(r) = env_usize("TAXOREC_SERVE_RESPONDERS") {
-            o.n_responders = r.clamp(1, 64);
-        }
         if let Ok(id) = std::env::var("TAXOREC_SHARD_ID") {
             let id = id.trim().to_string();
             if !id.is_empty() {
@@ -197,10 +187,6 @@ impl ServeOptions {
         o.ingest = IngestOptions::from_env();
         o
     }
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 /// Server readiness, surfaced through `/healthz`.
@@ -228,14 +214,6 @@ const HEALTH_READY: u8 = 0;
 const HEALTH_DEGRADED: u8 = 1;
 const HEALTH_DRAINING: u8 = 2;
 
-/// An accepted connection waiting for a worker, carrying the trace
-/// context minted at accept time (so queue wait is inside the trace).
-struct Queued {
-    stream: TcpStream,
-    ctx: TraceContext,
-    accepted: Instant,
-}
-
 /// A parsed `/recommend` cache miss travelling through the batching
 /// pipeline with its connection: handed from the parser worker to the
 /// [`Batcher`], scored in a block, and written by a responder.
@@ -261,63 +239,31 @@ enum Scored {
     Internal,
 }
 
-/// Work queue feeding the responder pool. Unbounded on purpose: every
-/// entry is a completed request whose admission was already bounded by
-/// the connection and batch queues, so refusing here could only drop a
+/// The batching stages behind the parser workers: scheduler, then the
+/// responder stage that owns all socket writes for batched responses.
+/// The responder stage is unbounded on purpose: every entry is a
+/// completed request whose admission was already bounded by the
+/// connection and batch queues, so refusing here could only drop a
 /// scored response.
-struct ResponderShared {
-    queue: Mutex<VecDeque<(RecommendReq, Scored)>>,
-    ready: Condvar,
-    shutdown: AtomicBool,
-}
-
-impl ResponderShared {
-    fn push(&self, req: RecommendReq, scored: Scored) {
-        let mut q = self.queue.lock().unwrap_or_else(|e| e.into_inner());
-        q.push_back((req, scored));
-        drop(q);
-        self.ready.notify_one();
-    }
-}
-
-fn responder_loop(shared: &ResponderShared) {
-    loop {
-        let item = {
-            let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(it) = q.pop_front() {
-                    break Some(it);
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                let (guard, _) = shared
-                    .ready
-                    .wait_timeout(q, POLL_INTERVAL)
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
-            }
-        };
-        match item {
-            Some((req, scored)) => write_recommend_response(req, scored),
-            None => return,
-        }
-    }
-}
-
-/// The batching stages behind the parser workers: scheduler + responder
-/// queue. Shared so `/healthz` can report batch-queue occupancy.
 struct Pipeline {
     batcher: Batcher<RecommendReq>,
-    responders: Arc<ResponderShared>,
+    responders: Arc<Stage<(RecommendReq, Scored)>>,
 }
 
-/// State shared by the acceptor, the workers, and the handle.
+impl Pipeline {
+    /// Scores every queued request, then writes every scored response.
+    fn shutdown(&self) {
+        self.batcher.shutdown();
+        self.responders.shutdown();
+    }
+}
+
+/// State shared by the workers, the updater, and the handle.
 struct Shared {
-    shutdown: AtomicBool,
     health: AtomicU8,
-    queue: Mutex<VecDeque<Queued>>,
-    ready: Condvar,
+    /// Accepted connections waiting for a parser worker.
+    conns: Arc<Stage<Conn>>,
+    shedder: Arc<Shedder>,
     opts: ServeOptions,
     /// Serializes `/admin/reload`: one checkpoint handover at a time.
     reload: Mutex<()>,
@@ -336,26 +282,25 @@ impl Shared {
     }
 }
 
-/// A running server: joinable acceptor, parser, scorer, and responder
-/// threads plus shared shutdown/health state.
+/// A running server: the listening front (acceptor + parser workers),
+/// the batching pipeline behind it, and the optional ingest updater.
 pub struct ServerHandle {
-    addr: SocketAddr,
+    front: Front,
     shared: Arc<Shared>,
-    threads: Vec<JoinHandle<()>>,
     pipeline: Arc<Pipeline>,
-    responder_threads: Vec<JoinHandle<()>>,
+    updater: Option<JoinHandle<()>>,
     slot: Arc<ModelSlot>,
 }
 
 impl ServerHandle {
     /// The address actually bound (resolves ephemeral port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.front.local_addr()
     }
 
     /// True once [`ServerHandle::shutdown`] has been requested.
     pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
+        self.front.is_stopping()
     }
 
     /// Current readiness as reported by `/healthz`.
@@ -384,37 +329,17 @@ impl ServerHandle {
         self.drain();
     }
 
-    fn begin_shutdown(&self) {
-        self.shared.health.store(HEALTH_DRAINING, Ordering::SeqCst);
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.ready.notify_all();
-        // The acceptor blocks in `accept`; a throwaway loopback
-        // connection wakes it so it can observe the shutdown flag.
-        let mut wake = self.addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST));
-        }
-        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
-    }
-
     /// Stage-ordered drain: acceptor + parser workers first (no new
     /// submissions), then the batcher (scores every queued request),
     /// then the responders (every scored response is written). Each
     /// stage's queue is empty before the next stage stops.
     fn drain(&mut self) {
-        self.begin_shutdown();
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        self.shared.health.store(HEALTH_DRAINING, Ordering::SeqCst);
+        self.front.shutdown();
+        if let Some(updater) = self.updater.take() {
+            let _ = updater.join();
         }
-        self.pipeline.batcher.shutdown();
-        self.pipeline
-            .responders
-            .shutdown
-            .store(true, Ordering::SeqCst);
-        self.pipeline.responders.ready.notify_all();
-        for t in self.responder_threads.drain(..) {
-            let _ = t.join();
-        }
+        self.pipeline.shutdown();
     }
 }
 
@@ -480,63 +405,48 @@ fn serve_impl(
     opts: ServeOptions,
     online_base: Option<Checkpoint>,
 ) -> std::io::Result<ServerHandle> {
-    // The acceptor blocks in `accept` — zero added latency per
-    // connection, no poll interval to overflow the kernel backlog at
-    // high arrival rates. Shutdown wakes it with a loopback connection
-    // to the listener itself (`begin_shutdown`).
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
     let n_requested = opts.n_workers.max(1);
     let batch_opts = opts.batch.clone();
-    let n_responders = opts.n_responders.max(1);
     let journal = online_base.as_ref().map(|base| {
         Arc::new(Journal::new(
             opts.ingest.journal_cap,
             base.journal_cursor.unwrap_or(0),
         ))
     });
+    let shedder = Arc::new(Shedder::new(
+        "serve.http.shed",
+        "serve.shed",
+        "server overloaded; retry later",
+        opts.io_timeout,
+    ));
     let shared = Arc::new(Shared {
-        shutdown: AtomicBool::new(false),
         health: AtomicU8::new(HEALTH_READY),
-        queue: Mutex::new(VecDeque::new()),
-        ready: Condvar::new(),
+        conns: Stage::new(
+            opts.max_queue,
+            Some(taxorec_telemetry::gauge("serve.queue.depth")),
+        ),
+        shedder: Arc::clone(&shedder),
         opts,
         reload: Mutex::new(()),
         journal,
     });
     let slot = Arc::new(ModelSlot::new(model));
-    let mut degraded = false;
 
     // Responder pool: owns all socket writes for batched responses.
-    let responders = Arc::new(ResponderShared {
-        queue: Mutex::new(VecDeque::new()),
-        ready: Condvar::new(),
-        shutdown: AtomicBool::new(false),
-    });
-    let mut responder_threads = Vec::with_capacity(n_responders);
-    let mut last_err: Option<std::io::Error> = None;
-    for i in 0..n_responders {
-        let responders = Arc::clone(&responders);
-        match std::thread::Builder::new()
-            .name(format!("taxorec-respond-{i}"))
-            .spawn(move || responder_loop(&responders))
-        {
-            Ok(h) => responder_threads.push(h),
-            Err(e) => {
-                taxorec_telemetry::counter("serve.responder.spawn_failed").inc(1);
-                taxorec_telemetry::sink::warn(&format!(
-                    "failed to spawn responder {i}: {e}; continuing with fewer"
-                ));
-                last_err = Some(e);
+    let responders = Stage::new(usize::MAX, None);
+    let live_responders = responders.spawn_workers(
+        &PoolSpec {
+            thread: "taxorec-respond",
+            metric: "serve.responder",
+            fault_site: None,
+        },
+        N_RESPONDERS,
+        |stage| {
+            while let Some((req, scored)) = stage.pop() {
+                write_recommend_response(req, scored);
             }
-        }
-    }
-    if responder_threads.is_empty() {
-        return Err(
-            last_err.unwrap_or_else(|| std::io::Error::other("no responders could be spawned"))
-        );
-    }
-    degraded |= responder_threads.len() < n_responders;
+        },
+    )?;
 
     // Scorer pool behind the bounded batch queue. The handler scores one
     // assembled block through the fused multi-anchor path and stamps the
@@ -566,168 +476,74 @@ fn serve_impl(
                 .collect()
         },
         |_job| Scored::Internal,
-        move |req, scored| complete_to.push(req, scored),
-    )?;
-    degraded |= live_scorers < batch_opts.n_scorers.max(1);
+        move |req, scored| {
+            // The responders outlive the scorers (drain order), so a
+            // refusal cannot happen; if it ever did, answering from the
+            // scorer beats dropping a scored response.
+            if let Err((req, scored)) = complete_to.push((req, scored)) {
+                write_recommend_response(req, scored);
+            }
+        },
+    )
+    .inspect_err(|_| responders.shutdown())?;
     let pipeline = Arc::new(Pipeline {
         batcher,
-        responders: Arc::clone(&responders),
+        responders,
     });
 
-    let mut threads = Vec::with_capacity(n_requested + 1);
-    let mut spawned = 0usize;
-    for i in 0..n_requested {
+    let (front, live_workers) = {
         let shared = Arc::clone(&shared);
         let slot = Arc::clone(&slot);
         let pipeline = Arc::clone(&pipeline);
-        // Deterministic worker loss for the health-transition tests:
-        // `TAXOREC_FAULT=io@serve.spawn:2` makes exactly the second
-        // worker fail to spawn, driving `/healthz` to `degraded`.
-        if let Some(msg) = taxorec_resilience::inject_io("serve.spawn") {
-            taxorec_telemetry::counter("serve.worker.spawn_failed").inc(1);
-            taxorec_telemetry::sink::warn(&format!(
-                "failed to spawn server worker {i}: {msg}; continuing with fewer workers"
-            ));
-            last_err = Some(std::io::Error::other(msg));
-            continue;
-        }
-        match std::thread::Builder::new()
-            .name(format!("taxorec-serve-{i}"))
-            .spawn(move || worker_loop(&shared, &slot, &pipeline))
-        {
-            Ok(h) => {
-                threads.push(h);
-                spawned += 1;
-            }
-            Err(e) => {
-                taxorec_telemetry::counter("serve.worker.spawn_failed").inc(1);
-                taxorec_telemetry::sink::warn(&format!(
-                    "failed to spawn server worker {i}: {e}; continuing with fewer workers"
-                ));
-                last_err = Some(e);
-            }
-        }
+        net::listen(
+            addr,
+            Arc::clone(&shared.conns),
+            Edge {
+                pool: PoolSpec {
+                    thread: "taxorec-serve",
+                    metric: "serve.worker",
+                    // Deterministic worker loss for the health-transition
+                    // tests: `TAXOREC_FAULT=io@serve.spawn:2` makes
+                    // exactly the second worker fail to spawn, driving
+                    // `/healthz` to `degraded`.
+                    fault_site: Some("serve.spawn"),
+                },
+                n_workers: n_requested,
+                io_timeout: shared.opts.io_timeout,
+                shedder,
+            },
+            move |conn| handle_connection(conn, &shared, &slot, &pipeline),
+        )
     }
-    if spawned == 0 {
-        return Err(
-            last_err.unwrap_or_else(|| std::io::Error::other("no server workers could be spawned"))
-        );
-    }
-    degraded |= spawned < n_requested;
-    if degraded {
+    .inspect_err(|_| pipeline.shutdown())?;
+    if live_workers < n_requested
+        || live_scorers < batch_opts.n_scorers.max(1)
+        || live_responders < N_RESPONDERS
+    {
         shared.health.store(HEALTH_DEGRADED, Ordering::SeqCst);
         taxorec_telemetry::sink::warn(&format!(
-            "serving degraded: {spawned}/{n_requested} workers, {live_scorers} scorers, \
-             {} responders",
-            responder_threads.len()
+            "serving degraded: {live_workers}/{n_requested} workers, {live_scorers} scorers, \
+             {live_responders} responders"
         ));
     }
-    {
-        let shared = Arc::clone(&shared);
-        let acceptor = std::thread::Builder::new()
-            .name("taxorec-serve-accept".to_string())
-            .spawn(move || accept_loop(&listener, &shared))?;
-        threads.push(acceptor);
-    }
+    let mut handle = ServerHandle {
+        front,
+        shared,
+        pipeline,
+        updater: None,
+        slot,
+    };
     if let Some(base) = online_base {
-        let shared = Arc::clone(&shared);
-        let slot = Arc::clone(&slot);
+        let shared = Arc::clone(&handle.shared);
+        let slot = Arc::clone(&handle.slot);
+        let stop = handle.front.stop_flag();
+        // A failed spawn drops `handle`, which drains what already runs.
         let updater = std::thread::Builder::new()
             .name("taxorec-ingest".to_string())
-            .spawn(move || updater_loop(base, &shared, &slot))?;
-        threads.push(updater);
+            .spawn(move || updater_loop(base, &shared, &slot, &stop))?;
+        handle.updater = Some(updater);
     }
-    Ok(ServerHandle {
-        addr,
-        shared,
-        threads,
-        pipeline,
-        responder_threads,
-        slot,
-    })
-}
-
-/// Accepts connections into the bounded queue, shedding with `503` when
-/// it is full.
-fn accept_loop(listener: &TcpListener, shared: &Shared) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((mut stream, _peer)) => {
-                // The shutdown wake-up is itself a connection; re-check
-                // the flag before treating it as traffic.
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_read_timeout(Some(shared.opts.io_timeout));
-                let _ = stream.set_write_timeout(Some(shared.opts.io_timeout));
-                // Trace identity is minted here, at the system edge, so
-                // even shed responses carry an `x-taxorec-trace` header
-                // and queue wait is covered by the trace.
-                let ctx = trace::mint();
-                let mut q = lock_queue(&shared.queue);
-                if q.len() >= shared.opts.max_queue {
-                    let depth = q.len();
-                    drop(q);
-                    shed(&mut stream, ctx, depth, shared.opts.io_timeout);
-                    continue;
-                }
-                q.push_back(Queued {
-                    stream,
-                    ctx,
-                    accepted: Instant::now(),
-                });
-                taxorec_telemetry::gauge("serve.queue.depth").set(q.len() as f64);
-                drop(q);
-                shared.ready.notify_one();
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-    }
-    shared.ready.notify_all();
-}
-
-/// Rejects an over-capacity connection with `503 + Retry-After` without
-/// parsing the request (the write deadline bounds even this). The
-/// incident is recorded in the flight ring and triggers a (throttled)
-/// dump — a shed storm is exactly the moment the recent-event history
-/// matters.
-///
-/// After the 503 is written the connection is *lingering-closed*: the
-/// unparsed request bytes are drained (briefly, bounded) before the
-/// socket drops. Closing with unread data in the receive buffer makes
-/// the kernel send `RST`, which destroys the in-flight 503 — under a
-/// shed storm every rejection would then surface client-side as a
-/// connection reset instead of the `Retry-After` it was sent.
-fn shed(stream: &mut TcpStream, ctx: TraceContext, queue_depth: usize, io_timeout: Duration) {
-    taxorec_telemetry::counter("serve.http.shed").inc(1);
-    flight_event!("serve.shed", ctx.trace_id, queue_depth as i64, 0.0);
-    flight::dump("serve.shed");
-    let retry_after = io_timeout.as_secs().max(1);
-    let _ = respond_with(
-        stream,
-        503,
-        ctx.trace_id,
-        JSON_CONTENT_TYPE,
-        &format!("Retry-After: {retry_after}\r\n"),
-        &error_json("server overloaded; retry later"),
-    );
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(SHED_DRAIN_TIMEOUT));
-    let mut scratch = [0u8; 1024];
-    for _ in 0..SHED_DRAIN_READS {
-        match stream.read(&mut scratch) {
-            Ok(n) if n > 0 => {}
-            _ => break,
-        }
-    }
-}
-
-/// Poison-tolerant queue lock: a worker that panicked while holding the
-/// lock (can't happen in the current code, but belts and braces) must not
-/// wedge the acceptor.
-fn lock_queue(q: &Mutex<VecDeque<Queued>>) -> std::sync::MutexGuard<'_, VecDeque<Queued>> {
-    q.lock().unwrap_or_else(|e| e.into_inner())
+    Ok(handle)
 }
 
 /// The incremental-update loop ([`serve_online`]): every tick, drain up
@@ -736,7 +552,7 @@ fn lock_queue(q: &Mutex<VecDeque<Queued>>) -> std::sync::MutexGuard<'_, VecDeque
 /// optionally persist it, and swap a freshly built [`ServingModel`]
 /// into the slot. The swap is the `/admin/reload` handover — one `Arc`
 /// exchange, response cache starting cold.
-fn updater_loop(mut ckpt: Checkpoint, shared: &Shared, slot: &Arc<ModelSlot>) {
+fn updater_loop(mut ckpt: Checkpoint, shared: &Shared, slot: &Arc<ModelSlot>, stop: &AtomicBool) {
     let Some(journal) = shared.journal.as_ref() else {
         return;
     };
@@ -744,10 +560,10 @@ fn updater_loop(mut ckpt: Checkpoint, shared: &Shared, slot: &Arc<ModelSlot>) {
     // Graft-drift counter, threaded through every fold so chunked
     // ticking stays bit-identical to one whole-journal replay.
     let mut drift = 0u64;
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !stop.load(Ordering::SeqCst) {
         let tick_start = Instant::now();
         while tick_start.elapsed() < opts.tick {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if stop.load(Ordering::SeqCst) {
                 return;
             }
             std::thread::sleep(POLL_INTERVAL.min(opts.tick));
@@ -838,74 +654,29 @@ fn update_tick(
         .observe(started.elapsed().as_secs_f64() * 1e3);
 }
 
-fn worker_loop(shared: &Shared, slot: &Arc<ModelSlot>, pipeline: &Pipeline) {
-    loop {
-        let queued = {
-            let mut q = lock_queue(&shared.queue);
-            loop {
-                if let Some(s) = q.pop_front() {
-                    taxorec_telemetry::gauge("serve.queue.depth").set(q.len() as f64);
-                    break Some(s);
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                let (guard, _timeout) = shared
-                    .ready
-                    .wait_timeout(q, POLL_INTERVAL)
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
-            }
-        };
-        match queued {
-            Some(s) => handle_connection(s, shared, slot, pipeline),
-            None => return,
-        }
-    }
-}
-
 /// Adopts an inbound `x-taxorec-trace` header (the router hop): the
 /// request joins the caller's trace instead of starting a fresh one, so
 /// one user query traces as one tree across router and shard. Span ids
 /// and the local sampling decision are kept — only the trace identity
 /// is inherited.
 fn adopt_trace(head: &str, ctx: TraceContext) -> TraceContext {
-    for line in head.lines().skip(1) {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("x-taxorec-trace") {
-                if let Ok(id) = u64::from_str_radix(value.trim(), 16) {
-                    if id != 0 {
-                        return TraceContext {
-                            trace_id: id,
-                            ..ctx
-                        };
-                    }
-                }
-            }
-        }
+    match net::header(head, "x-taxorec-trace").map(|v| u64::from_str_radix(v, 16)) {
+        Some(Ok(trace_id)) if trace_id != 0 => TraceContext { trace_id, ..ctx },
+        _ => ctx,
     }
-    ctx
 }
 
-fn handle_connection(queued: Queued, shared: &Shared, slot: &Arc<ModelSlot>, pipeline: &Pipeline) {
-    let Queued {
+fn handle_connection(conn: Conn, shared: &Shared, slot: &Arc<ModelSlot>, pipeline: &Pipeline) {
+    let Conn {
         mut stream,
         ctx,
         accepted,
-    } = queued;
+    } = conn;
     let dequeued = Instant::now();
-    let head = match read_head(&mut stream, shared.opts.max_request_bytes) {
-        Some(h) => h,
-        None => {
-            trace::emit_span_at("queue", ctx, accepted, dequeued);
-            let _ = respond(
-                &mut stream,
-                400,
-                ctx.trace_id,
-                &error_json("malformed, oversized, or timed-out request"),
-            );
-            return;
-        }
+    let max_head = shared.opts.max_request_bytes;
+    let Some(head) = net::read_request(&mut stream, max_head, ctx.trace_id) else {
+        trace::emit_span_at("queue", ctx, accepted, dequeued);
+        return;
     };
     // Join the caller's trace when the request came through the router
     // (`x-taxorec-trace` header), then emit the accept→dequeue wait as a
@@ -932,26 +703,14 @@ fn handle_connection(queued: Queued, shared: &Shared, slot: &Arc<ModelSlot>, pip
         // `stall@serve.request` wedges the worker mid-request, which is
         // how the router's hedging is driven deterministically.
         taxorec_resilience::inject_panic_or_stall("serve.request");
-        if let Some(rest) = head.strip_prefix("POST ") {
-            if rest
-                .split_whitespace()
-                .next()
-                .map(|t| t.split('?').next().unwrap_or(t))
-                == Some("/ingest")
-            {
-                let (status, body, extra) = handle_ingest(&head, &mut stream, shared);
-                return Routed::Ingest(status, body, extra);
-            }
+        let request = Request::parse(&head);
+        if request.method == "POST" && request.path == "/ingest" {
+            return Routed::Done(handle_ingest(&head, &mut stream, shared));
         }
-        route(&head, shared, model, slot, pipeline)
+        route(&request, shared, model, slot, pipeline)
     }));
-    let (status, body, endpoint, content_type, extra_headers) = match routed {
-        Ok(Routed::Done(status, body, endpoint, content_type)) => {
-            (status, body, endpoint, content_type, String::new())
-        }
-        Ok(Routed::Ingest(status, body, extra)) => {
-            (status, body, "ingest", JSON_CONTENT_TYPE, extra)
-        }
+    let reply = match routed {
+        Ok(Routed::Done(reply)) => reply,
         Ok(Routed::Batch { user, k }) => {
             // A `/recommend` cache miss: hand the connection to the
             // batching pipeline. The responder pool owns everything from
@@ -968,12 +727,9 @@ fn handle_connection(queued: Queued, shared: &Shared, slot: &Arc<ModelSlot>, pip
             if let Err(mut req) = pipeline.batcher.try_submit(req) {
                 // Batch queue full (or draining): shed exactly like the
                 // connection queue does, before any scoring work.
-                shed(
-                    &mut req.stream,
-                    ctx,
-                    pipeline.batcher.queue_depth(),
-                    shared.opts.io_timeout,
-                );
+                shared
+                    .shedder
+                    .shed(&mut req.stream, ctx, pipeline.batcher.queue_depth());
                 taxorec_telemetry::counter("serve.http.recommend.errors").inc(1);
             }
             return;
@@ -985,99 +741,51 @@ fn handle_connection(queued: Queued, shared: &Shared, slot: &Arc<ModelSlot>, pip
             // time the client sees the 500.
             flight_event!("serve.panic", ctx.trace_id, 500, 0.0);
             flight::dump("serve.request.panic");
-            (
-                500,
-                error_json("internal error"),
-                "other",
-                JSON_CONTENT_TYPE,
-                String::new(),
-            )
+            Reply::error(500, "internal error", "other")
         }
     };
     {
         let _respond_span = trace::child_span("respond");
-        let _ = respond_with(
-            &mut stream,
-            status,
-            ctx.trace_id,
-            content_type,
-            &extra_headers,
-            &body,
-        );
+        reply.write(&mut stream, ctx.trace_id);
     }
-    // Covers routing (the model work) plus the response write, so the
-    // histogram reflects what a client observes.
-    let ms = start.elapsed().as_secs_f64() * 1e3;
-    taxorec_telemetry::histogram(&format!("serve.http.{endpoint}.ms")).observe(ms);
-    taxorec_telemetry::counter(&format!("serve.http.{endpoint}.requests")).inc(1);
-    if status >= 400 {
-        taxorec_telemetry::counter(&format!("serve.http.{endpoint}.errors")).inc(1);
-    }
-    flight_event!("serve.request", ctx.trace_id, status as i64, ms);
-    // The root span covers accept → response written; emitted last so
-    // the whole tree is buffered once the request is externally visible.
+    finish_request(&reply, ctx, start, accepted);
+}
+
+/// Closes out one answered request: endpoint histogram/counters, flight
+/// event, and the `http` root span. The root covers accept → response
+/// written and is emitted last, so the whole tree is buffered once the
+/// request is externally visible.
+fn finish_request(reply: &Reply, ctx: TraceContext, started: Instant, accepted: Instant) {
+    let ms = reply.record("serve.http", started);
+    flight_event!("serve.request", ctx.trace_id, reply.status as i64, ms);
     trace::emit_root_at("http", ctx, accepted, Instant::now());
 }
 
-/// Writes one batched `/recommend` response from a responder thread and
-/// closes out the request's telemetry: endpoint histogram/counters,
-/// flight event, retroactive `respond` span, and the `http` root span —
-/// the batched twin of the inline path's epilogue in
-/// [`handle_connection`].
+/// Writes one batched `/recommend` response from a responder thread,
+/// with the retroactive `respond` span the inline path opens as a scope.
 fn write_recommend_response(mut req: RecommendReq, scored: Scored) {
-    let (status, body) = match scored {
-        Scored::Ranked(items) => (200, recommend_body(req.user, req.k, &items)),
-        Scored::NotFound(msg) => (404, error_json(&msg)),
+    let reply = match scored {
+        Scored::Ranked(items) => {
+            Reply::new(200, recommend_body(req.user, req.k, &items), "recommend")
+        }
+        Scored::NotFound(msg) => Reply::error(404, &msg, "recommend"),
         Scored::Internal => {
             // Dump before responding, mirroring the inline panic path.
             flight_event!("serve.panic", req.ctx.trace_id, 500, 0.0);
             flight::dump("serve.batch.panic");
-            (500, error_json("internal error"))
+            Reply::error(500, "internal error", "recommend")
         }
     };
     let write_start = Instant::now();
-    let _ = respond(&mut req.stream, status, req.ctx.trace_id, &body);
+    reply.write(&mut req.stream, req.ctx.trace_id);
     trace::emit_span_at("respond", req.ctx, write_start, Instant::now());
-    let ms = req.started.elapsed().as_secs_f64() * 1e3;
-    taxorec_telemetry::histogram("serve.http.recommend.ms").observe(ms);
-    taxorec_telemetry::counter("serve.http.recommend.requests").inc(1);
-    if status >= 400 {
-        taxorec_telemetry::counter("serve.http.recommend.errors").inc(1);
-    }
-    flight_event!("serve.request", req.ctx.trace_id, status as i64, ms);
-    trace::emit_root_at("http", req.ctx, req.accepted, Instant::now());
-}
-
-/// Reads bytes until the end of the request head (`\r\n\r\n`) and returns
-/// the head as text. `None` on malformed, oversized, or timed-out input.
-pub(crate) fn read_head(stream: &mut TcpStream, max_bytes: usize) -> Option<String> {
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    loop {
-        if buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.len() >= max_bytes {
-            break;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => return None,
-        }
-    }
-    if buf.len() >= max_bytes {
-        return None;
-    }
-    String::from_utf8(buf).ok()
+    finish_request(&reply, req.ctx, req.started, req.accepted);
 }
 
 /// What the router decided about one parsed request.
 enum Routed {
-    /// Answer now from the parser worker: (status, body, endpoint label
-    /// for telemetry, content type).
-    Done(u16, String, &'static str, &'static str),
-    /// A `POST /ingest` already handled (body consumed from the
-    /// stream): (status, body, extra response headers — `Retry-After`
-    /// on journal backpressure).
-    Ingest(u16, String, String),
+    /// Answer now from the parser worker.
+    Done(Reply),
     /// A `/recommend` cache miss bound for the batching pipeline.
     Batch {
         /// Validated `user` query parameter.
@@ -1090,80 +798,43 @@ enum Routed {
 /// Dispatches one parsed request. Everything except a `/recommend`
 /// cache miss resolves inline.
 fn route(
-    head: &str,
+    request: &Request<'_>,
     shared: &Shared,
     model: &ServingModel,
     slot: &Arc<ModelSlot>,
     pipeline: &Pipeline,
 ) -> Routed {
-    let request_line = head.lines().next().unwrap_or("");
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let target = parts.next().unwrap_or("");
+    let Request {
+        method,
+        path,
+        query,
+        ..
+    } = *request;
     if method != "GET" {
-        return Routed::Done(
-            405,
-            error_json(&format!("method {method:?} not allowed; use GET")),
-            "other",
-            JSON_CONTENT_TYPE,
-        );
+        let msg = format!("method {method:?} not allowed; use GET");
+        return Routed::Done(Reply::error(405, &msg, "other"));
     }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
-    match path {
-        "/healthz" => Routed::Done(
-            200,
-            healthz_json(shared, model, pipeline),
-            "healthz",
-            JSON_CONTENT_TYPE,
-        ),
-        "/metrics" => Routed::Done(
-            200,
-            taxorec_telemetry::prometheus::render(),
-            "metrics",
-            taxorec_telemetry::prometheus::CONTENT_TYPE,
-        ),
-        "/metrics.json" => Routed::Done(
-            200,
-            taxorec_telemetry::snapshot(),
-            "metrics",
-            JSON_CONTENT_TYPE,
-        ),
-        "/debug/flight" => Routed::Done(200, flight::snapshot_json(), "flight", JSON_CONTENT_TYPE),
+    Routed::Done(match path {
+        "/healthz" => Reply::new(200, healthz_json(shared, model, pipeline), "healthz"),
+        "/metrics" => Reply::new(200, taxorec_telemetry::prometheus::render(), "metrics")
+            .content_type(taxorec_telemetry::prometheus::CONTENT_TYPE),
+        "/metrics.json" => Reply::new(200, taxorec_telemetry::snapshot(), "metrics"),
+        "/debug/flight" => Reply::new(200, flight::snapshot_json(), "flight"),
         "/admin/drain" if shared.opts.admin => {
             shared.health.store(HEALTH_DRAINING, Ordering::SeqCst);
             taxorec_telemetry::counter("serve.admin.drain").inc(1);
-            Routed::Done(
-                200,
-                "{\"status\":\"draining\"}".to_string(),
-                "admin",
-                JSON_CONTENT_TYPE,
-            )
+            Reply::new(200, "{\"status\":\"draining\"}".to_string(), "admin")
         }
-        "/admin/reload" if shared.opts.admin => {
-            let (status, body) = handle_reload(query, shared, slot);
-            Routed::Done(status, body, "admin", JSON_CONTENT_TYPE)
-        }
-        "/ingest" => Routed::Done(
+        "/admin/reload" if shared.opts.admin => handle_reload(query, shared, slot),
+        "/ingest" => Reply::error(
             405,
-            error_json("use POST /ingest with a JSON interaction batch"),
+            "use POST /ingest with a JSON interaction batch",
             "ingest",
-            JSON_CONTENT_TYPE,
         ),
-        "/recommend" => handle_recommend(query, model),
-        "/explain" => {
-            let (status, body, ep) = handle_explain(query, model);
-            Routed::Done(status, body, ep, JSON_CONTENT_TYPE)
-        }
-        _ => Routed::Done(
-            404,
-            error_json(&format!("no route for {path:?}")),
-            "other",
-            JSON_CONTENT_TYPE,
-        ),
-    }
+        "/recommend" => return handle_recommend(query, model),
+        "/explain" => handle_explain(query, model),
+        _ => Reply::error(404, &format!("no route for {path:?}"), "other"),
+    })
 }
 
 /// Validates a `/recommend` query and probes the response cache. Hits
@@ -1172,39 +843,25 @@ fn route(
 /// users also take the batched path and come back as per-request `404`s
 /// from [`ServingModel::recommend_many`]'s independent error entries.
 fn handle_recommend(query: &str, model: &ServingModel) -> Routed {
+    let reject = |msg: &str| Routed::Done(Reply::error(400, msg, "recommend"));
     let user = match require_param(query, "user") {
         Ok(u) => u,
-        Err(msg) => return Routed::Done(400, error_json(&msg), "recommend", JSON_CONTENT_TYPE),
+        Err(msg) => return reject(&msg),
     };
     let k = match param(query, "k") {
         None => DEFAULT_K,
         Some(raw) => match raw.parse::<usize>() {
             Ok(k) if k <= MAX_K => k,
-            Ok(k) => {
-                return Routed::Done(
-                    400,
-                    error_json(&format!("k = {k} exceeds the maximum of {MAX_K}")),
-                    "recommend",
-                    JSON_CONTENT_TYPE,
-                )
-            }
-            Err(_) => {
-                return Routed::Done(
-                    400,
-                    error_json(&format!("query parameter 'k' = {raw:?} is not an integer")),
-                    "recommend",
-                    JSON_CONTENT_TYPE,
-                )
-            }
+            Ok(k) => return reject(&format!("k = {k} exceeds the maximum of {MAX_K}")),
+            Err(_) => return reject(&format!("query parameter 'k' = {raw:?} is not an integer")),
         },
     };
     match model.cached(user, k) {
-        Some(items) => Routed::Done(
+        Some(items) => Routed::Done(Reply::new(
             200,
             recommend_body(user, k, &items),
             "recommend",
-            JSON_CONTENT_TYPE,
-        ),
+        )),
         None => Routed::Batch { user, k },
     }
 }
@@ -1232,14 +889,14 @@ fn recommend_body(user: u32, k: usize, items: &[(u32, f64)]) -> String {
     body
 }
 
-fn handle_explain(query: &str, model: &ServingModel) -> (u16, String, &'static str) {
+fn handle_explain(query: &str, model: &ServingModel) -> Reply {
     let user = match require_param(query, "user") {
         Ok(u) => u,
-        Err(msg) => return (400, error_json(&msg), "explain"),
+        Err(msg) => return Reply::error(400, &msg, "explain"),
     };
     let item = match require_param(query, "item") {
         Ok(v) => v,
-        Err(msg) => return (400, error_json(&msg), "explain"),
+        Err(msg) => return Reply::error(400, &msg, "explain"),
     };
     match model.explain(user, item) {
         Ok(ex) => {
@@ -1278,114 +935,77 @@ fn handle_explain(query: &str, model: &ServingModel) -> (u16, String, &'static s
                 push_str_escaped(&mut body, name);
             }
             body.push_str("]}");
-            (200, body, "explain")
+            Reply::new(200, body, "explain")
         }
         Err(e @ ServeError::UnknownUser { .. }) | Err(e @ ServeError::UnknownItem { .. }) => {
-            (404, error_json(&e.to_string()), "explain")
+            Reply::error(404, &e.to_string(), "explain")
         }
     }
 }
 
 /// `POST /ingest` — reads the JSON interaction batch off the stream and
-/// appends it to the journal. Returns `(status, body, extra headers)`:
-/// `202` with the journal position on acceptance, `503 + Retry-After`
-/// (one tick) when the journal is full, `503` when ingestion is off.
-/// The body is *accepted*, not folded — the updater applies it on the
-/// next tick, and `/healthz`'s `ingest.staleness` tracks the gap.
-fn handle_ingest(head: &str, stream: &mut TcpStream, shared: &Shared) -> (u16, String, String) {
-    let none = String::new;
+/// appends it to the journal: `202` with the journal position on
+/// acceptance, `503 + Retry-After` (one tick) when the journal is full,
+/// `503` when ingestion is off. The body is *accepted*, not folded — the
+/// updater applies it on the next tick, and `/healthz`'s
+/// `ingest.staleness` tracks the gap.
+fn handle_ingest(head: &str, stream: &mut TcpStream, shared: &Shared) -> Reply {
+    let reject = |status, msg: &str| Reply::error(status, msg, "ingest");
     let Some(journal) = shared.journal.as_ref() else {
-        return (
-            503,
-            error_json("ingestion is not enabled; start with serve --ingest"),
-            none(),
-        );
+        return reject(503, "ingestion is not enabled; start with serve --ingest");
     };
     let opts = &shared.opts.ingest;
-    let mut content_length: Option<usize> = None;
-    for line in head.lines().skip(1) {
-        if line.is_empty() {
-            break;
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().ok();
-            }
-        }
-    }
-    let Some(expected) = content_length else {
-        return (
-            400,
-            error_json("POST /ingest requires a Content-Length header"),
-            none(),
-        );
+    let Some(expected) = net::header(head, "content-length").and_then(|v| v.parse().ok()) else {
+        return reject(400, "POST /ingest requires a Content-Length header");
     };
     if expected > opts.max_body {
-        return (
+        return reject(
             413,
-            error_json(&format!(
+            &format!(
                 "body of {expected} bytes exceeds the {} byte ingest limit",
                 opts.max_body
-            )),
-            none(),
+            ),
         );
     }
-    // `read_head` may have over-read into the body; start from whatever
-    // followed the blank line and pull the rest off the socket.
+    // `read_request` may have over-read into the body; start from
+    // whatever followed the blank line and pull the rest off the socket.
     let prefix = head.split_once("\r\n\r\n").map(|(_, b)| b).unwrap_or("");
-    let mut raw = prefix.as_bytes().to_vec();
-    let mut chunk = [0u8; 4096];
-    while raw.len() < expected {
-        let want = (expected - raw.len()).min(chunk.len());
-        match stream.read(&mut chunk[..want]) {
-            Ok(0) => break,
-            Ok(n) => raw.extend_from_slice(&chunk[..n]),
-            Err(_) => {
-                return (
-                    400,
-                    error_json("timed out reading the request body"),
-                    none(),
-                )
-            }
+    let raw = match net::read_body(stream, prefix.as_bytes().to_vec(), expected) {
+        Ok(raw) => raw,
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+            return reject(400, "request body ended before Content-Length bytes")
         }
-    }
-    if raw.len() < expected {
-        return (
-            400,
-            error_json("request body ended before Content-Length bytes"),
-            none(),
-        );
-    }
-    raw.truncate(expected);
+        Err(_) => return reject(400, "timed out reading the request body"),
+    };
     let Ok(body) = String::from_utf8(raw) else {
-        return (400, error_json("request body is not valid UTF-8"), none());
+        return reject(400, "request body is not valid UTF-8");
     };
     let batch = match online::parse_ingest_body(&body) {
         Ok(b) => b,
-        Err(e) => return (400, error_json(&e), none()),
+        Err(e) => return reject(400, &e),
     };
     let n = batch.len();
     match journal.push_batch(batch) {
-        Ok(_) => (
+        Ok(_) => Reply::new(
             202,
             format!(
                 "{{\"accepted\":{n},\"queued\":{},\"staleness\":{}}}",
                 journal.len(),
                 journal.staleness()
             ),
-            none(),
+            "ingest",
         ),
         Err(depth) => {
             taxorec_telemetry::counter("serve.ingest.rejected").inc(1);
             let retry_after = opts.tick.as_secs().max(1);
-            (
+            reject(
                 503,
-                error_json(&format!(
+                &format!(
                     "ingest journal full ({depth}/{} queued); retry after the next tick",
                     journal.capacity()
-                )),
-                format!("Retry-After: {retry_after}\r\n"),
+                ),
             )
+            .header("Retry-After", retry_after)
         }
     }
 }
@@ -1411,10 +1031,9 @@ fn artifact_json(info: Option<crate::checkpoint::ArtifactInfo>) -> String {
 /// fronting router prefers replicas; the prior health state is restored
 /// on completion — including on failure, which keeps the old model and
 /// answers `500`.
-fn handle_reload(query: &str, shared: &Shared, slot: &Arc<ModelSlot>) -> (u16, String) {
-    let path = match require_param_str(query, "path") {
-        Ok(p) => p,
-        Err(msg) => return (400, error_json(&msg)),
+fn handle_reload(query: &str, shared: &Shared, slot: &Arc<ModelSlot>) -> Reply {
+    let Some(path) = param(query, "path") else {
+        return Reply::error(400, "missing required query parameter 'path'", "admin");
     };
     // One handover at a time: concurrent reloads would race the
     // health save/restore and could swap models out of order.
@@ -1426,7 +1045,7 @@ fn handle_reload(query: &str, shared: &Shared, slot: &Arc<ModelSlot>) -> (u16, S
     let built = Checkpoint::load_file(path)
         .and_then(|ckpt| ServingModel::with_cache_capacity(ckpt, old.cache_usage().1))
         .and_then(|m| m.with_retrieval(old.retrieval_mode()));
-    let (status, body) = match built {
+    let reply = match built {
         Ok(new_model) => {
             let new_info = artifact_json(new_model.artifact_info());
             let replaced = slot.swap(Arc::new(new_model));
@@ -1434,7 +1053,7 @@ fn handle_reload(query: &str, shared: &Shared, slot: &Arc<ModelSlot>) -> (u16, S
             taxorec_telemetry::histogram("serve.admin.reload.ms")
                 .observe(started.elapsed().as_secs_f64() * 1e3);
             taxorec_telemetry::sink::info(&format!("checkpoint reloaded from {path:?}"));
-            (
+            Reply::new(
                 200,
                 format!(
                     "{{\"status\":\"reloaded\",\"path\":{},\"old\":{},\"new\":{}}}",
@@ -1446,6 +1065,7 @@ fn handle_reload(query: &str, shared: &Shared, slot: &Arc<ModelSlot>) -> (u16, S
                     artifact_json(replaced.artifact_info()),
                     new_info,
                 ),
+                "admin",
             )
         }
         Err(e) => {
@@ -1453,16 +1073,16 @@ fn handle_reload(query: &str, shared: &Shared, slot: &Arc<ModelSlot>) -> (u16, S
             taxorec_telemetry::sink::warn(&format!(
                 "checkpoint reload from {path:?} failed: {e}; keeping current model"
             ));
-            (500, error_json(&format!("reload failed: {e}")))
+            Reply::error(500, &format!("reload failed: {e}"), "admin")
         }
     };
     shared.health.store(prior_health, Ordering::SeqCst);
-    (status, body)
+    reply
 }
 
 fn healthz_json(shared: &Shared, model: &ServingModel, pipeline: &Pipeline) -> String {
     let (cache_len, cache_cap) = model.cache_usage();
-    let queued = lock_queue(&shared.queue).len();
+    let queued = shared.conns.len();
     let mut body = String::with_capacity(224);
     body.push_str("{\"status\":\"");
     body.push_str(shared.health().as_str());
@@ -1538,99 +1158,9 @@ fn healthz_json(shared: &Shared, model: &ServingModel, pipeline: &Pipeline) -> S
     body
 }
 
-pub(crate) fn error_json(message: &str) -> String {
-    let mut body = String::with_capacity(message.len() + 12);
-    body.push_str("{\"error\":");
-    push_str_escaped(&mut body, message);
-    body.push('}');
-    body
-}
-
-/// Value of `name` in an `a=1&b=2` query string, if present.
-pub(crate) fn param<'q>(query: &'q str, name: &str) -> Option<&'q str> {
-    query
-        .split('&')
-        .filter_map(|pair| pair.split_once('='))
-        .find(|(k, _)| *k == name)
-        .map(|(_, v)| v)
-}
-
-/// Like [`require_param`] but returns the raw string value (for
-/// `/admin/reload?path=…`, which takes a filesystem path).
-fn require_param_str<'q>(query: &'q str, name: &str) -> Result<&'q str, String> {
-    param(query, name).ok_or_else(|| format!("missing required query parameter '{name}'"))
-}
-
-pub(crate) fn require_param(query: &str, name: &str) -> Result<u32, String> {
-    match param(query, name) {
-        None => Err(format!("missing required query parameter '{name}'")),
-        Some(raw) => raw.parse::<u32>().map_err(|_| {
-            format!("query parameter '{name}' = {raw:?} is not a non-negative integer")
-        }),
-    }
-}
-
-pub(crate) fn respond(
-    stream: &mut TcpStream,
-    status: u16,
-    trace_id: u64,
-    body: &str,
-) -> std::io::Result<()> {
-    respond_with(stream, status, trace_id, JSON_CONTENT_TYPE, "", body)
-}
-
-pub(crate) fn respond_with(
-    stream: &mut TcpStream,
-    status: u16,
-    trace_id: u64,
-    content_type: &str,
-    extra_headers: &str,
-    body: &str,
-) -> std::io::Result<()> {
-    let reason = match status {
-        200 => "OK",
-        202 => "Accepted",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        413 => "Payload Too Large",
-        503 => "Service Unavailable",
-        _ => "Internal Server Error",
-    };
-    let header = format!(
-        "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\n\
-         Content-Length: {}\r\nx-taxorec-trace: {trace_id:016x}\r\n\
-         {extra_headers}Connection: close\r\n\r\n",
-        body.len()
-    );
-    stream.write_all(header.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn param_parsing() {
-        assert_eq!(param("user=3&k=5", "user"), Some("3"));
-        assert_eq!(param("user=3&k=5", "k"), Some("5"));
-        assert_eq!(param("user=3", "k"), None);
-        assert_eq!(param("", "user"), None);
-        assert_eq!(require_param("user=7", "user"), Ok(7));
-        assert!(require_param("user=-1", "user")
-            .unwrap_err()
-            .contains("non-negative"));
-        assert!(require_param("k=5", "user").unwrap_err().contains("user"));
-    }
-
-    #[test]
-    fn error_json_escapes() {
-        let j = error_json("bad \"quote\"");
-        assert_eq!(j, "{\"error\":\"bad \\\"quote\\\"\"}");
-        assert!(taxorec_telemetry::json::is_valid_json(&j));
-    }
 
     #[test]
     fn health_state_strings() {

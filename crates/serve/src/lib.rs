@@ -20,6 +20,11 @@
 //!   (`/recommend`, `/explain`, `/healthz`, `/metrics`), with warm
 //!   checkpoint reload through [`ModelSlot`] (`/admin/reload`).
 //!
+//! Both servers stand on one private net layer (listener, stage queues,
+//! worker pools, shedding, drain, the response writer); [`client`] is
+//! its public counterpart, the one blocking HTTP client the router, the
+//! load generator and the tests share.
+//!
 //! On top of the single-process server sits the sharded tier
 //! (DESIGN.md §16): [`ring`] partitions users across shard workers by
 //! consistent hashing, [`router`] is the `taxorec-router` front end
@@ -59,9 +64,11 @@
 pub mod batch;
 pub mod breaker;
 pub mod checkpoint;
+pub mod client;
 pub mod http;
 pub mod lru;
 pub mod model;
+mod net;
 pub mod online;
 pub mod ring;
 pub mod router;

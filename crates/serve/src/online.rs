@@ -140,7 +140,9 @@ impl IngestOptions {
     }
 }
 
-fn env_usize(name: &str) -> Option<usize> {
+/// The crate's one reader of integer `TAXOREC_*` knobs: unset,
+/// empty or unparseable all mean "keep the default".
+pub(crate) fn env_usize(name: &str) -> Option<usize> {
     std::env::var(name).ok()?.trim().parse().ok()
 }
 

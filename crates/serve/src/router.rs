@@ -57,11 +57,9 @@
 //! actually answered — the observable failover signal the chaos test
 //! asserts on.
 
-use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -70,12 +68,15 @@ use taxorec_telemetry::json::push_str_escaped;
 use taxorec_telemetry::{trace, TraceContext};
 
 use crate::breaker::Breaker;
-use crate::http::{error_json, read_head, require_param, respond_with};
+use crate::client::{self, Phase, Timeouts};
+use crate::net::{
+    self, require_param, Conn, Edge, Front, PoolSpec, Reply, Request, Shedder, Stage,
+};
+use crate::online::env_usize;
 use crate::ring::Ring;
 
-const JSON_CONTENT_TYPE: &str = "application/json";
-/// Worker condvar poll interval (shutdown-flag recheck bound).
-const POLL_INTERVAL: Duration = Duration::from_millis(10);
+/// Prober sleep slice (stop-flag recheck bound).
+const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Tuning knobs for [`route_with`]. [`RouterOptions::from_env`] reads
 /// the `TAXOREC_ROUTER_*` variables; [`Default`] ignores the
@@ -177,10 +178,6 @@ impl RouterOptions {
     }
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
 // Router's view of one shard, refreshed by the prober.
 const SHARD_UNKNOWN: u8 = 0; // not yet probed — routable (cold start)
 const SHARD_READY: u8 = 1;
@@ -232,28 +229,26 @@ impl ShardState {
     }
 }
 
-/// State shared by the acceptor, workers, prober, and the handle.
+/// State shared by the workers, the prober, and the handle.
 struct RouterShared {
-    shutdown: AtomicBool,
     draining: AtomicBool,
-    queue: Mutex<VecDeque<(TcpStream, TraceContext, Instant)>>,
-    ready: Condvar,
     ring: Ring,
     shards: Vec<ShardState>,
     opts: RouterOptions,
 }
 
-/// A running router: joinable acceptor, worker, and prober threads.
+/// A running router: the listening front (acceptor + workers) and the
+/// prober thread.
 pub struct RouterHandle {
-    addr: SocketAddr,
+    front: Front,
     shared: Arc<RouterShared>,
-    threads: Vec<JoinHandle<()>>,
+    prober: Option<JoinHandle<()>>,
 }
 
 impl RouterHandle {
     /// The address actually bound (resolves ephemeral port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.front.local_addr()
     }
 
     /// Marks the router `draining` on `/healthz` without stopping it.
@@ -268,15 +263,9 @@ impl RouterHandle {
 
     fn drain(&mut self) {
         self.shared.draining.store(true, Ordering::SeqCst);
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.ready.notify_all();
-        let mut wake = self.addr;
-        if wake.ip().is_unspecified() {
-            wake.set_ip(std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST));
-        }
-        let _ = TcpStream::connect_timeout(&wake, Duration::from_secs(1));
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        self.front.shutdown();
+        if let Some(prober) = self.prober.take() {
+            let _ = prober.join();
         }
     }
 }
@@ -302,8 +291,6 @@ pub fn route_with(
     if shards.is_empty() {
         return Err(std::io::Error::other("a router needs at least one shard"));
     }
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
     let ring = Ring::new(shards.len());
     let shard_states = shards
         .iter()
@@ -314,12 +301,27 @@ pub fn route_with(
             meta: Mutex::new(ShardMeta::default()),
         })
         .collect();
-    let n_workers = opts.n_workers.max(1);
+    let edge = Edge {
+        pool: PoolSpec {
+            thread: "taxorec-router",
+            metric: "router.worker",
+            fault_site: None,
+        },
+        n_workers: opts.n_workers,
+        io_timeout: opts.io_timeout,
+        shedder: Arc::new(Shedder::new(
+            "router.shed",
+            "router.shed",
+            "router overloaded; retry later",
+            opts.io_timeout,
+        )),
+    };
+    let conns = Stage::new(
+        opts.max_queue,
+        Some(taxorec_telemetry::gauge("router.queue.depth")),
+    );
     let shared = Arc::new(RouterShared {
-        shutdown: AtomicBool::new(false),
         draining: AtomicBool::new(false),
-        queue: Mutex::new(VecDeque::new()),
-        ready: Condvar::new(),
         ring,
         shards: shard_states,
         opts,
@@ -328,173 +330,56 @@ pub fn route_with(
     for i in 0..shards.len() {
         taxorec_telemetry::gauge(&format!("router.shard.{i}.up")).set(0.0);
     }
-    let mut threads = Vec::with_capacity(n_workers + 2);
-    for i in 0..n_workers {
+    let (front, _live_workers) = {
         let shared = Arc::clone(&shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name(format!("taxorec-router-{i}"))
-                .spawn(move || worker_loop(&shared))?,
-        );
-    }
-    {
-        let shared = Arc::clone(&shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name("taxorec-router-probe".into())
-                .spawn(move || prober_loop(&shared))?,
-        );
-    }
-    {
-        let shared = Arc::clone(&shared);
-        threads.push(
-            std::thread::Builder::new()
-                .name("taxorec-router-accept".into())
-                .spawn(move || acceptor_loop(listener, &shared))?,
-        );
-    }
-    Ok(RouterHandle {
-        addr,
+        net::listen(addr, conns, edge, move |conn| handle_client(conn, &shared))?
+    };
+    let mut handle = RouterHandle {
+        front,
         shared,
-        threads,
-    })
+        prober: None,
+    };
+    let shared = Arc::clone(&handle.shared);
+    let stop = handle.front.stop_flag();
+    // A failed spawn drops `handle`, which stops the front again.
+    let prober = std::thread::Builder::new()
+        .name("taxorec-router-probe".into())
+        .spawn(move || prober_loop(&shared, &stop))?;
+    handle.prober = Some(prober);
+    Ok(handle)
 }
 
-fn acceptor_loop(listener: TcpListener, shared: &RouterShared) {
-    for conn in listener.incoming() {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        match conn {
-            Ok(mut stream) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                let _ = stream.set_read_timeout(Some(shared.opts.io_timeout));
-                let _ = stream.set_write_timeout(Some(shared.opts.io_timeout));
-                let ctx = trace::mint();
-                let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-                if q.len() >= shared.opts.max_queue {
-                    drop(q);
-                    taxorec_telemetry::counter("router.shed").inc(1);
-                    let _ = respond_with(
-                        &mut stream,
-                        503,
-                        ctx.trace_id,
-                        JSON_CONTENT_TYPE,
-                        "Retry-After: 1\r\n",
-                        &error_json("router overloaded; retry later"),
-                    );
-                    continue;
-                }
-                q.push_back((stream, ctx, Instant::now()));
-                taxorec_telemetry::gauge("router.queue.depth").set(q.len() as f64);
-                drop(q);
-                shared.ready.notify_one();
-            }
-            Err(_) => std::thread::sleep(POLL_INTERVAL),
-        }
-    }
-    shared.ready.notify_all();
-}
-
-fn worker_loop(shared: &RouterShared) {
-    loop {
-        let next = {
-            let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(item) = q.pop_front() {
-                    taxorec_telemetry::gauge("router.queue.depth").set(q.len() as f64);
-                    break Some(item);
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break None;
-                }
-                let (guard, _) = shared
-                    .ready
-                    .wait_timeout(q, POLL_INTERVAL)
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
-            }
-        };
-        match next {
-            Some((stream, ctx, accepted)) => handle_client(stream, ctx, accepted, shared),
-            None => return,
-        }
-    }
-}
-
-fn handle_client(
-    mut stream: TcpStream,
-    ctx: TraceContext,
-    accepted: Instant,
-    shared: &RouterShared,
-) {
+fn handle_client(conn: Conn, shared: &RouterShared) {
+    let Conn {
+        mut stream,
+        ctx,
+        accepted,
+    } = conn;
     let _scope = trace::scope(ctx);
-    let head = match read_head(&mut stream, shared.opts.max_request_bytes) {
-        Some(h) => h,
-        None => {
-            let _ = respond_with(
-                &mut stream,
-                400,
-                ctx.trace_id,
-                JSON_CONTENT_TYPE,
-                "",
-                &error_json("malformed, oversized, or timed-out request"),
-            );
-            return;
-        }
+    let max_head = shared.opts.max_request_bytes;
+    let Some(head) = net::read_request(&mut stream, max_head, ctx.trace_id) else {
+        return;
     };
     taxorec_telemetry::counter("router.requests").inc(1);
     let start = Instant::now();
-    let request_line = head.lines().next().unwrap_or("");
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or("");
-    let target = parts.next().unwrap_or("");
+    let Request {
+        method,
+        target,
+        path,
+        query,
+    } = Request::parse(&head);
     if method != "GET" {
-        let _ = respond_with(
-            &mut stream,
-            405,
-            ctx.trace_id,
-            JSON_CONTENT_TYPE,
-            "",
-            &error_json(&format!("method {method:?} not allowed; use GET")),
-        );
+        let msg = format!("method {method:?} not allowed; use GET");
+        Reply::error(405, &msg, "other").write(&mut stream, ctx.trace_id);
         return;
     }
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p, q),
-        None => (target, ""),
-    };
-    let (status, body, content_type, extra_headers, endpoint) = match path {
-        "/healthz" => (
-            200,
-            fleet_healthz_json(shared),
-            JSON_CONTENT_TYPE,
-            String::new(),
-            "healthz",
-        ),
-        "/metrics" => (
-            200,
-            taxorec_telemetry::prometheus::render(),
-            taxorec_telemetry::prometheus::CONTENT_TYPE,
-            String::new(),
-            "metrics",
-        ),
-        "/metrics.json" => (
-            200,
-            taxorec_telemetry::snapshot(),
-            JSON_CONTENT_TYPE,
-            String::new(),
-            "metrics",
-        ),
-        "/shards/metrics" => (
-            200,
-            scrape_shard_metrics(shared),
-            taxorec_telemetry::prometheus::CONTENT_TYPE,
-            String::new(),
-            "metrics",
-        ),
+    let reply = match path {
+        "/healthz" => Reply::new(200, fleet_healthz_json(shared), "healthz"),
+        "/metrics" => Reply::new(200, taxorec_telemetry::prometheus::render(), "metrics")
+            .content_type(taxorec_telemetry::prometheus::CONTENT_TYPE),
+        "/metrics.json" => Reply::new(200, taxorec_telemetry::snapshot(), "metrics"),
+        "/shards/metrics" => Reply::new(200, scrape_shard_metrics(shared), "metrics")
+            .content_type(taxorec_telemetry::prometheus::CONTENT_TYPE),
         "/recommend" | "/explain" => {
             let endpoint = if path == "/recommend" {
                 "recommend"
@@ -502,23 +387,12 @@ fn handle_client(
                 "explain"
             };
             match require_param(query, "user") {
-                Err(msg) => (
-                    400,
-                    error_json(&msg),
-                    JSON_CONTENT_TYPE,
-                    String::new(),
-                    endpoint,
-                ),
+                Err(msg) => Reply::error(400, &msg, endpoint),
+                // Shards only ever answer JSON on these two paths, so the
+                // upstream content type is not passed through.
                 Ok(user) => match proxy(shared, ctx, target, user) {
-                    Ok(resp) => (
-                        resp.status,
-                        resp.body,
-                        // Leak-free &'static impossible for a passthrough
-                        // type; shards only ever answer JSON here.
-                        JSON_CONTENT_TYPE,
-                        format!("x-taxorec-shard: {}\r\n", resp.shard),
-                        endpoint,
-                    ),
+                    Ok(resp) => Reply::new(resp.status, resp.body, endpoint)
+                        .header("x-taxorec-shard", resp.shard),
                     Err(unavailable) => {
                         taxorec_telemetry::counter("router.unavailable").inc(1);
                         let now = Instant::now();
@@ -528,39 +402,15 @@ fn handle_client(
                                 .unwrap_or_else(|e| e.into_inner())
                                 .remaining_open(now)
                         }));
-                        (
-                            503,
-                            error_json(&unavailable),
-                            JSON_CONTENT_TYPE,
-                            format!("Retry-After: {secs}\r\n"),
-                            endpoint,
-                        )
+                        Reply::error(503, &unavailable, endpoint).header("Retry-After", secs)
                     }
                 },
             }
         }
-        _ => (
-            404,
-            error_json(&format!("no route for {path:?}")),
-            JSON_CONTENT_TYPE,
-            String::new(),
-            "other",
-        ),
+        _ => Reply::error(404, &format!("no route for {path:?}"), "other"),
     };
-    let _ = respond_with(
-        &mut stream,
-        status,
-        ctx.trace_id,
-        content_type,
-        &extra_headers,
-        &body,
-    );
-    let ms = start.elapsed().as_secs_f64() * 1e3;
-    taxorec_telemetry::histogram(&format!("router.{endpoint}.ms")).observe(ms);
-    taxorec_telemetry::counter(&format!("router.{endpoint}.requests")).inc(1);
-    if status >= 400 {
-        taxorec_telemetry::counter(&format!("router.{endpoint}.errors")).inc(1);
-    }
+    reply.write(&mut stream, ctx.trace_id);
+    reply.record("router", start);
     trace::emit_root_at("router", ctx, accepted, Instant::now());
 }
 
@@ -607,7 +457,7 @@ fn proxy(
     let opts = &shared.opts;
     let deadline = Instant::now() + opts.deadline;
     let candidates = shared.ring.candidates(user);
-    let (tx, rx) = mpsc::channel::<(u32, std::io::Result<Proxied>)>();
+    let (tx, rx) = mpsc::channel::<(u32, Result<Proxied, client::Error>)>();
     let mut next = 0usize; // next candidate position to consider
     let mut in_flight = 0usize;
     let mut hedged = false;
@@ -627,19 +477,30 @@ fn proxy(
             }
             let addr = shard.addr;
             let tx = tx.clone();
-            let request = upstream_request(target, ctx.trace_id);
+            let target = target.to_string();
+            // The router's trace id travels upstream so shard spans join
+            // this trace.
+            let trace_header = format!("x-taxorec-trace: {:016x}\r\n", ctx.trace_id);
             let retry = opts.retry;
             let connect_timeout = opts.connect_timeout;
             let seed = ctx.trace_id ^ shard_idx as u64;
             let spawned = std::thread::Builder::new()
                 .name(format!("taxorec-router-try-{shard_idx}"))
                 .spawn(move || {
-                    let result = attempt(addr, &request, connect_timeout, deadline, retry, seed)
-                        .map(|(status, body)| Proxied {
-                            status,
-                            body,
-                            shard: shard_idx,
-                        });
+                    let result = attempt(
+                        addr,
+                        &target,
+                        &trace_header,
+                        connect_timeout,
+                        deadline,
+                        retry,
+                        seed,
+                    )
+                    .map(|r| Proxied {
+                        status: r.status,
+                        body: r.body,
+                        shard: shard_idx,
+                    });
                     let _ = tx.send((shard_idx, result));
                 });
             if spawned.is_ok() {
@@ -738,77 +599,62 @@ fn shard_failure(shared: &RouterShared, shard_idx: u32) {
     }
 }
 
-/// The upstream request bytes for one proxied call: the original
-/// target, the router's trace id (so shard spans join this trace), and
-/// `Connection: close` framing.
-fn upstream_request(target: &str, trace_id: u64) -> String {
-    format!(
-        "GET {target} HTTP/1.1\r\nHost: shard\r\nx-taxorec-trace: {trace_id:016x}\r\nConnection: close\r\n\r\n"
-    )
-}
-
-/// One upstream attempt: connect (with bounded decorrelated-jitter
-/// retries on connection-refused — the signature of a shard restarting
-/// mid-reload), send, read to EOF, parse. Any other transport error
-/// returns immediately so the caller can fail over.
+/// One upstream exchange through [`client::request`], bounded by what
+/// is left of `deadline`. Connection-refused — the signature of a shard
+/// restarting mid-reload — is retried in place on the decorrelated-
+/// jitter schedule (these reads are idempotent, and failing over would
+/// abandon the owner's warm cache); any other transport error,
+/// including a body cut short of its `Content-Length`, returns
+/// immediately so the caller can fail over.
 fn attempt(
     addr: SocketAddr,
-    request: &str,
+    target: &str,
+    extra_headers: &str,
     connect_timeout: Duration,
     deadline: Instant,
     retry: RetryPolicy,
     seed: u64,
-) -> std::io::Result<(u16, String)> {
+) -> Result<client::Response, client::Error> {
     let mut jitter = DecorrelatedJitter::new(retry, seed);
     let mut attempts = 0usize;
-    let mut stream = loop {
+    loop {
         attempts += 1;
-        match TcpStream::connect_timeout(&addr, connect_timeout) {
-            Ok(s) => break s,
+        let timeouts = Timeouts {
+            connect: connect_timeout,
+            io: deadline
+                .saturating_duration_since(Instant::now())
+                .max(Duration::from_millis(1)),
+        };
+        match client::request(addr, "GET", target, extra_headers, "", timeouts) {
             Err(e)
-                if e.kind() == std::io::ErrorKind::ConnectionRefused
+                if e.phase == Phase::Refused
                     && attempts < retry.max_attempts.max(1)
                     && Instant::now() < deadline =>
             {
-                // Refused means no listener *right now* — a shard
-                // restarting. These reads are idempotent, so retry on
-                // the jittered schedule instead of failing over and
-                // abandoning the owner's warm cache.
                 taxorec_telemetry::counter("router.connect.refused_retry").inc(1);
                 std::thread::sleep(jitter.next_backoff());
             }
-            Err(e) => return Err(e),
+            outcome => return outcome,
         }
-    };
-    let now = Instant::now();
-    let budget = deadline
-        .checked_duration_since(now)
-        .unwrap_or(Duration::from_millis(1))
-        .max(Duration::from_millis(1));
-    stream.set_read_timeout(Some(budget))?;
-    stream.set_write_timeout(Some(budget))?;
-    stream.write_all(request.as_bytes())?;
-    let mut raw = Vec::with_capacity(1024);
-    stream.read_to_end(&mut raw)?;
-    parse_response(&raw)
+    }
 }
 
-/// Parses a `Connection: close` HTTP/1.1 response into (status, body).
-fn parse_response(raw: &[u8]) -> std::io::Result<(u16, String)> {
-    let text = std::str::from_utf8(raw)
-        .map_err(|_| std::io::Error::other("upstream response is not UTF-8"))?;
-    let (head, body) = text
-        .split_once("\r\n\r\n")
-        .ok_or_else(|| std::io::Error::other("upstream response missing header terminator"))?;
-    let status_line = head.lines().next().unwrap_or("");
-    let status = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse::<u16>().ok())
-        .ok_or_else(|| {
-            std::io::Error::other(format!("malformed upstream status line {status_line:?}"))
-        })?;
-    Ok((status, body.to_string()))
+/// One unretried control-plane fetch (`/healthz`, `/metrics`) from a
+/// shard; `None` unless it answered `200`.
+fn fetch(addr: SocketAddr, target: &str, connect_timeout: Duration) -> Option<String> {
+    let deadline = Instant::now() + connect_timeout * 4;
+    attempt(
+        addr,
+        target,
+        "",
+        connect_timeout,
+        deadline,
+        RetryPolicy::none(),
+        0,
+    )
+    .ok()
+    .filter(|r| r.status == 200)
+    .map(|r| r.body)
 }
 
 /// Background prober: polls each shard's `/healthz` every
@@ -816,18 +662,18 @@ fn parse_response(raw: &[u8]) -> std::io::Result<(u16, String)> {
 /// identity, checkpoint fingerprint) and the `router.shard.<i>.up`
 /// gauges. Routing decisions read this cache, so probe latency never
 /// lands on the request path.
-fn prober_loop(shared: &RouterShared) {
+fn prober_loop(shared: &RouterShared, stop: &AtomicBool) {
     loop {
         for (i, shard) in shared.shards.iter().enumerate() {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if stop.load(Ordering::SeqCst) {
                 return;
             }
             let state = match probe_shard(shard.addr, shared.opts.connect_timeout) {
-                Ok((state, meta)) => {
+                Some((state, meta)) => {
                     *shard.meta.lock().unwrap_or_else(|e| e.into_inner()) = meta;
                     state
                 }
-                Err(_) => SHARD_DOWN,
+                None => SHARD_DOWN,
             };
             let prev = shard.health.swap(state, Ordering::SeqCst);
             let up = (state == SHARD_READY || state == SHARD_DEGRADED) as u8;
@@ -843,10 +689,10 @@ fn prober_loop(shared: &RouterShared) {
         // Sleep in short slices so shutdown is prompt.
         let mut remaining = shared.opts.probe_interval;
         while remaining > Duration::ZERO {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if stop.load(Ordering::SeqCst) {
                 return;
             }
-            let slice = remaining.min(POLL_INTERVAL * 2);
+            let slice = remaining.min(POLL_INTERVAL);
             std::thread::sleep(slice);
             remaining = remaining.saturating_sub(slice);
         }
@@ -854,20 +700,9 @@ fn prober_loop(shared: &RouterShared) {
 }
 
 /// One `/healthz` probe: fetch, parse `"status"`, scrape the shard
-/// section ([`ShardMeta`]).
-fn probe_shard(addr: SocketAddr, connect_timeout: Duration) -> std::io::Result<(u8, ShardMeta)> {
-    let deadline = Instant::now() + connect_timeout * 4;
-    let (status, body) = attempt(
-        addr,
-        "GET /healthz HTTP/1.1\r\nHost: shard\r\nConnection: close\r\n\r\n",
-        connect_timeout,
-        deadline,
-        RetryPolicy::none(),
-        0,
-    )?;
-    if status != 200 {
-        return Err(std::io::Error::other(format!("healthz answered {status}")));
-    }
+/// section ([`ShardMeta`]). `None` when the shard did not answer `200`.
+fn probe_shard(addr: SocketAddr, connect_timeout: Duration) -> Option<(u8, ShardMeta)> {
+    let body = fetch(addr, "/healthz", connect_timeout)?;
     let state = match json_str_field(&body, "status").as_deref() {
         Some("ready") => SHARD_READY,
         Some("degraded") => SHARD_DEGRADED,
@@ -885,7 +720,7 @@ fn probe_shard(addr: SocketAddr, connect_timeout: Duration) -> std::io::Result<(
             _ => None,
         },
     };
-    Ok((state, meta))
+    Some((state, meta))
 }
 
 /// First `"name":"value"` string field in a flat JSON scan. Good
@@ -981,17 +816,9 @@ fn scrape_shard_metrics(shared: &RouterShared) -> String {
     let mut scraped = Vec::with_capacity(shared.shards.len());
     let mut unreachable = Vec::new();
     for (i, shard) in shared.shards.iter().enumerate() {
-        let deadline = Instant::now() + shared.opts.connect_timeout * 4;
-        match attempt(
-            shard.addr,
-            "GET /metrics HTTP/1.1\r\nHost: shard\r\nConnection: close\r\n\r\n",
-            shared.opts.connect_timeout,
-            deadline,
-            RetryPolicy::none(),
-            0,
-        ) {
-            Ok((200, text)) => scraped.push((i.to_string(), text)),
-            _ => unreachable.push(i),
+        match fetch(shard.addr, "/metrics", shared.opts.connect_timeout) {
+            Some(text) => scraped.push((i.to_string(), text)),
+            None => unreachable.push(i),
         }
     }
     let mut out = String::new();
@@ -1180,21 +1007,6 @@ mod tests {
         );
         // No breakers at all (degenerate) still answers something sane.
         assert_eq!(retry_after_secs([]), 1);
-    }
-
-    #[test]
-    fn parse_response_extracts_status_and_body() {
-        let raw =
-            b"HTTP/1.1 404 Not Found\r\ncontent-type: application/json\r\n\r\n{\"error\":\"x\"}";
-        let (status, body) = parse_response(raw).unwrap();
-        assert_eq!(status, 404);
-        assert_eq!(body, "{\"error\":\"x\"}");
-    }
-
-    #[test]
-    fn parse_response_rejects_garbage() {
-        assert!(parse_response(b"not http").is_err());
-        assert!(parse_response(b"HTTP/1.1 abc\r\n\r\n").is_err());
     }
 
     #[test]

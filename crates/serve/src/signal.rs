@@ -58,6 +58,34 @@ pub fn triggered() -> bool {
     TERMINATE.load(Ordering::Relaxed)
 }
 
+/// Blocks until stdin reaches EOF *or* a SIGTERM/SIGINT arrives — how
+/// both serving binaries wait out their lifetime. Installs the handlers.
+///
+/// stdin is read on a helper thread — `read_line` on Linux restarts
+/// after a handled signal, so the calling thread polls the signal latch
+/// instead of waiting inside the blocked read.
+pub fn wait_for_exit() {
+    install();
+    let stdin_done = std::sync::Arc::new(AtomicBool::new(false));
+    {
+        let stdin_done = std::sync::Arc::clone(&stdin_done);
+        std::thread::spawn(move || {
+            let mut sink = String::new();
+            while std::io::stdin()
+                .read_line(&mut sink)
+                .map(|n| n > 0)
+                .unwrap_or(false)
+            {
+                sink.clear();
+            }
+            stdin_done.store(true, Ordering::SeqCst);
+        });
+    }
+    while !triggered() && !stdin_done.load(Ordering::SeqCst) {
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    }
+}
+
 /// Test-only: arm the latch as if a signal had arrived.
 #[doc(hidden)]
 pub fn trigger_for_test() {

@@ -1,4 +1,4 @@
-//! End-to-end micro-batching over a live server: concurrent raw-socket
+//! End-to-end micro-batching over a live server: concurrent
 //! clients hit `/recommend`, the scheduler coalesces them into fused
 //! scoring blocks, and every response is **bit-identical** — down to the
 //! serialized JSON bytes — to what a sequential
@@ -8,14 +8,13 @@
 //! live in their own integration-test binary and the tests serialize on
 //! one lock.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Duration;
 
 use taxorec_core::{TaxoRec, TaxoRecConfig};
 use taxorec_data::{generate_preset, Preset, Recommender, Scale, Split};
 use taxorec_resilience::{disable, install, FaultSpec};
+use taxorec_serve::client::{self, Response};
 use taxorec_serve::{serve_with, BatchOptions, ServeOptions, ServingModel};
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -37,30 +36,6 @@ fn two_engines() -> (ServingModel, ServingModel, usize) {
     let served = ServingModel::from_model(&model, &dataset, &split).expect("snapshot");
     let reference = ServingModel::from_model(&model, &dataset, &split).expect("snapshot");
     (served, reference, dataset.n_users)
-}
-
-/// One GET over a raw socket; returns (status, full raw response).
-fn http_get(addr: SocketAddr, target: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let _ = write!(stream, "GET {target} HTTP/1.1\r\nHost: x\r\n\r\n");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    (status, response)
-}
-
-fn body_of(response: &str) -> &str {
-    response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b)
-        .unwrap_or("")
 }
 
 /// The exact `/recommend` wire body for a ranking — the same shape and
@@ -118,7 +93,8 @@ fn concurrent_clients_get_bit_identical_responses_and_batches_form() {
     let batch_count = taxorec_telemetry::counter("serve.batch.batches");
     let primed_at = batch_count.get();
     // `k = 1` is a key no burst client asks for.
-    let primer = std::thread::spawn(move || http_get(addr, "/recommend?user=0&k=1").0);
+    let primer =
+        std::thread::spawn(move || client::get(addr, "/recommend?user=0&k=1").map(|r| r.status));
     let give_up = std::time::Instant::now() + Duration::from_secs(10);
     while batch_count.get() == primed_at {
         assert!(
@@ -137,7 +113,11 @@ fn concurrent_clients_get_bit_identical_responses_and_batches_form() {
             let user = c as u32;
             let k = 3 + c % 9; // mixed k across the burst
             barrier.wait();
-            let (status, response) = http_get(addr, &format!("/recommend?user={user}&k={k}"));
+            let Response {
+                status,
+                body: response,
+                ..
+            } = client::get(addr, &format!("/recommend?user={user}&k={k}")).expect("response");
             (user, k, status, response)
         }));
     }
@@ -145,7 +125,7 @@ fn concurrent_clients_get_bit_identical_responses_and_batches_form() {
         .into_iter()
         .map(|t| t.join().expect("client"))
         .collect();
-    assert_eq!(primer.join().expect("primer"), 200);
+    assert_eq!(primer.join().expect("primer").expect("response"), 200);
     disable();
     std::env::remove_var("TAXOREC_FAULT_STALL_MS");
 
@@ -153,8 +133,8 @@ fn concurrent_clients_get_bit_identical_responses_and_batches_form() {
         assert_eq!(*status, 200, "user {user}: {response}");
         let want = reference.recommend(*user, *k).expect("reference");
         assert_eq!(
-            body_of(response),
-            expected_body(*user, *k, &want),
+            response,
+            &expected_body(*user, *k, &want),
             "user {user} k {k}: batched response not bit-identical to sequential recommend"
         );
     }
@@ -176,9 +156,13 @@ fn concurrent_clients_get_bit_identical_responses_and_batches_form() {
     // A repeat of any request is a cache hit answered inline — and still
     // byte-identical to the batched first answer.
     let (user, k, _, first) = &responses[0];
-    let (status, again) = http_get(addr, &format!("/recommend?user={user}&k={k}"));
+    let Response {
+        status,
+        body: again,
+        ..
+    } = client::get(addr, &format!("/recommend?user={user}&k={k}")).expect("response");
     assert_eq!(status, 200);
-    assert_eq!(body_of(&again), body_of(first), "cache hit diverged");
+    assert_eq!(&again, first, "cache hit diverged");
 
     handle.shutdown();
 }
@@ -202,11 +186,19 @@ fn batched_unknown_user_still_maps_to_404() {
     // Unknown users ride the batched path (they miss the cache) and must
     // come back as their own 404s without disturbing valid neighbors.
     let bad = n_users as u32 + 7;
-    let (status, response) = http_get(addr, &format!("/recommend?user={bad}&k=5"));
+    let Response {
+        status,
+        body: response,
+        ..
+    } = client::get(addr, &format!("/recommend?user={bad}&k=5")).expect("response");
     assert_eq!(status, 404, "{response}");
     assert!(response.contains("unknown user"), "{response}");
 
-    let (status, response) = http_get(addr, "/recommend?user=0&k=5");
+    let Response {
+        status,
+        body: response,
+        ..
+    } = client::get(addr, "/recommend?user=0&k=5").expect("response");
     assert_eq!(status, 200, "{response}");
     assert!(response.contains("\"items\":["), "{response}");
 

@@ -5,14 +5,13 @@
 //! The recorder (ring, dump throttle) is process-global, so this lives
 //! in its own integration-test binary.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use taxorec_core::{TaxoRec, TaxoRecConfig};
 use taxorec_data::{generate_preset, Preset, Recommender, Scale, Split};
 use taxorec_resilience::{disable, install, FaultSpec};
+use taxorec_serve::client::{self, Response};
 use taxorec_serve::{serve_with, ServeOptions, ServingModel};
 use taxorec_telemetry::flight;
 
@@ -29,22 +28,6 @@ fn serving_model() -> ServingModel {
     let mut model = TaxoRec::new(cfg);
     model.fit(&dataset, &split);
     ServingModel::from_model(&model, &dataset, &split).expect("snapshot")
-}
-
-fn http_get(addr: SocketAddr, target: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let _ = write!(stream, "GET {target} HTTP/1.1\r\nHost: x\r\n\r\n");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    (status, response)
 }
 
 #[test]
@@ -67,11 +50,16 @@ fn injected_panic_writes_a_flight_dump_and_debug_flight_stays_up() {
     let addr = handle.local_addr();
 
     // Healthy request first, so the ring has pre-incident history.
-    let (status, body) = http_get(addr, "/recommend?user=0&k=3");
+    let Response { status, body, .. } =
+        client::get(addr, "/recommend?user=0&k=3").expect("response");
     assert_eq!(status, 200, "{body}");
 
     install(FaultSpec::parse("panic@serve.request:1").expect("spec"));
-    let (status, response) = http_get(addr, "/recommend?user=1&k=3");
+    let Response {
+        status,
+        body: response,
+        ..
+    } = client::get(addr, "/recommend?user=1&k=3").expect("response");
     assert_eq!(status, 500, "{response}");
     disable();
 
@@ -104,12 +92,10 @@ fn injected_panic_writes_a_flight_dump_and_debug_flight_stays_up() {
     assert!(text.contains("\"kind\":\"serve.panic\""), "{text}");
 
     // The live ring stays queryable after the incident.
-    let (status, response) = http_get(addr, "/debug/flight");
-    assert_eq!(status, 200, "{response}");
-    let json = response
-        .split("\r\n\r\n")
-        .nth(1)
-        .expect("body after headers");
+    let Response {
+        status, body: json, ..
+    } = client::get(addr, "/debug/flight").expect("response");
+    assert_eq!(status, 200, "{json}");
     assert!(
         taxorec_telemetry::json::is_valid_json(json.trim()),
         "{json}"

@@ -7,13 +7,14 @@
 //! every test here serializes on one lock.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use taxorec_core::{TaxoRec, TaxoRecConfig};
 use taxorec_data::{generate_preset, Preset, Recommender, Scale, Split};
 use taxorec_resilience::{disable, install, FaultSpec};
+use taxorec_serve::client::{self, Response};
 use taxorec_serve::{serve_with, BatchOptions, ServeOptions, ServingModel};
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -29,26 +30,6 @@ fn serving_model() -> ServingModel {
     let mut model = TaxoRec::new(cfg);
     model.fit(&dataset, &split);
     ServingModel::from_model(&model, &dataset, &split).expect("snapshot")
-}
-
-/// One GET over a raw socket; returns (status, full raw response).
-fn http_get(addr: SocketAddr, target: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    // A shed connection is answered (and closed) before the request is
-    // even read, so the send may race an EPIPE — the response is what
-    // matters.
-    let _ = write!(stream, "GET {target} HTTP/1.1\r\nHost: x\r\n\r\n");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    (status, response)
 }
 
 #[test]
@@ -74,7 +55,7 @@ fn stalled_client_is_disconnected_while_healthz_stays_live() {
     write!(stalled, "GET /recomm").expect("partial send");
 
     // The other worker keeps answering immediately.
-    let (status, body) = http_get(addr, "/healthz");
+    let Response { status, body, .. } = client::get(addr, "/healthz").expect("response");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"status\":\"ready\""), "{body}");
 
@@ -133,7 +114,7 @@ fn garbage_and_oversized_requests_get_400_not_a_crash() {
     );
 
     // The server is still fully functional afterwards.
-    let (status, body) = http_get(addr, "/healthz");
+    let Response { status, body, .. } = client::get(addr, "/healthz").expect("response");
     assert_eq!(status, 200, "{body}");
     handle.shutdown();
 }
@@ -266,20 +247,26 @@ fn panicking_batch_fails_only_its_own_requests() {
     let addr = handle.local_addr();
 
     let panics_before = taxorec_telemetry::counter("serve.batch.panics").get();
-    let (status, response) = http_get(addr, "/recommend?user=0&k=3");
+    let Response {
+        status,
+        body: response,
+        ..
+    } = client::get(addr, "/recommend?user=0&k=3").expect("response");
     assert_eq!(status, 500, "{response}");
     assert!(response.contains("internal error"), "{response}");
     disable();
 
     // The scorer survived; the next batches score normally.
     for user in [1u32, 2] {
-        let (status, body) = http_get(addr, &format!("/recommend?user={user}&k=3"));
+        let Response { status, body, .. } =
+            client::get(addr, &format!("/recommend?user={user}&k=3")).expect("response");
         assert_eq!(status, 200, "user {user}: {body}");
         assert!(body.contains("\"items\":["), "{body}");
     }
     // And the doomed request's user is not poisoned either — a retry
     // (now a cache miss again, since the panic cached nothing) succeeds.
-    let (status, body) = http_get(addr, "/recommend?user=0&k=3");
+    let Response { status, body, .. } =
+        client::get(addr, "/recommend?user=0&k=3").expect("response");
     assert_eq!(status, 200, "{body}");
     assert_eq!(
         taxorec_telemetry::counter("serve.batch.panics").get(),
@@ -323,7 +310,8 @@ fn slow_clients_cannot_stall_batched_scoring() {
     // pipeline — parse, batch, score, respond — far inside the io
     // deadline the slow clients are burning.
     let begin = std::time::Instant::now();
-    let (status, body) = http_get(addr, "/recommend?user=2&k=3");
+    let Response { status, body, .. } =
+        client::get(addr, "/recommend?user=2&k=3").expect("response");
     let elapsed = begin.elapsed();
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"items\":["), "{body}");
@@ -353,18 +341,76 @@ fn injected_request_panic_returns_500_and_the_worker_survives() {
     let addr = handle.local_addr();
 
     install(FaultSpec::parse("panic@serve.request:1").expect("spec"));
-    let (status, response) = http_get(addr, "/recommend?user=0&k=3");
+    let Response {
+        status,
+        body: response,
+        ..
+    } = client::get(addr, "/recommend?user=0&k=3").expect("response");
     assert_eq!(status, 500, "{response}");
     assert!(response.contains("internal error"), "{response}");
     disable();
 
     // Same (sole) worker, next request: business as usual.
-    let (status, body) = http_get(addr, "/recommend?user=0&k=3");
+    let Response { status, body, .. } =
+        client::get(addr, "/recommend?user=0&k=3").expect("response");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"items\":["), "{body}");
-    let (status, metrics) = http_get(addr, "/metrics.json");
+    let Response {
+        status,
+        body: metrics,
+        ..
+    } = client::get(addr, "/metrics.json").expect("response");
     assert_eq!(status, 200);
     assert!(metrics.contains("serve.http.panics"), "{metrics}");
 
     handle.shutdown();
+}
+
+/// Shutdown is a drain, not a drop: every connection that was already
+/// queued behind a busy worker when the stop began is still answered,
+/// and only then does the port close.
+#[test]
+fn shutdown_answers_every_connection_that_was_already_queued() {
+    let _g = lock();
+    let handle = serve_with(
+        Arc::new(serving_model()),
+        "127.0.0.1:0",
+        ServeOptions {
+            n_workers: 1,
+            io_timeout: Duration::from_secs(1),
+            ..ServeOptions::default()
+        },
+    )
+    .expect("bind");
+    let addr = handle.local_addr();
+
+    // A silent connection pins the only worker until its read deadline…
+    let blocker = TcpStream::connect(addr).expect("connect");
+    std::thread::sleep(Duration::from_millis(150));
+    // …so these three wait in the connection queue.
+    const QUEUED: usize = 3;
+    let clients: Vec<_> = (0..QUEUED)
+        .map(|_| std::thread::spawn(move || client::get(addr, "/healthz")))
+        .collect();
+    let depth = taxorec_telemetry::gauge("serve.queue.depth");
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while depth.get() < QUEUED as f64 {
+        assert!(std::time::Instant::now() < deadline, "clients never queued");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    handle.shutdown();
+    for c in clients {
+        let r = c
+            .join()
+            .expect("client")
+            .expect("a queued connection is answered, not dropped");
+        assert_eq!(r.status, 200, "{}", r.body);
+        assert!(r.body.contains("\"status\":\"draining\""), "{}", r.body);
+    }
+    drop(blocker);
+    assert!(
+        client::get(addr, "/healthz").is_err(),
+        "listener still open"
+    );
 }

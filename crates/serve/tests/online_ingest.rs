@@ -6,12 +6,13 @@
 //! here serializes on one lock.
 
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::TcpStream;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use taxorec_core::{TaxoRec, TaxoRecConfig};
 use taxorec_data::{generate_preset, Preset, Recommender, Scale, Split};
+use taxorec_serve::client::{self, Response, Timeouts};
 use taxorec_serve::{
     fold_batch, serve_online, serve_with, Checkpoint, IndexConfig, IngestInteraction,
     IngestOptions, ServeOptions, ServingModel,
@@ -76,37 +77,6 @@ fn ingest_opts() -> IngestOptions {
         drift_limit: 4,
         ..IngestOptions::default()
     }
-}
-
-/// One request over a raw socket; returns (status, full raw response).
-fn http_req(addr: SocketAddr, request: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let _ = stream.write_all(request.as_bytes());
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    (status, response)
-}
-
-fn http_get(addr: SocketAddr, target: &str) -> (u16, String) {
-    http_req(addr, &format!("GET {target} HTTP/1.1\r\nHost: x\r\n\r\n"))
-}
-
-fn http_post_ingest(addr: SocketAddr, body: &str) -> (u16, String) {
-    http_req(
-        addr,
-        &format!(
-            "POST /ingest HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    )
 }
 
 /// Extracts the first integer after `"key":` in a JSON blob.
@@ -259,7 +229,11 @@ fn ingest_while_serving_smoke() {
     let addr = handle.local_addr();
 
     // Before any ingest: section present, nothing accepted, no cursor.
-    let (status, health) = http_get(addr, "/healthz");
+    let Response {
+        status,
+        body: health,
+        ..
+    } = client::get(addr, "/healthz").expect("response");
     assert_eq!(status, 200, "{health}");
     assert!(health.contains("\"ingest\":{"), "{health}");
     assert_eq!(json_u64(&health, "accepted"), Some(0), "{health}");
@@ -279,10 +253,12 @@ fn ingest_while_serving_smoke() {
                         c,
                         i
                     );
-                    statuses.push(http_post_ingest(addr, &body).0);
+                    let posted =
+                        client::request(addr, "POST", "/ingest", "", &body, Timeouts::default());
+                    statuses.push(posted.expect("response").status);
                 } else {
                     let target = format!("/recommend?user={}&k=5", (c * 11 + i) % n_users);
-                    statuses.push(http_get(addr, &target).0);
+                    statuses.push(client::get(addr, &target).expect("response").status);
                 }
                 std::thread::sleep(Duration::from_millis(5));
             }
@@ -305,7 +281,7 @@ fn ingest_while_serving_smoke() {
     let deadline = Instant::now() + Duration::from_secs(10);
     let last: String;
     loop {
-        let (_, health) = http_get(addr, "/healthz");
+        let health = client::get(addr, "/healthz").expect("response").body;
         let accepted = json_u64(&health, "accepted").unwrap_or(0);
         let applied = json_u64(&health, "applied").unwrap_or(0);
         if accepted > 0 && applied == accepted {
@@ -423,10 +399,11 @@ fn connection_open_across_reload_sees_the_new_model() {
         .unwrap();
     std::thread::sleep(Duration::from_millis(200));
 
-    let (status, body) = http_get(
+    let Response { status, body, .. } = client::get(
         addr,
         &format!("/admin/reload?path={}", path_b.to_str().unwrap()),
-    );
+    )
+    .expect("response");
     assert_eq!(status, 200, "{body}");
 
     // Only now does the held connection send its request. It must see

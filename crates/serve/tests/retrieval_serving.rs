@@ -4,13 +4,11 @@
 //! beam width reproduces exhaustive rankings bit-identically through the
 //! whole serving stack, and `/healthz` reports the index.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
 
 use taxorec_core::{TaxoRec, TaxoRecConfig};
 use taxorec_data::{generate_preset, Preset, Recommender, Scale, Split};
+use taxorec_serve::client::{self, Response};
 use taxorec_serve::{
     Checkpoint, CheckpointError, IndexConfig, RetrievalMode, ServingModel, FLAG_RETRIEVAL_INDEX,
 };
@@ -141,23 +139,6 @@ fn batched_beam_queries_match_single_beam_queries() {
     }
 }
 
-/// One GET over a raw socket; returns (status, full raw response).
-fn http_get(addr: SocketAddr, target: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let _ = write!(stream, "GET {target} HTTP/1.1\r\nHost: x\r\n\r\n");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    (status, response)
-}
-
 #[test]
 fn healthz_reports_retrieval_index_and_mode() {
     let ckpt = trained_checkpoint()
@@ -171,7 +152,7 @@ fn healthz_reports_retrieval_index_and_mode() {
     let handle = taxorec_serve::serve(Arc::new(model), "127.0.0.1:0", 2).expect("bind");
     let addr = handle.local_addr();
 
-    let (status, body) = http_get(addr, "/healthz");
+    let Response { status, body, .. } = client::get(addr, "/healthz").expect("response");
     assert_eq!(status, 200, "healthz up: {body}");
     assert!(
         body.contains("\"retrieval\":{\"mode\":\"beam:2\""),
@@ -183,9 +164,15 @@ fn healthz_reports_retrieval_index_and_mode() {
     );
 
     // A beam recommendation over HTTP populates the telemetry series.
-    let (status, _) = http_get(addr, "/recommend?user=0&k=5");
+    let status = client::get(addr, "/recommend?user=0&k=5")
+        .expect("response")
+        .status;
     assert_eq!(status, 200);
-    let (status, metrics) = http_get(addr, "/metrics");
+    let Response {
+        status,
+        body: metrics,
+        ..
+    } = client::get(addr, "/metrics").expect("response");
     assert_eq!(status, 200);
     assert!(
         metrics.contains("serve_retrieval_candidates"),

@@ -8,14 +8,15 @@
 
 #![cfg(unix)]
 
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io::{BufRead, BufReader};
+use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
+use taxorec_serve::client::{self, Response};
 use taxorec_serve::Ring;
 
 const BIN: &str = env!("CARGO_BIN_EXE_taxorec-serve");
@@ -121,26 +122,6 @@ fn spawn_router(shards: &[SocketAddr]) -> Proc {
     spawn_server(cmd)
 }
 
-fn http_get(addr: SocketAddr, target: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let _ = write!(stream, "GET {target} HTTP/1.1\r\nHost: x\r\n\r\n");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
 #[test]
 fn fleet_survives_sigkill_of_a_shard_with_bit_identical_answers() {
     let mut shards: Vec<Proc> = (0..N_SHARDS).map(spawn_shard).collect();
@@ -151,7 +132,8 @@ fn fleet_survives_sigkill_of_a_shard_with_bit_identical_answers() {
     // loads the same artifact, so this is the fleet's ground truth.
     let mut expected = Vec::new();
     for u in 0..N_USERS {
-        let (status, body) = http_get(addrs[0], &format!("/recommend?user={u}&k=5"));
+        let Response { status, body, .. } =
+            client::get(addrs[0], &format!("/recommend?user={u}&k=5")).expect("response");
         assert_eq!(status, 200, "reference query failed for user {u}");
         expected.push(body);
     }
@@ -186,8 +168,9 @@ fn fleet_survives_sigkill_of_a_shard_with_bit_identical_answers() {
                 let mut u = t as u32;
                 while !stop.load(Ordering::SeqCst) {
                     let user = u % N_USERS;
-                    let (status, body) =
-                        http_get(router_addr, &format!("/recommend?user={user}&k=5"));
+                    let Response { status, body, .. } =
+                        client::get(router_addr, &format!("/recommend?user={user}&k=5"))
+                            .expect("response");
                     requests.fetch_add(1, Ordering::SeqCst);
                     if status != 200 {
                         failures
@@ -235,7 +218,7 @@ fn fleet_survives_sigkill_of_a_shard_with_bit_identical_answers() {
     // overall status degraded, remaining shards still ready.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let (status, body) = http_get(router_addr, "/healthz");
+        let Response { status, body, .. } = client::get(router_addr, "/healthz").expect("response");
         assert_eq!(status, 200);
         if body.contains("\"state\":\"down\"") && body.contains(&format!("\"up\":{}", N_SHARDS - 1))
         {
@@ -252,7 +235,8 @@ fn fleet_survives_sigkill_of_a_shard_with_bit_identical_answers() {
     // Users owned by the dead shard remain available afterwards, still
     // byte-identical, and are answered by a surviving shard.
     for u in (0..N_USERS).filter(|&u| ring.owner(u) == victim as u32) {
-        let (status, body) = http_get(router_addr, &format!("/recommend?user={u}&k=5"));
+        let Response { status, body, .. } =
+            client::get(router_addr, &format!("/recommend?user={u}&k=5")).expect("response");
         assert_eq!(status, 200, "user {u} lost after shard death");
         assert_eq!(
             body, expected[u as usize],
@@ -264,7 +248,9 @@ fn fleet_survives_sigkill_of_a_shard_with_bit_identical_answers() {
 #[test]
 fn shard_process_drains_gracefully_on_sigterm() {
     let shard = spawn_shard(9);
-    let (status, _) = http_get(shard.addr, "/healthz");
+    let status = client::get(shard.addr, "/healthz")
+        .expect("response")
+        .status;
     assert_eq!(status, 200);
 
     // SIGTERM via kill(2) — std has no API for it, but the pid is ours.

@@ -16,6 +16,7 @@ use std::time::{Duration, Instant};
 use taxorec_core::{TaxoRec, TaxoRecConfig};
 use taxorec_data::{generate_preset, Preset, Recommender, Scale, Split};
 use taxorec_resilience::{disable, install, FaultSpec, RetryPolicy};
+use taxorec_serve::client::{self, Response, Timeouts};
 use taxorec_serve::{
     route_with, serve_with, Checkpoint, Health, Ring, RouterOptions, ServeOptions, ServingModel,
 };
@@ -56,33 +57,6 @@ fn save_artifact(name: &str, epochs: usize) -> std::path::PathBuf {
         .save(&path)
         .expect("save artifact");
     path
-}
-
-/// One GET over a raw socket; returns (status, head, body).
-fn http_get(addr: SocketAddr, target: &str) -> (u16, String, String) {
-    http_get_with(addr, target, "")
-}
-
-fn http_get_with(addr: SocketAddr, target: &str, extra_headers: &str) -> (u16, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let _ = write!(
-        stream,
-        "GET {target} HTTP/1.1\r\nHost: x\r\n{extra_headers}\r\n"
-    );
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .unwrap_or((response.as_str(), ""));
-    (status, head.to_string(), body.to_string())
 }
 
 fn shard_opts(id: &str) -> ServeOptions {
@@ -132,13 +106,16 @@ fn router_proxies_bit_identically_and_fails_over_when_a_shard_dies() {
     // is the single-process baseline for byte-identical bodies.
     let mut expected = Vec::new();
     for u in 0..n_users {
-        let (status, _, body) = http_get(addrs[0], &format!("/recommend?user={u}&k=5"));
+        let Response { status, body, .. } =
+            client::get(addrs[0], &format!("/recommend?user={u}&k=5")).expect("response");
         assert_eq!(status, 200, "reference shard failed for user {u}");
         expected.push(body);
     }
     for u in 0..n_users {
-        let (status, head, body) =
-            http_get(router.local_addr(), &format!("/recommend?user={u}&k=5"));
+        let Response {
+            status, head, body, ..
+        } = client::get(router.local_addr(), &format!("/recommend?user={u}&k=5"))
+            .expect("response");
         assert_eq!(status, 200, "router failed for user {u}");
         assert_eq!(
             body, expected[u as usize],
@@ -160,8 +137,10 @@ fn router_proxies_bit_identically_and_fails_over_when_a_shard_dies() {
     assert!(owned_by_dead > 0, "test needs a user owned by shard 1");
     shards.remove(1).shutdown();
     for u in 0..n_users {
-        let (status, head, body) =
-            http_get(router.local_addr(), &format!("/recommend?user={u}&k=5"));
+        let Response {
+            status, head, body, ..
+        } = client::get(router.local_addr(), &format!("/recommend?user={u}&k=5"))
+            .expect("response");
         assert_eq!(status, 200, "user {u} unavailable after shard death");
         assert_eq!(
             body, expected[u as usize],
@@ -180,7 +159,9 @@ fn router_proxies_bit_identically_and_fails_over_when_a_shard_dies() {
     // The prober eventually reports the dead shard down on /healthz.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let (_, _, body) = http_get(router.local_addr(), "/healthz");
+        let body = client::get(router.local_addr(), "/healthz")
+            .expect("response")
+            .body;
         if body.contains("\"state\":\"down\"") && body.contains("\"up\":2") {
             assert!(body.contains("\"status\":\"degraded\""), "{body}");
             break;
@@ -207,7 +188,9 @@ fn router_answers_503_with_retry_after_when_every_shard_is_gone() {
     // Whether the prober has marked the shard down yet or the proxy
     // exhausts its candidates live, the client-visible contract is the
     // same: 503 plus Retry-After, never a hang.
-    let (status, head, body) = http_get(router.local_addr(), "/recommend?user=0&k=3");
+    let Response {
+        status, head, body, ..
+    } = client::get(router.local_addr(), "/recommend?user=0&k=3").expect("response");
     assert_eq!(status, 503, "head: {head}\nbody: {body}");
     assert!(head.contains("Retry-After:"), "no Retry-After:\n{head}");
     router.shutdown();
@@ -257,7 +240,8 @@ fn hedged_request_routes_around_a_black_hole_shard() {
         .expect("owned user");
 
     let start = Instant::now();
-    let (status, _, body) = http_get(router.local_addr(), &format!("/recommend?user={user}&k=3"));
+    let Response { status, body, .. } =
+        client::get(router.local_addr(), &format!("/recommend?user={user}&k=3")).expect("response");
     let elapsed = start.elapsed();
     assert_eq!(status, 200, "{body}");
     assert!(
@@ -303,7 +287,9 @@ fn router_healthz_aggregates_shard_identity_and_checkpoint_fingerprint() {
     let router = route_with(addrs, "127.0.0.1:0", fast_router_opts()).expect("router");
 
     // Shard-side /healthz reports its own identity + checkpoint.
-    let (_, _, shard_health) = http_get(shards[0].local_addr(), "/healthz");
+    let shard_health = client::get(shards[0].local_addr(), "/healthz")
+        .expect("response")
+        .body;
     assert!(
         shard_health.contains("\"shard\":{\"id\":\"shard-0\""),
         "{shard_health}"
@@ -316,7 +302,9 @@ fn router_healthz_aggregates_shard_identity_and_checkpoint_fingerprint() {
     // Router-side aggregation scrapes both (needs a probe round).
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let (_, _, body) = http_get(router.local_addr(), "/healthz");
+        let body = client::get(router.local_addr(), "/healthz")
+            .expect("response")
+            .body;
         if body.contains("\"id\":\"shard-0\"")
             && body.contains("\"id\":\"shard-1\"")
             && body.contains(&format!("\"crc\":{expected_crc}"))
@@ -355,7 +343,7 @@ fn admin_reload_swaps_checkpoint_warm_with_zero_downtime() {
     let model = taxorec_serve::load(&path_a).expect("load A");
     let handle = serve_with(Arc::new(model), "127.0.0.1:0", shard_opts("r0")).expect("serve");
     let addr = handle.local_addr();
-    let (_, _, health) = http_get(addr, "/healthz");
+    let health = client::get(addr, "/healthz").expect("response").body;
     assert!(health.contains(&format!("\"crc\":{crc_a}")), "{health}");
 
     // Hammer /recommend throughout the reload; every request must get
@@ -370,7 +358,9 @@ fn admin_reload_swaps_checkpoint_warm_with_zero_downtime() {
         std::thread::spawn(move || {
             let mut u = 0u32;
             while !stop.load(Ordering::SeqCst) {
-                let (status, _, _) = http_get(addr, &format!("/recommend?user={}&k=4", u % 16));
+                let status = client::get(addr, &format!("/recommend?user={}&k=4", u % 16))
+                    .expect("response")
+                    .status;
                 attempts.fetch_add(1, Ordering::SeqCst);
                 if status != 200 {
                     failures.fetch_add(1, Ordering::SeqCst);
@@ -380,10 +370,11 @@ fn admin_reload_swaps_checkpoint_warm_with_zero_downtime() {
         })
     };
     std::thread::sleep(Duration::from_millis(50));
-    let (status, _, body) = http_get(
+    let Response { status, body, .. } = client::get(
         addr,
         &format!("/admin/reload?path={}", path_b.to_str().unwrap()),
-    );
+    )
+    .expect("response");
     assert_eq!(status, 200, "reload failed: {body}");
     assert!(body.contains("\"status\":\"reloaded\""), "{body}");
     assert!(
@@ -408,7 +399,7 @@ fn admin_reload_swaps_checkpoint_warm_with_zero_downtime() {
     );
 
     // The served checkpoint identity followed the swap.
-    let (_, _, health) = http_get(addr, "/healthz");
+    let health = client::get(addr, "/healthz").expect("response").body;
     assert!(health.contains(&format!("\"crc\":{crc_b}")), "{health}");
     assert!(
         health.contains("\"status\":\"ready\""),
@@ -416,14 +407,17 @@ fn admin_reload_swaps_checkpoint_warm_with_zero_downtime() {
     );
 
     // A bad path keeps the current model and answers 500.
-    let (status, _, body) = http_get(addr, "/admin/reload?path=/nonexistent/x.taxo");
+    let Response { status, body, .. } =
+        client::get(addr, "/admin/reload?path=/nonexistent/x.taxo").expect("response");
     assert_eq!(status, 500, "{body}");
-    let (_, _, health) = http_get(addr, "/healthz");
+    let health = client::get(addr, "/healthz").expect("response").body;
     assert!(
         health.contains(&format!("\"crc\":{crc_b}")),
         "failed reload must keep the current model: {health}"
     );
-    let (status, _, _) = http_get(addr, "/recommend?user=0&k=3");
+    let status = client::get(addr, "/recommend?user=0&k=3")
+        .expect("response")
+        .status;
     assert_eq!(status, 200, "serving broken after failed reload");
 
     handle.shutdown();
@@ -444,9 +438,13 @@ fn admin_endpoints_can_be_disabled() {
         },
     )
     .expect("serve");
-    let (status, _, _) = http_get(handle.local_addr(), "/admin/drain");
+    let status = client::get(handle.local_addr(), "/admin/drain")
+        .expect("response")
+        .status;
     assert_eq!(status, 404);
-    let (status, _, _) = http_get(handle.local_addr(), "/admin/reload?path=/tmp/x.taxo");
+    let status = client::get(handle.local_addr(), "/admin/reload?path=/tmp/x.taxo")
+        .expect("response")
+        .status;
     assert_eq!(status, 404);
     handle.shutdown();
 }
@@ -469,18 +467,24 @@ fn health_transitions_ready_degraded_draining_under_injected_worker_loss() {
     .expect("serve");
     disable();
     assert_eq!(handle.health(), Health::Degraded);
-    let (status, _, body) = http_get(handle.local_addr(), "/healthz");
+    let Response { status, body, .. } =
+        client::get(handle.local_addr(), "/healthz").expect("response");
     assert_eq!(status, 200);
     assert!(body.contains("\"status\":\"degraded\""), "{body}");
 
     // /admin/drain advertises draining while every endpoint keeps
     // answering — the router-visible first phase of a graceful stop.
-    let (status, _, body) = http_get(handle.local_addr(), "/admin/drain");
+    let Response { status, body, .. } =
+        client::get(handle.local_addr(), "/admin/drain").expect("response");
     assert_eq!(status, 200, "{body}");
     assert_eq!(handle.health(), Health::Draining);
-    let (_, _, body) = http_get(handle.local_addr(), "/healthz");
+    let body = client::get(handle.local_addr(), "/healthz")
+        .expect("response")
+        .body;
     assert!(body.contains("\"status\":\"draining\""), "{body}");
-    let (status, _, _) = http_get(handle.local_addr(), "/recommend?user=0&k=3");
+    let status = client::get(handle.local_addr(), "/recommend?user=0&k=3")
+        .expect("response")
+        .status;
     assert_eq!(status, 200, "draining must keep serving");
     handle.shutdown();
 }
@@ -490,22 +494,31 @@ fn inbound_trace_header_is_adopted_for_the_router_hop() {
     let _g = lock();
     let model = Arc::new(serving_model());
     let handle = serve_with(model, "127.0.0.1:0", shard_opts("traced")).expect("serve");
-    let (status, head, _) = http_get_with(
+    let Response { status, head, .. } = client::request(
         handle.local_addr(),
+        "GET",
         "/healthz",
         "x-taxorec-trace: 00000000deadbeef\r\n",
-    );
+        "",
+        Timeouts::default(),
+    )
+    .expect("response");
     assert_eq!(status, 200);
     assert!(
         head.contains("x-taxorec-trace: 00000000deadbeef"),
         "shard did not adopt the router's trace id:\n{head}"
     );
     // Garbage trace headers are ignored, not adopted.
-    let (_, head, _) = http_get_with(
+    let head = client::request(
         handle.local_addr(),
+        "GET",
         "/healthz",
         "x-taxorec-trace: not-hex\r\n",
-    );
+        "",
+        Timeouts::default(),
+    )
+    .expect("response")
+    .head;
     assert!(
         !head.contains("x-taxorec-trace: not-hex"),
         "garbage trace id must not round-trip:\n{head}"
@@ -521,9 +534,15 @@ fn router_merges_shard_metrics_with_shard_labels() {
     let router =
         route_with(vec![shard.local_addr()], "127.0.0.1:0", fast_router_opts()).expect("router");
     // Generate some shard-side traffic so counters exist.
-    let (status, _, _) = http_get(router.local_addr(), "/recommend?user=0&k=3");
+    let status = client::get(router.local_addr(), "/recommend?user=0&k=3")
+        .expect("response")
+        .status;
     assert_eq!(status, 200);
-    let (status, _, merged) = http_get(router.local_addr(), "/shards/metrics");
+    let Response {
+        status,
+        body: merged,
+        ..
+    } = client::get(router.local_addr(), "/shards/metrics").expect("response");
     assert_eq!(status, 200);
     assert!(merged.contains("shard=\"0\""), "no shard label:\n{merged}");
     assert!(
@@ -531,8 +550,166 @@ fn router_merges_shard_metrics_with_shard_labels() {
         "missing shard series:\n{merged}"
     );
     // The router's own exposition carries its RED series.
-    let (_, _, own) = http_get(router.local_addr(), "/metrics");
+    let own = client::get(router.local_addr(), "/metrics")
+        .expect("response")
+        .body;
     assert!(own.contains("router_requests"), "{own}");
     router.shutdown();
     shard.shutdown();
+}
+
+/// Regression: the router's load shedding must reach a client that has
+/// already sent its request. Dropping the socket right after the `503`
+/// with the request unread makes the kernel answer with `RST`, which
+/// destroys the response — the router now sheds through the same
+/// lingering close as the shard server.
+#[test]
+fn router_shed_reaches_a_client_that_already_sent_its_request() {
+    let _g = lock();
+    let model = Arc::new(serving_model());
+    let shard = serve_with(model, "127.0.0.1:0", shard_opts("s0")).expect("shard");
+    let router = route_with(
+        vec![shard.local_addr()],
+        "127.0.0.1:0",
+        RouterOptions {
+            n_workers: 1,
+            max_queue: 1,
+            io_timeout: Duration::from_secs(2),
+            ..fast_router_opts()
+        },
+    )
+    .expect("router");
+    let addr = router.local_addr();
+    let shed_before = taxorec_telemetry::counter("router.shed").get();
+
+    // Occupy the only worker with a silent connection…
+    let blocker = TcpStream::connect(addr).expect("connect");
+    std::thread::sleep(Duration::from_millis(150));
+    // …and fill the one queue slot with another.
+    let queued = TcpStream::connect(addr).expect("connect");
+    let depth = taxorec_telemetry::gauge("router.queue.depth");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while depth.get() < 1.0 {
+        assert!(Instant::now() < deadline, "second connection never queued");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // Each shed client sends its whole request before it reads, and
+    // reads to end-of-stream: it must see the 503 and its Retry-After
+    // followed by a clean close, never a connection reset. Whether the
+    // request lands before or after the router writes the 503 is a race
+    // (an unlingered close loses it about one time in twenty here), so
+    // many clients run it.
+    const SHED_CLIENTS: u64 = 100;
+    for i in 0..SHED_CLIENTS {
+        let mut shed = TcpStream::connect(addr).expect("connect");
+        shed.set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        write!(
+            shed,
+            "GET /recommend?user=0&k=3 HTTP/1.1\r\nHost: x\r\n\r\n"
+        )
+        .expect("send");
+        let mut response = String::new();
+        shed.read_to_string(&mut response)
+            .unwrap_or_else(|e| panic!("shed {i} ended in {e}, not a clean close: {response}"));
+        assert!(response.starts_with("HTTP/1.1 503"), "{response}");
+        assert!(response.contains("Retry-After:"), "{response}");
+        assert!(response.contains("overloaded"), "{response}");
+    }
+    assert_eq!(
+        taxorec_telemetry::counter("router.shed").get(),
+        shed_before + SHED_CLIENTS
+    );
+
+    drop(blocker);
+    drop(queued);
+    router.shutdown();
+    shard.shutdown();
+}
+
+/// Regression: a shard that dies between its header write and its body
+/// write (`Content-Length: 64`, ten bytes, close) is a transport
+/// failure. The router must fail over to the next candidate — not proxy
+/// the cut body as a `200`.
+#[test]
+fn a_short_upstream_body_fails_over_instead_of_proxying_a_cut_200() {
+    let _g = lock();
+    let model = Arc::new(serving_model());
+    let real = serve_with(model, "127.0.0.1:0", shard_opts("real")).expect("shard");
+
+    // Healthy to the prober (so the request is routed here, not skipped),
+    // cut short on everything else.
+    let dying = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let dying_addr = dying.local_addr().unwrap();
+    let serving = Arc::new(AtomicBool::new(true));
+    let cut = Arc::new(AtomicUsize::new(0));
+    {
+        let serving = Arc::clone(&serving);
+        let cut = Arc::clone(&cut);
+        std::thread::spawn(move || {
+            while serving.load(Ordering::SeqCst) {
+                let Ok((mut conn, _)) = dying.accept() else {
+                    continue;
+                };
+                let mut request = Vec::new();
+                let mut chunk = [0u8; 512];
+                while !request.windows(4).any(|w| w == b"\r\n\r\n") {
+                    match conn.read(&mut chunk) {
+                        Ok(n) if n > 0 => request.extend_from_slice(&chunk[..n]),
+                        _ => break,
+                    }
+                }
+                if request.starts_with(b"GET /healthz") {
+                    let body = "{\"status\":\"ready\"}";
+                    let _ = write!(
+                        conn,
+                        "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{body}",
+                        body.len()
+                    );
+                } else if !request.is_empty() {
+                    cut.fetch_add(1, Ordering::SeqCst);
+                    let _ =
+                        conn.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 64\r\n\r\n0123456789");
+                }
+            }
+        });
+    }
+
+    let router = route_with(
+        vec![dying_addr, real.local_addr()],
+        "127.0.0.1:0",
+        fast_router_opts(),
+    )
+    .expect("router");
+    let ring = Ring::new(2);
+    let user = (0..1000u32)
+        .find(|&u| ring.owner(u) == 0)
+        .expect("owned user");
+    let target = format!("/recommend?user={user}&k=5");
+    let direct = client::get(real.local_addr(), &target).expect("direct");
+    assert_eq!(direct.status, 200, "{}", direct.body);
+
+    let failover_before = taxorec_telemetry::counter("router.failover").get();
+    let proxied = client::get(router.local_addr(), &target).expect("response");
+    assert_eq!(proxied.status, 200, "{}", proxied.body);
+    assert_eq!(
+        proxied.body, direct.body,
+        "proxied body is not the real shard's answer"
+    );
+    assert_eq!(proxied.header("x-taxorec-shard"), Some("1"));
+    assert!(
+        cut.load(Ordering::SeqCst) >= 1,
+        "request never touched the dying shard — test routed wrong"
+    );
+    assert!(
+        taxorec_telemetry::counter("router.failover").get() > failover_before,
+        "failover counter did not move"
+    );
+
+    serving.store(false, Ordering::SeqCst);
+    // Unblock the accept loop.
+    let _ = TcpStream::connect(dying_addr);
+    router.shutdown();
+    real.shutdown();
 }

@@ -1,5 +1,5 @@
-//! End-to-end trace propagation over a live server and a raw client
-//! socket: every response carries an `x-taxorec-trace` header, and a
+//! End-to-end trace propagation over a live server and the blocking
+//! client: every response carries an `x-taxorec-trace` header, and a
 //! sampled `/recommend` request exports a Chrome trace-event JSON file
 //! whose spans share one trace id and form a single rooted tree
 //! (http → queue / cache / score → kernel / respond).
@@ -8,13 +8,12 @@
 //! lock and live in their own integration-test binary (their own
 //! process) to stay isolated from the other serve tests.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use taxorec_core::{TaxoRec, TaxoRecConfig};
 use taxorec_data::{generate_preset, Preset, Recommender, Scale, Split};
+use taxorec_serve::client;
 use taxorec_serve::{serve_with, ServeOptions, ServingModel};
 use taxorec_telemetry::trace;
 
@@ -31,32 +30,6 @@ fn serving_model() -> ServingModel {
     let mut model = TaxoRec::new(cfg);
     model.fit(&dataset, &split);
     ServingModel::from_model(&model, &dataset, &split).expect("snapshot")
-}
-
-/// One GET over a raw socket; returns (status, full raw response
-/// including headers).
-fn http_get(addr: SocketAddr, target: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let _ = write!(stream, "GET {target} HTTP/1.1\r\nHost: x\r\n\r\n");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    let status = response
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    (status, response)
-}
-
-/// The `x-taxorec-trace` header value from a raw response.
-fn trace_header(response: &str) -> Option<&str> {
-    response
-        .lines()
-        .find_map(|l| l.strip_prefix("x-taxorec-trace: "))
-        .map(str::trim)
 }
 
 #[test]
@@ -77,9 +50,10 @@ fn every_response_carries_a_trace_header() {
 
     let mut ids = Vec::new();
     for target in ["/recommend?user=0&k=3", "/healthz", "/nope", "/recommend"] {
-        let (_status, response) = http_get(addr, target);
-        let id = trace_header(&response)
-            .unwrap_or_else(|| panic!("no x-taxorec-trace header on {target}:\n{response}"));
+        let response = client::get(addr, target).expect("response");
+        let id = response
+            .header("x-taxorec-trace")
+            .unwrap_or_else(|| panic!("no x-taxorec-trace header on {target}:\n{}", response.head));
         assert_eq!(id.len(), 16, "16 hex digits: {id:?}");
         assert!(
             id.chars().all(|c| c.is_ascii_hexdigit()),
@@ -143,9 +117,12 @@ fn sampled_recommend_request_exports_one_rooted_span_tree() {
     )
     .expect("bind");
     let addr = handle.local_addr();
-    let (status, response) = http_get(addr, "/recommend?user=0&k=5");
-    assert_eq!(status, 200, "{response}");
-    let header_id = trace_header(&response).expect("trace header").to_string();
+    let response = client::get(addr, "/recommend?user=0&k=5").expect("response");
+    assert_eq!(response.status, 200, "{}", response.body);
+    let header_id = response
+        .header("x-taxorec-trace")
+        .expect("trace header")
+        .to_string();
     handle.shutdown();
 
     let written = trace::flush().expect("flush");

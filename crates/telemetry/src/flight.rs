@@ -8,11 +8,16 @@
 //!
 //! Writers claim a monotonically increasing sequence number with one
 //! `fetch_add` and publish into slot `seq % size` with a seqlock-style
-//! protocol: the slot's sequence word is zeroed (invalid), the payload
-//! stored, then the sequence written with `Release`. Readers re-check the
-//! sequence after reading the payload and skip torn slots. No mutex is
-//! ever taken on the record path; event kinds are interned once per call
-//! site through the [`crate::flight_event!`] macro.
+//! protocol: the slot's sequence word is swapped to a busy marker, the
+//! payload stored, then the sequence written with `Release`. Readers
+//! re-check the sequence after reading the payload and skip torn slots.
+//! A slot has **one writer at a time**: a writer that finds the busy
+//! marker already there has been lapped by (or has lapped) a writer
+//! that is still filling the slot, and drops its own event into the
+//! `flight.dropped` counter instead of interleaving its fields with the
+//! other's. No mutex is ever taken on the record path; event kinds are
+//! interned once per call site through the [`crate::flight_event!`]
+//! macro.
 //!
 //! ## Environment
 //!
@@ -56,8 +61,12 @@ pub struct FlightEvent {
     pub value: f64,
 }
 
+/// `Slot::seq` while a writer owns the slot.
+const SLOT_BUSY: u64 = u64::MAX;
+
 struct Slot {
-    /// 0 = empty/being-written; otherwise the 1-based global sequence.
+    /// 0 = empty, [`SLOT_BUSY`] = being written; otherwise the 1-based
+    /// global sequence.
     seq: AtomicU64,
     ts_ms: AtomicU64,
     kind: AtomicUsize,
@@ -140,8 +149,17 @@ fn kind_name(id: usize) -> &'static str {
         .unwrap_or("?")
 }
 
-/// Records one event by interned kind id. Lock-free: one `fetch_add`
-/// plus six relaxed/release stores into a pre-allocated slot.
+/// Events dropped because their slot was still being written by another
+/// (lapped or lapping) writer. Resolved once; the drop path then costs
+/// one relaxed increment.
+fn dropped() -> &'static crate::Counter {
+    static DROPPED: OnceLock<std::sync::Arc<crate::Counter>> = OnceLock::new();
+    DROPPED.get_or_init(|| crate::counter("flight.dropped"))
+}
+
+/// Records one event by interned kind id. Lock-free and allocation-free:
+/// one `fetch_add`, one `swap`, and six relaxed/release stores into a
+/// pre-allocated slot.
 pub fn record_id(kind: usize, trace_id: u64, a: i64, value: f64) {
     if !enabled() {
         return;
@@ -149,8 +167,18 @@ pub fn record_id(kind: usize, trace_id: u64, a: i64, value: f64) {
     let r = ring();
     let seq = r.cursor.fetch_add(1, Ordering::Relaxed) + 1;
     let slot = &r.slots[(seq % r.slots.len() as u64) as usize];
-    // Seqlock write: invalidate, fill, publish.
-    slot.seq.store(0, Ordering::Release);
+    // Seqlock write: claim (and thereby invalidate), fill, publish. The
+    // swap's Acquire half keeps the payload stores after the claim; its
+    // Release half pairs with the readers' Acquire loads of `seq`.
+    // Ownership passes only through the publishing store below, so two
+    // writers never fill one slot at once — without the claim, a writer
+    // descheduled mid-fill and lapped by a whole ring's worth of events
+    // resumes into a slot someone else has since published, and leaves
+    // a stable mix of both events that passes the readers' re-check.
+    if slot.seq.swap(SLOT_BUSY, Ordering::AcqRel) == SLOT_BUSY {
+        dropped().inc(1);
+        return;
+    }
     slot.ts_ms.store(sink::unix_ms() as u64, Ordering::Relaxed);
     slot.kind.store(kind, Ordering::Relaxed);
     slot.trace_id.store(trace_id, Ordering::Relaxed);
@@ -194,7 +222,7 @@ pub fn snapshot() -> Vec<FlightEvent> {
     let mut out = Vec::with_capacity(r.slots.len());
     for slot in &r.slots {
         let seq = slot.seq.load(Ordering::Acquire);
-        if seq == 0 {
+        if seq == 0 || seq == SLOT_BUSY {
             continue;
         }
         let ev = FlightEvent {
@@ -205,7 +233,9 @@ pub fn snapshot() -> Vec<FlightEvent> {
             a: slot.a.load(Ordering::Relaxed) as i64,
             value: f64::from_bits(slot.value_bits.load(Ordering::Relaxed)),
         };
-        if slot.seq.load(Ordering::Acquire) == seq {
+        // The payload loads above must not sink below the re-check.
+        std::sync::atomic::fence(Ordering::Acquire);
+        if slot.seq.load(Ordering::Relaxed) == seq {
             out.push(ev);
         }
     }
@@ -430,9 +460,20 @@ mod tests {
 
     #[test]
     fn concurrent_writers_never_tear_reads() {
+        /// Stops the writers when the scope body ends — including by a
+        /// failed assertion, which would otherwise unwind into a scope
+        /// that waits forever for writers nobody told to stop.
+        struct StopOnDrop<'a>(&'a std::sync::atomic::AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+
         let _g = crate::test_lock();
         let stop = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
+            let _stop = StopOnDrop(&stop);
             for t in 0..4u64 {
                 let stop = &stop;
                 s.spawn(move || {
@@ -456,7 +497,6 @@ mod tests {
                     }
                 }
             }
-            stop.store(true, Ordering::Relaxed);
         });
     }
 }

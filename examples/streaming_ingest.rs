@@ -7,39 +7,12 @@
 //! cargo run --release --example streaming_ingest
 //! ```
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use taxorec::core::{TaxoRec, TaxoRecConfig};
 use taxorec::data::{generate_preset, Preset, Recommender, Scale, Split};
-use taxorec::serve::{serve_online, Checkpoint, IngestOptions, ServeOptions, ServingModel};
-
-fn request(addr: SocketAddr, raw: &str) -> String {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    stream.write_all(raw.as_bytes()).expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    response
-}
-
-fn get(addr: SocketAddr, target: &str) -> String {
-    request(addr, &format!("GET {target} HTTP/1.1\r\nHost: x\r\n\r\n"))
-}
-
-fn post_ingest(addr: SocketAddr, body: &str) -> String {
-    request(
-        addr,
-        &format!(
-            "POST /ingest HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    )
-}
+use taxorec::serve::{client, serve_online, Checkpoint, IngestOptions, ServeOptions, ServingModel};
 
 fn ingest_card(healthz: &str) -> &str {
     let at = healthz.find("\"ingest\":").map(|i| i + 9).unwrap_or(0);
@@ -87,7 +60,8 @@ fn main() {
     .expect("bind");
     let addr = handle.local_addr();
     println!("serving on http://{addr} (tick 100ms)");
-    println!("before ingest: {}", ingest_card(&get(addr, "/healthz")));
+    let healthz = || client::get(addr, "/healthz").expect("healthz").body;
+    println!("before ingest: {}", ingest_card(&healthz()));
 
     // 3. Stream batches. Tag names are resolved by name, so never-seen
     //    tags ("flash-sale", …) are allocated fresh ids, placed via the
@@ -109,10 +83,9 @@ fn main() {
             ));
         }
         let body = format!("{{\"interactions\":[{}]}}", interactions.join(","));
-        let reply = post_ingest(addr, &body);
-        let status = reply.split_whitespace().nth(1).unwrap_or("?");
-        let payload = reply.rsplit("\r\n\r\n").next().unwrap_or("").trim();
-        println!("batch {batch}: {status} {payload}");
+        let timeouts = client::Timeouts::default();
+        let reply = client::request(addr, "POST", "/ingest", "", &body, timeouts).expect("ingest");
+        println!("batch {batch}: {} {}", reply.status, reply.body.trim());
         std::thread::sleep(Duration::from_millis(60));
     }
 
@@ -122,7 +95,7 @@ fn main() {
     //    served generation has folded.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let health = get(addr, "/healthz");
+        let health = healthz();
         let card = ingest_card(&health);
         if card.contains("\"staleness\":0") && !card.contains("\"cursor\":null") {
             println!("after ingest:  {card}");
@@ -137,9 +110,9 @@ fn main() {
 
     // 5. The swapped generation serves immediately — recommendations
     //    for a user that did not exist before the stream started.
-    let reply = get(addr, &format!("/recommend?user={}&k=5", n_users + 2));
-    let payload = reply.rsplit("\r\n\r\n").next().unwrap_or("").trim();
-    println!("never-seen user {}: {payload}", n_users + 2);
+    let reply =
+        client::get(addr, &format!("/recommend?user={}&k=5", n_users + 2)).expect("recommend");
+    println!("never-seen user {}: {}", n_users + 2, reply.body.trim());
 
     handle.shutdown();
     println!("done");

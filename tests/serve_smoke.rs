@@ -1,15 +1,14 @@
 //! The CI serving smoke test: train a tiny model, freeze it to a `.taxo`
 //! artifact, reload it, prove the reloaded engine ranks **identically**
 //! to the in-process model for every user, then stand the HTTP server up
-//! on an ephemeral port and drive all four endpoints over a raw
-//! `std::net::TcpStream` — exactly what an external `curl` would see.
+//! on an ephemeral port and drive all four endpoints over TCP with the
+//! crate's own blocking client — exactly what an external `curl` would see.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 
 use taxorec::core::{TaxoRec, TaxoRecConfig};
 use taxorec::data::{generate_preset, select_top_k, Preset, Recommender, Scale, Split};
+use taxorec::serve::client::{self, Response, Timeouts};
 use taxorec::serve::{Checkpoint, ServingModel};
 
 fn trained() -> (TaxoRec, taxorec::data::Dataset, Split) {
@@ -58,25 +57,6 @@ fn reloaded_checkpoint_ranks_identically_for_every_user() {
     }
 }
 
-/// One HTTP request over a plain TCP socket; returns (status, body).
-fn http_get(addr: std::net::SocketAddr, target: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    write!(stream, "GET {target} HTTP/1.1\r\nHost: localhost\r\n\r\n").expect("send");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    let status: u16 = response
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .expect("numeric status");
-    let body = response
-        .split_once("\r\n\r\n")
-        .map(|(_, b)| b.to_string())
-        .unwrap_or_default();
-    (status, body)
-}
-
 #[test]
 fn http_server_answers_all_endpoints_end_to_end() {
     let (model, dataset, split) = trained();
@@ -94,7 +74,7 @@ fn http_server_answers_all_endpoints_end_to_end() {
     let addr = handle.local_addr();
 
     // /healthz — liveness and the model card.
-    let (status, body) = http_get(addr, "/healthz");
+    let Response { status, body, .. } = client::get(addr, "/healthz").expect("response");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"status\":\"ready\""), "{body}");
     assert!(body.contains("\"queue\":{\"depth\":"), "{body}");
@@ -104,7 +84,8 @@ fn http_server_answers_all_endpoints_end_to_end() {
     );
 
     // /recommend — top-K with scores, matching the engine exactly.
-    let (status, body) = http_get(addr, "/recommend?user=0&k=5");
+    let Response { status, body, .. } =
+        client::get(addr, "/recommend?user=0&k=5").expect("response");
     assert_eq!(status, 200, "{body}");
     assert!(
         body.starts_with("{\"user\":0,\"k\":5,\"items\":["),
@@ -114,7 +95,8 @@ fn http_server_answers_all_endpoints_end_to_end() {
     assert!(taxorec::telemetry::json::is_valid_json(&body), "{body}");
 
     // /explain — rationale for a (user, item) pair.
-    let (status, body) = http_get(addr, "/explain?user=0&item=1");
+    let Response { status, body, .. } =
+        client::get(addr, "/explain?user=0&item=1").expect("response");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"score\":"), "{body}");
     assert!(body.contains("\"item_tags\":["), "{body}");
@@ -122,52 +104,35 @@ fn http_server_answers_all_endpoints_end_to_end() {
 
     // /metrics — Prometheus text exposition, which by now has request
     // counts; /metrics.json keeps the raw registry snapshot.
-    let (status, body) = http_get(addr, "/metrics");
+    let Response { status, body, .. } = client::get(addr, "/metrics").expect("response");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("taxorec_serve_http_requests_total"), "{body}");
     taxorec::telemetry::prometheus::validate(&body).unwrap_or_else(|e| panic!("{e}\n---\n{body}"));
-    let (status, body) = http_get(addr, "/metrics.json");
+    let Response { status, body, .. } = client::get(addr, "/metrics.json").expect("response");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("serve.http.requests"), "{body}");
     assert!(taxorec::telemetry::json::is_valid_json(&body), "{body}");
 
     // Error paths: bad query, unknown user, unknown route, wrong method.
-    let (status, body) = http_get(addr, "/recommend");
+    let Response { status, body, .. } = client::get(addr, "/recommend").expect("response");
     assert_eq!(status, 400, "{body}");
     assert!(body.contains("user"), "{body}");
-    let (status, body) = http_get(addr, "/recommend?user=999999&k=3");
+    let Response { status, body, .. } =
+        client::get(addr, "/recommend?user=999999&k=3").expect("response");
     assert_eq!(status, 404, "{body}");
     assert!(body.contains("unknown user"), "{body}");
-    let (status, _) = http_get(addr, "/nope");
+    let status = client::get(addr, "/nope").expect("response").status;
     assert_eq!(status, 404);
-    {
-        let mut stream = TcpStream::connect(addr).expect("connect");
-        write!(stream, "POST /recommend HTTP/1.1\r\nHost: x\r\n\r\n").expect("send");
-        let mut response = String::new();
-        stream.read_to_string(&mut response).expect("read");
-        assert!(response.starts_with("HTTP/1.1 405"), "{response}");
-    }
+    let posted =
+        client::request(addr, "POST", "/recommend", "", "", Timeouts::default()).expect("response");
+    assert_eq!(posted.status, 405, "{}", posted.body);
 
     // Graceful shutdown drains the workers; afterwards the port refuses.
     handle.shutdown();
     assert!(
-        TcpStream::connect(addr).is_err() || http_get_would_fail(addr),
+        client::get(addr, "/healthz").is_err(),
         "server still answering after shutdown"
     );
-}
-
-/// After shutdown the listener is closed; a connect may still succeed
-/// momentarily on some platforms (backlog), but no response will come.
-fn http_get_would_fail(addr: std::net::SocketAddr) -> bool {
-    match TcpStream::connect(addr) {
-        Err(_) => true,
-        Ok(mut s) => {
-            let _ = s.set_read_timeout(Some(std::time::Duration::from_millis(500)));
-            let _ = write!(s, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
-            let mut buf = String::new();
-            s.read_to_string(&mut buf).is_err() || buf.is_empty()
-        }
-    }
 }
 
 /// The batch path and the trait's default `top_k_for_user` agree with the
