@@ -146,9 +146,8 @@ pub fn lorentz_dist_sq_fwd(x: &Matrix, y: &Matrix) -> Matrix {
     out
 }
 
-/// Backward of [`lorentz_dist_sq_fwd`]: with `s = −⟨x,y⟩_L`,
-/// `dD/ds = 2·arcosh(s)·arcosh'(s)`; `∂s/∂x = (y₀, −y₁, …, −y_d)` and
-/// symmetrically for `y`.
+/// Backward of [`lorentz_dist_sq_fwd`] via
+/// [`taxorec_geometry::lorentz::distance_sq_grad`].
 pub fn lorentz_dist_sq_bwd(
     x: &Matrix,
     y: &Matrix,
@@ -156,22 +155,14 @@ pub fn lorentz_dist_sq_bwd(
     grad_x: &mut Matrix,
     grad_y: &mut Matrix,
 ) {
-    let (n, dc) = x.shape();
-    for r in 0..n {
-        let xr = x.row(r);
-        let yr = y.row(r);
-        let s = -taxorec_geometry::lorentz::inner(xr, yr);
-        let dd_ds = 2.0 * arcosh(s) * arcosh_grad(s) * grad_out.get(r, 0);
-        let gx = grad_x.row_mut(r);
-        gx[0] += dd_ds * yr[0];
-        for j in 1..dc {
-            gx[j] -= dd_ds * yr[j];
-        }
-        let gy = grad_y.row_mut(r);
-        gy[0] += dd_ds * xr[0];
-        for j in 1..dc {
-            gy[j] -= dd_ds * xr[j];
-        }
+    for r in 0..x.rows() {
+        taxorec_geometry::lorentz::distance_sq_grad(
+            x.row(r),
+            y.row(r),
+            grad_out.get(r, 0),
+            grad_x.row_mut(r),
+            grad_y.row_mut(r),
+        );
     }
 }
 

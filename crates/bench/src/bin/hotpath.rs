@@ -1,16 +1,13 @@
-//! Microbenchmark of the fused hot-path kernels (DESIGN.md §12) against
-//! the seed scalar implementations they replaced:
+//! Microbenchmark of the production ranking path (DESIGN.md §12)
+//! against the seed scalar implementation it replaced: full-catalog
+//! two-channel scoring plus top-K selection per user (users/sec) — the
+//! fused side *is* `Scorer::rank`, what eval, serving and retrieval run.
 //!
-//! * **train** — per-anchor squared-distance sweeps with a hinge-style
-//!   fold, the shape of the pair-loop scoring work (pairs/sec);
-//! * **eval**  — full-catalog two-channel scoring plus top-K selection,
-//!   the per-user ranking path (users/sec).
-//!
-//! Each metric runs at `TAXOREC_THREADS` = 1 and 4 and reports the
-//! naive and fused rates plus their ratio. Results overwrite
+//! The metric runs at `TAXOREC_THREADS` = 1 and 4 and reports the naive
+//! and fused rates plus their ratio. Results overwrite
 //! `BENCH_hotpath.json` in the working directory.
 //!
-//! `--assert-floor` exits non-zero when any fused rate falls below its
+//! `--assert-floor` exits non-zero when a fused rate falls below its
 //! naive counterpart — the CI regression floor. Problem size is
 //! overridable via `TAXOREC_HOTPATH_ITEMS` / `_USERS` / `_REPS`.
 
@@ -18,10 +15,9 @@ use std::hint::black_box;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use taxorec_bench::time_it;
+use taxorec_bench::{env_usize, time_it};
 use taxorec_core::init;
-use taxorec_data::{select_top_k, TopKAccumulator, TopKSink};
-use taxorec_geometry::batch::{fused_rank, BlockCache, TagChannelMulti};
+use taxorec_data::{select_top_k, Anchor, ItemEmbeddings, Scorer};
 use taxorec_geometry::lorentz;
 
 /// Tag-irrelevant spatial dims — the paper's D − D_t = 52 rounded up to
@@ -29,24 +25,14 @@ use taxorec_geometry::lorentz;
 const DIM_IR: usize = 64;
 /// Tag-relevant spatial dims (paper D_t = 12).
 const DIM_TAG: usize = 12;
-/// Hinge margin of the fold in the train metric.
-const MARGIN: f64 = 1.0;
 /// Top-K selection width of the eval metric.
 const TOP_K: usize = 10;
 /// Users per batched ranking call in the fused eval path — the same
 /// block size the production eval loop hands `top_k_block`.
 const EVAL_USER_CHUNK: usize = 32;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-        .max(1)
-}
-
 /// The shared fixture: user/item embeddings for both channels, flat
-/// row-major, plus the fused caches built over the item sides.
+/// row-major, plus the production scorer built over the item sides.
 struct Fixture {
     n_users: usize,
     n_items: usize,
@@ -54,8 +40,7 @@ struct Fixture {
     u_tg: Vec<f64>,
     v_ir: Vec<f64>,
     v_tg: Vec<f64>,
-    ir_cache: BlockCache,
-    tg_cache: BlockCache,
+    scorer: Scorer,
     alphas: Vec<f64>,
 }
 
@@ -69,8 +54,12 @@ impl Fixture {
         let v_ir = init::lorentz_matrix(&mut rng, n_items, DIM_IR, 0.8);
         let u_tg = init::lorentz_matrix(&mut rng, n_users, DIM_TAG, 0.8);
         let v_tg = init::lorentz_matrix(&mut rng, n_items, DIM_TAG, 0.8);
-        let ir_cache = BlockCache::build(v_ir.data(), DIM_IR + 1);
-        let tg_cache = BlockCache::build(v_tg.data(), DIM_TAG + 1);
+        let scorer = Scorer::build(&ItemEmbeddings {
+            v_ir: v_ir.data(),
+            ambient_ir: DIM_IR + 1,
+            v_tg: Some(v_tg.data()),
+            ambient_tg: DIM_TAG + 1,
+        });
         let alphas = (0..n_users).map(|u| 0.5 + (u % 7) as f64 * 0.1).collect();
         Self {
             n_users,
@@ -79,8 +68,7 @@ impl Fixture {
             u_tg: u_tg.data().to_vec(),
             v_ir: v_ir.data().to_vec(),
             v_tg: v_tg.data().to_vec(),
-            ir_cache,
-            tg_cache,
+            scorer,
             alphas,
         }
     }
@@ -100,40 +88,6 @@ impl Fixture {
     fn v_tg_row(&self, v: usize) -> &[f64] {
         &self.v_tg[v * (DIM_TAG + 1)..(v + 1) * (DIM_TAG + 1)]
     }
-}
-
-/// Train-shaped work, seed scalar path: one scalar `distance_sq` per
-/// pair, folded through a hinge against the anchor's first candidate.
-fn train_naive(fx: &Fixture) -> f64 {
-    let sums = taxorec_parallel::par_map("hotpath.train.naive", fx.n_users, |u| {
-        let anchor = fx.u_ir_row(u);
-        let d_pos = lorentz::distance_sq(anchor, fx.v_ir_row(u % fx.n_items));
-        let mut acc = 0.0;
-        for v in 0..fx.n_items {
-            let d = lorentz::distance_sq(anchor, fx.v_ir_row(v));
-            acc += (MARGIN + d_pos - d).max(0.0);
-        }
-        acc
-    });
-    sums.iter().sum()
-}
-
-/// Train-shaped work, fused path: one `distance_sq_block` sweep per
-/// anchor into a per-worker scratch buffer, then the same hinge fold.
-fn train_fused(fx: &Fixture) -> f64 {
-    let sums = taxorec_parallel::par_map("hotpath.train.fused", fx.n_users, |u| {
-        let anchor = fx.u_ir_row(u);
-        let d_pos = lorentz::distance_sq(anchor, fx.v_ir_row(u % fx.n_items));
-        taxorec_core::scratch::with_buf(fx.n_items, |d| {
-            fx.ir_cache.distance_sq_block(anchor, 0, fx.n_items, d);
-            let mut acc = 0.0;
-            for &di in d.iter() {
-                acc += (MARGIN + d_pos - di).max(0.0);
-            }
-            acc
-        })
-    });
-    sums.iter().sum()
 }
 
 /// Eval-shaped work, seed scalar path: fresh score `Vec` per user, one
@@ -156,40 +110,23 @@ fn eval_naive(fx: &Fixture) -> f64 {
 }
 
 /// Eval-shaped work, fused path: blocks of [`EVAL_USER_CHUNK`] users
-/// ranked through per-user [`TopKAccumulator`]s by the fused ranking
-/// kernel — the production `Recommender::top_k_block` streaming path.
+/// through [`Scorer::rank`] — the production streaming path itself.
 fn eval_fused(fx: &Fixture) -> f64 {
     let n_chunks = fx.n_users.div_ceil(EVAL_USER_CHUNK);
     let tops = taxorec_parallel::par_map("hotpath.eval.fused", n_chunks, |c| {
         let lo = c * EVAL_USER_CHUNK;
         let hi = (lo + EVAL_USER_CHUNK).min(fx.n_users);
-        let anchors_ir: Vec<&[f64]> = (lo..hi).map(|u| fx.u_ir_row(u)).collect();
-        let anchors_tg: Vec<&[f64]> = (lo..hi).map(|u| fx.u_tg_row(u)).collect();
-        let mut accs: Vec<TopKAccumulator> =
-            (lo..hi).map(|_| TopKAccumulator::new(TOP_K)).collect();
-        fused_rank(
-            &fx.ir_cache,
-            &anchors_ir,
-            Some(TagChannelMulti {
-                cache: &fx.tg_cache,
-                anchors: &anchors_tg,
-                alphas: &fx.alphas[lo..hi],
-            }),
-            0,
-            fx.n_items,
-            &mut TopKSink {
-                accs: &mut accs,
-                acc_of: None,
-                item_ids: None,
-                exclude: |_, _| false,
-            },
-        );
-        let mut acc = 0.0;
-        for a in accs {
-            let top = a.into_sorted();
-            acc += top.first().map(|&(i, _)| i as f64).unwrap_or(0.0);
-        }
-        acc
+        let anchors: Vec<Anchor<'_>> = (lo..hi)
+            .map(|u| Anchor {
+                ir: fx.u_ir_row(u),
+                tg: Some((fx.u_tg_row(u), fx.alphas[u])),
+            })
+            .collect();
+        let ks = [TOP_K; EVAL_USER_CHUNK];
+        let tops = fx.scorer.rank(&anchors, &ks[..hi - lo], |_, _| false);
+        tops.iter()
+            .map(|top| top.first().map(|&(i, _)| i as f64).unwrap_or(0.0))
+            .sum::<f64>()
     });
     tops.iter().sum()
 }
@@ -240,25 +177,12 @@ fn main() {
     let n_users = env_usize("TAXOREC_HOTPATH_USERS", 512);
     let reps = env_usize("TAXOREC_HOTPATH_REPS", 8);
     let fx = Fixture::build(n_users, n_items);
-    let pairs_per_rep = (n_users * n_items) as f64;
     let users_per_rep = n_users as f64;
 
     let prev_threads = std::env::var("TAXOREC_THREADS").ok();
     let mut results: Vec<Measurement> = Vec::new();
     for &threads in &[1usize, 4] {
         std::env::set_var("TAXOREC_THREADS", threads.to_string());
-        let (tn, tf) = measure_pair(
-            reps,
-            pairs_per_rep,
-            || train_naive(&fx),
-            || train_fused(&fx),
-        );
-        results.push(Measurement {
-            metric: "train_pairs_per_sec",
-            threads,
-            naive_rate: tn,
-            fused_rate: tf,
-        });
         let (en, ef) = measure_pair(reps, users_per_rep, || eval_naive(&fx), || eval_fused(&fx));
         results.push(Measurement {
             metric: "eval_users_per_sec",

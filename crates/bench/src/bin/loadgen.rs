@@ -221,18 +221,8 @@ fn model_users(addr: SocketAddr) -> Result<usize, String> {
             health.head, health.body
         ));
     }
-    let response = health.body;
-    let tag = "\"users\":";
-    let at = response
-        .find(tag)
-        .ok_or_else(|| format!("no user count in healthz: {response}"))?;
-    let rest = &response[at + tag.len()..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end]
-        .parse()
-        .map_err(|_| format!("bad user count in healthz: {response}"))
+    taxorec_serve::router::healthz_users(&health.body)
+        .ok_or_else(|| format!("no user count in healthz: {}", health.body))
 }
 
 /// The shape of one open-loop run.

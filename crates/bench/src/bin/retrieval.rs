@@ -33,14 +33,6 @@ const FLOOR_RECALL_AT_10: f64 = 0.95;
 /// CI floor: minimum exhaustive-to-routed speedup in beam mode.
 const FLOOR_SPEEDUP: f64 = 5.0;
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-        .max(1)
-}
-
 fn env_scales() -> Vec<usize> {
     let raw =
         std::env::var("TAXOREC_RETRIEVAL_ITEMS").unwrap_or_else(|_| "100000,1000000".to_string());
@@ -102,7 +94,7 @@ fn main() {
             })
         }
     };
-    let n_queries = env_usize("TAXOREC_RETRIEVAL_QUERIES", 128);
+    let n_queries = taxorec_bench::env_usize("TAXOREC_RETRIEVAL_QUERIES", 128);
     let scales = env_scales();
     let mode_label = match mode {
         RetrievalMode::Beam(0) => "beam:default".to_string(),

@@ -205,6 +205,16 @@ pub fn write_bench_telemetry(bin: &str) {
     }
 }
 
+/// A positive size knob of a microbenchmark bin: `name` from the
+/// environment, `default` when unset or unparsable, never below 1.
+pub fn env_usize(name: &str, default: usize) -> usize {
+    std::env::var(name)
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+        .max(1)
+}
+
 /// Wall-clock helper for the runtime claims.
 pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, std::time::Duration) {
     let start = std::time::Instant::now();

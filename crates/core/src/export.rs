@@ -10,9 +10,47 @@
 //! shared dimension-consistency gate both sides run.
 
 use taxorec_autodiff::Matrix;
+use taxorec_data::{Anchor, ItemEmbeddings};
 use taxorec_taxonomy::Taxonomy;
 
 use crate::config::TaxoRecConfig;
+
+/// The user side of Eq. 17 for `user`: its row in each channel, the tag
+/// channel (when `u_tg` is given) weighted `gain·α_u` — the one place
+/// the weight is finished for scoring. A user without an `α` (grown past
+/// the trained set) weighs the tag channel 0.
+pub fn anchor<'a>(
+    config: &TaxoRecConfig,
+    alphas: &[f64],
+    u_ir: &'a Matrix,
+    u_tg: Option<&'a Matrix>,
+    user: usize,
+) -> Anchor<'a> {
+    let weight = config.tag_channel_gain * alphas.get(user).copied().unwrap_or(0.0);
+    Anchor {
+        ir: u_ir.row(user),
+        tg: u_tg.map(|u_tg| (u_tg.row(user), weight)),
+    }
+}
+
+/// The item side of Eq. 17 as the scorer's (and the retrieval index's)
+/// input: Lorentz-row matrices, the tag channel present iff it is active
+/// and populated. The live model and every consumer of a [`ModelState`]
+/// take this one view, so they cannot disagree about channels or
+/// dimensions.
+pub fn item_embeddings<'a>(
+    tags_active: bool,
+    v_ir: &'a Matrix,
+    v_tg: &'a Matrix,
+) -> ItemEmbeddings<'a> {
+    let tags = tags_active && v_tg.rows() > 0;
+    ItemEmbeddings {
+        v_ir: v_ir.data(),
+        ambient_ir: v_ir.cols(),
+        v_tg: tags.then(|| v_tg.data()),
+        ambient_tg: if tags { v_tg.cols() } else { 0 },
+    }
+}
 
 /// An immutable snapshot of a trained [`crate::TaxoRec`] sufficient for
 /// inference: score any (user, item) pair, rank items, and explain

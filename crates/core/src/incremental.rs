@@ -29,11 +29,11 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use taxorec_autodiff::Matrix;
-use taxorec_geometry::{arcosh, arcosh_grad, convert, lorentz, poincare, vecops};
+use taxorec_geometry::{convert, lorentz, poincare, vecops};
 
 use crate::export::ModelState;
 use crate::init;
-use crate::optim::GRAD_CLIP;
+use crate::optim::{self, GRAD_CLIP};
 
 /// One journaled interaction: user `user` interacted with item `item`,
 /// annotated with (already id-resolved) tags. Ids may exceed the
@@ -154,23 +154,13 @@ fn poincare_row(seed: u64, dim: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Accumulates the Euclidean ambient gradient of `w · d_H(x, y)²` with
-/// respect to `x` into `gx` (`s = −⟨x,y⟩_L`, `∂s/∂x = (y₀, −y₁, …)`).
-fn lorentz_sqdist_grad(x: &[f64], y: &[f64], w: f64, gx: &mut [f64]) {
-    let s = -lorentz::inner(x, y);
-    let c = 2.0 * arcosh(s) * arcosh_grad(s) * w;
-    gx[0] += c * y[0];
-    for i in 1..x.len() {
-        gx[i] -= c * y[i];
-    }
-}
-
 /// Clips `g` to [`GRAD_CLIP`] and applies one buffered Lorentz RSGD
-/// step to `row`, skipping non-finite gradients (mirrors `optim`'s
-/// whole-matrix hygiene).
+/// step to `row`; a non-finite gradient is skipped and counted by
+/// `optim`'s rule. The clip is **not** `optim`'s: the trainer caps the
+/// step `lr·grad` at `STEP_CLIP`, the fold caps the gradient itself, and
+/// merging the two would move every folded bit.
 fn lorentz_step(row: &mut [f64], g: &mut [f64], lr: f64, rg: &mut [f64], out: &mut [f64]) {
-    if g.iter().any(|v| !v.is_finite()) {
-        taxorec_telemetry::counter("optim.nonfinite_grad_rows").inc(1);
+    if optim::skip_nonfinite(g) {
         return;
     }
     vecops::clip_norm(g, GRAD_CLIP);
@@ -349,8 +339,7 @@ pub fn apply_interactions(
                 let mut g = vec![0.0; dim_tag];
                 let mut g_target = vec![0.0; dim_tag];
                 poincare::distance_grad(row, &target, 2.0 * d, &mut g, &mut g_target);
-                if g.iter().any(|v| !v.is_finite()) {
-                    taxorec_telemetry::counter("optim.nonfinite_grad_rows").inc(1);
+                if optim::skip_nonfinite(&g) {
                     continue;
                 }
                 vecops::clip_norm(&mut g, GRAD_CLIP);
@@ -398,10 +387,8 @@ fn triplet_step(
     let mut gu = vec![0.0; ambient];
     let mut gp = vec![0.0; ambient];
     let mut gn = vec![0.0; ambient];
-    lorentz_sqdist_grad(users.row(u), items.row(pos), 1.0, &mut gu);
-    lorentz_sqdist_grad(users.row(u), items.row(neg), -1.0, &mut gu);
-    lorentz_sqdist_grad(items.row(pos), users.row(u), 1.0, &mut gp);
-    lorentz_sqdist_grad(items.row(neg), users.row(u), -1.0, &mut gn);
+    lorentz::distance_sq_grad(users.row(u), items.row(pos), 1.0, &mut gu, &mut gp);
+    lorentz::distance_sq_grad(users.row(u), items.row(neg), -1.0, &mut gu, &mut gn);
     lorentz_step(users.row_mut(u), &mut gu, lr, rg, out);
     lorentz_step(items.row_mut(pos), &mut gp, lr, rg, out);
     lorentz_step(items.row_mut(neg), &mut gn, lr, rg, out);

@@ -21,4 +21,4 @@ pub use export::ModelState;
 pub use fit_control::{FitControl, FitReport, TrainState};
 pub use graph::GraphMatrices;
 pub use incremental::{apply_interactions, IncrementalConfig, IncrementalReport, Interaction};
-pub use model::{scratch, TaxoRec};
+pub use model::TaxoRec;

@@ -21,80 +21,18 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use taxorec_autodiff::{Csr, Matrix, Tape, Var};
-use taxorec_data::{
-    select_top_k, Dataset, NegativeSampler, Recommender, Split, TopKAccumulator, TopKSink,
-};
-use taxorec_geometry::batch::{
-    fused_rank, fused_scores_block, fused_scores_multi, BlockCache, TagChannel, TagChannelMulti,
-};
+use taxorec_data::{Anchor, Dataset, ItemEmbeddings, NegativeSampler, Recommender, Scorer, Split};
 use taxorec_geometry::{convert, lorentz};
 use taxorec_taxonomy::{construct_taxonomy, ConstructConfig, RegularizerPlan, Taxonomy};
 use taxorec_telemetry::{span, EpochRecord, RebuildStats, TrainingMonitor};
 
 use crate::aggregation::{global_aggregation, local_tag_aggregation};
 use crate::config::TaxoRecConfig;
+use crate::export;
 use crate::fit_control::{FitControl, FitReport};
 use crate::graph::GraphMatrices;
 use crate::init;
 use crate::optim;
-
-/// Reusable per-worker scratch buffers for the allocation-free hot paths.
-///
-/// Buffers are thread-local, so every `taxorec-parallel` worker (and the
-/// caller thread) owns a private pool: no locking, no cross-thread
-/// sharing, and a checked-out buffer never outlives its closure. Capacity
-/// is retained across calls, so steady-state hot loops — scoring one user
-/// against the full catalogue per eval user, per serve request — perform
-/// zero heap allocations after warm-up. Lifetime rules in DESIGN.md §12.
-pub mod scratch {
-    use std::cell::RefCell;
-
-    thread_local! {
-        static POOL: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
-    }
-
-    /// Runs `f` with a cleared scratch `Vec<f64>` checked out of the
-    /// current thread's pool (capacity retained from earlier uses) and
-    /// returns the buffer to the pool afterwards. Nested calls check out
-    /// distinct buffers.
-    pub fn with_vec<R>(f: impl FnOnce(&mut Vec<f64>) -> R) -> R {
-        let mut buf = POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
-        buf.clear();
-        let out = f(&mut buf);
-        POOL.with(|p| p.borrow_mut().push(buf));
-        out
-    }
-
-    /// Runs `f` with a scratch slice of exactly `len` values whose
-    /// contents are **unspecified** (stale data from earlier checkouts).
-    /// Callers must fully overwrite the slice before reading it — every
-    /// fused-kernel user does; skipping the zero-fill saves one full
-    /// buffer pass per checkout on the hot paths.
-    pub fn with_buf<R>(len: usize, f: impl FnOnce(&mut [f64]) -> R) -> R {
-        let mut buf = POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
-        if buf.len() < len {
-            buf.resize(len, 0.0);
-        }
-        let out = f(&mut buf[..len]);
-        POOL.with(|p| p.borrow_mut().push(buf));
-        out
-    }
-}
-
-/// Items per fused-scoring chunk handed to the `taxorec-parallel` pool.
-/// When scoring already runs inside a pool worker (eval's per-user
-/// fan-out), the nested launch runs the chunks inline — same arithmetic,
-/// no double fan-out.
-const SCORE_CHUNK: usize = 4096;
-
-/// Fused-kernel caches ([`BlockCache`]) over the final (post-aggregation)
-/// item embeddings. Rebuilt by [`TaxoRec::finalize`] — the single
-/// invalidation point of the DESIGN.md §12 contract.
-#[derive(Default)]
-struct ScoreCaches {
-    ir: BlockCache,
-    tg: Option<BlockCache>,
-}
 
 /// The trained (or trainable) TaxoRec model. Create with [`TaxoRec::new`],
 /// train with [`Recommender::fit`], then rank with
@@ -121,9 +59,11 @@ pub struct TaxoRec {
     final_v_ir: Matrix,
     final_u_tg: Matrix,
     final_v_tg: Matrix,
-    /// Fused scoring caches over `final_v_ir`/`final_v_tg`; `None` until
-    /// the first [`TaxoRec::finalize`].
-    score_caches: Option<ScoreCaches>,
+    /// The fused scorer over `final_v_ir`/`final_v_tg`, rebuilt by
+    /// [`TaxoRec::finalize`] — their only writer, so it can never observe
+    /// stale rows (the invalidation contract of DESIGN.md §12). Empty
+    /// until then.
+    scorer: Scorer,
     tags_active: bool,
     /// Mean training loss per epoch (observability/testing).
     pub loss_history: Vec<f64>,
@@ -204,7 +144,7 @@ impl TaxoRec {
             final_v_ir: Matrix::zeros(0, 0),
             final_u_tg: Matrix::zeros(0, 0),
             final_v_tg: Matrix::zeros(0, 0),
-            score_caches: None,
+            scorer: Scorer::default(),
             tags_active: false,
             loss_history: Vec::new(),
             epoch_records: Vec::new(),
@@ -502,28 +442,39 @@ impl TaxoRec {
         pool: usize,
         rng: &mut StdRng,
     ) -> u32 {
-        let u = user as usize;
-        let urow_ir = self.final_u_ir.row(u);
-        let alpha = self.config.tag_channel_gain * self.alphas.get(u).copied().unwrap_or(0.0);
+        let anchor = self.anchor(user);
+        let items = self.item_embeddings();
         let mut best = sampler.sample(user, rng);
-        let mut best_g = f64::INFINITY;
+        let mut best_score = f64::NEG_INFINITY;
         for i in 0..pool {
             let v = if i == 0 {
                 best
             } else {
                 sampler.sample(user, rng)
             };
-            let mut g = lorentz::distance_sq(urow_ir, self.final_v_ir.row(v as usize));
-            if self.tags_active && self.final_u_tg.rows() > 0 {
-                g += alpha
-                    * lorentz::distance_sq(self.final_u_tg.row(u), self.final_v_tg.row(v as usize));
-            }
-            if g < best_g {
-                best_g = g;
+            let score = anchor.score(items.row(v as usize));
+            if score > best_score {
+                best_score = score;
                 best = v;
             }
         }
         best
+    }
+
+    /// The final item embeddings as the scorer's input.
+    fn item_embeddings(&self) -> ItemEmbeddings<'_> {
+        export::item_embeddings(self.tags_active, &self.final_v_ir, &self.final_v_tg)
+    }
+
+    /// `user`'s side of Eq. 17 over the final embeddings.
+    fn anchor(&self, user: u32) -> Anchor<'_> {
+        export::anchor(
+            &self.config,
+            &self.alphas,
+            &self.final_u_ir,
+            self.scorer.has_tag_channel().then_some(&self.final_u_tg),
+            user as usize,
+        )
     }
 
     /// Snapshots everything inference needs — final embeddings, `α_u`,
@@ -915,7 +866,8 @@ impl TaxoRec {
     }
 
     /// Runs one forward pass and caches the final embeddings for
-    /// inference, then refreshes the fused scoring caches over them.
+    /// inference, then rebuilds the scorer over them (reusing its
+    /// allocations).
     fn finalize(&mut self) {
         let f = self.forward();
         self.final_u_ir = f.tape.value(f.u_ir).clone();
@@ -924,32 +876,10 @@ impl TaxoRec {
             self.final_u_tg = f.tape.value(u_tg).clone();
             self.final_v_tg = f.tape.value(v_tg).clone();
         }
-        self.rebuild_score_caches();
-    }
-
-    /// Rebuilds the [`BlockCache`]s from the final embeddings that
-    /// [`TaxoRec::finalize`] just refreshed. `finalize` is the only writer
-    /// of `final_v_ir`/`final_v_tg` and it runs after every RSGD epoch
-    /// that needs fresh inference embeddings (hard-negative mining, end of
-    /// fit), so the caches can never observe stale rows — the invalidation
-    /// contract of DESIGN.md §12. Rebuilds reuse the caches' allocations.
-    fn rebuild_score_caches(&mut self) {
-        if self.final_v_ir.rows() == 0 {
-            self.score_caches = None;
-            return;
-        }
-        let caches = self.score_caches.get_or_insert_with(ScoreCaches::default);
-        caches
-            .ir
-            .rebuild(self.final_v_ir.data(), self.final_v_ir.cols());
-        if self.tags_active && self.final_v_tg.rows() > 0 {
-            caches
-                .tg
-                .get_or_insert_with(BlockCache::default)
-                .rebuild(self.final_v_tg.data(), self.final_v_tg.cols());
-        } else {
-            caches.tg = None;
-        }
+        // Taken out while the item view borrows `self`.
+        let mut scorer = std::mem::take(&mut self.scorer);
+        scorer.rebuild(&self.item_embeddings());
+        self.scorer = scorer;
     }
 }
 
@@ -963,207 +893,21 @@ impl Recommender for TaxoRec {
     }
 
     fn scores_for_user(&self, user: u32) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.scores_into(user, &mut out);
+        let mut out = vec![0.0; self.scorer.n_items()];
+        self.scorer.scores(&self.anchor(user), &mut out);
         out
     }
 
-    /// Fused scoring: one [`fused_scores_block`] pass per [`SCORE_CHUNK`]
-    /// items over the cached block layout, bit-identical to the scalar
-    /// per-item loop it replaced (see `tests/parallel_determinism.rs`).
-    fn scores_into(&self, user: u32, out: &mut Vec<f64>) {
-        let u = user as usize;
-        let alpha = self.config.tag_channel_gain * self.alphas.get(u).copied().unwrap_or(0.0);
-        let Some(caches) = &self.score_caches else {
-            // No caches means `finalize` never ran (empty catalogue or an
-            // unfitted model): the scalar loop, as before the fused path.
-            let urow_ir = self.final_u_ir.row(u);
-            let n_items = self.final_v_ir.rows();
-            out.clear();
-            out.reserve(n_items);
-            for v in 0..n_items {
-                let mut g = lorentz::distance_sq(urow_ir, self.final_v_ir.row(v));
-                if self.tags_active {
-                    g += alpha
-                        * lorentz::distance_sq(self.final_u_tg.row(u), self.final_v_tg.row(v));
-                }
-                out.push(-g);
-            }
-            return;
-        };
-        let urow_ir = self.final_u_ir.row(u);
-        let u_tg = caches.tg.as_ref().map(|_| self.final_u_tg.row(u));
-        let n_items = caches.ir.rows();
-        // Every element is overwritten below, so skip the zero-refill
-        // when a reused buffer already has the right length.
-        if out.len() != n_items {
-            out.clear();
-            out.resize(n_items, 0.0);
-        }
-        taxorec_parallel::par_chunks("core.scores", &mut out[..], SCORE_CHUNK, |ci, slice| {
-            let lo = ci * SCORE_CHUNK;
-            let hi = lo + slice.len();
-            match (&caches.tg, u_tg) {
-                (Some(tg_cache), Some(anchor)) => scratch::with_buf(slice.len(), |scr| {
-                    fused_scores_block(
-                        &caches.ir,
-                        urow_ir,
-                        Some(TagChannel {
-                            cache: tg_cache,
-                            anchor,
-                            alpha,
-                        }),
-                        lo,
-                        hi,
-                        scr,
-                        slice,
-                    );
-                }),
-                _ => fused_scores_block(&caches.ir, urow_ir, None, lo, hi, &mut [], slice),
-            }
-        });
-    }
-
-    /// Multi-anchor fused scoring: one [`fused_scores_multi`] pass scores
-    /// the whole user block while streaming the item panels once, so a
-    /// block of `B` users pays the item-side memory traffic once instead
-    /// of `B` times. Each user's row stays bit-identical to
-    /// [`Recommender::scores_into`] (the batched kernels preserve the
-    /// per-pair arithmetic order; see `tests/parallel_determinism.rs`).
-    fn scores_block_into(&self, users: &[u32], out: &mut Vec<f64>) {
-        let Some(caches) = &self.score_caches else {
-            // No caches means `finalize` never ran: fall back to the
-            // per-user scalar path, row by row.
-            out.clear();
-            scratch::with_vec(|row| {
-                for &u in users {
-                    self.scores_into(u, row);
-                    out.extend_from_slice(row);
-                }
-            });
-            return;
-        };
-        let n_items = caches.ir.rows();
-        let b = users.len();
-        // Every element is overwritten below, so skip the zero-refill
-        // when a reused buffer already has the right length.
-        if out.len() != b * n_items {
-            out.clear();
-            out.resize(b * n_items, 0.0);
-        }
-        if b == 0 || n_items == 0 {
-            return;
-        }
-        let anchors_ir: Vec<&[f64]> = users
-            .iter()
-            .map(|&u| self.final_u_ir.row(u as usize))
-            .collect();
-        match &caches.tg {
-            Some(tg_cache) => {
-                let anchors_tg: Vec<&[f64]> = users
-                    .iter()
-                    .map(|&u| self.final_u_tg.row(u as usize))
-                    .collect();
-                let alphas: Vec<f64> = users
-                    .iter()
-                    .map(|&u| {
-                        self.config.tag_channel_gain
-                            * self.alphas.get(u as usize).copied().unwrap_or(0.0)
-                    })
-                    .collect();
-                scratch::with_buf(
-                    b * n_items.min(taxorec_geometry::batch::FUSED_ITEM_CHUNK),
-                    |scr| {
-                        fused_scores_multi(
-                            &caches.ir,
-                            &anchors_ir,
-                            Some(TagChannelMulti {
-                                cache: tg_cache,
-                                anchors: &anchors_tg,
-                                alphas: &alphas,
-                            }),
-                            0,
-                            n_items,
-                            scr,
-                            out,
-                        );
-                    },
-                );
-            }
-            None => fused_scores_multi(&caches.ir, &anchors_ir, None, 0, n_items, &mut [], out),
-        }
-    }
-
-    /// Streaming block ranking through the fused ranking kernel
-    /// ([`fused_rank`]): the item panels stream once for the whole user
-    /// block, and only items that can still enter a user's top-K are
-    /// finished and offered to that user's [`TopKAccumulator`] — ranking
-    /// a block never materializes `B × n_items` score rows. Offered
-    /// scores are the bits [`fused_scores_multi`] computes and withheld
-    /// items provably rank below the `k`-th, so by the accumulator
-    /// contract the result is exactly the default full-row ranking.
+    /// Fused block ranking ([`Scorer::rank`]): exactly the default's
+    /// result without materializing a score row.
     fn top_k_block(
         &self,
         users: &[u32],
         k: usize,
         exclude: &dyn Fn(usize, u32) -> bool,
     ) -> Vec<Vec<(u32, f64)>> {
-        let Some(caches) = &self.score_caches else {
-            // No caches means `finalize` never ran: the default full-row
-            // path over the scalar fallback.
-            let mut scores = Vec::new();
-            self.scores_block_into(users, &mut scores);
-            let n = if users.is_empty() {
-                0
-            } else {
-                scores.len() / users.len()
-            };
-            return (0..users.len())
-                .map(|pos| {
-                    select_top_k(&scores[pos * n..(pos + 1) * n], k, |i| {
-                        exclude(pos, i as u32)
-                    })
-                })
-                .collect();
-        };
-        let anchors_ir: Vec<&[f64]> = users
-            .iter()
-            .map(|&u| self.final_u_ir.row(u as usize))
-            .collect();
-        let tg = caches.tg.as_ref().map(|tg_cache| {
-            let anchors_tg: Vec<&[f64]> = users
-                .iter()
-                .map(|&u| self.final_u_tg.row(u as usize))
-                .collect();
-            let alphas: Vec<f64> = users
-                .iter()
-                .map(|&u| {
-                    self.config.tag_channel_gain
-                        * self.alphas.get(u as usize).copied().unwrap_or(0.0)
-                })
-                .collect();
-            (tg_cache, anchors_tg, alphas)
-        });
-        let mut accs: Vec<TopKAccumulator> =
-            users.iter().map(|_| TopKAccumulator::new(k)).collect();
-        fused_rank(
-            &caches.ir,
-            &anchors_ir,
-            tg.as_ref().map(|(cache, anchors, alphas)| TagChannelMulti {
-                cache,
-                anchors,
-                alphas,
-            }),
-            0,
-            caches.ir.rows(),
-            &mut TopKSink {
-                accs: &mut accs,
-                acc_of: None,
-                item_ids: None,
-                exclude,
-            },
-        );
-        accs.into_iter().map(|a| a.into_sorted()).collect()
+        let anchors: Vec<Anchor<'_>> = users.iter().map(|&u| self.anchor(u)).collect();
+        self.scorer.rank(&anchors, &vec![k; users.len()], exclude)
     }
 }
 

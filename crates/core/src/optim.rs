@@ -57,6 +57,18 @@ fn count_nonfinite_row() {
     taxorec_telemetry::counter("optim.nonfinite_grad_rows").inc(1);
 }
 
+/// The same rule for `incremental`'s single-row steps: true — and
+/// counted — when `grow` must be skipped as non-finite. An all-zero row
+/// is *not* skipped here: the fold has always stepped it, and its
+/// replay guarantee is bit-level.
+pub(crate) fn skip_nonfinite(grow: &[f64]) -> bool {
+    let skip = matches!(classify_row(grow), RowGrad::NonFinite);
+    if skip {
+        count_nonfinite_row();
+    }
+    skip
+}
+
 /// Applies one RSGD step to every row of a Lorentz-model parameter matrix
 /// (`n × (d+1)`, rows on the hyperboloid). The effective per-row step
 /// `lr·grad` is capped at [`STEP_CLIP`]; rows with non-finite gradients

@@ -51,14 +51,15 @@ impl Ord for RankEntry {
 /// Partial selection over a bounded min-heap: `O(n log k)` time and
 /// `O(k)` extra space — a full sorted copy of the score vector is never
 /// materialized, which is what makes million-item catalogues servable.
-/// Shared by [`Recommender::top_k_for_user`], the evaluation harness
-/// (`taxorec-eval`), and the online query engine (`taxorec-serve`).
+/// Backs the default [`Recommender::top_k_block`] and serves the tests
+/// as the reference ranking of a full score row.
 pub fn select_top_k(
     scores: &[f64],
     k: usize,
     mut exclude: impl FnMut(usize) -> bool,
 ) -> Vec<(u32, f64)> {
-    let mut acc = TopKAccumulator::new(k);
+    // Clamped like `Scorer::accumulator`: `k = usize::MAX` means "all".
+    let mut acc = TopKAccumulator::new(k.min(scores.len()));
     for (i, &score) in scores.iter().enumerate() {
         if !exclude(i) {
             acc.push(i as u32, score);
@@ -199,81 +200,29 @@ pub trait Recommender: Sync {
     /// distances. Only valid after [`Recommender::fit`].
     fn scores_for_user(&self, user: u32) -> Vec<f64>;
 
-    /// Writes [`Recommender::scores_for_user`] into a caller-provided
-    /// buffer (cleared first), so hot loops can reuse one allocation
-    /// across users instead of materializing a fresh `Vec` per call.
-    ///
-    /// The default delegates to `scores_for_user`. Implementations with a
-    /// buffer-oriented scoring path (fused kernels, preallocated caches)
-    /// override this and make `scores_for_user` the delegating wrapper
-    /// instead; both directions must produce identical values.
-    fn scores_into(&self, user: u32, out: &mut Vec<f64>) {
-        let scores = self.scores_for_user(user);
-        out.clear();
-        out.extend_from_slice(&scores);
-    }
-
-    /// Scores a block of users in one call: on return `out` holds
-    /// `users.len()` equal-length score rows back to back, user-major —
-    /// `out[k·n .. (k+1)·n]` is `users[k]`'s score vector, with `n`
-    /// recoverable as `out.len() / users.len()`.
-    ///
-    /// The default clears `out` and appends [`Recommender::scores_for_user`]
-    /// row by row. Models with batched kernels override this to amortize
-    /// item-side memory traffic across the block (it also backs the
-    /// default [`Recommender::top_k_block`] ranking); every override must
-    /// keep each user's row bit-identical to `scores_into` for that user.
-    fn scores_block_into(&self, users: &[u32], out: &mut Vec<f64>) {
-        out.clear();
-        for &u in users {
-            let s = self.scores_for_user(u);
-            out.extend_from_slice(&s);
-        }
-    }
-
     /// The `k` best items of every user in `users` as `(item, score)`
     /// pairs, best first per user, skipping items for which
     /// `exclude(pos, item)` returns true (`pos` indexes into `users`).
     ///
-    /// The default scores the block with
-    /// [`Recommender::scores_block_into`] and ranks each row with
-    /// [`select_top_k`]. Models with chunked batch kernels override this
-    /// to rank each catalogue chunk through a [`TopKAccumulator`] while
-    /// its scores are cache-hot, never materializing full score rows;
-    /// the accumulator contract guarantees the override returns exactly
-    /// the default's ranking for identical scores.
+    /// The default ranks one [`Recommender::scores_for_user`] row at a
+    /// time with [`select_top_k`]. TaxoRec overrides it with the fused
+    /// ranking of [`crate::Scorer`], which streams the item panels once
+    /// per block and never materializes score rows; the accumulator
+    /// contract guarantees an override returns exactly the default's
+    /// ranking for identical scores.
     fn top_k_block(
         &self,
         users: &[u32],
         k: usize,
         exclude: &dyn Fn(usize, u32) -> bool,
     ) -> Vec<Vec<(u32, f64)>> {
-        if users.is_empty() {
-            return Vec::new();
-        }
-        let mut scores = Vec::new();
-        self.scores_block_into(users, &mut scores);
-        let n = scores.len() / users.len();
-        (0..users.len())
-            .map(|pos| {
-                select_top_k(&scores[pos * n..(pos + 1) * n], k, |i| {
-                    exclude(pos, i as u32)
-                })
+        users
+            .iter()
+            .enumerate()
+            .map(|(pos, &user)| {
+                select_top_k(&self.scores_for_user(user), k, |i| exclude(pos, i as u32))
             })
             .collect()
-    }
-
-    /// The user's `k` best items as `(item, score)` pairs, best first
-    /// (deterministic tie-breaking by lower item id).
-    ///
-    /// The default implementation scores every item via
-    /// [`Recommender::scores_for_user`] and partially selects with
-    /// [`select_top_k`] — the single ranking contract shared by offline
-    /// evaluation and online serving. Implementations with a smarter
-    /// index (e.g. pre-partitioned candidate sets) may override it, but
-    /// must preserve the ordering contract.
-    fn top_k_for_user(&self, user: u32, k: usize) -> Vec<(u32, f64)> {
-        select_top_k(&self.scores_for_user(user), k, |_| false)
     }
 }
 
@@ -341,6 +290,10 @@ mod tests {
         assert!(select_top_k(&[], 3, |_| false).is_empty());
         assert!(select_top_k(&[1.0], 0, |_| false).is_empty());
         assert!(select_top_k(&[1.0, 2.0], 5, |_| true).is_empty());
+        assert_eq!(
+            select_top_k(&[1.0, 2.0], usize::MAX, |_| false),
+            vec![(1, 2.0), (0, 1.0)]
+        );
         // Matches a full sort on a pseudo-random vector.
         let scores: Vec<f64> = (0..500).map(|i| ((i * 37) % 101) as f64).collect();
         let mut full: Vec<usize> = (0..scores.len()).collect();
@@ -459,46 +412,6 @@ mod tests {
         // User 0 has item 2 excluded; user 1 does not.
         assert!(tops[0].iter().all(|&(i, _)| i != 2));
         assert_eq!(tops[1], select_top_k(&p.scores_for_user(1), 3, |_| false));
-    }
-
-    #[test]
-    fn default_top_k_for_user_matches_scores() {
-        // Item 2 appears in two users' histories, item 1 in one: the
-        // split dedupes repeats within a user, so popularity differences
-        // must come from distinct users.
-        let d = Dataset {
-            name: "t".into(),
-            n_users: 2,
-            n_items: 4,
-            n_tags: 0,
-            interactions: vec![
-                crate::dataset::Interaction {
-                    user: 0,
-                    item: 2,
-                    ts: 0,
-                },
-                crate::dataset::Interaction {
-                    user: 1,
-                    item: 2,
-                    ts: 0,
-                },
-                crate::dataset::Interaction {
-                    user: 1,
-                    item: 1,
-                    ts: 1,
-                },
-            ],
-            item_tags: vec![vec![]; 4],
-            tag_names: vec![],
-            taxonomy_truth: None,
-        };
-        let s = Split::temporal(&d, 1.0, 0.0);
-        let mut p = Popularity::new();
-        p.fit(&d, &s);
-        let top = p.top_k_for_user(0, 2);
-        assert_eq!(top[0].0, 2, "most popular item first");
-        assert_eq!(top[1].0, 1);
-        assert_eq!(top[0].1, p.scores_for_user(0)[2]);
     }
 
     #[test]

@@ -175,7 +175,7 @@ fn user_metrics(top: &[(u32, f64)], targets: &[u32], ks: &[usize]) -> (Vec<f64>,
 /// `O(n log k)` without ever materializing a full sorted vector — the one
 /// ranking primitive shared by the offline evaluation loop below and the
 /// online query engine in `taxorec-serve`. The implementation lives in
-/// [`taxorec_data::select_top_k`] so the [`Recommender::top_k_for_user`]
+/// [`taxorec_data::select_top_k`] so the [`Recommender::top_k_block`]
 /// default method uses the identical code path.
 pub fn top_k(scores: &[f64], k: usize, exclude: impl FnMut(usize) -> bool) -> Vec<(u32, f64)> {
     taxorec_data::select_top_k(scores, k, exclude)

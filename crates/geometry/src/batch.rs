@@ -27,21 +27,20 @@
 //!
 //! [`BlockCache`] holds the per-row precomputation: time components
 //! (`x₀`), the spatial coordinates retiled into panel-major strips (all
-//! dimensions of an 8-item strip contiguous → each strip is one short
-//! sequential read), and spatial squared norms (cheap constraint
-//! diagnostics). The cache is a
+//! dimensions of a strip contiguous → each strip is one short
+//! sequential read). The cache is a
 //! snapshot: it does **not** observe later mutation of the embedding
 //! matrix it was built from. Owners must call [`BlockCache::rebuild`]
 //! after every optimizer step that touches the rows — in this repo that is
 //! `TaxoRec::finalize()`, which runs once per epoch after RSGD (see
 //! DESIGN.md §12 for the full invalidation contract).
 //!
-//! Two families of entry points share the sweeps. [`fused_scores_block`]
-//! / [`fused_scores_multi`] write every score of a range (training-side
-//! scoring, and the reference the tests compare against). [`fused_rank`]
-//! is the one *ranking* entry: same sweeps, but the `arcosh` finisher
-//! runs only for items that can still enter the caller's top-K — an
-//! exact pruning, argued in DESIGN.md §12.
+//! Two entry points share the sweeps. [`fused_scores_block`] writes every
+//! score of a range for one anchor (full score rows, and the reference
+//! the tests compare against). [`fused_rank`] is the one *ranking* entry:
+//! multi-anchor sweeps, but the `arcosh` finisher runs only for items
+//! that can still enter the caller's top-K — an exact pruning, argued in
+//! DESIGN.md §12. Production reaches both through `taxorec_data::Scorer`.
 
 use crate::arcosh;
 
@@ -67,8 +66,6 @@ pub struct BlockCache {
     /// `rows`-strided columns (the layout GEMM micro-kernels use). The
     /// final partial strip is zero-padded; padding is never read back.
     spatial: Vec<f64>,
-    /// `‖x_i[1..]‖²` per row — used only for constraint diagnostics.
-    spatial_sqnorm: Vec<f64>,
 }
 
 impl BlockCache {
@@ -99,18 +96,13 @@ impl BlockCache {
         let panel = STRIP * (ambient - 1);
         self.spatial.clear();
         self.spatial.resize(rows.div_ceil(STRIP) * panel, 0.0);
-        self.spatial_sqnorm.clear();
-        self.spatial_sqnorm.resize(rows, 0.0);
         for i in 0..rows {
             let row = &data[i * ambient..(i + 1) * ambient];
             self.time[i] = row[0];
             let base = (i / STRIP) * panel + i % STRIP;
-            let mut sq = 0.0;
             for (j, &v) in row.iter().enumerate().skip(1) {
                 self.spatial[base + (j - 1) * STRIP] = v;
-                sq += v * v;
             }
-            self.spatial_sqnorm[i] = sq;
         }
     }
 
@@ -130,17 +122,6 @@ impl BlockCache {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.rows == 0
-    }
-
-    /// Worst hyperboloid-constraint drift over the cached rows:
-    /// `max_i |‖x_i[1..]‖² − x_i[0]² + 1|`. Diagnostic only.
-    pub fn max_constraint_residual(&self) -> f64 {
-        let mut worst = 0.0f64;
-        for i in 0..self.rows {
-            let r = (self.spatial_sqnorm[i] - self.time[i] * self.time[i] + 1.0).abs();
-            worst = worst.max(r);
-        }
-        worst
     }
 
     /// Writes `−⟨anchor, x_i⟩_L` for `i in lo..hi` into `out`
@@ -189,9 +170,10 @@ impl BlockCache {
         neg_inner_strips(&self.time, &self.spatial, self.ambient, anchor, lo, out);
     }
 
-    /// Multi-anchor variant of [`BlockCache::neg_inner_block`]: writes
-    /// `−⟨anchor_u, x_i⟩_L` for every anchor `u` and `i in lo..hi` into
-    /// `out`, user-major (`out[u·n + (i−lo)]`, `n = hi − lo`).
+    /// Multi-anchor variant of [`BlockCache::neg_inner_block`], the sweep
+    /// of [`fused_rank`]: writes `−⟨anchor_u, x_i⟩_L` for every anchor `u`
+    /// and the `n` rows from `lo` into `out[u·stride + i]`, and performs
+    /// the ISA dispatch.
     ///
     /// Per `(anchor, item)` pair the arithmetic is exactly
     /// [`neg_inner_one`]'s, so each anchor's row is bit-identical to a
@@ -200,19 +182,6 @@ impl BlockCache {
     /// once for up to [`MULTI`] anchors, so a block of users amortizes
     /// the item-side reads that dominate single-anchor sweeps when the
     /// panel outgrows L2.
-    pub fn neg_inner_block_multi(&self, anchors: &[&[f64]], lo: usize, hi: usize, out: &mut [f64]) {
-        assert!(lo <= hi && hi <= self.rows, "block {lo}..{hi} out of range");
-        let n = hi - lo;
-        assert_eq!(out.len(), anchors.len() * n, "output length mismatch");
-        self.neg_inner_multi_dispatch(anchors, lo, n, n, out);
-    }
-
-    /// Strided form of the multi-anchor sweep shared with
-    /// [`fused_scores_multi`]'s chunked finisher: anchor `u`'s results
-    /// land at `out[u·stride + i]` for `i in 0..n`, so a sub-range of
-    /// items can be swept directly into rows of a larger user-major
-    /// buffer. Performs the ISA dispatch for every multi-anchor entry
-    /// point.
     fn neg_inner_multi_dispatch(
         &self,
         anchors: &[&[f64]],
@@ -280,16 +249,6 @@ impl BlockCache {
         self.neg_inner_block(anchor, lo, hi, out);
         for o in out.iter_mut() {
             *o = arcosh(*o);
-        }
-    }
-
-    /// Writes the squared geodesic distance `d_H(anchor, x_i)²` for
-    /// `i in lo..hi` into `out`, bit-identical per item to
-    /// `lorentz::distance_sq`.
-    pub fn distance_sq_block(&self, anchor: &[f64], lo: usize, hi: usize, out: &mut [f64]) {
-        self.distance_block(anchor, lo, hi, out);
-        for o in out.iter_mut() {
-            *o = *o * *o;
         }
     }
 }
@@ -416,7 +375,7 @@ unsafe fn neg_inner_strips_avx2(
 /// AVX-512 register file alongside the shared column loads.
 const MULTI: usize = 4;
 
-/// Generic body of [`BlockCache::neg_inner_block_multi`]: strips in the
+/// Generic body of the multi-anchor sweep: strips in the
 /// outer loop, anchors in register-blocked groups of up to [`MULTI`] in
 /// the inner loop. Each strip's panel tile is therefore read from
 /// memory once per *block* of anchors — the first group pulls it in,
@@ -556,9 +515,8 @@ pub struct TagChannel<'a> {
 /// loop (`d = arcosh(−⟨·,·⟩); g = d·d; g += α·(d_tg·d_tg); score = −g`),
 /// so scores are bit-identical to the pre-fusion path. Both channels'
 /// inner products run as batched sweeps, then one finisher pass applies
-/// arcosh/square/combine per item — a single traversal instead of the
-/// five separate map passes the composed `distance_sq_block` calls would
-/// make.
+/// arcosh/square/combine per item — a single traversal instead of one
+/// map pass per operation.
 pub fn fused_scores_block(
     ir: &BlockCache,
     u_ir: &[f64],
@@ -619,79 +577,11 @@ pub struct TagChannelMulti<'a> {
     pub alphas: &'a [f64],
 }
 
-/// Items per internal pass of [`fused_scores_multi`]: the sweep + finish
-/// working set of one pass (score rows, tag scratch rows, and the panel
-/// chunk) stays L2-resident, so the finisher reads scores the sweep just
-/// wrote instead of re-streaming full-catalog buffers. Also the scratch
-/// requirement of the tag channel: `u_irs.len() · min(n, FUSED_ITEM_CHUNK)`.
+/// Items per internal pass of [`fused_rank`]: the sweep + finish working
+/// set of one pass (both channels' inner-product rows and the panel
+/// chunk) stays L2-resident, so the finisher reads what the sweep just
+/// wrote instead of re-streaming full-catalog buffers.
 pub const FUSED_ITEM_CHUNK: usize = 512;
-
-/// Multi-anchor variant of [`fused_scores_block`]: scores a block of
-/// users against the items `lo..hi` in one pass, user-major into `out`
-/// (`out[u·n + (i−lo)]`, `n = hi − lo`, `out.len() == u_irs.len() · n`).
-/// `scratch` must be at least `u_irs.len() · min(n, FUSED_ITEM_CHUNK)`
-/// long when `tag` is present; its prior contents are overwritten.
-///
-/// Each user's row is bit-identical to a single-anchor
-/// [`fused_scores_block`] call — the batched inner-product sweeps keep
-/// [`neg_inner_one`]'s per-pair arithmetic and the finisher applies the
-/// same `d = arcosh(·); g = d·d; g += α·(d_tg·d_tg); score = −g`
-/// sequence per item. Batching exists purely for memory traffic: the
-/// item panels stream once per user *block* instead of once per user,
-/// and the work proceeds in [`FUSED_ITEM_CHUNK`]-item passes so each
-/// pass finishes its scores while they are still cache-hot.
-pub fn fused_scores_multi(
-    ir: &BlockCache,
-    u_irs: &[&[f64]],
-    tag: Option<TagChannelMulti<'_>>,
-    lo: usize,
-    hi: usize,
-    scratch: &mut [f64],
-    out: &mut [f64],
-) {
-    let n = hi - lo;
-    let b = u_irs.len();
-    assert_eq!(out.len(), b * n, "output length mismatch");
-    if let Some(t) = &tag {
-        assert_eq!(t.anchors.len(), b, "tag anchors/users mismatch");
-        assert_eq!(t.alphas.len(), b, "tag alphas/users mismatch");
-        assert!(
-            scratch.len() >= b * n.min(FUSED_ITEM_CHUNK),
-            "scratch too small for tag channel"
-        );
-    }
-    let mut c0 = 0;
-    while c0 < n {
-        let c1 = (c0 + FUSED_ITEM_CHUNK).min(n);
-        let m = c1 - c0;
-        // ir sweep of this item chunk, strided straight into the full
-        // user-major rows of `out`.
-        ir.neg_inner_multi_dispatch(u_irs, lo + c0, m, n, &mut out[c0..]);
-        match &tag {
-            Some(t) => {
-                let scr = &mut scratch[..b * m];
-                t.cache
-                    .neg_inner_multi_dispatch(t.anchors, lo + c0, m, m, scr);
-                for u in 0..b {
-                    let alpha = t.alphas[u];
-                    let orow = &mut out[u * n + c0..u * n + c1];
-                    let srow = &scr[u * m..(u + 1) * m];
-                    for (o, &ni_tg) in orow.iter_mut().zip(srow.iter()) {
-                        *o = finish_two_channel(*o, ni_tg, alpha);
-                    }
-                }
-            }
-            None => {
-                for u in 0..b {
-                    for o in &mut out[u * n + c0..u * n + c1] {
-                        *o = finish_one_channel(*o);
-                    }
-                }
-            }
-        }
-        c0 = c1;
-    }
-}
 
 /// Receiver of a fused ranking pass ([`fused_rank`]): one bounded top-K
 /// selection per anchor of the block.
@@ -735,10 +625,10 @@ thread_local! {
 }
 
 /// Fused *ranking* of a block of anchors against the rows `lo..hi`:
-/// sweeps the negated inner products of each [`FUSED_ITEM_CHUNK`] exactly
-/// as [`fused_scores_multi`] does, then runs the finisher — and offers
-/// the item to `sink` — only for items that can still enter the anchor's
-/// top-K. Offers arrive in ascending slot order per anchor.
+/// sweeps the negated inner products of each [`FUSED_ITEM_CHUNK`] for the
+/// whole block, then runs the finisher — and offers the item to `sink` —
+/// only for items that can still enter the anchor's top-K. Offers arrive
+/// in ascending slot order per anchor.
 ///
 /// **Pruning rule.** With a full selection whose worst score is `τ`, an
 /// item with `ni_ir > cosh(√−τ)·(1+1e‑9)` has `−arcosh(ni_ir)² < τ`; the
@@ -750,7 +640,7 @@ thread_local! {
 /// *best* score), a tag inner product that is NaN or `+∞` (`0·∞`), or
 /// anything while the floor is NaN. Survivors run the unchanged finisher,
 /// so `sink` sees, bit for bit, every `(slot, score)` of
-/// [`fused_scores_multi`] that a top-K selection would retain, and never
+/// [`fused_scores_block`] that a top-K selection would retain, and never
 /// a different score.
 pub fn fused_rank<S: RankSink + ?Sized>(
     ir: &BlockCache,
@@ -845,7 +735,6 @@ mod tests {
         assert_eq!(c.rows(), pts.len());
         assert_eq!(c.ambient(), 4);
         assert!(!c.is_empty());
-        assert!(c.max_constraint_residual() < 1e-9);
     }
 
     #[test]
@@ -855,18 +744,11 @@ mod tests {
         let anchor = lorentz::from_spatial(&[0.9, -0.4, 0.25]);
         let mut d = vec![0.0; pts.len()];
         c.distance_block(&anchor, 0, pts.len(), &mut d);
-        let mut d2 = vec![0.0; pts.len()];
-        c.distance_sq_block(&anchor, 0, pts.len(), &mut d2);
         for (i, p) in pts.iter().enumerate() {
             assert_eq!(
                 d[i].to_bits(),
                 lorentz::distance(&anchor, p).to_bits(),
                 "distance row {i}"
-            );
-            assert_eq!(
-                d2[i].to_bits(),
-                lorentz::distance_sq(&anchor, p).to_bits(),
-                "distance_sq row {i}"
             );
         }
     }
@@ -877,9 +759,9 @@ mod tests {
         let c = BlockCache::build(&flat(&pts), 4);
         let anchor = lorentz::from_spatial(&[-0.3, 0.8, 0.1]);
         let mut full = vec![0.0; pts.len()];
-        c.distance_sq_block(&anchor, 0, pts.len(), &mut full);
+        c.distance_block(&anchor, 0, pts.len(), &mut full);
         let mut part = vec![0.0; 2];
-        c.distance_sq_block(&anchor, 2, 4, &mut part);
+        c.distance_block(&anchor, 2, 4, &mut part);
         assert_eq!(part[0].to_bits(), full[2].to_bits());
         assert_eq!(part[1].to_bits(), full[3].to_bits());
     }
@@ -964,7 +846,7 @@ mod tests {
         for (lo, hi) in [(0usize, pts.len()), (1, 4)] {
             let n = hi - lo;
             let mut multi = vec![0.0; anchors.len() * n];
-            c.neg_inner_block_multi(&anchors, lo, hi, &mut multi);
+            c.neg_inner_multi_dispatch(&anchors, lo, n, n, &mut multi);
             let mut single = vec![0.0; n];
             for (u, a) in anchors.iter().enumerate() {
                 c.neg_inner_block(a, lo, hi, &mut single);
@@ -975,79 +857,6 @@ mod tests {
                         "anchor {u} item {i} range {lo}..{hi}"
                     );
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn fused_multi_scores_match_per_user_fused_blocks() {
-        let ir_pts = sample_points();
-        let tg_pts: Vec<Vec<f64>> = ir_pts
-            .iter()
-            .map(|p| lorentz::from_spatial(&[p[1] * 0.5, p[2] - 0.1]))
-            .collect();
-        let ir = BlockCache::build(&flat(&ir_pts), 4);
-        let tg = BlockCache::build(&flat(&tg_pts), 3);
-        let n = ir_pts.len();
-        let b = 5usize; // one full MULTI group + remainder
-        let u_ir_pts: Vec<Vec<f64>> = (0..b)
-            .map(|u| lorentz::from_spatial(&[0.1 * u as f64, -0.4, 0.3]))
-            .collect();
-        let u_tg_pts: Vec<Vec<f64>> = (0..b)
-            .map(|u| lorentz::from_spatial(&[0.2, 0.1 * u as f64 - 0.3]))
-            .collect();
-        let u_irs: Vec<&[f64]> = u_ir_pts.iter().map(|p| p.as_slice()).collect();
-        let u_tgs: Vec<&[f64]> = u_tg_pts.iter().map(|p| p.as_slice()).collect();
-        let alphas: Vec<f64> = (0..b).map(|u| 0.2 + 0.15 * u as f64).collect();
-        let mut scratch = vec![0.0; b * n];
-        let mut multi = vec![0.0; b * n];
-        fused_scores_multi(
-            &ir,
-            &u_irs,
-            Some(TagChannelMulti {
-                cache: &tg,
-                anchors: &u_tgs,
-                alphas: &alphas,
-            }),
-            0,
-            n,
-            &mut scratch,
-            &mut multi,
-        );
-        let mut single_scr = vec![0.0; n];
-        let mut single = vec![0.0; n];
-        for u in 0..b {
-            fused_scores_block(
-                &ir,
-                u_irs[u],
-                Some(TagChannel {
-                    cache: &tg,
-                    anchor: u_tgs[u],
-                    alpha: alphas[u],
-                }),
-                0,
-                n,
-                &mut single_scr,
-                &mut single,
-            );
-            for i in 0..n {
-                assert_eq!(
-                    multi[u * n + i].to_bits(),
-                    single[i].to_bits(),
-                    "user {u} item {i}"
-                );
-            }
-        }
-        // Single channel.
-        fused_scores_multi(&ir, &u_irs, None, 0, n, &mut [], &mut multi);
-        for u in 0..b {
-            fused_scores_block(&ir, u_irs[u], None, 0, n, &mut [], &mut single);
-            for i in 0..n {
-                assert_eq!(
-                    multi[u * n + i].to_bits(),
-                    single[i].to_bits(),
-                    "user {u} item {i} (single channel)"
-                );
             }
         }
     }

@@ -44,6 +44,24 @@ pub fn distance_sq(x: &[f64], y: &[f64]) -> f64 {
     d * d
 }
 
+/// Euclidean (ambient) gradient of `w · d_H(x, y)²`, accumulated into
+/// `gx` with respect to `x` and into `gy` with respect to `y` — the twin
+/// of [`crate::poincare::distance_grad`].
+///
+/// With `s = −⟨x,y⟩_L`: `∂d²/∂s = 2·arcosh(s)·arcosh'(s)` (guarded at
+/// `s → 1`), `∂s/∂x = (y₀, −y₁, …, −y_d)` and symmetrically for `y`.
+#[inline]
+pub fn distance_sq_grad(x: &[f64], y: &[f64], w: f64, gx: &mut [f64], gy: &mut [f64]) {
+    let s = -inner(x, y);
+    let c = 2.0 * arcosh(s) * crate::arcosh_grad(s) * w;
+    gx[0] += c * y[0];
+    gy[0] += c * x[0];
+    for j in 1..x.len() {
+        gx[j] -= c * y[j];
+        gy[j] -= c * x[j];
+    }
+}
+
 /// The hyperboloid origin `o = (1, 0, …, 0)` in `d+1` ambient dimensions.
 pub fn origin(ambient_dim: usize) -> Vec<f64> {
     let mut o = vec![0.0; ambient_dim];
@@ -283,16 +301,8 @@ mod tests {
         let mut x = from_spatial(&[-0.5, 0.6]);
         let before = distance(&x, &target);
         for _ in 0..100 {
-            // Euclidean grad of d² wrt x: 2 d · arcosh'(s) · ∂s/∂x with
-            // s = −⟨x,t⟩_L, ∂s/∂x = (t₀, −t₁, …) = −J t.
-            let s = -inner(&x, &target);
-            let d = arcosh(s);
-            let c = 2.0 * d * crate::arcosh_grad(s);
-            let mut g = vec![0.0; 3];
-            g[0] = c * target[0];
-            for i in 1..3 {
-                g[i] = -c * target[i];
-            }
+            let mut g = [0.0; 3];
+            distance_sq_grad(&x, &target, 1.0, &mut g, &mut [0.0; 3]);
             rsgd_step(&mut x, &g, 0.05);
             assert!(constraint_residual(&x) < 1e-9);
         }

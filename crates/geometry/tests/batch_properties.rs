@@ -5,9 +5,7 @@
 //! produces, including near-origin rows and rows at the radius clip.
 
 use proptest::prelude::*;
-use taxorec_geometry::batch::{
-    fused_scores_block, fused_scores_multi, BlockCache, TagChannel, TagChannelMulti,
-};
+use taxorec_geometry::batch::{fused_scores_block, BlockCache, TagChannel};
 use taxorec_geometry::{lorentz, vecops};
 
 /// Spatial part of the radius-clip boundary: training clips hyperboloid
@@ -61,19 +59,15 @@ proptest! {
         let cache = BlockCache::build(&block, ambient);
 
         let mut d = vec![0.0; rows];
-        let mut dsq = vec![0.0; rows];
         cache.distance_block(&anchor, 0, rows, &mut d);
-        cache.distance_sq_block(&anchor, 0, rows, &mut dsq);
         for i in 0..rows {
             let row = &block[i * ambient..(i + 1) * ambient];
             let sd = lorentz::distance(&anchor, row);
-            let sdsq = lorentz::distance_sq(&anchor, row);
             // Same summation order per element ⇒ bit-identical, which
             // subsumes the 1e-12 tolerance the trainer relies on.
             prop_assert_eq!(d[i].to_bits(), sd.to_bits());
-            prop_assert_eq!(dsq[i].to_bits(), sdsq.to_bits());
             prop_assert!((d[i] - sd).abs() <= 1e-12);
-            prop_assert!(d[i].is_finite() && dsq[i] >= 0.0);
+            prop_assert!(d[i].is_finite() && d[i] >= 0.0);
         }
     }
 
@@ -113,50 +107,6 @@ proptest! {
     }
 
     #[test]
-    fn multi_anchor_fused_scores_match_scalar(
-        u_irs in proptest::collection::vec(trainer_spatial(6), 6),
-        u_tgs in proptest::collection::vec(trainer_spatial(3), 6),
-        ir_block in lorentz_block(9, 6),
-        tg_block in lorentz_block(9, 3),
-        alpha0 in 0.0f64..2.0,
-    ) {
-        // 6 users exercises one full register-blocked group of 4 plus a
-        // remainder of 2 inside the multi-anchor kernel.
-        let rows = 9;
-        let b = 6;
-        let u_ir_pts: Vec<Vec<f64>> = u_irs.iter().map(|p| lorentz::from_spatial(p)).collect();
-        let u_tg_pts: Vec<Vec<f64>> = u_tgs.iter().map(|p| lorentz::from_spatial(p)).collect();
-        let anchors_ir: Vec<&[f64]> = u_ir_pts.iter().map(|p| p.as_slice()).collect();
-        let anchors_tg: Vec<&[f64]> = u_tg_pts.iter().map(|p| p.as_slice()).collect();
-        let alphas: Vec<f64> = (0..b).map(|u| alpha0 + 0.25 * u as f64).collect();
-        let ir_cache = BlockCache::build(&ir_block, 7);
-        let tg_cache = BlockCache::build(&tg_block, 4);
-
-        let mut out = vec![0.0; b * rows];
-        let mut scratch = vec![0.0; b * rows];
-        fused_scores_multi(
-            &ir_cache,
-            &anchors_ir,
-            Some(TagChannelMulti { cache: &tg_cache, anchors: &anchors_tg, alphas: &alphas }),
-            0,
-            rows,
-            &mut scratch,
-            &mut out,
-        );
-        for u in 0..b {
-            for i in 0..rows {
-                let ir_row = &ir_block[i * 7..(i + 1) * 7];
-                let tg_row = &tg_block[i * 4..(i + 1) * 4];
-                let mut g = lorentz::distance_sq(&u_ir_pts[u], ir_row);
-                g += alphas[u] * lorentz::distance_sq(&u_tg_pts[u], tg_row);
-                let expected = -g;
-                prop_assert_eq!(out[u * rows + i].to_bits(), expected.to_bits());
-                prop_assert!(out[u * rows + i].is_finite());
-            }
-        }
-    }
-
-    #[test]
     fn sub_block_ranges_match_scalar(
         anchor in trainer_spatial(4),
         block in lorentz_block(11, 4),
@@ -167,11 +117,11 @@ proptest! {
         let cache = BlockCache::build(&block, ambient);
         let mut lo_part = vec![0.0; split];
         let mut hi_part = vec![0.0; 11 - split];
-        cache.distance_sq_block(&anchor, 0, split, &mut lo_part);
-        cache.distance_sq_block(&anchor, split, 11, &mut hi_part);
+        cache.distance_block(&anchor, 0, split, &mut lo_part);
+        cache.distance_block(&anchor, split, 11, &mut hi_part);
         for (i, &v) in lo_part.iter().chain(hi_part.iter()).enumerate() {
             let row = &block[i * ambient..(i + 1) * ambient];
-            prop_assert_eq!(v.to_bits(), lorentz::distance_sq(&anchor, row).to_bits());
+            prop_assert_eq!(v.to_bits(), lorentz::distance(&anchor, row).to_bits());
         }
     }
 }

@@ -53,8 +53,8 @@ use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use taxorec_data::{TopKAccumulator, TopKSink};
-use taxorec_geometry::batch::{fused_rank, BlockCache, TagChannelMulti};
+use taxorec_data::{Anchor, Scorer, TopKAccumulator};
+use taxorec_geometry::batch::BlockCache;
 use taxorec_geometry::{convert, lorentz, poincare};
 use taxorec_taxonomy::{poincare_kmeans, Seeding, Taxonomy};
 
@@ -97,43 +97,7 @@ impl Default for IndexConfig {
     }
 }
 
-/// Borrowed item embedding matrices the index is built over (and
-/// rebuilt over on checkpoint load): flat row-major Lorentz points.
-#[derive(Clone, Copy)]
-pub struct ItemEmbeddings<'a> {
-    /// Interaction-relevant channel, `n_items × ambient_ir`.
-    pub v_ir: &'a [f64],
-    /// Ambient (spatial + 1) dimension of `v_ir` rows.
-    pub ambient_ir: usize,
-    /// Optional tag-relevant channel, `n_items × ambient_tg`.
-    pub v_tg: Option<&'a [f64]>,
-    /// Ambient dimension of `v_tg` rows (ignored when `v_tg` is None).
-    pub ambient_tg: usize,
-}
-
-impl<'a> ItemEmbeddings<'a> {
-    fn n_items(&self) -> usize {
-        self.v_ir.len() / self.ambient_ir
-    }
-
-    fn check(&self) -> Result<(), String> {
-        if self.ambient_ir < 2 {
-            return Err("ambient_ir must be >= 2".into());
-        }
-        if self.v_ir.is_empty() || !self.v_ir.len().is_multiple_of(self.ambient_ir) {
-            return Err("v_ir is empty or not a whole number of rows".into());
-        }
-        if let Some(tg) = self.v_tg {
-            if self.ambient_tg < 2 {
-                return Err("ambient_tg must be >= 2".into());
-            }
-            if tg.len() != self.n_items() * self.ambient_tg {
-                return Err("v_tg row count differs from v_ir".into());
-            }
-        }
-        Ok(())
-    }
-}
+pub use taxorec_data::ItemEmbeddings;
 
 /// The serializable structure of a [`TaxoIndex`]: everything except the
 /// block caches, which are rebuilt from the model's item embeddings on
@@ -370,11 +334,11 @@ struct BuildNode {
 }
 
 /// The retrieval index: serializable structure ([`IndexParts`]) plus the
-/// permuted item caches and centroid caches the fused kernels sweep.
+/// scorer over the permuted items and the centroid caches routing sweeps.
 pub struct TaxoIndex {
     parts: IndexParts,
-    items_ir: BlockCache,
-    items_tg: Option<BlockCache>,
+    /// Cache row `slot` is item `parts.item_ids[slot]`.
+    items: Scorer,
     cent_ir: BlockCache,
     cent_tg: Option<BlockCache>,
 }
@@ -565,17 +529,20 @@ impl TaxoIndex {
             return Err("index tag channel differs from the model".into());
         }
         let n = parts.n_items;
-        let mut perm = vec![0.0; n * parts.ambient_ir];
-        permute_rows(items.v_ir, parts.ambient_ir, &parts.item_ids, &mut perm);
-        let items_ir = BlockCache::build(&perm, parts.ambient_ir);
-        let items_tg = if has_tg {
+        let mut perm_ir = vec![0.0; n * parts.ambient_ir];
+        permute_rows(items.v_ir, parts.ambient_ir, &parts.item_ids, &mut perm_ir);
+        let perm_tg = has_tg.then(|| {
             let v_tg = items.v_tg.expect("checked above");
             let mut perm = vec![0.0; n * parts.ambient_tg];
             permute_rows(v_tg, parts.ambient_tg, &parts.item_ids, &mut perm);
-            Some(BlockCache::build(&perm, parts.ambient_tg))
-        } else {
-            None
-        };
+            perm
+        });
+        let items = Scorer::build(&ItemEmbeddings {
+            v_ir: &perm_ir,
+            ambient_ir: parts.ambient_ir,
+            v_tg: perm_tg.as_deref(),
+            ambient_tg: parts.ambient_tg,
+        });
         let cent_ir = BlockCache::build(&parts.cent_ir, parts.ambient_ir);
         let cent_tg = if has_tg {
             Some(BlockCache::build(&parts.cent_tg, parts.ambient_tg))
@@ -584,8 +551,7 @@ impl TaxoIndex {
         };
         Ok(Self {
             parts,
-            items_ir,
-            items_tg,
+            items,
             cent_ir,
             cent_tg,
         })
@@ -626,9 +592,10 @@ impl TaxoIndex {
         self.parts.ambient_tg != 0
     }
 
-    /// Beam-search retrieval for one anchor: routes to the top-`beam`
-    /// clusters, fused-scores their slot ranges, and returns the top `k`
-    /// candidates (best first, ties → lower item id) with routing stats.
+    /// Beam-search retrieval for one anchor — a [`TaxoIndex::search_block`]
+    /// of one: routes to the top-`beam` clusters, ranks their slot
+    /// ranges, and returns the top `k` candidates (best first, ties →
+    /// lower item id) with routing stats.
     /// `beam = 0` takes the index default; `tag` carries the user's
     /// tag-channel anchor and weight `α = gain·α_u` and must be `None`
     /// iff the index has no tag channel. Candidates for which `exclude`
@@ -641,27 +608,16 @@ impl TaxoIndex {
         k: usize,
         exclude: &dyn Fn(u32) -> bool,
     ) -> (Vec<(u32, f64)>, SearchStats) {
-        self.check_tag(tag.is_some());
-        let beam = self.effective_beam(beam);
-        let leaves = self.route(anchor_ir, tag, beam);
-        let mut acc = TopKAccumulator::new(k);
-        let mut candidates = 0;
-        for &leaf in &leaves {
-            let (lo, hi) = (
-                self.parts.start[leaf] as usize,
-                self.parts.end[leaf] as usize,
-            );
-            candidates += hi - lo;
-            self.score_range(anchor_ir, tag, lo, hi, exclude, &mut acc);
-        }
-        (
-            acc.into_sorted(),
-            SearchStats {
-                beam,
-                leaves: leaves.len(),
-                candidates,
-            },
-        )
+        let (mut tops, stats) = self.search_block(
+            &[Anchor {
+                ir: anchor_ir,
+                tg: tag,
+            }],
+            beam,
+            k,
+            &|_, item| exclude(item),
+        );
+        (tops.remove(0), stats[0])
     }
 
     /// The exact escape hatch: fused-scores the *entire* catalogue
@@ -676,38 +632,41 @@ impl TaxoIndex {
         k: usize,
         exclude: &dyn Fn(u32) -> bool,
     ) -> Vec<(u32, f64)> {
-        self.check_tag(tag.is_some());
-        let mut acc = TopKAccumulator::new(k);
-        self.score_range(anchor_ir, tag, 0, self.parts.n_items, exclude, &mut acc);
+        let mut acc = [self.items.accumulator(k)];
+        self.items.rank_range(
+            &[Anchor {
+                ir: anchor_ir,
+                tg: tag,
+            }],
+            0..self.parts.n_items,
+            Some(&self.parts.item_ids),
+            &mut acc,
+            None,
+            |_, item| exclude(item),
+        );
+        let [acc] = acc;
         acc.into_sorted()
     }
 
-    /// Batched form of [`TaxoIndex::search`]: routes every anchor, then
-    /// scores each selected leaf once for *all* anchors that chose it
-    /// via `fused_scores_multi` (item panels stream once per leaf, not
-    /// once per query). Results and stats are parallel to `anchors_ir`;
-    /// each query's ranking is bit-identical to a lone `search` call.
+    /// The beam search itself, for a block of anchors: routes each one,
+    /// then ranks each selected leaf once for *all* anchors that chose
+    /// it (item panels stream once per leaf, not once per query).
+    /// Results and stats are parallel to `anchors`; a query's ranking
+    /// does not depend on what else shares its block.
     pub fn search_block(
         &self,
-        anchors_ir: &[&[f64]],
-        tag: Option<(&[&[f64]], &[f64])>,
+        anchors: &[Anchor<'_>],
         beam: usize,
         k: usize,
         exclude: &dyn Fn(usize, u32) -> bool,
     ) -> (Vec<Vec<(u32, f64)>>, Vec<SearchStats>) {
-        self.check_tag(tag.is_some());
-        let b = anchors_ir.len();
-        if let Some((anchors_tg, alphas)) = tag {
-            assert_eq!(anchors_tg.len(), b, "tag anchors/queries mismatch");
-            assert_eq!(alphas.len(), b, "tag alphas/queries mismatch");
-        }
         let beam = self.effective_beam(beam);
         let mut stats = vec![
             SearchStats {
                 beam,
                 ..SearchStats::default()
             };
-            b
+            anchors.len()
         ];
         // leaf id → positions of the queries that selected it. Leaves
         // are visited in ascending id order for determinism (the
@@ -715,42 +674,30 @@ impl TaxoIndex {
         // reproducible to the byte under instrumentation).
         let mut by_leaf: std::collections::BTreeMap<usize, Vec<usize>> =
             std::collections::BTreeMap::new();
-        for (q, &anchor) in anchors_ir.iter().enumerate() {
-            let q_tag = tag.map(|(a, al)| (a[q], al[q]));
-            for leaf in self.route(anchor, q_tag, beam) {
+        for (q, anchor) in anchors.iter().enumerate() {
+            for leaf in self.route(anchor.ir, anchor.tg, beam) {
                 stats[q].leaves += 1;
                 stats[q].candidates += (self.parts.end[leaf] - self.parts.start[leaf]) as usize;
                 by_leaf.entry(leaf).or_default().push(q);
             }
         }
-        let mut accs: Vec<TopKAccumulator> = (0..b).map(|_| TopKAccumulator::new(k)).collect();
+        let mut accs: Vec<TopKAccumulator> =
+            anchors.iter().map(|_| self.items.accumulator(k)).collect();
         for (leaf, queries) in by_leaf {
-            let sub_ir: Vec<&[f64]> = queries.iter().map(|&q| anchors_ir[q]).collect();
-            let sub_tg: Option<(Vec<&[f64]>, Vec<f64>)> = tag.map(|(a, al)| {
-                (
-                    queries.iter().map(|&q| a[q]).collect(),
-                    queries.iter().map(|&q| al[q]).collect(),
-                )
-            });
-            fused_rank(
-                &self.items_ir,
-                &sub_ir,
-                sub_tg.as_ref().map(|(anchors, alphas)| TagChannelMulti {
-                    cache: self.items_tg.as_ref().expect("tag cache present"),
-                    anchors,
-                    alphas,
-                }),
-                self.parts.start[leaf] as usize,
-                self.parts.end[leaf] as usize,
-                &mut TopKSink {
-                    accs: &mut accs,
-                    acc_of: Some(&queries),
-                    item_ids: Some(&self.parts.item_ids),
-                    exclude,
-                },
+            let sub: Vec<Anchor<'_>> = queries.iter().map(|&q| anchors[q]).collect();
+            self.items.rank_range(
+                &sub,
+                self.parts.start[leaf] as usize..self.parts.end[leaf] as usize,
+                Some(&self.parts.item_ids),
+                &mut accs,
+                Some(&queries),
+                exclude,
             );
         }
-        (accs.into_iter().map(|a| a.into_sorted()).collect(), stats)
+        (
+            accs.into_iter().map(TopKAccumulator::into_sorted).collect(),
+            stats,
+        )
     }
 
     fn effective_beam(&self, beam: usize) -> usize {
@@ -759,46 +706,6 @@ impl TaxoIndex {
         } else {
             beam
         }
-    }
-
-    fn check_tag(&self, have: bool) {
-        assert_eq!(
-            have,
-            self.has_tag_channel(),
-            "tag anchor must be supplied iff the index has a tag channel"
-        );
-    }
-
-    /// Ranks the slot range `lo..hi` into the accumulator (by *original*
-    /// item id) through the fused ranking kernel, which offers every
-    /// candidate that can still enter it. Shared by the beam and exact
-    /// paths, which is what makes their per-item scores identical.
-    fn score_range(
-        &self,
-        anchor_ir: &[f64],
-        tag: Option<(&[f64], f64)>,
-        lo: usize,
-        hi: usize,
-        exclude: &dyn Fn(u32) -> bool,
-        acc: &mut TopKAccumulator,
-    ) {
-        fused_rank(
-            &self.items_ir,
-            &[anchor_ir],
-            tag.as_ref().map(|(anchor, alpha)| TagChannelMulti {
-                cache: self.items_tg.as_ref().expect("tag cache present"),
-                anchors: std::slice::from_ref(anchor),
-                alphas: std::slice::from_ref(alpha),
-            }),
-            lo,
-            hi,
-            &mut TopKSink {
-                accs: std::slice::from_mut(acc),
-                acc_of: None,
-                item_ids: Some(&self.parts.item_ids),
-                exclude: |_, item| exclude(item),
-            },
-        );
     }
 
     /// Beam descent: returns the selected leaf ids, ascending. See the
@@ -1093,9 +1000,9 @@ mod tests {
             .iter()
             .map(|c| lorentz::from_spatial(c))
             .collect();
-        let refs: Vec<&[f64]> = anchors.iter().map(|a| a.as_slice()).collect();
+        let refs: Vec<Anchor<'_>> = anchors.iter().map(|a| Anchor { ir: a, tg: None }).collect();
         let exclude = |q: usize, v: u32| (v as usize + q).is_multiple_of(5);
-        let (block, stats) = idx.search_block(&refs, None, 2, 8, &exclude);
+        let (block, stats) = idx.search_block(&refs, 2, 8, &exclude);
         assert_eq!(block.len(), 3);
         for (q, got) in block.iter().enumerate() {
             let (want, solo_stats) = idx.search(&anchors[q], None, 2, 8, &|v| exclude(q, v));

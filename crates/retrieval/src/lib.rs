@@ -11,9 +11,8 @@
 //!
 //! Three properties anchor the design:
 //!
-//! 1. **Bit-compatible scoring.** Candidate items are scored by the same
-//!    fused Lorentz kernels (`fused_scores_block` /
-//!    `fused_scores_multi`) as the exhaustive path, over caches whose
+//! 1. **Bit-compatible scoring.** Candidate items are ranked by the same
+//!    `taxorec_data::Scorer` as the exhaustive path, over caches whose
 //!    per-item arithmetic is position-independent, and merged through
 //!    the order-independent `TopKAccumulator`. A beam wide enough to
 //!    select every leaf therefore reproduces the exhaustive ranking

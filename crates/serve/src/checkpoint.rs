@@ -837,18 +837,12 @@ fn read_config(r: &mut Reader) -> Result<TaxoRecConfig, CheckpointError> {
     })
 }
 
-/// The model's item embeddings viewed as the retrieval crate's input:
-/// Lorentz-row matrices with the tag channel present iff it is active.
-/// Both index construction and cache rebuilds at load time go through
-/// this one view, so they can never disagree about dimensions.
+/// The model's item embeddings as the scorer's and the retrieval
+/// index's input ([`taxorec_core::export::item_embeddings`]). Index
+/// construction and cache rebuilds at load time all go through this one
+/// view, so they can never disagree about dimensions.
 pub(crate) fn item_embeddings(state: &ModelState) -> ItemEmbeddings<'_> {
-    let tags = state.tags_active && state.v_tg.rows() > 0;
-    ItemEmbeddings {
-        v_ir: state.v_ir.data(),
-        ambient_ir: state.v_ir.cols(),
-        v_tg: if tags { Some(state.v_tg.data()) } else { None },
-        ambient_tg: if tags { state.v_tg.cols() } else { 0 },
-    }
+    taxorec_core::export::item_embeddings(state.tags_active, &state.v_ir, &state.v_tg)
 }
 
 fn write_index(w: &mut Writer, p: &IndexParts) {

@@ -30,8 +30,7 @@
 use std::sync::{Arc, Mutex};
 
 use taxorec_core::{ModelState, TaxoRec, TaxoRecConfig};
-use taxorec_data::{Dataset, Split, TopKAccumulator, TopKSink};
-use taxorec_geometry::batch::{fused_rank, BlockCache, TagChannelMulti};
+use taxorec_data::{Anchor, Dataset, Scorer, Split};
 use taxorec_geometry::{convert, lorentz};
 use taxorec_retrieval::{RetrievalMode, TaxoIndex};
 use taxorec_taxonomy::Taxonomy;
@@ -138,13 +137,10 @@ pub struct ServingModel {
     item_tags: Vec<Vec<u32>>,
     /// Sorted per-user seen-item lists (train-set exclusion).
     seen: Vec<Vec<u32>>,
-    /// Fused-kernel cache over the item embeddings, tag-irrelevant
-    /// channel. The model is immutable, so the cache is built once at
-    /// construction and never invalidated (DESIGN.md §12).
-    ir_cache: BlockCache,
-    /// Tag-relevant counterpart of `ir_cache` (`None` when the tag
-    /// channel is inactive).
-    tg_cache: Option<BlockCache>,
+    /// The fused scorer over the item embeddings. The model is
+    /// immutable, so it is built once at construction and never
+    /// invalidated (DESIGN.md §12).
+    scorer: Scorer,
     /// Retrieval index rebuilt from the artifact's [`IndexParts`]
     /// section (`None` when the artifact carries none).
     ///
@@ -188,18 +184,13 @@ impl ServingModel {
             items.sort_unstable();
             items.dedup();
         }
-        let ir_cache = if state.v_ir.rows() > 0 {
-            BlockCache::build(state.v_ir.data(), state.v_ir.cols())
-        } else {
-            BlockCache::default()
-        };
-        let tg_cache = (state.tags_active && state.v_tg.rows() > 0)
-            .then(|| BlockCache::build(state.v_tg.data(), state.v_tg.cols()));
-        // Rebuild the index's permuted kernel caches from the model
-        // embeddings (the artifact stores structure only).
+        let items = item_embeddings(&state);
+        let scorer = Scorer::build(&items);
+        // Rebuild the index's permuted scorer from the model embeddings
+        // (the artifact stores structure only).
         let index = index
             .map(|parts| {
-                TaxoIndex::from_parts(parts, &item_embeddings(&state))
+                TaxoIndex::from_parts(parts, &items)
                     .map_err(|e| CheckpointError::Invalid(format!("retrieval index: {e}")))
             })
             .transpose()?;
@@ -213,8 +204,7 @@ impl ServingModel {
             tag_names,
             item_tags,
             seen: seen_items,
-            ir_cache,
-            tg_cache,
+            scorer,
             index,
             retrieval: RetrievalMode::Exact,
             artifact,
@@ -384,9 +374,9 @@ impl ServingModel {
     /// Answers a heterogeneous batch of `(user, k)` queries in one call —
     /// the one cache-miss path of the engine. Misses are grouped into
     /// user-blocks of [`SERVE_BLOCK`]; each block streams the item panels
-    /// **once** for all its users through the fused ranking kernel
-    /// ([`fused_rank`]), which finishes and offers to each query's
-    /// [`TopKAccumulator`] only the items that can still enter it.
+    /// **once** for all its users through the fused ranking of
+    /// [`Scorer`], which finishes and offers to each query's top-K
+    /// selection only the items that can still enter it.
     ///
     /// Result order matches `queries`; each entry fails independently
     /// (an unknown user does not poison the batch), and duplicates and
@@ -437,74 +427,39 @@ impl ServingModel {
     /// routing through [`TaxoIndex::search_block`] in beam mode (each
     /// selected leaf streams once for all queries that chose it).
     fn score_block(&self, queries: &[(u32, usize)], block: &[usize]) -> Vec<Vec<(u32, f64)>> {
-        let s = &self.state;
-        let n_items = s.v_ir.rows();
-        if block.is_empty() || n_items == 0 {
-            return vec![Vec::new(); block.len()];
-        }
         let users: Vec<usize> = block.iter().map(|&qi| queries[qi].0 as usize).collect();
-        let anchors_ir: Vec<&[f64]> = users.iter().map(|&u| s.u_ir.row(u)).collect();
-        let tg = self.tg_cache.as_ref().map(|tg_cache| {
-            let anchors_tg: Vec<&[f64]> = users.iter().map(|&u| s.u_tg.row(u)).collect();
-            let alphas: Vec<f64> = users
-                .iter()
-                .map(|&u| s.config.tag_channel_gain * s.alphas.get(u).copied().unwrap_or(0.0))
-                .collect();
-            (tg_cache, anchors_tg, alphas)
-        });
+        let anchors: Vec<Anchor<'_>> = users.iter().map(|&u| self.anchor(u)).collect();
+        let ks: Vec<usize> = block.iter().map(|&qi| queries[qi].1).collect();
         let seen: Vec<&[u32]> = users
             .iter()
             .map(|&u| self.seen.get(u).map(Vec::as_slice).unwrap_or(&[]))
             .collect();
         let exclude = |pos: usize, item: u32| seen[pos].binary_search(&item).is_ok();
         let _kernel_span = taxorec_telemetry::trace::child_span("kernel");
-        if let (Some(beam), Some(index)) = (self.beam_width(), &self.index) {
-            // The index is queried at the block's largest `k` and each
-            // result truncated to its own: a top-`k` list is a prefix of
-            // the top-`k_max` list under the same total order.
-            let k_max = block.iter().map(|&qi| queries[qi].1).max().unwrap_or(0);
-            let t0 = std::time::Instant::now();
-            let (mut results, stats) = index.search_block(
-                &anchors_ir,
-                tg.as_ref().map(|(_, a, al)| (a.as_slice(), al.as_slice())),
-                beam,
-                // Any k beyond the catalogue returns the full unseen
-                // list, so clamp before sizing accumulators (a
-                // u32::MAX-sized heap would abort the allocator).
-                k_max.min(n_items),
-                &exclude,
-            );
-            let candidates: usize = stats.iter().map(|st| st.candidates).sum();
-            taxorec_telemetry::counter("serve.retrieval.candidates").inc(candidates as u64);
-            taxorec_telemetry::histogram("serve.retrieval.routed_ms")
-                .observe(t0.elapsed().as_secs_f64() * 1e3);
-            for (pos, &qi) in block.iter().enumerate() {
-                results[pos].truncate(queries[qi].1);
-            }
-            return results;
+        let (Some(beam), Some(index)) = (self.beam_width(), &self.index) else {
+            return self.scorer.rank(&anchors, &ks, exclude);
+        };
+        // The index is queried at the block's largest `k` and each
+        // result truncated to its own: a top-`k` list is a prefix of
+        // the top-`k_max` list under the same total order.
+        let k_max = ks.iter().copied().max().unwrap_or(0);
+        let t0 = std::time::Instant::now();
+        let (mut results, stats) = index.search_block(&anchors, beam, k_max, &exclude);
+        let candidates: usize = stats.iter().map(|st| st.candidates).sum();
+        taxorec_telemetry::counter("serve.retrieval.candidates").inc(candidates as u64);
+        taxorec_telemetry::histogram("serve.retrieval.routed_ms")
+            .observe(t0.elapsed().as_secs_f64() * 1e3);
+        for (ranking, &k) in results.iter_mut().zip(&ks) {
+            ranking.truncate(k);
         }
-        let mut accs: Vec<TopKAccumulator> = block
-            .iter()
-            .map(|&qi| TopKAccumulator::new(queries[qi].1.min(n_items)))
-            .collect();
-        fused_rank(
-            &self.ir_cache,
-            &anchors_ir,
-            tg.as_ref().map(|(cache, anchors, alphas)| TagChannelMulti {
-                cache,
-                anchors,
-                alphas,
-            }),
-            0,
-            n_items,
-            &mut TopKSink {
-                accs: &mut accs,
-                acc_of: None,
-                item_ids: None,
-                exclude,
-            },
-        );
-        accs.into_iter().map(|a| a.into_sorted()).collect()
+        results
+    }
+
+    /// `user`'s side of Eq. 17, matching the scorer's channels.
+    fn anchor(&self, user: usize) -> Anchor<'_> {
+        let s = &self.state;
+        let u_tg = self.scorer.has_tag_channel().then_some(&s.u_tg);
+        taxorec_core::export::anchor(&s.config, &s.alphas, &s.u_ir, u_tg, user)
     }
 
     /// Answers many users in one call: blocks of [`SERVE_BLOCK`] users
@@ -549,13 +504,7 @@ impl ServingModel {
         }
         let s = &self.state;
         let alpha = s.alphas.get(u).copied().unwrap_or(0.0);
-        let mut g = lorentz::distance_sq(s.u_ir.row(u), s.v_ir.row(v));
-        if s.tags_active {
-            g += s.config.tag_channel_gain
-                * alpha
-                * lorentz::distance_sq(s.u_tg.row(u), s.v_tg.row(v));
-        }
-        let score = -g;
+        let score = self.anchor(u).score(item_embeddings(s).row(v));
 
         let mut item_tags = Vec::new();
         if s.tags_active && s.t_p.rows() > 0 {

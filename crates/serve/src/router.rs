@@ -195,12 +195,15 @@ fn shard_state_label(state: u8) -> &'static str {
     }
 }
 
-/// Shard identity + checkpoint fingerprint scraped from its `/healthz`.
+/// Shard identity, checkpoint fingerprint and model size scraped from
+/// its `/healthz`.
 #[derive(Clone, Debug, Default)]
 struct ShardMeta {
     id: Option<String>,
     /// `(version, crc, bytes)` of the shard's loaded artifact.
     checkpoint: Option<(u64, u64, u64)>,
+    /// Users the shard's model can serve.
+    users: Option<usize>,
 }
 
 /// One shard's routing state: address, last probed health, breaker,
@@ -719,8 +722,16 @@ fn probe_shard(addr: SocketAddr, connect_timeout: Duration) -> Option<(u8, Shard
             (Some(v), Some(c), Some(b)) => Some((v, c, b)),
             _ => None,
         },
+        users: healthz_users(&body),
     };
     Some((state, meta))
+}
+
+/// The `"users":N` of a `/healthz` body — a shard's model size, or a
+/// router's fleet-wide one. `None` when the body carries no count (a
+/// router no shard has answered yet).
+pub fn healthz_users(body: &str) -> Option<usize> {
+    json_u64_field(body, "users").and_then(|n| usize::try_from(n).ok())
 }
 
 /// First `"name":"value"` string field in a flat JSON scan. Good
@@ -746,10 +757,12 @@ fn json_u64_field(body: &str, name: &str) -> Option<u64> {
 
 /// The router's aggregate `/healthz`: its own status (`ready` when the
 /// full fleet is routable, `degraded` when only part of it is,
-/// `draining` on shutdown) plus each shard's probed state, breaker,
-/// identity, and checkpoint fingerprint.
+/// `draining` on shutdown), the user count every routable shard can
+/// serve (their minimum; absent until one has answered), plus each
+/// shard's probed state, breaker, identity, and checkpoint fingerprint.
 fn fleet_healthz_json(shared: &RouterShared) -> String {
     let mut up = 0usize;
+    let mut users: Option<usize> = None;
     let mut body = String::with_capacity(256);
     let mut shards_json = String::with_capacity(128 * shared.shards.len());
     shards_json.push('[');
@@ -758,10 +771,14 @@ fn fleet_healthz_json(shared: &RouterShared) -> String {
             shards_json.push(',');
         }
         let state = shard.health.load(Ordering::SeqCst);
+        let meta = shard.meta.lock().unwrap_or_else(|e| e.into_inner()).clone();
         if state != SHARD_DOWN && state != SHARD_DRAINING {
             up += 1;
+            users = match (users, meta.users) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            };
         }
-        let meta = shard.meta.lock().unwrap_or_else(|e| e.into_inner()).clone();
         let breaker = shard
             .breaker
             .lock()
@@ -803,6 +820,10 @@ fn fleet_healthz_json(shared: &RouterShared) -> String {
     body.push_str(&up.to_string());
     body.push_str(",\"total\":");
     body.push_str(&shared.shards.len().to_string());
+    if let Some(n) = users {
+        body.push_str(",\"users\":");
+        body.push_str(&n.to_string());
+    }
     body.push_str(",\"shards\":");
     body.push_str(&shards_json);
     body.push('}');

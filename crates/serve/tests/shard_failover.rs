@@ -17,6 +17,7 @@ use taxorec_core::{TaxoRec, TaxoRecConfig};
 use taxorec_data::{generate_preset, Preset, Recommender, Scale, Split};
 use taxorec_resilience::{disable, install, FaultSpec, RetryPolicy};
 use taxorec_serve::client::{self, Response, Timeouts};
+use taxorec_serve::router::healthz_users;
 use taxorec_serve::{
     route_with, serve_with, Checkpoint, Health, Ring, RouterOptions, ServeOptions, ServingModel,
 };
@@ -286,10 +287,12 @@ fn router_healthz_aggregates_shard_identity_and_checkpoint_fingerprint() {
     let addrs: Vec<SocketAddr> = shards.iter().map(|s| s.local_addr()).collect();
     let router = route_with(addrs, "127.0.0.1:0", fast_router_opts()).expect("router");
 
-    // Shard-side /healthz reports its own identity + checkpoint.
+    // Shard-side /healthz reports its own identity + checkpoint + size.
     let shard_health = client::get(shards[0].local_addr(), "/healthz")
         .expect("response")
         .body;
+    let n_users = healthz_users(&shard_health).expect("shard reports its user count");
+    assert!(n_users > 0, "{shard_health}");
     assert!(
         shard_health.contains("\"shard\":{\"id\":\"shard-0\""),
         "{shard_health}"
@@ -311,6 +314,13 @@ fn router_healthz_aggregates_shard_identity_and_checkpoint_fingerprint() {
         {
             assert!(body.contains("\"status\":\"ready\""), "{body}");
             assert!(body.contains("\"breaker\":\"closed\""), "{body}");
+            // The fleet's user count, top level, where `taxorec-loadgen
+            // --addr <router>` reads it with this same parse.
+            assert!(
+                body.contains(&format!("\"total\":2,\"users\":{n_users},")),
+                "{body}"
+            );
+            assert_eq!(healthz_users(&body), Some(n_users), "{body}");
             break;
         }
         assert!(

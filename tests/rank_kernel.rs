@@ -1,11 +1,16 @@
-//! Exactness of the pruned ranking kernel (`geometry::batch::fused_rank`).
+//! Exactness of the production ranking path: `data::Scorer` over the
+//! pruned kernel `geometry::batch::fused_rank`.
 //!
 //! The kernel skips the `arcosh` finisher for items whose interaction
 //! term alone already puts them below the current K-th score. That must
 //! never show: for ANY block of anchors and ANY catalogue range, ranking
-//! through the kernel has to return exactly what `select_top_k` returns
-//! over the unpruned `fused_scores_block` scores — same item ids in the
-//! same order (ties → lower id) with `f64::to_bits`-identical scores.
+//! through `Scorer::{rank, rank_range}` — the code that ships — has to
+//! return exactly what `select_top_k` returns over the unpruned
+//! `fused_scores_block` scores — same item ids in the same order (ties →
+//! lower id) with `f64::to_bits`-identical scores — and `Scorer::scores`
+//! has to equal the scalar `Anchor::score` loop bit for bit. At `k ≥ n`
+//! nothing is pruned, so every multi-anchor sweep score is compared with
+//! the single-anchor sweep's.
 //! The generated inputs aim at where a pruning rule could go wrong:
 //! rows at the origin and on the clip shell (distances near 0 and near
 //! the largest the model produces), duplicated rows (exact score ties),
@@ -15,10 +20,8 @@
 //! retrieval index offers them.
 
 use proptest::prelude::*;
-use taxorec::data::{select_top_k, TopKAccumulator, TopKSink};
-use taxorec::geometry::batch::{
-    fused_rank, fused_scores_block, BlockCache, TagChannel, TagChannelMulti,
-};
+use taxorec::data::{select_top_k, Anchor, ItemEmbeddings, Scorer, TopKAccumulator};
+use taxorec::geometry::batch::{fused_scores_block, BlockCache, TagChannel};
 use taxorec::geometry::convert::poincare_to_lorentz;
 
 const DIM_IR: usize = 3;
@@ -99,6 +102,17 @@ fn exhaustive(
     select_top_k(&dense, k, |id| by_id[id].is_none() || exclude(id as u32))
 }
 
+/// The production scorer over the generated matrices.
+fn scorer<'a>(v_ir: &'a [f64], v_tg: Option<&'a [f64]>) -> (ItemEmbeddings<'a>, Scorer) {
+    let items = ItemEmbeddings {
+        v_ir,
+        ambient_ir: DIM_IR + 1,
+        v_tg,
+        ambient_tg: DIM_TG + 1,
+    };
+    (items, Scorer::build(&items))
+}
+
 fn assert_same(got: &[(u32, f64)], want: &[(u32, f64)], what: &str) -> Result<(), String> {
     if got.len() != want.len() {
         return Err(format!("{what}: {} items, want {}", got.len(), want.len()));
@@ -132,13 +146,15 @@ proptest! {
         let ir = BlockCache::build(&v_ir, DIM_IR + 1);
         let tg_cache = BlockCache::build(&v_tg, DIM_TG + 1);
         let tg = (with_tag > 0).then_some(&tg_cache);
+        let (items, scorer) = scorer(&v_ir, tg.map(|_| v_tg.as_slice()));
 
         let alphas_of = [0.0, f64::MIN_POSITIVE, 1e-9, 0.5, 1e6];
         let u_ir: Vec<Vec<f64>> = anchors.iter().map(|((kind, d, _), _)| lift(*kind, d)).collect();
         let u_tg: Vec<Vec<f64>> = anchors.iter().map(|((kind, _, d), _)| lift(*kind, d)).collect();
         let alphas: Vec<f64> = anchors.iter().map(|&(_, a)| alphas_of[a]).collect();
-        let u_ir_refs: Vec<&[f64]> = u_ir.iter().map(Vec::as_slice).collect();
-        let u_tg_refs: Vec<&[f64]> = u_tg.iter().map(Vec::as_slice).collect();
+        let block: Vec<Anchor<'_>> = (0..anchors.len())
+            .map(|a| Anchor { ir: &u_ir[a], tg: tg.map(|_| (u_tg[a].as_slice(), alphas[a])) })
+            .collect();
 
         // A sub-range with no regard for STRIP or FUSED_ITEM_CHUNK.
         let lo = range.0 % n;
@@ -168,17 +184,14 @@ proptest! {
         }
 
         let mut accs: Vec<TopKAccumulator> =
-            anchors.iter().map(|_| TopKAccumulator::new(k)).collect();
+            block.iter().map(|_| scorer.accumulator(k)).collect();
         for &(leaf_lo, leaf_hi) in &leaves {
-            fused_rank(
-                &ir,
-                &u_ir_refs,
-                tg.map(|cache| TagChannelMulti { cache, anchors: &u_tg_refs, alphas: &alphas }),
-                leaf_lo,
-                leaf_hi,
-                &mut TopKSink { accs: &mut accs, acc_of: None, item_ids: Some(&ids), exclude },
-            );
+            scorer.rank_range(&block, leaf_lo..leaf_hi, Some(&ids), &mut accs, None, exclude);
         }
+        // The whole catalogue in one call, rows as their own ids.
+        let whole = scorer.rank(&block, &vec![k; block.len()], exclude);
+        let own_ids: Vec<u32> = (0..n as u32).collect();
+        let mut row = vec![0.0; n];
         for (pos, acc) in accs.into_iter().enumerate() {
             let want = exhaustive(
                 &ir, tg, &u_ir[pos], &u_tg[pos], alphas[pos], (lo, hi), &ids, k,
@@ -186,6 +199,19 @@ proptest! {
             );
             if let Err(e) = assert_same(&acc.into_sorted(), &want, &format!("anchor {pos}")) {
                 prop_assert!(false, "{e} (n {n}, range {lo}..{hi}, k {k}, alpha {})", alphas[pos]);
+            }
+            let want = exhaustive(
+                &ir, tg, &u_ir[pos], &u_tg[pos], alphas[pos], (0, n), &own_ids, k,
+                |item| exclude(pos, item),
+            );
+            if let Err(e) = assert_same(&whole[pos], &want, &format!("rank, anchor {pos}")) {
+                prop_assert!(false, "{e} (n {n}, k {k}, alpha {})", alphas[pos]);
+            }
+            // Full score rows: the fused row is the scalar Eq. 17 loop.
+            scorer.scores(&block[pos], &mut row);
+            for (i, fused) in row.iter().enumerate() {
+                let scalar = block[pos].score(items.row(i));
+                prop_assert!(fused.to_bits() == scalar.to_bits(), "score row: anchor {pos} item {i}");
             }
         }
     }
@@ -233,43 +259,30 @@ fn hostile_alphas_and_nan_rows_rank_as_the_unpruned_path() {
         (0.0, &plain_ir),
         (1e300, &plain_ir),
     ];
-    let u_irs: Vec<&[f64]> = cases.iter().map(|c| c.1).collect();
-    let u_tgs: Vec<&[f64]> = cases.iter().map(|_| plain_tg.as_slice()).collect();
-    let alphas: Vec<f64> = cases.iter().map(|c| c.0).collect();
+    let (_, scorer) = scorer(&v_ir, Some(&v_tg));
+    let block: Vec<Anchor<'_>> = cases
+        .iter()
+        .map(|&(alpha, ir)| Anchor {
+            ir,
+            tg: Some((&plain_tg, alpha)),
+        })
+        .collect();
     let ids: Vec<u32> = (0..n as u32).collect();
     for k in [1, 10] {
-        let mut accs: Vec<TopKAccumulator> =
-            cases.iter().map(|_| TopKAccumulator::new(k)).collect();
-        fused_rank(
-            &ir,
-            &u_irs,
-            Some(TagChannelMulti {
-                cache: &tg,
-                anchors: &u_tgs,
-                alphas: &alphas,
-            }),
-            0,
-            n,
-            &mut TopKSink {
-                accs: &mut accs,
-                acc_of: None,
-                item_ids: None,
-                exclude: |_, _| false,
-            },
-        );
-        for (pos, acc) in accs.into_iter().enumerate() {
+        let got = scorer.rank(&block, &vec![k; block.len()], |_, _| false);
+        for (pos, (alpha, u_ir)) in cases.iter().enumerate() {
             let want = exhaustive(
                 &ir,
                 Some(&tg),
-                u_irs[pos],
+                u_ir,
                 &plain_tg,
-                alphas[pos],
+                *alpha,
                 (0, n),
                 &ids,
                 k,
                 |_| false,
             );
-            assert_same(&acc.into_sorted(), &want, &format!("case {pos} k {k}")).unwrap();
+            assert_same(&got[pos], &want, &format!("case {pos} k {k}")).unwrap();
         }
     }
 }

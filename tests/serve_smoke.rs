@@ -6,10 +6,11 @@
 
 use std::sync::Arc;
 
+use taxorec::core::export::anchor;
 use taxorec::core::{TaxoRec, TaxoRecConfig};
 use taxorec::data::{generate_preset, select_top_k, Preset, Recommender, Scale, Split};
 use taxorec::serve::client::{self, Response, Timeouts};
-use taxorec::serve::{Checkpoint, ServingModel};
+use taxorec::serve::{Checkpoint, IndexConfig, ServingModel};
 
 fn trained() -> (TaxoRec, taxorec::data::Dataset, Split) {
     let dataset = generate_preset(Preset::Ciao, Scale::Tiny);
@@ -135,8 +136,8 @@ fn http_server_answers_all_endpoints_end_to_end() {
     );
 }
 
-/// The batch path and the trait's default `top_k_for_user` agree with the
-/// serving engine — three routes, one ranking contract.
+/// The batch path and the trait's `top_k_block` agree with the serving
+/// engine — three routes, one ranking contract.
 #[test]
 fn batch_trait_and_server_agree() {
     let (model, dataset, split) = trained();
@@ -147,9 +148,11 @@ fn batch_trait_and_server_agree() {
         let via_batch = res.as_ref().expect("known user");
         let via_single = serving.recommend(*u, 10).expect("known user");
         assert_eq!(**via_batch, *via_single);
-        // The trait default ranks the same items when nothing is excluded:
-        // compare against an exclusion-free reference.
-        let unfiltered = model.top_k_for_user(*u, dataset.n_items);
+        // The trait's ranking with nothing excluded, filtered afterwards,
+        // is the same list.
+        let unfiltered = model
+            .top_k_block(&[*u], dataset.n_items, &|_, _| false)
+            .remove(0);
         let seen: std::collections::HashSet<u32> =
             split.train[*u as usize].iter().copied().collect();
         let expect: Vec<(u32, f64)> = unfiltered
@@ -158,5 +161,66 @@ fn batch_trait_and_server_agree() {
             .take(10)
             .collect();
         assert_eq!(**via_batch, expect, "user {u}");
+    }
+}
+
+/// The four ranking entry points — training-side `top_k_block`, the
+/// serving engine's exact miss path, the index's exhaustive
+/// `search_exact` and its beam path at full coverage — all run the one
+/// `Scorer`, so for the same `(user, k, seen)` they return the same ids
+/// and score bits. `k = usize::MAX` ("everything") is clamped where the
+/// accumulators are sized and returns the full unseen list.
+#[test]
+fn four_ranking_entry_points_agree_bit_for_bit() {
+    let (model, dataset, split) = trained();
+    let ckpt = Checkpoint::from_model(&model)
+        .with_dataset(&dataset)
+        .with_seen_items(&split.train)
+        .with_retrieval_index(&IndexConfig {
+            max_leaf: 16,
+            ..IndexConfig::default()
+        })
+        .expect("index");
+    let serving = ServingModel::new(ckpt).expect("engine");
+    let index = serving.retrieval_index().expect("index rebuilt");
+    assert!(index.n_leaves() > 1, "the beam path must merge leaves");
+    let state = model.export_state();
+    let bits = |r: &[(u32, f64)]| -> Vec<(u32, u64)> {
+        r.iter().map(|&(v, s)| (v, s.to_bits())).collect()
+    };
+    for user in 0..dataset.n_users {
+        let seen = &split.train[user];
+        let anchor = anchor(
+            &state.config,
+            &state.alphas,
+            &state.u_ir,
+            Some(&state.u_tg),
+            user,
+        );
+        let mut full = None;
+        for k in [10, dataset.n_items, usize::MAX] {
+            let live = model
+                .top_k_block(&[user as u32], k, &|_, v| seen.contains(&v))
+                .remove(0);
+            let served = serving.recommend_many(&[(user as u32, k)]).remove(0);
+            let exact = index.search_exact(anchor.ir, anchor.tg, k, &|v| seen.contains(&v));
+            let (mut beam, _) =
+                index.search_block(&[anchor], index.n_leaves(), k, &|_, v| seen.contains(&v));
+            assert_eq!(
+                bits(&live),
+                bits(&served.expect("known user")),
+                "user {user} k {k}"
+            );
+            assert_eq!(bits(&live), bits(&exact), "user {user} k {k}");
+            assert_eq!(bits(&live), bits(&beam.remove(0)), "user {user} k {k}");
+            if k >= dataset.n_items {
+                assert_eq!(
+                    live.len(),
+                    dataset.n_items - seen.len(),
+                    "user {user} k {k}"
+                );
+                assert_eq!(bits(full.get_or_insert(live.clone())), bits(&live));
+            }
+        }
     }
 }
