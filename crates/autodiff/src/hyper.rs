@@ -10,6 +10,11 @@
 //! Shape conventions: hyperboloid points carry `d+1` ambient columns (time
 //! coordinate first); ball/Klein/tangent vectors carry `d` columns. All ops
 //! act row by row.
+//!
+//! Storage conventions (the tape hands both kinds a recycled buffer): a
+//! `*_fwd` kernel **overwrites** every entry of `out` and never reads it;
+//! a `*_bwd` kernel **accumulates** (`+=`) into its `grad_*` arguments,
+//! which the caller zeroes.
 
 use crate::matrix::Matrix;
 use crate::sparse::Csr;
@@ -40,9 +45,9 @@ fn coshc_residual(r: f64) -> f64 {
 // ---------------------------------------------------------------------------
 
 /// Forward of the Lorentz exponential map at the origin.
-pub fn lorentz_exp_origin_fwd(z: &Matrix) -> Matrix {
+pub fn lorentz_exp_origin_fwd(z: &Matrix, out: &mut Matrix) {
     let (n, d) = z.shape();
-    let mut out = Matrix::zeros(n, d + 1);
+    assert_eq!(out.shape(), (n, d + 1));
     for r in 0..n {
         let zr = z.row(r);
         let rad = vecops::norm(zr);
@@ -53,7 +58,6 @@ pub fn lorentz_exp_origin_fwd(z: &Matrix) -> Matrix {
             orow[j + 1] = f * zr[j];
         }
     }
-    out
 }
 
 /// Backward of [`lorentz_exp_origin_fwd`]:
@@ -82,24 +86,24 @@ pub fn lorentz_exp_origin_bwd(z: &Matrix, grad_out: &Matrix, grad_z: &mut Matrix
 
 /// Forward of the Lorentz logarithmic map at the origin:
 /// `z = arcosh(x₀)·x_s/‖x_s‖` per row.
-pub fn lorentz_log_origin_fwd(x: &Matrix) -> Matrix {
+pub fn lorentz_log_origin_fwd(x: &Matrix, out: &mut Matrix) {
     let (n, dc) = x.shape();
     let d = dc - 1;
-    let mut out = Matrix::zeros(n, d);
+    assert_eq!(out.shape(), (n, d));
     for r in 0..n {
         let xr = x.row(r);
         let spatial = &xr[1..];
         let nn = vecops::norm(spatial);
+        let orow = out.row_mut(r);
         if nn < EPS_DIV {
+            orow.fill(0.0);
             continue;
         }
         let f = arcosh(xr[0]) / nn;
-        let orow = out.row_mut(r);
         for j in 0..d {
             orow[j] = f * spatial[j];
         }
     }
-    out
 }
 
 /// Backward of [`lorentz_log_origin_fwd`]:
@@ -134,16 +138,15 @@ pub fn lorentz_log_origin_bwd(x: &Matrix, grad_out: &Matrix, grad_x: &mut Matrix
 
 /// Forward of the rowwise squared Lorentz distance
 /// `D_r = arcosh(−⟨x_r, y_r⟩_L)²`.
-pub fn lorentz_dist_sq_fwd(x: &Matrix, y: &Matrix) -> Matrix {
+pub fn lorentz_dist_sq_fwd(x: &Matrix, y: &Matrix, out: &mut Matrix) {
     assert_eq!(x.shape(), y.shape());
     let n = x.rows();
-    let mut out = Matrix::zeros(n, 1);
+    assert_eq!(out.shape(), (n, 1));
     for r in 0..n {
         let s = -taxorec_geometry::lorentz::inner(x.row(r), y.row(r));
         let d = arcosh(s);
         out.set(r, 0, d * d);
     }
-    out
 }
 
 /// Backward of [`lorentz_dist_sq_fwd`] via
@@ -167,14 +170,55 @@ pub fn lorentz_dist_sq_bwd(
 }
 
 // ---------------------------------------------------------------------------
+// Squared Lorentz distance against indexed rows:
+// (n×(d+1), m×(d+1), idx ∈ [0,m)ⁿ) → (n×1)   [Eq. 17 over a triplet batch]
+// ---------------------------------------------------------------------------
+
+/// Forward of `D_r = arcosh(−⟨x_r, y_{idx[r]}⟩_L)²`: [`lorentz_dist_sq_fwd`]
+/// of `x` against the gathered rows of `y`, reading them in place.
+pub fn lorentz_dist_sq_rows_fwd(x: &Matrix, y: &Matrix, idx: &[usize], out: &mut Matrix) {
+    assert_eq!(x.cols(), y.cols());
+    assert_eq!(x.rows(), idx.len());
+    assert_eq!(out.shape(), (idx.len(), 1));
+    for (r, &yr) in idx.iter().enumerate() {
+        let s = -taxorec_geometry::lorentz::inner(x.row(r), y.row(yr));
+        let d = arcosh(s);
+        out.set(r, 0, d * d);
+    }
+}
+
+/// Backward of [`lorentz_dist_sq_rows_fwd`]: row `r` of `grad_x` gets its
+/// own term, row `idx[r]` of `grad_y` the sum over every `r` that read it,
+/// added in `r` order — the order (and so the bits) of a row gather
+/// followed by [`lorentz_dist_sq_bwd`] and the gather's scatter-add.
+pub fn lorentz_dist_sq_rows_bwd(
+    x: &Matrix,
+    y: &Matrix,
+    idx: &[usize],
+    grad_out: &Matrix,
+    grad_x: &mut Matrix,
+    grad_y: &mut Matrix,
+) {
+    for (r, &yr) in idx.iter().enumerate() {
+        taxorec_geometry::lorentz::distance_sq_grad(
+            x.row(r),
+            y.row(yr),
+            grad_out.get(r, 0),
+            grad_x.row_mut(r),
+            grad_y.row_mut(yr),
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Poincaré distance, rowwise: (n×d, n×d) → (n×1)   [Eq. 8 regularizer]
 // ---------------------------------------------------------------------------
 
 /// Forward of the rowwise Poincaré distance.
-pub fn poincare_dist_fwd(x: &Matrix, y: &Matrix) -> Matrix {
+pub fn poincare_dist_fwd(x: &Matrix, y: &Matrix, out: &mut Matrix) {
     assert_eq!(x.shape(), y.shape());
     let n = x.rows();
-    let mut out = Matrix::zeros(n, 1);
+    assert_eq!(out.shape(), (n, 1));
     for r in 0..n {
         out.set(
             r,
@@ -182,7 +226,6 @@ pub fn poincare_dist_fwd(x: &Matrix, y: &Matrix) -> Matrix {
             taxorec_geometry::poincare::distance(x.row(r), y.row(r)),
         );
     }
-    out
 }
 
 /// Backward of [`poincare_dist_fwd`] via
@@ -195,6 +238,9 @@ pub fn poincare_dist_bwd(
     grad_y: &mut Matrix,
 ) {
     let n = x.rows();
+    // One pair of row scratch buffers for the whole call, zeroed per row.
+    let mut gx = vec![0.0; x.cols()];
+    let mut gy = vec![0.0; y.cols()];
     for r in 0..n {
         let w = grad_out.get(r, 0);
         if w == 0.0 {
@@ -203,8 +249,8 @@ pub fn poincare_dist_bwd(
         // distance_grad accumulates, matching our += convention. grad_x and
         // grad_y are always distinct buffers (the tape materializes per-
         // parent contributions separately), so the borrows are disjoint.
-        let mut gx = vec![0.0; x.cols()];
-        let mut gy = vec![0.0; y.cols()];
+        gx.fill(0.0);
+        gy.fill(0.0);
         taxorec_geometry::poincare::distance_grad(x.row(r), y.row(r), w, &mut gx, &mut gy);
         for (a, b) in grad_x.row_mut(r).iter_mut().zip(&gx) {
             *a += b;
@@ -220,13 +266,11 @@ pub fn poincare_dist_bwd(
 // ---------------------------------------------------------------------------
 
 /// Forward of Poincaré → Klein (paper Eq. 9): `k = 2p/(1+‖p‖²)` per row.
-pub fn poincare_to_klein_fwd(p: &Matrix) -> Matrix {
-    let (n, d) = p.shape();
-    let mut out = Matrix::zeros(n, d);
-    for r in 0..n {
+pub fn poincare_to_klein_fwd(p: &Matrix, out: &mut Matrix) {
+    assert_eq!(out.shape(), p.shape());
+    for r in 0..p.rows() {
         taxorec_geometry::convert::poincare_to_klein(p.row(r), out.row_mut(r));
     }
-    out
 }
 
 /// Backward of [`poincare_to_klein_fwd`]:
@@ -247,13 +291,11 @@ pub fn poincare_to_klein_bwd(p: &Matrix, grad_out: &Matrix, grad_p: &mut Matrix)
 
 /// Forward of Klein → Poincaré (inner map of paper Eq. 11):
 /// `p = k/(1+√(1−‖k‖²))` per row.
-pub fn klein_to_poincare_fwd(k: &Matrix) -> Matrix {
-    let (n, d) = k.shape();
-    let mut out = Matrix::zeros(n, d);
-    for r in 0..n {
+pub fn klein_to_poincare_fwd(k: &Matrix, out: &mut Matrix) {
+    assert_eq!(out.shape(), k.shape());
+    for r in 0..k.rows() {
         taxorec_geometry::convert::klein_to_poincare(k.row(r), out.row_mut(r));
     }
-    out
 }
 
 /// Backward of [`klein_to_poincare_fwd`]:
@@ -276,13 +318,12 @@ pub fn klein_to_poincare_bwd(k: &Matrix, grad_out: &Matrix, grad_k: &mut Matrix)
 
 /// Forward of Poincaré → Lorentz (paper Eq. 3), rowwise:
 /// `x = ((1+‖p‖²), 2p)/(1−‖p‖²)`.
-pub fn poincare_to_lorentz_fwd(p: &Matrix) -> Matrix {
+pub fn poincare_to_lorentz_fwd(p: &Matrix, out: &mut Matrix) {
     let (n, d) = p.shape();
-    let mut out = Matrix::zeros(n, d + 1);
+    assert_eq!(out.shape(), (n, d + 1));
     for r in 0..n {
         taxorec_geometry::convert::poincare_to_lorentz(p.row(r), out.row_mut(r));
     }
-    out
 }
 
 /// Backward of [`poincare_to_lorentz_fwd`]:
@@ -311,15 +352,16 @@ pub fn poincare_to_lorentz_bwd(p: &Matrix, grad_out: &Matrix, grad_p: &mut Matri
 /// Forward of the weighted Einstein midpoint: row `v` of the output is the
 /// midpoint of the Klein tag embeddings of item `v`, weighted by the
 /// item–tag matrix `Ψ`. Items without tags map to the Klein origin.
-pub fn einstein_midpoint_fwd(tags: &Matrix, item_tag: &Csr) -> Matrix {
+pub fn einstein_midpoint_fwd(tags: &Matrix, item_tag: &Csr, out: &mut Matrix) {
     assert_eq!(item_tag.cols(), tags.rows(), "item-tag/tag-matrix mismatch");
     let d = tags.cols();
     let n = item_tag.rows();
-    let mut out = Matrix::zeros(n, d);
+    assert_eq!(out.shape(), (n, d));
     for v in 0..n {
         let mut wsum = 0.0;
         {
             let orow = out.row_mut(v);
+            orow.fill(0.0);
             for (t, w) in item_tag.row_iter(v) {
                 let tr = tags.row(t);
                 let g = klein_gamma(tr) * w;
@@ -339,7 +381,6 @@ pub fn einstein_midpoint_fwd(tags: &Matrix, item_tag: &Csr) -> Matrix {
             vecops::clip_norm(orow, MAX_BALL_NORM);
         }
     }
-    out
 }
 
 /// Lorentz factor of a Klein point with boundary clamping.
@@ -395,6 +436,22 @@ pub fn einstein_midpoint_bwd(
 mod tests {
     use super::*;
 
+    /// An output buffer as the tape hands it over: right shape, contents
+    /// left over from something else.
+    fn stale(rows: usize, cols: usize) -> Matrix {
+        Matrix::full(rows, cols, f64::NAN)
+    }
+
+    #[test]
+    fn log_origin_fwd_overwrites_the_degenerate_row_too() {
+        // The hyperboloid origin has no spatial direction: its tangent is 0,
+        // written, not assumed.
+        let x = Matrix::from_vec(1, 3, vec![1.0, 0.0, 0.0]);
+        let mut out = stale(1, 2);
+        lorentz_log_origin_fwd(&x, &mut out);
+        assert_eq!(out.data(), &[0.0, 0.0]);
+    }
+
     #[test]
     fn sinhc_series_matches() {
         assert!((sinhc(1e-8) - 1.0).abs() < 1e-12);
@@ -412,8 +469,10 @@ mod tests {
     #[test]
     fn exp_log_fwd_roundtrip() {
         let z = Matrix::from_vec(2, 3, vec![0.4, -0.2, 0.7, 0.0, 1.5, -0.9]);
-        let x = lorentz_exp_origin_fwd(&z);
-        let back = lorentz_log_origin_fwd(&x);
+        let mut x = stale(2, 4);
+        lorentz_exp_origin_fwd(&z, &mut x);
+        let mut back = stale(2, 3);
+        lorentz_log_origin_fwd(&x, &mut back);
         for i in 0..6 {
             assert!((back.data()[i] - z.data()[i]).abs() < 1e-9);
         }
@@ -422,8 +481,10 @@ mod tests {
     #[test]
     fn dist_sq_of_identical_rows_is_zero() {
         let z = Matrix::from_vec(1, 2, vec![0.3, -0.4]);
-        let x = lorentz_exp_origin_fwd(&z);
-        let d = lorentz_dist_sq_fwd(&x, &x);
+        let mut x = stale(1, 3);
+        lorentz_exp_origin_fwd(&z, &mut x);
+        let mut d = stale(1, 1);
+        lorentz_dist_sq_fwd(&x, &x, &mut d);
         assert!(d.as_scalar() < 1e-9);
     }
 
@@ -433,7 +494,8 @@ mod tests {
         // the klein::einstein_midpoint reference path.
         let tags = Matrix::from_vec(2, 2, vec![0.5, 0.0, -0.3, 0.2]);
         let it = Csr::from_triplets(1, 2, &[(0, 0, 1.0), (0, 1, 1.0)]);
-        let out = einstein_midpoint_fwd(&tags, &it);
+        let mut out = stale(1, 2);
+        einstein_midpoint_fwd(&tags, &it, &mut out);
         let mut expect = [0.0; 2];
         taxorec_geometry::klein::einstein_midpoint(
             &[tags.row(0), tags.row(1)],
@@ -448,7 +510,8 @@ mod tests {
     fn midpoint_untagged_item_is_origin_with_zero_grad() {
         let tags = Matrix::from_vec(1, 2, vec![0.5, 0.1]);
         let it = Csr::from_triplets(2, 1, &[(0, 0, 1.0)]);
-        let out = einstein_midpoint_fwd(&tags, &it);
+        let mut out = stale(2, 2);
+        einstein_midpoint_fwd(&tags, &it, &mut out);
         assert_eq!(out.row(1), &[0.0, 0.0]);
         let go = Matrix::full(2, 2, 1.0);
         let mut gt = Matrix::zeros(1, 2);

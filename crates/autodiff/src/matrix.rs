@@ -77,6 +77,20 @@ impl Matrix {
         &mut self.data
     }
 
+    /// Gives up the flat row-major storage (capacity included).
+    pub fn into_vec(self) -> Vec<f64> {
+        self.data
+    }
+
+    /// Makes `self` a copy of `other` (shape and entries), keeping the
+    /// allocation when its capacity suffices.
+    pub fn copy_from(&mut self, other: &Matrix) {
+        self.rows = other.rows;
+        self.cols = other.cols;
+        self.data.clear();
+        self.data.extend_from_slice(&other.data);
+    }
+
     /// Element accessor.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f64 {
@@ -274,6 +288,17 @@ mod tests {
         assert!(a.all_finite());
         let b = Matrix::from_vec(1, 1, vec![f64::NAN]);
         assert!(!b.all_finite());
+    }
+
+    #[test]
+    fn copy_from_takes_shape_and_keeps_storage() {
+        let mut a = Matrix::zeros(4, 4);
+        let before = a.data().as_ptr();
+        let b = Matrix::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        a.copy_from(&b);
+        assert_eq!(a, b);
+        assert_eq!(a.data().as_ptr(), before, "smaller copy reuses the buffer");
+        assert_eq!(a.into_vec(), b.data());
     }
 
     #[test]

@@ -5,7 +5,11 @@
 //! pass; CSR × dense is the only sparse kernel required. Matrices here are
 //! *constants* of the computation graph (graph structure and item–tag
 //! weights), so no gradient flows into them — the tape only needs the
-//! transpose for back-propagating through the dense operand.
+//! transpose for back-propagating through the dense operand, which each
+//! matrix builds once on first request ([`Csr::transposed`]).
+
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use crate::matrix::Matrix;
 
@@ -14,7 +18,7 @@ use crate::matrix::Matrix;
 const SPMM_ROW_BLOCK: usize = 64;
 
 /// Immutable CSR matrix.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct Csr {
     rows: usize,
     cols: usize,
@@ -24,6 +28,21 @@ pub struct Csr {
     indices: Vec<u32>,
     /// Non-zero values, length = nnz.
     values: Vec<f64>,
+    /// `selfᵀ`, built by the first [`Csr::transposed`] call. Derived data:
+    /// left out of `Debug`, emptied by whatever changes `values`.
+    transposed: OnceLock<Arc<Csr>>,
+}
+
+impl fmt::Debug for Csr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Csr")
+            .field("rows", &self.rows)
+            .field("cols", &self.cols)
+            .field("indptr", &self.indptr)
+            .field("indices", &self.indices)
+            .field("values", &self.values)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Csr {
@@ -70,6 +89,7 @@ impl Csr {
             indptr,
             indices,
             values,
+            transposed: OnceLock::new(),
         }
     }
 
@@ -81,6 +101,7 @@ impl Csr {
             indptr: (0..=n).collect(),
             indices: (0..n as u32).collect(),
             values: vec![1.0; n],
+            transposed: OnceLock::new(),
         }
     }
 
@@ -129,10 +150,23 @@ impl Csr {
     /// accumulation order is unchanged, so the result is bit-identical to
     /// the sequential loop for any `TAXOREC_THREADS`.
     pub fn matmul(&self, x: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, x.cols());
+        self.matmul_into(x, &mut out);
+        out
+    }
+
+    /// [`Csr::matmul`] into a caller-provided `out`, every entry of which
+    /// is overwritten (its previous contents are never read).
+    ///
+    /// # Panics
+    /// Panics if `x.rows() != self.cols()` or `out` is not
+    /// `self.rows() × x.cols()`.
+    pub fn matmul_into(&self, x: &Matrix, out: &mut Matrix) {
         assert_eq!(x.rows(), self.cols, "spmm inner dim mismatch");
         let m = x.cols();
-        let mut out = Matrix::zeros(self.rows, m);
+        assert_eq!(out.shape(), (self.rows, m), "spmm output shape");
         let fill_row = |r: usize, orow: &mut [f64]| {
+            orow.fill(0.0);
             let lo = self.indptr[r];
             let hi = self.indptr[r + 1];
             for p in lo..hi {
@@ -164,7 +198,12 @@ impl Csr {
                 fill_row(r, out.row_mut(r));
             }
         }
-        out
+    }
+
+    /// `selfᵀ`, computed on the first call and shared by every later one
+    /// (the backward pass of [`crate::Tape::spmm`] asks once per step).
+    pub fn transposed(&self) -> &Arc<Csr> {
+        self.transposed.get_or_init(|| Arc::new(self.transpose()))
     }
 
     /// Transposed copy (`CSR` of the transpose).
@@ -195,6 +234,7 @@ impl Csr {
             indptr,
             indices,
             values,
+            transposed: OnceLock::new(),
         }
     }
 
@@ -202,6 +242,7 @@ impl Csr {
     /// zero sum are left untouched). Produces the `1/|N_u|` mean-aggregation
     /// weights of paper Eq. 13.
     pub fn normalize_rows(&mut self) {
+        self.transposed = OnceLock::new();
         for r in 0..self.rows {
             let s = self.row_sum(r);
             if s.abs() < 1e-15 {
@@ -266,6 +307,29 @@ mod tests {
             m.to_dense().transpose().data()
         );
         assert_eq!(m.transpose().rows(), 4);
+    }
+
+    #[test]
+    fn transposed_is_cached_and_dropped_by_normalize_rows() {
+        let mut m = sample();
+        let first = Arc::clone(m.transposed());
+        assert!(Arc::ptr_eq(&first, m.transposed()), "built once");
+        assert_eq!(first.to_dense().data(), m.transpose().to_dense().data());
+        m.normalize_rows();
+        assert_eq!(
+            m.transposed().to_dense().data(),
+            m.to_dense().transpose().data(),
+            "a stale transpose would still hold the unnormalized values"
+        );
+    }
+
+    #[test]
+    fn matmul_into_overwrites_whatever_was_there() {
+        let m = sample();
+        let x = Matrix::from_vec(4, 2, (1..=8).map(f64::from).collect());
+        let mut out = Matrix::full(3, 2, f64::NAN);
+        m.matmul_into(&x, &mut out);
+        assert_eq!(out.data(), m.matmul(&x).data());
     }
 
     #[test]

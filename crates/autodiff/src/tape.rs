@@ -6,6 +6,11 @@
 //!
 //! Design notes:
 //!
+//! * **The tape owns its storage.** Op outputs and gradients are written
+//!   into buffers from the tape's free list, which [`Tape::reset`] and
+//!   [`Tape::recycle`] fill; a loop that resets one tape per step stops
+//!   allocating after its first steps. The crate docs state the contract
+//!   (what is kept, what is zeroed, who may reset).
 //! * **Values are eager** — each op computes its result immediately, so
 //!   `tape.value(v)` is always available (used by the training loop for
 //!   inference without a second code path).
@@ -47,9 +52,10 @@ enum Op {
     /// `(n×d) ⊙ broadcast (n×1)` column vector across columns.
     MulColBroadcast(Var, Var),
     MatMul(Var, Var),
-    /// `y = M·x` with constant sparse `M`; `mt` caches `Mᵀ` for backward.
+    /// `y = M·x` with constant sparse `M`; backward multiplies by
+    /// [`Csr::transposed`].
     Spmm {
-        mt: Arc<Csr>,
+        m: Arc<Csr>,
         x: Var,
     },
     GatherRows {
@@ -75,6 +81,12 @@ enum Op {
     LorentzExpO(Var),
     LorentzLogO(Var),
     LorentzDistSq(Var, Var),
+    /// Row `i` of `x` against row `idx[i]` of `y`.
+    LorentzDistSqRows {
+        x: Var,
+        y: Var,
+        idx: Arc<Vec<usize>>,
+    },
     PoincareDist(Var, Var),
     PoincareToKlein(Var),
     KleinToPoincare(Var),
@@ -101,23 +113,140 @@ impl Gradients {
         self.grads.get(v.0).and_then(|g| g.as_ref())
     }
 
-    /// Takes ownership of the gradient for `v` (zeros matrix if none
-    /// reached it is *not* synthesized — returns `None`).
+    /// Takes ownership of the gradient for `v`, leaving none behind.
+    /// `None` when no gradient reached `v` — a zero matrix is not made up.
     pub fn take(&mut self, v: Var) -> Option<Matrix> {
         self.grads.get_mut(v.0).and_then(|g| g.take())
     }
 }
 
-/// Append-only autodiff tape.
+/// The tape's free list: storage of matrices it no longer needs, handed
+/// out again to whatever asks for at most that much.
+///
+/// A request takes the free buffer of the **smallest capacity that fits**
+/// (never an exact-length match: the last mini-batch of an epoch is
+/// shorter than the others, and must shrink into their buffers instead of
+/// keeping a second set alive). Nothing is ever handed out zeroed unless
+/// asked for: in debug builds a recycled buffer is filled with NaN, so an
+/// op that reads what it did not write fails its tests.
+#[derive(Default)]
+struct Pool {
+    free: Vec<Vec<f64>>,
+    /// Emptied per-node slot vectors of recycled [`Gradients`].
+    free_slots: Vec<Vec<Option<Matrix>>>,
+}
+
+impl Pool {
+    fn buffer(&mut self, n: usize, zeroed: bool) -> Vec<f64> {
+        let best = self
+            .free
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.capacity() >= n)
+            .min_by_key(|(_, b)| b.capacity())
+            .map(|(i, _)| i);
+        let Some(i) = best else {
+            return vec![0.0; n];
+        };
+        let mut buf = self.free.swap_remove(i);
+        if zeroed {
+            buf.clear();
+            buf.resize(n, 0.0);
+        } else {
+            if cfg!(debug_assertions) {
+                buf.clear();
+            }
+            // Shrinks without a write; a grown tail is as stale as the rest.
+            buf.resize(n, f64::NAN);
+        }
+        buf
+    }
+
+    /// A `rows×cols` matrix with unspecified entries: the caller writes
+    /// every one of them.
+    fn take(&mut self, rows: usize, cols: usize) -> Matrix {
+        Matrix::from_vec(rows, cols, self.buffer(rows * cols, false))
+    }
+
+    /// A `rows×cols` zero matrix, for the kernels that accumulate.
+    fn take_zeroed(&mut self, rows: usize, cols: usize) -> Matrix {
+        Matrix::from_vec(rows, cols, self.buffer(rows * cols, true))
+    }
+
+    fn give(&mut self, m: Matrix) {
+        let buf = m.into_vec();
+        if buf.capacity() > 0 {
+            self.free.push(buf);
+        }
+    }
+
+    fn full(&mut self, rows: usize, cols: usize, v: f64) -> Matrix {
+        let mut m = self.take(rows, cols);
+        m.data_mut().fill(v);
+        m
+    }
+
+    fn copy(&mut self, src: &Matrix) -> Matrix {
+        let mut m = self.take(src.rows(), src.cols());
+        m.data_mut().copy_from_slice(src.data());
+        m
+    }
+
+    fn map(&mut self, src: &Matrix, f: impl Fn(f64) -> f64) -> Matrix {
+        let mut m = self.take(src.rows(), src.cols());
+        for (o, &x) in m.data_mut().iter_mut().zip(src.data()) {
+            *o = f(x);
+        }
+        m
+    }
+
+    /// Elementwise `f(a, b)` in the shape of `a`.
+    fn zip(&mut self, a: &Matrix, b: &Matrix, f: impl Fn(f64, f64) -> f64) -> Matrix {
+        let mut m = self.take(a.rows(), a.cols());
+        for ((o, &x), &y) in m.data_mut().iter_mut().zip(a.data()).zip(b.data()) {
+            *o = f(x, y);
+        }
+        m
+    }
+}
+
+/// Append-only autodiff tape that keeps its storage.
+///
+/// Every op output, every gradient and every [`Tape::leaf_copy`] is written
+/// into a buffer from the tape's free list; [`Tape::reset`] and
+/// [`Tape::recycle`] are what put buffers there. A tape that is never reset
+/// (`Tape::new()`, one program, drop) runs the same code with an empty
+/// list. See the crate docs for the reuse contract.
 #[derive(Default)]
 pub struct Tape {
     nodes: Vec<Node>,
+    pool: Pool,
 }
 
 impl Tape {
     /// Empty tape.
     pub fn new() -> Self {
-        Self { nodes: Vec::new() }
+        Self::default()
+    }
+
+    /// Forgets the recorded program and keeps its storage: every node's
+    /// value goes to the free list, so the next program of the same shape
+    /// allocates nothing. Every [`Var`] handed out so far is dead
+    /// afterwards — `&mut self` is the guard: whoever holds `Var`s to use
+    /// them also holds the tape.
+    pub fn reset(&mut self) {
+        for node in self.nodes.drain(..) {
+            self.pool.give(node.value);
+        }
+    }
+
+    /// Returns the matrices of a finished [`Tape::backward`] to the free
+    /// list (whatever [`Gradients::take`] has not removed).
+    pub fn recycle(&mut self, mut grads: Gradients) {
+        for g in grads.grads.drain(..).flatten() {
+            self.pool.give(g);
+        }
+        self.pool.free_slots.push(grads.grads);
     }
 
     /// Number of recorded nodes.
@@ -130,6 +259,11 @@ impl Tape {
         self.nodes.is_empty()
     }
 
+    /// Handles of every recorded node, in recording order.
+    pub fn vars(&self) -> impl Iterator<Item = Var> {
+        (0..self.nodes.len()).map(Var)
+    }
+
     /// Value of a node.
     pub fn value(&self, v: Var) -> &Matrix {
         &self.nodes[v.0].value
@@ -140,50 +274,63 @@ impl Tape {
         Var(self.nodes.len() - 1)
     }
 
-    /// Registers a leaf (parameter or input) matrix.
+    /// Registers a leaf (parameter or input) matrix, taking its storage.
     pub fn leaf(&mut self, m: Matrix) -> Var {
         self.push(m, Op::Leaf)
+    }
+
+    /// Registers a copy of `m` as a leaf, written into recycled storage —
+    /// the per-step way to enter a parameter the caller keeps.
+    pub fn leaf_copy(&mut self, m: &Matrix) -> Var {
+        let value = self.pool.copy(m);
+        self.push(value, Op::Leaf)
+    }
+
+    /// Registers a `rows×cols` leaf whose entries `fill` writes in place
+    /// (all of them: the slice it gets holds stale values).
+    pub fn leaf_with(&mut self, rows: usize, cols: usize, fill: impl FnOnce(&mut [f64])) -> Var {
+        let mut value = self.pool.take(rows, cols);
+        fill(value.data_mut());
+        self.push(value, Op::Leaf)
+    }
+
+    fn unary(&mut self, a: Var, op: Op, f: impl Fn(f64) -> f64) -> Var {
+        let m = self.pool.map(&self.nodes[a.0].value, f);
+        self.push(m, op)
+    }
+
+    fn binary(&mut self, a: Var, b: Var, op: Op, f: impl Fn(f64, f64) -> f64) -> Var {
+        let m = self
+            .pool
+            .zip(&self.nodes[a.0].value, &self.nodes[b.0].value, f);
+        self.push(m, op)
     }
 
     /// Elementwise sum. Panics on shape mismatch.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(self.value(a).shape(), self.value(b).shape(), "add shape");
-        let mut m = self.value(a).clone();
-        m.add_assign(self.value(b));
-        self.push(m, Op::Add(a, b))
+        self.binary(a, b, Op::Add(a, b), |x, y| x + y)
     }
 
     /// Elementwise difference.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(self.value(a).shape(), self.value(b).shape(), "sub shape");
-        let va = self.value(a);
-        let vb = self.value(b);
-        let data = va
-            .data()
-            .iter()
-            .zip(vb.data())
-            .map(|(x, y)| x - y)
-            .collect();
-        let m = Matrix::from_vec(va.rows(), va.cols(), data);
-        self.push(m, Op::Sub(a, b))
+        self.binary(a, b, Op::Sub(a, b), |x, y| x - y)
     }
 
     /// Elementwise negation.
     pub fn neg(&mut self, a: Var) -> Var {
-        let m = self.value(a).map(|x| -x);
-        self.push(m, Op::Neg(a))
+        self.unary(a, Op::Neg(a), |x| -x)
     }
 
     /// Multiplication by a constant scalar.
     pub fn scale(&mut self, a: Var, c: f64) -> Var {
-        let m = self.value(a).map(|x| c * x);
-        self.push(m, Op::Scale(a, c))
+        self.unary(a, Op::Scale(a, c), |x| c * x)
     }
 
     /// Addition of a constant scalar to every entry.
     pub fn add_scalar(&mut self, a: Var, c: f64) -> Var {
-        let m = self.value(a).map(|x| x + c);
-        self.push(m, Op::AddScalar(a))
+        self.unary(a, Op::AddScalar(a), |x| x + c)
     }
 
     /// Elementwise (Hadamard) product.
@@ -193,16 +340,7 @@ impl Tape {
             self.value(b).shape(),
             "hadamard shape"
         );
-        let va = self.value(a);
-        let vb = self.value(b);
-        let data = va
-            .data()
-            .iter()
-            .zip(vb.data())
-            .map(|(x, y)| x * y)
-            .collect();
-        let m = Matrix::from_vec(va.rows(), va.cols(), data);
-        self.push(m, Op::Hadamard(a, b))
+        self.binary(a, b, Op::Hadamard(a, b), |x, y| x * y)
     }
 
     /// Broadcast-multiplies each row of `x (n×d)` by the matching entry of
@@ -210,12 +348,12 @@ impl Tape {
     pub fn mul_col_broadcast(&mut self, x: Var, s: Var) -> Var {
         let (n, d) = self.value(x).shape();
         assert_eq!(self.value(s).shape(), (n, 1), "broadcast column shape");
-        let mut m = self.value(x).clone();
+        let mut m = self.pool.take(n, d);
+        let (vx, vs) = (self.value(x), self.value(s));
         for r in 0..n {
-            let c = self.value(s).get(r, 0);
-            for j in 0..d {
-                let cur = m.get(r, j);
-                m.set(r, j, cur * c);
+            let c = vs.get(r, 0);
+            for (o, &xv) in m.row_mut(r).iter_mut().zip(vx.row(r)) {
+                *o = xv * c;
             }
         }
         self.push(m, Op::MulColBroadcast(x, s))
@@ -228,25 +366,24 @@ impl Tape {
     }
 
     /// Sparse-constant × dense product `M·x` (graph propagation, Eq. 13).
-    /// The transpose is computed once here and reused every backward pass.
+    /// Backward multiplies by [`Csr::transposed`], which `m` builds once
+    /// however many steps and tapes share it.
     pub fn spmm(&mut self, m: &Arc<Csr>, x: Var) -> Var {
-        let value = m.matmul(self.value(x));
-        let mt = Arc::new(m.transpose());
-        self.push(value, Op::Spmm { mt, x })
-    }
-
-    /// Like [`Tape::spmm`] but with a caller-precomputed transpose, avoiding
-    /// the per-call transposition when the same matrix is reused.
-    pub fn spmm_with_transpose(&mut self, m: &Arc<Csr>, mt: Arc<Csr>, x: Var) -> Var {
-        let value = m.matmul(self.value(x));
-        self.push(value, Op::Spmm { mt, x })
+        let mut value = self.pool.take(m.rows(), self.value(x).cols());
+        m.matmul_into(self.value(x), &mut value);
+        self.push(
+            value,
+            Op::Spmm {
+                m: Arc::clone(m),
+                x,
+            },
+        )
     }
 
     /// Row gather: `out[i] = x[idx[i]]`.
     pub fn gather_rows(&mut self, x: Var, idx: Arc<Vec<usize>>) -> Var {
+        let mut m = self.pool.take(idx.len(), self.value(x).cols());
         let vx = self.value(x);
-        let d = vx.cols();
-        let mut m = Matrix::zeros(idx.len(), d);
         for (i, &r) in idx.iter().enumerate() {
             m.row_mut(i).copy_from_slice(vx.row(r));
         }
@@ -255,29 +392,30 @@ impl Tape {
 
     /// Vertical concatenation (`a` on top of `b`). Column counts must match.
     pub fn concat_rows(&mut self, a: Var, b: Var) -> Var {
-        let va = self.value(a);
-        let vb = self.value(b);
-        assert_eq!(va.cols(), vb.cols(), "concat_rows column mismatch");
-        let mut data = Vec::with_capacity(va.data().len() + vb.data().len());
-        data.extend_from_slice(va.data());
-        data.extend_from_slice(vb.data());
-        let m = Matrix::from_vec(va.rows() + vb.rows(), va.cols(), data);
+        let (na, d) = self.value(a).shape();
+        let nb = self.value(b).rows();
+        assert_eq!(d, self.value(b).cols(), "concat_rows column mismatch");
+        let mut m = self.pool.take(na + nb, d);
+        let (top, bottom) = m.data_mut().split_at_mut(na * d);
+        top.copy_from_slice(self.value(a).data());
+        bottom.copy_from_slice(self.value(b).data());
         self.push(m, Op::ConcatRows(a, b))
     }
 
     /// Contiguous row slice `x[start..start+len]`.
     pub fn slice_rows(&mut self, x: Var, start: usize, len: usize) -> Var {
-        let vx = self.value(x);
-        assert!(start + len <= vx.rows(), "slice_rows out of range");
-        let d = vx.cols();
-        let data = vx.data()[start * d..(start + len) * d].to_vec();
-        let m = Matrix::from_vec(len, d, data);
+        let (rows, d) = self.value(x).shape();
+        assert!(start + len <= rows, "slice_rows out of range");
+        let mut m = self.pool.take(len, d);
+        m.data_mut()
+            .copy_from_slice(&self.value(x).data()[start * d..(start + len) * d]);
         self.push(m, Op::SliceRows { x, start })
     }
 
     /// Sum of all entries → `1×1`.
     pub fn sum_all(&mut self, a: Var) -> Var {
-        let m = Matrix::scalar(self.value(a).sum());
+        let s = self.value(a).sum();
+        let m = self.pool.full(1, 1, s);
         self.push(m, Op::SumAll(a))
     }
 
@@ -285,47 +423,50 @@ impl Tape {
     pub fn mean_all(&mut self, a: Var) -> Var {
         let va = self.value(a);
         let n = (va.rows() * va.cols()) as f64;
-        let m = Matrix::scalar(va.sum() / n);
+        let mean = va.sum() / n;
+        let m = self.pool.full(1, 1, mean);
         self.push(m, Op::MeanAll(a))
     }
 
     /// Elementwise `max(x, 0)` — the hinge of the LMNN loss (Eq. 18).
     pub fn relu(&mut self, a: Var) -> Var {
-        let m = self.value(a).map(|x| x.max(0.0));
-        self.push(m, Op::Relu(a))
+        self.unary(a, Op::Relu(a), |x| x.max(0.0))
     }
 
     /// Elementwise LeakyReLU with negative slope `alpha`.
     pub fn leaky_relu(&mut self, a: Var, alpha: f64) -> Var {
-        let m = self.value(a).map(|x| if x > 0.0 { x } else { alpha * x });
-        self.push(m, Op::LeakyRelu(a, alpha))
+        self.unary(a, Op::LeakyRelu(a, alpha), |x| {
+            if x > 0.0 {
+                x
+            } else {
+                alpha * x
+            }
+        })
     }
 
     /// Elementwise logistic sigmoid.
     pub fn sigmoid(&mut self, a: Var) -> Var {
-        let m = self.value(a).map(|x| 1.0 / (1.0 + (-x).exp()));
-        self.push(m, Op::Sigmoid(a))
+        self.unary(a, Op::Sigmoid(a), |x| 1.0 / (1.0 + (-x).exp()))
     }
 
     /// Elementwise softplus `ln(1 + eˣ)`, computed stably as
     /// `max(x, 0) + ln(1 + e^(−|x|))`. `-softplus(-x)` is the BPR
     /// log-sigmoid objective.
     pub fn softplus(&mut self, a: Var) -> Var {
-        let m = self.value(a).map(|x| x.max(0.0) + (-x.abs()).exp().ln_1p());
-        self.push(m, Op::Softplus(a))
+        self.unary(a, Op::Softplus(a), |x| {
+            x.max(0.0) + (-x.abs()).exp().ln_1p()
+        })
     }
 
     /// Elementwise square root of `max(x, 0)`; the gradient is clamped
     /// near zero (`1/(2·max(√x, 1e−6))`).
     pub fn sqrt(&mut self, a: Var) -> Var {
-        let m = self.value(a).map(|x| x.max(0.0).sqrt());
-        self.push(m, Op::Sqrt(a))
+        self.unary(a, Op::Sqrt(a), |x| x.max(0.0).sqrt())
     }
 
     /// Elementwise hyperbolic tangent.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let m = self.value(a).map(f64::tanh);
-        self.push(m, Op::Tanh(a))
+        self.unary(a, Op::Tanh(a), f64::tanh)
     }
 
     /// Rowwise dot product `(n×d, n×d) → (n×1)`.
@@ -335,10 +476,9 @@ impl Tape {
             self.value(b).shape(),
             "row_dot shape"
         );
-        let va = self.value(a);
-        let vb = self.value(b);
-        let n = va.rows();
-        let mut m = Matrix::zeros(n, 1);
+        let n = self.value(a).rows();
+        let mut m = self.pool.take(n, 1);
+        let (va, vb) = (self.value(a), self.value(b));
         for r in 0..n {
             m.set(r, 0, taxorec_geometry::vecops::dot(va.row(r), vb.row(r)));
         }
@@ -347,9 +487,9 @@ impl Tape {
 
     /// Rowwise squared norm `(n×d) → (n×1)`.
     pub fn row_sqnorm(&mut self, a: Var) -> Var {
+        let n = self.value(a).rows();
+        let mut m = self.pool.take(n, 1);
         let va = self.value(a);
-        let n = va.rows();
-        let mut m = Matrix::zeros(n, 1);
         for r in 0..n {
             m.set(r, 0, taxorec_geometry::vecops::sqnorm(va.row(r)));
         }
@@ -358,9 +498,9 @@ impl Tape {
 
     /// Rowwise softmax (max-shifted for stability).
     pub fn softmax_rows(&mut self, a: Var) -> Var {
+        let (n, d) = self.value(a).shape();
+        let mut m = self.pool.take(n, d);
         let va = self.value(a);
-        let (n, d) = va.shape();
-        let mut m = Matrix::zeros(n, d);
         for r in 0..n {
             let row = va.row(r);
             let mx = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
@@ -380,50 +520,75 @@ impl Tape {
 
     /// Lorentz exponential map at the origin (paper Eq. 15), rowwise.
     pub fn lorentz_exp_origin(&mut self, z: Var) -> Var {
-        let m = hyper::lorentz_exp_origin_fwd(self.value(z));
+        let (n, d) = self.value(z).shape();
+        let mut m = self.pool.take(n, d + 1);
+        hyper::lorentz_exp_origin_fwd(self.value(z), &mut m);
         self.push(m, Op::LorentzExpO(z))
     }
 
     /// Lorentz logarithmic map at the origin (paper Eq. 12), rowwise.
     pub fn lorentz_log_origin(&mut self, x: Var) -> Var {
-        let m = hyper::lorentz_log_origin_fwd(self.value(x));
+        let (n, dc) = self.value(x).shape();
+        let mut m = self.pool.take(n, dc - 1);
+        hyper::lorentz_log_origin_fwd(self.value(x), &mut m);
         self.push(m, Op::LorentzLogO(x))
     }
 
     /// Rowwise squared Lorentz distance (paper Eq. 17 terms).
     pub fn lorentz_dist_sq(&mut self, x: Var, y: Var) -> Var {
-        let m = hyper::lorentz_dist_sq_fwd(self.value(x), self.value(y));
+        let mut m = self.pool.take(self.value(x).rows(), 1);
+        hyper::lorentz_dist_sq_fwd(self.value(x), self.value(y), &mut m);
         self.push(m, Op::LorentzDistSq(x, y))
+    }
+
+    /// Squared Lorentz distance of row `i` of `x` to row `idx[i]` of `y`:
+    /// `lorentz_dist_sq(x, gather_rows(y, idx))` in value and in both
+    /// gradients, bit for bit, without the gathered copy of `y`'s rows or
+    /// the per-row gradient matrix the gather would scatter back — the
+    /// item side of a triplet batch, where `idx` is far longer than what
+    /// it selects from is wide.
+    pub fn lorentz_dist_sq_rows(&mut self, x: Var, y: Var, idx: Arc<Vec<usize>>) -> Var {
+        let mut m = self.pool.take(idx.len(), 1);
+        hyper::lorentz_dist_sq_rows_fwd(self.value(x), self.value(y), &idx, &mut m);
+        self.push(m, Op::LorentzDistSqRows { x, y, idx })
     }
 
     /// Rowwise Poincaré distance (paper Eq. 8 terms).
     pub fn poincare_dist(&mut self, x: Var, y: Var) -> Var {
-        let m = hyper::poincare_dist_fwd(self.value(x), self.value(y));
+        let mut m = self.pool.take(self.value(x).rows(), 1);
+        hyper::poincare_dist_fwd(self.value(x), self.value(y), &mut m);
         self.push(m, Op::PoincareDist(x, y))
     }
 
     /// Poincaré → Klein conversion (paper Eq. 9), rowwise.
     pub fn poincare_to_klein(&mut self, p: Var) -> Var {
-        let m = hyper::poincare_to_klein_fwd(self.value(p));
+        let (n, d) = self.value(p).shape();
+        let mut m = self.pool.take(n, d);
+        hyper::poincare_to_klein_fwd(self.value(p), &mut m);
         self.push(m, Op::PoincareToKlein(p))
     }
 
     /// Klein → Poincaré conversion (inner map of paper Eq. 11), rowwise.
     pub fn klein_to_poincare(&mut self, k: Var) -> Var {
-        let m = hyper::klein_to_poincare_fwd(self.value(k));
+        let (n, d) = self.value(k).shape();
+        let mut m = self.pool.take(n, d);
+        hyper::klein_to_poincare_fwd(self.value(k), &mut m);
         self.push(m, Op::KleinToPoincare(k))
     }
 
     /// Poincaré → Lorentz lift (paper Eq. 3), rowwise.
     pub fn poincare_to_lorentz(&mut self, p: Var) -> Var {
-        let m = hyper::poincare_to_lorentz_fwd(self.value(p));
+        let (n, d) = self.value(p).shape();
+        let mut m = self.pool.take(n, d + 1);
+        hyper::poincare_to_lorentz_fwd(self.value(p), &mut m);
         self.push(m, Op::PoincareToLorentz(p))
     }
 
     /// Weighted Einstein-midpoint aggregation of Klein tag embeddings into
     /// item embeddings (paper Eq. 10).
     pub fn einstein_midpoint(&mut self, tags: Var, item_tag: &Arc<Csr>) -> Var {
-        let m = hyper::einstein_midpoint_fwd(self.value(tags), item_tag);
+        let mut m = self.pool.take(item_tag.rows(), self.value(tags).cols());
+        hyper::einstein_midpoint_fwd(self.value(tags), item_tag, &mut m);
         self.push(
             m,
             Op::EinsteinMidpoint {
@@ -434,308 +599,286 @@ impl Tape {
     }
 
     /// Runs reverse-mode accumulation from the scalar node `loss`
-    /// (seeded with gradient 1).
+    /// (seeded with gradient 1). The gradient matrices come from the
+    /// tape's free list; [`Tape::recycle`] returns them to it.
     ///
     /// # Panics
     /// Panics if `loss` is not `1×1`.
-    pub fn backward(&self, loss: Var) -> Gradients {
+    pub fn backward(&mut self, loss: Var) -> Gradients {
         assert_eq!(self.value(loss).shape(), (1, 1), "backward from non-scalar");
-        let mut grads: Vec<Option<Matrix>> = (0..self.nodes.len()).map(|_| None).collect();
-        grads[loss.0] = Some(Matrix::scalar(1.0));
+        let Tape { nodes, pool } = self;
+        let mut grads = pool.free_slots.pop().unwrap_or_default();
+        grads.resize_with(nodes.len(), || None);
+        grads[loss.0] = Some(pool.full(1, 1, 1.0));
 
         for i in (0..=loss.0).rev() {
             let Some(g) = grads[i].take() else { continue };
-            self.accumulate_parents(i, &g, &mut grads);
+            accumulate_parents(nodes, pool, i, &g, &mut grads);
             grads[i] = Some(g);
         }
         Gradients { grads }
     }
+}
 
-    /// Adds `contribution` into the gradient slot for `v`.
-    fn add_grad(grads: &mut [Option<Matrix>], v: Var, contribution: Matrix) {
-        match &mut grads[v.0] {
-            Some(g) => g.add_assign(&contribution),
-            slot @ None => *slot = Some(contribution),
+/// Adds `contribution` into the gradient slot for `v`; a contribution that
+/// was summed into an existing slot has served and goes back to the pool.
+fn add_grad(grads: &mut [Option<Matrix>], pool: &mut Pool, v: Var, contribution: Matrix) {
+    match &mut grads[v.0] {
+        Some(g) => {
+            g.add_assign(&contribution);
+            pool.give(contribution);
         }
+        slot @ None => *slot = Some(contribution),
     }
+}
 
-    #[allow(clippy::too_many_lines)]
-    fn accumulate_parents(&self, i: usize, g: &Matrix, grads: &mut [Option<Matrix>]) {
-        match &self.nodes[i].op {
-            Op::Leaf => {}
-            Op::Add(a, b) => {
-                Self::add_grad(grads, *a, g.clone());
-                Self::add_grad(grads, *b, g.clone());
-            }
-            Op::Sub(a, b) => {
-                Self::add_grad(grads, *a, g.clone());
-                Self::add_grad(grads, *b, g.map(|x| -x));
-            }
-            Op::Neg(a) => Self::add_grad(grads, *a, g.map(|x| -x)),
-            Op::Scale(a, c) => {
-                let c = *c;
-                Self::add_grad(grads, *a, g.map(|x| c * x));
-            }
-            Op::AddScalar(a) => Self::add_grad(grads, *a, g.clone()),
-            Op::Hadamard(a, b) => {
-                let (a, b) = (*a, *b);
-                let mut ga = g.clone();
-                ga.data_mut()
-                    .iter_mut()
-                    .zip(self.value(b).data())
-                    .for_each(|(x, y)| *x *= y);
-                let mut gb = g.clone();
-                gb.data_mut()
-                    .iter_mut()
-                    .zip(self.value(a).data())
-                    .for_each(|(x, y)| *x *= y);
-                Self::add_grad(grads, a, ga);
-                Self::add_grad(grads, b, gb);
-            }
-            Op::MulColBroadcast(x, s) => {
-                let (x, s) = (*x, *s);
-                let vx = self.value(x);
-                let vs = self.value(s);
-                let (n, d) = vx.shape();
-                let mut gx = Matrix::zeros(n, d);
-                let mut gs = Matrix::zeros(n, 1);
-                for r in 0..n {
-                    let c = vs.get(r, 0);
-                    let grow = g.row(r);
-                    let xrow = vx.row(r);
-                    let gxr = gx.row_mut(r);
-                    let mut acc = 0.0;
-                    for j in 0..d {
-                        gxr[j] = grow[j] * c;
-                        acc += grow[j] * xrow[j];
-                    }
-                    gs.set(r, 0, acc);
+/// Pushes the gradient `g` of node `i` to its parents. Contributions that
+/// are written entry by entry come from [`Pool::take`]; the ones a kernel
+/// accumulates into (`+=`) from [`Pool::take_zeroed`].
+#[allow(clippy::too_many_lines)]
+fn accumulate_parents(
+    nodes: &[Node],
+    pool: &mut Pool,
+    i: usize,
+    g: &Matrix,
+    grads: &mut [Option<Matrix>],
+) {
+    let value = |v: Var| &nodes[v.0].value;
+    let out = &nodes[i].value;
+    match &nodes[i].op {
+        Op::Leaf => {}
+        Op::Add(a, b) => {
+            let ga = pool.copy(g);
+            add_grad(grads, pool, *a, ga);
+            let gb = pool.copy(g);
+            add_grad(grads, pool, *b, gb);
+        }
+        Op::Sub(a, b) => {
+            let ga = pool.copy(g);
+            add_grad(grads, pool, *a, ga);
+            let gb = pool.map(g, |x| -x);
+            add_grad(grads, pool, *b, gb);
+        }
+        Op::Neg(a) => {
+            let ga = pool.map(g, |x| -x);
+            add_grad(grads, pool, *a, ga);
+        }
+        Op::Scale(a, c) => {
+            let c = *c;
+            let ga = pool.map(g, |x| c * x);
+            add_grad(grads, pool, *a, ga);
+        }
+        Op::AddScalar(a) => {
+            let ga = pool.copy(g);
+            add_grad(grads, pool, *a, ga);
+        }
+        Op::Hadamard(a, b) => {
+            let ga = pool.zip(g, value(*b), |x, y| x * y);
+            let gb = pool.zip(g, value(*a), |x, y| x * y);
+            add_grad(grads, pool, *a, ga);
+            add_grad(grads, pool, *b, gb);
+        }
+        Op::MulColBroadcast(x, s) => {
+            let (vx, vs) = (value(*x), value(*s));
+            let (n, d) = vx.shape();
+            let mut gx = pool.take(n, d);
+            let mut gs = pool.take(n, 1);
+            for r in 0..n {
+                let c = vs.get(r, 0);
+                let grow = g.row(r);
+                let xrow = vx.row(r);
+                let gxr = gx.row_mut(r);
+                let mut acc = 0.0;
+                for j in 0..d {
+                    gxr[j] = grow[j] * c;
+                    acc += grow[j] * xrow[j];
                 }
-                Self::add_grad(grads, x, gx);
-                Self::add_grad(grads, s, gs);
+                gs.set(r, 0, acc);
             }
-            Op::MatMul(a, b) => {
-                let (a, b) = (*a, *b);
-                let ga = g.matmul(&self.value(b).transpose());
-                let gb = self.value(a).transpose().matmul(g);
-                Self::add_grad(grads, a, ga);
-                Self::add_grad(grads, b, gb);
-            }
-            Op::Spmm { mt, x } => {
-                let gx = mt.matmul(g);
-                Self::add_grad(grads, *x, gx);
-            }
-            Op::GatherRows { x, idx } => {
-                let vx = self.value(*x);
-                let mut gx = Matrix::zeros(vx.rows(), vx.cols());
-                for (i, &r) in idx.iter().enumerate() {
-                    let grow = g.row(i);
-                    let dst = gx.row_mut(r);
-                    for (d, s) in dst.iter_mut().zip(grow) {
-                        *d += s;
-                    }
+            add_grad(grads, pool, *x, gx);
+            add_grad(grads, pool, *s, gs);
+        }
+        Op::MatMul(a, b) => {
+            let ga = g.matmul(&value(*b).transpose());
+            let gb = value(*a).transpose().matmul(g);
+            add_grad(grads, pool, *a, ga);
+            add_grad(grads, pool, *b, gb);
+        }
+        Op::Spmm { m, x } => {
+            let mut gx = pool.take(m.cols(), g.cols());
+            m.transposed().matmul_into(g, &mut gx);
+            add_grad(grads, pool, *x, gx);
+        }
+        Op::GatherRows { x, idx } => {
+            let vx = value(*x);
+            let mut gx = pool.take_zeroed(vx.rows(), vx.cols());
+            for (i, &r) in idx.iter().enumerate() {
+                for (d, s) in gx.row_mut(r).iter_mut().zip(g.row(i)) {
+                    *d += s;
                 }
-                Self::add_grad(grads, *x, gx);
             }
-            Op::ConcatRows(a, b) => {
-                let (a, b) = (*a, *b);
-                let na = self.value(a).rows();
-                let d = g.cols();
-                let ga = Matrix::from_vec(na, d, g.data()[..na * d].to_vec());
-                let gb = Matrix::from_vec(g.rows() - na, d, g.data()[na * d..].to_vec());
-                Self::add_grad(grads, a, ga);
-                Self::add_grad(grads, b, gb);
-            }
-            Op::SliceRows { x, start } => {
-                let vx = self.value(*x);
-                let mut gx = Matrix::zeros(vx.rows(), vx.cols());
-                for r in 0..g.rows() {
-                    gx.row_mut(start + r).copy_from_slice(g.row(r));
+            add_grad(grads, pool, *x, gx);
+        }
+        Op::ConcatRows(a, b) => {
+            let na = value(*a).rows();
+            let d = g.cols();
+            let (top, bottom) = g.data().split_at(na * d);
+            let mut ga = pool.take(na, d);
+            ga.data_mut().copy_from_slice(top);
+            let mut gb = pool.take(g.rows() - na, d);
+            gb.data_mut().copy_from_slice(bottom);
+            add_grad(grads, pool, *a, ga);
+            add_grad(grads, pool, *b, gb);
+        }
+        Op::SliceRows { x, start } => {
+            let vx = value(*x);
+            let d = vx.cols();
+            let mut gx = pool.take_zeroed(vx.rows(), d);
+            gx.data_mut()[start * d..(start + g.rows()) * d].copy_from_slice(g.data());
+            add_grad(grads, pool, *x, gx);
+        }
+        Op::SumAll(a) => {
+            let va = value(*a);
+            let ga = pool.full(va.rows(), va.cols(), g.as_scalar());
+            add_grad(grads, pool, *a, ga);
+        }
+        Op::MeanAll(a) => {
+            let va = value(*a);
+            let n = (va.rows() * va.cols()) as f64;
+            let ga = pool.full(va.rows(), va.cols(), g.as_scalar() / n);
+            add_grad(grads, pool, *a, ga);
+        }
+        Op::Relu(a) => {
+            let ga = pool.zip(g, value(*a), |gi, xi| if xi > 0.0 { gi } else { 0.0 });
+            add_grad(grads, pool, *a, ga);
+        }
+        Op::LeakyRelu(a, alpha) => {
+            let alpha = *alpha;
+            let ga = pool.zip(
+                g,
+                value(*a),
+                |gi, xi| if xi > 0.0 { gi } else { alpha * gi },
+            );
+            add_grad(grads, pool, *a, ga);
+        }
+        Op::Sigmoid(a) => {
+            let ga = pool.zip(g, out, |gi, s| gi * s * (1.0 - s));
+            add_grad(grads, pool, *a, ga);
+        }
+        Op::Softplus(a) => {
+            let ga = pool.zip(g, value(*a), |gi, x| gi / (1.0 + (-x).exp()));
+            add_grad(grads, pool, *a, ga);
+        }
+        Op::Sqrt(a) => {
+            let ga = pool.zip(g, out, |gi, s| gi / (2.0 * s.max(1e-6)));
+            add_grad(grads, pool, *a, ga);
+        }
+        Op::Tanh(a) => {
+            let ga = pool.zip(g, out, |gi, t| gi * (1.0 - t * t));
+            add_grad(grads, pool, *a, ga);
+        }
+        Op::RowDot(a, b) => {
+            let (va, vb) = (value(*a), value(*b));
+            let (n, d) = va.shape();
+            let mut ga = pool.take(n, d);
+            let mut gb = pool.take(n, d);
+            for r in 0..n {
+                let c = g.get(r, 0);
+                for (o, &bv) in ga.row_mut(r).iter_mut().zip(vb.row(r)) {
+                    *o = c * bv;
                 }
-                Self::add_grad(grads, *x, gx);
-            }
-            Op::SumAll(a) => {
-                let va = self.value(*a);
-                Self::add_grad(grads, *a, Matrix::full(va.rows(), va.cols(), g.as_scalar()));
-            }
-            Op::MeanAll(a) => {
-                let va = self.value(*a);
-                let n = (va.rows() * va.cols()) as f64;
-                Self::add_grad(
-                    grads,
-                    *a,
-                    Matrix::full(va.rows(), va.cols(), g.as_scalar() / n),
-                );
-            }
-            Op::Relu(a) => {
-                let va = self.value(*a);
-                let data = g
-                    .data()
-                    .iter()
-                    .zip(va.data())
-                    .map(|(&gi, &xi)| if xi > 0.0 { gi } else { 0.0 })
-                    .collect();
-                Self::add_grad(grads, *a, Matrix::from_vec(g.rows(), g.cols(), data));
-            }
-            Op::LeakyRelu(a, alpha) => {
-                let va = self.value(*a);
-                let alpha = *alpha;
-                let data = g
-                    .data()
-                    .iter()
-                    .zip(va.data())
-                    .map(|(&gi, &xi)| if xi > 0.0 { gi } else { alpha * gi })
-                    .collect();
-                Self::add_grad(grads, *a, Matrix::from_vec(g.rows(), g.cols(), data));
-            }
-            Op::Sigmoid(a) => {
-                let out = &self.nodes[i].value;
-                let data = g
-                    .data()
-                    .iter()
-                    .zip(out.data())
-                    .map(|(&gi, &s)| gi * s * (1.0 - s))
-                    .collect();
-                Self::add_grad(grads, *a, Matrix::from_vec(g.rows(), g.cols(), data));
-            }
-            Op::Softplus(a) => {
-                let va = self.value(*a);
-                let data = g
-                    .data()
-                    .iter()
-                    .zip(va.data())
-                    .map(|(&gi, &x)| gi / (1.0 + (-x).exp()))
-                    .collect();
-                Self::add_grad(grads, *a, Matrix::from_vec(g.rows(), g.cols(), data));
-            }
-            Op::Sqrt(a) => {
-                let out = &self.nodes[i].value;
-                let data = g
-                    .data()
-                    .iter()
-                    .zip(out.data())
-                    .map(|(&gi, &s)| gi / (2.0 * s.max(1e-6)))
-                    .collect();
-                Self::add_grad(grads, *a, Matrix::from_vec(g.rows(), g.cols(), data));
-            }
-            Op::Tanh(a) => {
-                let out = &self.nodes[i].value;
-                let data = g
-                    .data()
-                    .iter()
-                    .zip(out.data())
-                    .map(|(&gi, &t)| gi * (1.0 - t * t))
-                    .collect();
-                Self::add_grad(grads, *a, Matrix::from_vec(g.rows(), g.cols(), data));
-            }
-            Op::RowDot(a, b) => {
-                let (a, b) = (*a, *b);
-                let va = self.value(a);
-                let vb = self.value(b);
-                let (n, d) = va.shape();
-                let mut ga = Matrix::zeros(n, d);
-                let mut gb = Matrix::zeros(n, d);
-                for r in 0..n {
-                    let c = g.get(r, 0);
-                    let (ar, br) = (va.row(r), vb.row(r));
-                    let gar = ga.row_mut(r);
-                    for j in 0..d {
-                        gar[j] = c * br[j];
-                    }
-                    let gbr = gb.row_mut(r);
-                    for j in 0..d {
-                        gbr[j] = c * ar[j];
-                    }
+                for (o, &av) in gb.row_mut(r).iter_mut().zip(va.row(r)) {
+                    *o = c * av;
                 }
-                Self::add_grad(grads, a, ga);
-                Self::add_grad(grads, b, gb);
             }
-            Op::RowSqNorm(a) => {
-                let va = self.value(*a);
-                let (n, d) = va.shape();
-                let mut ga = Matrix::zeros(n, d);
-                for r in 0..n {
-                    let c = 2.0 * g.get(r, 0);
-                    let ar = va.row(r);
-                    let gr = ga.row_mut(r);
-                    for j in 0..d {
-                        gr[j] = c * ar[j];
-                    }
+            add_grad(grads, pool, *a, ga);
+            add_grad(grads, pool, *b, gb);
+        }
+        Op::RowSqNorm(a) => {
+            let va = value(*a);
+            let (n, d) = va.shape();
+            let mut ga = pool.take(n, d);
+            for r in 0..n {
+                let c = 2.0 * g.get(r, 0);
+                for (o, &av) in ga.row_mut(r).iter_mut().zip(va.row(r)) {
+                    *o = c * av;
                 }
-                Self::add_grad(grads, *a, ga);
             }
-            Op::SoftmaxRows(a) => {
-                let out = &self.nodes[i].value;
-                let (n, d) = out.shape();
-                let mut ga = Matrix::zeros(n, d);
-                for r in 0..n {
-                    let orow = out.row(r);
-                    let grow = g.row(r);
-                    let dotv = taxorec_geometry::vecops::dot(orow, grow);
-                    let gr = ga.row_mut(r);
-                    for j in 0..d {
-                        gr[j] = orow[j] * (grow[j] - dotv);
-                    }
+            add_grad(grads, pool, *a, ga);
+        }
+        Op::SoftmaxRows(a) => {
+            let (n, d) = out.shape();
+            let mut ga = pool.take(n, d);
+            for r in 0..n {
+                let orow = out.row(r);
+                let grow = g.row(r);
+                let dotv = taxorec_geometry::vecops::dot(orow, grow);
+                let gr = ga.row_mut(r);
+                for j in 0..d {
+                    gr[j] = orow[j] * (grow[j] - dotv);
                 }
-                Self::add_grad(grads, *a, ga);
             }
-            Op::LorentzExpO(z) => {
-                let vz = self.value(*z);
-                let mut gz = Matrix::zeros(vz.rows(), vz.cols());
-                hyper::lorentz_exp_origin_bwd(vz, g, &mut gz);
-                Self::add_grad(grads, *z, gz);
-            }
-            Op::LorentzLogO(x) => {
-                let vx = self.value(*x);
-                let mut gx = Matrix::zeros(vx.rows(), vx.cols());
-                hyper::lorentz_log_origin_bwd(vx, g, &mut gx);
-                Self::add_grad(grads, *x, gx);
-            }
-            Op::LorentzDistSq(x, y) => {
-                let (x, y) = (*x, *y);
-                let vx = self.value(x);
-                let vy = self.value(y);
-                let mut gx = Matrix::zeros(vx.rows(), vx.cols());
-                let mut gy = Matrix::zeros(vy.rows(), vy.cols());
-                hyper::lorentz_dist_sq_bwd(vx, vy, g, &mut gx, &mut gy);
-                Self::add_grad(grads, x, gx);
-                Self::add_grad(grads, y, gy);
-            }
-            Op::PoincareDist(x, y) => {
-                let (x, y) = (*x, *y);
-                let vx = self.value(x);
-                let vy = self.value(y);
-                let mut gx = Matrix::zeros(vx.rows(), vx.cols());
-                let mut gy = Matrix::zeros(vy.rows(), vy.cols());
-                hyper::poincare_dist_bwd(vx, vy, g, &mut gx, &mut gy);
-                Self::add_grad(grads, x, gx);
-                Self::add_grad(grads, y, gy);
-            }
-            Op::PoincareToKlein(p) => {
-                let vp = self.value(*p);
-                let mut gp = Matrix::zeros(vp.rows(), vp.cols());
-                hyper::poincare_to_klein_bwd(vp, g, &mut gp);
-                Self::add_grad(grads, *p, gp);
-            }
-            Op::KleinToPoincare(k) => {
-                let vk = self.value(*k);
-                let mut gk = Matrix::zeros(vk.rows(), vk.cols());
-                hyper::klein_to_poincare_bwd(vk, g, &mut gk);
-                Self::add_grad(grads, *k, gk);
-            }
-            Op::PoincareToLorentz(p) => {
-                let vp = self.value(*p);
-                let mut gp = Matrix::zeros(vp.rows(), vp.cols());
-                hyper::poincare_to_lorentz_bwd(vp, g, &mut gp);
-                Self::add_grad(grads, *p, gp);
-            }
-            Op::EinsteinMidpoint { tags, item_tag } => {
-                let vt = self.value(*tags);
-                let out = &self.nodes[i].value;
-                let mut gt = Matrix::zeros(vt.rows(), vt.cols());
-                hyper::einstein_midpoint_bwd(vt, item_tag, out, g, &mut gt);
-                Self::add_grad(grads, *tags, gt);
-            }
+            add_grad(grads, pool, *a, ga);
+        }
+        Op::LorentzExpO(z) => {
+            let vz = value(*z);
+            let mut gz = pool.take_zeroed(vz.rows(), vz.cols());
+            hyper::lorentz_exp_origin_bwd(vz, g, &mut gz);
+            add_grad(grads, pool, *z, gz);
+        }
+        Op::LorentzLogO(x) => {
+            let vx = value(*x);
+            let mut gx = pool.take_zeroed(vx.rows(), vx.cols());
+            hyper::lorentz_log_origin_bwd(vx, g, &mut gx);
+            add_grad(grads, pool, *x, gx);
+        }
+        Op::LorentzDistSq(x, y) => {
+            let (vx, vy) = (value(*x), value(*y));
+            let mut gx = pool.take_zeroed(vx.rows(), vx.cols());
+            let mut gy = pool.take_zeroed(vy.rows(), vy.cols());
+            hyper::lorentz_dist_sq_bwd(vx, vy, g, &mut gx, &mut gy);
+            add_grad(grads, pool, *x, gx);
+            add_grad(grads, pool, *y, gy);
+        }
+        Op::LorentzDistSqRows { x, y, idx } => {
+            let (vx, vy) = (value(*x), value(*y));
+            let mut gx = pool.take_zeroed(vx.rows(), vx.cols());
+            let mut gy = pool.take_zeroed(vy.rows(), vy.cols());
+            hyper::lorentz_dist_sq_rows_bwd(vx, vy, idx, g, &mut gx, &mut gy);
+            add_grad(grads, pool, *x, gx);
+            add_grad(grads, pool, *y, gy);
+        }
+        Op::PoincareDist(x, y) => {
+            let (vx, vy) = (value(*x), value(*y));
+            let mut gx = pool.take_zeroed(vx.rows(), vx.cols());
+            let mut gy = pool.take_zeroed(vy.rows(), vy.cols());
+            hyper::poincare_dist_bwd(vx, vy, g, &mut gx, &mut gy);
+            add_grad(grads, pool, *x, gx);
+            add_grad(grads, pool, *y, gy);
+        }
+        Op::PoincareToKlein(p) => {
+            let vp = value(*p);
+            let mut gp = pool.take_zeroed(vp.rows(), vp.cols());
+            hyper::poincare_to_klein_bwd(vp, g, &mut gp);
+            add_grad(grads, pool, *p, gp);
+        }
+        Op::KleinToPoincare(k) => {
+            let vk = value(*k);
+            let mut gk = pool.take_zeroed(vk.rows(), vk.cols());
+            hyper::klein_to_poincare_bwd(vk, g, &mut gk);
+            add_grad(grads, pool, *k, gk);
+        }
+        Op::PoincareToLorentz(p) => {
+            let vp = value(*p);
+            let mut gp = pool.take_zeroed(vp.rows(), vp.cols());
+            hyper::poincare_to_lorentz_bwd(vp, g, &mut gp);
+            add_grad(grads, pool, *p, gp);
+        }
+        Op::EinsteinMidpoint { tags, item_tag } => {
+            let vt = value(*tags);
+            let mut gt = pool.take_zeroed(vt.rows(), vt.cols());
+            hyper::einstein_midpoint_bwd(vt, item_tag, out, g, &mut gt);
+            add_grad(grads, pool, *tags, gt);
         }
     }
 }
@@ -803,6 +946,65 @@ mod tests {
         let g = t.backward(loss);
         // Row 2 gathered twice ⇒ gradient 2; row 1 never ⇒ 0.
         assert_eq!(g.wrt(x).unwrap().data(), &[1.0, 1.0, 0.0, 0.0, 2.0, 2.0]);
+    }
+
+    fn hyperboloid_rows(spatial: &[[f64; 2]]) -> Matrix {
+        let mut m = Matrix::zeros(spatial.len(), 3);
+        for (r, sp) in spatial.iter().enumerate() {
+            m.row_mut(r)
+                .copy_from_slice(&taxorec_geometry::lorentz::from_spatial(sp));
+        }
+        m
+    }
+
+    #[test]
+    fn lorentz_dist_sq_rows_is_gather_then_dist_bit_for_bit() {
+        // Six triplets over four "items": item 2 is read three times, item
+        // 1 never, and idx is longer than y is tall. Two distances share x
+        // and y, as the positive and negative side of a triplet batch do.
+        let x0 = hyperboloid_rows(&[
+            [0.3, -0.2],
+            [1.1, 0.4],
+            [-0.7, 0.9],
+            [0.05, 0.0],
+            [-1.3, -0.6],
+            [0.8, 0.8],
+        ]);
+        let y0 = hyperboloid_rows(&[[0.5, 0.5], [-0.4, 0.1], [0.9, -1.2], [0.0, 0.3]]);
+        let pos = Arc::new(vec![2usize, 0, 2, 3, 2, 0]);
+        let neg = Arc::new(vec![3usize, 3, 0, 2, 0, 2]);
+        let w0 = Matrix::from_vec(6, 1, vec![0.7, -1.3, 0.2, 2.1, -0.4, 1.0]);
+        let run = |fused: bool| {
+            let mut t = Tape::new();
+            let x = t.leaf_copy(&x0);
+            let y = t.leaf_copy(&y0);
+            let (dp, dn) = if fused {
+                (
+                    t.lorentz_dist_sq_rows(x, y, Arc::clone(&pos)),
+                    t.lorentz_dist_sq_rows(x, y, Arc::clone(&neg)),
+                )
+            } else {
+                let yp = t.gather_rows(y, Arc::clone(&pos));
+                let yn = t.gather_rows(y, Arc::clone(&neg));
+                (t.lorentz_dist_sq(x, yp), t.lorentz_dist_sq(x, yn))
+            };
+            let diff = t.sub(dp, dn);
+            let w = t.leaf_copy(&w0);
+            let weighted = t.hadamard(diff, w);
+            let loss = t.sum_all(weighted);
+            let mut g = t.backward(loss);
+            let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            (
+                bits(t.value(dp)),
+                bits(t.value(dn)),
+                bits(&g.take(x).unwrap()),
+                bits(&g.take(y).unwrap()),
+            )
+        };
+        let (chain, fused) = (run(false), run(true));
+        assert_eq!(chain, fused);
+        // The unread row of y gets an exact zero gradient, not a stale one.
+        assert!(fused.3[3..6].iter().all(|&b| b == 0));
     }
 
     #[test]

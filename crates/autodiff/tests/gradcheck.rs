@@ -7,8 +7,11 @@
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use rand::SeedableRng;
 use taxorec_autodiff::{Csr, Matrix, Tape, Var};
+
+mod common;
+use common::{rand_ball_matrix, rand_hyperboloid_matrix, rand_matrix};
 
 /// Central finite-difference gradient of `loss_fn` with respect to the
 /// entries of `x`.
@@ -22,46 +25,6 @@ fn fd_grad(x: &Matrix, loss_fn: &dyn Fn(&Matrix) -> f64, h: f64) -> Matrix {
         g.data_mut()[i] = (loss_fn(&xp) - loss_fn(&xm)) / (2.0 * h);
     }
     g
-}
-
-fn rand_matrix(rng: &mut StdRng, rows: usize, cols: usize, scale: f64) -> Matrix {
-    let data = (0..rows * cols)
-        .map(|_| (rng.random::<f64>() - 0.5) * 2.0 * scale)
-        .collect();
-    Matrix::from_vec(rows, cols, data)
-}
-
-/// A random ball matrix: every row has norm < `max_norm`.
-fn rand_ball_matrix(rng: &mut StdRng, rows: usize, cols: usize, max_norm: f64) -> Matrix {
-    let mut m = rand_matrix(rng, rows, cols, 1.0);
-    for r in 0..rows {
-        let row = m.row_mut(r);
-        let n = taxorec_geometry::vecops::norm(row);
-        let target = rng.random::<f64>() * max_norm;
-        if n > 1e-9 {
-            for v in row.iter_mut() {
-                *v *= target / n;
-            }
-        }
-    }
-    m
-}
-
-/// A random hyperboloid matrix (rows satisfy the Lorentz constraint).
-fn rand_hyperboloid_matrix(rng: &mut StdRng, rows: usize, d: usize) -> Matrix {
-    let mut m = Matrix::zeros(rows, d + 1);
-    for r in 0..rows {
-        // Keep spatial parts away from zero so log_o stays differentiable.
-        let spatial: Vec<f64> = (0..d)
-            .map(|_| {
-                let v: f64 = (rng.random::<f64>() - 0.5) * 2.0;
-                v + 0.3 * v.signum()
-            })
-            .collect();
-        let p = taxorec_geometry::lorentz::from_spatial(&spatial);
-        m.row_mut(r).copy_from_slice(&p);
-    }
-    m
 }
 
 /// Asserts that the analytic gradient of `build(tape, x_var)` matches the
@@ -448,6 +411,41 @@ fn grad_lorentz_dist_sq() {
 }
 
 #[test]
+fn grad_lorentz_dist_sq_rows() {
+    // Five triplets over three "items": item 1 is read three times, item 2
+    // never — with respect to both sides.
+    let mut rng = StdRng::seed_from_u64(20);
+    let x0 = rand_hyperboloid_matrix(&mut rng, 5, 3);
+    let y0 = rand_hyperboloid_matrix(&mut rng, 3, 3);
+    let idx = Arc::new(vec![1usize, 0, 1, 1, 0]);
+    let w = weight_like(&mut rng, 5, 1);
+    let weighted = |t: &mut Tape, x: Var, y: Var| {
+        let d = t.lorentz_dist_sq_rows(x, y, Arc::clone(&idx));
+        let w = t.leaf(w.clone());
+        let h = t.hadamard(d, w);
+        t.sum_all(h)
+    };
+    check_grad(
+        &x0,
+        &|t, x| {
+            let y = t.leaf(y0.clone());
+            weighted(t, x, y)
+        },
+        1e-4,
+        1e-6,
+    );
+    check_grad(
+        &y0,
+        &|t, y| {
+            let x = t.leaf(x0.clone());
+            weighted(t, x, y)
+        },
+        1e-4,
+        1e-6,
+    );
+}
+
+#[test]
 fn grad_poincare_dist() {
     let mut rng = StdRng::seed_from_u64(13);
     let x0 = rand_ball_matrix(&mut rng, 4, 3, 0.7);
@@ -543,7 +541,7 @@ fn grad_einstein_midpoint() {
 fn grad_taxonomy_regularizer_path() {
     // The exact Eq. 8 tape chain of the model: cluster centers as a
     // row-normalized sparse average of tag embeddings
-    // (`spmm_with_transpose`), then Poincaré distance between each tag and
+    // (`spmm`), then Poincaré distance between each tag and
     // its center, mean, and λ-scaling — checked with respect to the tag
     // embedding table `t_p`.
     let mut rng = StdRng::seed_from_u64(18);
@@ -561,7 +559,6 @@ fn grad_taxonomy_regularizer_path() {
             (1, 3, 0.4),
         ],
     ));
-    let node_tags_t = Arc::new(node_tags.transpose());
     // (tag, node) membership pairs of the regularizer sum.
     let term_tags = Arc::new(vec![0usize, 1, 4, 2, 3]);
     let term_rows = Arc::new(vec![0usize, 0, 0, 1, 1]);
@@ -569,7 +566,7 @@ fn grad_taxonomy_regularizer_path() {
     check_grad(
         &t_p0,
         &|t, t_p| {
-            let centers = t.spmm_with_transpose(&node_tags, Arc::clone(&node_tags_t), t_p);
+            let centers = t.spmm(&node_tags, t_p);
             let gt = t.gather_rows(t_p, Arc::clone(&term_tags));
             let gc = t.gather_rows(centers, Arc::clone(&term_rows));
             let dists = t.poincare_dist(gt, gc);

@@ -1,5 +1,6 @@
 //! Microbenchmarks of the autodiff substrate: forward + backward of the
-//! hyperbolic pipeline TaxoRec executes every minibatch.
+//! hyperbolic pipeline TaxoRec executes every minibatch — on one tape that
+//! is reset per step and gets its gradients back, as the trainer runs it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -7,24 +8,24 @@ use std::sync::Arc;
 use taxorec_autodiff::{Csr, Matrix, Tape};
 
 fn pipeline_once(
+    tape: &mut Tape,
     emb: &Matrix,
     tags: &Matrix,
     adj: &Arc<Csr>,
-    adj_t: &Arc<Csr>,
     item_tag: &Arc<Csr>,
     n_users: usize,
 ) -> f64 {
-    let mut tape = Tape::new();
-    let t_p = tape.leaf(tags.clone());
+    tape.reset();
+    let t_p = tape.leaf_copy(tags);
     let k = tape.poincare_to_klein(t_p);
     let mu = tape.einstein_midpoint(k, item_tag);
     let p = tape.klein_to_poincare(mu);
     let v_tg = tape.poincare_to_lorentz(p);
     let z_items = tape.lorentz_log_origin(v_tg);
-    let e = tape.leaf(emb.clone());
+    let e = tape.leaf_copy(emb);
     let z = tape.concat_rows(e, z_items);
-    let z1 = tape.spmm_with_transpose(adj, Arc::clone(adj_t), z);
-    let z2 = tape.spmm_with_transpose(adj, Arc::clone(adj_t), z1);
+    let z1 = tape.spmm(adj, z);
+    let z2 = tape.spmm(adj, z1);
     let zs = tape.add(z1, z2);
     let out = tape.lorentz_exp_origin(zs);
     let users = tape.slice_rows(out, 0, n_users);
@@ -38,7 +39,9 @@ fn pipeline_once(
     let d = tape.lorentz_dist_sq(gu, gv);
     let loss = tape.mean_all(d);
     let grads = tape.backward(loss);
-    grads.wrt(t_p).map(|g| g.max_abs()).unwrap_or(0.0)
+    let out = grads.wrt(t_p).map(|g| g.max_abs()).unwrap_or(0.0);
+    tape.recycle(grads);
+    out
 }
 
 fn z_items_rows(item_tag: &Arc<Csr>) -> usize {
@@ -63,19 +66,19 @@ fn bench_autodiff(c: &mut Criterion) {
         n_users + n_items,
         &adj_triplets,
     ));
-    let adj_t = Arc::new(adj.transpose());
     let it_triplets: Vec<(usize, usize, f64)> = (0..n_items)
         .flat_map(|v| [(v, v % n_tags, 1.0), (v, (v * 3 + 1) % n_tags, 1.0)])
         .collect();
     let item_tag = Arc::new(Csr::from_triplets(n_items, n_tags, &it_triplets));
 
     c.bench_function("autodiff_full_pipeline_fwd_bwd_500nodes", |b| {
+        let mut tape = Tape::new();
         b.iter(|| {
             pipeline_once(
+                &mut tape,
                 black_box(&emb),
                 black_box(&tags),
                 &adj,
-                &adj_t,
                 &item_tag,
                 n_users,
             )

@@ -38,11 +38,7 @@ pub fn local_tag_aggregation(
     } else {
         let lifted = tape.poincare_to_lorentz(t_p);
         let tangent = tape.lorentz_log_origin(lifted);
-        let avg = tape.spmm_with_transpose(
-            &graph.item_tag_norm,
-            std::sync::Arc::new(graph.item_tag_norm.transpose()),
-            tangent,
-        );
+        let avg = tape.spmm(&graph.item_tag_norm, tangent);
         tape.lorentz_exp_origin(avg)
     }
 }
@@ -68,7 +64,7 @@ pub fn global_aggregation(
     let mut z = tape.concat_rows(zu, zv);
     let mut acc: Option<Var> = None;
     for _ in 0..layers.max(1) {
-        z = tape.spmm_with_transpose(&graph.propagate, graph.propagate_t.clone(), z); // Eq. 13
+        z = tape.spmm(&graph.propagate, z); // Eq. 13
         acc = Some(match acc {
             None => z,
             Some(a) => tape.add(a, z), // Eq. 14

@@ -12,10 +12,10 @@ pub struct GraphMatrices {
     /// `(n_users + n_items)²` one-step propagation matrix
     /// `M = I + D⁻¹·A` over the stacked user/item node set, where `A` is
     /// the (symmetric) bipartite training adjacency — one application
-    /// computes paper Eq. 13 for both sides at once.
+    /// computes paper Eq. 13 for both sides at once. Its transpose, which
+    /// backward needs, is [`Csr::transposed`]: built by the first backward
+    /// pass, shared by every later one.
     pub propagate: Arc<Csr>,
-    /// Cached transpose of [`GraphMatrices::propagate`] for backward.
-    pub propagate_t: Arc<Csr>,
     /// Item–tag weights `Ψ` (`n_items × n_tags`, binary).
     pub item_tag: Arc<Csr>,
     /// Row-normalized `Ψ` (rows sum to 1) — used by the naive
@@ -58,7 +58,6 @@ impl GraphMatrices {
             triplets.push((i, i, 1.0));
         }
         let propagate = Arc::new(Csr::from_triplets(n, n, &triplets));
-        let propagate_t = Arc::new(propagate.transpose());
 
         let mut tag_triplets = Vec::new();
         for (v, tags) in dataset.item_tags.iter().enumerate() {
@@ -76,7 +75,6 @@ impl GraphMatrices {
         let item_tag_norm = Arc::new(norm);
         Self {
             propagate,
-            propagate_t,
             item_tag,
             item_tag_norm,
             n_users,
@@ -153,7 +151,7 @@ mod tests {
         let (d, s) = tiny();
         let g = GraphMatrices::build(&d, &s);
         assert_eq!(
-            g.propagate_t.to_dense().data(),
+            g.propagate.transposed().to_dense().data(),
             g.propagate.to_dense().transpose().data()
         );
     }

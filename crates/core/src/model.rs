@@ -51,7 +51,6 @@ pub struct TaxoRec {
     // Taxonomy state.
     taxonomy: Option<Taxonomy>,
     reg_center_csr: Option<Arc<Csr>>,
-    reg_center_csr_t: Option<Arc<Csr>>,
     reg_term_tags: Arc<Vec<usize>>,
     reg_term_rows: Arc<Vec<usize>>,
     // Final (post-aggregation) embeddings for inference.
@@ -98,6 +97,9 @@ fn grad_sq_sum(g: &Matrix) -> f64 {
     g.data().iter().map(|x| x * x).sum()
 }
 
+/// One forward pass and the tape it was recorded on. It *owns* the tape:
+/// the `Var`s below are only valid until the next [`Tape::reset`], and
+/// nobody can reset a tape this struct holds.
 struct Forward {
     tape: Tape,
     u_ir_leaf: Var,
@@ -108,6 +110,23 @@ struct Forward {
     v_ir: Var,
     u_tg: Option<Var>,
     v_tg: Option<Var>,
+}
+
+/// The index lists of one triplet batch in the form the tape's row ops keep
+/// them (`Arc`, so a node holds its list without a copy). One set per fit:
+/// [`Tape::reset`] drops the tape's handles, which makes these unique again
+/// and lets [`TaxoRec::build_loss`] refill them in place.
+#[derive(Default)]
+struct TripletIdx {
+    users: Arc<Vec<usize>>,
+    pos: Arc<Vec<usize>>,
+    neg: Arc<Vec<usize>>,
+}
+
+fn refill(dst: &mut Arc<Vec<usize>>, src: &[u32]) {
+    let dst = Arc::make_mut(dst);
+    dst.clear();
+    dst.extend(src.iter().map(|&x| x as usize));
 }
 
 impl TaxoRec {
@@ -137,7 +156,6 @@ impl TaxoRec {
             alphas: Vec::new(),
             taxonomy: None,
             reg_center_csr: None,
-            reg_center_csr_t: None,
             reg_term_tags: Arc::new(Vec::new()),
             reg_term_rows: Arc::new(Vec::new()),
             final_u_ir: Matrix::zeros(0, 0),
@@ -202,67 +220,42 @@ impl TaxoRec {
             .collect()
     }
 
-    /// Builds the full forward pass on a fresh tape.
-    fn forward(&self) -> Forward {
+    /// Builds the full forward pass on `tape`, reset first: the storage of
+    /// whatever it recorded last holds this pass's values.
+    fn forward(&self, mut tape: Tape) -> Forward {
         let graph = self.graph.as_ref().expect("fit() before forward()");
-        let mut tape = Tape::new();
-        let u_ir_leaf = tape.leaf(self.u_ir.clone());
-        let v_ir_leaf = tape.leaf(self.v_ir.clone());
-        if !self.config.use_aggregation {
-            return Forward {
-                tape,
-                u_ir_leaf,
-                v_ir_leaf,
-                u_tg_leaf: None,
-                t_p_leaf: None,
-                u_ir: u_ir_leaf,
-                v_ir: v_ir_leaf,
-                u_tg: None,
-                v_tg: None,
-            };
-        }
-        let (u_ir, v_ir) = global_aggregation(
-            &mut tape,
-            u_ir_leaf,
-            v_ir_leaf,
-            graph,
-            self.config.gcn_layers,
-        );
-        if !self.tags_active {
-            return Forward {
-                tape,
-                u_ir_leaf,
-                v_ir_leaf,
-                u_tg_leaf: None,
-                t_p_leaf: None,
-                u_ir,
-                v_ir,
-                u_tg: None,
-                v_tg: None,
-            };
-        }
-        let u_tg_leaf = tape.leaf(self.u_tg.clone());
-        let t_p_leaf = tape.leaf(self.t_p.clone());
-        let v_tg_local =
-            local_tag_aggregation(&mut tape, t_p_leaf, graph, self.config.einstein_local);
-        let (u_tg, v_tg) = global_aggregation(
-            &mut tape,
-            u_tg_leaf,
-            v_tg_local,
-            graph,
-            self.config.gcn_layers,
-        );
-        Forward {
+        tape.reset();
+        let u_ir_leaf = tape.leaf_copy(&self.u_ir);
+        let v_ir_leaf = tape.leaf_copy(&self.v_ir);
+        let mut f = Forward {
             tape,
             u_ir_leaf,
             v_ir_leaf,
-            u_tg_leaf: Some(u_tg_leaf),
-            t_p_leaf: Some(t_p_leaf),
-            u_ir,
-            v_ir,
-            u_tg: Some(u_tg),
-            v_tg: Some(v_tg),
+            u_tg_leaf: None,
+            t_p_leaf: None,
+            u_ir: u_ir_leaf,
+            v_ir: v_ir_leaf,
+            u_tg: None,
+            v_tg: None,
+        };
+        if !self.config.use_aggregation {
+            return f;
         }
+        let layers = self.config.gcn_layers;
+        (f.u_ir, f.v_ir) = global_aggregation(&mut f.tape, u_ir_leaf, v_ir_leaf, graph, layers);
+        if !self.tags_active {
+            return f;
+        }
+        let u_tg_leaf = f.tape.leaf_copy(&self.u_tg);
+        let t_p_leaf = f.tape.leaf_copy(&self.t_p);
+        let v_tg_local =
+            local_tag_aggregation(&mut f.tape, t_p_leaf, graph, self.config.einstein_local);
+        let (u_tg, v_tg) = global_aggregation(&mut f.tape, u_tg_leaf, v_tg_local, graph, layers);
+        f.u_tg_leaf = Some(u_tg_leaf);
+        f.t_p_leaf = Some(t_p_leaf);
+        f.u_tg = Some(u_tg);
+        f.v_tg = Some(v_tg);
+        f
     }
 
     /// Builds `g(u, v_p)`, `g(u, v_q)` (Eq. 17) and the joint loss
@@ -273,40 +266,37 @@ impl TaxoRec {
     /// (compensating the long aggregation chain) but the regularizer
     /// gradient at the plain rate — the Eq. 8 pull touches `T^P` directly
     /// and needs no compensation.
+    ///
+    /// The user rows are gathered (their gradient is summed per triplet
+    /// before it is scattered); the item rows are read in place by
+    /// [`Tape::lorentz_dist_sq_rows`].
     fn build_loss(
         &self,
         f: &mut Forward,
+        idx: &mut TripletIdx,
         users: &[u32],
         pos: &[u32],
         neg: &[u32],
     ) -> (Var, Option<Var>) {
         let tape = &mut f.tape;
-        let u_idx = Arc::new(users.iter().map(|&u| u as usize).collect::<Vec<_>>());
-        let p_idx = Arc::new(pos.iter().map(|&v| v as usize).collect::<Vec<_>>());
-        let q_idx = Arc::new(neg.iter().map(|&v| v as usize).collect::<Vec<_>>());
+        refill(&mut idx.users, users);
+        refill(&mut idx.pos, pos);
+        refill(&mut idx.neg, neg);
 
-        let gu = tape.gather_rows(f.u_ir, Arc::clone(&u_idx));
-        let gp = tape.gather_rows(f.v_ir, Arc::clone(&p_idx));
-        let gq = tape.gather_rows(f.v_ir, Arc::clone(&q_idx));
-        let mut g_pos = tape.lorentz_dist_sq(gu, gp);
-        let mut g_neg = tape.lorentz_dist_sq(gu, gq);
+        let gu = tape.gather_rows(f.u_ir, Arc::clone(&idx.users));
+        let mut g_pos = tape.lorentz_dist_sq_rows(gu, f.v_ir, Arc::clone(&idx.pos));
+        let mut g_neg = tape.lorentz_dist_sq_rows(gu, f.v_ir, Arc::clone(&idx.neg));
 
         if let (Some(u_tg), Some(v_tg)) = (f.u_tg, f.v_tg) {
-            let gu_t = tape.gather_rows(u_tg, Arc::clone(&u_idx));
-            let gp_t = tape.gather_rows(v_tg, Arc::clone(&p_idx));
-            let gq_t = tape.gather_rows(v_tg, Arc::clone(&q_idx));
-            let d_pos_t = tape.lorentz_dist_sq(gu_t, gp_t);
-            let d_neg_t = tape.lorentz_dist_sq(gu_t, gq_t);
+            let gu_t = tape.gather_rows(u_tg, Arc::clone(&idx.users));
+            let d_pos_t = tape.lorentz_dist_sq_rows(gu_t, v_tg, Arc::clone(&idx.pos));
+            let d_neg_t = tape.lorentz_dist_sq_rows(gu_t, v_tg, Arc::clone(&idx.neg));
             let gain = self.config.tag_channel_gain;
-            let alpha = Matrix::from_vec(
-                users.len(),
-                1,
-                users
-                    .iter()
-                    .map(|&u| gain * self.alphas[u as usize])
-                    .collect(),
-            );
-            let alpha = tape.leaf(alpha);
+            let alpha = tape.leaf_with(users.len(), 1, |col| {
+                for (a, &u) in col.iter_mut().zip(users) {
+                    *a = gain * self.alphas[u as usize];
+                }
+            });
             let a_pos = tape.mul_col_broadcast(d_pos_t, alpha);
             let a_neg = tape.mul_col_broadcast(d_neg_t, alpha);
             g_pos = tape.add(g_pos, a_pos);
@@ -325,10 +315,8 @@ impl TaxoRec {
         // Taxonomy-aware regularization (Eq. 8), when a plan exists.
         let mut reg_loss = None;
         if self.config.lambda > 0.0 && !self.reg_term_tags.is_empty() {
-            if let (Some(t_p_leaf), Some(csr), Some(csr_t)) =
-                (f.t_p_leaf, &self.reg_center_csr, &self.reg_center_csr_t)
-            {
-                let centers = tape.spmm_with_transpose(csr, Arc::clone(csr_t), t_p_leaf);
+            if let (Some(t_p_leaf), Some(csr)) = (f.t_p_leaf, &self.reg_center_csr) {
+                let centers = tape.spmm(csr, t_p_leaf);
                 let gt = tape.gather_rows(t_p_leaf, Arc::clone(&self.reg_term_tags));
                 let gc = tape.gather_rows(centers, Arc::clone(&self.reg_term_rows));
                 let dists = tape.poincare_dist(gt, gc);
@@ -394,14 +382,12 @@ impl TaxoRec {
         let plan = RegularizerPlan::from_taxonomy(&taxo);
         if plan.n_centers > 0 {
             let triplets: Vec<(usize, usize, f64)> = plan.center_weights.clone();
-            let csr = Arc::new(Csr::from_triplets(plan.n_centers, n_tags, &triplets));
-            self.reg_center_csr_t = Some(Arc::new(csr.transpose()));
-            self.reg_center_csr = Some(csr);
+            let csr = Csr::from_triplets(plan.n_centers, n_tags, &triplets);
+            self.reg_center_csr = Some(Arc::new(csr));
             self.reg_term_tags = Arc::new(plan.terms.iter().map(|&(t, _)| t as usize).collect());
             self.reg_term_rows = Arc::new(plan.terms.iter().map(|&(_, r)| r).collect());
         } else {
             self.reg_center_csr = None;
-            self.reg_center_csr_t = None;
             self.reg_term_tags = Arc::new(Vec::new());
             self.reg_term_rows = Arc::new(Vec::new());
         }
@@ -601,29 +587,35 @@ impl TaxoRec {
         let sampler = NegativeSampler::new(dataset.n_items, split.train.clone());
         let base_pairs = split.train_pairs();
         if base_pairs.is_empty() {
-            self.finalize();
+            self.finalize(Tape::new());
             taxorec_telemetry::trace::flush();
             taxorec_telemetry::sink::flush();
             return report;
         }
         let warmup = (cfg.epochs as f64 * cfg.taxo_warmup_frac) as usize;
-        // Triplet assembly buffers, reused across every batch of every
-        // epoch: they grow to one batch's size once and are then cleared
-        // per batch — zero steady-state allocation in the pair loop.
+        // Everything below is storage the fit allocates once and every
+        // epoch and batch refills: the triplet assembly buffers and their
+        // index-list form, the shuffled pair order, the rollback snapshot,
+        // and the tape (every forward value and every gradient) — zero
+        // steady-state allocation in the pair loop.
         let mut users: Vec<u32> = Vec::new();
         let mut pos: Vec<u32> = Vec::new();
         let mut neg: Vec<u32> = Vec::new();
+        let mut idx = TripletIdx::default();
+        let mut pairs = Vec::with_capacity(base_pairs.len());
+        let mut snap_params: [Matrix; 4] = std::array::from_fn(|_| Matrix::zeros(0, 0));
+        let mut tape = Tape::new();
         let mut epoch = start_epoch;
         while epoch < cfg.epochs {
             // Start-of-epoch snapshot: the rollback target if this epoch
             // diverges. RNG state included so the re-run replays the same
             // shuffle and negative draws (under the backed-off rate).
-            let snap_params = (
-                self.u_ir.clone(),
-                self.v_ir.clone(),
-                self.u_tg.clone(),
-                self.t_p.clone(),
-            );
+            for (snap, live) in snap_params
+                .iter_mut()
+                .zip([&self.u_ir, &self.v_ir, &self.u_tg, &self.t_p])
+            {
+                snap.copy_from(live);
+            }
             let snap_rng = rng.state();
             let snap_losses = self.loss_history.len();
 
@@ -638,7 +630,7 @@ impl TaxoRec {
             // Refresh the post-aggregation embeddings once per epoch for
             // hard-negative mining (stale-but-cheap, standard practice).
             if cfg.hard_negative_pool > 0 {
-                self.finalize();
+                tape = self.finalize(tape);
             }
             if self.tags_active
                 && cfg.lambda > 0.0
@@ -652,7 +644,8 @@ impl TaxoRec {
             // on the RNG state at its start, never on earlier epochs'
             // in-place permutations — this is what makes a resumed run
             // replay the same order from the restored RNG state.
-            let mut pairs = base_pairs.clone();
+            pairs.clear();
+            pairs.extend_from_slice(&base_pairs);
             pairs.shuffle(&mut rng);
             let mut epoch_loss = 0.0;
             let mut n_batches = 0usize;
@@ -673,10 +666,10 @@ impl TaxoRec {
                     }
                 }
                 let stage_t0 = Instant::now();
-                let mut f = self.forward();
+                let mut f = self.forward(tape);
                 let stage_t1 = Instant::now();
                 agg_time += stage_t1 - stage_t0;
-                let (metric_loss, reg_loss) = self.build_loss(&mut f, &users, &pos, &neg);
+                let (metric_loss, reg_loss) = self.build_loss(&mut f, &mut idx, &users, &pos, &neg);
                 let batch_loss = f.tape.value(metric_loss).as_scalar()
                     + reg_loss.map(|r| f.tape.value(r).as_scalar()).unwrap_or(0.0);
                 if !batch_loss.is_finite() {
@@ -685,55 +678,66 @@ impl TaxoRec {
                     // update, counted and warned through the monitor.
                     monitor.observe_batch(batch_loss, 0.0);
                     nan_batches += 1;
+                    score_time += stage_t1.elapsed();
+                    tape = f.tape;
                     continue;
                 }
-                let mut grads = f.tape.backward(metric_loss);
-                let g_u_ir = grads.take(f.u_ir_leaf);
-                let g_v_ir = grads.take(f.v_ir_leaf);
-                let g_u_tg = f.u_tg_leaf.and_then(|leaf| grads.take(leaf));
-                let g_t_p = f.t_p_leaf.and_then(|leaf| grads.take(leaf));
-                let g_t_p_reg = match (f.t_p_leaf, reg_loss) {
-                    (Some(leaf), Some(reg)) => f.tape.backward(reg).take(leaf),
-                    _ => None,
-                };
-                let grad_norm = [&g_u_ir, &g_v_ir, &g_u_tg, &g_t_p, &g_t_p_reg]
+                let grads = f.tape.backward(metric_loss);
+                let reg_grads = reg_loss.map(|reg| f.tape.backward(reg));
+                let g_u_ir = grads.wrt(f.u_ir_leaf);
+                let g_v_ir = grads.wrt(f.v_ir_leaf);
+                let g_u_tg = f.u_tg_leaf.and_then(|leaf| grads.wrt(leaf));
+                let g_t_p = f.t_p_leaf.and_then(|leaf| grads.wrt(leaf));
+                let g_t_p_reg = f
+                    .t_p_leaf
+                    .zip(reg_grads.as_ref())
+                    .and_then(|(leaf, g)| g.wrt(leaf));
+                let grad_norm = [g_u_ir, g_v_ir, g_u_tg, g_t_p, g_t_p_reg]
                     .into_iter()
-                    .filter_map(|g| g.as_ref().map(grad_sq_sum))
+                    .flatten()
+                    .map(grad_sq_sum)
                     .sum::<f64>()
                     .sqrt();
                 let stage_t2 = Instant::now();
                 score_time += stage_t2 - stage_t1;
-                if !monitor.observe_batch(batch_loss, grad_norm) {
-                    nan_batches += 1;
-                    continue;
-                }
-                epoch_loss += batch_loss;
-                n_batches += 1;
-                let lr = cfg.lr * lr_scale;
-                if let Some(g) = g_u_ir {
-                    optim::rsgd_lorentz(&mut self.u_ir, &g, lr);
-                }
-                if let Some(g) = g_v_ir {
-                    optim::rsgd_lorentz(&mut self.v_ir, &g, lr);
-                }
-                if let Some(g) = g_u_tg {
-                    optim::rsgd_lorentz(&mut self.u_tg, &g, lr);
-                }
-                if let Some(r) = cfg.max_radius {
-                    optim::clip_lorentz_radius(&mut self.u_ir, r);
-                    optim::clip_lorentz_radius(&mut self.v_ir, r);
-                    if self.tags_active {
-                        optim::clip_lorentz_radius(&mut self.u_tg, r);
+                if monitor.observe_batch(batch_loss, grad_norm) {
+                    epoch_loss += batch_loss;
+                    n_batches += 1;
+                    let lr = cfg.lr * lr_scale;
+                    if let Some(g) = g_u_ir {
+                        optim::rsgd_lorentz(&mut self.u_ir, g, lr);
                     }
+                    if let Some(g) = g_v_ir {
+                        optim::rsgd_lorentz(&mut self.v_ir, g, lr);
+                    }
+                    if let Some(g) = g_u_tg {
+                        optim::rsgd_lorentz(&mut self.u_tg, g, lr);
+                    }
+                    if let Some(r) = cfg.max_radius {
+                        optim::clip_lorentz_radius(&mut self.u_ir, r);
+                        optim::clip_lorentz_radius(&mut self.v_ir, r);
+                        if self.tags_active {
+                            optim::clip_lorentz_radius(&mut self.u_tg, r);
+                        }
+                    }
+                    if let Some(g) = g_t_p {
+                        optim::rsgd_poincare(&mut self.t_p, g, lr * cfg.lr_tag_mult);
+                    }
+                    // The Eq. 8 pull acts on T^P directly: plain rate.
+                    if let Some(g) = g_t_p_reg {
+                        optim::rsgd_poincare(&mut self.t_p, g, lr);
+                    }
+                    update_time += stage_t2.elapsed();
+                } else {
+                    nan_batches += 1;
                 }
-                if let Some(g) = g_t_p {
-                    optim::rsgd_poincare(&mut self.t_p, &g, lr * cfg.lr_tag_mult);
+                // The gradients' storage goes back to the tape, the tape
+                // back to the loop: the next batch is written over this one.
+                f.tape.recycle(grads);
+                if let Some(g) = reg_grads {
+                    f.tape.recycle(g);
                 }
-                // The Eq. 8 pull acts on T^P directly: plain rate.
-                if let Some(g) = g_t_p_reg {
-                    optim::rsgd_poincare(&mut self.t_p, &g, lr);
-                }
-                update_time += stage_t2.elapsed();
+                tape = f.tape;
             }
             // Boundary proximity: the Poincaré tag embeddings degrade
             // numerically as ‖t‖ → 1, so the max row norm is the early
@@ -795,11 +799,17 @@ impl TaxoRec {
                 taxorec_telemetry::flight::dump("train.rollback");
                 // Restore the start-of-epoch snapshot either way: the
                 // parameters after a diverged epoch are not trustworthy.
-                let (u_ir, v_ir, u_tg, t_p) = snap_params;
-                self.u_ir = u_ir;
-                self.v_ir = v_ir;
-                self.u_tg = u_tg;
-                self.t_p = t_p;
+                for (live, snap) in [
+                    &mut self.u_ir,
+                    &mut self.v_ir,
+                    &mut self.u_tg,
+                    &mut self.t_p,
+                ]
+                .into_iter()
+                .zip(&snap_params)
+                {
+                    live.copy_from(snap);
+                }
                 rng = StdRng::from_state(snap_rng);
                 self.loss_history.truncate(snap_losses);
                 if rollbacks > ctl.max_rollbacks {
@@ -855,7 +865,9 @@ impl TaxoRec {
             self.rebuild_taxonomy(dataset);
         }
         self.epoch_records = monitor.records().to_vec();
-        self.finalize();
+        // The last pass over the tape; its storage is freed here, before
+        // the report goes out, not held by the model.
+        drop(self.finalize(tape));
         report.final_lr_scale = lr_scale;
         // The run's root span, then flush both the trace export and any
         // file-backed JSONL sink so short runs don't lose tail events.
@@ -865,21 +877,22 @@ impl TaxoRec {
         report
     }
 
-    /// Runs one forward pass and caches the final embeddings for
-    /// inference, then rebuilds the scorer over them (reusing its
-    /// allocations).
-    fn finalize(&mut self) {
-        let f = self.forward();
-        self.final_u_ir = f.tape.value(f.u_ir).clone();
-        self.final_v_ir = f.tape.value(f.v_ir).clone();
+    /// Runs one forward pass on `tape` and caches the final embeddings for
+    /// inference, then rebuilds the scorer over them (all three reusing
+    /// their allocations). Hands the tape back.
+    fn finalize(&mut self, tape: Tape) -> Tape {
+        let f = self.forward(tape);
+        self.final_u_ir.copy_from(f.tape.value(f.u_ir));
+        self.final_v_ir.copy_from(f.tape.value(f.v_ir));
         if let (Some(u_tg), Some(v_tg)) = (f.u_tg, f.v_tg) {
-            self.final_u_tg = f.tape.value(u_tg).clone();
-            self.final_v_tg = f.tape.value(v_tg).clone();
+            self.final_u_tg.copy_from(f.tape.value(u_tg));
+            self.final_v_tg.copy_from(f.tape.value(v_tg));
         }
         // Taken out while the item view borrows `self`.
         let mut scorer = std::mem::take(&mut self.scorer);
         scorer.rebuild(&self.item_embeddings());
         self.scorer = scorer;
+        f.tape
     }
 }
 
@@ -1143,6 +1156,53 @@ mod tests {
         assert_eq!(report.checkpoints_written, 0);
         assert_eq!(report.checkpoint_failures, 4);
         assert!(m.final_u_ir.all_finite());
+    }
+
+    #[test]
+    fn skipped_batches_keep_their_scoring_time() {
+        // Resume from a state whose user embeddings are NaN: every batch
+        // loss is non-finite, every batch is skipped before backward. The
+        // loss was still built and read — that time is scoring time, not
+        // a hole in the epoch's stage breakdown.
+        let (d, s) = tiny_setup();
+        let mut cfg = TaxoRecConfig::fast_test();
+        cfg.epochs = 2;
+        let states = std::cell::RefCell::new(Vec::new());
+        TaxoRec::new(cfg.clone()).fit_controlled(
+            &d,
+            &s,
+            FitControl {
+                checkpoint_every: 1,
+                checkpoint_sink: Some(Box::new(|st: &crate::TrainState| {
+                    states.borrow_mut().push(st.clone());
+                    Ok(())
+                })),
+                ..FitControl::default()
+            },
+        );
+        let mut poisoned = states.into_inner().remove(0);
+        poisoned.u_ir.data_mut().fill(f64::NAN);
+        let mut m = TaxoRec::new(cfg);
+        let report = m.fit_controlled(
+            &d,
+            &s,
+            FitControl {
+                resume: Some(poisoned),
+                max_rollbacks: 0,
+                ..FitControl::default()
+            },
+        );
+        assert!(report.gave_up, "{report:?}");
+        let record = &m.epoch_records[0];
+        assert_eq!(record.n_batches, 0);
+        assert!(record.nan_batches > 0);
+        assert!(record.aggregation_secs > 0.0);
+        assert!(
+            record.scoring_secs > 0.0,
+            "build_loss ran for {} skipped batches",
+            record.nan_batches
+        );
+        assert_eq!(record.update_secs, 0.0, "nothing was updated");
     }
 
     #[test]

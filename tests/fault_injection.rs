@@ -12,7 +12,7 @@
 use std::sync::Mutex;
 
 use taxorec::core::{FitControl, TaxoRec, TaxoRecConfig};
-use taxorec::data::{generate_preset, Preset, Scale, Split};
+use taxorec::data::{generate_preset, Preset, Recommender, Scale, Split};
 use taxorec::parallel::{par_map, try_par_map};
 use taxorec::resilience::{disable, install, FaultSpec, RetryPolicy};
 use taxorec::serve::TrainCheckpoint;
@@ -89,7 +89,7 @@ fn persistent_divergence_exhausts_the_budget_and_gives_up() {
     let (dataset, split, cfg) = tiny_setup(4);
     // Every attempt of the second epoch diverges, forever.
     arm("nan@train.epoch:2+");
-    let mut model = TaxoRec::new(cfg);
+    let mut model = TaxoRec::new(cfg.clone());
     let ctl = FitControl::default();
     let max_rollbacks = ctl.max_rollbacks;
     let report = model.fit_controlled(&dataset, &split, ctl);
@@ -102,6 +102,16 @@ fn persistent_divergence_exhausts_the_budget_and_gives_up() {
     // parameters instead of poisoning downstream consumers.
     assert_eq!(model.loss_history.len(), 1);
     assert!(model.loss_history[0].is_finite());
+    // "Last healthy parameters" to the bit: four rollbacks restored from
+    // the one reused snapshot, so what is left is exactly what a run of
+    // that single clean epoch trains (epoch 0 does not depend on how many
+    // epochs follow it).
+    let mut one_epoch = TaxoRec::new(TaxoRecConfig { epochs: 1, ..cfg });
+    one_epoch.fit(&dataset, &split);
+    assert_eq!(model.tag_embeddings(), one_epoch.tag_embeddings());
+    for user in [0u32, 5, 11] {
+        assert_eq!(model.scores_for_user(user), one_epoch.scores_for_user(user));
+    }
 }
 
 #[test]
