@@ -11,71 +11,84 @@
 //! coordinate first); ball/Klein/tangent vectors carry `d` columns. All ops
 //! act row by row.
 //!
-//! Storage conventions (the tape hands both kinds a recycled buffer): a
-//! `*_fwd` kernel **overwrites** every entry of `out` and never reads it;
-//! a `*_bwd` kernel **accumulates** (`+=`) into its `grad_*` arguments,
-//! which the caller zeroes.
+//! Storage conventions (the tape hands every kind a recycled buffer): a
+//! `*_fwd` kernel **overwrites** every entry of `out` (and of `aux`, where
+//! it has one) and never reads it; a `*_bwd` kernel **accumulates** (`+=`)
+//! into its `grad_*` arguments, which the caller zeroes — except where its
+//! docs say it **writes** an argument: then every entry is overwritten as
+//! `0.0 + t`, the bits of adding `t` into a zero (`−0.0` becoming `+0.0`
+//! included).
+//!
+//! `aux` is an op's per-row forward scalars, kept by the tape for the
+//! backward so it does not recompute transcendentals or inner products
+//! its forward already had (DESIGN.md §2, "Kernels").
 
 use crate::matrix::Matrix;
 use crate::sparse::Csr;
-use taxorec_geometry::{arcosh, arcosh_grad, vecops, EPS_DIV, EPS_SMALL, MAX_BALL_NORM};
+use taxorec_geometry::{arcosh, arcosh_grad, lorentz, vecops, EPS_DIV, EPS_SMALL, MAX_BALL_NORM};
 
-/// Numerically safe `sinh(r)/r`.
+/// Rows whose inner products [`lorentz_dist_sq_rows_fwd`] reduces in
+/// lockstep; see `taxorec_geometry::vecops`.
+const LANES: usize = 4;
+
+/// `(cosh r, sinh(r)/r, (cosh(r)·r − sinh(r))/r³)`: the exponential map's
+/// time coordinate and its two derivative factors, from one `cosh` and
+/// one `sinh`. The factors switch to their series below `EPS_SMALL`
+/// (`1 + r²/6`) and below `1e−4` (`1/3 + r²/30`, the limit as r→0).
 #[inline]
-fn sinhc(r: f64) -> f64 {
+fn exp_origin_factors(r: f64) -> (f64, f64, f64) {
+    let ch = r.cosh();
     if r < EPS_SMALL {
-        1.0 + r * r / 6.0
-    } else {
-        r.sinh() / r
+        return (ch, 1.0 + r * r / 6.0, 1.0 / 3.0 + r * r / 30.0);
     }
-}
-
-/// Numerically safe `(cosh(r)·r − sinh(r))/r³` (→ 1/3 as r→0).
-#[inline]
-fn coshc_residual(r: f64) -> f64 {
-    if r < 1e-4 {
+    let sh = r.sinh();
+    let residual = if r < 1e-4 {
         1.0 / 3.0 + r * r / 30.0
     } else {
-        (r.cosh() * r - r.sinh()) / (r * r * r)
-    }
+        (ch * r - sh) / (r * r * r)
+    };
+    (ch, sh / r, residual)
 }
 
 // ---------------------------------------------------------------------------
 // exp_o : tangent (n×d) → hyperboloid (n×(d+1))   [paper Eq. 15]
 // ---------------------------------------------------------------------------
 
-/// Forward of the Lorentz exponential map at the origin.
-pub fn lorentz_exp_origin_fwd(z: &Matrix, out: &mut Matrix) {
+/// Forward of the Lorentz exponential map at the origin. Row `r` of `aux`
+/// (`n×2`) keeps `sinh(r)/r` and `(cosh(r)·r − sinh(r))/r³` for the
+/// backward.
+pub fn lorentz_exp_origin_fwd(z: &Matrix, out: &mut Matrix, aux: &mut Matrix) {
     let (n, d) = z.shape();
     assert_eq!(out.shape(), (n, d + 1));
+    assert_eq!(aux.shape(), (n, 2));
     for r in 0..n {
         let zr = z.row(r);
-        let rad = vecops::norm(zr);
+        let (cosh, sinhc, residual) = exp_origin_factors(vecops::norm(zr));
         let orow = out.row_mut(r);
-        orow[0] = rad.cosh();
-        let f = sinhc(rad);
-        for j in 0..d {
-            orow[j + 1] = f * zr[j];
+        orow[0] = cosh;
+        for (o, &zj) in orow[1..].iter_mut().zip(zr) {
+            *o = sinhc * zj;
         }
+        aux.row_mut(r).copy_from_slice(&[sinhc, residual]);
     }
 }
 
-/// Backward of [`lorentz_exp_origin_fwd`]:
-/// `z̄ += ḡ₀·sinh(r)/r·z + sinh(r)/r·ḡ_s + (z·ḡ_s)·(cosh(r)r − sinh(r))/r³ · z`.
-pub fn lorentz_exp_origin_bwd(z: &Matrix, grad_out: &Matrix, grad_z: &mut Matrix) {
-    let (n, d) = z.shape();
-    for r in 0..n {
-        let zr = z.row(r);
-        let g = grad_out.row(r);
-        let rad = vecops::norm(zr);
-        let s = sinhc(rad);
-        let c = coshc_residual(rad);
-        let g0 = g[0];
-        let gs = &g[1..];
-        let zg = vecops::dot(zr, gs);
-        let gz = grad_z.row_mut(r);
-        for j in 0..d {
-            gz[j] += g0 * s * zr[j] + s * gs[j] + zg * c * zr[j];
+multiversion! {
+    /// Backward of [`lorentz_exp_origin_fwd`], which **writes** `grad_z`:
+    /// `z̄ = ḡ₀·sinh(r)/r·z + sinh(r)/r·ḡ_s + (z·ḡ_s)·(cosh(r)r − sinh(r))/r³ · z`,
+    /// both factors read from the forward's `aux`.
+    pub fn lorentz_exp_origin_bwd(z: &Matrix, aux: &Matrix, grad_out: &Matrix, grad_z: &mut Matrix) {
+        assert_eq!(grad_z.shape(), z.shape());
+        for r in 0..z.rows() {
+            let zr = z.row(r);
+            let g = grad_out.row(r);
+            let (s, c) = (aux.get(r, 0), aux.get(r, 1));
+            let g0 = g[0];
+            let gs = &g[1..];
+            let zg = vecops::dot(zr, gs);
+            for ((o, &zj), &gj) in grad_z.row_mut(r).iter_mut().zip(zr).zip(gs) {
+                *o = 0.0 + (g0 * s * zj + s * gj + zg * c * zj);
+            }
         }
     }
 }
@@ -85,11 +98,13 @@ pub fn lorentz_exp_origin_bwd(z: &Matrix, grad_out: &Matrix, grad_z: &mut Matrix
 // ---------------------------------------------------------------------------
 
 /// Forward of the Lorentz logarithmic map at the origin:
-/// `z = arcosh(x₀)·x_s/‖x_s‖` per row.
-pub fn lorentz_log_origin_fwd(x: &Matrix, out: &mut Matrix) {
+/// `z = arcosh(x₀)·x_s/‖x_s‖` per row. Row `r` of `aux` (`n×2`) keeps
+/// `‖x_s‖` and `arcosh(x₀)` (`0` where `‖x_s‖ < EPS_DIV`: the row maps to
+/// the origin and has no gradient).
+pub fn lorentz_log_origin_fwd(x: &Matrix, out: &mut Matrix, aux: &mut Matrix) {
     let (n, dc) = x.shape();
-    let d = dc - 1;
-    assert_eq!(out.shape(), (n, d));
+    assert_eq!(out.shape(), (n, dc - 1));
+    assert_eq!(aux.shape(), (n, 2));
     for r in 0..n {
         let xr = x.row(r);
         let spatial = &xr[1..];
@@ -97,37 +112,42 @@ pub fn lorentz_log_origin_fwd(x: &Matrix, out: &mut Matrix) {
         let orow = out.row_mut(r);
         if nn < EPS_DIV {
             orow.fill(0.0);
-            continue;
-        }
-        let f = arcosh(xr[0]) / nn;
-        for j in 0..d {
-            orow[j] = f * spatial[j];
-        }
-    }
-}
-
-/// Backward of [`lorentz_log_origin_fwd`]:
-/// `x̄₀ += (ḡ·x_s/n)·arcosh'(x₀)`,
-/// `x̄_s += (a/n)·ḡ − (a/n³)(x_s·ḡ)·x_s` with `a = arcosh(x₀)`, `n = ‖x_s‖`.
-pub fn lorentz_log_origin_bwd(x: &Matrix, grad_out: &Matrix, grad_x: &mut Matrix) {
-    let (nrows, dc) = x.shape();
-    let d = dc - 1;
-    for r in 0..nrows {
-        let xr = x.row(r);
-        let spatial = &xr[1..];
-        let g = grad_out.row(r);
-        let nn = vecops::norm(spatial);
-        if nn < EPS_DIV {
+            aux.row_mut(r).copy_from_slice(&[nn, 0.0]);
             continue;
         }
         let a = arcosh(xr[0]);
-        let sg = vecops::dot(spatial, g);
-        let gx = grad_x.row_mut(r);
-        gx[0] += (sg / nn) * arcosh_grad(xr[0]);
-        let f1 = a / nn;
-        let f2 = a / (nn * nn * nn) * sg;
-        for j in 0..d {
-            gx[j + 1] += f1 * g[j] - f2 * spatial[j];
+        let f = a / nn;
+        for (o, &sj) in orow.iter_mut().zip(spatial) {
+            *o = f * sj;
+        }
+        aux.row_mut(r).copy_from_slice(&[nn, a]);
+    }
+}
+
+multiversion! {
+    /// Backward of [`lorentz_log_origin_fwd`], which **writes** `grad_x`:
+    /// `x̄₀ = (ḡ·x_s/n)·arcosh'(x₀)`,
+    /// `x̄_s = (a/n)·ḡ − (a/n³)(x_s·ḡ)·x_s` with `n = ‖x_s‖` and
+    /// `a = arcosh(x₀)` read from the forward's `aux`; zero where `n < EPS_DIV`.
+    pub fn lorentz_log_origin_bwd(x: &Matrix, aux: &Matrix, grad_out: &Matrix, grad_x: &mut Matrix) {
+        assert_eq!(grad_x.shape(), x.shape());
+        for r in 0..x.rows() {
+            let xr = x.row(r);
+            let spatial = &xr[1..];
+            let g = grad_out.row(r);
+            let gx = grad_x.row_mut(r);
+            let (nn, a) = (aux.get(r, 0), aux.get(r, 1));
+            if nn < EPS_DIV {
+                gx.fill(0.0);
+                continue;
+            }
+            let sg = vecops::dot(spatial, g);
+            gx[0] = 0.0 + (sg / nn) * arcosh_grad(xr[0]);
+            let f1 = a / nn;
+            let f2 = a / (nn * nn * nn) * sg;
+            for ((o, &gj), &sj) in gx[1..].iter_mut().zip(g).zip(spatial) {
+                *o = 0.0 + (f1 * gj - f2 * sj);
+            }
         }
     }
 }
@@ -175,38 +195,92 @@ pub fn lorentz_dist_sq_bwd(
 // ---------------------------------------------------------------------------
 
 /// Forward of `D_r = arcosh(−⟨x_r, y_{idx[r]}⟩_L)²`: [`lorentz_dist_sq_fwd`]
-/// of `x` against the gathered rows of `y`, reading them in place.
-pub fn lorentz_dist_sq_rows_fwd(x: &Matrix, y: &Matrix, idx: &[usize], out: &mut Matrix) {
-    assert_eq!(x.cols(), y.cols());
-    assert_eq!(x.rows(), idx.len());
-    assert_eq!(out.shape(), (idx.len(), 1));
-    for (r, &yr) in idx.iter().enumerate() {
-        let s = -taxorec_geometry::lorentz::inner(x.row(r), y.row(yr));
-        let d = arcosh(s);
-        out.set(r, 0, d * d);
-    }
-}
-
-/// Backward of [`lorentz_dist_sq_rows_fwd`]: row `r` of `grad_x` gets its
-/// own term, row `idx[r]` of `grad_y` the sum over every `r` that read it,
-/// added in `r` order — the order (and so the bits) of a row gather
-/// followed by [`lorentz_dist_sq_bwd`] and the gather's scatter-add.
-pub fn lorentz_dist_sq_rows_bwd(
+/// of `x` against the gathered rows of `y`, reading them in place. The
+/// inner products of [`LANES`] rows run in lockstep, each in
+/// [`lorentz::inner`]'s order. Row `r` of `aux` (`n×2`) keeps
+/// `s = −⟨x_r, y_{idx[r]}⟩_L` and `arcosh(s)` for the backward.
+pub fn lorentz_dist_sq_rows_fwd(
     x: &Matrix,
     y: &Matrix,
     idx: &[usize],
-    grad_out: &Matrix,
-    grad_x: &mut Matrix,
-    grad_y: &mut Matrix,
+    out: &mut Matrix,
+    aux: &mut Matrix,
 ) {
-    for (r, &yr) in idx.iter().enumerate() {
-        taxorec_geometry::lorentz::distance_sq_grad(
-            x.row(r),
-            y.row(yr),
-            grad_out.get(r, 0),
-            grad_x.row_mut(r),
-            grad_y.row_mut(yr),
-        );
+    assert_eq!(x.cols(), y.cols());
+    assert_eq!(x.rows(), idx.len());
+    assert_eq!(out.shape(), (idx.len(), 1));
+    assert_eq!(aux.shape(), (idx.len(), 2));
+    let full = idx.len() - idx.len() % LANES;
+    for r0 in (0..full).step_by(LANES) {
+        dist_sq_rows::<LANES>(x, y, idx, r0, out, aux);
+    }
+    for r0 in full..idx.len() {
+        dist_sq_rows::<1>(x, y, idx, r0, out, aux);
+    }
+}
+
+/// Rows `r0..r0 + N` of [`lorentz_dist_sq_rows_fwd`].
+#[inline(always)]
+fn dist_sq_rows<const N: usize>(
+    x: &Matrix,
+    y: &Matrix,
+    idx: &[usize],
+    r0: usize,
+    out: &mut Matrix,
+    aux: &mut Matrix,
+) {
+    let neg_s = lorentz::inner_lanes::<N>(
+        std::array::from_fn(|l| x.row(r0 + l)),
+        std::array::from_fn(|l| y.row(idx[r0 + l])),
+    );
+    for (l, neg_s) in neg_s.into_iter().enumerate() {
+        let s = -neg_s;
+        let d = arcosh(s);
+        out.set(r0 + l, 0, d * d);
+        aux.row_mut(r0 + l).copy_from_slice(&[s, d]);
+    }
+}
+
+multiversion! {
+    /// Backward of [`lorentz_dist_sq_rows_fwd`], with `s` and `arcosh(s)` read
+    /// from its `aux`. It accumulates into `grad_y`: row `idx[r]` gets the sum
+    /// over every `r` that read it, added in `r` order — the order (and so
+    /// the bits) of a row gather followed by [`lorentz_dist_sq_bwd`] and the
+    /// gather's scatter-add. It **writes** `grad_x`, row `r` being its own
+    /// term alone — or, given a `term` row of scratch, adds each row's term
+    /// into the gradient `grad_x` already holds: the sum the term would
+    /// have been added into it with as a matrix of its own.
+    #[allow(clippy::too_many_arguments)]
+    pub fn lorentz_dist_sq_rows_bwd(
+        x: &Matrix,
+        y: &Matrix,
+        idx: &[usize],
+        aux: &Matrix,
+        grad_out: &Matrix,
+        grad_x: &mut Matrix,
+        term: Option<&mut [f64]>,
+        grad_y: &mut Matrix,
+    ) {
+        assert_eq!(grad_x.shape(), x.shape());
+        let mut term = term;
+        for (r, &yr) in idx.iter().enumerate() {
+            let (s, arcosh_s, w) = (aux.get(r, 0), aux.get(r, 1), grad_out.get(r, 0));
+            let (xr, yrow, gy) = (x.row(r), y.row(yr), grad_y.row_mut(yr));
+            match term.as_deref_mut() {
+                None => {
+                    let gx = grad_x.row_mut(r);
+                    gx.fill(0.0);
+                    lorentz::distance_sq_grad_at(xr, yrow, s, arcosh_s, w, gx, gy);
+                }
+                Some(term) => {
+                    term.fill(0.0);
+                    lorentz::distance_sq_grad_at(xr, yrow, s, arcosh_s, w, term, gy);
+                    for (g, &t) in grad_x.row_mut(r).iter_mut().zip(&*term) {
+                        *g += t;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -448,18 +522,20 @@ mod tests {
         // written, not assumed.
         let x = Matrix::from_vec(1, 3, vec![1.0, 0.0, 0.0]);
         let mut out = stale(1, 2);
-        lorentz_log_origin_fwd(&x, &mut out);
+        lorentz_log_origin_fwd(&x, &mut out, &mut stale(1, 2));
         assert_eq!(out.data(), &[0.0, 0.0]);
     }
 
     #[test]
     fn sinhc_series_matches() {
+        let sinhc = |r| exp_origin_factors(r).1;
         assert!((sinhc(1e-8) - 1.0).abs() < 1e-12);
         assert!((sinhc(0.5) - 0.5f64.sinh() / 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn coshc_residual_limit() {
+        let coshc_residual = |r| exp_origin_factors(r).2;
         assert!((coshc_residual(1e-6) - 1.0 / 3.0).abs() < 1e-9);
         let r: f64 = 0.3;
         let exact = (r.cosh() * r - r.sinh()) / (r * r * r);
@@ -470,9 +546,9 @@ mod tests {
     fn exp_log_fwd_roundtrip() {
         let z = Matrix::from_vec(2, 3, vec![0.4, -0.2, 0.7, 0.0, 1.5, -0.9]);
         let mut x = stale(2, 4);
-        lorentz_exp_origin_fwd(&z, &mut x);
+        lorentz_exp_origin_fwd(&z, &mut x, &mut stale(2, 2));
         let mut back = stale(2, 3);
-        lorentz_log_origin_fwd(&x, &mut back);
+        lorentz_log_origin_fwd(&x, &mut back, &mut stale(2, 2));
         for i in 0..6 {
             assert!((back.data()[i] - z.data()[i]).abs() < 1e-9);
         }
@@ -482,7 +558,7 @@ mod tests {
     fn dist_sq_of_identical_rows_is_zero() {
         let z = Matrix::from_vec(1, 2, vec![0.3, -0.4]);
         let mut x = stale(1, 3);
-        lorentz_exp_origin_fwd(&z, &mut x);
+        lorentz_exp_origin_fwd(&z, &mut x, &mut stale(1, 2));
         let mut d = stale(1, 1);
         lorentz_dist_sq_fwd(&x, &x, &mut d);
         assert!(d.as_scalar() < 1e-9);

@@ -67,8 +67,20 @@
 //!   every op that writes each entry of its output — elementwise ops,
 //!   gathers, `concat`/`slice`, `spmm`, the `hyper::*_fwd` kernels — just
 //!   overwrites them. Only what *accumulates* asks for zeros: the
-//!   scatter-adds of `gather_rows`/`slice_rows`' backward and the
-//!   `hyper::*_bwd` kernels, which `+=` into their gradient arguments.
+//!   scatter-adds of `gather_rows`' backward and the `hyper::*_bwd`
+//!   kernels that `+=` into their gradient arguments. A backward that is
+//!   the only writer of its gradient's entries gets an unzeroed buffer and
+//!   writes each entry as `0.0 + t`: the bits of adding `t` into a zero,
+//!   `−0.0` turned to `+0.0` included. Where a gradient already exists,
+//!   the backward of `spmm` and of `lorentz_dist_sq_rows` adds each
+//!   finished entry of its contribution into it instead of writing the
+//!   contribution out to be summed in — the same sums.
+//! * **Forward scalars (`aux`).** `lorentz_exp_origin`, `lorentz_log_origin`
+//!   and `lorentz_dist_sq_rows` keep a few per-row scalars of their forward
+//!   (the `sinh`/`cosh` factors, `‖x_s‖` and `arcosh x₀`, `s` and
+//!   `arcosh s`) in a second buffer from the free list, which their
+//!   backward reads instead of recomputing; `reset` returns it with the
+//!   value.
 //! * **Who may reset.** Whoever owns the tape. `reset` takes `&mut self`, so
 //!   a `Var` can only outlive its program if its holder also gave the tape
 //!   away; the trainer's `Forward` struct owns the tape together with the
@@ -78,6 +90,9 @@
 //!   bit for bit (`tests/tape_reuse.rs`). `Tape::new()` is the same code
 //!   with an empty free list.
 
+#[macro_use]
+mod isa;
+
 pub mod hyper;
 pub mod matrix;
 pub mod sparse;
@@ -85,4 +100,4 @@ pub mod tape;
 
 pub use matrix::Matrix;
 pub use sparse::Csr;
-pub use tape::{Gradients, Tape, Var};
+pub use tape::{Gradients, OpTime, Tape, Var};

@@ -7,6 +7,14 @@
 //! weights), so no gradient flows into them — the tape only needs the
 //! transpose for back-propagating through the dense operand, which each
 //! matrix builds once on first request ([`Csr::transposed`]).
+//!
+//! The product keeps each output row in registers while it walks the
+//! row's entries — 8-column blocks plus a tail, stored once at the end —
+//! instead of adding every entry into the output row in memory. Each
+//! entry `(j, v)` still adds `v·x[j][c]` to column `c`'s running sum in
+//! entry order from `0.0`, so the bits are the in-memory loop's. The body
+//! is compiled three times (baseline, AVX2, AVX-512F) and the widest the
+//! CPU supports runs (`multiversion!`).
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -16,6 +24,15 @@ use crate::matrix::Matrix;
 /// Rows per parallel spmm job. Large enough to amortize job claiming,
 /// small enough that skewed row lengths still load-balance.
 const SPMM_ROW_BLOCK: usize = 64;
+
+/// Columns per register block of the spmm kernel.
+const COL_BLOCK: usize = 8;
+
+/// Register blocks the spmm kernel holds at most: products 8 to
+/// `MAX_COL_BLOCKS · COL_BLOCK` = 40 columns wide (the widths the default
+/// model propagates) keep their output row in registers; narrower and
+/// wider ones add into the output row in memory, in the same order.
+const MAX_COL_BLOCKS: usize = 5;
 
 /// Immutable CSR matrix.
 #[derive(Clone)]
@@ -162,22 +179,19 @@ impl Csr {
     /// Panics if `x.rows() != self.cols()` or `out` is not
     /// `self.rows() × x.cols()`.
     pub fn matmul_into(&self, x: &Matrix, out: &mut Matrix) {
+        self.product_into(x, out, false);
+    }
+
+    /// [`Csr::matmul_into`], or with `add` `out += self·x`: each entry of
+    /// the product is added into `out` once it is complete — the bits of
+    /// `out.add_assign(&self.matmul(x))` without the product's matrix.
+    pub(crate) fn product_into(&self, x: &Matrix, out: &mut Matrix, add: bool) {
         assert_eq!(x.rows(), self.cols, "spmm inner dim mismatch");
         let m = x.cols();
         assert_eq!(out.shape(), (self.rows, m), "spmm output shape");
-        let fill_row = |r: usize, orow: &mut [f64]| {
-            orow.fill(0.0);
-            let lo = self.indptr[r];
-            let hi = self.indptr[r + 1];
-            for p in lo..hi {
-                let c = self.indices[p] as usize;
-                let v = self.values[p];
-                let xrow = x.row(c);
-                for (o, xv) in orow.iter_mut().zip(xrow) {
-                    *o += v * xv;
-                }
-            }
-        };
+        if m == 0 {
+            return;
+        }
         // Pool spin-up only pays off for substantial products; the cutoff
         // affects scheduling, never values.
         let flops = self.nnz().saturating_mul(m);
@@ -186,17 +200,10 @@ impl Csr {
                 "autodiff.spmm",
                 out.data_mut(),
                 SPMM_ROW_BLOCK * m,
-                |offset, block| {
-                    let r0 = offset / m;
-                    for (i, orow) in block.chunks_mut(m).enumerate() {
-                        fill_row(r0 + i, orow);
-                    }
-                },
+                |offset, block| fill_rows(self, x, offset / m, block, add),
             );
         } else {
-            for r in 0..self.rows {
-                fill_row(r, out.row_mut(r));
-            }
+            fill_rows(self, x, 0, out.data_mut(), add);
         }
     }
 
@@ -263,6 +270,115 @@ impl Csr {
             }
         }
         out
+    }
+}
+
+multiversion! {
+    /// The one body of the spmm kernel: rows `r0..` of `m·x` written into
+    /// `out` (whole rows, every entry), or added into it with `add`,
+    /// dispatched on the product's width to the register kernel, or —
+    /// below one block or above [`MAX_COL_BLOCKS`] — to the in-memory loop.
+    fn fill_rows(m: &Csr, x: &Matrix, r0: usize, out: &mut [f64], add: bool) {
+        let tail = !x.cols().is_multiple_of(COL_BLOCK);
+        match (x.cols() / COL_BLOCK, tail) {
+            (1, false) => fill_rows_blocked::<1, false>(m, x, r0, out, add),
+            (1, true) => fill_rows_blocked::<1, true>(m, x, r0, out, add),
+            (2, false) => fill_rows_blocked::<2, false>(m, x, r0, out, add),
+            (2, true) => fill_rows_blocked::<2, true>(m, x, r0, out, add),
+            (3, false) => fill_rows_blocked::<3, false>(m, x, r0, out, add),
+            (3, true) => fill_rows_blocked::<3, true>(m, x, r0, out, add),
+            (4, false) => fill_rows_blocked::<4, false>(m, x, r0, out, add),
+            (4, true) => fill_rows_blocked::<4, true>(m, x, r0, out, add),
+            (MAX_COL_BLOCKS, false) => {
+                fill_rows_blocked::<MAX_COL_BLOCKS, false>(m, x, r0, out, add)
+            }
+            _ => fill_rows_in_memory(m, x, r0, out, add),
+        }
+    }
+}
+
+/// Rows of `m·x` with `x` `B` blocks wide, plus a partial block when
+/// `TAIL`: each output row is summed in registers over the row's entries
+/// in order, then stored (or added) once. The partial block is summed as
+/// the row's *last* 8 columns, overlapping block `B − 1`; the overlapped
+/// columns see the same additions in the same order in both, so a store
+/// may write them twice, while an add takes only the columns past block
+/// `B − 1` from it.
+#[inline(always)]
+fn fill_rows_blocked<const B: usize, const TAIL: bool>(
+    m: &Csr,
+    x: &Matrix,
+    r0: usize,
+    out: &mut [f64],
+    add: bool,
+) {
+    let w = x.cols();
+    let (last, split) = (w - COL_BLOCK, B * COL_BLOCK);
+    let store = |o: &mut [f64], sum: &[f64]| {
+        if add {
+            for (o, &s) in o.iter_mut().zip(sum) {
+                *o += s;
+            }
+        } else {
+            o.copy_from_slice(sum);
+        }
+    };
+    for (i, orow) in out.chunks_exact_mut(w).enumerate() {
+        let r = r0 + i;
+        let (lo, hi) = (m.indptr[r], m.indptr[r + 1]);
+        let mut blocks = [[0.0f64; COL_BLOCK]; B];
+        let mut end = [0.0f64; COL_BLOCK];
+        for (&c, &v) in m.indices[lo..hi].iter().zip(&m.values[lo..hi]) {
+            let xrow = x.row(c as usize);
+            for (acc, xb) in blocks.iter_mut().zip(xrow.chunks_exact(COL_BLOCK)) {
+                for k in 0..COL_BLOCK {
+                    acc[k] += v * xb[k];
+                }
+            }
+            if TAIL {
+                let xb = &xrow[last..];
+                for k in 0..COL_BLOCK {
+                    end[k] += v * xb[k];
+                }
+            }
+        }
+        for (o, sum) in orow.chunks_exact_mut(COL_BLOCK).zip(&blocks) {
+            store(o, sum);
+        }
+        if TAIL {
+            if add {
+                for (o, &s) in orow[split..].iter_mut().zip(&end[split - last..]) {
+                    *o += s;
+                }
+            } else {
+                orow[last..].copy_from_slice(&end);
+            }
+        }
+    }
+}
+
+/// Rows of `m·x` outside the register kernel's widths, each summed in
+/// memory in entry order from zero: into its output row, or — with `add`
+/// — into a row of scratch that is then added into the output row.
+fn fill_rows_in_memory(m: &Csr, x: &Matrix, r0: usize, out: &mut [f64], add: bool) {
+    let row_into = |r: usize, dst: &mut [f64]| {
+        dst.fill(0.0);
+        for (c, v) in m.row_iter(r) {
+            for (o, xv) in dst.iter_mut().zip(x.row(c)) {
+                *o += v * xv;
+            }
+        }
+    };
+    let mut sum = vec![0.0; if add { x.cols() } else { 0 }];
+    for (i, orow) in out.chunks_exact_mut(x.cols()).enumerate() {
+        if add {
+            row_into(r0 + i, &mut sum);
+            for (o, &s) in orow.iter_mut().zip(&sum) {
+                *o += s;
+            }
+        } else {
+            row_into(r0 + i, orow);
+        }
     }
 }
 

@@ -23,6 +23,7 @@
 //!   is finite-difference-checked in `tests/gradcheck.rs`.
 
 use std::sync::Arc;
+use std::time::Instant;
 
 use crate::hyper;
 use crate::matrix::Matrix;
@@ -97,8 +98,151 @@ enum Op {
     },
 }
 
+/// Name of every op kind, indexed by `Op::kind`: the tape method that
+/// records it.
+const OP_NAMES: [&str; 33] = [
+    "leaf",
+    "add",
+    "sub",
+    "neg",
+    "scale",
+    "add_scalar",
+    "hadamard",
+    "mul_col_broadcast",
+    "matmul",
+    "spmm",
+    "gather_rows",
+    "concat_rows",
+    "slice_rows",
+    "sum_all",
+    "mean_all",
+    "relu",
+    "leaky_relu",
+    "sigmoid",
+    "softplus",
+    "sqrt",
+    "tanh",
+    "row_dot",
+    "row_sqnorm",
+    "softmax_rows",
+    "lorentz_exp_origin",
+    "lorentz_log_origin",
+    "lorentz_dist_sq",
+    "lorentz_dist_sq_rows",
+    "poincare_dist",
+    "poincare_to_klein",
+    "klein_to_poincare",
+    "poincare_to_lorentz",
+    "einstein_midpoint",
+];
+
+impl Op {
+    /// This op's index into [`OP_NAMES`].
+    fn kind(&self) -> usize {
+        match self {
+            Op::Leaf => 0,
+            Op::Add(..) => 1,
+            Op::Sub(..) => 2,
+            Op::Neg(..) => 3,
+            Op::Scale(..) => 4,
+            Op::AddScalar(..) => 5,
+            Op::Hadamard(..) => 6,
+            Op::MulColBroadcast(..) => 7,
+            Op::MatMul(..) => 8,
+            Op::Spmm { .. } => 9,
+            Op::GatherRows { .. } => 10,
+            Op::ConcatRows(..) => 11,
+            Op::SliceRows { .. } => 12,
+            Op::SumAll(..) => 13,
+            Op::MeanAll(..) => 14,
+            Op::Relu(..) => 15,
+            Op::LeakyRelu(..) => 16,
+            Op::Sigmoid(..) => 17,
+            Op::Softplus(..) => 18,
+            Op::Sqrt(..) => 19,
+            Op::Tanh(..) => 20,
+            Op::RowDot(..) => 21,
+            Op::RowSqNorm(..) => 22,
+            Op::SoftmaxRows(..) => 23,
+            Op::LorentzExpO(..) => 24,
+            Op::LorentzLogO(..) => 25,
+            Op::LorentzDistSq(..) => 26,
+            Op::LorentzDistSqRows { .. } => 27,
+            Op::PoincareDist(..) => 28,
+            Op::PoincareToKlein(..) => 29,
+            Op::KleinToPoincare(..) => 30,
+            Op::PoincareToLorentz(..) => 31,
+            Op::EinsteinMidpoint { .. } => 32,
+        }
+    }
+}
+
+/// What a timed tape ([`Tape::set_timed`]) spent in one op kind: nodes
+/// recorded and the nanoseconds their forward values took, nodes whose
+/// gradient was pushed to their parents and the nanoseconds that took.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OpTime {
+    /// Nodes recorded.
+    pub fwd_nodes: u64,
+    /// Nanoseconds computing their values.
+    pub fwd_ns: u64,
+    /// Nodes a backward pass went through.
+    pub bwd_nodes: u64,
+    /// Nanoseconds pushing their gradients to their parents.
+    pub bwd_ns: u64,
+}
+
+/// Per-op accounting: off unless [`Tape::set_timed`] turned it on, in a
+/// fixed array indexed by op kind, so a timed step allocates nothing.
+struct OpClock {
+    on: bool,
+    times: [OpTime; OP_NAMES.len()],
+}
+
+impl Default for OpClock {
+    fn default() -> Self {
+        Self {
+            on: false,
+            times: [OpTime::default(); OP_NAMES.len()],
+        }
+    }
+}
+
+impl OpClock {
+    /// The start of a timed interval, when timing is on.
+    #[inline]
+    fn start(&self) -> Option<Instant> {
+        self.on.then(Instant::now)
+    }
+
+    fn ns_since(started: Instant) -> u64 {
+        u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    #[inline]
+    fn forward(&mut self, op: &Op, started: Option<Instant>) {
+        if let Some(t) = started {
+            let e = &mut self.times[op.kind()];
+            e.fwd_nodes += 1;
+            e.fwd_ns += Self::ns_since(t);
+        }
+    }
+
+    #[inline]
+    fn backward(&mut self, op: &Op, started: Option<Instant>) {
+        if let Some(t) = started {
+            let e = &mut self.times[op.kind()];
+            e.bwd_nodes += 1;
+            e.bwd_ns += Self::ns_since(t);
+        }
+    }
+}
+
 struct Node {
     value: Matrix,
+    /// Per-row scalars the forward computed and the backward reads
+    /// instead of recomputing them (empty for most ops).
+    aux: Matrix,
     op: Op,
 }
 
@@ -221,6 +365,7 @@ impl Pool {
 pub struct Tape {
     nodes: Vec<Node>,
     pool: Pool,
+    clock: OpClock,
 }
 
 impl Tape {
@@ -237,6 +382,7 @@ impl Tape {
     pub fn reset(&mut self) {
         for node in self.nodes.drain(..) {
             self.pool.give(node.value);
+            self.pool.give(node.aux);
         }
     }
 
@@ -269,41 +415,78 @@ impl Tape {
         &self.nodes[v.0].value
     }
 
-    fn push(&mut self, value: Matrix, op: Op) -> Var {
-        self.nodes.push(Node { value, op });
+    /// Turns per-op accounting on or off. While on, every recorded node
+    /// and every node a backward pass goes through adds its wall time to
+    /// its op kind's [`OpTime`]: one `Instant` pair per node, no
+    /// allocation. Off (the default), a node costs one branch more.
+    pub fn set_timed(&mut self, on: bool) {
+        self.clock.on = on;
+    }
+
+    /// What each op kind has cost while timing was on, over the tape's
+    /// life (a reset keeps the totals). Kinds that never ran are left out.
+    pub fn op_times(&self) -> impl Iterator<Item = (&'static str, OpTime)> + '_ {
+        OP_NAMES
+            .iter()
+            .zip(&self.clock.times)
+            .filter(|(_, t)| t.fwd_nodes + t.bwd_nodes > 0)
+            .map(|(&name, &t)| (name, t))
+    }
+
+    /// Appends a node whose value took from `started` (see
+    /// [`OpClock::start`]) to compute.
+    fn push(&mut self, value: Matrix, op: Op, started: Option<Instant>) -> Var {
+        self.push_with_aux(value, Matrix::zeros(0, 0), op, started)
+    }
+
+    /// [`Tape::push`] of an op that keeps per-row scalars for its backward.
+    fn push_with_aux(
+        &mut self,
+        value: Matrix,
+        aux: Matrix,
+        op: Op,
+        started: Option<Instant>,
+    ) -> Var {
+        self.clock.forward(&op, started);
+        self.nodes.push(Node { value, aux, op });
         Var(self.nodes.len() - 1)
     }
 
     /// Registers a leaf (parameter or input) matrix, taking its storage.
     pub fn leaf(&mut self, m: Matrix) -> Var {
-        self.push(m, Op::Leaf)
+        let t0 = self.clock.start();
+        self.push(m, Op::Leaf, t0)
     }
 
     /// Registers a copy of `m` as a leaf, written into recycled storage —
     /// the per-step way to enter a parameter the caller keeps.
     pub fn leaf_copy(&mut self, m: &Matrix) -> Var {
+        let t0 = self.clock.start();
         let value = self.pool.copy(m);
-        self.push(value, Op::Leaf)
+        self.push(value, Op::Leaf, t0)
     }
 
     /// Registers a `rows×cols` leaf whose entries `fill` writes in place
     /// (all of them: the slice it gets holds stale values).
     pub fn leaf_with(&mut self, rows: usize, cols: usize, fill: impl FnOnce(&mut [f64])) -> Var {
+        let t0 = self.clock.start();
         let mut value = self.pool.take(rows, cols);
         fill(value.data_mut());
-        self.push(value, Op::Leaf)
+        self.push(value, Op::Leaf, t0)
     }
 
     fn unary(&mut self, a: Var, op: Op, f: impl Fn(f64) -> f64) -> Var {
+        let t0 = self.clock.start();
         let m = self.pool.map(&self.nodes[a.0].value, f);
-        self.push(m, op)
+        self.push(m, op, t0)
     }
 
     fn binary(&mut self, a: Var, b: Var, op: Op, f: impl Fn(f64, f64) -> f64) -> Var {
+        let t0 = self.clock.start();
         let m = self
             .pool
             .zip(&self.nodes[a.0].value, &self.nodes[b.0].value, f);
-        self.push(m, op)
+        self.push(m, op, t0)
     }
 
     /// Elementwise sum. Panics on shape mismatch.
@@ -346,6 +529,7 @@ impl Tape {
     /// Broadcast-multiplies each row of `x (n×d)` by the matching entry of
     /// the column vector `s (n×1)`.
     pub fn mul_col_broadcast(&mut self, x: Var, s: Var) -> Var {
+        let t0 = self.clock.start();
         let (n, d) = self.value(x).shape();
         assert_eq!(self.value(s).shape(), (n, 1), "broadcast column shape");
         let mut m = self.pool.take(n, d);
@@ -356,19 +540,21 @@ impl Tape {
                 *o = xv * c;
             }
         }
-        self.push(m, Op::MulColBroadcast(x, s))
+        self.push(m, Op::MulColBroadcast(x, s), t0)
     }
 
     /// Dense matrix product `a·b`.
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
+        let t0 = self.clock.start();
         let m = self.value(a).matmul(self.value(b));
-        self.push(m, Op::MatMul(a, b))
+        self.push(m, Op::MatMul(a, b), t0)
     }
 
     /// Sparse-constant × dense product `M·x` (graph propagation, Eq. 13).
     /// Backward multiplies by [`Csr::transposed`], which `m` builds once
     /// however many steps and tapes share it.
     pub fn spmm(&mut self, m: &Arc<Csr>, x: Var) -> Var {
+        let t0 = self.clock.start();
         let mut value = self.pool.take(m.rows(), self.value(x).cols());
         m.matmul_into(self.value(x), &mut value);
         self.push(
@@ -377,21 +563,24 @@ impl Tape {
                 m: Arc::clone(m),
                 x,
             },
+            t0,
         )
     }
 
     /// Row gather: `out[i] = x[idx[i]]`.
     pub fn gather_rows(&mut self, x: Var, idx: Arc<Vec<usize>>) -> Var {
+        let t0 = self.clock.start();
         let mut m = self.pool.take(idx.len(), self.value(x).cols());
         let vx = self.value(x);
         for (i, &r) in idx.iter().enumerate() {
             m.row_mut(i).copy_from_slice(vx.row(r));
         }
-        self.push(m, Op::GatherRows { x, idx })
+        self.push(m, Op::GatherRows { x, idx }, t0)
     }
 
     /// Vertical concatenation (`a` on top of `b`). Column counts must match.
     pub fn concat_rows(&mut self, a: Var, b: Var) -> Var {
+        let t0 = self.clock.start();
         let (na, d) = self.value(a).shape();
         let nb = self.value(b).rows();
         assert_eq!(d, self.value(b).cols(), "concat_rows column mismatch");
@@ -399,33 +588,36 @@ impl Tape {
         let (top, bottom) = m.data_mut().split_at_mut(na * d);
         top.copy_from_slice(self.value(a).data());
         bottom.copy_from_slice(self.value(b).data());
-        self.push(m, Op::ConcatRows(a, b))
+        self.push(m, Op::ConcatRows(a, b), t0)
     }
 
     /// Contiguous row slice `x[start..start+len]`.
     pub fn slice_rows(&mut self, x: Var, start: usize, len: usize) -> Var {
+        let t0 = self.clock.start();
         let (rows, d) = self.value(x).shape();
         assert!(start + len <= rows, "slice_rows out of range");
         let mut m = self.pool.take(len, d);
         m.data_mut()
             .copy_from_slice(&self.value(x).data()[start * d..(start + len) * d]);
-        self.push(m, Op::SliceRows { x, start })
+        self.push(m, Op::SliceRows { x, start }, t0)
     }
 
     /// Sum of all entries → `1×1`.
     pub fn sum_all(&mut self, a: Var) -> Var {
+        let t0 = self.clock.start();
         let s = self.value(a).sum();
         let m = self.pool.full(1, 1, s);
-        self.push(m, Op::SumAll(a))
+        self.push(m, Op::SumAll(a), t0)
     }
 
     /// Mean of all entries → `1×1`.
     pub fn mean_all(&mut self, a: Var) -> Var {
+        let t0 = self.clock.start();
         let va = self.value(a);
         let n = (va.rows() * va.cols()) as f64;
         let mean = va.sum() / n;
         let m = self.pool.full(1, 1, mean);
-        self.push(m, Op::MeanAll(a))
+        self.push(m, Op::MeanAll(a), t0)
     }
 
     /// Elementwise `max(x, 0)` — the hinge of the LMNN loss (Eq. 18).
@@ -471,6 +663,7 @@ impl Tape {
 
     /// Rowwise dot product `(n×d, n×d) → (n×1)`.
     pub fn row_dot(&mut self, a: Var, b: Var) -> Var {
+        let t0 = self.clock.start();
         assert_eq!(
             self.value(a).shape(),
             self.value(b).shape(),
@@ -482,22 +675,24 @@ impl Tape {
         for r in 0..n {
             m.set(r, 0, taxorec_geometry::vecops::dot(va.row(r), vb.row(r)));
         }
-        self.push(m, Op::RowDot(a, b))
+        self.push(m, Op::RowDot(a, b), t0)
     }
 
     /// Rowwise squared norm `(n×d) → (n×1)`.
     pub fn row_sqnorm(&mut self, a: Var) -> Var {
+        let t0 = self.clock.start();
         let n = self.value(a).rows();
         let mut m = self.pool.take(n, 1);
         let va = self.value(a);
         for r in 0..n {
             m.set(r, 0, taxorec_geometry::vecops::sqnorm(va.row(r)));
         }
-        self.push(m, Op::RowSqNorm(a))
+        self.push(m, Op::RowSqNorm(a), t0)
     }
 
     /// Rowwise softmax (max-shifted for stability).
     pub fn softmax_rows(&mut self, a: Var) -> Var {
+        let t0 = self.clock.start();
         let (n, d) = self.value(a).shape();
         let mut m = self.pool.take(n, d);
         let va = self.value(a);
@@ -515,30 +710,35 @@ impl Tape {
                 *o /= z;
             }
         }
-        self.push(m, Op::SoftmaxRows(a))
+        self.push(m, Op::SoftmaxRows(a), t0)
     }
 
     /// Lorentz exponential map at the origin (paper Eq. 15), rowwise.
     pub fn lorentz_exp_origin(&mut self, z: Var) -> Var {
+        let t0 = self.clock.start();
         let (n, d) = self.value(z).shape();
         let mut m = self.pool.take(n, d + 1);
-        hyper::lorentz_exp_origin_fwd(self.value(z), &mut m);
-        self.push(m, Op::LorentzExpO(z))
+        let mut aux = self.pool.take(n, 2);
+        hyper::lorentz_exp_origin_fwd(self.value(z), &mut m, &mut aux);
+        self.push_with_aux(m, aux, Op::LorentzExpO(z), t0)
     }
 
     /// Lorentz logarithmic map at the origin (paper Eq. 12), rowwise.
     pub fn lorentz_log_origin(&mut self, x: Var) -> Var {
+        let t0 = self.clock.start();
         let (n, dc) = self.value(x).shape();
         let mut m = self.pool.take(n, dc - 1);
-        hyper::lorentz_log_origin_fwd(self.value(x), &mut m);
-        self.push(m, Op::LorentzLogO(x))
+        let mut aux = self.pool.take(n, 2);
+        hyper::lorentz_log_origin_fwd(self.value(x), &mut m, &mut aux);
+        self.push_with_aux(m, aux, Op::LorentzLogO(x), t0)
     }
 
     /// Rowwise squared Lorentz distance (paper Eq. 17 terms).
     pub fn lorentz_dist_sq(&mut self, x: Var, y: Var) -> Var {
+        let t0 = self.clock.start();
         let mut m = self.pool.take(self.value(x).rows(), 1);
         hyper::lorentz_dist_sq_fwd(self.value(x), self.value(y), &mut m);
-        self.push(m, Op::LorentzDistSq(x, y))
+        self.push(m, Op::LorentzDistSq(x, y), t0)
     }
 
     /// Squared Lorentz distance of row `i` of `x` to row `idx[i]` of `y`:
@@ -548,45 +748,52 @@ impl Tape {
     /// item side of a triplet batch, where `idx` is far longer than what
     /// it selects from is wide.
     pub fn lorentz_dist_sq_rows(&mut self, x: Var, y: Var, idx: Arc<Vec<usize>>) -> Var {
+        let t0 = self.clock.start();
         let mut m = self.pool.take(idx.len(), 1);
-        hyper::lorentz_dist_sq_rows_fwd(self.value(x), self.value(y), &idx, &mut m);
-        self.push(m, Op::LorentzDistSqRows { x, y, idx })
+        let mut aux = self.pool.take(idx.len(), 2);
+        hyper::lorentz_dist_sq_rows_fwd(self.value(x), self.value(y), &idx, &mut m, &mut aux);
+        self.push_with_aux(m, aux, Op::LorentzDistSqRows { x, y, idx }, t0)
     }
 
     /// Rowwise Poincaré distance (paper Eq. 8 terms).
     pub fn poincare_dist(&mut self, x: Var, y: Var) -> Var {
+        let t0 = self.clock.start();
         let mut m = self.pool.take(self.value(x).rows(), 1);
         hyper::poincare_dist_fwd(self.value(x), self.value(y), &mut m);
-        self.push(m, Op::PoincareDist(x, y))
+        self.push(m, Op::PoincareDist(x, y), t0)
     }
 
     /// Poincaré → Klein conversion (paper Eq. 9), rowwise.
     pub fn poincare_to_klein(&mut self, p: Var) -> Var {
+        let t0 = self.clock.start();
         let (n, d) = self.value(p).shape();
         let mut m = self.pool.take(n, d);
         hyper::poincare_to_klein_fwd(self.value(p), &mut m);
-        self.push(m, Op::PoincareToKlein(p))
+        self.push(m, Op::PoincareToKlein(p), t0)
     }
 
     /// Klein → Poincaré conversion (inner map of paper Eq. 11), rowwise.
     pub fn klein_to_poincare(&mut self, k: Var) -> Var {
+        let t0 = self.clock.start();
         let (n, d) = self.value(k).shape();
         let mut m = self.pool.take(n, d);
         hyper::klein_to_poincare_fwd(self.value(k), &mut m);
-        self.push(m, Op::KleinToPoincare(k))
+        self.push(m, Op::KleinToPoincare(k), t0)
     }
 
     /// Poincaré → Lorentz lift (paper Eq. 3), rowwise.
     pub fn poincare_to_lorentz(&mut self, p: Var) -> Var {
+        let t0 = self.clock.start();
         let (n, d) = self.value(p).shape();
         let mut m = self.pool.take(n, d + 1);
         hyper::poincare_to_lorentz_fwd(self.value(p), &mut m);
-        self.push(m, Op::PoincareToLorentz(p))
+        self.push(m, Op::PoincareToLorentz(p), t0)
     }
 
     /// Weighted Einstein-midpoint aggregation of Klein tag embeddings into
     /// item embeddings (paper Eq. 10).
     pub fn einstein_midpoint(&mut self, tags: Var, item_tag: &Arc<Csr>) -> Var {
+        let t0 = self.clock.start();
         let mut m = self.pool.take(item_tag.rows(), self.value(tags).cols());
         hyper::einstein_midpoint_fwd(self.value(tags), item_tag, &mut m);
         self.push(
@@ -595,6 +802,7 @@ impl Tape {
                 tags,
                 item_tag: Arc::clone(item_tag),
             },
+            t0,
         )
     }
 
@@ -606,14 +814,16 @@ impl Tape {
     /// Panics if `loss` is not `1×1`.
     pub fn backward(&mut self, loss: Var) -> Gradients {
         assert_eq!(self.value(loss).shape(), (1, 1), "backward from non-scalar");
-        let Tape { nodes, pool } = self;
+        let Tape { nodes, pool, clock } = self;
         let mut grads = pool.free_slots.pop().unwrap_or_default();
         grads.resize_with(nodes.len(), || None);
         grads[loss.0] = Some(pool.full(1, 1, 1.0));
 
         for i in (0..=loss.0).rev() {
             let Some(g) = grads[i].take() else { continue };
+            let t0 = clock.start();
             accumulate_parents(nodes, pool, i, &g, &mut grads);
+            clock.backward(&nodes[i].op, t0);
             grads[i] = Some(g);
         }
         Gradients { grads }
@@ -632,9 +842,30 @@ fn add_grad(grads: &mut [Option<Matrix>], pool: &mut Pool, v: Var, contribution:
     }
 }
 
+/// [`add_grad`] for a kernel that can add its contribution into a matrix
+/// directly: `write(pool, dest, add)` writes a fresh `shape` buffer that
+/// becomes `v`'s gradient (`add` false) or, when `v` has one, adds each
+/// finished entry of the contribution into it (`add` true) — the sums
+/// `add_grad` forms, without a matrix for the contribution.
+fn contribute(
+    grads: &mut [Option<Matrix>],
+    pool: &mut Pool,
+    v: Var,
+    shape: (usize, usize),
+    write: impl FnOnce(&mut Pool, &mut Matrix, bool),
+) {
+    let (mut dest, add) = match grads[v.0].take() {
+        Some(slot) => (slot, true),
+        None => (pool.take(shape.0, shape.1), false),
+    };
+    write(pool, &mut dest, add);
+    grads[v.0] = Some(dest);
+}
+
 /// Pushes the gradient `g` of node `i` to its parents. Contributions that
 /// are written entry by entry come from [`Pool::take`]; the ones a kernel
-/// accumulates into (`+=`) from [`Pool::take_zeroed`].
+/// accumulates into (`+=`) from [`Pool::take_zeroed`]. Node `i`'s `aux`
+/// holds whatever its forward kept for this.
 #[allow(clippy::too_many_lines)]
 fn accumulate_parents(
     nodes: &[Node],
@@ -645,6 +876,7 @@ fn accumulate_parents(
 ) {
     let value = |v: Var| &nodes[v.0].value;
     let out = &nodes[i].value;
+    let aux = &nodes[i].aux;
     match &nodes[i].op {
         Op::Leaf => {}
         Op::Add(a, b) => {
@@ -705,9 +937,9 @@ fn accumulate_parents(
             add_grad(grads, pool, *b, gb);
         }
         Op::Spmm { m, x } => {
-            let mut gx = pool.take(m.cols(), g.cols());
-            m.transposed().matmul_into(g, &mut gx);
-            add_grad(grads, pool, *x, gx);
+            contribute(grads, pool, *x, (m.cols(), g.cols()), |_, gx, add| {
+                m.transposed().product_into(g, gx, add);
+            });
         }
         Op::GatherRows { x, idx } => {
             let vx = value(*x);
@@ -733,8 +965,13 @@ fn accumulate_parents(
         Op::SliceRows { x, start } => {
             let vx = value(*x);
             let d = vx.cols();
-            let mut gx = pool.take_zeroed(vx.rows(), d);
-            gx.data_mut()[start * d..(start + g.rows()) * d].copy_from_slice(g.data());
+            // Zeros outside the slice, `g` inside: each entry written once.
+            let mut gx = pool.take(vx.rows(), d);
+            let (head, rest) = gx.data_mut().split_at_mut(start * d);
+            let (mid, tail) = rest.split_at_mut(g.rows() * d);
+            head.fill(0.0);
+            mid.copy_from_slice(g.data());
+            tail.fill(0.0);
             add_grad(grads, pool, *x, gx);
         }
         Op::SumAll(a) => {
@@ -822,14 +1059,14 @@ fn accumulate_parents(
         }
         Op::LorentzExpO(z) => {
             let vz = value(*z);
-            let mut gz = pool.take_zeroed(vz.rows(), vz.cols());
-            hyper::lorentz_exp_origin_bwd(vz, g, &mut gz);
+            let mut gz = pool.take(vz.rows(), vz.cols());
+            hyper::lorentz_exp_origin_bwd(vz, aux, g, &mut gz);
             add_grad(grads, pool, *z, gz);
         }
         Op::LorentzLogO(x) => {
             let vx = value(*x);
-            let mut gx = pool.take_zeroed(vx.rows(), vx.cols());
-            hyper::lorentz_log_origin_bwd(vx, g, &mut gx);
+            let mut gx = pool.take(vx.rows(), vx.cols());
+            hyper::lorentz_log_origin_bwd(vx, aux, g, &mut gx);
             add_grad(grads, pool, *x, gx);
         }
         Op::LorentzDistSq(x, y) => {
@@ -842,10 +1079,19 @@ fn accumulate_parents(
         }
         Op::LorentzDistSqRows { x, y, idx } => {
             let (vx, vy) = (value(*x), value(*y));
-            let mut gx = pool.take_zeroed(vx.rows(), vx.cols());
             let mut gy = pool.take_zeroed(vy.rows(), vy.cols());
-            hyper::lorentz_dist_sq_rows_bwd(vx, vy, idx, g, &mut gx, &mut gy);
-            add_grad(grads, pool, *x, gx);
+            // The two sides of a triplet share `x`: the second adds its
+            // rows into the first's gradient, one row of scratch at a time.
+            contribute(grads, pool, *x, vx.shape(), |pool, gx, add| {
+                if add {
+                    let mut term = pool.take(1, vx.cols());
+                    let t = Some(term.data_mut());
+                    hyper::lorentz_dist_sq_rows_bwd(vx, vy, idx, aux, g, gx, t, &mut gy);
+                    pool.give(term);
+                } else {
+                    hyper::lorentz_dist_sq_rows_bwd(vx, vy, idx, aux, g, gx, None, &mut gy);
+                }
+            });
             add_grad(grads, pool, *y, gy);
         }
         Op::PoincareDist(x, y) => {
@@ -1067,6 +1313,36 @@ mod tests {
         assert_eq!(t.value(loss).as_scalar(), 2.5);
         let g = t.backward(loss);
         assert_eq!(g.wrt(x).unwrap().data(), &[0.25; 4]);
+    }
+
+    #[test]
+    fn a_timed_tape_counts_every_node_and_computes_the_same_bits() {
+        let run = |timed: bool| {
+            let mut t = Tape::new();
+            t.set_timed(timed);
+            let x = t.leaf(Matrix::from_vec(2, 2, vec![0.3, -0.1, 0.7, 0.2]));
+            let y = t.lorentz_exp_origin(x);
+            let z = t.lorentz_log_origin(y);
+            let s = t.add(z, x);
+            let loss = t.sum_all(s);
+            let g = t.backward(loss);
+            let bits = g.wrt(x).unwrap().data().iter().map(|v| v.to_bits());
+            (bits.collect::<Vec<_>>(), t.op_times().collect::<Vec<_>>())
+        };
+        let (untimed, none) = run(false);
+        let (timed, times) = run(true);
+        assert_eq!(untimed, timed);
+        assert!(none.is_empty(), "an untimed tape records nothing");
+        let count = |name: &str| {
+            let t = times.iter().find(|(n, _)| *n == name).expect(name).1;
+            (t.fwd_nodes, t.bwd_nodes)
+        };
+        assert_eq!(count("leaf"), (1, 1));
+        assert_eq!(count("lorentz_exp_origin"), (1, 1));
+        assert_eq!(count("lorentz_log_origin"), (1, 1));
+        assert_eq!(count("add"), (1, 1));
+        assert_eq!(count("sum_all"), (1, 1));
+        assert_eq!(times.len(), 5, "kinds that never ran are left out");
     }
 
     #[test]

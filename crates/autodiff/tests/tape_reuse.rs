@@ -213,3 +213,42 @@ fn a_second_backward_on_the_same_tape_sees_no_trace_of_the_first() {
         assert_eq!(first.wrt(v).map(bits), second.wrt(v).map(bits));
     }
 }
+
+/// The ops that keep per-row forward scalars for their backward (`aux`):
+/// exp/log at the origin and the indexed squared distance, on `n` rows.
+fn aux_program(seed: u64, n: usize) -> impl Fn(&mut Tape) -> Var {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let z0 = rand_matrix(&mut rng, n, 3, 1.5);
+    let items0 = rand_hyperboloid_matrix(&mut rng, 4, 3);
+    let rows = rand_idx(&mut rng, n, 4);
+    move |t: &mut Tape| {
+        let z = t.leaf_copy(&z0);
+        let x = t.lorentz_exp_origin(z);
+        let back = t.lorentz_log_origin(x);
+        let again = t.lorentz_exp_origin(back);
+        let items = t.leaf_copy(&items0);
+        let d = t.lorentz_dist_sq_rows(again, items, Arc::clone(&rows));
+        t.mean_all(d)
+    }
+}
+
+#[test]
+fn aux_scalars_pass_through_reset_like_every_other_buffer() {
+    // Each op's aux is drawn from the free list (NaN-filled in debug
+    // builds) and handed back by `reset`; row counts shrink and grow, so
+    // aux buffers are reused at other sizes and as other ops' outputs.
+    let mut reused = Tape::new();
+    for (seed, n) in [(1, 40), (2, 5), (3, 17), (4, 1), (5, 64), (6, 9)] {
+        let program = aux_program(seed, n);
+        let fresh = run(&mut Tape::new(), &program);
+        let again = run(&mut reused, &program);
+        assert_eq!(fresh, again, "seed {seed}, {n} rows");
+        // A second backward over the same recording reads the same aux.
+        let loss = reused.vars().last().expect("recorded");
+        let second = reused.backward(loss);
+        let vars: Vec<Var> = reused.vars().collect();
+        let grads: Vec<Option<Vec<u64>>> = vars.iter().map(|&v| second.wrt(v).map(bits)).collect();
+        assert_eq!(grads, again.grads, "seed {seed}: second backward");
+        reused.recycle(second);
+    }
+}

@@ -159,12 +159,12 @@ fn poincare_row(seed: u64, dim: usize) -> Vec<f64> {
 /// `optim`'s rule. The clip is **not** `optim`'s: the trainer caps the
 /// step `lr·grad` at `STEP_CLIP`, the fold caps the gradient itself, and
 /// merging the two would move every folded bit.
-fn lorentz_step(row: &mut [f64], g: &mut [f64], lr: f64, rg: &mut [f64], out: &mut [f64]) {
+fn lorentz_step(row: &mut [f64], g: &mut [f64], lr: f64, rg: &mut [f64]) {
     if optim::skip_nonfinite(g) {
         return;
     }
     vecops::clip_norm(g, GRAD_CLIP);
-    lorentz::rsgd_step_buffered(row, g, lr, rg, out);
+    lorentz::rsgd_step_buffered(row, g, lr, rg);
 }
 
 /// Pure pre-flight check: would the whole batch grow the model past
@@ -315,7 +315,6 @@ pub fn apply_interactions(
             cfg.margin,
             cfg.lr,
             &mut rg[..amb_ir],
-            &mut out[..amb_ir],
         );
         if tags_on {
             triplet_step(
@@ -327,7 +326,6 @@ pub fn apply_interactions(
                 cfg.margin,
                 cfg.lr,
                 &mut rg[..amb_tg],
-                &mut out[..amb_tg],
             );
             // Pull each annotating tag toward the item's tag-channel
             // position (mapped into the ball where `t_p` lives).
@@ -376,7 +374,6 @@ fn triplet_step(
     margin: f64,
     lr: f64,
     rg: &mut [f64],
-    out: &mut [f64],
 ) {
     let ambient = users.cols();
     let d_pos2 = lorentz::distance_sq(users.row(u), items.row(pos));
@@ -389,9 +386,9 @@ fn triplet_step(
     let mut gn = vec![0.0; ambient];
     lorentz::distance_sq_grad(users.row(u), items.row(pos), 1.0, &mut gu, &mut gp);
     lorentz::distance_sq_grad(users.row(u), items.row(neg), -1.0, &mut gu, &mut gn);
-    lorentz_step(users.row_mut(u), &mut gu, lr, rg, out);
-    lorentz_step(items.row_mut(pos), &mut gp, lr, rg, out);
-    lorentz_step(items.row_mut(neg), &mut gn, lr, rg, out);
+    lorentz_step(users.row_mut(u), &mut gu, lr, rg);
+    lorentz_step(items.row_mut(pos), &mut gp, lr, rg);
+    lorentz_step(items.row_mut(neg), &mut gn, lr, rg);
 }
 
 #[cfg(test)]

@@ -605,6 +605,9 @@ impl TaxoRec {
         let mut pairs = Vec::with_capacity(base_pairs.len());
         let mut snap_params: [Matrix; 4] = std::array::from_fn(|_| Matrix::zeros(0, 0));
         let mut tape = Tape::new();
+        // A traced fit also accounts each tape op's time (exported when
+        // the fit ends); an untraced one pays one branch per node.
+        tape.set_timed(fit_ctx.sampled);
         let mut epoch = start_epoch;
         while epoch < cfg.epochs {
             // Start-of-epoch snapshot: the rollback target if this epoch
@@ -621,10 +624,12 @@ impl TaxoRec {
 
             let epoch_started = Instant::now();
             // Stage breakdown accumulators: wall time across the epoch's
-            // batches split into aggregation (forward), scoring (loss +
-            // backward), and update (Riemannian SGD steps).
+            // batches split into aggregation (the Eqs. 9–15 forward), loss
+            // (the Eqs. 17–19 forward), backward (both gradients, through
+            // the loss *and* the aggregation), and update (Riemannian SGD).
             let mut agg_time = Duration::ZERO;
-            let mut score_time = Duration::ZERO;
+            let mut loss_time = Duration::ZERO;
+            let mut backward_time = Duration::ZERO;
             let mut update_time = Duration::ZERO;
             monitor.begin_epoch(epoch);
             // Refresh the post-aggregation embeddings once per epoch for
@@ -672,13 +677,14 @@ impl TaxoRec {
                 let (metric_loss, reg_loss) = self.build_loss(&mut f, &mut idx, &users, &pos, &neg);
                 let batch_loss = f.tape.value(metric_loss).as_scalar()
                     + reg_loss.map(|r| f.tape.value(r).as_scalar()).unwrap_or(0.0);
+                let stage_t2 = Instant::now();
+                loss_time += stage_t2 - stage_t1;
                 if !batch_loss.is_finite() {
                     // A non-finite loss would poison both the parameters
                     // (through backward) and the epoch mean: skip the
                     // update, counted and warned through the monitor.
                     monitor.observe_batch(batch_loss, 0.0);
                     nan_batches += 1;
-                    score_time += stage_t1.elapsed();
                     tape = f.tape;
                     continue;
                 }
@@ -698,8 +704,8 @@ impl TaxoRec {
                     .map(grad_sq_sum)
                     .sum::<f64>()
                     .sqrt();
-                let stage_t2 = Instant::now();
-                score_time += stage_t2 - stage_t1;
+                let stage_t3 = Instant::now();
+                backward_time += stage_t3 - stage_t2;
                 if monitor.observe_batch(batch_loss, grad_norm) {
                     epoch_loss += batch_loss;
                     n_batches += 1;
@@ -727,7 +733,7 @@ impl TaxoRec {
                     if let Some(g) = g_t_p_reg {
                         optim::rsgd_poincare(&mut self.t_p, g, lr);
                     }
-                    update_time += stage_t2.elapsed();
+                    update_time += stage_t3.elapsed();
                 } else {
                     nan_batches += 1;
                 }
@@ -750,12 +756,13 @@ impl TaxoRec {
             monitor.observe_boundary(max_norm);
             monitor.observe_stages(
                 agg_time.as_secs_f64(),
-                score_time.as_secs_f64(),
+                loss_time.as_secs_f64(),
+                backward_time.as_secs_f64(),
                 update_time.as_secs_f64(),
             );
             let epoch_record = monitor.end_epoch().clone();
             // When this run is sampled, lay the epoch out as a span with
-            // its three stages as sequential children (per-batch stage
+            // its four stages as sequential children (per-batch stage
             // slices interleave in reality; the aggregate layout shows
             // where the epoch's time went at a glance).
             if fit_ctx.sampled {
@@ -769,7 +776,8 @@ impl TaxoRec {
                 let mut stage_start = epoch_started;
                 for (name, dur) in [
                     ("aggregation", agg_time),
-                    ("scoring", score_time),
+                    ("loss", loss_time),
+                    ("backward", backward_time),
                     ("update", update_time),
                 ] {
                     let stage_end = (stage_start + dur).min(epoch_end);
@@ -867,7 +875,12 @@ impl TaxoRec {
         self.epoch_records = monitor.records().to_vec();
         // The last pass over the tape; its storage is freed here, before
         // the report goes out, not held by the model.
-        drop(self.finalize(tape));
+        let tape = self.finalize(tape);
+        for (op, t) in tape.op_times() {
+            taxorec_telemetry::gauge(&format!("train.op.{op}.fwd_ms")).set(t.fwd_ns as f64 / 1e6);
+            taxorec_telemetry::gauge(&format!("train.op.{op}.bwd_ms")).set(t.bwd_ns as f64 / 1e6);
+        }
+        drop(tape);
         report.final_lr_scale = lr_scale;
         // The run's root span, then flush both the trace export and any
         // file-backed JSONL sink so short runs don't lose tail events.

@@ -75,12 +75,14 @@ pub(crate) fn skip_nonfinite(grow: &[f64]) -> bool {
 /// are skipped and counted (`optim.nonfinite_grad_rows`).
 pub fn rsgd_lorentz(param: &mut Matrix, grad: &Matrix, lr: f64) {
     assert_eq!(param.shape(), grad.shape(), "param/grad shape mismatch");
-    let mut g = vec![0.0; param.cols()];
-    let mut rg = vec![0.0; param.cols()];
-    let mut stepped = vec![0.0; param.cols()];
+    // Rows are independent, so the active ones step in groups of LANES
+    // with every reduction of the step in lockstep; a short last group
+    // steps row by row.
+    let mut scratch = vec![0.0; LANES * param.cols()];
+    let mut group = [0usize; LANES];
+    let mut filled = 0;
     for r in 0..param.rows() {
-        let grow = grad.row(r);
-        match classify_row(grow) {
+        match classify_row(grad.row(r)) {
             RowGrad::AllZero => continue,
             RowGrad::NonFinite => {
                 count_nonfinite_row();
@@ -88,12 +90,55 @@ pub fn rsgd_lorentz(param: &mut Matrix, grad: &Matrix, lr: f64) {
             }
             RowGrad::Active => {}
         }
-        for (gi, &x) in g.iter_mut().zip(grow) {
+        group[filled] = r;
+        filled += 1;
+        if filled == LANES {
+            step_lorentz_rows(param, grad, group, lr, &mut scratch);
+            filled = 0;
+        }
+    }
+    for &r in &group[..filled] {
+        step_lorentz_rows(param, grad, [r], lr, &mut scratch);
+    }
+}
+
+/// Rows one lockstep step of [`rsgd_lorentz`] updates.
+const LANES: usize = 4;
+
+/// One [`rsgd_lorentz`] step of the rows `rows` (strictly increasing):
+/// `g = lr·grad` capped at [`STEP_CLIP`], then
+/// [`lorentz::rsgd_step_lanes`] at rate 1. `scratch` holds at least
+/// `N·cols` entries, all overwritten.
+fn step_lorentz_rows<const N: usize>(
+    param: &mut Matrix,
+    grad: &Matrix,
+    rows: [usize; N],
+    lr: f64,
+    scratch: &mut [f64],
+) {
+    let cols = param.cols();
+    let mut lanes = scratch.chunks_exact_mut(cols);
+    let mut g: [&mut [f64]; N] =
+        std::array::from_fn(|_| lanes.next().expect("scratch holds N rows"));
+    for (g, &r) in g.iter_mut().zip(&rows) {
+        for (gi, &x) in g.iter_mut().zip(grad.row(r)) {
             *gi = lr * x;
         }
-        vecops::clip_norm(&mut g, STEP_CLIP);
-        lorentz::rsgd_step_buffered(param.row_mut(r), &g, 1.0, &mut rg, &mut stepped);
     }
+    vecops::clip_norm_lanes(&mut g, STEP_CLIP);
+    // The rows themselves, split off one after another.
+    let mut rest = param.data_mut();
+    let mut next = 0;
+    let mut x: [&mut [f64]; N] = std::array::from_fn(|l| {
+        let skipped = std::mem::take(&mut rest)
+            .split_at_mut((rows[l] - next) * cols)
+            .1;
+        let (row, tail) = skipped.split_at_mut(cols);
+        next = rows[l] + 1;
+        rest = tail;
+        row
+    });
+    lorentz::rsgd_step_lanes(&mut x, &mut g, 1.0);
 }
 
 /// Applies one RSGD step to every row of a Poincaré-ball parameter matrix

@@ -10,6 +10,11 @@
 //! points used by RSGD (Eq. 23), and tangent-space projection (Eq. 20's
 //! hyperboloid analogue).
 //!
+//! [`inner`] and the optimizer's step [`rsgd_step_buffered`] — with every
+//! reduction inside it — have `*_lanes` forms that handle `N` independent
+//! rows in lockstep (see [`crate::vecops`]'s "Lockstep forms"); `N = 1` is
+//! the scalar function.
+//!
 //! Note on the sign convention: the paper's §III-B states the constraint as
 //! `⟨x,x⟩_L = 1`, which is a typo — with the signature `diag(−1, 1, …, 1)`
 //! the hyperboloid satisfies `⟨x,x⟩_L = −1` (as in Nickel & Kiela 2018,
@@ -21,11 +26,25 @@ use crate::{arcosh, EPS_DIV, EPS_SMALL};
 /// Lorentzian scalar product `⟨x,y⟩_L = −x₀y₀ + Σ_{i≥1} x_i y_i`.
 #[inline]
 pub fn inner(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
-    debug_assert!(x.len() >= 2);
-    let mut s = -x[0] * y[0];
-    for i in 1..x.len() {
-        s += x[i] * y[i];
+    inner_lanes([x], [y])[0]
+}
+
+/// [`inner`] of `N` pairs in lockstep: each lane starts from `−x₀y₀` and
+/// adds `x_i y_i` in `i` order.
+#[inline(always)]
+pub fn inner_lanes<const N: usize>(x: [&[f64]; N], y: [&[f64]; N]) -> [f64; N] {
+    let len = x[0].len();
+    for l in 0..N {
+        debug_assert_eq!(x[l].len(), len);
+        debug_assert_eq!(y[l].len(), len);
+    }
+    debug_assert!(len >= 2);
+    let (x, y) = (x.map(|s| &s[..len]), y.map(|s| &s[..len]));
+    let mut s: [f64; N] = std::array::from_fn(|l| -x[l][0] * y[l][0]);
+    for i in 1..len {
+        for l in 0..N {
+            s[l] += x[l][i] * y[l][i];
+        }
     }
     s
 }
@@ -53,12 +72,33 @@ pub fn distance_sq(x: &[f64], y: &[f64]) -> f64 {
 #[inline]
 pub fn distance_sq_grad(x: &[f64], y: &[f64], w: f64, gx: &mut [f64], gy: &mut [f64]) {
     let s = -inner(x, y);
-    let c = 2.0 * arcosh(s) * crate::arcosh_grad(s) * w;
+    distance_sq_grad_at(x, y, s, arcosh(s), w, gx, gy);
+}
+
+/// [`distance_sq_grad`] with `s = −⟨x,y⟩_L` and `arcosh(s)` supplied by a
+/// caller that already has them (a forward pass that computed the
+/// distance).
+#[inline(always)]
+pub fn distance_sq_grad_at(
+    x: &[f64],
+    y: &[f64],
+    s: f64,
+    arcosh_s: f64,
+    w: f64,
+    gx: &mut [f64],
+    gy: &mut [f64],
+) {
+    let c = 2.0 * arcosh_s * crate::arcosh_grad(s) * w;
     gx[0] += c * y[0];
     gy[0] += c * x[0];
-    for j in 1..x.len() {
-        gx[j] -= c * y[j];
-        gy[j] -= c * x[j];
+    let spatial = gx[1..]
+        .iter_mut()
+        .zip(&mut gy[1..])
+        .zip(&x[1..])
+        .zip(&y[1..]);
+    for (((gx, gy), &xj), &yj) in spatial {
+        *gx -= c * yj;
+        *gy -= c * xj;
     }
 }
 
@@ -76,11 +116,24 @@ pub fn origin(ambient_dim: usize) -> Vec<f64> {
 /// accumulates in the constraint `⟨x,x⟩_L = −1`.
 #[inline]
 pub fn project_to_hyperboloid(x: &mut [f64]) {
-    let mut s = 0.0;
-    for &v in &x[1..] {
-        s += v * v;
+    project_to_hyperboloid_lanes(&mut [x]);
+}
+
+/// [`project_to_hyperboloid`] of `N` points, their spatial squared norms
+/// summed in lockstep from `0.0`.
+#[inline(always)]
+fn project_to_hyperboloid_lanes<const N: usize>(x: &mut [&mut [f64]; N]) {
+    let len = x[0].len();
+    debug_assert!(x.iter().all(|x| x.len() == len));
+    let mut s = [0.0; N];
+    for i in 1..len {
+        for (s, x) in s.iter_mut().zip(x.iter()) {
+            *s += x[i] * x[i];
+        }
     }
-    x[0] = (1.0 + s).sqrt();
+    for (x, s) in x.iter_mut().zip(s) {
+        x[0] = (1.0 + s).sqrt();
+    }
 }
 
 /// Lifts a spatial vector `x_s ∈ R^d` onto the hyperboloid point
@@ -141,9 +194,18 @@ pub fn exp_map_origin(z: &[f64], out: &mut [f64]) {
 ///
 /// This is the hyperboloid analogue of the paper's Eq. 20 projection.
 pub fn project_to_tangent(x: &[f64], h: &mut [f64]) {
-    let c = inner(x, h);
-    for (hi, &xi) in h.iter_mut().zip(x) {
-        *hi += c * xi;
+    project_to_tangent_lanes([x], &mut [h]);
+}
+
+/// [`project_to_tangent`] of `N` points, the inner products reduced in
+/// lockstep.
+#[inline(always)]
+fn project_to_tangent_lanes<const N: usize>(x: [&[f64]; N], h: &mut [&mut [f64]; N]) {
+    let c = inner_lanes(x, std::array::from_fn(|l| &*h[l]));
+    for l in 0..N {
+        for (hi, &xi) in h[l].iter_mut().zip(x[l]) {
+            *hi += c[l] * xi;
+        }
     }
 }
 
@@ -152,10 +214,18 @@ pub fn project_to_tangent(x: &[f64], h: &mut [f64]) {
 /// of the time component) and project onto the tangent space at `x`.
 pub fn riemannian_grad(x: &[f64], grad_e: &[f64], out: &mut [f64]) {
     debug_assert_eq!(x.len(), grad_e.len());
-    debug_assert_eq!(x.len(), out.len());
     out.copy_from_slice(grad_e);
-    out[0] = -out[0];
-    project_to_tangent(x, out);
+    riemannian_grad_lanes([x], &mut [out]);
+}
+
+/// [`riemannian_grad`] of `N` points in place: `g` holds the Euclidean
+/// gradient on entry and the Riemannian one on return.
+#[inline(always)]
+fn riemannian_grad_lanes<const N: usize>(x: [&[f64]; N], g: &mut [&mut [f64]; N]) {
+    for g in g.iter_mut() {
+        g[0] = -g[0];
+    }
+    project_to_tangent_lanes(x, g);
 }
 
 /// Exponential map at an arbitrary hyperboloid point `x` (paper Eq. 23):
@@ -165,40 +235,62 @@ pub fn riemannian_grad(x: &[f64], grad_e: &[f64], out: &mut [f64]) {
 /// where `‖η‖_L = √⟨η,η⟩_L` for a tangent vector `η` (non-negative on the
 /// tangent space).
 pub fn exp_map(x: &[f64], eta: &[f64], out: &mut [f64]) {
-    let n2 = inner(eta, eta).max(0.0);
-    let n = n2.sqrt();
-    if n < EPS_SMALL {
-        for i in 0..out.len() {
-            out[i] = x[i] + eta[i];
+    out.copy_from_slice(x);
+    exp_map_lanes(&mut [out], [eta]);
+}
+
+/// [`exp_map`] of `N` points in place (`x ← exp_x(η)`), `⟨η,η⟩_L` and the
+/// re-projections reduced in lockstep. Each coordinate is read before it
+/// is written, so the result is the out-of-place map's.
+#[inline(always)]
+fn exp_map_lanes<const N: usize>(x: &mut [&mut [f64]; N], eta: [&[f64]; N]) {
+    let n2 = inner_lanes(eta, eta);
+    for l in 0..N {
+        let (x, eta) = (&mut *x[l], eta[l]);
+        let n = n2[l].max(0.0).sqrt();
+        if n < EPS_SMALL {
+            for (xi, &ei) in x.iter_mut().zip(eta) {
+                *xi += ei;
+            }
+            continue;
         }
-        project_to_hyperboloid(out);
-        return;
+        let ch = n.cosh();
+        let sh = n.sinh() / n;
+        for (xi, &ei) in x.iter_mut().zip(eta) {
+            *xi = ch * *xi + sh * ei;
+        }
     }
-    let ch = n.cosh();
-    let sh = n.sinh() / n;
-    for i in 0..out.len() {
-        out[i] = ch * x[i] + sh * eta[i];
-    }
-    project_to_hyperboloid(out);
+    project_to_hyperboloid_lanes(x);
 }
 
 /// One Riemannian SGD step: `x ← exp_x(−lr · grad_R(x))`, then re-project.
 pub fn rsgd_step(x: &mut [f64], grad_e: &[f64], lr: f64) {
     let mut rg = vec![0.0; x.len()];
-    let mut out = vec![0.0; x.len()];
-    rsgd_step_buffered(x, grad_e, lr, &mut rg, &mut out);
+    rsgd_step_buffered(x, grad_e, lr, &mut rg);
 }
 
-/// [`rsgd_step`] with caller-provided buffers (`rg` and `out`, both of
-/// `x.len()`) — the allocation-free form for optimizer loops that update
-/// many rows. Arithmetic is identical to [`rsgd_step`].
-pub fn rsgd_step_buffered(x: &mut [f64], grad_e: &[f64], lr: f64, rg: &mut [f64], out: &mut [f64]) {
-    riemannian_grad(x, grad_e, rg);
-    for g in rg.iter_mut() {
-        *g *= -lr;
+/// [`rsgd_step`] with a caller-provided buffer (`rg`, of `x.len()`) — the
+/// allocation-free form for optimizer loops that update many rows.
+/// Arithmetic is identical to [`rsgd_step`].
+pub fn rsgd_step_buffered(x: &mut [f64], grad_e: &[f64], lr: f64, rg: &mut [f64]) {
+    rg.copy_from_slice(grad_e);
+    rsgd_step_lanes(&mut [x], &mut [rg], lr);
+}
+
+/// [`rsgd_step`] of `N` independent rows in lockstep, in place: `g` holds
+/// each row's Euclidean gradient on entry (and the step on return). Every
+/// reduction of the step — the tangent projection's `⟨x, g⟩_L`, the
+/// step's `⟨η, η⟩_L`, the re-projection — runs its `N` chains together,
+/// each lane with exactly the scalar step's arithmetic.
+#[inline(always)]
+pub fn rsgd_step_lanes<const N: usize>(x: &mut [&mut [f64]; N], g: &mut [&mut [f64]; N], lr: f64) {
+    riemannian_grad_lanes(std::array::from_fn(|l| &*x[l]), g);
+    for g in g.iter_mut() {
+        for gi in g.iter_mut() {
+            *gi *= -lr;
+        }
     }
-    exp_map(x, rg, out);
-    x.copy_from_slice(out);
+    exp_map_lanes(x, std::array::from_fn(|l| &*g[l]));
 }
 
 /// Checks how far `x` drifts from the hyperboloid constraint; returns

@@ -4,6 +4,15 @@
 //! stored flat (row-major) and individual rows passed in without copying.
 //! All functions are `#[inline]`-small; the hot loops of the training code
 //! compile down to straight-line vector code.
+//!
+//! # Lockstep forms
+//!
+//! A row reduction is one chain of dependent adds, so a loop that reduces
+//! row after row waits on the add latency at every step. The `*_lanes`
+//! forms reduce `N` independent rows in lockstep — element `j` of every
+//! lane, then element `j + 1` — so the `N` chains overlap, while each
+//! lane keeps exactly the order and the start value of the scalar form.
+//! `N = 1` *is* the scalar form: [`dot`] and [`clip_norm`] call it.
 
 /// Dot product of two equal-length slices.
 ///
@@ -11,8 +20,30 @@
 /// Panics in debug builds if the lengths differ.
 #[inline]
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
+    dot_lanes([a], [b])[0]
+}
+
+/// [`dot`] of `N` pairs in lockstep. Each lane sums `a[j]·b[j]` in `j`
+/// order from **−0.0**, as `Iterator::sum::<f64>` does: a sum of no
+/// products, or of `−0.0` ones only, is `−0.0`. Pairs of unequal length
+/// are read to the shorter, as `zip` would.
+///
+/// # Panics
+/// Panics in debug builds if the lengths differ.
+#[inline(always)]
+pub fn dot_lanes<const N: usize>(a: [&[f64]; N], b: [&[f64]; N]) -> [f64; N] {
+    for l in 0..N {
+        debug_assert_eq!(a[l].len(), b[l].len());
+    }
+    let len = a.iter().chain(&b).map(|s| s.len()).min().unwrap_or(0);
+    let (a, b) = (a.map(|s| &s[..len]), b.map(|s| &s[..len]));
+    let mut acc = [-0.0; N];
+    for j in 0..len {
+        for l in 0..N {
+            acc[l] += a[l][j] * b[l][j];
+        }
+    }
+    acc
 }
 
 /// Squared Euclidean norm `‖a‖²`.
@@ -86,14 +117,25 @@ pub fn scale_in_place(a: &mut [f64], c: f64) {
 /// Klein points strictly inside the unit ball.
 #[inline]
 pub fn clip_norm(a: &mut [f64], max_norm: f64) -> bool {
-    let n = norm(a);
-    if n > max_norm {
-        let f = max_norm / n;
-        scale_in_place(a, f);
-        true
-    } else {
-        false
+    clip_norm_lanes(&mut [a], max_norm)[0]
+}
+
+/// [`clip_norm`] of `N` vectors, their norms reduced in lockstep.
+#[inline(always)]
+pub fn clip_norm_lanes<const N: usize>(a: &mut [&mut [f64]; N], max_norm: f64) -> [bool; N] {
+    let sq = dot_lanes::<N>(
+        std::array::from_fn(|l| &*a[l]),
+        std::array::from_fn(|l| &*a[l]),
+    );
+    let mut clipped = [false; N];
+    for l in 0..N {
+        let n = sq[l].sqrt();
+        if n > max_norm {
+            scale_in_place(a[l], max_norm / n);
+            clipped[l] = true;
+        }
     }
+    clipped
 }
 
 #[cfg(test)]

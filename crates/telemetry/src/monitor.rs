@@ -45,8 +45,14 @@ pub struct EpochRecord {
     pub duration_secs: f64,
     /// Seconds spent in neighbour aggregation (forward passes).
     pub aggregation_secs: f64,
-    /// Seconds spent in loss scoring and backward passes.
+    /// Seconds spent in loss scoring and backward passes:
+    /// `loss_secs + backward_secs`.
     pub scoring_secs: f64,
+    /// Seconds spent building the loss on the aggregated embeddings.
+    pub loss_secs: f64,
+    /// Seconds spent in backward passes — through the loss *and* the
+    /// aggregation, back to the parameters.
+    pub backward_secs: f64,
     /// Seconds spent in Riemannian parameter updates.
     pub update_secs: f64,
     /// Taxonomy rebuild this epoch, if one happened.
@@ -70,7 +76,8 @@ pub struct TrainingMonitor {
     nan_batches: usize,
     boundary_max_norm: f64,
     aggregation_secs: f64,
-    scoring_secs: f64,
+    loss_secs: f64,
+    backward_secs: f64,
     update_secs: f64,
     rebuild: Option<RebuildStats>,
     // Cached metric handles (no registry lock on the hot path).
@@ -80,6 +87,8 @@ pub struct TrainingMonitor {
     h_epoch: Arc<Histogram>,
     h_aggregation: Arc<Histogram>,
     h_scoring: Arc<Histogram>,
+    h_loss: Arc<Histogram>,
+    h_backward: Arc<Histogram>,
     h_update: Arc<Histogram>,
     c_nan: Arc<Counter>,
     c_epochs: Arc<Counter>,
@@ -107,7 +116,8 @@ impl TrainingMonitor {
             nan_batches: 0,
             boundary_max_norm: 0.0,
             aggregation_secs: 0.0,
-            scoring_secs: 0.0,
+            loss_secs: 0.0,
+            backward_secs: 0.0,
             update_secs: 0.0,
             rebuild: None,
             g_loss: registry::gauge("train.epoch.loss"),
@@ -116,6 +126,8 @@ impl TrainingMonitor {
             h_epoch: registry::histogram("train.epoch.duration"),
             h_aggregation: registry::histogram("train.stage.aggregation.duration"),
             h_scoring: registry::histogram("train.stage.scoring.duration"),
+            h_loss: registry::histogram("train.stage.loss.duration"),
+            h_backward: registry::histogram("train.stage.backward.duration"),
             h_update: registry::histogram("train.stage.update.duration"),
             c_nan: registry::counter("train.nan_batches"),
             c_epochs: registry::counter("train.epochs"),
@@ -143,7 +155,8 @@ impl TrainingMonitor {
         self.nan_batches = 0;
         self.boundary_max_norm = 0.0;
         self.aggregation_secs = 0.0;
-        self.scoring_secs = 0.0;
+        self.loss_secs = 0.0;
+        self.backward_secs = 0.0;
         self.update_secs = 0.0;
         self.rebuild = None;
     }
@@ -187,12 +200,19 @@ impl TrainingMonitor {
     }
 
     /// Accumulates the current epoch's stage breakdown (seconds spent in
-    /// neighbour aggregation, loss scoring/backward, and parameter
-    /// update). Call once per epoch or repeatedly per batch — the values
-    /// add up until `end_epoch` publishes them.
-    pub fn observe_stages(&mut self, aggregation_secs: f64, scoring_secs: f64, update_secs: f64) {
+    /// neighbour aggregation, building the loss, backward passes, and
+    /// parameter update). Call once per epoch or repeatedly per batch —
+    /// the values add up until `end_epoch` publishes them.
+    pub fn observe_stages(
+        &mut self,
+        aggregation_secs: f64,
+        loss_secs: f64,
+        backward_secs: f64,
+        update_secs: f64,
+    ) {
         self.aggregation_secs += aggregation_secs;
-        self.scoring_secs += scoring_secs;
+        self.loss_secs += loss_secs;
+        self.backward_secs += backward_secs;
         self.update_secs += update_secs;
     }
 
@@ -215,7 +235,9 @@ impl TrainingMonitor {
             nan_batches: self.nan_batches,
             duration_secs,
             aggregation_secs: self.aggregation_secs,
-            scoring_secs: self.scoring_secs,
+            scoring_secs: self.loss_secs + self.backward_secs,
+            loss_secs: self.loss_secs,
+            backward_secs: self.backward_secs,
             update_secs: self.update_secs,
             rebuild: self.rebuild.take(),
         };
@@ -226,6 +248,8 @@ impl TrainingMonitor {
         if record.aggregation_secs + record.scoring_secs + record.update_secs > 0.0 {
             self.h_aggregation.observe(record.aggregation_secs);
             self.h_scoring.observe(record.scoring_secs);
+            self.h_loss.observe(record.loss_secs);
+            self.h_backward.observe(record.backward_secs);
             self.h_update.observe(record.update_secs);
         }
         self.c_epochs.inc(1);
@@ -324,11 +348,13 @@ mod tests {
         let mut m = TrainingMonitor::new("test").with_fail_fast(false);
         m.begin_epoch(0);
         m.observe_batch(1.0, 0.5);
-        m.observe_stages(0.2, 0.1, 0.05);
-        m.observe_stages(0.2, 0.1, 0.05);
+        m.observe_stages(0.2, 0.06, 0.04, 0.05);
+        m.observe_stages(0.2, 0.06, 0.04, 0.05);
         let r = m.end_epoch().clone();
         assert!((r.aggregation_secs - 0.4).abs() < 1e-12);
         assert!((r.scoring_secs - 0.2).abs() < 1e-12);
+        assert!((r.loss_secs - 0.12).abs() < 1e-12);
+        assert!((r.backward_secs - 0.08).abs() < 1e-12);
         assert!((r.update_secs - 0.1).abs() < 1e-12);
         m.begin_epoch(1);
         m.observe_batch(1.0, 0.5);

@@ -1,0 +1,218 @@
+//! "Same bits" as a test: the byte length and FNV-1a-64 of artifacts the
+//! trainer and the online fold write, against a committed table.
+//!
+//! A change that moves any bit of training or folding — a reordered sum,
+//! a different clamp, a kernel that zeroes what it should overwrite —
+//! changes a hash here. A change that is *meant* to move bits edits the
+//! table and says why; the diff of this file is then the behaviour-change
+//! flag.
+//!
+//! Every case runs at `TAXOREC_THREADS=1` and `4`: the parallel kernels
+//! promise the same bits at any pool width. The fused kernels promise the
+//! same bits on SSE2, AVX2 and AVX-512, so a mismatch message names the
+//! instruction set this host dispatched to — a golden that fails on one
+//! ISA only is a finding about that promise (or about the host's libm).
+//!
+//! Tests here set the process-global `TAXOREC_THREADS`, so they serialize
+//! on one lock.
+
+use std::sync::{Mutex, MutexGuard};
+
+use taxorec_core::{TaxoRec, TaxoRecConfig};
+use taxorec_data::synth::{generate, SynthConfig};
+use taxorec_data::{generate_preset, Preset, Recommender, Scale, Split};
+use taxorec_serve::ring::fnv1a;
+use taxorec_serve::{fold_batch, Checkpoint, IndexConfig, IngestInteraction, IngestOptions};
+
+/// `(case, byte length, FNV-1a-64)`, captured before the kernels they pin
+/// were last rewritten.
+const GOLDEN: &[(&str, usize, u64)] = &[
+    ("fit/ciao", 20_899, 0x0d23_8093_bc1e_f51f),
+    ("fit/amazon_cd", 45_709, 0x2e6d_afab_1e66_6021),
+    ("fit/amazon_book", 86_046, 0x79db_9b73_7973_c3b6),
+    ("fit/yelp", 126_166, 0xb37a_229c_834d_bc0a),
+    ("fold/ciao", 28_304, 0xd8e0_bc6c_bf61_07fe),
+];
+
+fn lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Restores the previous `TAXOREC_THREADS` value on drop.
+struct ThreadsGuard(Option<String>);
+
+impl ThreadsGuard {
+    fn set(v: &str) -> Self {
+        let prev = std::env::var("TAXOREC_THREADS").ok();
+        std::env::set_var("TAXOREC_THREADS", v);
+        Self(prev)
+    }
+}
+
+impl Drop for ThreadsGuard {
+    fn drop(&mut self) {
+        match &self.0 {
+            Some(v) => std::env::set_var("TAXOREC_THREADS", v),
+            None => std::env::remove_var("TAXOREC_THREADS"),
+        }
+    }
+}
+
+/// The instruction set the runtime-dispatched kernels pick on this host.
+fn isa() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            return "avx512f";
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            return "avx2";
+        }
+        "sse2"
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        "portable"
+    }
+}
+
+/// Checks `bytes` against the table row `case`, at thread count `threads`.
+fn check(case: &str, threads: &str, bytes: &[u8]) {
+    let &(_, len, hash) = GOLDEN
+        .iter()
+        .find(|(name, _, _)| *name == case)
+        .unwrap_or_else(|| panic!("no golden row for {case}"));
+    let got = (bytes.len(), fnv1a(bytes));
+    assert_eq!(
+        got,
+        (len, hash),
+        "{case} at TAXOREC_THREADS={threads} on {}: got ({}, {:#018x}), table has ({len}, {hash:#018x})",
+        isa(),
+        got.0,
+        got.1,
+    );
+}
+
+/// A short fit in the shape of `TaxoRecConfig::fast_test()`: a few epochs,
+/// one taxonomy rebuild inside the loop and one at the end. The
+/// dimensions vary by case so the propagation product runs at widths
+/// below, at and between multiples of its 8-column blocks.
+fn short_config(dim_ir: usize, dim_tag: usize) -> TaxoRecConfig {
+    TaxoRecConfig {
+        dim_ir,
+        dim_tag,
+        epochs: 4,
+        taxo_rebuild_every: 2,
+        ..TaxoRecConfig::fast_test()
+    }
+}
+
+fn fit(dataset: &taxorec_data::Dataset, split: &Split, cfg: TaxoRecConfig) -> TaxoRec {
+    let mut model = TaxoRec::new(cfg);
+    model.fit(dataset, split);
+    model
+}
+
+#[test]
+fn tiny_fit_of_every_preset_writes_its_golden_artifact() {
+    let _g = lock();
+    for (case, preset, dim_ir, dim_tag) in [
+        ("fit/ciao", Preset::Ciao, 12, 4),
+        ("fit/amazon_cd", Preset::AmazonCd, 16, 9),
+        ("fit/amazon_book", Preset::AmazonBook, 32, 8),
+        ("fit/yelp", Preset::Yelp, 43, 7),
+    ] {
+        let dataset = generate_preset(preset, Scale::Tiny);
+        let split = Split::standard(&dataset);
+        for threads in ["1", "4"] {
+            let _t = ThreadsGuard::set(threads);
+            let model = fit(&dataset, &split, short_config(dim_ir, dim_tag));
+            check(case, threads, &Checkpoint::from_model(&model).to_bytes());
+        }
+    }
+}
+
+/// A journal over every growth path of the fold: known ids, never-seen
+/// users and items, a known tag name, and enough never-seen tag names to
+/// cross the drift limit below.
+fn journal(base: &Checkpoint, n: usize) -> Vec<IngestInteraction> {
+    let users = base.state.n_users() as u32;
+    let items = base.state.n_items() as u32;
+    (0..n as u32)
+        .map(|i| IngestInteraction {
+            user: if i % 5 == 3 { users + i % 4 } else { i % users },
+            item: if i % 7 == 2 {
+                items + i % 3
+            } else {
+                (i * 13) % items
+            },
+            tags: match i % 4 {
+                0 => vec![format!("live-{}", i / 4)],
+                1 => base.tag_names.first().cloned().into_iter().collect(),
+                _ => vec![],
+            },
+        })
+        .collect()
+}
+
+#[test]
+fn folding_a_fixed_journal_writes_its_golden_artifact() {
+    let _g = lock();
+    let dataset = generate_preset(Preset::Ciao, Scale::Tiny);
+    let split = Split::standard(&dataset);
+    let opts = IngestOptions {
+        enabled: true,
+        drift_limit: 4,
+        ..IngestOptions::default()
+    };
+    for threads in ["1", "4"] {
+        let _t = ThreadsGuard::set(threads);
+        let model = fit(
+            &dataset,
+            &split,
+            TaxoRecConfig {
+                epochs: 2,
+                ..TaxoRecConfig::fast_test()
+            },
+        );
+        let mut ckpt = Checkpoint::from_model(&model)
+            .with_dataset(&dataset)
+            .with_seen_items(&split.train)
+            .with_retrieval_index(&IndexConfig::default())
+            .expect("index build");
+        let batch = journal(&ckpt, 40);
+        let mut drift = 0;
+        let report = fold_batch(&mut ckpt, &batch, &opts, &mut drift).expect("fold");
+        assert!(
+            report.new_users > 0 && report.new_items > 0 && report.rebuilds >= 1,
+            "the journal reaches growth and a drift rebuild: {report:?}"
+        );
+        check("fold/ciao", threads, &ckpt.to_bytes());
+    }
+}
+
+/// The benchmark's `train_fit` fit: the default configuration on the
+/// bench-scale Yelp fixture. Minutes in a debug build, so ignored there;
+/// CI runs it in release with `--include-ignored`.
+#[test]
+#[ignore = "default-config fit on the bench fixture; run in release"]
+fn default_fit_on_the_train_fit_fixture_writes_its_golden_checkpoint() {
+    let _g = lock();
+    let dataset = generate(&SynthConfig::preset(Preset::Yelp, Scale::Bench));
+    let split = Split::standard(&dataset);
+    for threads in ["1", "4"] {
+        let _t = ThreadsGuard::set(threads);
+        let model = fit(&dataset, &split, TaxoRecConfig::default());
+        let bytes = Checkpoint::from_model(&model).to_bytes();
+        let got = (bytes.len(), fnv1a(&bytes));
+        assert_eq!(
+            got,
+            (767_387, 0x361e_fb3e_6f48_0a93),
+            "train_fit fixture at TAXOREC_THREADS={threads} on {}: got ({}, {:#018x})",
+            isa(),
+            got.0,
+            got.1
+        );
+    }
+}
