@@ -10,8 +10,7 @@
 //!   arms exactly one invocation of each site, so every recovery path in
 //!   the workspace is testable and bit-reproducible.
 //! * [`retry`] — bounded retry with exponential backoff and
-//!   decorrelated jitter, shared by the worker pool, checkpoint IO, and
-//!   the shard router.
+//!   decorrelated jitter, shared by checkpoint IO and the shard router.
 //!
 //! With `TAXOREC_FAULT` unset the probe fast-path is a single relaxed
 //! atomic load — the harness costs nothing in production.

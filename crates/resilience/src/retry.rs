@@ -1,11 +1,11 @@
 //! Bounded retry with exponential backoff and decorrelated jitter.
 //!
 //! The policy is deliberately tiny: a fixed attempt budget, a geometric
-//! backoff schedule, and telemetry. It is shared by the worker pool
-//! (re-running a panicked job), checkpoint IO (re-trying a failed
-//! save), and the shard router (re-trying an idempotent read against a
-//! recovering shard), so all report retries under the same
-//! `resilience.retry.*` names.
+//! backoff schedule, and telemetry. [`RetryPolicy::run`] re-tries a
+//! failed checkpoint save and reports under `resilience.retry.*`; the
+//! shard router takes only the policy's budget and bounds, and draws its
+//! sleeps for re-trying an idempotent read against a recovering shard
+//! from its own [`DecorrelatedJitter`] (`router.connect.refused_retry`).
 //!
 //! [`DecorrelatedJitter`] implements the AWS-architecture-blog
 //! "decorrelated jitter" schedule: each sleep is drawn uniformly from
@@ -76,39 +76,6 @@ impl RetryPolicy {
             if attempt > 0 {
                 taxorec_telemetry::counter("resilience.retry.attempts").inc(1);
                 std::thread::sleep(self.backoff_for(attempt));
-            }
-            match op(attempt) {
-                Ok(v) => return Ok(v),
-                Err(e) => {
-                    taxorec_telemetry::sink::warn(&format!(
-                        "{label}: attempt {}/{attempts} failed: {e}",
-                        attempt + 1
-                    ));
-                    last_err = Some(e);
-                }
-            }
-        }
-        taxorec_telemetry::counter("resilience.retry.exhausted").inc(1);
-        Err(last_err.expect("at least one attempt ran"))
-    }
-
-    /// [`RetryPolicy::run`] with a [`DecorrelatedJitter`] schedule seeded
-    /// by `seed`: the sleep before each retry is randomized so
-    /// concurrent callers retrying against the same recovering resource
-    /// fan out instead of arriving in lockstep. Bounds are unchanged —
-    /// every sleep stays within `[initial_backoff, max_backoff]`.
-    pub fn run_jittered<T, E, F>(&self, label: &str, seed: u64, mut op: F) -> Result<T, E>
-    where
-        E: std::fmt::Display,
-        F: FnMut(usize) -> Result<T, E>,
-    {
-        let attempts = self.max_attempts.max(1);
-        let mut jitter = DecorrelatedJitter::new(*self, seed);
-        let mut last_err = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                taxorec_telemetry::counter("resilience.retry.attempts").inc(1);
-                std::thread::sleep(jitter.next_backoff());
             }
             match op(attempt) {
                 Ok(v) => return Ok(v),
@@ -281,29 +248,6 @@ mod tests {
             "only {} distinct schedules across 16 seeds",
             distinct.len()
         );
-    }
-
-    #[test]
-    fn run_jittered_retries_and_exhausts_like_run() {
-        let p = RetryPolicy {
-            max_attempts: 3,
-            initial_backoff: Duration::ZERO,
-            multiplier: 2,
-            max_backoff: Duration::ZERO,
-        };
-        let mut calls = 0;
-        let r: Result<i32, String> = p.run_jittered("test", 1, |attempt| {
-            calls += 1;
-            if attempt < 1 {
-                Err("boom".to_string())
-            } else {
-                Ok(9)
-            }
-        });
-        assert_eq!(r, Ok(9));
-        assert_eq!(calls, 2);
-        let r: Result<(), String> = p.run_jittered("test", 2, |a| Err(format!("err {a}")));
-        assert_eq!(r, Err("err 2".to_string()));
     }
 
     #[test]

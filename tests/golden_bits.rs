@@ -1,5 +1,6 @@
 //! "Same bits" as a test: the byte length and FNV-1a-64 of artifacts the
-//! trainer and the online fold write, against a committed table.
+//! trainer and the online fold write, and of the rankings and metrics a
+//! trained model serves and evaluates to, against a committed table.
 //!
 //! A change that moves any bit of training or folding — a reordered sum,
 //! a different clamp, a kernel that zeroes what it should overwrite —
@@ -21,8 +22,12 @@ use std::sync::{Mutex, MutexGuard};
 use taxorec_core::{TaxoRec, TaxoRecConfig};
 use taxorec_data::synth::{generate, SynthConfig};
 use taxorec_data::{generate_preset, Preset, Recommender, Scale, Split};
+use taxorec_eval::evaluate;
 use taxorec_serve::ring::fnv1a;
-use taxorec_serve::{fold_batch, Checkpoint, IndexConfig, IngestInteraction, IngestOptions};
+use taxorec_serve::{
+    fold_batch, Checkpoint, IndexConfig, IngestInteraction, IngestOptions, ServingModel,
+    SERVE_BLOCK,
+};
 
 /// `(case, byte length, FNV-1a-64)`, captured before the kernels they pin
 /// were last rewritten.
@@ -32,6 +37,9 @@ const GOLDEN: &[(&str, usize, u64)] = &[
     ("fit/amazon_book", 86_046, 0x79db_9b73_7973_c3b6),
     ("fit/yelp", 126_166, 0xb37a_229c_834d_bc0a),
     ("fold/ciao", 28_304, 0xd8e0_bc6c_bf61_07fe),
+    ("index/ciao", 25_855, 0x3103_9d72_aad1_69d0),
+    ("rank/ciao", 56_640, 0x2786_e2fd_4d11_e5ba),
+    ("eval/ciao", 2_016, 0xc3af_903d_0bdb_8eae),
 ];
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -130,6 +138,56 @@ fn tiny_fit_of_every_preset_writes_its_golden_artifact() {
             let model = fit(&dataset, &split, short_config(dim_ir, dim_tag));
             check(case, threads, &Checkpoint::from_model(&model).to_bytes());
         }
+    }
+}
+
+/// Appends `x`'s little-endian bytes: the hashed encodings below.
+fn put(buf: &mut Vec<u8>, x: impl Into<u64>) {
+    buf.extend_from_slice(&x.into().to_le_bytes());
+}
+
+/// The tiny Ciao fit of `fit/ciao`, seen through every other pool call
+/// site: the retrieval index build (`retrieval.build.centroids`), batched
+/// serving over more than one `SERVE_BLOCK` (`serve.batch` and
+/// `Scorer::rank`) and evaluation (`eval.users`).
+#[test]
+fn serving_and_evaluating_the_tiny_ciao_fit_write_their_golden_hashes() {
+    let _g = lock();
+    let dataset = generate_preset(Preset::Ciao, Scale::Tiny);
+    let split = Split::standard(&dataset);
+    for threads in ["1", "4"] {
+        let _t = ThreadsGuard::set(threads);
+        let model = fit(&dataset, &split, short_config(12, 4));
+        let ckpt = Checkpoint::from_model(&model)
+            .with_dataset(&dataset)
+            .with_seen_items(&split.train)
+            .with_retrieval_index(&IndexConfig::default())
+            .expect("index build");
+        check("index/ciao", threads, &ckpt.to_bytes());
+
+        let serving = ServingModel::new(ckpt).expect("serving model");
+        let users: Vec<u32> = (0..serving.n_users() as u32).collect();
+        assert!(users.len() > SERVE_BLOCK, "{} users", users.len());
+        let mut ranked = Vec::new();
+        for k in [10, dataset.n_items] {
+            for ranking in serving.recommend_batch(&users, k) {
+                for &(item, score) in ranking.expect("known user").iter() {
+                    put(&mut ranked, item);
+                    put(&mut ranked, score.to_bits());
+                }
+            }
+        }
+        check("rank/ciao", threads, &ranked);
+
+        let eval = evaluate(&model, &split, &[5, 10, 20]);
+        let mut metrics = Vec::new();
+        for (&user, (recall, ndcg)) in eval.users.iter().zip(eval.recall.iter().zip(&eval.ndcg)) {
+            put(&mut metrics, user);
+            for &x in recall.iter().chain(ndcg) {
+                put(&mut metrics, x.to_bits());
+            }
+        }
+        check("eval/ciao", threads, &metrics);
     }
 }
 
