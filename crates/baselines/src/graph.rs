@@ -267,9 +267,9 @@ pub struct Hgcf {
 impl Hgcf {
     /// Creates an untrained HGCF model.
     ///
-    /// Optimizer defaults (soft hinge, margin 1, Riemannian lr 10, no
-    /// mining) come from the validation grid search recorded in
-    /// EXPERIMENTS.md — the hard hinge freezes at reproduction scale.
+    /// Optimizer defaults (soft hinge, margin 1, Riemannian lr 10) come
+    /// from the validation grid search recorded in EXPERIMENTS.md — the
+    /// hard hinge freezes at reproduction scale.
     pub fn new(opts: TrainOpts, layers: usize) -> Self {
         let cfg = TaxoRecConfig {
             dim_ir: opts.dim,
@@ -279,7 +279,6 @@ impl Hgcf {
             lr: 10.0,
             epochs: opts.epochs.max(100),
             negatives: opts.negatives.max(4),
-            hard_negative_pool: 0,
             batch_size: opts.batch,
             seed: opts.seed,
             ..TaxoRecConfig::default()

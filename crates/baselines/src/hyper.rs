@@ -52,9 +52,9 @@ impl Recommender for HyperMl {
         for _ in 0..self.opts.epochs {
             let (users, pos, mut neg) =
                 epoch_triplets(&mut pairs, &sampler, self.opts.negatives, &mut rng);
-            // Hard-negative mining against the current embeddings keeps
-            // the hinge from saturating at reproduction scale (see
-            // TaxoRecConfig::hard_negative_pool for the rationale).
+            // Hard-negative mining against the current embeddings, as
+            // HyperML does: at reproduction scale uniform negatives rarely
+            // violate the margin, and the hinge saturates.
             for (i, &u) in users.iter().enumerate() {
                 let urow = self.u.row(u as usize);
                 let mut best = neg[i];

@@ -9,13 +9,13 @@
 //!
 //! `--assert-floor` exits non-zero when a fused rate falls below its
 //! naive counterpart — the CI regression floor. Problem size is
-//! overridable via `TAXOREC_HOTPATH_ITEMS` / `_USERS` / `_REPS`.
+//! overridable via `TAXOREC_HOTPATH_ITEMS` and `TAXOREC_HOTPATH_USERS`.
 
 use std::hint::black_box;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use taxorec_bench::{env_usize, time_it};
+use taxorec_bench::time_it;
 use taxorec_core::init;
 use taxorec_data::{select_top_k, Anchor, ItemEmbeddings, Scorer};
 use taxorec_geometry::lorentz;
@@ -27,6 +27,8 @@ const DIM_IR: usize = 64;
 const DIM_TAG: usize = 12;
 /// Top-K selection width of the eval metric.
 const TOP_K: usize = 10;
+/// Timed repetitions of each side.
+const REPS: usize = 8;
 /// Users per batched ranking call in the fused eval path — the same
 /// block size the production eval loop hands `top_k_block`.
 const EVAL_USER_CHUNK: usize = 32;
@@ -173,9 +175,12 @@ impl Measurement {
 
 fn main() {
     let assert_floor = std::env::args().any(|a| a == "--assert-floor");
-    let n_items = env_usize("TAXOREC_HOTPATH_ITEMS", 3584);
-    let n_users = env_usize("TAXOREC_HOTPATH_USERS", 512);
-    let reps = env_usize("TAXOREC_HOTPATH_REPS", 8);
+    let n_items = taxorec_telemetry::env("TAXOREC_HOTPATH_ITEMS")
+        .unwrap_or(3584)
+        .max(1);
+    let n_users = taxorec_telemetry::env("TAXOREC_HOTPATH_USERS")
+        .unwrap_or(512)
+        .max(1);
     let fx = Fixture::build(n_users, n_items);
     let users_per_rep = n_users as f64;
 
@@ -183,7 +188,7 @@ fn main() {
     let mut results: Vec<Measurement> = Vec::new();
     for &threads in &[1usize, 4] {
         std::env::set_var("TAXOREC_THREADS", threads.to_string());
-        let (en, ef) = measure_pair(reps, users_per_rep, || eval_naive(&fx), || eval_fused(&fx));
+        let (en, ef) = measure_pair(REPS, users_per_rep, || eval_naive(&fx), || eval_fused(&fx));
         results.push(Measurement {
             metric: "eval_users_per_sec",
             threads,
@@ -200,7 +205,7 @@ fn main() {
     json.push_str("{\"bin\":\"hotpath\",\"generated_unix_ms\":");
     json.push_str(&taxorec_telemetry::sink::unix_ms().to_string());
     json.push_str(&format!(
-        ",\"n_users\":{n_users},\"n_items\":{n_items},\"dim_ir\":{DIM_IR},\"dim_tag\":{DIM_TAG},\"reps\":{reps},\"results\":["
+        ",\"n_users\":{n_users},\"n_items\":{n_items},\"dim_ir\":{DIM_IR},\"dim_tag\":{DIM_TAG},\"reps\":{REPS},\"results\":["
     ));
     for (i, m) in results.iter().enumerate() {
         if i > 0 {
@@ -220,7 +225,7 @@ fn main() {
         eprintln!("[taxorec:warn] cannot write BENCH_hotpath.json: {e}");
     }
 
-    println!("hotpath microbenchmark ({n_users} users x {n_items} items, best of {reps} reps)");
+    println!("hotpath microbenchmark ({n_users} users x {n_items} items, best of {REPS} reps)");
     for m in &results {
         println!(
             "  {:<22} threads={} naive={:>14.0}/s fused={:>14.0}/s speedup={:.2}x",

@@ -14,8 +14,7 @@
 //! speedup < 5x — the CI regression gate. `--retrieval beam:B`
 //! overrides the measured beam width (default: the index's build-time
 //! default). Scales come from `TAXOREC_RETRIEVAL_ITEMS` (comma-
-//! separated, default `100000,1000000`); query count from
-//! `TAXOREC_RETRIEVAL_QUERIES` (default 128).
+//! separated, default `100000,1000000`); each scale runs 128 queries.
 
 use std::time::Instant;
 
@@ -24,6 +23,8 @@ use taxorec_eval::{evaluate_retrieval, RetrievalEval};
 use taxorec_retrieval::{IndexConfig, ItemEmbeddings, RetrievalMode, TaxoIndex};
 use taxorec_taxonomy::Taxonomy;
 
+/// Queries per scale.
+const N_QUERIES: usize = 128;
 /// Recall cutoffs reported per row.
 const KS: [usize; 2] = [10, 50];
 /// Queries per parallel batch in the throughput measurement.
@@ -94,7 +95,6 @@ fn main() {
             })
         }
     };
-    let n_queries = taxorec_bench::env_usize("TAXOREC_RETRIEVAL_QUERIES", 128);
     let scales = env_scales();
     let mode_label = match mode {
         RetrievalMode::Beam(0) => "beam:default".to_string(),
@@ -106,8 +106,8 @@ fn main() {
     let mut build_secs: Vec<(usize, f64)> = Vec::new();
     for &n_items in &scales {
         let mut config = EmbedConfig::retrieval_bench(n_items);
-        config.n_users = n_queries;
-        println!("generating {n_items}-item planted catalogue ({n_queries} queries)…");
+        config.n_users = N_QUERIES;
+        println!("generating {n_items}-item planted catalogue ({N_QUERIES} queries)…");
         let emb = generate_embeddings(&config);
         let taxonomy = Taxonomy::from_tag_tree(&emb.tag_tree);
         let items = ItemEmbeddings {
@@ -166,7 +166,7 @@ fn main() {
     json.push_str("{\"bin\":\"retrieval\",\"generated_unix_ms\":");
     json.push_str(&taxorec_telemetry::sink::unix_ms().to_string());
     json.push_str(&format!(
-        ",\"mode\":\"{mode_label}\",\"queries\":{n_queries},\"builds\":["
+        ",\"mode\":\"{mode_label}\",\"queries\":{N_QUERIES},\"builds\":["
     ));
     for (i, (n_items, secs)) in build_secs.iter().enumerate() {
         if i > 0 {
@@ -212,7 +212,7 @@ fn main() {
         eprintln!("[taxorec:warn] cannot write BENCH_retrieval.json: {e}");
     }
 
-    println!("retrieval benchmark ({mode_label} mode, {n_queries} queries)");
+    println!("retrieval benchmark ({mode_label} mode, {N_QUERIES} queries)");
     for row in &rows {
         let e = &row.eval;
         println!(

@@ -56,15 +56,11 @@ impl BenchProfile {
             Ok("full") => p.scale = Scale::Full,
             _ => {}
         }
-        if let Ok(s) = std::env::var("TAXOREC_SEEDS") {
-            if let Ok(n) = s.parse::<usize>() {
-                p.seeds = (0..n.max(1)).map(|i| 11 * (i as u64 + 1)).collect();
-            }
+        if let Some(n) = taxorec_telemetry::env::<usize>("TAXOREC_SEEDS") {
+            p.seeds = (0..n.max(1)).map(|i| 11 * (i as u64 + 1)).collect();
         }
-        if let Ok(s) = std::env::var("TAXOREC_EPOCHS") {
-            if let Ok(n) = s.parse::<usize>() {
-                p.epochs = n.max(1);
-            }
+        if let Some(n) = taxorec_telemetry::env::<usize>("TAXOREC_EPOCHS") {
+            p.epochs = n.max(1);
         }
         p
     }
@@ -203,16 +199,6 @@ pub fn write_bench_telemetry(bin: &str) {
         }
         Err(e) => eprintln!("[taxorec:warn] cannot write BENCH_telemetry.json: {e}"),
     }
-}
-
-/// A positive size knob of a microbenchmark bin: `name` from the
-/// environment, `default` when unset or unparsable, never below 1.
-pub fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-        .max(1)
 }
 
 /// Wall-clock helper for the runtime claims.

@@ -19,28 +19,12 @@ use crate::graph::GraphMatrices;
 
 /// Local aggregation (Eqs. 9–11): Poincaré tag matrix → hyperboloid item
 /// matrix (`n_items × (dim_tag + 1)`).
-///
-/// `einstein = false` substitutes a naive tangent-space average of the
-/// item's tag embeddings — the ablation for the Einstein-midpoint design
-/// choice.
-pub fn local_tag_aggregation(
-    tape: &mut Tape,
-    t_p: Var,
-    graph: &GraphMatrices,
-    einstein: bool,
-) -> Var {
+pub fn local_tag_aggregation(tape: &mut Tape, t_p: Var, graph: &GraphMatrices) -> Var {
     let _span = taxorec_telemetry::span!("train.agg.local");
-    if einstein {
-        let klein = tape.poincare_to_klein(t_p); // Eq. 9
-        let mu = tape.einstein_midpoint(klein, &graph.item_tag); // Eq. 10
-        let p = tape.klein_to_poincare(mu); // Eq. 11 (inner map)
-        tape.poincare_to_lorentz(p) // Eq. 11 (p⁻¹ lift)
-    } else {
-        let lifted = tape.poincare_to_lorentz(t_p);
-        let tangent = tape.lorentz_log_origin(lifted);
-        let avg = tape.spmm(&graph.item_tag_norm, tangent);
-        tape.lorentz_exp_origin(avg)
-    }
+    let klein = tape.poincare_to_klein(t_p); // Eq. 9
+    let mu = tape.einstein_midpoint(klein, &graph.item_tag); // Eq. 10
+    let p = tape.klein_to_poincare(mu); // Eq. 11 (inner map)
+    tape.poincare_to_lorentz(p) // Eq. 11 (p⁻¹ lift)
 }
 
 /// Global aggregation (Eqs. 12–15) over the stacked user/item node set.
@@ -121,16 +105,11 @@ mod tests {
         let g = tiny_graph();
         let mut tape = Tape::new();
         let t_p = tape.leaf(Matrix::from_vec(2, 2, vec![0.3, 0.1, -0.2, 0.4]));
-        for einstein in [true, false] {
-            let v = local_tag_aggregation(&mut tape, t_p, &g, einstein);
-            let m = tape.value(v);
-            assert_eq!(m.shape(), (3, 3));
-            for r in 0..3 {
-                assert!(
-                    lorentz::constraint_residual(m.row(r)) < 1e-7,
-                    "einstein={einstein} row {r}"
-                );
-            }
+        let v = local_tag_aggregation(&mut tape, t_p, &g);
+        let m = tape.value(v);
+        assert_eq!(m.shape(), (3, 3));
+        for r in 0..3 {
+            assert!(lorentz::constraint_residual(m.row(r)) < 1e-7, "row {r}");
         }
     }
 
@@ -139,7 +118,7 @@ mod tests {
         let g = tiny_graph();
         let mut tape = Tape::new();
         let t_p = tape.leaf(Matrix::from_vec(2, 2, vec![0.3, 0.1, -0.2, 0.4]));
-        let v = local_tag_aggregation(&mut tape, t_p, &g, true);
+        let v = local_tag_aggregation(&mut tape, t_p, &g);
         let m = tape.value(v);
         // Item 2 has no tags: Klein midpoint 0 → hyperboloid origin.
         assert!((m.get(2, 0) - 1.0).abs() < 1e-9);
@@ -151,7 +130,7 @@ mod tests {
         let g = tiny_graph();
         let mut tape = Tape::new();
         let t_p = tape.leaf(Matrix::from_vec(2, 2, vec![0.3, 0.1, -0.2, 0.4]));
-        let v = local_tag_aggregation(&mut tape, t_p, &g, true);
+        let v = local_tag_aggregation(&mut tape, t_p, &g);
         // Item 0 has exactly tag 0: its Lorentz embedding must equal the
         // direct lift of tag 0.
         let lifted = tape.poincare_to_lorentz(t_p);

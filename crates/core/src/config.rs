@@ -53,9 +53,6 @@ pub struct TaxoRecConfig {
     /// model degenerates to hyperbolic GCN collaborative filtering — i.e.
     /// the HGCF baseline (Sun et al., WWW 2021).
     pub use_tags: bool,
-    /// Use the Einstein-midpoint local aggregation (`false` substitutes a
-    /// naive tangent-space average — ablation of the design choice).
-    pub einstein_local: bool,
     /// Learning rate of Riemannian SGD.
     pub lr: f64,
     /// Learning-rate multiplier for the tag embeddings `T^P`. Tags sit at
@@ -81,17 +78,6 @@ pub struct TaxoRecConfig {
     /// small gradient on already-separated triplets, preventing the early
     /// freeze that hard margins exhibit at small data scale.
     pub soft_hinge: bool,
-    /// Maximum geodesic distance from the hyperboloid origin for the
-    /// user/item embeddings (`None` = unbounded). Bounding the embedding
-    /// region keeps the squared-distance margin `m` on a fixed scale.
-    pub max_radius: Option<f64>,
-    /// Hard-negative mining: sample this many uniform candidates per
-    /// triplet and keep the most violating one (smallest `g(u, v_q)` under
-    /// the embeddings of the previous epoch). `0` disables mining. At the
-    /// paper's data scale uniform negatives violate the margin often
-    /// enough to keep the hinge alive; at reproduction scale mining
-    /// restores that property.
-    pub hard_negative_pool: usize,
     /// Triplets per minibatch.
     pub batch_size: usize,
     /// RNG seed (initialization + sampling).
@@ -115,15 +101,12 @@ impl Default for TaxoRecConfig {
             taxo_min_node: 4,
             use_aggregation: true,
             use_tags: true,
-            einstein_local: true,
             lr: 1.0,
             lr_tag_mult: 60.0,
             epochs: 60,
             negatives: 4,
             tag_channel_gain: 1.0,
             soft_hinge: true,
-            max_radius: Some(2.5),
-            hard_negative_pool: 0,
             batch_size: 1024,
             seed: 42,
         }

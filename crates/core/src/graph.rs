@@ -18,9 +18,6 @@ pub struct GraphMatrices {
     pub propagate: Arc<Csr>,
     /// Item–tag weights `Ψ` (`n_items × n_tags`, binary).
     pub item_tag: Arc<Csr>,
-    /// Row-normalized `Ψ` (rows sum to 1) — used by the naive
-    /// tangent-average ablation of the local aggregation.
-    pub item_tag_norm: Arc<Csr>,
     /// Number of users (rows `0..n_users` of the stacked node set).
     pub n_users: usize,
     /// Number of items (rows `n_users..n_users+n_items`).
@@ -70,13 +67,9 @@ impl GraphMatrices {
             dataset.n_tags.max(1),
             &tag_triplets,
         ));
-        let mut norm = (*item_tag).clone();
-        norm.normalize_rows();
-        let item_tag_norm = Arc::new(norm);
         Self {
             propagate,
             item_tag,
-            item_tag_norm,
             n_users,
             n_items,
         }

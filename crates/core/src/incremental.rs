@@ -50,7 +50,7 @@ pub struct Interaction {
 }
 
 /// Tuning of the incremental fold. [`Default`] matches the serving
-/// tier's `TAXOREC_INGEST_*` defaults.
+/// tier's `IngestOptions` defaults.
 #[derive(Clone, Copy, Debug)]
 pub struct IncrementalConfig {
     /// Riemannian step size for the Lorentz interaction channels.

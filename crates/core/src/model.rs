@@ -248,8 +248,7 @@ impl TaxoRec {
         }
         let u_tg_leaf = f.tape.leaf_copy(&self.u_tg);
         let t_p_leaf = f.tape.leaf_copy(&self.t_p);
-        let v_tg_local =
-            local_tag_aggregation(&mut f.tape, t_p_leaf, graph, self.config.einstein_local);
+        let v_tg_local = local_tag_aggregation(&mut f.tape, t_p_leaf, graph);
         let (u_tg, v_tg) = global_aggregation(&mut f.tape, u_tg_leaf, v_tg_local, graph, layers);
         f.u_tg_leaf = Some(u_tg_leaf);
         f.t_p_leaf = Some(t_p_leaf);
@@ -416,35 +415,6 @@ impl TaxoRec {
             loss_history: self.loss_history.clone(),
             taxonomy: self.taxonomy.clone(),
         }
-    }
-
-    /// Picks the most violating negative (smallest `g(u, v)`) among `pool`
-    /// uniform non-positive candidates, scored with the cached
-    /// previous-epoch embeddings.
-    fn mine_hard_negative(
-        &self,
-        user: u32,
-        sampler: &NegativeSampler,
-        pool: usize,
-        rng: &mut StdRng,
-    ) -> u32 {
-        let anchor = self.anchor(user);
-        let items = self.item_embeddings();
-        let mut best = sampler.sample(user, rng);
-        let mut best_score = f64::NEG_INFINITY;
-        for i in 0..pool {
-            let v = if i == 0 {
-                best
-            } else {
-                sampler.sample(user, rng)
-            };
-            let score = anchor.score(items.row(v as usize));
-            if score > best_score {
-                best_score = score;
-                best = v;
-            }
-        }
-        best
     }
 
     /// The final item embeddings as the scorer's input.
@@ -632,11 +602,6 @@ impl TaxoRec {
             let mut backward_time = Duration::ZERO;
             let mut update_time = Duration::ZERO;
             monitor.begin_epoch(epoch);
-            // Refresh the post-aggregation embeddings once per epoch for
-            // hard-negative mining (stale-but-cheap, standard practice).
-            if cfg.hard_negative_pool > 0 {
-                tape = self.finalize(tape);
-            }
             if self.tags_active
                 && cfg.lambda > 0.0
                 && epoch >= warmup.max(1)
@@ -663,11 +628,7 @@ impl TaxoRec {
                     for _ in 0..cfg.negatives.max(1) {
                         users.push(u);
                         pos.push(v);
-                        neg.push(if cfg.hard_negative_pool > 0 {
-                            self.mine_hard_negative(u, &sampler, cfg.hard_negative_pool, &mut rng)
-                        } else {
-                            sampler.sample(u, &mut rng)
-                        });
+                        neg.push(sampler.sample(u, &mut rng));
                     }
                 }
                 let stage_t0 = Instant::now();
@@ -719,12 +680,10 @@ impl TaxoRec {
                     if let Some(g) = g_u_tg {
                         optim::rsgd_lorentz(&mut self.u_tg, g, lr);
                     }
-                    if let Some(r) = cfg.max_radius {
-                        optim::clip_lorentz_radius(&mut self.u_ir, r);
-                        optim::clip_lorentz_radius(&mut self.v_ir, r);
-                        if self.tags_active {
-                            optim::clip_lorentz_radius(&mut self.u_tg, r);
-                        }
+                    optim::clip_lorentz_radius(&mut self.u_ir, optim::MAX_RADIUS);
+                    optim::clip_lorentz_radius(&mut self.v_ir, optim::MAX_RADIUS);
+                    if self.tags_active {
+                        optim::clip_lorentz_radius(&mut self.u_tg, optim::MAX_RADIUS);
                     }
                     if let Some(g) = g_t_p {
                         optim::rsgd_poincare(&mut self.t_p, g, lr * cfg.lr_tag_mult);

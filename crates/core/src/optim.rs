@@ -17,6 +17,12 @@ pub const GRAD_CLIP: f64 = 5.0;
 /// rates stable: steps scale linearly with `lr` until the cap.
 pub const STEP_CLIP: f64 = 0.25;
 
+/// Maximum geodesic distance from the hyperboloid origin of a user or item
+/// embedding after each trainer update ([`clip_lorentz_radius`]). Bounding
+/// the embedding region keeps the squared-distance margin `m` on a fixed
+/// scale.
+pub const MAX_RADIUS: f64 = 2.5;
+
 /// What to do with one gradient row.
 enum RowGrad {
     /// Every component is exactly zero: nothing to apply.

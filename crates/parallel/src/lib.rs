@@ -54,13 +54,12 @@ thread_local! {
     static IN_POOL: Cell<bool> = const { Cell::new(false) };
 }
 
-/// Resolved pool width: `TAXOREC_THREADS` if set and ≥ 1, otherwise
-/// `std::thread::available_parallelism()`. Re-read on every call.
+/// Resolved pool width: `TAXOREC_THREADS` if set (`0` counts as 1),
+/// otherwise `std::thread::available_parallelism()`. Re-read on every
+/// call.
 pub fn thread_count() -> usize {
-    if let Ok(s) = std::env::var("TAXOREC_THREADS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            return n.max(1);
-        }
+    if let Some(n) = taxorec_telemetry::env::<usize>("TAXOREC_THREADS") {
+        return n.max(1);
     }
     std::thread::available_parallelism()
         .map(|n| n.get())

@@ -308,11 +308,9 @@ pub fn inject_nan(site: &str) -> bool {
 
 /// The `stall` sleep duration: `TAXOREC_FAULT_STALL_MS` ms, default 100.
 pub fn stall_duration() -> std::time::Duration {
-    let ms = std::env::var("TAXOREC_FAULT_STALL_MS")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(100u64);
-    std::time::Duration::from_millis(ms)
+    std::time::Duration::from_millis(
+        taxorec_telemetry::env("TAXOREC_FAULT_STALL_MS").unwrap_or(100),
+    )
 }
 
 /// Probes `site` and sleeps for [`stall_duration`] when a `stall` fault

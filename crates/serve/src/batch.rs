@@ -60,23 +60,17 @@ use std::time::Instant;
 use taxorec_telemetry::{Counter, Histogram};
 
 use crate::net::{PoolSpec, Stage};
-use crate::online::env_usize;
 
-/// Tuning knobs for the [`Batcher`]. [`BatchOptions::from_env`] reads
-/// the `TAXOREC_SERVE_BATCH_*` / `TAXOREC_SERVE_SCORERS` variables;
-/// [`Default`] ignores the environment.
+/// Tuning knobs for the [`Batcher`].
 #[derive(Clone, Debug)]
 pub struct BatchOptions {
     /// Most requests coalesced into one scoring batch. 32 matches the
     /// fused-kernel block size (DESIGN.md §12).
-    /// Env: `TAXOREC_SERVE_BATCH_MAX`.
     pub max_batch: usize,
     /// Requests allowed to wait in the batch queue; beyond this
     /// [`Batcher::try_submit`] refuses and the caller sheds load.
-    /// Env: `TAXOREC_SERVE_BATCH_QUEUE`.
     pub queue_capacity: usize,
     /// Scorer threads draining the queue.
-    /// Env: `TAXOREC_SERVE_SCORERS`.
     pub n_scorers: usize,
 }
 
@@ -87,25 +81,6 @@ impl Default for BatchOptions {
             queue_capacity: 1024,
             n_scorers: 2,
         }
-    }
-}
-
-impl BatchOptions {
-    /// Defaults overridden by `TAXOREC_SERVE_BATCH_MAX`,
-    /// `TAXOREC_SERVE_BATCH_QUEUE`, and `TAXOREC_SERVE_SCORERS` where
-    /// set and parseable.
-    pub fn from_env() -> Self {
-        let mut o = Self::default();
-        if let Some(b) = env_usize("TAXOREC_SERVE_BATCH_MAX") {
-            o.max_batch = b.clamp(1, 1024);
-        }
-        if let Some(q) = env_usize("TAXOREC_SERVE_BATCH_QUEUE") {
-            o.queue_capacity = q.max(1);
-        }
-        if let Some(s) = env_usize("TAXOREC_SERVE_SCORERS") {
-            o.n_scorers = s.clamp(1, 64);
-        }
-        o
     }
 }
 

@@ -37,9 +37,8 @@ USAGE:
              /metrics                router RED metrics (Prometheus)
              /shards/metrics         merged shard expositions, shard=\"i\"
 
-  Tuning (env): TAXOREC_ROUTER_PROBE_MS, TAXOREC_ROUTER_HEDGE_MS,
-  TAXOREC_ROUTER_DEADLINE_MS, TAXOREC_ROUTER_CONNECT_MS,
-  TAXOREC_ROUTER_BREAKER_FAILURES, TAXOREC_ROUTER_BREAKER_COOLDOWN_MS.
+  Tuning (env): TAXOREC_ROUTER_PROBE_MS, the shard health-probe interval
+  (default 200 ms).
 
   Runs until stdin is closed (Ctrl-D / EOF) or SIGTERM/SIGINT arrives.
 ";

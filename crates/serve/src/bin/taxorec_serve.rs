@@ -70,7 +70,9 @@ USAGE:
 
   taxorec-serve serve <model.taxo> [--addr HOST:PORT] [--workers N]
                       [--retrieval exact|beam|beam:B] [--shard-id ID] [--ingest]
-      Serve the model over HTTP (default 127.0.0.1:7878, 4 workers).
+      Serve the model over HTTP (default 127.0.0.1:7878).
+      --workers N            request worker threads (default
+                             TAXOREC_SERVE_WORKERS, else 4)
       --retrieval            candidate generation: `exact` (default) scores
                              the whole catalogue; `beam[:B]` routes through
                              the artifact's retrieval index (`beam` alone
@@ -79,7 +81,7 @@ USAGE:
                              used by taxorec-router fleet aggregation
       --ingest               accept POST /ingest interaction batches and fold
                              them into the model between serving ticks
-                             (TAXOREC_INGEST_* tunes tick/journal/drift;
+                             (TAXOREC_INGEST_TICK_MS sets the tick;
                              TAXOREC_INGEST_CHECKPOINT persists each tick)
       Endpoints: /recommend?user=U&k=K  /explain?user=U&item=V
                  POST /ingest  /healthz  /metrics (Prometheus)  /metrics.json
@@ -314,18 +316,16 @@ fn run_server(args: &[String]) -> Result<(), String> {
     taxorec_serve::signal::install();
     let path = positional(args, 0, "model.taxo")?;
     let addr = flag(args, "--addr")?.unwrap_or("127.0.0.1:7878");
-    let workers: usize = match flag(args, "--workers")? {
-        None => 4,
-        Some(w) => w
-            .parse()
-            .map_err(|_| format!("--workers {w:?} is not an integer"))?,
-    };
     let retrieval = match flag(args, "--retrieval")? {
         None => RetrievalMode::Exact,
         Some(raw) => RetrievalMode::parse(raw).map_err(|e| format!("--retrieval: {e}"))?,
     };
     let mut opts = taxorec_serve::ServeOptions::from_env();
-    opts.n_workers = workers;
+    if let Some(w) = flag(args, "--workers")? {
+        opts.n_workers = w
+            .parse()
+            .map_err(|_| format!("--workers {w:?} is not an integer"))?;
+    }
     if let Some(id) = flag(args, "--shard-id")? {
         opts.shard_id = Some(id.to_string());
     }
@@ -349,6 +349,7 @@ fn run_server(args: &[String]) -> Result<(), String> {
         model.retrieval_mode().label(),
         if ingest { ", ingestion on" } else { "" }
     );
+    let n_workers = opts.n_workers;
     let handle = match base {
         Some(ckpt) => taxorec_serve::serve_online(Arc::new(model), ckpt, addr, opts),
         None => taxorec_serve::serve_with(Arc::new(model), addr, opts),
@@ -357,7 +358,7 @@ fn run_server(args: &[String]) -> Result<(), String> {
     println!(
         "listening on http://{} ({} workers)",
         handle.local_addr(),
-        workers
+        n_workers
     );
     println!(
         "try: curl 'http://{}/recommend?user=0&k=10'",
@@ -390,9 +391,5 @@ fn run_server(args: &[String]) -> Result<(), String> {
 /// actually shuts down (`TAXOREC_SERVE_DRAIN_MS`, default 300 ms —
 /// comfortably above the router's default 200 ms probe interval).
 fn drain_grace() -> Duration {
-    let ms = std::env::var("TAXOREC_SERVE_DRAIN_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(300);
-    Duration::from_millis(ms)
+    Duration::from_millis(taxorec_telemetry::env("TAXOREC_SERVE_DRAIN_MS").unwrap_or(300))
 }

@@ -33,6 +33,7 @@
 use std::path::Path;
 
 use taxorec_autodiff::Matrix;
+use taxorec_core::optim::MAX_RADIUS;
 use taxorec_core::{ModelState, TaxoRec, TaxoRecConfig, TrainState};
 use taxorec_data::Dataset;
 use taxorec_retrieval::{IndexConfig, IndexParts, ItemEmbeddings, TaxoIndex};
@@ -758,6 +759,10 @@ fn read_matrix(r: &mut Reader, what: &str) -> Result<Matrix, CheckpointError> {
     Ok(Matrix::from_vec(rows, cols, data))
 }
 
+/// Writes the training config. Three slots hold what were once options
+/// and are now constants of the trainer — `einstein_local`, `max_radius`
+/// and `hard_negative_pool` — so the layout is unchanged; [`read_config`]
+/// refuses any other value in them.
 fn write_config(w: &mut Writer, c: &TaxoRecConfig) {
     w.put_usize(c.dim_ir);
     w.put_usize(c.dim_tag);
@@ -776,23 +781,40 @@ fn write_config(w: &mut Writer, c: &TaxoRecConfig) {
     w.put_usize(c.taxo_min_node);
     w.put_bool(c.use_aggregation);
     w.put_bool(c.use_tags);
-    w.put_bool(c.einstein_local);
+    w.put_bool(RETIRED_EINSTEIN_LOCAL);
     w.put_f64(c.lr);
     w.put_f64(c.lr_tag_mult);
     w.put_usize(c.epochs);
     w.put_usize(c.negatives);
     w.put_f64(c.tag_channel_gain);
     w.put_bool(c.soft_hinge);
-    match c.max_radius {
-        None => w.put_bool(false),
-        Some(r) => {
-            w.put_bool(true);
-            w.put_f64(r);
-        }
-    }
-    w.put_usize(c.hard_negative_pool);
+    w.put_bool(true);
+    w.put_f64(MAX_RADIUS);
+    w.put_usize(RETIRED_HARD_NEGATIVE_POOL);
     w.put_usize(c.batch_size);
     w.put_u64(c.seed);
+}
+
+/// The `config.einstein_local` slot: the Einstein midpoint is the only
+/// local aggregation.
+const RETIRED_EINSTEIN_LOCAL: bool = true;
+/// The `config.hard_negative_pool` slot: negatives are drawn uniformly.
+const RETIRED_HARD_NEGATIVE_POOL: usize = 0;
+
+/// Refuses a retired config slot that holds anything but the one value
+/// this build trains with, naming the field.
+fn expect_retired<T: PartialEq + std::fmt::Debug>(
+    field: &str,
+    found: T,
+    only: T,
+) -> Result<(), CheckpointError> {
+    if found == only {
+        Ok(())
+    } else {
+        Err(CheckpointError::Invalid(format!(
+            "{field} is {found:?}, but this build only trains with {only:?}"
+        )))
+    }
 }
 
 fn read_config(r: &mut Reader) -> Result<TaxoRecConfig, CheckpointError> {
@@ -819,20 +841,28 @@ fn read_config(r: &mut Reader) -> Result<TaxoRecConfig, CheckpointError> {
         taxo_min_node: r.get_usize("config.taxo_min_node")?,
         use_aggregation: r.get_bool("config.use_aggregation")?,
         use_tags: r.get_bool("config.use_tags")?,
-        einstein_local: r.get_bool("config.einstein_local")?,
-        lr: r.get_f64("config.lr")?,
+        lr: {
+            let f = "config.einstein_local";
+            expect_retired(f, r.get_bool(f)?, RETIRED_EINSTEIN_LOCAL)?;
+            r.get_f64("config.lr")?
+        },
         lr_tag_mult: r.get_f64("config.lr_tag_mult")?,
         epochs: r.get_usize("config.epochs")?,
         negatives: r.get_usize("config.negatives")?,
         tag_channel_gain: r.get_f64("config.tag_channel_gain")?,
         soft_hinge: r.get_bool("config.soft_hinge")?,
-        max_radius: if r.get_bool("config.max_radius presence")? {
-            Some(r.get_f64("config.max_radius")?)
-        } else {
-            None
+        batch_size: {
+            let f = "config.max_radius";
+            let radius = if r.get_bool("config.max_radius presence")? {
+                Some(r.get_f64(f)?)
+            } else {
+                None
+            };
+            expect_retired(f, radius, Some(MAX_RADIUS))?;
+            let f = "config.hard_negative_pool";
+            expect_retired(f, r.get_usize(f)?, RETIRED_HARD_NEGATIVE_POOL)?;
+            r.get_usize("config.batch_size")?
         },
-        hard_negative_pool: r.get_usize("config.hard_negative_pool")?,
-        batch_size: r.get_usize("config.batch_size")?,
         seed: r.get_u64("config.seed")?,
     })
 }
@@ -943,4 +973,113 @@ fn read_taxonomy(r: &mut Reader) -> Result<Taxonomy, CheckpointError> {
         });
     }
     Taxonomy::from_nodes(nodes).map_err(CheckpointError::Invalid)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Offsets of the retired slots from the start of the config section:
+    /// `einstein_local` follows nine 8-byte fields, the seeding tag, two
+    /// 8-byte fields and two flags; the `max_radius` presence byte follows
+    /// five 8-byte fields and the hinge flag after it; then its `f64`, then
+    /// `hard_negative_pool`.
+    const EINSTEIN_LOCAL_AT: usize = 9 * 8 + 1 + 2 * 8 + 2;
+    const MAX_RADIUS_AT: usize = EINSTEIN_LOCAL_AT + 1 + 5 * 8 + 1;
+    const HARD_NEGATIVE_POOL_AT: usize = MAX_RADIUS_AT + 1 + 8;
+
+    type Decode = fn(&[u8]) -> Result<Vec<u8>, CheckpointError>;
+
+    /// A sealed serving artifact and a sealed training checkpoint of a
+    /// two-user, three-item model, each with its decoder (which re-encodes
+    /// what it read) and the payload offset of its config section.
+    fn sealed_artifacts() -> [(&'static str, Vec<u8>, Decode, usize); 2] {
+        let config = TaxoRecConfig::fast_test();
+        let cols = config.dim_ir + 1;
+        let state = ModelState {
+            name: "t".to_string(),
+            config: config.clone(),
+            tags_active: false,
+            u_ir: Matrix::zeros(2, cols),
+            v_ir: Matrix::zeros(3, cols),
+            u_tg: Matrix::zeros(0, 0),
+            v_tg: Matrix::zeros(0, 0),
+            t_p: Matrix::zeros(0, 0),
+            alphas: vec![0.0; 2],
+            taxonomy: None,
+        };
+        let serving = Checkpoint {
+            state,
+            tag_names: Vec::new(),
+            item_tags: Vec::new(),
+            seen_items: Vec::new(),
+            index: None,
+            artifact: None,
+            journal_cursor: None,
+        };
+        let train = TrainCheckpoint::new(TrainState {
+            config,
+            next_epoch: 0,
+            rng_state: [1, 2, 3, 4],
+            lr_scale: 1.0,
+            rollbacks: 0,
+            u_ir: Matrix::zeros(2, cols),
+            v_ir: Matrix::zeros(3, cols),
+            u_tg: Matrix::zeros(0, 0),
+            t_p: Matrix::zeros(0, 0),
+            loss_history: Vec::new(),
+            taxonomy: None,
+        });
+        [
+            (
+                "serving artifact",
+                serving.to_bytes(),
+                |b| Checkpoint::from_bytes(b).map(|c| c.to_bytes()),
+                8 + serving.state.name.len(),
+            ),
+            (
+                "training checkpoint",
+                train.to_bytes(),
+                |b| TrainCheckpoint::from_bytes(b).map(|c| c.to_bytes()),
+                0,
+            ),
+        ]
+    }
+
+    #[test]
+    fn retired_config_slots_are_refused() {
+        for (kind, sealed, decode, config_at) in sealed_artifacts() {
+            assert_eq!(decode(&sealed).as_ref(), Ok(&sealed), "{kind} round-trips");
+            let flags = u16::from_le_bytes([sealed[6], sealed[7]]);
+            let payload = &sealed[HEADER_LEN..sealed.len() - TRAILER_LEN];
+            let [einstein, radius, pool] =
+                [EINSTEIN_LOCAL_AT, MAX_RADIUS_AT, HARD_NEGATIVE_POOL_AT].map(|at| config_at + at);
+            assert_eq!(payload[einstein], 1, "{kind}: einstein_local written true");
+            assert_eq!(payload[radius], 1, "{kind}: max_radius written present");
+            assert_eq!(payload[radius + 1..radius + 9], MAX_RADIUS.to_le_bytes());
+            assert_eq!(payload[pool..pool + 8], 0u64.to_le_bytes());
+
+            // Replaces `len` payload bytes at `at` with `with`, then reseals.
+            let patched = |at: usize, len: usize, with: &[u8]| {
+                let mut p = payload.to_vec();
+                p.splice(at..at + len, with.iter().copied());
+                seal_container(flags, p)
+            };
+            for (field, bytes) in [
+                (
+                    "config.hard_negative_pool",
+                    patched(pool, 8, &3u64.to_le_bytes()),
+                ),
+                ("config.einstein_local", patched(einstein, 1, &[0])),
+                ("config.max_radius", patched(radius, 9, &[0])),
+                (
+                    "config.max_radius",
+                    patched(radius + 1, 8, &3.0f64.to_le_bytes()),
+                ),
+            ] {
+                let err = decode(&bytes).expect_err(field).to_string();
+                assert!(err.contains(field), "{kind}: {err}");
+            }
+        }
+    }
 }

@@ -82,7 +82,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use taxorec_telemetry::json::{push_f64, push_str_escaped};
-use taxorec_telemetry::{flight, flight_event, trace, TraceContext};
+use taxorec_telemetry::{env, flight, flight_event, trace, TraceContext};
 
 use crate::batch::{BatchJob, BatchOptions, Batcher};
 use crate::checkpoint::{write_atomic, ArtifactInfo, Checkpoint, FORMAT_VERSION};
@@ -90,7 +90,7 @@ use crate::model::{ModelSlot, Ranking, ServeError, ServingModel};
 use crate::net::{
     self, param, require_param, Conn, Edge, Front, PoolSpec, Reply, Request, Shedder, Stage,
 };
-use crate::online::{self, env_usize, IngestOptions, Journal};
+use crate::online::{self, IngestOptions, Journal};
 
 /// Updater sleep slice (stop-flag recheck bound).
 const POLL_INTERVAL: Duration = Duration::from_millis(10);
@@ -104,7 +104,8 @@ const DEFAULT_K: usize = 10;
 const MAX_K: usize = 1000;
 
 /// Tuning knobs for [`serve_with`]. [`ServeOptions::from_env`] reads the
-/// `TAXOREC_SERVE_*` variables; [`Default`] ignores the environment.
+/// deployment's `TAXOREC_SERVE_*` variables; [`Default`] ignores the
+/// environment.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
     /// Worker threads handling requests (≥ 1 enforced).
@@ -115,14 +116,12 @@ pub struct ServeOptions {
     /// Env: `TAXOREC_SERVE_TIMEOUT_MS`.
     pub io_timeout: Duration,
     /// Largest request head (request line + headers) accepted.
-    /// Env: `TAXOREC_SERVE_MAX_REQUEST_BYTES`.
     pub max_request_bytes: usize,
     /// Accepted connections allowed to wait for a worker; beyond this the
     /// acceptor sheds load with `503 + Retry-After`.
     /// Env: `TAXOREC_SERVE_MAX_QUEUE`.
     pub max_queue: usize,
-    /// Micro-batching scheduler knobs (`TAXOREC_SERVE_BATCH_*`,
-    /// `TAXOREC_SERVE_SCORERS`).
+    /// Micro-batching scheduler knobs.
     pub batch: BatchOptions,
     /// Shard identity reported by `/healthz` (`"shard":{"id":…}`), so a
     /// router aggregating a fleet can tell which process answered.
@@ -133,9 +132,9 @@ pub struct ServeOptions {
     /// default; set `TAXOREC_SERVE_ADMIN=0` to disable on an exposed
     /// listener.
     pub admin: bool,
-    /// Streaming-ingestion tuning (`TAXOREC_INGEST_*`). Only honored by
-    /// [`serve_online`]; plain [`serve_with`] answers `POST /ingest`
-    /// with `503`.
+    /// Streaming-ingestion tuning ([`IngestOptions::from_env`]). Only
+    /// honored by [`serve_online`]; plain [`serve_with`] answers
+    /// `POST /ingest` with `503`.
     pub ingest: IngestOptions,
 }
 
@@ -156,36 +155,22 @@ impl Default for ServeOptions {
 
 impl ServeOptions {
     /// Defaults overridden by `TAXOREC_SERVE_WORKERS`,
-    /// `TAXOREC_SERVE_TIMEOUT_MS`, `TAXOREC_SERVE_MAX_REQUEST_BYTES`,
-    /// `TAXOREC_SERVE_MAX_QUEUE`, and the
-    /// `TAXOREC_SERVE_BATCH_*` / `TAXOREC_SERVE_SCORERS` family where
-    /// set and parseable.
+    /// `TAXOREC_SERVE_TIMEOUT_MS`, `TAXOREC_SERVE_MAX_QUEUE`,
+    /// `TAXOREC_SHARD_ID`, `TAXOREC_SERVE_ADMIN` and
+    /// [`IngestOptions::from_env`] where set and parseable.
     pub fn from_env() -> Self {
-        let mut o = Self::default();
-        if let Some(w) = env_usize("TAXOREC_SERVE_WORKERS") {
-            o.n_workers = w.clamp(1, 64);
+        let d = Self::default();
+        Self {
+            n_workers: env::<usize>("TAXOREC_SERVE_WORKERS")
+                .map_or(d.n_workers, |w| w.clamp(1, 64)),
+            io_timeout: env::<u64>("TAXOREC_SERVE_TIMEOUT_MS")
+                .map_or(d.io_timeout, |ms| Duration::from_millis(ms.max(1))),
+            max_queue: env::<usize>("TAXOREC_SERVE_MAX_QUEUE").map_or(d.max_queue, |q| q.max(1)),
+            shard_id: env("TAXOREC_SHARD_ID"),
+            admin: env::<String>("TAXOREC_SERVE_ADMIN").as_deref() != Some("0"),
+            ingest: IngestOptions::from_env(),
+            ..d
         }
-        if let Some(ms) = env_usize("TAXOREC_SERVE_TIMEOUT_MS") {
-            o.io_timeout = Duration::from_millis(ms.max(1) as u64);
-        }
-        if let Some(b) = env_usize("TAXOREC_SERVE_MAX_REQUEST_BYTES") {
-            o.max_request_bytes = b.max(64);
-        }
-        if let Some(q) = env_usize("TAXOREC_SERVE_MAX_QUEUE") {
-            o.max_queue = q.max(1);
-        }
-        if let Ok(id) = std::env::var("TAXOREC_SHARD_ID") {
-            let id = id.trim().to_string();
-            if !id.is_empty() {
-                o.shard_id = Some(id);
-            }
-        }
-        if let Ok(v) = std::env::var("TAXOREC_SERVE_ADMIN") {
-            o.admin = v.trim() != "0";
-        }
-        o.batch = BatchOptions::from_env();
-        o.ingest = IngestOptions::from_env();
-        o
     }
 }
 

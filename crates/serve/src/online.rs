@@ -34,11 +34,13 @@ use std::time::Duration;
 use taxorec_core::incremental::{apply_interactions, IncrementalConfig, Interaction};
 use taxorec_retrieval::TaxoIndex;
 use taxorec_taxonomy::{attach_tag, construct_taxonomy, ConstructConfig};
+use taxorec_telemetry::env;
 
 use crate::checkpoint::{item_embeddings, Checkpoint};
 
-/// Tuning of the ingestion path. [`IngestOptions::from_env`] reads the
-/// `TAXOREC_INGEST_*` family; [`Default`] ignores the environment and
+/// Tuning of the ingestion path. [`IngestOptions::from_env`] reads
+/// `TAXOREC_INGEST`, `TAXOREC_INGEST_TICK_MS` and
+/// `TAXOREC_INGEST_CHECKPOINT`; [`Default`] ignores the environment and
 /// leaves ingestion **disabled**.
 #[derive(Clone, Debug)]
 pub struct IngestOptions {
@@ -50,26 +52,21 @@ pub struct IngestOptions {
     pub tick: Duration,
     /// Journal capacity; `POST /ingest` answers `503 + Retry-After`
     /// when full (backpressure, same contract as the connection queue).
-    /// Env: `TAXOREC_INGEST_JOURNAL_CAP`.
     pub journal_cap: usize,
     /// Most interactions folded per tick; the rest stay journaled for
-    /// the next tick. Env: `TAXOREC_INGEST_BATCH`.
+    /// the next tick.
     pub batch: usize,
     /// Riemannian step size of the incremental fold.
-    /// Env: `TAXOREC_INGEST_LR`.
     pub lr: f64,
     /// Margin of the incremental triplet hinge.
-    /// Env: `TAXOREC_INGEST_MARGIN`.
     pub margin: f64,
     /// Grafted-tag count that triggers a full Algorithm-1 taxonomy
     /// rebuild (and index rebuild) to reconcile accumulated drift.
-    /// Env: `TAXOREC_INGEST_DRIFT_LIMIT`.
     pub drift_limit: u64,
     /// Hard cap on rows a single interaction may grow the model by
-    /// (hostile/corrupt id guard). Env: `TAXOREC_INGEST_MAX_GROWTH`.
+    /// (hostile/corrupt id guard).
     pub max_growth: usize,
     /// Largest `POST /ingest` body accepted (bytes).
-    /// Env: `TAXOREC_INGEST_MAX_BODY_BYTES`.
     pub max_body: usize,
     /// When set, every tick's artifact is persisted here atomically, so
     /// a restart resumes from the last folded state (journal cursor
@@ -95,59 +92,18 @@ impl Default for IngestOptions {
 }
 
 impl IngestOptions {
-    /// Defaults overridden by the `TAXOREC_INGEST_*` environment
-    /// variables where set and parseable.
+    /// Defaults overridden by the `TAXOREC_INGEST*` variables where set
+    /// and parseable.
     pub fn from_env() -> Self {
-        let mut o = Self::default();
-        if let Ok(v) = std::env::var("TAXOREC_INGEST") {
-            o.enabled = v.trim() == "1";
+        let d = Self::default();
+        Self {
+            enabled: env::<String>("TAXOREC_INGEST").as_deref() == Some("1"),
+            tick: env::<u64>("TAXOREC_INGEST_TICK_MS")
+                .map_or(d.tick, |ms| Duration::from_millis(ms.max(10))),
+            checkpoint_path: env("TAXOREC_INGEST_CHECKPOINT"),
+            ..d
         }
-        if let Some(ms) = env_usize("TAXOREC_INGEST_TICK_MS") {
-            o.tick = Duration::from_millis(ms.max(10) as u64);
-        }
-        if let Some(c) = env_usize("TAXOREC_INGEST_JOURNAL_CAP") {
-            o.journal_cap = c.max(1);
-        }
-        if let Some(b) = env_usize("TAXOREC_INGEST_BATCH") {
-            o.batch = b.max(1);
-        }
-        if let Some(lr) = env_f64("TAXOREC_INGEST_LR") {
-            if lr > 0.0 {
-                o.lr = lr;
-            }
-        }
-        if let Some(m) = env_f64("TAXOREC_INGEST_MARGIN") {
-            if m >= 0.0 {
-                o.margin = m;
-            }
-        }
-        if let Some(d) = env_usize("TAXOREC_INGEST_DRIFT_LIMIT") {
-            o.drift_limit = d.max(1) as u64;
-        }
-        if let Some(g) = env_usize("TAXOREC_INGEST_MAX_GROWTH") {
-            o.max_growth = g.max(1);
-        }
-        if let Some(b) = env_usize("TAXOREC_INGEST_MAX_BODY_BYTES") {
-            o.max_body = b.max(256);
-        }
-        if let Ok(p) = std::env::var("TAXOREC_INGEST_CHECKPOINT") {
-            let p = p.trim();
-            if !p.is_empty() {
-                o.checkpoint_path = Some(p.into());
-            }
-        }
-        o
     }
-}
-
-/// The crate's one reader of integer `TAXOREC_*` knobs: unset,
-/// empty or unparseable all mean "keep the default".
-pub(crate) fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
-fn env_f64(name: &str) -> Option<f64> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 /// One streamed interaction as posted to `/ingest`: ids for user and

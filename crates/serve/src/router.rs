@@ -72,25 +72,20 @@ use crate::client::{self, Phase, Timeouts};
 use crate::net::{
     self, require_param, Conn, Edge, Front, PoolSpec, Reply, Request, Shedder, Stage,
 };
-use crate::online::env_usize;
 use crate::ring::Ring;
 
 /// Prober sleep slice (stop-flag recheck bound).
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Tuning knobs for [`route_with`]. [`RouterOptions::from_env`] reads
-/// the `TAXOREC_ROUTER_*` variables; [`Default`] ignores the
-/// environment.
+/// `TAXOREC_ROUTER_PROBE_MS`; [`Default`] ignores the environment.
 #[derive(Clone, Debug)]
 pub struct RouterOptions {
     /// Front-end worker threads (≥ 1 enforced).
-    /// Env: `TAXOREC_ROUTER_WORKERS`.
     pub n_workers: usize,
     /// Client-side read/write deadline.
-    /// Env: `TAXOREC_ROUTER_TIMEOUT_MS`.
     pub io_timeout: Duration,
     /// Accepted client connections allowed to wait for a worker.
-    /// Env: `TAXOREC_ROUTER_MAX_QUEUE`.
     pub max_queue: usize,
     /// Largest client request head accepted.
     pub max_request_bytes: usize,
@@ -98,24 +93,20 @@ pub struct RouterOptions {
     /// Env: `TAXOREC_ROUTER_PROBE_MS`.
     pub probe_interval: Duration,
     /// Upstream connect deadline per attempt.
-    /// Env: `TAXOREC_ROUTER_CONNECT_MS`.
     pub connect_timeout: Duration,
     /// Silence threshold before a hedged second attempt is launched at
     /// the next candidate shard.
-    /// Env: `TAXOREC_ROUTER_HEDGE_MS`.
     pub hedge_after: Duration,
     /// Total per-request budget across all candidates, retries, and
-    /// hedges. Env: `TAXOREC_ROUTER_DEADLINE_MS`.
+    /// hedges.
     pub deadline: Duration,
     /// Retry schedule for connection-refused upstreams (a shard
     /// restarting mid-reload). Only idempotent reads flow through the
     /// router, so re-sending is always safe.
     pub retry: RetryPolicy,
     /// Consecutive transport failures that open a shard's breaker.
-    /// Env: `TAXOREC_ROUTER_BREAKER_FAILURES`.
     pub breaker_threshold: u32,
     /// How long an open breaker refuses before a half-open probe.
-    /// Env: `TAXOREC_ROUTER_BREAKER_COOLDOWN_MS`.
     pub breaker_cooldown: Duration,
 }
 
@@ -143,38 +134,15 @@ impl Default for RouterOptions {
 }
 
 impl RouterOptions {
-    /// Defaults overridden by the `TAXOREC_ROUTER_*` variables where
-    /// set and parseable.
+    /// Defaults with `TAXOREC_ROUTER_PROBE_MS` applied where set and
+    /// parseable.
     pub fn from_env() -> Self {
-        let mut o = Self::default();
-        if let Some(w) = env_usize("TAXOREC_ROUTER_WORKERS") {
-            o.n_workers = w.clamp(1, 64);
+        let d = Self::default();
+        Self {
+            probe_interval: taxorec_telemetry::env::<u64>("TAXOREC_ROUTER_PROBE_MS")
+                .map_or(d.probe_interval, |ms| Duration::from_millis(ms.max(10))),
+            ..d
         }
-        if let Some(ms) = env_usize("TAXOREC_ROUTER_TIMEOUT_MS") {
-            o.io_timeout = Duration::from_millis(ms.max(1) as u64);
-        }
-        if let Some(q) = env_usize("TAXOREC_ROUTER_MAX_QUEUE") {
-            o.max_queue = q.max(1);
-        }
-        if let Some(ms) = env_usize("TAXOREC_ROUTER_PROBE_MS") {
-            o.probe_interval = Duration::from_millis(ms.max(10) as u64);
-        }
-        if let Some(ms) = env_usize("TAXOREC_ROUTER_CONNECT_MS") {
-            o.connect_timeout = Duration::from_millis(ms.max(1) as u64);
-        }
-        if let Some(ms) = env_usize("TAXOREC_ROUTER_HEDGE_MS") {
-            o.hedge_after = Duration::from_millis(ms.max(1) as u64);
-        }
-        if let Some(ms) = env_usize("TAXOREC_ROUTER_DEADLINE_MS") {
-            o.deadline = Duration::from_millis(ms.max(10) as u64);
-        }
-        if let Some(n) = env_usize("TAXOREC_ROUTER_BREAKER_FAILURES") {
-            o.breaker_threshold = n.clamp(1, 1000) as u32;
-        }
-        if let Some(ms) = env_usize("TAXOREC_ROUTER_BREAKER_COOLDOWN_MS") {
-            o.breaker_cooldown = Duration::from_millis(ms.max(1) as u64);
-        }
-        o
     }
 }
 

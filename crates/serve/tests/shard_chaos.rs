@@ -54,6 +54,8 @@ struct Proc {
     child: Child,
     _stdin: ChildStdin,
     addr: SocketAddr,
+    /// The `listening on http://ADDR …` startup line.
+    banner: String,
 }
 
 impl Drop for Proc {
@@ -76,14 +78,14 @@ fn spawn_server(mut cmd: Command) -> Proc {
     let stdin = child.stdin.take().expect("stdin handle");
     let stdout = child.stdout.take().expect("stdout handle");
     let mut lines = BufReader::new(stdout).lines();
-    let addr = loop {
+    let (addr, banner) = loop {
         let line = lines
             .next()
             .expect("server exited before announcing its address")
             .expect("read server stdout");
         if let Some(rest) = line.split("listening on http://").nth(1) {
             let addr = rest.split_whitespace().next().expect("address token");
-            break addr.parse().expect("parse announced address");
+            break (addr.parse().expect("parse announced address"), line.clone());
         }
     };
     // Drain any later output so the pipe can never block the server.
@@ -92,6 +94,7 @@ fn spawn_server(mut cmd: Command) -> Proc {
         child,
         _stdin: stdin,
         addr,
+        banner,
     }
 }
 
@@ -279,4 +282,18 @@ fn shard_process_drains_gracefully_on_sigterm() {
 extern "C" {
     #[link_name = "kill"]
     fn libc_kill(pid: i32, sig: i32) -> i32;
+}
+
+#[test]
+fn serve_takes_its_worker_count_from_the_environment_without_the_flag() {
+    let mut cmd = Command::new(BIN);
+    cmd.args([
+        "serve",
+        artifact().to_str().unwrap(),
+        "--addr",
+        "127.0.0.1:0",
+    ])
+    .env("TAXOREC_SERVE_WORKERS", "3");
+    let shard = spawn_server(cmd);
+    assert!(shard.banner.ends_with("(3 workers)"), "{}", shard.banner);
 }

@@ -24,7 +24,6 @@
 //! | Variable              | Effect |
 //! |-----------------------|--------|
 //! | `TAXOREC_FLIGHT`      | `off`/`0` disables recording and dumps (default: on) |
-//! | `TAXOREC_FLIGHT_SIZE` | ring capacity in events (default 1024, clamped to 16..=1048576) |
 //! | `TAXOREC_FLIGHT_DIR`  | dump directory (default: the system temp dir) |
 //!
 //! Dumps are throttled to one per [`DUMP_MIN_INTERVAL_MS`] so a shedding
@@ -38,8 +37,8 @@ use std::sync::{Mutex, OnceLock};
 use crate::json;
 use crate::sink;
 
-/// Default ring capacity (events), overridable via `TAXOREC_FLIGHT_SIZE`.
-pub const DEFAULT_SIZE: usize = 1024;
+/// Ring capacity (events).
+pub const SIZE: usize = 1024;
 
 /// Minimum milliseconds between two dumps (throttle).
 pub const DUMP_MIN_INTERVAL_MS: u64 = 2000;
@@ -106,25 +105,18 @@ fn enabled() -> bool {
 }
 
 fn ring() -> &'static Ring {
-    RING.get_or_init(|| {
-        let size = std::env::var("TAXOREC_FLIGHT_SIZE")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .unwrap_or(DEFAULT_SIZE)
-            .clamp(16, 1 << 20);
-        Ring {
-            slots: (0..size)
-                .map(|_| Slot {
-                    seq: AtomicU64::new(0),
-                    ts_ms: AtomicU64::new(0),
-                    kind: AtomicUsize::new(0),
-                    trace_id: AtomicU64::new(0),
-                    a: AtomicU64::new(0),
-                    value_bits: AtomicU64::new(0),
-                })
-                .collect(),
-            cursor: AtomicU64::new(0),
-        }
+    RING.get_or_init(|| Ring {
+        slots: (0..SIZE)
+            .map(|_| Slot {
+                seq: AtomicU64::new(0),
+                ts_ms: AtomicU64::new(0),
+                kind: AtomicUsize::new(0),
+                trace_id: AtomicU64::new(0),
+                a: AtomicU64::new(0),
+                value_bits: AtomicU64::new(0),
+            })
+            .collect(),
+        cursor: AtomicU64::new(0),
     })
 }
 

@@ -40,7 +40,6 @@
 //! | `TAXOREC_TRACE`   | unset/`off` (default) or a file path | export sampled spans as Chrome trace-event JSON |
 //! | `TAXOREC_TRACE_SAMPLE` | integer `n` (default 1)        | export every `n`-th trace root |
 //! | `TAXOREC_FLIGHT`  | `off`/`0` to disable (default on)   | flight-recorder ring buffer |
-//! | `TAXOREC_FLIGHT_SIZE` | integer (default 1024)          | flight-recorder capacity in events |
 //! | `TAXOREC_FLIGHT_DIR` | directory (default temp dir)     | where incident dumps are written |
 //!
 //! With both variables unset the crate is completely silent — `cargo
@@ -71,6 +70,18 @@ pub use sink::{
 pub use span::Span;
 pub use trace::TraceContext;
 
+/// The workspace's one reader of `TAXOREC_*` settings: the variable's
+/// value, trimmed and parsed as `T`. Unset, empty or unparseable all give
+/// `None`, which callers read as "keep the default".
+pub fn env<T: std::str::FromStr>(name: &str) -> Option<T> {
+    let value = std::env::var(name).ok()?;
+    let value = value.trim();
+    if value.is_empty() {
+        return None;
+    }
+    value.parse().ok()
+}
+
 /// Serializes tests that mutate process-global state (the registry's
 /// values via `reset()`, the metrics sink). Lock poisoning is ignored —
 /// a panicking test (e.g. `#[should_panic]`) must not wedge the rest.
@@ -78,4 +89,23 @@ pub use trace::TraceContext;
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn env_parses_the_trimmed_value_and_reads_the_rest_as_unset() {
+        let name = "TELEMETRY_ENV_READER_TEST";
+        std::env::remove_var(name);
+        assert_eq!(crate::env::<u64>(name), None, "unset");
+        for (raw, want) in [(" 42\n", Some(42)), ("", None), ("  ", None), ("4x", None)] {
+            std::env::set_var(name, raw);
+            assert_eq!(crate::env::<u64>(name), want, "{raw:?}");
+        }
+        std::env::set_var(name, "  ");
+        assert_eq!(crate::env::<String>(name), None, "blank text is unset");
+        std::env::set_var(name, " shard-3 ");
+        assert_eq!(crate::env::<String>(name).as_deref(), Some("shard-3"));
+        std::env::remove_var(name);
+    }
 }

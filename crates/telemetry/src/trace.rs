@@ -147,10 +147,8 @@ fn resolve_from_env() -> bool {
         _ => false,
     };
     if on {
-        if let Ok(s) = std::env::var("TAXOREC_TRACE_SAMPLE") {
-            if let Ok(n) = s.trim().parse::<u64>() {
-                SAMPLE_EVERY.store(n.max(1), Ordering::Relaxed);
-            }
+        if let Some(n) = crate::env::<u64>("TAXOREC_TRACE_SAMPLE") {
+            SAMPLE_EVERY.store(n.max(1), Ordering::Relaxed);
         }
     }
     anchor();

@@ -40,6 +40,8 @@ const GOLDEN: &[(&str, usize, u64)] = &[
     ("index/ciao", 25_855, 0x3103_9d72_aad1_69d0),
     ("rank/ciao", 56_640, 0x2786_e2fd_4d11_e5ba),
     ("eval/ciao", 2_016, 0xc3af_903d_0bdb_8eae),
+    ("hgcf/ciao", 14_072, 0x766e_ce34_8aab_2033),
+    ("hyper_cml/ciao", 14_077, 0xeebe_aa5d_97d8_2698),
 ];
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -120,6 +122,25 @@ fn fit(dataset: &taxorec_data::Dataset, split: &Split, cfg: TaxoRecConfig) -> Ta
     let mut model = TaxoRec::new(cfg);
     model.fit(dataset, split);
     model
+}
+
+/// The two Table III configurations that leave the tag channel off: HGCF
+/// (aggregation without tags) and Hyper+CML (no aggregation at all).
+#[test]
+fn tiny_fit_of_the_tagless_ablations_writes_its_golden_artifact() {
+    let _g = lock();
+    let dataset = generate_preset(Preset::Ciao, Scale::Tiny);
+    let split = Split::standard(&dataset);
+    for threads in ["1", "4"] {
+        let _t = ThreadsGuard::set(threads);
+        for (case, cfg) in [
+            ("hgcf/ciao", short_config(12, 4).hgcf()),
+            ("hyper_cml/ciao", short_config(12, 4).ablation_hyper_cml()),
+        ] {
+            let model = fit(&dataset, &split, cfg);
+            check(case, threads, &Checkpoint::from_model(&model).to_bytes());
+        }
+    }
 }
 
 #[test]
