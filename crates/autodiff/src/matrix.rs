@@ -163,11 +163,6 @@ impl Matrix {
         }
     }
 
-    /// Sets every entry to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
-    }
-
     /// Dense matmul `self (n×k) · other (k×m) → (n×m)`.
     ///
     /// # Panics

@@ -80,16 +80,6 @@ impl Split {
     pub fn n_train(&self) -> usize {
         self.train.iter().map(Vec::len).sum()
     }
-
-    /// Per-user sorted copies of the training lists, for `O(log n)`
-    /// membership checks during negative sampling and evaluation.
-    pub fn train_sorted(&self) -> Vec<Vec<u32>> {
-        let mut s = self.train.clone();
-        for list in &mut s {
-            list.sort_unstable();
-        }
-        s
-    }
 }
 
 #[cfg(test)]

@@ -33,18 +33,6 @@ pub struct StalenessPoint {
     pub misses: usize,
 }
 
-impl StalenessPoint {
-    /// Fraction of this bucket's events the model ranked in its top-K.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// The full trajectory of one prequential run.
 #[derive(Clone, Debug)]
 pub struct StalenessReport {

@@ -21,11 +21,6 @@ impl TextTable {
         self.rows.push(cells);
     }
 
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Renders with aligned columns and a separator under the header.
     pub fn render(&self) -> String {
         let cols = self

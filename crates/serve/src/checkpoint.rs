@@ -218,13 +218,6 @@ impl Checkpoint {
         }
     }
 
-    /// Records the journal position this artifact reflects (set by the
-    /// online-update loop on every fold-and-swap tick).
-    pub fn with_journal_cursor(mut self, cursor: u64) -> Self {
-        self.journal_cursor = Some(cursor);
-        self
-    }
-
     /// Attaches tag names and per-item tag lists from the dataset so the
     /// serving side can explain recommendations.
     pub fn with_dataset(mut self, dataset: &Dataset) -> Self {

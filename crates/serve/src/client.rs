@@ -174,31 +174,14 @@ fn send(
 }
 
 fn read_response(stream: &mut impl Read) -> Result<Response, Error> {
+    let (head, mut body) = net::read_head(stream, MAX_HEAD_BYTES).map_err(|e| {
+        let phase = match e.kind() {
+            std::io::ErrorKind::InvalidData => Phase::Parse,
+            _ => Phase::Read,
+        };
+        Error::new(phase, e)
+    })?;
     let read_err = |e| Error::new(Phase::Read, e);
-    let eof = |what: &str| {
-        Error::new(
-            Phase::Read,
-            std::io::Error::new(std::io::ErrorKind::UnexpectedEof, what.to_string()),
-        )
-    };
-    let mut raw = Vec::with_capacity(1024);
-    let mut chunk = [0u8; 4096];
-    let head_end = loop {
-        if let Some(at) = raw.windows(4).position(|w| w == b"\r\n\r\n") {
-            break at;
-        }
-        if raw.len() > MAX_HEAD_BYTES {
-            return Err(Error::parse("response head exceeds 64 KiB"));
-        }
-        match stream.read(&mut chunk).map_err(read_err)? {
-            0 if raw.is_empty() => return Err(eof("connection closed before any response")),
-            0 => return Err(eof("connection closed inside the response head")),
-            n => raw.extend_from_slice(&chunk[..n]),
-        }
-    };
-    let head = std::str::from_utf8(&raw[..head_end])
-        .map_err(|_| Error::parse("response head is not UTF-8"))?
-        .to_string();
     let status = head
         .lines()
         .next()
@@ -206,7 +189,6 @@ fn read_response(stream: &mut impl Read) -> Result<Response, Error> {
         .and_then(|line| line.split_whitespace().nth(1))
         .and_then(|code| code.parse::<u16>().ok())
         .ok_or_else(|| Error::parse("malformed status line"))?;
-    let mut body = raw.split_off(head_end + 4);
     match net::header(&head, "content-length") {
         Some(len) => {
             let len = len

@@ -283,19 +283,9 @@ impl ServerHandle {
         self.front.local_addr()
     }
 
-    /// True once [`ServerHandle::shutdown`] has been requested.
-    pub fn is_shutting_down(&self) -> bool {
-        self.front.is_stopping()
-    }
-
     /// Current readiness as reported by `/healthz`.
     pub fn health(&self) -> Health {
         self.shared.health()
-    }
-
-    /// The hot-swappable model slot behind this server (warm reload).
-    pub fn model_slot(&self) -> Arc<ModelSlot> {
-        Arc::clone(&self.slot)
     }
 
     /// Marks the server `draining` on `/healthz` **without** stopping
@@ -659,7 +649,7 @@ fn handle_connection(conn: Conn, shared: &Shared, slot: &Arc<ModelSlot>, pipelin
     } = conn;
     let dequeued = Instant::now();
     let max_head = shared.opts.max_request_bytes;
-    let Some(head) = net::read_request(&mut stream, max_head, ctx.trace_id) else {
+    let Some((head, body_prefix)) = net::read_request(&mut stream, max_head, ctx.trace_id) else {
         trace::emit_span_at("queue", ctx, accepted, dequeued);
         return;
     };
@@ -690,7 +680,7 @@ fn handle_connection(conn: Conn, shared: &Shared, slot: &Arc<ModelSlot>, pipelin
         taxorec_resilience::inject_panic_or_stall("serve.request");
         let request = Request::parse(&head);
         if request.method == "POST" && request.path == "/ingest" {
-            return Routed::Done(handle_ingest(&head, &mut stream, shared));
+            return Routed::Done(handle_ingest(&head, body_prefix, &mut stream, shared));
         }
         route(&request, shared, model, slot, pipeline)
     }));
@@ -934,7 +924,12 @@ fn handle_explain(query: &str, model: &ServingModel) -> Reply {
 /// `503` when ingestion is off. The body is *accepted*, not folded — the
 /// updater applies it on the next tick, and `/healthz`'s
 /// `ingest.staleness` tracks the gap.
-fn handle_ingest(head: &str, stream: &mut TcpStream, shared: &Shared) -> Reply {
+fn handle_ingest(
+    head: &str,
+    body_prefix: Vec<u8>,
+    stream: &mut TcpStream,
+    shared: &Shared,
+) -> Reply {
     let reject = |status, msg: &str| Reply::error(status, msg, "ingest");
     let Some(journal) = shared.journal.as_ref() else {
         return reject(503, "ingestion is not enabled; start with serve --ingest");
@@ -952,10 +947,9 @@ fn handle_ingest(head: &str, stream: &mut TcpStream, shared: &Shared) -> Reply {
             ),
         );
     }
-    // `read_request` may have over-read into the body; start from
-    // whatever followed the blank line and pull the rest off the socket.
-    let prefix = head.split_once("\r\n\r\n").map(|(_, b)| b).unwrap_or("");
-    let raw = match net::read_body(stream, prefix.as_bytes().to_vec(), expected) {
+    // Start from what `read_request` over-read past the head and pull
+    // the rest off the socket.
+    let raw = match net::read_body(stream, body_prefix, expected) {
         Ok(raw) => raw,
         Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
             return reject(400, "request body ended before Content-Length bytes")

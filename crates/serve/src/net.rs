@@ -372,10 +372,6 @@ impl Front {
         Arc::clone(&self.stop)
     }
 
-    pub(crate) fn is_stopping(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
     /// Stage-ordered stop: the acceptor first (no new connections), then
     /// the connection stage, whose workers answer every connection
     /// already queued before they exit. Stages downstream of the handler
@@ -396,35 +392,55 @@ impl Front {
     }
 }
 
-/// Reads bytes until the end of the request head (`\r\n\r\n`) and returns
-/// the head as text. `None` on malformed, oversized, or timed-out input.
-fn read_head(stream: &mut TcpStream, max_bytes: usize) -> Option<String> {
-    let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 512];
-    loop {
-        if buf.windows(4).any(|w| w == b"\r\n\r\n") || buf.len() >= max_bytes {
-            break;
+/// Reads a message head: the bytes up to the blank line that ends it.
+/// Returns the head as text, without the blank line, and whatever was
+/// read past it — the start of the body. A head over `max_bytes` (blank
+/// line included) or not UTF-8 is `InvalidData`; a stream that ends
+/// first is `UnexpectedEof`. Both ends of the wire read heads here.
+pub(crate) fn read_head(
+    stream: &mut impl Read,
+    max_bytes: usize,
+) -> std::io::Result<(String, Vec<u8>)> {
+    let invalid = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
+    let closed = |what: &str| std::io::Error::new(std::io::ErrorKind::UnexpectedEof, what);
+    let mut raw = Vec::with_capacity(1024);
+    let mut chunk = [0u8; 4096];
+    // The blank line cannot end before `scanned`: earlier bytes were
+    // searched already.
+    let mut scanned = 0;
+    let head_end = loop {
+        if let Some(at) = raw[scanned..].windows(4).position(|w| w == b"\r\n\r\n") {
+            break scanned + at;
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => return None,
+        if raw.len() >= max_bytes {
+            // No blank line yet: the head is over the limit.
+            break raw.len();
         }
+        scanned = raw.len().saturating_sub(3);
+        match stream.read(&mut chunk)? {
+            0 if raw.is_empty() => return Err(closed("stream closed before any bytes")),
+            0 => return Err(closed("stream closed inside the head")),
+            n => raw.extend_from_slice(&chunk[..n]),
+        }
+    };
+    if head_end + 4 > max_bytes {
+        return Err(invalid(format!("head exceeds {max_bytes} bytes")));
     }
-    if buf.len() >= max_bytes {
-        return None;
-    }
-    String::from_utf8(buf).ok()
+    let body = raw.split_off(head_end + 4);
+    raw.truncate(head_end);
+    let head = String::from_utf8(raw).map_err(|_| invalid("head is not UTF-8".into()))?;
+    Ok((head, body))
 }
 
-/// The request head off `stream`, or `None` once a head that is
-/// malformed, over `max_bytes` or timed out has been answered `400`.
+/// The request head off `stream` and the body bytes read with it, or
+/// `None` once a head that is malformed, over `max_bytes` or timed out
+/// has been answered `400`.
 pub(crate) fn read_request(
     stream: &mut TcpStream,
     max_bytes: usize,
     trace_id: u64,
-) -> Option<String> {
-    let head = read_head(stream, max_bytes);
+) -> Option<(String, Vec<u8>)> {
+    let head = read_head(stream, max_bytes).ok();
     if head.is_none() {
         Reply::error(400, "malformed, oversized, or timed-out request", "other")
             .write(stream, trace_id);
@@ -674,6 +690,6 @@ mod tests {
     fn error_replies_escape_their_message() {
         let j = Reply::error(400, "bad \"quote\"", "other").body;
         assert_eq!(j, "{\"error\":\"bad \\\"quote\\\"\"}");
-        assert!(taxorec_telemetry::json::is_valid_json(&j));
+        assert!(taxorec_telemetry::json::parse(&j).is_ok());
     }
 }

@@ -35,6 +35,7 @@ use taxorec_core::incremental::{apply_interactions, IncrementalConfig, Interacti
 use taxorec_retrieval::TaxoIndex;
 use taxorec_taxonomy::{attach_tag, construct_taxonomy, ConstructConfig};
 use taxorec_telemetry::env;
+use taxorec_telemetry::json::{self, Value};
 
 use crate::checkpoint::{item_embeddings, Checkpoint};
 
@@ -209,285 +210,42 @@ impl Journal {
 }
 
 // ---------------------------------------------------------------------
-// `POST /ingest` body parsing (std-only, minimal JSON)
+// `POST /ingest` body parsing
 // ---------------------------------------------------------------------
 
-/// Parsed JSON value — just enough of the grammar for ingest bodies.
-enum Json {
-    Null,
-    Bool,
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-/// Deepest array/object nesting accepted. Bounds parser recursion: a
-/// hostile body of repeated `[`/`{` (well under `max_body`) would
-/// otherwise overflow the worker stack, and stack overflow aborts the
-/// process — it is not an unwinding panic, so the `catch_unwind`
-/// isolation around request handling cannot contain it.
-const MAX_JSON_DEPTH: usize = 64;
-
-struct JsonParser<'a> {
-    s: &'a [u8],
-    pos: usize,
-    depth: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn new(s: &'a str) -> Self {
-        Self {
-            s: s.as_bytes(),
-            pos: 0,
-            depth: 0,
-        }
-    }
-
-    fn err(&self, what: &str) -> String {
-        format!("invalid JSON at byte {}: {what}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.s.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(open @ (b'{' | b'[')) => {
-                if self.depth >= MAX_JSON_DEPTH {
-                    return Err(self.err("nesting too deep"));
-                }
-                self.depth += 1;
-                let v = if open == b'{' {
-                    self.object()
-                } else {
-                    self.array()
-                };
-                self.depth -= 1;
-                v
-            }
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool),
-            Some(b'f') => self.literal("false", Json::Bool),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.s[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected {lit:?}")))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while let Some(b) = self.peek() {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        std::str::from_utf8(&self.s[start..self.pos])
-            .ok()
-            .and_then(|t| t.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| self.err("malformed number"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let cp = self.hex4()?;
-                            // Surrogate pairs: expect the low half next.
-                            let ch = if (0xd800..0xdc00).contains(&cp) {
-                                if self.s[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    let c = 0x10000
-                                        + ((cp - 0xd800) << 10)
-                                        + (lo.wrapping_sub(0xdc00) & 0x3ff);
-                                    char::from_u32(c)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(cp)
-                            };
-                            out.push(ch.ok_or_else(|| self.err("bad \\u escape"))?);
-                            continue; // hex4 advanced past the digits
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 comes through unmodified; find
-                    // the char boundary via the str view.
-                    let rest = std::str::from_utf8(&self.s[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, String> {
-        let hex = self
-            .s
-            .get(self.pos..self.pos + 4)
-            .and_then(|h| std::str::from_utf8(h).ok())
-            .ok_or_else(|| self.err("truncated \\u escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("bad \\u escape"))?;
-        self.pos += 4;
-        Ok(v)
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-}
-
-fn get<'j>(obj: &'j [(String, Json)], key: &str) -> Option<&'j Json> {
-    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn as_u32(v: &Json, what: &str) -> Result<u32, String> {
-    match v {
-        Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= u32::MAX as f64 => Ok(*n as u32),
-        _ => Err(format!("{what} must be a non-negative integer id")),
-    }
+/// The id in field `what` of `interactions[i]`.
+fn as_id(v: Option<&Value>, i: usize, what: &str) -> Result<u32, String> {
+    let v = v.ok_or_else(|| format!("interactions[{i}] missing \"{what}\""))?;
+    v.as_u64()
+        .and_then(|n| u32::try_from(n).ok())
+        .ok_or_else(|| format!("{what} must be a non-negative integer id"))
 }
 
 /// Parses a `POST /ingest` body:
 /// `{"interactions":[{"user":N,"item":N,"tags":["name",…]},…]}`
 /// (`tags` optional per interaction; unknown keys ignored).
 pub fn parse_ingest_body(body: &str) -> Result<Vec<IngestInteraction>, String> {
-    let mut p = JsonParser::new(body);
-    let top = p.value()?;
-    p.skip_ws();
-    if p.pos != p.s.len() {
-        return Err(p.err("trailing bytes after the JSON document"));
-    }
-    let Json::Obj(fields) = top else {
+    let top = json::parse(body)?;
+    let Value::Obj(_) = top else {
         return Err("body must be a JSON object with an \"interactions\" array".into());
     };
-    let Some(Json::Arr(raw)) = get(&fields, "interactions") else {
+    let Some(Value::Arr(raw)) = top.get("interactions") else {
         return Err("missing \"interactions\" array".into());
     };
     let mut out = Vec::with_capacity(raw.len());
-    for (i, entry) in raw.iter().enumerate() {
-        let Json::Obj(e) = entry else {
+    for (i, e) in raw.iter().enumerate() {
+        let Value::Obj(_) = e else {
             return Err(format!("interactions[{i}] is not an object"));
         };
-        let user = as_u32(
-            get(e, "user").ok_or_else(|| format!("interactions[{i}] missing \"user\""))?,
-            "user",
-        )?;
-        let item = as_u32(
-            get(e, "item").ok_or_else(|| format!("interactions[{i}] missing \"item\""))?,
-            "item",
-        )?;
-        let tags = match get(e, "tags") {
-            None | Some(Json::Null) => Vec::new(),
-            Some(Json::Arr(ts)) => {
+        let user = as_id(e.get("user"), i, "user")?;
+        let item = as_id(e.get("item"), i, "item")?;
+        let tags = match e.get("tags") {
+            None | Some(Value::Null) => Vec::new(),
+            Some(Value::Arr(ts)) => {
                 let mut tags = Vec::with_capacity(ts.len());
                 for t in ts {
                     match t {
-                        Json::Str(s) if !s.is_empty() => tags.push(s.clone()),
+                        Value::Str(s) if !s.is_empty() => tags.push(s.clone()),
                         _ => {
                             return Err(format!("interactions[{i}].tags must be non-empty strings"))
                         }
@@ -812,6 +570,8 @@ mod tests {
             "{\"interactions\":[{\"user\":1,\"item\":0,\"tags\":[3]}]}",
             "{\"interactions\":[]} trailing",
             "{\"interactions\":[{\"user\":4294967296,\"item\":0}]}",
+            "{\"interactions\":[{\"user\":1.,\"item\":0}]}",
+            "{\"interactions\":[{\"user\":1.e0,\"item\":0}]}",
         ] {
             assert!(parse_ingest_body(bad).is_err(), "accepted: {bad:?}");
         }
@@ -835,22 +595,6 @@ mod tests {
         // Ordinary bodies sit far below the bound.
         let ok = r#"{"interactions":[{"user":1,"item":2,"tags":["a"]}]}"#;
         assert!(parse_ingest_body(ok).is_ok());
-        // Exactly at the bound still parses (the limit is on nesting
-        // depth, not total size).
-        let at_limit = format!(
-            "{}1{}",
-            "[".repeat(MAX_JSON_DEPTH),
-            "]".repeat(MAX_JSON_DEPTH)
-        );
-        let mut p = JsonParser::new(&at_limit);
-        assert!(p.value().is_ok(), "depth {MAX_JSON_DEPTH} must parse");
-        let over = format!(
-            "{}1{}",
-            "[".repeat(MAX_JSON_DEPTH + 1),
-            "]".repeat(MAX_JSON_DEPTH + 1)
-        );
-        let mut p = JsonParser::new(&over);
-        assert!(p.value().is_err(), "depth {} must not", MAX_JSON_DEPTH + 1);
     }
 
     #[test]

@@ -64,7 +64,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use taxorec_resilience::{DecorrelatedJitter, RetryPolicy};
-use taxorec_telemetry::json::push_str_escaped;
+use taxorec_telemetry::json::{self, push_str_escaped, Value};
 use taxorec_telemetry::{trace, TraceContext};
 
 use crate::breaker::Breaker;
@@ -328,7 +328,7 @@ fn handle_client(conn: Conn, shared: &RouterShared) {
     } = conn;
     let _scope = trace::scope(ctx);
     let max_head = shared.opts.max_request_bytes;
-    let Some(head) = net::read_request(&mut stream, max_head, ctx.trace_id) else {
+    let Some((head, _)) = net::read_request(&mut stream, max_head, ctx.trace_id) else {
         return;
     };
     taxorec_telemetry::counter("router.requests").inc(1);
@@ -670,57 +670,43 @@ fn prober_loop(shared: &RouterShared, stop: &AtomicBool) {
     }
 }
 
-/// One `/healthz` probe: fetch, parse `"status"`, scrape the shard
-/// section ([`ShardMeta`]). `None` when the shard did not answer `200`.
+/// One `/healthz` probe. `None` when the shard did not answer `200`.
 fn probe_shard(addr: SocketAddr, connect_timeout: Duration) -> Option<(u8, ShardMeta)> {
-    let body = fetch(addr, "/healthz", connect_timeout)?;
-    let state = match json_str_field(&body, "status").as_deref() {
+    fetch(addr, "/healthz", connect_timeout).map(|body| shard_view(&body))
+}
+
+/// A shard's `/healthz` as routing sees it: `status` as a health state
+/// and the [`ShardMeta`] read by path (`shard.id`,
+/// `shard.checkpoint.{version,crc,bytes}`, `users`). A body that is not
+/// JSON reads as down with no metadata.
+fn shard_view(body: &str) -> (u8, ShardMeta) {
+    let health = json::parse(body).unwrap_or(Value::Null);
+    let state = match health.get("status").and_then(Value::as_str) {
         Some("ready") => SHARD_READY,
         Some("degraded") => SHARD_DEGRADED,
         Some("draining") => SHARD_DRAINING,
         _ => SHARD_DOWN,
     };
+    let shard = health.get("shard");
+    let checkpoint = shard.and_then(|s| s.get("checkpoint"));
+    let field = |name| checkpoint?.get(name)?.as_u64();
     let meta = ShardMeta {
-        id: json_str_field(&body, "id"),
-        checkpoint: match (
-            json_u64_field(&body, "version"),
-            json_u64_field(&body, "crc"),
-            json_u64_field(&body, "bytes"),
-        ) {
+        id: shard.and_then(|s| s.get("id")?.as_str().map(str::to_string)),
+        checkpoint: match (field("version"), field("crc"), field("bytes")) {
             (Some(v), Some(c), Some(b)) => Some((v, c, b)),
             _ => None,
         },
-        users: healthz_users(&body),
+        users: healthz_users(body),
     };
-    Some((state, meta))
+    (state, meta)
 }
 
 /// The `"users":N` of a `/healthz` body — a shard's model size, or a
 /// router's fleet-wide one. `None` when the body carries no count (a
 /// router no shard has answered yet).
 pub fn healthz_users(body: &str) -> Option<usize> {
-    json_u64_field(body, "users").and_then(|n| usize::try_from(n).ok())
-}
-
-/// First `"name":"value"` string field in a flat JSON scan. Good
-/// enough for the `/healthz` documents this router itself defines.
-fn json_str_field(body: &str, name: &str) -> Option<String> {
-    let key = format!("\"{name}\":\"");
-    let start = body.find(&key)? + key.len();
-    let rest = &body[start..];
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
-}
-
-/// First `"name":123` numeric field in a flat JSON scan.
-fn json_u64_field(body: &str, name: &str) -> Option<u64> {
-    let key = format!("\"{name}\":");
-    let start = body.find(&key)? + key.len();
-    let digits: String = body[start..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+    let users = json::parse(body).ok()?.get("users")?.as_u64()?;
+    usize::try_from(users).ok()
 }
 
 /// The router's aggregate `/healthz`: its own status (`ready` when the
@@ -1000,11 +986,20 @@ mod tests {
 
     #[test]
     fn json_field_scans() {
-        let body = "{\"status\":\"ready\",\"shard\":{\"id\":\"s0\",\"checkpoint\":{\"version\":1,\"crc\":42,\"bytes\":512}}}";
-        assert_eq!(json_str_field(body, "status").as_deref(), Some("ready"));
-        assert_eq!(json_str_field(body, "id").as_deref(), Some("s0"));
-        assert_eq!(json_u64_field(body, "crc"), Some(42));
-        assert_eq!(json_u64_field(body, "bytes"), Some(512));
-        assert_eq!(json_str_field(body, "missing"), None);
+        let body = r#"{"status":"ready","shard":{"id":"s\"0\\","checkpoint":{"version":1,"crc":42,"bytes":512}},"users":9}"#;
+        let (state, meta) = shard_view(body);
+        assert_eq!(state, SHARD_READY);
+        assert_eq!(meta.id.as_deref(), Some("s\"0\\"));
+        assert_eq!(meta.checkpoint, Some((1, 42, 512)));
+        assert_eq!(meta.users, Some(9));
+        assert_eq!(healthz_users(body), Some(9));
+        let (state, meta) = shard_view("{\"status\":\"ready\"");
+        assert_eq!((state, meta.id, meta.checkpoint), (SHARD_DOWN, None, None));
+        let (state, meta) =
+            shard_view(r#"{"status":"draining","shard":{"id":null,"checkpoint":null}}"#);
+        assert_eq!(
+            (state, meta.id, meta.checkpoint),
+            (SHARD_DRAINING, None, None)
+        );
     }
 }

@@ -80,7 +80,7 @@ fn injected_panic_writes_a_flight_dump_and_debug_flight_stays_up() {
     assert_eq!(dumps.len(), 1, "one dump file: {dumps:?}");
     let text = std::fs::read_to_string(&dumps[0]).expect("read dump");
     assert!(
-        taxorec_telemetry::json::is_valid_json(text.trim()),
+        taxorec_telemetry::json::parse(text.trim()).is_ok(),
         "{text}"
     );
     assert!(
@@ -97,7 +97,7 @@ fn injected_panic_writes_a_flight_dump_and_debug_flight_stays_up() {
     } = client::get(addr, "/debug/flight").expect("response");
     assert_eq!(status, 200, "{json}");
     assert!(
-        taxorec_telemetry::json::is_valid_json(json.trim()),
+        taxorec_telemetry::json::parse(json.trim()).is_ok(),
         "{json}"
     );
     assert!(json.contains("\"events\":["), "{json}");

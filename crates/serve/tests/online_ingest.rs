@@ -17,6 +17,7 @@ use taxorec_serve::{
     fold_batch, serve_online, serve_with, Checkpoint, IndexConfig, IngestInteraction,
     IngestOptions, ServeOptions, ServingModel,
 };
+use taxorec_telemetry::json;
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
@@ -79,15 +80,10 @@ fn ingest_opts() -> IngestOptions {
     }
 }
 
-/// Extracts the first integer after `"key":` in a JSON blob.
-fn json_u64(blob: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{key}\":");
-    let at = blob.find(&tag)? + tag.len();
-    let rest = &blob[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The integer at `path` in a JSON document.
+fn u64_at(doc: &str, path: &[&str]) -> Option<u64> {
+    let doc = json::parse(doc).ok()?;
+    path.iter().try_fold(&doc, |v, key| v.get(key))?.as_u64()
 }
 
 /// Restores the previous `TAXOREC_THREADS` value on drop.
@@ -236,7 +232,11 @@ fn ingest_while_serving_smoke() {
     } = client::get(addr, "/healthz").expect("response");
     assert_eq!(status, 200, "{health}");
     assert!(health.contains("\"ingest\":{"), "{health}");
-    assert_eq!(json_u64(&health, "accepted"), Some(0), "{health}");
+    assert_eq!(
+        u64_at(&health, &["ingest", "accepted"]),
+        Some(0),
+        "{health}"
+    );
     assert!(health.contains("\"cursor\":null"), "{health}");
 
     // Mixed read + ingest traffic from a few client threads.
@@ -282,8 +282,8 @@ fn ingest_while_serving_smoke() {
     let last: String;
     loop {
         let health = client::get(addr, "/healthz").expect("response").body;
-        let accepted = json_u64(&health, "accepted").unwrap_or(0);
-        let applied = json_u64(&health, "applied").unwrap_or(0);
+        let accepted = u64_at(&health, &["ingest", "accepted"]).unwrap_or(0);
+        let applied = u64_at(&health, &["ingest", "applied"]).unwrap_or(0);
         if accepted > 0 && applied == accepted {
             last = health;
             break;
@@ -294,12 +294,77 @@ fn ingest_while_serving_smoke() {
         );
         std::thread::sleep(Duration::from_millis(40));
     }
-    let cursor = json_u64(&last, "cursor").expect("cursor reported");
-    assert_eq!(Some(cursor), json_u64(&last, "applied"), "{last}");
+    let cursor = u64_at(&last, &["ingest", "cursor"]).expect("cursor reported");
+    assert_eq!(
+        Some(cursor),
+        u64_at(&last, &["ingest", "applied"]),
+        "{last}"
+    );
     assert!(
         last.contains("\"crc\":"),
         "swapped model has no artifact: {last}"
     );
+    handle.shutdown();
+}
+
+/// Regression: the request head used to be read in 512-byte chunks and
+/// decoded as text together with the body bytes read past it, so a
+/// multi-byte character straddling byte 512 of the stream turned a valid
+/// `POST /ingest` into a `400`. Only the head is decoded now.
+#[test]
+fn a_multibyte_tag_straddling_the_first_read_is_accepted_and_folded() {
+    let _g = lock();
+    let base = base_checkpoint().clone();
+    let model = ServingModel::new(base.clone()).expect("model");
+    let handle = serve_online(
+        Arc::new(model),
+        base,
+        "127.0.0.1:0",
+        ServeOptions {
+            n_workers: 1,
+            ingest: IngestOptions {
+                tick: Duration::from_millis(50),
+                ..ingest_opts()
+            },
+            ..ServeOptions::default()
+        },
+    )
+    .expect("bind");
+    let addr = handle.local_addr();
+
+    // Pad the tag so its `é` (two bytes) starts at stream byte 511.
+    let prefix = r#"{"interactions":[{"user":0,"item":1,"tags":[""#;
+    let request = |pad: usize| {
+        let body = format!("{prefix}{}é\"]}}]}}", "a".repeat(pad));
+        let head = format!(
+            "POST /ingest HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        (head.len() + prefix.len() + pad, format!("{head}{body}"))
+    };
+    let (_, raw) = (0..512)
+        .map(request)
+        .find(|(at, _)| *at == 511)
+        .expect("some padding puts the é at byte 511");
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(raw.as_bytes()).expect("send");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read");
+    assert!(response.starts_with("HTTP/1.1 202"), "{response}");
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let health = client::get(addr, "/healthz").expect("response").body;
+        if u64_at(&health, &["ingest", "applied"]) == Some(1) {
+            assert_eq!(u64_at(&health, &["ingest", "cursor"]), Some(1), "{health}");
+            break;
+        }
+        assert!(Instant::now() < deadline, "never folded: {health}");
+        std::thread::sleep(Duration::from_millis(20));
+    }
     handle.shutdown();
 }
 
@@ -411,7 +476,8 @@ fn connection_open_across_reload_sees_the_new_model() {
     write!(held, "GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n").expect("late send");
     let mut response = String::new();
     held.read_to_string(&mut response).expect("late read");
-    let crc = json_u64(&response, "crc").expect("crc in healthz");
+    let body = response.split_once("\r\n\r\n").map_or("", |(_, body)| body);
+    let crc = u64_at(body, &["shard", "checkpoint", "crc"]).expect("crc in healthz");
     assert_eq!(
         crc, crc_b as u64,
         "held connection was answered by the pre-reload model: {response}"

@@ -21,6 +21,7 @@ use taxorec_serve::router::healthz_users;
 use taxorec_serve::{
     route_with, serve_with, Checkpoint, Health, Ring, RouterOptions, ServeOptions, ServingModel,
 };
+use taxorec_telemetry::json::{self, Value};
 
 /// The fault harness and the telemetry registry are process-global;
 /// tests that arm faults or read counters serialize on one lock.
@@ -331,6 +332,43 @@ fn router_healthz_aggregates_shard_identity_and_checkpoint_fingerprint() {
     }
     router.shutdown();
     let _ = std::fs::remove_file(&path);
+}
+
+/// Regression: the prober scanned `/healthz` for `"id":"` up to the
+/// next `"`, so a shard id holding a quote or a backslash reached the
+/// router's `/healthz` cut short. It reads the parsed body by path now.
+#[test]
+fn router_healthz_reports_a_shard_id_with_quotes_and_backslashes_intact() {
+    let _g = lock();
+    let id = "a\"b\\c";
+    let shard =
+        serve_with(Arc::new(serving_model()), "127.0.0.1:0", shard_opts(id)).expect("shard");
+    let router =
+        route_with(vec![shard.local_addr()], "127.0.0.1:0", fast_router_opts()).expect("router");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let body = client::get(router.local_addr(), "/healthz")
+            .expect("response")
+            .body;
+        let health = json::parse(&body).expect("router /healthz is JSON");
+        let Some(Value::Arr(shards)) = health.get("shards") else {
+            panic!("no shards array: {body}");
+        };
+        match shards[0].get("id") {
+            Some(Value::Null) => {}
+            reported => {
+                assert_eq!(reported.and_then(Value::as_str), Some(id), "{body}");
+                break;
+            }
+        }
+        assert!(
+            Instant::now() < deadline,
+            "router never reported the shard id: {body}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    router.shutdown();
+    shard.shutdown();
 }
 
 #[test]

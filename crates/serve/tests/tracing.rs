@@ -15,6 +15,7 @@ use taxorec_core::{TaxoRec, TaxoRecConfig};
 use taxorec_data::{generate_preset, Preset, Recommender, Scale, Split};
 use taxorec_serve::client;
 use taxorec_serve::{serve_with, ServeOptions, ServingModel};
+use taxorec_telemetry::json::{self, Value};
 use taxorec_telemetry::trace;
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
@@ -76,21 +77,22 @@ struct SpanEvent {
     parent: String,
 }
 
-fn field(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\":\"");
-    let start = line.find(&tag)? + tag.len();
-    let end = line[start..].find('"')? + start;
-    Some(line[start..end].to_string())
-}
-
 fn parse_events(text: &str) -> Vec<SpanEvent> {
-    text.lines()
-        .filter(|l| l.contains("\"ph\":\"X\""))
-        .map(|l| SpanEvent {
-            name: field(l, "name").expect("name"),
-            trace: field(l, "trace").expect("trace"),
-            span: field(l, "span").expect("span"),
-            parent: field(l, "parent").expect("parent"),
+    let Ok(Value::Arr(events)) = json::parse(text.trim()) else {
+        panic!("export is not a JSON array:\n{text}");
+    };
+    let text_at = |event: &Value, path: &[&str]| {
+        let field = path.iter().try_fold(event, |v, key| v.get(key));
+        field.and_then(Value::as_str).map(str::to_string)
+    };
+    events
+        .iter()
+        .filter(|e| e.get("ph").and_then(Value::as_str) == Some("X"))
+        .map(|e| SpanEvent {
+            name: text_at(e, &["name"]).expect("name"),
+            trace: text_at(e, &["args", "trace"]).expect("trace"),
+            span: text_at(e, &["args", "span"]).expect("span"),
+            parent: text_at(e, &["args", "parent"]).expect("parent"),
         })
         .collect()
 }
@@ -127,10 +129,7 @@ fn sampled_recommend_request_exports_one_rooted_span_tree() {
 
     let written = trace::flush().expect("flush");
     let text = std::fs::read_to_string(&written).expect("read export");
-    assert!(
-        taxorec_telemetry::json::is_valid_json(text.trim()),
-        "{text}"
-    );
+    assert!(json::parse(text.trim()).is_ok(), "{text}");
     let events = parse_events(&text);
     trace::disable();
     let _ = std::fs::remove_file(&path);

@@ -1,8 +1,18 @@
-//! Serde-free JSON emission and a minimal validity checker.
+//! Serde-free JSON: the writers every emitter uses and the one reader
+//! every JSON document in the workspace goes through.
 //!
 //! The telemetry crate must not pull external dependencies (the build
-//! container is offline), so JSON is assembled by hand through these
-//! helpers and checked in tests with a small recursive-descent parser.
+//! container is offline), so JSON is assembled by hand through
+//! [`push_str_escaped`] / [`push_f64`] and read back by [`parse`] — the
+//! `POST /ingest` body, a shard's `/healthz` as the router's prober sees
+//! it, and telemetry's own output when tests check it.
+//!
+//! [`parse`] is a recursive-descent reader with a nesting bound of
+//! [`MAX_DEPTH`]. Numbers take the RFC 8259 shape (`-`, digits, an
+//! optional `.digits`, an optional exponent; leading zeros are
+//! tolerated) and are converted by `str::parse::<f64>`. Strings decode
+//! every escape, including `\u` surrogate pairs; a lone surrogate is an
+//! error. Errors read `invalid JSON at byte N: …`.
 
 /// Appends `s` as a JSON string literal (quoted, escaped) to `out`.
 pub fn push_str_escaped(out: &mut String, s: &str) {
@@ -38,167 +48,288 @@ pub fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Validates that `s` is one complete JSON value (object, array, string,
-/// number, or literal). Used by tests to assert emitted lines are valid
-/// JSON without a parsing dependency.
-pub fn is_valid_json(s: &str) -> bool {
-    let b = s.as_bytes();
-    let mut pos = 0usize;
-    if !parse_value(b, &mut pos) {
-        return false;
-    }
-    skip_ws(b, &mut pos);
-    pos == b.len()
+/// One parsed JSON value. Object fields keep document order, duplicates
+/// included.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Value {
+    Null,
+    Bool(bool),
+    Num(f64),
+    Str(String),
+    Arr(Vec<Value>),
+    Obj(Vec<(String, Value)>),
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+impl Value {
+    /// The first field named `key`; `None` when absent or when `self`
+    /// is not an object.
+    pub fn get(&self, key: &str) -> Option<&Value> {
+        match self {
+            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
     }
-}
 
-fn parse_value(b: &[u8], pos: &mut usize) -> bool {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        Some(b'{') => parse_object(b, pos),
-        Some(b'[') => parse_array(b, pos),
-        Some(b'"') => parse_string(b, pos),
-        Some(b't') => parse_lit(b, pos, b"true"),
-        Some(b'f') => parse_lit(b, pos, b"false"),
-        Some(b'n') => parse_lit(b, pos, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(b, pos),
-        _ => false,
-    }
-}
-
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &[u8]) -> bool {
-    if b.len() >= *pos + lit.len() && &b[*pos..*pos + lit.len()] == lit {
-        *pos += lit.len();
-        true
-    } else {
-        false
-    }
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> bool {
-    debug_assert_eq!(b[*pos], b'"');
-    *pos += 1;
-    while *pos < b.len() {
-        match b[*pos] {
-            b'"' => {
-                *pos += 1;
-                return true;
+    /// An integral number in `0..=2^53` (every integer in that range is
+    /// exact in an `f64`).
+    pub fn as_u64(&self) -> Option<u64> {
+        match *self {
+            Value::Num(n) if n.fract() == 0.0 && (0.0..=9_007_199_254_740_992.0).contains(&n) => {
+                Some(n as u64)
             }
-            b'\\' => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 1,
-                    Some(b'u') => {
-                        if b.len() < *pos + 5
-                            || !b[*pos + 1..*pos + 5].iter().all(u8::is_ascii_hexdigit)
-                        {
-                            return false;
-                        }
-                        *pos += 5;
-                    }
-                    _ => return false,
+            _ => None,
+        }
+    }
+
+    /// The text of a string value.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// Deepest array/object nesting [`parse`] accepts. Bounds its
+/// recursion: a hostile document of repeated `[`/`{` would otherwise
+/// overflow the stack, and stack overflow aborts the process — it is not
+/// an unwinding panic, so the `catch_unwind` isolation around request
+/// handling cannot contain it.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parses `s` as exactly one JSON value, surrounding whitespace allowed.
+pub fn parse(s: &str) -> Result<Value, String> {
+    let mut p = Parser {
+        s,
+        b: s.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != p.b.len() {
+        return Err(p.err("trailing bytes after the JSON document"));
+    }
+    Ok(v)
+}
+
+struct Parser<'a> {
+    s: &'a str,
+    b: &'a [u8],
+    pos: usize,
+    depth: usize,
+}
+
+impl Parser<'_> {
+    fn err(&self, what: &str) -> String {
+        format!("invalid JSON at byte {}: {what}", self.pos)
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.b.get(self.pos).copied()
+    }
+
+    fn eat(&mut self, b: u8) -> Result<(), String> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected {:?}", b as char)))
+        }
+    }
+
+    fn value(&mut self) -> Result<Value, String> {
+        self.skip_ws();
+        match self.peek() {
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth >= MAX_DEPTH {
+                    return Err(self.err("nesting too deep"));
                 }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
             }
-            _ => *pos += 1,
+            Some(b'"') => Ok(Value::Str(self.string()?)),
+            Some(b't') => self.literal("true", Value::Bool(true)),
+            Some(b'f') => self.literal("false", Value::Bool(false)),
+            Some(b'n') => self.literal("null", Value::Null),
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
+            _ => Err(self.err("expected a value")),
         }
     }
-    false
-}
 
-fn parse_number(b: &[u8], pos: &mut usize) -> bool {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    let digits_start = *pos;
-    while *pos < b.len() && b[*pos].is_ascii_digit() {
-        *pos += 1;
-    }
-    if *pos == digits_start {
-        return false;
-    }
-    if b.get(*pos) == Some(&b'.') {
-        *pos += 1;
-        let frac_start = *pos;
-        while *pos < b.len() && b[*pos].is_ascii_digit() {
-            *pos += 1;
-        }
-        if *pos == frac_start {
-            return false;
+    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, String> {
+        if self.b[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(v)
+        } else {
+            Err(self.err(&format!("expected {lit:?}")))
         }
     }
-    if matches!(b.get(*pos), Some(b'e' | b'E')) {
-        *pos += 1;
-        if matches!(b.get(*pos), Some(b'+' | b'-')) {
-            *pos += 1;
-        }
-        let exp_start = *pos;
-        while *pos < b.len() && b[*pos].is_ascii_digit() {
-            *pos += 1;
-        }
-        if *pos == exp_start {
-            return false;
-        }
-    }
-    *pos > start
-}
 
-fn parse_object(b: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // consume '{'
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return true;
+    /// Advances past a run of ASCII digits; false when there was none.
+    fn digits(&mut self) -> bool {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos > start
     }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') || !parse_string(b, pos) {
-            return false;
+
+    fn number(&mut self) -> Result<Value, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
         }
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return false;
+        let mut ok = self.digits();
+        if ok && self.peek() == Some(b'.') {
+            self.pos += 1;
+            ok = self.digits();
         }
-        *pos += 1;
-        if !parse_value(b, pos) {
-            return false;
-        }
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return true;
+        if ok && matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
             }
-            _ => return false,
+            ok = self.digits();
+        }
+        match self.s[start..self.pos].parse::<f64>() {
+            Ok(n) if ok => Ok(Value::Num(n)),
+            _ => Err(self.err("malformed number")),
         }
     }
-}
 
-fn parse_array(b: &[u8], pos: &mut usize) -> bool {
-    *pos += 1; // consume '['
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return true;
-    }
-    loop {
-        if !parse_value(b, pos) {
-            return false;
-        }
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return true;
+    fn string(&mut self) -> Result<String, String> {
+        self.eat(b'"')?;
+        let mut out = String::new();
+        loop {
+            // `"` and `\` are ASCII, so the run before either ends on a
+            // char boundary and is copied through as it stands.
+            let run = self.b[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\');
+            let Some(run) = run else {
+                self.pos = self.b.len();
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&self.s[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.b[self.pos - 1] == b'"' {
+                return Ok(out);
             }
-            _ => return false,
+            let c = match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'u') => {
+                    self.pos += 1;
+                    out.push(self.unicode_escape()?);
+                    continue;
+                }
+                _ => return Err(self.err("bad escape")),
+            };
+            out.push(c);
+            self.pos += 1;
+        }
+    }
+
+    /// The char of a `\u` escape whose `\u` is already consumed: one
+    /// BMP code point, or a high surrogate followed by `\u` and a low one.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let cp = self.hex4()?;
+        let cp = if (0xd800..0xdc00).contains(&cp) {
+            if !self.b[self.pos..].starts_with(b"\\u") {
+                return Err(self.err("lone surrogate in \\u escape"));
+            }
+            self.pos += 2;
+            let lo = self.hex4()?;
+            if !(0xdc00..0xe000).contains(&lo) {
+                return Err(self.err("lone surrogate in \\u escape"));
+            }
+            0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00)
+        } else {
+            cp
+        };
+        char::from_u32(cp).ok_or_else(|| self.err("lone surrogate in \\u escape"))
+    }
+
+    fn hex4(&mut self) -> Result<u32, String> {
+        let hex = self
+            .b
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        // Four ASCII hex digits: the slice below is on char boundaries
+        // and `from_str_radix` sees no sign.
+        if !hex.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.err("bad \\u escape"));
+        }
+        let v = u32::from_str_radix(&self.s[self.pos..self.pos + 4], 16);
+        self.pos += 4;
+        v.map_err(|_| self.err("bad \\u escape"))
+    }
+
+    fn array(&mut self) -> Result<Value, String> {
+        self.eat(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Arr(items));
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+    }
+
+    fn object(&mut self) -> Result<Value, String> {
+        self.eat(b'{')?;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Obj(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.eat(b':')?;
+            let val = self.value()?;
+            fields.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Obj(fields));
+                }
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
         }
     }
 }
@@ -214,7 +345,12 @@ mod tests {
         out.push(':');
         push_f64(&mut out, 1.25);
         out.push('}');
-        assert!(is_valid_json(&out), "{out}");
+        let parsed = parse(&out).unwrap_or_else(|e| panic!("{out}: {e}"));
+        let want = Value::Obj(vec![(
+            "key\"with\\weird\nchars\u{1}".to_string(),
+            Value::Num(1.25),
+        )]);
+        assert_eq!(parsed, want);
     }
 
     #[test]
@@ -243,7 +379,7 @@ mod tests {
             "-0.25",
             "\"plain\"",
         ] {
-            assert!(is_valid_json(ok), "{ok}");
+            assert!(parse(ok).is_ok(), "{ok}");
         }
     }
 
@@ -258,8 +394,31 @@ mod tests {
             "{\"a\":1} trailing",
             "\"unterminated",
             "{'single':1}",
+            "1.",
+            "1.e0",
+            "-",
+            "1e",
+            "\"\\u+123\"",
+            "\"\\ud83d\"",
+            "\"\\ud83d\\u0041\"",
+            "\"\\ude00\"",
         ] {
-            assert!(!is_valid_json(bad), "{bad}");
+            assert!(parse(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn accessors_read_paths() {
+        let v = parse(r#"{"a":{"n":7,"s":"x\"y","f":1.5,"neg":-1},"a":2}"#).unwrap();
+        let a = v.get("a").expect("first match wins");
+        assert_eq!(a.get("n").and_then(Value::as_u64), Some(7));
+        assert_eq!(a.get("s").and_then(Value::as_str), Some("x\"y"));
+        assert_eq!(a.get("f").and_then(Value::as_u64), None);
+        assert_eq!(a.get("neg").and_then(Value::as_u64), None);
+        assert_eq!(a.get("n").and_then(Value::as_str), None);
+        assert_eq!(v.get("missing"), None);
+        assert_eq!(Value::Null.get("a"), None);
+        assert_eq!(Value::Num(9_007_199_254_740_992.0).as_u64(), Some(1 << 53));
+        assert_eq!(Value::Num(18_014_398_509_481_984.0).as_u64(), None);
     }
 }

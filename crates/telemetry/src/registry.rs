@@ -514,7 +514,7 @@ mod tests {
         gauge("test.snapshot.gauge").set(0.75);
         histogram("test.snapshot.hist").observe(0.01);
         let s = snapshot();
-        assert!(crate::json::is_valid_json(&s), "{s}");
+        assert!(crate::json::parse(&s).is_ok(), "{s}");
         assert!(s.contains("\"test.snapshot.counter\":"));
         assert!(s.contains("\"test.snapshot.gauge\":"));
         assert!(s.contains("\"test.snapshot.hist\":"));

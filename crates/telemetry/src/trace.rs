@@ -373,12 +373,6 @@ fn push_event(ev: Event) {
     }
 }
 
-/// `trace_id` as the 16-hex-digit form used in the `x-taxorec-trace`
-/// header and the exported JSON.
-pub fn format_trace_id(id: u64) -> String {
-    format!("{id:016x}")
-}
-
 /// Writes all buffered events to the exporter path as one Chrome
 /// trace-event JSON array (whole-file rewrite, one event per line) and
 /// returns the path. `None` when tracing is off or the write failed
@@ -487,7 +481,7 @@ mod tests {
         assert_eq!(buffered_events(), 3);
         let written = flush().expect("flush");
         let text = std::fs::read_to_string(&written).unwrap();
-        assert!(crate::json::is_valid_json(text.trim()), "{text}");
+        assert!(crate::json::parse(text.trim()).is_ok(), "{text}");
         assert!(text.contains("\"name\":\"inner\""));
         assert!(text.contains(&format!("{:016x}", root.trace_id)));
         disable();

@@ -13,10 +13,26 @@ use std::time::{Duration, Instant};
 use taxorec::core::{TaxoRec, TaxoRecConfig};
 use taxorec::data::{generate_preset, Preset, Recommender, Scale, Split};
 use taxorec::serve::{client, serve_online, Checkpoint, IngestOptions, ServeOptions, ServingModel};
+use taxorec::telemetry::json;
 
-fn ingest_card(healthz: &str) -> &str {
-    let at = healthz.find("\"ingest\":").map(|i| i + 9).unwrap_or(0);
-    &healthz[at..healthz.len().saturating_sub(1)]
+/// The ingest counters off `/healthz` as `name=value` (`-` for a null
+/// cursor), and whether the updater has caught up: nothing stale and
+/// the served generation stamped with a journal cursor.
+fn ingest_card(healthz: &str) -> (String, bool) {
+    let health = json::parse(healthz).expect("/healthz answers JSON");
+    let field = |name| health.get("ingest")?.get(name)?.as_u64();
+    let card = ["accepted", "applied", "staleness", "cursor"]
+        .map(|name| {
+            format!(
+                "{name}={}",
+                field(name).map_or("-".into(), |n| n.to_string())
+            )
+        })
+        .join(" ");
+    (
+        card,
+        field("staleness") == Some(0) && field("cursor").is_some(),
+    )
 }
 
 fn main() {
@@ -61,7 +77,7 @@ fn main() {
     let addr = handle.local_addr();
     println!("serving on http://{addr} (tick 100ms)");
     let healthz = || client::get(addr, "/healthz").expect("healthz").body;
-    println!("before ingest: {}", ingest_card(&healthz()));
+    println!("before ingest: {}", ingest_card(&healthz()).0);
 
     // 3. Stream batches. Tag names are resolved by name, so never-seen
     //    tags ("flash-sale", …) are allocated fresh ids, placed via the
@@ -95,9 +111,8 @@ fn main() {
     //    served generation has folded.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let health = healthz();
-        let card = ingest_card(&health);
-        if card.contains("\"staleness\":0") && !card.contains("\"cursor\":null") {
+        let (card, caught_up) = ingest_card(&healthz());
+        if caught_up {
             println!("after ingest:  {card}");
             break;
         }

@@ -93,7 +93,7 @@ fn http_server_answers_all_endpoints_end_to_end() {
         "{body}"
     );
     assert_eq!(body.matches("\"item\":").count(), 5, "{body}");
-    assert!(taxorec::telemetry::json::is_valid_json(&body), "{body}");
+    assert!(taxorec::telemetry::json::parse(&body).is_ok(), "{body}");
 
     // /explain — rationale for a (user, item) pair.
     let Response { status, body, .. } =
@@ -101,7 +101,7 @@ fn http_server_answers_all_endpoints_end_to_end() {
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("\"score\":"), "{body}");
     assert!(body.contains("\"item_tags\":["), "{body}");
-    assert!(taxorec::telemetry::json::is_valid_json(&body), "{body}");
+    assert!(taxorec::telemetry::json::parse(&body).is_ok(), "{body}");
 
     // /metrics — Prometheus text exposition, which by now has request
     // counts; /metrics.json keeps the raw registry snapshot.
@@ -112,7 +112,7 @@ fn http_server_answers_all_endpoints_end_to_end() {
     let Response { status, body, .. } = client::get(addr, "/metrics.json").expect("response");
     assert_eq!(status, 200, "{body}");
     assert!(body.contains("serve.http.requests"), "{body}");
-    assert!(taxorec::telemetry::json::is_valid_json(&body), "{body}");
+    assert!(taxorec::telemetry::json::parse(&body).is_ok(), "{body}");
 
     // Error paths: bad query, unknown user, unknown route, wrong method.
     let Response { status, body, .. } = client::get(addr, "/recommend").expect("response");
