@@ -82,6 +82,15 @@ impl Matrix {
         self.data
     }
 
+    /// Reserves room for exactly `rows` rows in total (never less than
+    /// the current shape), so that growing to that many rows appends in
+    /// place instead of reallocating. A no-op when capacity suffices.
+    pub fn reserve_rows(&mut self, rows: usize) {
+        let target = rows.saturating_mul(self.cols);
+        self.data
+            .reserve_exact(target.saturating_sub(self.data.len()));
+    }
+
     /// Makes `self` a copy of `other` (shape and entries), keeping the
     /// allocation when its capacity suffices.
     pub fn copy_from(&mut self, other: &Matrix) {

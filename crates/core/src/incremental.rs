@@ -123,19 +123,118 @@ fn row_seed(seed: u64, kind: u64, row: usize) -> u64 {
 }
 
 /// Grows `m` to `rows` rows, each new row produced by `make_row(r)`.
+/// Appends in place when [`reserve_rows`] already made room; otherwise
+/// reallocates to exactly `rows` rows.
 fn grow_matrix(m: &mut Matrix, rows: usize, make_row: impl Fn(usize) -> Vec<f64>) {
     if m.rows() >= rows {
         return;
     }
-    let cols = m.cols();
-    let mut data = Vec::with_capacity(rows * cols);
-    data.extend_from_slice(m.data());
-    for r in m.rows()..rows {
+    let (first, cols) = m.shape();
+    m.reserve_rows(rows);
+    let mut data = std::mem::replace(m, Matrix::zeros(0, 0)).into_vec();
+    for r in first..rows {
         let row = make_row(r);
         debug_assert_eq!(row.len(), cols);
         data.extend_from_slice(&row);
     }
     *m = Matrix::from_vec(rows, cols, data);
+}
+
+/// User, item and tag row counts of a [`ModelState`]: what the growth
+/// guard and a fold's reservation reason about.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Rows {
+    /// Rows of `u_ir` (and `u_tg`, `alphas`).
+    pub users: usize,
+    /// Rows of `v_ir` (and `v_tg`).
+    pub items: usize,
+    /// Rows of `t_p`.
+    pub tags: usize,
+}
+
+impl Rows {
+    /// `state`'s current counts.
+    pub fn of(state: &ModelState) -> Self {
+        Self {
+            users: state.n_users(),
+            items: state.n_items(),
+            tags: state.n_tags(),
+        }
+    }
+
+    /// The counts covering every id `it` names (tags included even when
+    /// the tag channel grows no rows: the guard counts them all).
+    fn covering(self, it: &Interaction) -> Self {
+        Self {
+            users: self.users.max(it.user as usize + 1),
+            items: self.items.max(it.item as usize + 1),
+            tags: it
+                .tags
+                .iter()
+                .fold(self.tags, |n, &t| n.max(t as usize + 1)),
+        }
+    }
+}
+
+/// The growth guard: going from `from` to `to` may add at most
+/// [`IncrementalConfig::max_growth`] rows in all.
+fn check_growth(from: Rows, to: Rows, cfg: &IncrementalConfig) -> Result<(), String> {
+    let growth = (to.users - from.users) + (to.items - from.items) + (to.tags - from.tags);
+    if growth > cfg.max_growth {
+        return Err(format!(
+            "batch would grow {growth} rows, over the cap of {} — \
+             rejecting (likely a corrupt or hostile id)",
+            cfg.max_growth
+        ));
+    }
+    Ok(())
+}
+
+/// What [`apply_interactions`] on the one-interaction batch `[it]` does
+/// to the row counts of a state at `rows` whose tag channel is
+/// `tags_active`: the counts after, or the growth guard's refusal (the
+/// state would be left unchanged). Lets a caller plan a fold — resolve
+/// ids, drop what the guard drops, size a [`reserve_rows`] — without
+/// touching the state.
+pub fn grown_rows(
+    rows: Rows,
+    tags_active: bool,
+    it: &Interaction,
+    cfg: &IncrementalConfig,
+) -> Result<Rows, String> {
+    let to = rows.covering(it);
+    check_growth(rows, to, cfg)?;
+    Ok(if tags_active {
+        to
+    } else {
+        Rows {
+            tags: rows.tags,
+            ..to
+        }
+    })
+}
+
+/// Reserves exact capacity for `state` to grow to `rows`, each count
+/// capped at [`IncrementalConfig::max_growth`] rows past the current
+/// size. A caller folding a batch one interaction at a time reserves the
+/// batch's final row counts once ([`grown_rows`]), so every grown row
+/// appends in place instead of copying its whole matrix. Capacity only:
+/// no value changes, so folding with or without it gives identical bits.
+pub fn reserve_rows(state: &mut ModelState, rows: Rows, cfg: &IncrementalConfig) {
+    let cap = |now: usize, want: usize| want.min(now.saturating_add(cfg.max_growth));
+    let users = cap(state.n_users(), rows.users);
+    let items = cap(state.n_items(), rows.items);
+    let tags = cap(state.n_tags(), rows.tags);
+    state.u_ir.reserve_rows(users);
+    state.v_ir.reserve_rows(items);
+    if state.tags_active {
+        state.u_tg.reserve_rows(users);
+        state.v_tg.reserve_rows(items);
+        state.t_p.reserve_rows(tags);
+    }
+    state
+        .alphas
+        .reserve_exact(users.saturating_sub(state.alphas.len()));
 }
 
 fn lorentz_row(seed: u64, dim: usize) -> Vec<f64> {
@@ -175,26 +274,8 @@ fn check_growth_cap(
     batch: &[Interaction],
     cfg: &IncrementalConfig,
 ) -> Result<(), String> {
-    let mut n_users = state.n_users();
-    let mut n_items = state.n_items();
-    let mut n_tags = state.n_tags();
-    for it in batch {
-        n_users = n_users.max(it.user as usize + 1);
-        n_items = n_items.max(it.item as usize + 1);
-        for &t in &it.tags {
-            n_tags = n_tags.max(t as usize + 1);
-        }
-    }
-    let growth =
-        (n_users - state.n_users()) + (n_items - state.n_items()) + (n_tags - state.n_tags());
-    if growth > cfg.max_growth {
-        return Err(format!(
-            "batch would grow {growth} rows, over the cap of {} — \
-             rejecting (likely a corrupt or hostile id)",
-            cfg.max_growth
-        ));
-    }
-    Ok(())
+    let from = Rows::of(state);
+    check_growth(from, batch.iter().fold(from, Rows::covering), cfg)
 }
 
 /// Grows the state to cover one interaction's ids. Growth happens
@@ -207,11 +288,11 @@ fn grow_for_interaction(
     it: &Interaction,
     cfg: &IncrementalConfig,
 ) -> (usize, usize, usize) {
-    let n_users = state.n_users().max(it.user as usize + 1);
-    let n_items = state.n_items().max(it.item as usize + 1);
-    let n_tags = state
-        .n_tags()
-        .max(it.tags.iter().map(|&t| t as usize + 1).max().unwrap_or(0));
+    let Rows {
+        users: n_users,
+        items: n_items,
+        tags: n_tags,
+    } = Rows::of(state).covering(it);
     let new_users = n_users - state.n_users();
     let new_items = n_items - state.n_items();
     let new_tags = n_tags - state.n_tags();
@@ -460,6 +541,130 @@ mod tests {
         assert_eq!(all_at_once.v_tg.data(), chunked.v_tg.data());
         assert_eq!(all_at_once.t_p.data(), chunked.t_p.data());
         assert_eq!(all_at_once.alphas, chunked.alphas);
+    }
+
+    #[test]
+    fn reserved_rows_grow_in_place_with_identical_bits() {
+        let base = trained_state();
+        let events = journal(&base, 40);
+        let cfg = IncrementalConfig {
+            seed: base.config.seed,
+            ..IncrementalConfig::default()
+        };
+        let rows = events.iter().fold(Rows::of(&base), |rows, it| {
+            grown_rows(rows, base.tags_active, it, &cfg).unwrap()
+        });
+        let mut plain = base.clone();
+        let mut reserved = base.clone();
+        reserve_rows(&mut reserved, rows, &cfg);
+        let before: Vec<*const f64> = [
+            &reserved.u_ir,
+            &reserved.v_ir,
+            &reserved.u_tg,
+            &reserved.v_tg,
+            &reserved.t_p,
+        ]
+        .iter()
+        .map(|m| m.data().as_ptr())
+        .collect();
+        let mut cursor = 0u64;
+        for one in events.chunks(1) {
+            apply_interactions(&mut plain, cursor, one, &cfg).unwrap();
+            cursor = apply_interactions(&mut reserved, cursor, one, &cfg)
+                .unwrap()
+                .cursor;
+        }
+        assert!(reserved.n_users() > base.n_users() && reserved.n_tags() > base.n_tags());
+        assert_eq!(Rows::of(&reserved), rows, "the plan predicts the growth");
+        for (i, (a, b)) in [
+            (&plain.u_ir, &reserved.u_ir),
+            (&plain.v_ir, &reserved.v_ir),
+            (&plain.u_tg, &reserved.u_tg),
+            (&plain.v_tg, &reserved.v_tg),
+            (&plain.t_p, &reserved.t_p),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            assert_eq!(a.shape(), b.shape(), "matrix {i}");
+            let bits = |m: &Matrix| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b), "matrix {i}");
+            assert_eq!(b.data().as_ptr(), before[i], "matrix {i} was reallocated");
+        }
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&plain.alphas), bits(&reserved.alphas));
+    }
+
+    #[test]
+    fn grown_rows_predicts_each_growth_and_each_refusal() {
+        let base = trained_state();
+        let cfg = IncrementalConfig {
+            seed: base.config.seed,
+            max_growth: 5,
+            ..IncrementalConfig::default()
+        };
+        let (u, v, t) = (base.n_users(), base.n_items(), base.n_tags());
+        let ev = |user: usize, item: usize, tags: &[usize]| Interaction {
+            user: user as u32,
+            item: item as u32,
+            tags: tags.iter().map(|&t| t as u32).collect(),
+        };
+        // Grows a user and a tag; grows items; a user 9 rows out, over
+        // the cap of 5; a tag 3 rows out.
+        let events = [
+            ev(u, 0, &[t, 1]),
+            ev(0, v + 2, &[]),
+            ev(u + 9, 0, &[]),
+            ev(1, 1, &[t + 3]),
+        ];
+        for tags_active in [true, false] {
+            let mut state = base.clone();
+            if !tags_active {
+                state.tags_active = false;
+            }
+            for (cursor, it) in events.iter().enumerate() {
+                let before = Rows::of(&state);
+                let predicted = grown_rows(before, state.tags_active, it, &cfg);
+                let applied =
+                    apply_interactions(&mut state, cursor as u64, std::slice::from_ref(it), &cfg);
+                assert_eq!(predicted.is_ok(), applied.is_ok(), "event {cursor}");
+                let after = predicted.unwrap_or(before);
+                assert_eq!(
+                    Rows::of(&state),
+                    after,
+                    "event {cursor}, tags {tags_active}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reservation_is_capped_by_max_growth() {
+        let mut state = trained_state();
+        let cfg = IncrementalConfig {
+            max_growth: 3,
+            ..IncrementalConfig::default()
+        };
+        // Uncapped, this would ask the allocator for terabytes and abort.
+        let huge = 4_000_000_000;
+        let rows = Rows {
+            users: huge,
+            items: huge,
+            tags: huge,
+        };
+        reserve_rows(&mut state, rows, &cfg);
+        let ptr = state.u_ir.data().as_ptr();
+        let it = Interaction {
+            user: state.n_users() as u32 + 2,
+            item: 0,
+            tags: vec![],
+        };
+        apply_interactions(&mut state, 0, &[it], &cfg).unwrap();
+        assert_eq!(
+            state.u_ir.data().as_ptr(),
+            ptr,
+            "the capped rows were reserved"
+        );
     }
 
     #[test]

@@ -193,8 +193,9 @@ pub struct Checkpoint {
     /// generation ([`FLAG_RETRIEVAL_INDEX`] in the header). `None` =
     /// the artifact serves through the exhaustive path only.
     pub index: Option<IndexParts>,
-    /// Wire identity of the artifact this checkpoint was parsed from
-    /// (`None` for an in-memory checkpoint that never hit the wire).
+    /// Wire identity of the artifact this checkpoint was parsed from, or
+    /// of the generation the streaming updater sealed ([`Checkpoint::seal`]);
+    /// `None` for an in-memory checkpoint that never hit the wire.
     /// Not serialized — recomputed on every load.
     pub artifact: Option<ArtifactInfo>,
     /// Journal position (count of streamed interactions folded in) when
@@ -265,8 +266,28 @@ impl Checkpoint {
     /// Serializes to the `.taxo` wire format (header + payload + CRC).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut p = Writer::new();
+        let flags = self.write_payload(&mut p);
+        seal_container(flags, p.into_bytes())
+    }
+
+    /// The wire identity [`Checkpoint::to_bytes`] would produce, taken
+    /// without holding the bytes: the payload streams through a
+    /// checksum-only writer, so sealing costs no copy of the model.
+    pub fn seal(&self) -> ArtifactInfo {
+        let mut p = Writer::digest();
+        self.write_payload(&mut p);
+        let (len, crc) = p.finish_digest();
+        ArtifactInfo {
+            version: FORMAT_VERSION,
+            crc,
+            bytes: (HEADER_LEN + TRAILER_LEN) as u64 + len,
+        }
+    }
+
+    /// Writes the payload; returns the header flags it needs.
+    fn write_payload(&self, p: &mut Writer) -> u16 {
         p.put_str(&self.state.name);
-        write_config(&mut p, &self.state.config);
+        write_config(p, &self.state.config);
         p.put_bool(self.state.tags_active);
         for m in [
             &self.state.u_ir,
@@ -275,14 +296,14 @@ impl Checkpoint {
             &self.state.v_tg,
             &self.state.t_p,
         ] {
-            write_matrix(&mut p, m);
+            write_matrix(p, m);
         }
         p.put_f64s(&self.state.alphas);
         match &self.state.taxonomy {
             None => p.put_bool(false),
             Some(taxo) => {
                 p.put_bool(true);
-                write_taxonomy(&mut p, taxo);
+                write_taxonomy(p, taxo);
             }
         }
         p.put_usize(self.tag_names.len());
@@ -300,13 +321,13 @@ impl Checkpoint {
         let mut flags = 0;
         if let Some(parts) = &self.index {
             flags |= FLAG_RETRIEVAL_INDEX;
-            write_index(&mut p, parts);
+            write_index(p, parts);
         }
         if let Some(cursor) = self.journal_cursor {
             flags |= FLAG_JOURNAL_CURSOR;
             p.put_u64(cursor);
         }
-        seal_container(flags, p.into_bytes())
+        flags
     }
 
     /// Parses and fully validates an artifact.

@@ -85,7 +85,7 @@ use taxorec_telemetry::json::{push_f64, push_str_escaped};
 use taxorec_telemetry::{env, flight, flight_event, trace, TraceContext};
 
 use crate::batch::{BatchJob, BatchOptions, Batcher};
-use crate::checkpoint::{write_atomic, ArtifactInfo, Checkpoint, FORMAT_VERSION};
+use crate::checkpoint::{write_atomic, Checkpoint};
 use crate::model::{ModelSlot, Ranking, ServeError, ServingModel};
 use crate::net::{
     self, param, require_param, Conn, Edge, Front, PoolSpec, Reply, Request, Shedder, Stage,
@@ -362,8 +362,10 @@ pub fn serve_with(
 /// as `/admin/reload`.
 ///
 /// `base` must be the checkpoint `model` was built from: it becomes the
-/// updater's master copy, and its `journal_cursor` seeds the journal so
-/// a restart from a persisted streaming artifact resumes its cursor.
+/// updater's master copy (or, when both carry the same artifact
+/// identity, `model`'s own shared checkpoint does and `base` is
+/// dropped), and its `journal_cursor` seeds the journal so a restart
+/// from a persisted streaming artifact resumes its cursor.
 pub fn serve_online(
     model: Arc<ServingModel>,
     base: Checkpoint,
@@ -522,16 +524,26 @@ fn serve_impl(
 }
 
 /// The incremental-update loop ([`serve_online`]): every tick, drain up
-/// to a batch of journaled interactions, fold them into the master
-/// checkpoint ([`online::fold_batch`]), reseal the artifact identity,
-/// optionally persist it, and swap a freshly built [`ServingModel`]
-/// into the slot. The swap is the `/admin/reload` handover — one `Arc`
-/// exchange, response cache starting cold.
-fn updater_loop(mut ckpt: Checkpoint, shared: &Shared, slot: &Arc<ModelSlot>, stop: &AtomicBool) {
+/// to a batch of journaled interactions and publish them as a new
+/// generation ([`update_tick`]). The master checkpoint is shared with
+/// the served model, never mutated: each tick folds into one fresh
+/// copy, which becomes both the next master and the next served model.
+/// The swap is the `/admin/reload` handover — one `Arc` exchange,
+/// response cache starting cold.
+fn updater_loop(base: Checkpoint, shared: &Shared, slot: &Arc<ModelSlot>, stop: &AtomicBool) {
     let Some(journal) = shared.journal.as_ref() else {
         return;
     };
     let opts = shared.opts.ingest.clone();
+    // `base` is the checkpoint the boot model was built from. When their
+    // artifact identities agree, adopt the model's shared copy and drop
+    // `base`, so boot holds one copy of the model as well.
+    let boot = slot.load();
+    let mut master = match (base.artifact, boot.checkpoint().artifact) {
+        (Some(a), Some(b)) if a == b => Arc::clone(boot.checkpoint()),
+        _ => Arc::new(base),
+    };
+    drop(boot);
     // Graft-drift counter, threaded through every fold so chunked
     // ticking stays bit-identical to one whole-journal replay.
     let mut drift = 0u64;
@@ -548,13 +560,32 @@ fn updater_loop(mut ckpt: Checkpoint, shared: &Shared, slot: &Arc<ModelSlot>, st
         if batch.is_empty() {
             continue;
         }
-        update_tick(&mut ckpt, &batch, &opts, &mut drift, slot, journal);
+        update_tick(&mut master, &batch, &opts, &mut drift, slot, journal);
     }
 }
 
-/// One updater tick: fold, reseal, persist, rebuild, swap.
+/// Records the milliseconds since `since` in histogram `name`.
+fn observe_ms(name: &str, since: Instant) {
+    taxorec_telemetry::histogram(name).observe(since.elapsed().as_secs_f64() * 1e3);
+}
+
+/// One updater tick, one copy of the model: clone the master, fold the
+/// batch into the clone, optionally persist it, build the next
+/// [`ServingModel`] over it and swap that in. The clone then becomes
+/// the master, shared with the model just published.
+///
+/// A fold error drops the clone and restores `drift`: a failed batch
+/// may leave a partially applied prefix whose journal cursor never
+/// advanced, and discarding state *and* drift together is what keeps
+/// cursor and embeddings consistent for a restart's bit-identical
+/// replay. The new generation is sealed ([`Checkpoint::seal`]: its CRC
+/// streams through a checksum, no serialized copy is held), so
+/// `/healthz` advertises the streamed generation, not the boot
+/// artifact. Each stage lands in
+/// `serve.ingest.{fold,seal,persist,build,swap}.ms` (`fold` includes the
+/// clone), the whole tick in `serve.ingest.tick.ms`.
 fn update_tick(
-    ckpt: &mut Checkpoint,
+    master: &mut Arc<Checkpoint>,
     batch: &[online::IngestInteraction],
     opts: &IngestOptions,
     drift: &mut u64,
@@ -562,17 +593,14 @@ fn update_tick(
     journal: &Journal,
 ) {
     let started = Instant::now();
-    // Fold against a restorable snapshot: a mid-batch error leaves the
-    // checkpoint holding a partially applied prefix whose journal
-    // cursor was never advanced, so rolling back state *and* drift
-    // together is the only way cursor and embeddings stay consistent —
-    // otherwise a restart would resume replay against desynced state,
-    // silently breaking the bit-identical replay guarantee.
-    let snapshot = (ckpt.clone(), *drift);
-    let report = match online::fold_batch(ckpt, batch, opts, drift) {
+    let drift_before = *drift;
+    let mut next = Checkpoint::clone(master);
+    let folded = online::fold_batch(&mut next, batch, opts, drift);
+    observe_ms("serve.ingest.fold.ms", started);
+    let report = match folded {
         Ok(r) => r,
         Err(e) => {
-            (*ckpt, *drift) = snapshot;
+            *drift = drift_before;
             taxorec_telemetry::counter("serve.ingest.fold_errors").inc(1);
             taxorec_telemetry::sink::warn(&format!(
                 "ingest: folding {} interactions failed: {e}; batch dropped",
@@ -582,36 +610,34 @@ fn update_tick(
             return;
         }
     };
-    // Reseal the artifact identity so `/healthz` (and a persisted copy)
-    // advertise the streamed generation, not the boot-time artifact.
-    let bytes = ckpt.to_bytes();
-    let crc_at = bytes.len() - 4;
-    let crc = u32::from_le_bytes([
-        bytes[crc_at],
-        bytes[crc_at + 1],
-        bytes[crc_at + 2],
-        bytes[crc_at + 3],
-    ]);
-    ckpt.artifact = Some(ArtifactInfo {
-        version: FORMAT_VERSION,
-        crc,
-        bytes: bytes.len() as u64,
-    });
+    let sealing = Instant::now();
+    next.artifact = Some(next.seal());
+    observe_ms("serve.ingest.seal.ms", sealing);
     if let Some(path) = &opts.checkpoint_path {
-        if let Err(e) = write_atomic(path, &bytes) {
+        let persisting = Instant::now();
+        if let Err(e) = write_atomic(path, &next.to_bytes()) {
             taxorec_telemetry::counter("serve.ingest.persist_errors").inc(1);
             taxorec_telemetry::sink::warn(&format!(
                 "ingest: persisting {} failed: {e}; serving continues unpersisted",
                 path.display()
             ));
         }
+        observe_ms("serve.ingest.persist.ms", persisting);
     }
+    let next = Arc::new(next);
+    // Held across the swap: the swap itself never drops the old
+    // generation, and unless a request still holds it, it is released
+    // here at the end of the tick.
     let old = slot.load();
-    let built = ServingModel::with_cache_capacity(ckpt.clone(), old.cache_usage().1)
+    let building = Instant::now();
+    let built = ServingModel::with_cache_capacity(Arc::clone(&next), old.cache_usage().1)
         .and_then(|m| m.with_retrieval(old.retrieval_mode()));
+    observe_ms("serve.ingest.build.ms", building);
     match built {
         Ok(model) => {
+            let swapping = Instant::now();
             slot.swap(Arc::new(model));
+            observe_ms("serve.ingest.swap.ms", swapping);
             taxorec_telemetry::counter("serve.ingest.swaps").inc(1);
         }
         Err(e) => {
@@ -621,12 +647,12 @@ fn update_tick(
             ));
         }
     }
+    *master = next;
     journal.mark_applied(batch.len() as u64);
     taxorec_telemetry::gauge("serve.ingest.cursor").set(report.cursor as f64);
     taxorec_telemetry::gauge("serve.ingest.drift").set(*drift as f64);
     taxorec_telemetry::gauge("serve.ingest.staleness").set(journal.staleness() as f64);
-    taxorec_telemetry::histogram("serve.ingest.tick.ms")
-        .observe(started.elapsed().as_secs_f64() * 1e3);
+    observe_ms("serve.ingest.tick.ms", started);
 }
 
 /// Adopts an inbound `x-taxorec-trace` header (the router hop): the

@@ -27,9 +27,10 @@
 //! is [`RetrievalMode::Exact`], which preserves the pre-index behavior
 //! exactly.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use taxorec_core::{ModelState, TaxoRec, TaxoRecConfig};
+use taxorec_core::{TaxoRec, TaxoRecConfig};
 use taxorec_data::{Anchor, Dataset, Scorer, Split};
 use taxorec_geometry::{convert, lorentz};
 use taxorec_retrieval::{RetrievalMode, TaxoIndex};
@@ -131,12 +132,17 @@ fn cache_key(user: u32, k: usize) -> (u32, u64) {
 }
 
 /// An immutable, thread-safe top-K query engine over a trained model.
+///
+/// The engine shares its [`Checkpoint`] behind an `Arc` and never
+/// mutates it: the streaming updater keeps the same `Arc` as its master
+/// copy, so a served generation costs one copy of the model, not two.
 pub struct ServingModel {
-    state: ModelState,
-    tag_names: Vec<String>,
-    item_tags: Vec<Vec<u32>>,
-    /// Sorted per-user seen-item lists (train-set exclusion).
-    seen: Vec<Vec<u32>>,
+    ckpt: Arc<Checkpoint>,
+    /// Sorted, deduplicated copies of the seen-item lists that arrive
+    /// unsorted or with duplicates (train-set exclusion binary-searches
+    /// them). Empty in the common case; the shared checkpoint keeps its
+    /// lists as they are, because its bytes are its identity.
+    sorted_seen: BTreeMap<usize, Vec<u32>>,
     /// The fused scorer over the item embeddings. The model is
     /// immutable, so it is built once at construction and never
     /// invalidated (DESIGN.md §12).
@@ -148,12 +154,6 @@ pub struct ServingModel {
     index: Option<TaxoIndex>,
     /// How `recommend` generates candidates; fixed at construction.
     retrieval: RetrievalMode,
-    /// Wire identity of the artifact this engine was loaded from
-    /// (`None` when built straight from an in-process model).
-    artifact: Option<ArtifactInfo>,
-    /// Journal position folded into this engine's embeddings (`None`
-    /// for offline artifacts; surfaced in `/healthz`).
-    journal_cursor: Option<u64>,
     cache: Mutex<LruCache<(u32, u64), Ranking>>,
 }
 
@@ -165,30 +165,33 @@ impl ServingModel {
     }
 
     /// Builds the engine with an explicit response-cache bound
-    /// (`0` disables caching).
+    /// (`0` disables caching). The checkpoint may be shared: the
+    /// streaming updater passes the `Arc` it keeps as its master copy.
     pub fn with_cache_capacity(
-        ckpt: Checkpoint,
+        ckpt: impl Into<Arc<Checkpoint>>,
         cache_capacity: usize,
     ) -> Result<Self, CheckpointError> {
+        let ckpt = ckpt.into();
         ckpt.validate()?;
-        let Checkpoint {
-            state,
-            tag_names,
-            item_tags,
-            mut seen_items,
-            index,
-            artifact,
-            journal_cursor,
-        } = ckpt;
-        for items in &mut seen_items {
-            items.sort_unstable();
-            items.dedup();
-        }
-        let items = item_embeddings(&state);
+        let sorted_seen = ckpt
+            .seen_items
+            .iter()
+            .enumerate()
+            .filter(|(_, items)| !items.windows(2).all(|w| w[0] < w[1]))
+            .map(|(user, items)| {
+                let mut items = items.clone();
+                items.sort_unstable();
+                items.dedup();
+                (user, items)
+            })
+            .collect();
+        let items = item_embeddings(&ckpt.state);
         let scorer = Scorer::build(&items);
         // Rebuild the index's permuted scorer from the model embeddings
         // (the artifact stores structure only).
-        let index = index
+        let index = ckpt
+            .index
+            .clone()
             .map(|parts| {
                 TaxoIndex::from_parts(parts, &items)
                     .map_err(|e| CheckpointError::Invalid(format!("retrieval index: {e}")))
@@ -200,15 +203,11 @@ impl ServingModel {
         taxorec_telemetry::counter("serve.retrieval.candidates");
         taxorec_telemetry::histogram("serve.retrieval.routed_ms");
         Ok(Self {
-            state,
-            tag_names,
-            item_tags,
-            seen: seen_items,
+            ckpt,
+            sorted_seen,
             scorer,
             index,
             retrieval: RetrievalMode::Exact,
-            artifact,
-            journal_cursor,
             cache: Mutex::new(LruCache::new(cache_capacity)),
         })
     }
@@ -260,32 +259,32 @@ impl ServingModel {
 
     /// Model display name (e.g. `"TaxoRec"`).
     pub fn name(&self) -> &str {
-        &self.state.name
+        &self.ckpt.state.name
     }
 
     /// Number of users the model can serve.
     pub fn n_users(&self) -> usize {
-        self.state.n_users()
+        self.ckpt.state.n_users()
     }
 
     /// Catalogue size.
     pub fn n_items(&self) -> usize {
-        self.state.n_items()
+        self.ckpt.state.n_items()
     }
 
     /// Number of tags with learned embeddings.
     pub fn n_tags(&self) -> usize {
-        self.state.n_tags()
+        self.ckpt.state.n_tags()
     }
 
     /// The training configuration frozen into the artifact.
     pub fn config(&self) -> &TaxoRecConfig {
-        &self.state.config
+        &self.ckpt.state.config
     }
 
     /// The taxonomy constructed at train time, if any.
     pub fn taxonomy(&self) -> Option<&Taxonomy> {
-        self.state.taxonomy.as_ref()
+        self.ckpt.state.taxonomy.as_ref()
     }
 
     /// The active candidate-generation mode.
@@ -299,16 +298,30 @@ impl ServingModel {
     }
 
     /// Wire identity (format version, CRC-32, size) of the `.taxo`
-    /// artifact this engine was loaded from; `None` for an engine built
-    /// from an in-process model that never crossed the wire.
+    /// artifact this engine serves: the one it was loaded from, or the
+    /// streaming updater's seal of its generation; `None` for an engine
+    /// built from an in-process model that never crossed the wire.
     pub fn artifact_info(&self) -> Option<ArtifactInfo> {
-        self.artifact
+        self.ckpt.artifact
     }
 
     /// Journal position folded into this engine (`None` = offline
     /// artifact, no streaming history).
     pub fn journal_cursor(&self) -> Option<u64> {
-        self.journal_cursor
+        self.ckpt.journal_cursor
+    }
+
+    /// The checkpoint this engine serves, shared, never mutated.
+    pub(crate) fn checkpoint(&self) -> &Arc<Checkpoint> {
+        &self.ckpt
+    }
+
+    /// User `u`'s seen items, sorted and deduplicated.
+    fn seen(&self, u: usize) -> &[u32] {
+        match self.sorted_seen.get(&u) {
+            Some(items) => items,
+            None => self.ckpt.seen_items.get(u).map_or(&[], Vec::as_slice),
+        }
     }
 
     /// Effective beam width: `None` in exact mode, the resolved width
@@ -430,10 +443,7 @@ impl ServingModel {
         let users: Vec<usize> = block.iter().map(|&qi| queries[qi].0 as usize).collect();
         let anchors: Vec<Anchor<'_>> = users.iter().map(|&u| self.anchor(u)).collect();
         let ks: Vec<usize> = block.iter().map(|&qi| queries[qi].1).collect();
-        let seen: Vec<&[u32]> = users
-            .iter()
-            .map(|&u| self.seen.get(u).map(Vec::as_slice).unwrap_or(&[]))
-            .collect();
+        let seen: Vec<&[u32]> = users.iter().map(|&u| self.seen(u)).collect();
         let exclude = |pos: usize, item: u32| seen[pos].binary_search(&item).is_ok();
         let _kernel_span = taxorec_telemetry::trace::child_span("kernel");
         let (Some(beam), Some(index)) = (self.beam_width(), &self.index) else {
@@ -457,7 +467,7 @@ impl ServingModel {
 
     /// `user`'s side of Eq. 17, matching the scorer's channels.
     fn anchor(&self, user: usize) -> Anchor<'_> {
-        let s = &self.state;
+        let s = &self.ckpt.state;
         let u_tg = self.scorer.has_tag_channel().then_some(&s.u_tg);
         taxorec_core::export::anchor(&s.config, &s.alphas, &s.u_ir, u_tg, user)
     }
@@ -502,13 +512,13 @@ impl ServingModel {
                 n_items: self.n_items(),
             });
         }
-        let s = &self.state;
+        let s = &self.ckpt.state;
         let alpha = s.alphas.get(u).copied().unwrap_or(0.0);
         let score = self.anchor(u).score(item_embeddings(s).row(v));
 
         let mut item_tags = Vec::new();
         if s.tags_active && s.t_p.rows() > 0 {
-            if let Some(tags) = self.item_tags.get(v) {
+            if let Some(tags) = self.ckpt.item_tags.get(v) {
                 let dim = s.t_p.cols();
                 let mut lift = vec![0.0; dim + 1];
                 for &t in tags {
@@ -557,7 +567,8 @@ impl ServingModel {
     }
 
     fn tag_name(&self, t: u32) -> String {
-        self.tag_names
+        self.ckpt
+            .tag_names
             .get(t as usize)
             .cloned()
             .unwrap_or_else(|| format!("tag{t}"))
@@ -788,6 +799,36 @@ mod tests {
         assert_eq!(
             *before.recommend(0, 5).unwrap(),
             *replacement.recommend(0, 5).unwrap()
+        );
+    }
+
+    #[test]
+    fn unsorted_seen_lists_are_sorted_privately_and_the_checkpoint_is_untouched() {
+        let (m, d, s) = trained();
+        let mut ckpt = Checkpoint::from_model(&m)
+            .with_dataset(&d)
+            .with_seen_items(&s.train);
+        let user = (0..d.n_users)
+            .max_by_key(|&u| ckpt.seen_items[u].len())
+            .unwrap();
+        let list = &mut ckpt.seen_items[user];
+        assert!(list.len() >= 2, "need a list that can be out of order");
+        list.reverse();
+        list.push(list[0]);
+        let bytes = ckpt.to_bytes();
+        let shared = Arc::new(ckpt);
+        let model = ServingModel::with_cache_capacity(Arc::clone(&shared), 16).unwrap();
+        assert_eq!(
+            model.sorted_seen.len(),
+            1,
+            "only the unsorted list is copied"
+        );
+        assert_eq!(shared.to_bytes(), bytes, "shared checkpoint unchanged");
+        let sorted = ServingModel::from_model(&m, &d, &s).unwrap();
+        let user = user as u32;
+        assert_eq!(
+            *model.recommend(user, 10).unwrap(),
+            *sorted.recommend(user, 10).unwrap()
         );
     }
 

@@ -5,14 +5,18 @@
 //! ```text
 //! POST /ingest ──▶ Journal (bounded) ──▶ updater thread, every tick:
 //!                                          drain ≤ batch
+//!                                          clone the master (one copy)
 //!                                          fold (incremental RSGD,
 //!                                                tag attach, index patch)
-//!                                          serialize → ArtifactInfo
+//!                                          seal (streamed CRC)
+//!                                          ServingModel over the clone
 //!                                          ModelSlot::swap  ─▶ serving
 //! ```
 //!
-//! The updater owns the *master* [`Checkpoint`] and is the only thread
-//! that mutates it; serving threads only ever see immutable
+//! The updater keeps the *master* [`Checkpoint`] behind the same `Arc`
+//! the served model holds, and no thread mutates a published
+//! checkpoint: a tick folds into a fresh clone, which becomes the next
+//! master and the next model. Serving threads only ever see immutable
 //! [`ServingModel`]s swapped in through the same [`ModelSlot`] path as
 //! `/admin/reload`, so failover/chaos guarantees carry over unchanged
 //! and every swap starts with a cold response cache (the old model's
@@ -31,7 +35,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use taxorec_core::incremental::{apply_interactions, IncrementalConfig, Interaction};
+use taxorec_core::incremental::{
+    apply_interactions, grown_rows, reserve_rows, IncrementalConfig, Interaction, Rows,
+};
 use taxorec_retrieval::TaxoIndex;
 use taxorec_taxonomy::{attach_tag, construct_taxonomy, ConstructConfig};
 use taxorec_telemetry::env;
@@ -285,6 +291,94 @@ pub struct FoldReport {
     pub cursor: u64,
 }
 
+/// One journaled interaction as [`fold_batch`] will apply it.
+struct Planned {
+    /// Tag names resolved to ids, or why the growth guard drops it.
+    step: Result<Interaction, String>,
+    /// Names it appends to `tag_names`, in id order: its never-seen
+    /// names, then placeholders for gap rows below a grown tag id.
+    new_names: Vec<String>,
+}
+
+/// Plans folding `batch` into `ckpt` without touching it: resolves tag
+/// names to ids in journal order (never-seen names take the next ids)
+/// and applies the growth guard per interaction
+/// ([`taxorec_core::incremental::grown_rows`]); a dropped interaction
+/// allocates no id. Returns the plan and the row counts the fold ends
+/// with.
+fn plan_batch(
+    ckpt: &Checkpoint,
+    batch: &[IngestInteraction],
+    cfg: &IncrementalConfig,
+) -> (Vec<Planned>, Rows) {
+    // Name→id index mirroring `ckpt.tag_names` positions (first
+    // occurrence wins, matching what a linear scan would resolve).
+    // Lookups only, so determinism is untouched — it just replaces the
+    // per-tag O(n_tags) scan that made tick latency grow with the
+    // catalogue.
+    let mut name_index: HashMap<String, u32> = HashMap::with_capacity(ckpt.tag_names.len());
+    for (id, name) in ckpt.tag_names.iter().enumerate() {
+        name_index.entry(name.clone()).or_insert(id as u32);
+    }
+    let mut names = ckpt.tag_names.len();
+    let mut rows = Rows::of(&ckpt.state);
+    let plan = batch
+        .iter()
+        .map(|raw| {
+            // Fresh names enter the index immediately, so a name repeated
+            // within one interaction resolves to a single id instead of
+            // allocating a phantom placeholder row.
+            let mut new_names = Vec::new();
+            let mut tags = Vec::with_capacity(raw.tags.len());
+            for name in &raw.tags {
+                let id = match name_index.get(name.as_str()) {
+                    Some(&id) => id,
+                    None => {
+                        let id = (names + new_names.len()) as u32;
+                        name_index.insert(name.clone(), id);
+                        new_names.push(name.clone());
+                        id
+                    }
+                };
+                tags.push(id);
+            }
+            let one = Interaction {
+                user: raw.user,
+                item: raw.item,
+                tags,
+            };
+            match grown_rows(rows, ckpt.state.tags_active, &one, cfg) {
+                Ok(grown) => {
+                    rows = grown;
+                    names += new_names.len();
+                    while names < rows.tags {
+                        let name = format!("tag{names}");
+                        name_index.entry(name.clone()).or_insert(names as u32);
+                        new_names.push(name);
+                        names += 1;
+                    }
+                    Planned {
+                        step: Ok(one),
+                        new_names,
+                    }
+                }
+                Err(e) => {
+                    // The model will not grow; the speculative id
+                    // allocations must not survive the drop either.
+                    for name in &new_names {
+                        name_index.remove(name.as_str());
+                    }
+                    Planned {
+                        step: Err(e),
+                        new_names: Vec::new(),
+                    }
+                }
+            }
+        })
+        .collect();
+    (plan, rows)
+}
+
 /// Folds `batch` into `ckpt` strictly per-interaction, in journal
 /// order, starting at the checkpoint's journal cursor:
 ///
@@ -313,10 +407,14 @@ pub struct FoldReport {
 /// base checkpoint); threading it across calls is what makes chunked
 /// folding bit-identical to one whole-journal fold.
 ///
+/// The matrices' final row counts for the batch are reserved once up
+/// front, so growing a row appends in place (capacity only; the bits
+/// are those of an unreserved fold).
+///
 /// On `Err` the checkpoint (and `drift`) may hold a *partially applied*
 /// batch whose journal cursor has **not** been advanced — callers must
-/// restore both from a pre-call snapshot before folding anything else,
-/// or replay from the persisted cursor will desync.
+/// fold into a copy they can discard and restore `drift` before folding
+/// anything else, or replay from the persisted cursor will desync.
 pub fn fold_batch(
     ckpt: &mut Checkpoint,
     batch: &[IngestInteraction],
@@ -350,53 +448,19 @@ pub fn fold_batch(
     if ckpt.seen_items.is_empty() {
         ckpt.seen_items = vec![Vec::new(); ckpt.state.n_users()];
     }
-    // Name→id index mirroring `ckpt.tag_names` positions (first
-    // occurrence wins, matching what a linear scan would resolve).
-    // Lookups only, so determinism is untouched — it just replaces the
-    // per-tag O(n_tags) scan that made tick latency grow with the
-    // catalogue.
-    let mut name_index: HashMap<String, u32> = HashMap::with_capacity(ckpt.tag_names.len());
-    for (id, name) in ckpt.tag_names.iter().enumerate() {
-        name_index.entry(name.clone()).or_insert(id as u32);
-    }
+    // 1. Resolve tag names and apply the growth guard for the whole
+    // batch, then reserve its final row counts once: each grown row
+    // then appends in place instead of copying its matrix.
+    let (plan, rows) = plan_batch(ckpt, batch, &inc_cfg);
+    reserve_rows(&mut ckpt.state, rows, &inc_cfg);
 
-    for raw in batch {
+    for (raw, planned) in batch.iter().zip(plan) {
         let cursor = report.cursor;
         report.cursor += 1;
         report.applied += 1;
-
-        // 1. Resolve tag names sequentially; allocate ids for new ones.
-        // Fresh names enter the index immediately, so a name repeated
-        // within one interaction resolves to a single id instead of
-        // allocating a phantom placeholder row.
-        let mut tag_ids = Vec::with_capacity(raw.tags.len());
-        let mut fresh_names: Vec<&String> = Vec::new();
-        for name in &raw.tags {
-            match name_index.get(name.as_str()) {
-                Some(&id) => tag_ids.push(id),
-                None => {
-                    let id = (ckpt.tag_names.len() + fresh_names.len()) as u32;
-                    name_index.insert(name.clone(), id);
-                    fresh_names.push(name);
-                    tag_ids.push(id);
-                }
-            }
-        }
-
-        // 2. Incremental RSGD (grows matrices for never-seen ids).
-        let one = Interaction {
-            user: raw.user,
-            item: raw.item,
-            tags: tag_ids.clone(),
-        };
-        let r = match apply_interactions(&mut ckpt.state, cursor, &[one], &inc_cfg) {
-            Ok(r) => r,
+        let one = match planned.step {
+            Ok(one) => one,
             Err(e) => {
-                // The model did not grow; the speculative id
-                // allocations must not survive the drop either.
-                for name in &fresh_names {
-                    name_index.remove(name.as_str());
-                }
                 report.dropped += 1;
                 taxorec_telemetry::counter("serve.ingest.dropped").inc(1);
                 taxorec_telemetry::sink::warn(&format!(
@@ -405,27 +469,27 @@ pub fn fold_batch(
                 continue;
             }
         };
+
+        // 2. Incremental RSGD (grows matrices for never-seen ids; the
+        // plan already passed the growth guard).
+        let r = apply_interactions(
+            &mut ckpt.state,
+            cursor,
+            std::slice::from_ref(&one),
+            &inc_cfg,
+        )?;
         report.new_users += r.new_users;
         report.new_items += r.new_items;
         report.new_tags += r.new_tags;
 
-        // 3. Serving context follows the growth. New tag names land at
-        // exactly the ids resolved above (both count up from the same
-        // lengths); gap rows get placeholders.
-        for name in fresh_names {
-            ckpt.tag_names.push(name.clone());
-        }
-        while ckpt.tag_names.len() < ckpt.state.n_tags() {
-            let name = format!("tag{}", ckpt.tag_names.len());
-            name_index
-                .entry(name.clone())
-                .or_insert(ckpt.tag_names.len() as u32);
-            ckpt.tag_names.push(name);
-        }
+        // 3. Serving context follows the growth. The plan's names land
+        // at exactly the ids it resolved (both count up from the same
+        // length).
+        ckpt.tag_names.extend(planned.new_names);
         ckpt.item_tags.resize(ckpt.state.n_items(), Vec::new());
         ckpt.seen_items.resize(ckpt.state.n_users(), Vec::new());
         let it = &mut ckpt.item_tags[raw.item as usize];
-        for &t in &tag_ids {
+        for &t in &one.tags {
             if let Err(at) = it.binary_search(&t) {
                 it.insert(at, t);
             }
@@ -604,6 +668,60 @@ mod tests {
         assert_eq!(got[0].tags[0], "aé\n");
         assert_eq!(got[0].tags[1], "emoji 😀");
         assert_eq!(got[0].tags[2], "naïve");
+    }
+
+    #[test]
+    fn a_dropped_interaction_reserves_no_rows() {
+        use taxorec_core::{TaxoRec, TaxoRecConfig};
+        use taxorec_data::{generate_preset, Preset, Recommender, Scale, Split};
+        let d = generate_preset(Preset::Ciao, Scale::Tiny);
+        let s = Split::standard(&d);
+        let mut cfg = TaxoRecConfig::fast_test();
+        cfg.epochs = 1;
+        let mut m = TaxoRec::new(cfg);
+        m.fit(&d, &s);
+        let mut ckpt = Checkpoint::from_model(&m).with_dataset(&d);
+        let (users, items, tags) = (d.n_users as u32, d.n_items as u32, d.n_tags);
+        let known = ckpt.tag_names[0].clone();
+        let batch = vec![
+            IngestInteraction {
+                user: users,
+                item: 0,
+                tags: vec!["fresh-a".into(), known.clone(), "fresh-a".into()],
+            },
+            IngestInteraction {
+                user: 4_000_000_000,
+                item: items,
+                tags: vec!["fresh-dropped".into()],
+            },
+            IngestInteraction {
+                user: 0,
+                item: items + 1,
+                tags: vec!["fresh-b".into(), "fresh-a".into()],
+            },
+        ];
+        let opts = IngestOptions::default();
+        let cfg = IncrementalConfig {
+            max_growth: opts.max_growth,
+            ..IncrementalConfig::default()
+        };
+        let (plan, rows) = plan_batch(&ckpt, &batch, &cfg);
+        // The hostile user counts for nothing; its item and tag neither.
+        let expected = Rows {
+            users: d.n_users + 1,
+            items: d.n_items + 2,
+            tags: tags + 2,
+        };
+        assert_eq!(rows, expected);
+        assert!(plan[1].step.is_err() && plan[1].new_names.is_empty());
+        assert_eq!(plan[0].new_names, ["fresh-a"]);
+        assert_eq!(plan[2].new_names, ["fresh-b"]);
+        let b = plan[2].step.as_ref().unwrap();
+        assert_eq!(b.tags, [tags as u32 + 1, tags as u32], "ids skip the drop");
+        let report = fold_batch(&mut ckpt, &batch, &opts, &mut 0).unwrap();
+        assert_eq!(report.dropped, 1);
+        assert_eq!(Rows::of(&ckpt.state), rows);
+        assert_eq!(ckpt.tag_names[tags..], ["fresh-a", "fresh-b"]);
     }
 
     #[test]

@@ -7,10 +7,12 @@
 
 use crate::checkpoint::CheckpointError;
 
-/// CRC-32 lookup table (reflected polynomial 0xEDB88320), built at
-/// compile time.
-const fn make_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// CRC-32 slicing-by-8 tables (reflected polynomial 0xEDB88320), built
+/// at compile time. `CRC_TABLES[0]` is the classic bytewise table;
+/// `CRC_TABLES[k][i]` is the CRC of byte `i` followed by `k` zero
+/// bytes, so eight table lookups advance the CRC by eight bytes.
+const fn make_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -23,27 +25,66 @@ const fn make_crc_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = make_crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = make_crc_tables();
 
 /// CRC-32 (IEEE) of `data` — the checksum gzip, PNG, and zip use.
+/// Slicing-by-8: eight bytes per step through eight tables, the tail
+/// bytewise; the value is the bytewise loop's, bit for bit.
 pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
+    crc32_update(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
 }
 
-/// Appends little-endian primitives to a growable byte buffer.
+/// Advances the CRC register `c` (pre- and post-inversion left to the
+/// caller) over `data`, so a checksum can be taken in pieces.
+fn crc32_update(mut c: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut chunks = data.chunks_exact(8);
+    for b in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// Bytes a checksum-only [`Writer`] buffers before folding them into
+/// its CRC.
+const DIGEST_CHUNK: usize = 64 * 1024;
+
+/// Appends little-endian primitives to a growable byte buffer — or, made
+/// by [`Writer::digest`], only checksums them: the buffer is folded into
+/// a running CRC-32 whenever it fills, so the bytes are never held whole.
 #[derive(Default)]
 pub(crate) struct Writer {
     buf: Vec<u8>,
+    /// CRC register and count of the bytes already folded out of `buf`;
+    /// `None` keeps every byte.
+    digest: Option<(u32, u64)>,
 }
 
 impl Writer {
@@ -51,12 +92,44 @@ impl Writer {
         Self::default()
     }
 
+    /// A writer that keeps no bytes, only their CRC-32 and length
+    /// ([`Writer::finish_digest`]).
+    pub fn digest() -> Self {
+        Self {
+            buf: Vec::with_capacity(DIGEST_CHUNK),
+            digest: Some((0xFFFF_FFFF, 0)),
+        }
+    }
+
     pub fn into_bytes(self) -> Vec<u8> {
+        debug_assert!(self.digest.is_none(), "a digest writer keeps no bytes");
         self.buf
+    }
+
+    /// `(length, CRC-32)` of everything written to a [`Writer::digest`]
+    /// writer: what [`crc32`] of the [`Writer::into_bytes`] of the same
+    /// writes would give.
+    pub fn finish_digest(self) -> (u64, u32) {
+        let (c, folded) = self.digest.expect("a digest writer");
+        let len = folded + self.buf.len() as u64;
+        (len, crc32_update(c, &self.buf) ^ 0xFFFF_FFFF)
+    }
+
+    /// Folds a full buffer into the running CRC (digest writers only).
+    fn spill(&mut self) {
+        if self.buf.len() < DIGEST_CHUNK {
+            return;
+        }
+        if let Some((c, folded)) = &mut self.digest {
+            *c = crc32_update(*c, &self.buf);
+            *folded += self.buf.len() as u64;
+            self.buf.clear();
+        }
     }
 
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
+        self.spill();
     }
 
     pub fn put_bool(&mut self, v: bool) {
@@ -65,10 +138,12 @@ impl Writer {
 
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+        self.spill();
     }
 
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+        self.spill();
     }
 
     pub fn put_usize(&mut self, v: usize) {
@@ -77,12 +152,14 @@ impl Writer {
 
     pub fn put_f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
+        self.spill();
     }
 
     /// Length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_usize(s.len());
         self.buf.extend_from_slice(s.as_bytes());
+        self.spill();
     }
 
     /// Length-prefixed `f64` slice (bit-exact round trip).
@@ -222,11 +299,47 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
 
+    /// The bytewise table loop: the reference the sliced CRC must match.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_matches_reference_vector() {
         // The canonical test vector from the CRC-32 specification.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc32_equals_the_bytewise_loop() {
+        // SplitMix64 bytes: deterministic, no RNG dependency.
+        let mut x = 0x1234_5678_9abc_def0u64;
+        let bytes: Vec<u8> = (0..(1 << 20) + 13)
+            .map(|_| {
+                x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = x;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) as u8
+            })
+            .collect();
+        // Every length 0..=64 at every alignment within an 8-byte word,
+        // so each chunk/tail split is hit.
+        for offset in 0..8 {
+            for len in 0..=64 {
+                let s = &bytes[offset..offset + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "offset {offset} len {len}");
+            }
+        }
+        // One 1 MiB buffer, also from an unaligned start.
+        let big = &bytes[3..3 + (1 << 20)];
+        assert_eq!(crc32(big), crc32_bytewise(big));
     }
 
     #[test]
@@ -253,6 +366,32 @@ mod tests {
         assert_eq!(fs[2].to_bits(), (-0.0f64).to_bits(), "bit-exact");
         assert_eq!(r.get_u32s("h").unwrap(), vec![3, 1, 4]);
         assert_eq!(r.expect_end(), Ok(()));
+    }
+
+    #[test]
+    fn a_digest_writer_gives_the_crc_and_length_of_the_bytes() {
+        // Enough writes to spill several chunks, with odd-sized pieces so
+        // the spills fall mid-value.
+        let write = |w: &mut Writer| {
+            for i in 0..40_000u32 {
+                w.put_u8(i as u8);
+                w.put_u32(i);
+                w.put_f64(i as f64 * 0.37);
+                if i % 1000 == 0 {
+                    w.put_str(&"é".repeat(i as usize / 100));
+                    w.put_u32s(&[i, i + 1]);
+                    w.put_f64s(&[-0.0, f64::MAX]);
+                }
+            }
+        };
+        let mut kept = Writer::new();
+        write(&mut kept);
+        let bytes = kept.into_bytes();
+        assert!(bytes.len() > 4 * DIGEST_CHUNK);
+        let mut digest = Writer::digest();
+        write(&mut digest);
+        assert_eq!(digest.finish_digest(), (bytes.len() as u64, crc32(&bytes)));
+        assert_eq!(Writer::digest().finish_digest(), (0, crc32(b"")));
     }
 
     #[test]

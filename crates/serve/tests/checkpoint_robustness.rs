@@ -41,6 +41,18 @@ fn round_trip_is_bit_identical() {
 }
 
 #[test]
+fn seal_gives_the_identity_the_written_bytes_carry() {
+    let mut ckpt = trained_checkpoint()
+        .with_retrieval_index(&taxorec_retrieval::IndexConfig::default())
+        .expect("index");
+    ckpt.journal_cursor = Some(17);
+    let bytes = ckpt.to_bytes();
+    let loaded = Checkpoint::from_bytes(&bytes).expect("round trip");
+    assert_eq!(Some(ckpt.seal()), loaded.artifact);
+    assert_eq!(ckpt.seal().bytes, bytes.len() as u64);
+}
+
+#[test]
 fn save_and_load_file_round_trip() {
     let ckpt = trained_checkpoint();
     let path = tmp_path("roundtrip.taxo");

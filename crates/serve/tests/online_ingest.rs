@@ -486,3 +486,142 @@ fn connection_open_across_reload_sees_the_new_model() {
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One `/ingest` body carrying `batch`.
+fn ingest_body(batch: &[IngestInteraction]) -> String {
+    let entries: Vec<String> = batch
+        .iter()
+        .map(|it| {
+            let tags: Vec<String> = it.tags.iter().map(|t| format!("\"{t}\"")).collect();
+            format!(
+                "{{\"user\":{},\"item\":{},\"tags\":[{}]}}",
+                it.user,
+                it.item,
+                tags.join(",")
+            )
+        })
+        .collect();
+    format!("{{\"interactions\":[{}]}}", entries.join(","))
+}
+
+/// Polls `/healthz` until the served generation's journal cursor is
+/// `cursor`, returning that health document.
+fn health_at_cursor(addr: std::net::SocketAddr, cursor: u64) -> String {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let health = client::get(addr, "/healthz").expect("response").body;
+        if u64_at(&health, &["ingest", "cursor"]) == Some(cursor) {
+            return health;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "never reached cursor {cursor}: {health}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+/// The live CRC: a server ticking every 50 ms through a journal that
+/// grows users and items and crosses the drift limit advertises, once
+/// drained, exactly the CRC of a whole-journal `fold_batch` replay —
+/// and the boot artifact's CRC before its first tick.
+#[test]
+fn live_crc_equals_the_crc_of_a_whole_journal_replay() {
+    let _g = lock();
+    let base = Checkpoint::from_bytes(&base_checkpoint().to_bytes()).expect("parse");
+    let boot = base.artifact.expect("a loaded checkpoint has an identity");
+    let journal = synthetic_journal(&base, 60);
+    let opts = IngestOptions {
+        tick: Duration::from_millis(50),
+        ..ingest_opts()
+    };
+    let model = ServingModel::new(base.clone()).expect("model");
+    let handle = serve_online(
+        Arc::new(model),
+        base.clone(),
+        "127.0.0.1:0",
+        ServeOptions {
+            n_workers: 2,
+            ingest: opts.clone(),
+            ..ServeOptions::default()
+        },
+    )
+    .expect("bind");
+    let addr = handle.local_addr();
+    let crc_at = |health: &str| u64_at(health, &["shard", "checkpoint", "crc"]);
+
+    let health = client::get(addr, "/healthz").expect("response").body;
+    assert_eq!(crc_at(&health), Some(boot.crc as u64), "{health}");
+
+    // Several bodies, so the journal is folded over several ticks.
+    for chunk in journal.chunks(9) {
+        let posted = client::request(
+            addr,
+            "POST",
+            "/ingest",
+            "",
+            &ingest_body(chunk),
+            Timeouts::default(),
+        )
+        .expect("response");
+        assert_eq!(posted.status, 202, "{}", posted.body);
+        std::thread::sleep(Duration::from_millis(30));
+    }
+    let health = health_at_cursor(addr, journal.len() as u64);
+
+    let mut replay = base.clone();
+    let report = fold_batch(&mut replay, &journal, &opts, &mut 0).expect("replay");
+    assert!(report.new_users > 0 && report.new_items > 0, "{report:?}");
+    assert!(report.rebuilds >= 1, "{report:?}");
+    let bytes = replay.to_bytes();
+    let sealed = Checkpoint::from_bytes(&bytes)
+        .expect("replay parses")
+        .artifact
+        .expect("identity");
+    assert_eq!(crc_at(&health), Some(sealed.crc as u64), "{health}");
+    assert_eq!(
+        u64_at(&health, &["shard", "checkpoint", "bytes"]),
+        Some(bytes.len() as u64),
+        "{health}"
+    );
+    handle.shutdown();
+}
+
+/// A hostile id is dropped by the growth guard (and the reservation
+/// never counts it): the cursor still advances past it, the model does
+/// not grow, and the server keeps answering.
+#[test]
+fn a_hostile_user_id_is_dropped_and_the_server_keeps_answering() {
+    let _g = lock();
+    let base = base_checkpoint().clone();
+    let n_users = base.state.n_users() as u64;
+    let model = ServingModel::new(base.clone()).expect("model");
+    let handle = serve_online(
+        Arc::new(model),
+        base,
+        "127.0.0.1:0",
+        ServeOptions {
+            n_workers: 2,
+            ingest: IngestOptions {
+                tick: Duration::from_millis(50),
+                ..ingest_opts()
+            },
+            ..ServeOptions::default()
+        },
+    )
+    .expect("bind");
+    let addr = handle.local_addr();
+    let dropped = taxorec_telemetry::counter("serve.ingest.dropped");
+    let dropped_before = dropped.get();
+
+    let body = r#"{"interactions":[{"user":4000000000,"item":0},{"user":1,"item":2}]}"#;
+    let posted =
+        client::request(addr, "POST", "/ingest", "", body, Timeouts::default()).expect("response");
+    assert_eq!(posted.status, 202, "{}", posted.body);
+    let health = health_at_cursor(addr, 2);
+    assert_eq!(dropped.get(), dropped_before + 1);
+    assert_eq!(u64_at(&health, &["users"]), Some(n_users), "{health}");
+    let answered = client::get(addr, "/recommend?user=1&k=5").expect("response");
+    assert_eq!(answered.status, 200, "{}", answered.body);
+    handle.shutdown();
+}
