@@ -8,7 +8,9 @@
 //! `BENCH_hotpath.json` in the working directory.
 //!
 //! `--assert-floor` exits non-zero when a fused rate falls below its
-//! naive counterpart — the CI regression floor. Problem size is
+//! naive counterpart — the CI regression floor — or when, outside the
+//! timed reps, any user's fused top-K differs from the naive one in an
+//! item id or a score bit, at either thread count. Problem size is
 //! overridable via `TAXOREC_HOTPATH_ITEMS` and `TAXOREC_HOTPATH_USERS`.
 
 use std::hint::black_box;
@@ -92,45 +94,75 @@ impl Fixture {
     }
 }
 
-/// Eval-shaped work, seed scalar path: fresh score `Vec` per user, one
+/// One user's top-K on the seed scalar path: fresh score `Vec`, one
 /// scalar two-channel distance pair per item, then top-K selection.
+fn naive_top(fx: &Fixture, u: usize) -> Vec<(u32, f64)> {
+    let urow_ir = fx.u_ir_row(u);
+    let urow_tg = fx.u_tg_row(u);
+    let alpha = fx.alphas[u];
+    let mut scores = Vec::with_capacity(fx.n_items);
+    for v in 0..fx.n_items {
+        let mut g = lorentz::distance_sq(urow_ir, fx.v_ir_row(v));
+        g += alpha * lorentz::distance_sq(urow_tg, fx.v_tg_row(v));
+        scores.push(-g);
+    }
+    select_top_k(&scores, TOP_K, |_| false)
+}
+
+/// Top-K lists of user block `c` ([`EVAL_USER_CHUNK`] users) through
+/// [`Scorer::rank`] — the production streaming path itself.
+fn fused_block(fx: &Fixture, c: usize) -> Vec<Vec<(u32, f64)>> {
+    let lo = c * EVAL_USER_CHUNK;
+    let hi = (lo + EVAL_USER_CHUNK).min(fx.n_users);
+    let anchors: Vec<Anchor<'_>> = (lo..hi)
+        .map(|u| Anchor {
+            ir: fx.u_ir_row(u),
+            tg: Some((fx.u_tg_row(u), fx.alphas[u])),
+        })
+        .collect();
+    let ks = [TOP_K; EVAL_USER_CHUNK];
+    fx.scorer.rank(&anchors, &ks[..hi - lo], |_, _| false)
+}
+
+/// First item id of a top-K list — what a timed rep folds into its sum.
+fn first_id(top: &[(u32, f64)]) -> f64 {
+    top.first().map(|&(i, _)| i as f64).unwrap_or(0.0)
+}
+
+/// Eval-shaped work, seed scalar path, one user per task.
 fn eval_naive(fx: &Fixture) -> f64 {
     let tops = taxorec_parallel::par_map("hotpath.eval.naive", fx.n_users, |u| {
-        let urow_ir = fx.u_ir_row(u);
-        let urow_tg = fx.u_tg_row(u);
-        let alpha = fx.alphas[u];
-        let mut scores = Vec::with_capacity(fx.n_items);
-        for v in 0..fx.n_items {
-            let mut g = lorentz::distance_sq(urow_ir, fx.v_ir_row(v));
-            g += alpha * lorentz::distance_sq(urow_tg, fx.v_tg_row(v));
-            scores.push(-g);
-        }
-        let top = select_top_k(&scores, TOP_K, |_| false);
-        top.first().map(|&(i, _)| i as f64).unwrap_or(0.0)
+        first_id(&naive_top(fx, u))
     });
     tops.iter().sum()
 }
 
-/// Eval-shaped work, fused path: blocks of [`EVAL_USER_CHUNK`] users
-/// through [`Scorer::rank`] — the production streaming path itself.
+/// Eval-shaped work, fused path: blocks of [`EVAL_USER_CHUNK`] users.
 fn eval_fused(fx: &Fixture) -> f64 {
     let n_chunks = fx.n_users.div_ceil(EVAL_USER_CHUNK);
     let tops = taxorec_parallel::par_map("hotpath.eval.fused", n_chunks, |c| {
-        let lo = c * EVAL_USER_CHUNK;
-        let hi = (lo + EVAL_USER_CHUNK).min(fx.n_users);
-        let anchors: Vec<Anchor<'_>> = (lo..hi)
-            .map(|u| Anchor {
-                ir: fx.u_ir_row(u),
-                tg: Some((fx.u_tg_row(u), fx.alphas[u])),
-            })
-            .collect();
-        let ks = [TOP_K; EVAL_USER_CHUNK];
-        let tops = fx.scorer.rank(&anchors, &ks[..hi - lo], |_, _| false);
-        tops.iter()
-            .map(|top| top.first().map(|&(i, _)| i as f64).unwrap_or(0.0))
+        fused_block(fx, c)
+            .iter()
+            .map(|top| first_id(top))
             .sum::<f64>()
     });
     tops.iter().sum()
+}
+
+/// Users whose fused top-K differs from the naive one in an item id or
+/// a score bit — 0 when the pruned kernel is exact.
+fn mismatched_users(fx: &Fixture) -> usize {
+    let naive = taxorec_parallel::par_map("hotpath.check.naive", fx.n_users, |u| naive_top(fx, u));
+    let n_chunks = fx.n_users.div_ceil(EVAL_USER_CHUNK);
+    let fused = taxorec_parallel::par_map("hotpath.check.fused", n_chunks, |c| fused_block(fx, c));
+    let bits = |top: &[(u32, f64)]| -> Vec<(u32, u64)> {
+        top.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+    };
+    naive
+        .iter()
+        .zip(fused.iter().flatten())
+        .filter(|(n, f)| bits(n) != bits(f))
+        .count()
 }
 
 /// Times `reps` *interleaved* runs of the naive and fused workloads
@@ -186,8 +218,12 @@ fn main() {
 
     let prev_threads = std::env::var("TAXOREC_THREADS").ok();
     let mut results: Vec<Measurement> = Vec::new();
+    let mut mismatches = Vec::new();
     for &threads in &[1usize, 4] {
         std::env::set_var("TAXOREC_THREADS", threads.to_string());
+        if assert_floor {
+            mismatches.push((threads, mismatched_users(&fx)));
+        }
         let (en, ef) = measure_pair(REPS, users_per_rep, || eval_naive(&fx), || eval_fused(&fx));
         results.push(Measurement {
             metric: "eval_users_per_sec",
@@ -238,6 +274,13 @@ fn main() {
     }
 
     if assert_floor {
+        for &(threads, bad) in &mismatches {
+            assert_eq!(
+                bad, 0,
+                "fused top-{TOP_K} differs from naive for {bad} of {n_users} users at {threads} threads"
+            );
+        }
+        println!("exactness passed: fused top-{TOP_K} = naive (ids, score bits) for every user");
         for m in &results {
             assert!(
                 m.fused_rate >= m.naive_rate,

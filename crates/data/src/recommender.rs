@@ -119,6 +119,13 @@ impl TopKAccumulator {
         }
     }
 
+    /// The `k` this accumulator retains; at 0 it retains nothing, so a
+    /// ranking pass can leave its query out.
+    #[inline]
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
     /// The worst retained score once `k > 0` candidates are held — what
     /// a new candidate must at least tie to displace anything — and
     /// `None` before that. Read by the fused ranking kernel to skip

@@ -184,7 +184,8 @@ impl Scorer {
     /// up holding is exactly — ids, order, score bits — what
     /// `select_top_k` over [`Scorer::scores`] would (DESIGN.md §12).
     /// Accumulators are order-independent, so ranges may be ranked in any
-    /// order and over several calls.
+    /// order and over several calls. An anchor whose accumulator holds
+    /// `k = 0` is left out of the sweep: it would keep nothing offered.
     pub fn rank_range<X: Fn(usize, u32) -> bool>(
         &self,
         anchors: &[Anchor<'_>],
@@ -195,6 +196,19 @@ impl Scorer {
         exclude: X,
     ) {
         self.check(anchors);
+        let acc_index = |a: usize| acc_of.map_or(a, |map| map[a]);
+        let live = |a: &usize| accs[acc_index(*a)].k() > 0;
+        if !(0..anchors.len()).all(|a| live(&a)) {
+            let (live_anchors, live_accs): (Vec<Anchor<'_>>, Vec<usize>) = (0..anchors.len())
+                .filter(live)
+                .map(|a| (anchors[a], acc_index(a)))
+                .unzip();
+            if !live_anchors.is_empty() {
+                let map = Some(live_accs.as_slice());
+                self.rank_range(&live_anchors, range, item_ids, accs, map, exclude);
+            }
+            return;
+        }
         let u_irs: Vec<&[f64]> = anchors.iter().map(|a| a.ir).collect();
         let tag = self.tg.as_ref().map(|cache| {
             let (u_tgs, weights): (Vec<&[f64]>, Vec<f64>) =

@@ -36,11 +36,13 @@
 //! DESIGN.md §12 for the full invalidation contract).
 //!
 //! Two entry points share the sweeps. [`fused_scores_block`] writes every
-//! score of a range for one anchor (full score rows, and the reference
-//! the tests compare against). [`fused_rank`] is the one *ranking* entry:
-//! multi-anchor sweeps, but the `arcosh` finisher runs only for items
-//! that can still enter the caller's top-K — an exact pruning, argued in
-//! DESIGN.md §12. Production reaches both through `taxorec_data::Scorer`.
+//! score of a range for one anchor, sweeping both channels (full score
+//! rows, and the reference the tests compare against). [`fused_rank`] is
+//! the one *ranking* entry: a multi-anchor sweep of the interaction
+//! channel alone, then the tag inner product and the `arcosh` finisher
+//! only for items that can still enter the caller's top-K — an exact
+//! pruning, argued in DESIGN.md §12. Production reaches both through
+//! `taxorec_data::Scorer`.
 
 use crate::arcosh;
 
@@ -66,6 +68,10 @@ pub struct BlockCache {
     /// `rows`-strided columns (the layout GEMM micro-kernels use). The
     /// final partial strip is zero-padded; padding is never read back.
     spatial: Vec<f64>,
+    /// Every cached value is finite with `|x| ≤ 2^500`, and `ambient` is
+    /// below `2^24`: against an anchor with the same bound, every negated
+    /// inner product is finite ([`INNER_BOUND`]).
+    bounded: bool,
 }
 
 impl BlockCache {
@@ -96,6 +102,7 @@ impl BlockCache {
         let panel = STRIP * (ambient - 1);
         self.spatial.clear();
         self.spatial.resize(rows.div_ceil(STRIP) * panel, 0.0);
+        let mut bounded = ambient < MAX_BOUNDED_AMBIENT;
         for i in 0..rows {
             let row = &data[i * ambient..(i + 1) * ambient];
             self.time[i] = row[0];
@@ -103,7 +110,9 @@ impl BlockCache {
             for (j, &v) in row.iter().enumerate().skip(1) {
                 self.spatial[base + (j - 1) * STRIP] = v;
             }
+            bounded &= within_bound(row);
         }
+        self.bounded = bounded;
     }
 
     /// Number of cached rows.
@@ -253,6 +262,23 @@ impl BlockCache {
     }
 }
 
+/// Magnitude bound of [`BlockCache`]'s `bounded` flag, `2^500`. With
+/// every anchor and row value finite and within it, each product of a
+/// Lorentz inner product is at most `2^1000` in magnitude, and a sum of
+/// `ambient < 2^24` of them stays below `2^1024` (rounding is monotone
+/// and `k·2^1000` is representable): the result is finite, never `±∞`
+/// or NaN.
+const INNER_BOUND: f64 = f64::from_bits((1023 + 500) << 52);
+
+/// Exclusive ambient-dimension limit of the [`INNER_BOUND`] argument.
+const MAX_BOUNDED_AMBIENT: usize = 1 << 24;
+
+/// Whether every value of `x` is finite and within [`INNER_BOUND`].
+#[inline]
+fn within_bound(x: &[f64]) -> bool {
+    x.iter().all(|v| v.abs() <= INNER_BOUND)
+}
+
 /// Strip width of the fused inner-product kernels: 8 f64 accumulators
 /// give the compiler independent chains to hide FP-add latency while
 /// fitting the vector register file on every supported tier.
@@ -260,8 +286,10 @@ const STRIP: usize = 32;
 
 /// One item's negated Lorentz inner product against the anchor, read
 /// from the panel-major layout — the scalar fallback for partial strips
-/// at the edges of a query range. Accumulation order matches
-/// [`crate::lorentz::inner`] exactly.
+/// at the edges of a query range, and [`fused_rank`]'s tag channel for
+/// the items its prune keeps. Accumulation order matches
+/// [`crate::lorentz::inner`] and the strip kernels exactly, so the bits
+/// are theirs.
 #[inline(always)]
 fn neg_inner_one(
     time: &[f64],
@@ -578,9 +606,9 @@ pub struct TagChannelMulti<'a> {
 }
 
 /// Items per internal pass of [`fused_rank`]: the sweep + finish working
-/// set of one pass (both channels' inner-product rows and the panel
-/// chunk) stays L2-resident, so the finisher reads what the sweep just
-/// wrote instead of re-streaming full-catalog buffers.
+/// set of one pass (the interaction channel's inner-product rows and its
+/// panel chunk) stays L2-resident, so the finisher reads what the sweep
+/// just wrote instead of re-streaming full-catalog buffers.
 pub const FUSED_ITEM_CHUNK: usize = 512;
 
 /// Receiver of a fused ranking pass ([`fused_rank`]): one bounded top-K
@@ -616,32 +644,37 @@ fn prune_cut(floor: Option<f64>) -> f64 {
 }
 
 thread_local! {
-    /// Per-thread sweep buffers of [`fused_rank`] (one chunk of negated
-    /// inner products per channel), kept across calls so a ranking pass
-    /// allocates nothing in steady state. Taken out for the duration of a
-    /// call, so a sink that re-enters the kernel just allocates.
-    static RANK_SCRATCH: std::cell::Cell<(Vec<f64>, Vec<f64>)> =
-        const { std::cell::Cell::new((Vec::new(), Vec::new())) };
+    /// Per-thread sweep buffer of [`fused_rank`] (one chunk of negated
+    /// interaction inner products per anchor), kept across calls so a
+    /// ranking pass allocates nothing in steady state. Taken out for the
+    /// duration of a call, so a sink that re-enters the kernel just
+    /// allocates.
+    static RANK_SCRATCH: std::cell::Cell<Vec<f64>> = const { std::cell::Cell::new(Vec::new()) };
 }
 
 /// Fused *ranking* of a block of anchors against the rows `lo..hi`:
-/// sweeps the negated inner products of each [`FUSED_ITEM_CHUNK`] for the
-/// whole block, then runs the finisher — and offers the item to `sink` —
-/// only for items that can still enter the anchor's top-K. Offers arrive
-/// in ascending slot order per anchor.
+/// sweeps the negated interaction inner products of each
+/// [`FUSED_ITEM_CHUNK`] for the whole block, then — only for items that
+/// can still enter the anchor's top-K — computes the tag inner product,
+/// runs the finisher and offers the item to `sink`. Offers arrive in
+/// ascending slot order per anchor.
 ///
 /// **Pruning rule.** With a full selection whose worst score is `τ`, an
 /// item with `ni_ir > cosh(√−τ)·(1+1e‑9)` has `−arcosh(ni_ir)² < τ`; the
 /// tag term `α·d_tg²` is `≥ 0` and rounding of `+` is monotone, so the
 /// whole score is below `τ` as well and the item is skipped on that
-/// compare, with no `arcosh`. Everything the rule cannot vouch for is
-/// scored: an anchor whose `α` is negative or non-finite is never pruned,
-/// nor is a NaN inner product (which `arcosh` clamps to distance 0 — the
-/// *best* score), a tag inner product that is NaN or `+∞` (`0·∞`), or
-/// anything while the floor is NaN. Survivors run the unchanged finisher,
-/// so `sink` sees, bit for bit, every `(slot, score)` of
-/// [`fused_scores_block`] that a top-K selection would retain, and never
-/// a different score.
+/// compare, with no `arcosh` and no read of its tag row. Everything the
+/// rule cannot vouch for is scored: an anchor whose `α` is negative or
+/// non-finite is never pruned, nor is a NaN inner product (which
+/// `arcosh` clamps to distance 0 — the *best* score), a tag inner product
+/// that is NaN or `+∞` (`0·∞`), or anything while the floor is NaN. The
+/// tag inner product is provably finite when the tag cache and the
+/// anchor are both within [`INNER_BOUND`]; only otherwise is it computed
+/// ahead of the compare to rule those out. Survivors run the unchanged
+/// finisher on the strip kernel's bits (`neg_inner_one` is its per-item
+/// operation order), so `sink` sees, bit for bit, every `(slot, score)`
+/// of [`fused_scores_block`] that a top-K selection would retain, and
+/// never a different score.
 pub fn fused_rank<S: RankSink + ?Sized>(
     ir: &BlockCache,
     u_irs: &[&[f64]],
@@ -652,43 +685,51 @@ pub fn fused_rank<S: RankSink + ?Sized>(
 ) {
     assert!(lo <= hi && hi <= ir.rows(), "block {lo}..{hi} out of range");
     let b = u_irs.len();
+    // Per anchor: whether its tag inner products are provably finite.
+    let mut finite_tag = Vec::new();
     if let Some(t) = &tag {
         assert_eq!(t.anchors.len(), b, "tag anchors/users mismatch");
         assert_eq!(t.alphas.len(), b, "tag alphas/users mismatch");
         assert!(hi <= t.cache.rows(), "block {lo}..{hi} out of tag range");
+        for a in t.anchors {
+            assert_eq!(a.len(), t.cache.ambient, "tag anchor/cache dim mismatch");
+        }
+        finite_tag.extend(t.anchors.iter().map(|a| t.cache.bounded && within_bound(a)));
     }
-    let (mut ni_ir, mut ni_tg) = RANK_SCRATCH.take();
+    let mut ni_ir = RANK_SCRATCH.take();
     let buf_len = b * (hi - lo).min(FUSED_ITEM_CHUNK);
     if ni_ir.len() < buf_len {
         ni_ir.resize(buf_len, 0.0);
-    }
-    if tag.is_some() && ni_tg.len() < buf_len {
-        ni_tg.resize(buf_len, 0.0);
     }
     let mut c0 = lo;
     while c0 < hi {
         let c1 = (c0 + FUSED_ITEM_CHUNK).min(hi);
         let m = c1 - c0;
         ir.neg_inner_multi_dispatch(u_irs, c0, m, m, &mut ni_ir[..b * m]);
-        if let Some(t) = &tag {
-            t.cache
-                .neg_inner_multi_dispatch(t.anchors, c0, m, m, &mut ni_tg[..b * m]);
-        }
         for u in 0..b {
             let row = &ni_ir[u * m..(u + 1) * m];
             match &tag {
                 Some(t) => {
                     let alpha = t.alphas[u];
-                    let trow = &ni_tg[u * m..(u + 1) * m];
+                    let anchor = t.anchors[u];
+                    let c = t.cache;
+                    let tag_ni = |slot| {
+                        neg_inner_one(&c.time, &c.spatial, c.ambient, anchor, -anchor[0], slot)
+                    };
+                    let finite = finite_tag[u];
                     // The rule needs a tag term that is `≥ 0`, never NaN.
                     let sound = (0.0..f64::INFINITY).contains(&alpha);
                     let cut_now = |sink: &S| prune_cut(sink.floor(u).filter(|_| sound));
                     let mut cut = cut_now(sink);
-                    for (i, (&ni, &nt)) in row.iter().zip(trow).enumerate() {
-                        if ni > cut && nt < f64::INFINITY {
+                    for (i, &ni) in row.iter().enumerate() {
+                        let slot = c0 + i;
+                        // Ahead of the compare only when `nt` may be NaN or `+∞`.
+                        let early = (!finite).then(|| tag_ni(slot));
+                        if ni > cut && early.is_none_or(|nt| nt < f64::INFINITY) {
                             continue;
                         }
-                        sink.offer(u, c0 + i, finish_two_channel(ni, nt, alpha));
+                        let nt = early.unwrap_or_else(|| tag_ni(slot));
+                        sink.offer(u, slot, finish_two_channel(ni, nt, alpha));
                         cut = cut_now(sink);
                     }
                 }
@@ -706,7 +747,7 @@ pub fn fused_rank<S: RankSink + ?Sized>(
         }
         c0 = c1;
     }
-    RANK_SCRATCH.set((ni_ir, ni_tg));
+    RANK_SCRATCH.set(ni_ir);
 }
 
 #[cfg(test)]
@@ -783,6 +824,23 @@ mod tests {
         c.distance_block(&anchor, 0, moved.len(), &mut d);
         for (i, p) in moved.iter().enumerate() {
             assert_eq!(d[i].to_bits(), lorentz::distance(&anchor, p).to_bits());
+        }
+    }
+
+    #[test]
+    fn a_value_past_the_bound_clears_the_flag_and_a_clean_rebuild_sets_it() {
+        let clean = flat(&sample_points());
+        let mut c = BlockCache::build(&clean, 4);
+        assert!(c.bounded);
+        let alloc = c.spatial.as_ptr();
+        for (idx, bad) in [(1, f64::NAN), (6, f64::INFINITY), (19, 1e300), (8, -1e300)] {
+            let mut data = clean.clone();
+            data[idx] = bad;
+            c.rebuild(&data, 4);
+            assert!(!c.bounded, "{bad} at {idx}");
+            c.rebuild(&clean, 4);
+            assert!(c.bounded, "clean rebuild after {bad}");
+            assert_eq!(c.spatial.as_ptr(), alloc, "rebuild reallocated");
         }
     }
 

@@ -286,3 +286,103 @@ fn hostile_alphas_and_nan_rows_rank_as_the_unpruned_path() {
         }
     }
 }
+
+/// Finite coordinates past the kernel's magnitude bound: `1e300` in late
+/// item rows and in one anchor, whose `−1e308` coordinate also overflows
+/// against clip-shell rows. Tag inner products reach `±∞`, and `0·∞`
+/// turns a score NaN. The kernel computes a tag inner product ahead of
+/// the prune only when the cache or the anchor is out of bounds, so the
+/// out-of-bounds catalogue and the in-bounds one (against that anchor)
+/// must both rank as the unpruned path does.
+#[test]
+fn tag_rows_and_anchors_past_the_bound_rank_as_the_unpruned_path() {
+    let n = 700;
+    let specs: Vec<RowSpec> = (0..n)
+        .map(|i| {
+            let t = i as f64;
+            (
+                (i % 10) as u32,
+                vec![(t * 0.29).cos(), (t * 0.13).sin(), (t * 0.03).cos()],
+                vec![(t * 0.17).sin(), (t * 0.09).cos()],
+            )
+        })
+        .collect();
+    let (v_ir, clean_tg) = matrices(&specs, &[(1, 0)]);
+    let mut big_tg = clean_tg.clone();
+    // Late rows, so the accumulators are full and pruning long before.
+    for (row, dim) in [(655, 0), (665, 1), (675, 2)] {
+        big_tg[row * (DIM_TG + 1) + dim] = 1e300;
+    }
+    let ir = BlockCache::build(&v_ir, DIM_IR + 1);
+    let u_ir = lift(5, &[-0.2, 0.4, 0.1]);
+    let plain_tg = lift(5, &[0.3, -0.6]);
+    let big_anchor = vec![1e300, -1e308, 1e300];
+    let cases: [(f64, &[f64]); 5] = [
+        (0.5, &plain_tg),
+        (0.0, &plain_tg),
+        (0.5, &big_anchor),
+        (0.0, &big_anchor),
+        (1e300, &big_anchor),
+    ];
+    let ids: Vec<u32> = (0..n as u32).collect();
+    for v_tg in [&clean_tg, &big_tg] {
+        let tg = BlockCache::build(v_tg, DIM_TG + 1);
+        let (_, scorer) = scorer(&v_ir, Some(v_tg));
+        let block: Vec<Anchor<'_>> = cases
+            .iter()
+            .map(|&(alpha, u_tg)| Anchor {
+                ir: &u_ir,
+                tg: Some((u_tg, alpha)),
+            })
+            .collect();
+        for k in [1, 10] {
+            let got = scorer.rank(&block, &vec![k; block.len()], |_, _| false);
+            for (pos, &(alpha, u_tg)) in cases.iter().enumerate() {
+                let want = exhaustive(&ir, Some(&tg), &u_ir, u_tg, alpha, (0, n), &ids, k, |_| {
+                    false
+                });
+                let what = format!("case {pos} k {k} bounded rows {}", v_tg == &clean_tg);
+                assert_same(&got[pos], &want, &what).unwrap();
+            }
+        }
+    }
+}
+
+/// `k = 0` keeps nothing, so the anchor is left out of the sweep: its
+/// exclusion is never consulted, while its block neighbours rank as usual.
+#[test]
+fn a_k_of_zero_sweeps_nothing() {
+    let specs: Vec<RowSpec> = (0..1000)
+        .map(|i| {
+            let t = i as f64;
+            (
+                5,
+                vec![t.sin(), t.cos(), (t * 0.5).sin()],
+                vec![(t * 0.7).cos(), t.sin()],
+            )
+        })
+        .collect();
+    let (v_ir, v_tg) = matrices(&specs, &[(1, 0)]);
+    let (_, scorer) = scorer(&v_ir, Some(&v_tg));
+    let (u_ir, u_tg) = (lift(5, &[0.1, 0.2, 0.3]), lift(5, &[0.2, -0.1]));
+    let anchor = Anchor {
+        ir: &u_ir,
+        tg: Some((&u_tg, 0.5)),
+    };
+    let consulted = std::cell::Cell::new([0usize; 2]);
+    let count = |pos: usize, _: u32| {
+        let mut c = consulted.get();
+        c[pos] += 1;
+        consulted.set(c);
+        false
+    };
+    let got = scorer.rank(&[anchor], &[0], count);
+    assert!(got[0].is_empty());
+    assert_eq!(consulted.get(), [0, 0], "k = 0 alone");
+    let got = scorer.rank(&[anchor, anchor], &[0, 10], count);
+    assert!(got[0].is_empty());
+    assert_eq!(got[1], scorer.rank(&[anchor], &[10], |_, _| false)[0]);
+    let [zero, ten] = consulted.get();
+    assert_eq!(zero, 0, "k = 0 beside k = 10");
+    assert!(ten >= 10, "k = 10 consulted {ten} times");
+}

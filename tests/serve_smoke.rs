@@ -94,6 +94,11 @@ fn http_server_answers_all_endpoints_end_to_end() {
     );
     assert_eq!(body.matches("\"item\":").count(), 5, "{body}");
     assert!(taxorec::telemetry::json::parse(&body).is_ok(), "{body}");
+    // k = 0 is a valid query with an empty answer.
+    let Response { status, body, .. } =
+        client::get(addr, "/recommend?user=0&k=0").expect("response");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body, "{\"user\":0,\"k\":0,\"items\":[]}");
 
     // /explain — rationale for a (user, item) pair.
     let Response { status, body, .. } =
