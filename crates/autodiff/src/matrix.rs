@@ -6,8 +6,9 @@
 
 use std::fmt;
 
-/// Dense row-major matrix of `f64`.
-#[derive(Clone, PartialEq)]
+/// Dense row-major matrix of `f64`. The default is the empty `0×0`
+/// matrix.
+#[derive(Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -5,28 +5,19 @@
 //! stacked user/item embeddings are propagated over the bipartite graph
 //! (global aggregation).
 
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use taxorec_autodiff::{Matrix, Tape, Var};
-use taxorec_core::{init, optim};
-use taxorec_data::{Dataset, NegativeSampler, Recommender, Split};
-use taxorec_geometry::vecops;
+use taxorec_autodiff::{Tape, Var};
+use taxorec_core::init;
+use taxorec_data::{Dataset, Recommender, Split};
 
-use crate::common::{
-    epoch_triplets, euclid_dist_sq, hinge_loss, item_tag_mean, sym_norm_adjacency, TrainOpts,
-};
+use crate::common::{item_tag_mean, propagate, sym_norm_adjacency, Score, Scored, Step, TrainOpts};
 
 /// CML + tag-enhanced aggregation in Euclidean space (Table III row 2).
 pub struct CmlAgg {
     opts: TrainOpts,
     layers: usize,
-    emb: Matrix,
-    tags: Matrix,
-    item_tag: Arc<taxorec_autodiff::Csr>,
-    final_emb: Matrix,
-    n_users: usize,
+    out: Scored,
 }
 
 impl CmlAgg {
@@ -35,35 +26,8 @@ impl CmlAgg {
         Self {
             opts,
             layers,
-            emb: Matrix::zeros(0, 0),
-            tags: Matrix::zeros(0, 0),
-            item_tag: Arc::new(taxorec_autodiff::Csr::identity(1)),
-            final_emb: Matrix::zeros(0, 0),
-            n_users: 0,
+            out: Scored::default(),
         }
-    }
-
-    fn propagate(
-        &self,
-        tape: &mut Tape,
-        e0: Var,
-        t_leaf: Var,
-        adj: &Arc<taxorec_autodiff::Csr>,
-        n_users: usize,
-        n_items: usize,
-    ) -> Var {
-        let tag_part = tape.spmm(&self.item_tag, t_leaf);
-        let users0 = tape.slice_rows(e0, 0, n_users);
-        let items0 = tape.slice_rows(e0, n_users, n_items);
-        let items_in = tape.add(items0, tag_part);
-        let fused = tape.concat_rows(users0, items_in);
-        let mut acc = fused;
-        let mut z = fused;
-        for _ in 0..self.layers {
-            z = tape.spmm(adj, z);
-            acc = tape.add(acc, z);
-        }
-        tape.scale(acc, 1.0 / (self.layers + 1) as f64)
     }
 }
 
@@ -74,85 +38,33 @@ impl Recommender for CmlAgg {
 
     fn fit(&mut self, dataset: &Dataset, split: &Split) {
         let mut rng = StdRng::seed_from_u64(self.opts.seed);
-        self.n_users = dataset.n_users;
-        let n = dataset.n_users + dataset.n_items;
-        let d = self.opts.dim;
-        self.emb = init::normal_matrix(&mut rng, n, d, 0.1);
-        self.tags = init::normal_matrix(&mut rng, dataset.n_tags.max(1), d, 0.1);
-        self.item_tag = item_tag_mean(dataset);
+        let (n_users, d) = (dataset.n_users, self.opts.dim);
+        let mut emb = init::normal_matrix(&mut rng, n_users + dataset.n_items, d, 0.1);
+        let mut tags = init::normal_matrix(&mut rng, dataset.n_tags.max(1), d, 0.1);
+        let item_tag = item_tag_mean(dataset);
         let adj = sym_norm_adjacency(dataset, split);
-        let sampler = NegativeSampler::new(dataset.n_items, split.train.clone());
-        let mut pairs = split.train_pairs();
-        if pairs.is_empty() {
-            self.final_emb = self.emb.clone();
-            return;
-        }
-        for _ in 0..self.opts.epochs {
-            let (users, pos, neg) =
-                epoch_triplets(&mut pairs, &sampler, self.opts.negatives, &mut rng);
-            for lo in (0..users.len()).step_by(self.opts.batch) {
-                let hi = (lo + self.opts.batch).min(users.len());
-                let mut tape = Tape::new();
-                let e0 = tape.leaf(self.emb.clone());
-                let t_leaf = tape.leaf(self.tags.clone());
-                let e = self.propagate(
-                    &mut tape,
-                    e0,
-                    t_leaf,
-                    &adj,
-                    dataset.n_users,
-                    dataset.n_items,
-                );
-                let u_idx: Vec<usize> = users[lo..hi].iter().map(|&u| u as usize).collect();
-                let p_idx: Vec<usize> = pos[lo..hi]
-                    .iter()
-                    .map(|&v| self.n_users + v as usize)
-                    .collect();
-                let n_idx: Vec<usize> = neg[lo..hi]
-                    .iter()
-                    .map(|&v| self.n_users + v as usize)
-                    .collect();
-                let gu = tape.gather_rows(e, Arc::new(u_idx));
-                let gp = tape.gather_rows(e, Arc::new(p_idx));
-                let gq = tape.gather_rows(e, Arc::new(n_idx));
-                let d_pos = euclid_dist_sq(&mut tape, gu, gp);
-                let d_neg = euclid_dist_sq(&mut tape, gu, gq);
-                let loss = hinge_loss(&mut tape, d_pos, d_neg, self.opts.margin);
-                let mut grads = tape.backward(loss);
-                if let Some(g) = grads.take(e0) {
-                    optim::sgd(&mut self.emb, &g, self.opts.lr);
-                }
-                if let Some(g) = grads.take(t_leaf) {
-                    optim::sgd(&mut self.tags, &g, self.opts.lr);
-                }
-            }
-        }
-        let mut tape = Tape::new();
-        let e0 = tape.leaf(self.emb.clone());
-        let t_leaf = tape.leaf(self.tags.clone());
-        let e = self.propagate(
-            &mut tape,
-            e0,
-            t_leaf,
-            &adj,
-            dataset.n_users,
-            dataset.n_items,
-        );
-        self.final_emb = tape.value(e).clone();
+        let forward = |tape: &mut Tape, w: &[Var]| {
+            propagate(tape, w[0], Some((&item_tag, w[1])), &adj, self.layers)
+        };
+        let params = &mut [(&mut emb, Step::Sgd), (&mut tags, Step::Sgd)];
+        self.opts
+            .fit_triplets(dataset, split, &mut rng, params, None, |tape, w, b| {
+                let e = forward(tape, w);
+                let (gu, gp, gq) = b.gather(tape, e, e, n_users);
+                Score::SqDist.triplet_loss(tape, gu, gp, gq, self.opts.margin)
+            });
+        self.out = Scored::propagated(Score::SqDist, n_users, &[&emb, &tags], forward);
     }
 
     fn scores_for_user(&self, user: u32) -> Vec<f64> {
-        let urow = self.final_emb.row(user as usize);
-        let n_items = self.final_emb.rows() - self.n_users;
-        (0..n_items)
-            .map(|v| -vecops::sqdist(urow, self.final_emb.row(self.n_users + v)))
-            .collect()
+        self.out.scores_for_user(user)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::positives_beat_mean;
     use taxorec_data::{generate_preset, Preset, Scale};
 
     #[test]
@@ -167,23 +79,7 @@ mod tests {
             2,
         );
         m.fit(&d, &s);
-        let mut pos = 0.0;
-        let mut np = 0usize;
-        let mut all = 0.0;
-        let mut na = 0usize;
-        for (u, items) in s.train.iter().enumerate() {
-            if items.is_empty() {
-                continue;
-            }
-            let sc = m.scores_for_user(u as u32);
-            for &v in items {
-                pos += sc[v as usize];
-                np += 1;
-            }
-            all += sc.iter().sum::<f64>();
-            na += sc.len();
-        }
-        assert!(pos / np as f64 > all / na as f64);
+        assert!(positives_beat_mean(&m, &s));
         assert_eq!(m.name(), "CML+Agg");
     }
 }

@@ -5,12 +5,11 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use taxorec_autodiff::{Matrix, Tape, Var};
-use taxorec_core::{init, optim, TaxoRec, TaxoRecConfig};
-use taxorec_data::{Dataset, NegativeSampler, Recommender, Split};
-use taxorec_geometry::vecops;
+use taxorec_autodiff::{Csr, Matrix, Tape, Var};
+use taxorec_core::{init, TaxoRec, TaxoRecConfig};
+use taxorec_data::{Dataset, Recommender, Split};
 
-use crate::common::{bpr_loss, epoch_triplets, sym_norm_adjacency, TrainOpts};
+use crate::common::{propagate, sym_norm_adjacency, Score, Scored, Step, TrainOpts};
 
 // ---------------------------------------------------------------------------
 // LightGCN — He et al., SIGIR 2020.
@@ -22,9 +21,7 @@ use crate::common::{bpr_loss, epoch_triplets, sym_norm_adjacency, TrainOpts};
 pub struct LightGcn {
     opts: TrainOpts,
     layers: usize,
-    emb: Matrix,
-    final_emb: Matrix,
-    n_users: usize,
+    out: Scored,
 }
 
 impl LightGcn {
@@ -33,20 +30,8 @@ impl LightGcn {
         Self {
             opts,
             layers,
-            emb: Matrix::zeros(0, 0),
-            final_emb: Matrix::zeros(0, 0),
-            n_users: 0,
+            out: Scored::default(),
         }
-    }
-
-    fn propagate(&self, tape: &mut Tape, e0: Var, adj: &Arc<taxorec_autodiff::Csr>) -> Var {
-        let mut acc = e0;
-        let mut z = e0;
-        for _ in 0..self.layers {
-            z = tape.spmm(adj, z);
-            acc = tape.add(acc, z);
-        }
-        tape.scale(acc, 1.0 / (self.layers + 1) as f64)
     }
 }
 
@@ -57,58 +42,22 @@ impl Recommender for LightGcn {
 
     fn fit(&mut self, dataset: &Dataset, split: &Split) {
         let mut rng = StdRng::seed_from_u64(self.opts.seed);
-        self.n_users = dataset.n_users;
-        let n = dataset.n_users + dataset.n_items;
-        self.emb = init::normal_matrix(&mut rng, n, self.opts.dim, 0.1);
+        let n_users = dataset.n_users;
+        let mut emb = init::normal_matrix(&mut rng, n_users + dataset.n_items, self.opts.dim, 0.1);
         let adj = sym_norm_adjacency(dataset, split);
-        let sampler = NegativeSampler::new(dataset.n_items, split.train.clone());
-        let mut pairs = split.train_pairs();
-        if pairs.is_empty() {
-            self.final_emb = self.emb.clone();
-            return;
-        }
-        for _ in 0..self.opts.epochs {
-            let (users, pos, neg) =
-                epoch_triplets(&mut pairs, &sampler, self.opts.negatives, &mut rng);
-            for lo in (0..users.len()).step_by(self.opts.batch) {
-                let hi = (lo + self.opts.batch).min(users.len());
-                let mut tape = Tape::new();
-                let e0 = tape.leaf(self.emb.clone());
-                let e = self.propagate(&mut tape, e0, &adj);
-                let u_idx: Vec<usize> = users[lo..hi].iter().map(|&u| u as usize).collect();
-                let p_idx: Vec<usize> = pos[lo..hi]
-                    .iter()
-                    .map(|&v| self.n_users + v as usize)
-                    .collect();
-                let n_idx: Vec<usize> = neg[lo..hi]
-                    .iter()
-                    .map(|&v| self.n_users + v as usize)
-                    .collect();
-                let gu = tape.gather_rows(e, Arc::new(u_idx));
-                let gp = tape.gather_rows(e, Arc::new(p_idx));
-                let gq = tape.gather_rows(e, Arc::new(n_idx));
-                let sp = tape.row_dot(gu, gp);
-                let sn = tape.row_dot(gu, gq);
-                let loss = bpr_loss(&mut tape, sp, sn);
-                let mut grads = tape.backward(loss);
-                if let Some(g) = grads.take(e0) {
-                    optim::sgd(&mut self.emb, &g, self.opts.lr);
-                }
-            }
-        }
-        // Materialize the propagated embeddings for inference.
-        let mut tape = Tape::new();
-        let e0 = tape.leaf(self.emb.clone());
-        let e = self.propagate(&mut tape, e0, &adj);
-        self.final_emb = tape.value(e).clone();
+        let forward = |tape: &mut Tape, w: &[Var]| propagate(tape, w[0], None, &adj, self.layers);
+        let params = &mut [(&mut emb, Step::Sgd)];
+        self.opts
+            .fit_triplets(dataset, split, &mut rng, params, None, |tape, w, b| {
+                let e = forward(tape, w);
+                let (gu, gp, gq) = b.gather(tape, e, e, n_users);
+                Score::Dot.triplet_loss(tape, gu, gp, gq, 0.0)
+            });
+        self.out = Scored::propagated(Score::Dot, n_users, &[&emb], forward);
     }
 
     fn scores_for_user(&self, user: u32) -> Vec<f64> {
-        let urow = self.final_emb.row(user as usize);
-        let n_items = self.final_emb.rows() - self.n_users;
-        (0..n_items)
-            .map(|v| vecops::dot(urow, self.final_emb.row(self.n_users + v)))
-            .collect()
+        self.out.scores_for_user(user)
     }
 }
 
@@ -122,11 +71,7 @@ impl Recommender for LightGcn {
 pub struct Ngcf {
     opts: TrainOpts,
     layers: usize,
-    emb: Matrix,
-    w1: Vec<Matrix>,
-    w2: Vec<Matrix>,
-    final_emb: Matrix,
-    n_users: usize,
+    out: Scored,
 }
 
 impl Ngcf {
@@ -135,35 +80,26 @@ impl Ngcf {
         Self {
             opts,
             layers: layers.max(1),
-            emb: Matrix::zeros(0, 0),
-            w1: Vec::new(),
-            w2: Vec::new(),
-            final_emb: Matrix::zeros(0, 0),
-            n_users: 0,
+            out: Scored::default(),
         }
     }
+}
 
-    fn propagate(
-        &self,
-        tape: &mut Tape,
-        e0: Var,
-        w1: &[Var],
-        w2: &[Var],
-        adj: &Arc<taxorec_autodiff::Csr>,
-    ) -> Var {
-        let mut e = e0;
-        let mut acc = e0;
-        for l in 0..self.layers {
-            let ze = tape.spmm(adj, e);
-            let a = tape.matmul(ze, w1[l]);
-            let inter = tape.hadamard(ze, e);
-            let b = tape.matmul(inter, w2[l]);
-            let pre = tape.add(a, b);
-            e = tape.leaky_relu(pre, 0.2);
-            acc = tape.add(acc, e);
-        }
-        acc
+/// NGCF's propagation over the leaves `[E⁰, W₁ per layer…, W₂ per layer…]`.
+fn ngcf_propagate(tape: &mut Tape, w: &[Var], adj: &Arc<Csr>) -> Var {
+    let (w1, w2) = w[1..].split_at(w.len() / 2);
+    let mut e = w[0];
+    let mut acc = w[0];
+    for (&w1, &w2) in w1.iter().zip(w2) {
+        let ze = tape.spmm(adj, e);
+        let a = tape.matmul(ze, w1);
+        let inter = tape.hadamard(ze, e);
+        let b = tape.matmul(inter, w2);
+        let pre = tape.add(a, b);
+        e = tape.leaky_relu(pre, 0.2);
+        acc = tape.add(acc, e);
     }
+    acc
 }
 
 impl Recommender for Ngcf {
@@ -173,79 +109,33 @@ impl Recommender for Ngcf {
 
     fn fit(&mut self, dataset: &Dataset, split: &Split) {
         let mut rng = StdRng::seed_from_u64(self.opts.seed);
-        self.n_users = dataset.n_users;
-        let n = dataset.n_users + dataset.n_items;
-        let d = self.opts.dim;
-        self.emb = init::normal_matrix(&mut rng, n, d, 0.1);
+        let (n_users, n, d) = (
+            dataset.n_users,
+            dataset.n_users + dataset.n_items,
+            self.opts.dim,
+        );
         let scale = (1.0 / d as f64).sqrt();
-        self.w1 = (0..self.layers)
-            .map(|_| init::normal_matrix(&mut rng, d, d, scale))
-            .collect();
-        self.w2 = (0..self.layers)
-            .map(|_| init::normal_matrix(&mut rng, d, d, scale))
-            .collect();
+        // E⁰, then every layer's W₁, then every layer's W₂.
+        let mut blocks = vec![init::normal_matrix(&mut rng, n, d, 0.1)];
+        blocks.extend((0..2 * self.layers).map(|_| init::normal_matrix(&mut rng, d, d, scale)));
         let adj = sym_norm_adjacency(dataset, split);
-        let sampler = NegativeSampler::new(dataset.n_items, split.train.clone());
-        let mut pairs = split.train_pairs();
-        if pairs.is_empty() {
-            self.final_emb = self.emb.clone();
-            return;
-        }
-        for _ in 0..self.opts.epochs {
-            let (users, pos, neg) =
-                epoch_triplets(&mut pairs, &sampler, self.opts.negatives, &mut rng);
-            for lo in (0..users.len()).step_by(self.opts.batch) {
-                let hi = (lo + self.opts.batch).min(users.len());
-                let mut tape = Tape::new();
-                let e0 = tape.leaf(self.emb.clone());
-                let w1: Vec<Var> = self.w1.iter().map(|w| tape.leaf(w.clone())).collect();
-                let w2: Vec<Var> = self.w2.iter().map(|w| tape.leaf(w.clone())).collect();
-                let e = self.propagate(&mut tape, e0, &w1, &w2, &adj);
-                let u_idx: Vec<usize> = users[lo..hi].iter().map(|&u| u as usize).collect();
-                let p_idx: Vec<usize> = pos[lo..hi]
-                    .iter()
-                    .map(|&v| self.n_users + v as usize)
-                    .collect();
-                let n_idx: Vec<usize> = neg[lo..hi]
-                    .iter()
-                    .map(|&v| self.n_users + v as usize)
-                    .collect();
-                let gu = tape.gather_rows(e, Arc::new(u_idx));
-                let gp = tape.gather_rows(e, Arc::new(p_idx));
-                let gq = tape.gather_rows(e, Arc::new(n_idx));
-                let sp = tape.row_dot(gu, gp);
-                let sn = tape.row_dot(gu, gq);
-                let loss = bpr_loss(&mut tape, sp, sn);
-                let mut grads = tape.backward(loss);
-                if let Some(g) = grads.take(e0) {
-                    optim::sgd(&mut self.emb, &g, self.opts.lr);
-                }
-                for (l, wv) in w1.iter().enumerate() {
-                    if let Some(g) = grads.take(*wv) {
-                        optim::sgd(&mut self.w1[l], &g, self.opts.lr);
-                    }
-                }
-                for (l, wv) in w2.iter().enumerate() {
-                    if let Some(g) = grads.take(*wv) {
-                        optim::sgd(&mut self.w2[l], &g, self.opts.lr);
-                    }
-                }
-            }
-        }
-        let mut tape = Tape::new();
-        let e0 = tape.leaf(self.emb.clone());
-        let w1: Vec<Var> = self.w1.iter().map(|w| tape.leaf(w.clone())).collect();
-        let w2: Vec<Var> = self.w2.iter().map(|w| tape.leaf(w.clone())).collect();
-        let e = self.propagate(&mut tape, e0, &w1, &w2, &adj);
-        self.final_emb = tape.value(e).clone();
+        let forward = |tape: &mut Tape, w: &[Var]| ngcf_propagate(tape, w, &adj);
+        let params = &mut blocks
+            .iter_mut()
+            .map(|m| (m, Step::Sgd))
+            .collect::<Vec<_>>();
+        self.opts
+            .fit_triplets(dataset, split, &mut rng, params, None, |tape, w, b| {
+                let e = forward(tape, w);
+                let (gu, gp, gq) = b.gather(tape, e, e, n_users);
+                Score::Dot.triplet_loss(tape, gu, gp, gq, 0.0)
+            });
+        let blocks: Vec<&Matrix> = blocks.iter().collect();
+        self.out = Scored::propagated(Score::Dot, n_users, &blocks, forward);
     }
 
     fn scores_for_user(&self, user: u32) -> Vec<f64> {
-        let urow = self.final_emb.row(user as usize);
-        let n_items = self.final_emb.rows() - self.n_users;
-        (0..n_items)
-            .map(|v| vecops::dot(urow, self.final_emb.row(self.n_users + v)))
-            .collect()
+        self.out.scores_for_user(user)
     }
 }
 
@@ -307,32 +197,13 @@ impl Recommender for Hgcf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::positives_beat_mean;
     use taxorec_data::{generate_preset, Preset, Scale};
 
     fn setup() -> (Dataset, Split) {
         let d = generate_preset(Preset::Ciao, Scale::Tiny);
         let s = Split::standard(&d);
         (d, s)
-    }
-
-    fn positives_beat_mean(model: &dyn Recommender, split: &Split) -> bool {
-        let mut pos = 0.0;
-        let mut np = 0usize;
-        let mut all = 0.0;
-        let mut na = 0usize;
-        for (u, items) in split.train.iter().enumerate() {
-            if items.is_empty() {
-                continue;
-            }
-            let s = model.scores_for_user(u as u32);
-            for &v in items {
-                pos += s[v as usize];
-                np += 1;
-            }
-            all += s.iter().sum::<f64>();
-            na += s.len();
-        }
-        pos / np as f64 > all / na as f64
     }
 
     #[test]

@@ -10,18 +10,16 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use taxorec_autodiff::{Matrix, Tape};
-use taxorec_core::{init, optim};
+use taxorec_core::init;
 use taxorec_data::{Dataset, NegativeSampler, Recommender, Split};
 use taxorec_geometry::lorentz;
 
-use crate::common::{epoch_triplets, gather_indices, hinge_loss, TrainOpts};
+use crate::common::{Param, Score, Scored, Step, TrainOpts};
 
 /// Hyperbolic metric learning on the Lorentz model.
 pub struct HyperMl {
     opts: TrainOpts,
-    u: Matrix,
-    v: Matrix,
+    out: Scored,
 }
 
 impl HyperMl {
@@ -29,9 +27,36 @@ impl HyperMl {
     pub fn new(opts: TrainOpts) -> Self {
         Self {
             opts,
-            u: Matrix::zeros(0, 0),
-            v: Matrix::zeros(0, 0),
+            out: Scored::default(),
         }
+    }
+}
+
+/// Hard-negative mining against the current embeddings, as HyperML does:
+/// at reproduction scale uniform negatives rarely violate the margin, and
+/// the hinge saturates. Each negative becomes the closest of itself and
+/// nine fresh draws.
+fn mine_hard_negatives(
+    params: &[Param],
+    users: &[u32],
+    neg: &mut [u32],
+    sampler: &NegativeSampler,
+    rng: &mut StdRng,
+) {
+    let (u, v) = (&*params[0].0, &*params[1].0);
+    for (i, &user) in users.iter().enumerate() {
+        let urow = u.row(user as usize);
+        let mut best = neg[i];
+        let mut best_d = lorentz::distance_sq(urow, v.row(best as usize));
+        for _ in 0..9 {
+            let cand = sampler.sample(user, rng);
+            let d = lorentz::distance_sq(urow, v.row(cand as usize));
+            if d < best_d {
+                best_d = d;
+                best = cand;
+            }
+        }
+        neg[i] = best;
     }
 }
 
@@ -42,66 +67,27 @@ impl Recommender for HyperMl {
 
     fn fit(&mut self, dataset: &Dataset, split: &Split) {
         let mut rng = StdRng::seed_from_u64(self.opts.seed);
-        self.u = init::lorentz_matrix(&mut rng, dataset.n_users, self.opts.dim, 0.1);
-        self.v = init::lorentz_matrix(&mut rng, dataset.n_items, self.opts.dim, 0.1);
-        let sampler = NegativeSampler::new(dataset.n_items, split.train.clone());
-        let mut pairs = split.train_pairs();
-        if pairs.is_empty() {
-            return;
-        }
-        for _ in 0..self.opts.epochs {
-            let (users, pos, mut neg) =
-                epoch_triplets(&mut pairs, &sampler, self.opts.negatives, &mut rng);
-            // Hard-negative mining against the current embeddings, as
-            // HyperML does: at reproduction scale uniform negatives rarely
-            // violate the margin, and the hinge saturates.
-            for (i, &u) in users.iter().enumerate() {
-                let urow = self.u.row(u as usize);
-                let mut best = neg[i];
-                let mut best_d = lorentz::distance_sq(urow, self.v.row(best as usize));
-                for _ in 0..9 {
-                    let cand = sampler.sample(u, &mut rng);
-                    let d = lorentz::distance_sq(urow, self.v.row(cand as usize));
-                    if d < best_d {
-                        best_d = d;
-                        best = cand;
-                    }
-                }
-                neg[i] = best;
-            }
-            for lo in (0..users.len()).step_by(self.opts.batch) {
-                let hi = (lo + self.opts.batch).min(users.len());
-                let mut tape = Tape::new();
-                let u_leaf = tape.leaf(self.u.clone());
-                let v_leaf = tape.leaf(self.v.clone());
-                let gu = tape.gather_rows(u_leaf, gather_indices(&users[lo..hi]));
-                let gp = tape.gather_rows(v_leaf, gather_indices(&pos[lo..hi]));
-                let gq = tape.gather_rows(v_leaf, gather_indices(&neg[lo..hi]));
-                let d_pos = tape.lorentz_dist_sq(gu, gp);
-                let d_neg = tape.lorentz_dist_sq(gu, gq);
-                let loss = hinge_loss(&mut tape, d_pos, d_neg, self.opts.margin);
-                let mut grads = tape.backward(loss);
-                if let Some(g) = grads.take(u_leaf) {
-                    optim::rsgd_lorentz(&mut self.u, &g, self.opts.lr);
-                }
-                if let Some(g) = grads.take(v_leaf) {
-                    optim::rsgd_lorentz(&mut self.v, &g, self.opts.lr);
-                }
-            }
-        }
+        let mut u = init::lorentz_matrix(&mut rng, dataset.n_users, self.opts.dim, 0.1);
+        let mut v = init::lorentz_matrix(&mut rng, dataset.n_items, self.opts.dim, 0.1);
+        let params = &mut [(&mut u, Step::Lorentz), (&mut v, Step::Lorentz)];
+        let mine = Some(&mut mine_hard_negatives as _);
+        self.opts
+            .fit_triplets(dataset, split, &mut rng, params, mine, |tape, w, b| {
+                let (gu, gp, gq) = b.gather(tape, w[0], w[1], 0);
+                Score::LorentzSqDist.triplet_loss(tape, gu, gp, gq, self.opts.margin)
+            });
+        self.out = Scored::new(u, v, Score::LorentzSqDist);
     }
 
     fn scores_for_user(&self, user: u32) -> Vec<f64> {
-        let urow = self.u.row(user as usize);
-        (0..self.v.rows())
-            .map(|v| -lorentz::distance_sq(urow, self.v.row(v)))
-            .collect()
+        self.out.scores_for_user(user)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::positives_beat_mean;
     use taxorec_data::{generate_preset, Preset, Scale};
 
     #[test]
@@ -113,26 +99,10 @@ mod tests {
             ..TrainOpts::fast_test()
         });
         m.fit(&d, &s);
-        for r in 0..m.u.rows() {
-            assert!(lorentz::constraint_residual(m.u.row(r)) < 1e-7);
+        for r in 0..m.out.users.rows() {
+            assert!(lorentz::constraint_residual(m.out.users.row(r)) < 1e-7);
         }
         // Training positives score above the catalogue mean.
-        let mut pos = 0.0;
-        let mut np = 0usize;
-        let mut all = 0.0;
-        let mut na = 0usize;
-        for (u, items) in s.train.iter().enumerate() {
-            if items.is_empty() {
-                continue;
-            }
-            let sc = m.scores_for_user(u as u32);
-            for &v in items {
-                pos += sc[v as usize];
-                np += 1;
-            }
-            all += sc.iter().sum::<f64>();
-            na += sc.len();
-        }
-        assert!(pos / np as f64 > all / na as f64);
+        assert!(positives_beat_mean(&m, &s));
     }
 }

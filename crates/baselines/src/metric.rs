@@ -6,36 +6,35 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use taxorec_autodiff::{Csr, Matrix, Tape, Var};
-use taxorec_core::{init, optim};
-use taxorec_data::{Dataset, NegativeSampler, Recommender, Split};
+use taxorec_core::init;
+use taxorec_data::{Dataset, Recommender, Split};
 use taxorec_geometry::vecops;
 
 use crate::common::{
-    epoch_triplets, euclid_dist_sq, gather_indices, hinge_loss, neighbor_means, unit_ball_project,
-    TrainOpts,
+    euclid_dist_sq, hinge_loss, neighbor_means, Batch, Score, Scored, Step, TrainOpts,
 };
 
 /// Which translation mechanism a [`MetricModel`] uses — the four baselines
 /// share the triplet-hinge training loop and differ in how the user→item
 /// relation vector is produced.
+#[derive(Clone, Copy, PartialEq)]
 enum Relation {
     /// CML (Hsieh et al., WWW 2017): none — plain `‖u − v‖²`.
     None,
     /// TransCF (Park et al., ICDM 2018): `r = p_u ⊙ q_v` from neighborhood
     /// context embeddings, distance `‖u + r − v‖²`.
-    Neighborhood {
-        user_ctx: Matrix,
-        item_ctx: Matrix,
-        ui: Arc<Csr>,
-        iu: Arc<Csr>,
-    },
+    Neighborhood,
     /// LRML (Tay et al., WWW 2018): `r = softmax((u⊙v)Kᵀ)·M` from a latent
     /// relational memory.
-    Memory { keys: Matrix, memory: Matrix },
+    Memory,
     /// SML (Li et al., AAAI 2020): symmetric user- and item-centric hinge
-    /// terms with trainable margins.
-    Symmetric { margin_u: f64, margin_v: f64 },
+    /// terms, with the fixed margins [`SML_MARGINS`]. SML learns a margin
+    /// per user and per item; EXPERIMENTS.md lists the departure.
+    Symmetric,
 }
+
+/// SML's user-centric and item-centric hinge margins.
+const SML_MARGINS: (f64, f64) = (0.5, 0.25);
 
 /// A metric-learning recommender sharing one training loop across the
 /// CML/TransCF/LRML/SML family.
@@ -43,11 +42,11 @@ pub struct MetricModel {
     opts: TrainOpts,
     name: &'static str,
     relation: Relation,
-    u: Matrix,
-    v: Matrix,
-    /// Materialized per-user context (TransCF) for inference.
-    p_ctx: Matrix,
-    q_ctx: Matrix,
+    /// The user and item points, scored by distance.
+    out: Scored,
+    /// The relation's fitted matrices: TransCF's materialized contexts
+    /// `(ui·item_ctx, iu·user_ctx)`, LRML's `(keys, memory)`.
+    extra: [Matrix; 2],
 }
 
 impl MetricModel {
@@ -58,40 +57,17 @@ impl MetricModel {
 
     /// Translational collaborative filtering (TransCF).
     pub fn transcf(opts: TrainOpts) -> Self {
-        Self::build(
-            opts,
-            "TransCF",
-            Relation::Neighborhood {
-                user_ctx: Matrix::zeros(0, 0),
-                item_ctx: Matrix::zeros(0, 0),
-                ui: Arc::new(Csr::identity(1)),
-                iu: Arc::new(Csr::identity(1)),
-            },
-        )
+        Self::build(opts, "TransCF", Relation::Neighborhood)
     }
 
     /// Latent relational metric learning (LRML).
     pub fn lrml(opts: TrainOpts) -> Self {
-        Self::build(
-            opts,
-            "LRML",
-            Relation::Memory {
-                keys: Matrix::zeros(0, 0),
-                memory: Matrix::zeros(0, 0),
-            },
-        )
+        Self::build(opts, "LRML", Relation::Memory)
     }
 
-    /// Symmetric metric learning with adaptive margins (SML).
+    /// Symmetric metric learning (SML).
     pub fn sml(opts: TrainOpts) -> Self {
-        Self::build(
-            opts,
-            "SML",
-            Relation::Symmetric {
-                margin_u: 0.5,
-                margin_v: 0.25,
-            },
-        )
+        Self::build(opts, "SML", Relation::Symmetric)
     }
 
     fn build(opts: TrainOpts, name: &'static str, relation: Relation) -> Self {
@@ -99,48 +75,66 @@ impl MetricModel {
             opts,
             name,
             relation,
-            u: Matrix::zeros(0, 0),
-            v: Matrix::zeros(0, 0),
-            p_ctx: Matrix::zeros(0, 0),
-            q_ctx: Matrix::zeros(0, 0),
+            out: Scored::default(),
+            extra: Default::default(),
         }
     }
 
-    /// Relation vector for gathered `(user_rows, item_rows)` on a tape, or
-    /// `None` when the model is translation-free.
-    fn relation_var(
+    /// The batch loss over the leaves `[u, v]`, followed by TransCF's
+    /// `[user_ctx, item_ctx]` or LRML's `[keys, memory]`. `ctx` holds
+    /// TransCF's neighbor means `(ui, iu)`.
+    fn loss(
         &self,
         tape: &mut Tape,
-        gu: Var,
-        gv: Var,
-        pu: Option<Var>,
-        qv: Option<Var>,
-        mem: Option<(Var, Var)>,
-    ) -> Option<Var> {
-        match &self.relation {
-            Relation::None | Relation::Symmetric { .. } => None,
-            Relation::Neighborhood { .. } => {
-                let (pu, qv) = (pu.unwrap(), qv.unwrap());
-                Some(tape.hadamard(pu, qv))
+        w: &[Var],
+        b: &Batch,
+        ctx: &Option<(Arc<Csr>, Arc<Csr>)>,
+    ) -> Var {
+        let (gu, gp, gq) = b.gather(tape, w[0], w[1], 0);
+        let margin = self.opts.margin;
+        let (d_pos, d_neg) = match self.relation {
+            Relation::None => return Score::SqDist.triplet_loss(tape, gu, gp, gq, margin),
+            Relation::Symmetric => {
+                let (d_pos, d_neg) = (euclid_dist_sq(tape, gu, gp), euclid_dist_sq(tape, gu, gq));
+                let l_user = hinge_loss(tape, d_pos, d_neg, SML_MARGINS.0);
+                // Item-centric: positive item vs. negative item.
+                let d_items = euclid_dist_sq(tape, gp, gq);
+                let l_item = hinge_loss(tape, d_pos, d_items, SML_MARGINS.1);
+                return tape.add(l_user, l_item);
             }
-            Relation::Memory { .. } => {
-                let (keys, memory) = mem.unwrap();
-                let joint = tape.hadamard(gu, gv);
-                let kt = tape.leaf(tape_transpose(tape, keys));
+            // The positive and the negative each get their own context.
+            Relation::Neighborhood => {
+                let (ui, iu) = ctx.as_ref().expect("TransCF's neighbor means");
+                let p_full = tape.spmm(ui, w[3]);
+                let q_full = tape.spmm(iu, w[2]);
+                let (pu, qp, qn) = b.gather(tape, p_full, q_full, 0);
+                let r_pos = tape.hadamard(pu, qp);
+                let shifted = tape.add(gu, r_pos);
+                let d_pos = euclid_dist_sq(tape, shifted, gp);
+                let r_neg = tape.hadamard(pu, qn);
+                let shifted = tape.add(gu, r_neg);
+                (d_pos, euclid_dist_sq(tape, shifted, gq))
+            }
+            // The relation of the positive pair serves the negative too.
+            // The transposed keys enter as a constant: keys get gradient
+            // through the memory matmul only, an accepted simplification
+            // of the paper's tied attention.
+            Relation::Memory => {
+                let joint = tape.hadamard(gu, gp);
+                let kt = tape.value(w[2]).transpose();
+                let kt = tape.leaf(kt);
                 let logits = tape.matmul(joint, kt);
                 let att = tape.softmax_rows(logits);
-                Some(tape.matmul(att, memory))
+                let r = tape.matmul(att, w[3]);
+                let shifted = tape.add(gu, r);
+                (
+                    euclid_dist_sq(tape, shifted, gp),
+                    euclid_dist_sq(tape, shifted, gq),
+                )
             }
-        }
+        };
+        hinge_loss(tape, d_pos, d_neg, margin)
     }
-}
-
-/// Transposed copy of a tape value (constant w.r.t. gradients of the
-/// transposed view; LRML keys receive gradient through the original leaf
-/// only in the memory matmul — an accepted simplification of the paper's
-/// tied attention).
-fn tape_transpose(tape: &Tape, v: Var) -> Matrix {
-    tape.value(v).transpose()
 }
 
 impl Recommender for MetricModel {
@@ -151,198 +145,64 @@ impl Recommender for MetricModel {
     fn fit(&mut self, dataset: &Dataset, split: &Split) {
         let mut rng = StdRng::seed_from_u64(self.opts.seed);
         let d = self.opts.dim;
-        self.u = init::normal_matrix(&mut rng, dataset.n_users, d, 0.1);
-        self.v = init::normal_matrix(&mut rng, dataset.n_items, d, 0.1);
-        if let Relation::Neighborhood {
-            user_ctx,
-            item_ctx,
-            ui,
-            iu,
-        } = &mut self.relation
-        {
-            *user_ctx = init::normal_matrix(&mut rng, dataset.n_users, d, 0.1);
-            *item_ctx = init::normal_matrix(&mut rng, dataset.n_items, d, 0.1);
-            let (m_ui, m_iu) = neighbor_means(dataset, split);
-            *ui = m_ui;
-            *iu = m_iu;
+        let mut u = init::normal_matrix(&mut rng, dataset.n_users, d, 0.1);
+        let mut v = init::normal_matrix(&mut rng, dataset.n_items, d, 0.1);
+        let mut extra = match self.relation {
+            Relation::Neighborhood => [
+                init::normal_matrix(&mut rng, dataset.n_users, d, 0.1),
+                init::normal_matrix(&mut rng, dataset.n_items, d, 0.1),
+            ],
+            Relation::Memory => [
+                init::normal_matrix(&mut rng, 8, d, 0.3),
+                init::normal_matrix(&mut rng, 8, d, 0.1),
+            ],
+            Relation::None | Relation::Symmetric => Default::default(),
+        };
+        let ctx = (self.relation == Relation::Neighborhood).then(|| neighbor_means(dataset, split));
+        // CML and SML leave the two extra blocks empty: no gradient reaches them.
+        let [user_ctx, item_ctx] = &mut extra;
+        let params = &mut [
+            (&mut u, Step::SgdUnitBall),
+            (&mut v, Step::SgdUnitBall),
+            (user_ctx, Step::Sgd),
+            (item_ctx, Step::Sgd),
+        ];
+        self.opts
+            .fit_triplets(dataset, split, &mut rng, params, None, |tape, w, b| {
+                self.loss(tape, w, b, &ctx)
+            });
+        if let Some((ui, iu)) = &ctx {
+            extra = [ui.matmul(&extra[1]), iu.matmul(&extra[0])];
         }
-        if let Relation::Memory { keys, memory } = &mut self.relation {
-            let slots = 8;
-            *keys = init::normal_matrix(&mut rng, slots, d, 0.3);
-            *memory = init::normal_matrix(&mut rng, slots, d, 0.1);
-        }
-        let sampler = NegativeSampler::new(dataset.n_items, split.train.clone());
-        let mut pairs = split.train_pairs();
-        if pairs.is_empty() {
-            return;
-        }
-        for _ in 0..self.opts.epochs {
-            let (users, pos, neg) =
-                epoch_triplets(&mut pairs, &sampler, self.opts.negatives, &mut rng);
-            for lo in (0..users.len()).step_by(self.opts.batch) {
-                let hi = (lo + self.opts.batch).min(users.len());
-                let mut tape = Tape::new();
-                let u_leaf = tape.leaf(self.u.clone());
-                let v_leaf = tape.leaf(self.v.clone());
-                let ui_idx = gather_indices(&users[lo..hi]);
-                let p_idx = gather_indices(&pos[lo..hi]);
-                let n_idx = gather_indices(&neg[lo..hi]);
-                let gu = tape.gather_rows(u_leaf, ui_idx.clone());
-                let gp = tape.gather_rows(v_leaf, p_idx.clone());
-                let gq = tape.gather_rows(v_leaf, n_idx.clone());
-
-                // Optional context/memory leaves.
-                let mut ctx_leaves = None;
-                let mut pu = None;
-                let mut qp = None;
-                let mut qn = None;
-                if let Relation::Neighborhood {
-                    user_ctx,
-                    item_ctx,
-                    ui,
-                    iu,
-                } = &self.relation
-                {
-                    let uc = tape.leaf(user_ctx.clone());
-                    let ic = tape.leaf(item_ctx.clone());
-                    let p_full = tape.spmm(ui, ic);
-                    let q_full = tape.spmm(iu, uc);
-                    pu = Some(tape.gather_rows(p_full, ui_idx.clone()));
-                    qp = Some(tape.gather_rows(q_full, p_idx.clone()));
-                    qn = Some(tape.gather_rows(q_full, n_idx.clone()));
-                    ctx_leaves = Some((uc, ic));
-                }
-                let mut mem_leaves = None;
-                if let Relation::Memory { keys, memory } = &self.relation {
-                    let k = tape.leaf(keys.clone());
-                    let m = tape.leaf(memory.clone());
-                    mem_leaves = Some((k, m));
-                }
-
-                // Distances (relation computed from the positive pair, as
-                // in LRML/TransCF training).
-                let (d_pos, d_neg) = {
-                    let r_pos = self.relation_var(&mut tape, gu, gp, pu, qp, mem_leaves);
-                    match r_pos {
-                        Some(r) => {
-                            let shifted = tape.add(gu, r);
-                            let dp = euclid_dist_sq(&mut tape, shifted, gp);
-                            // Negative uses its own context for TransCF,
-                            // the positive relation for LRML.
-                            let dn = match &self.relation {
-                                Relation::Neighborhood { .. } => {
-                                    let r_neg = self
-                                        .relation_var(&mut tape, gu, gq, pu, qn, mem_leaves)
-                                        .unwrap();
-                                    let sh = tape.add(gu, r_neg);
-                                    euclid_dist_sq(&mut tape, sh, gq)
-                                }
-                                _ => euclid_dist_sq(&mut tape, shifted, gq),
-                            };
-                            (dp, dn)
-                        }
-                        None => (
-                            euclid_dist_sq(&mut tape, gu, gp),
-                            euclid_dist_sq(&mut tape, gu, gq),
-                        ),
-                    }
-                };
-
-                let loss = match &self.relation {
-                    Relation::Symmetric { margin_u, margin_v } => {
-                        let l_user = hinge_loss(&mut tape, d_pos, d_neg, *margin_u);
-                        // Item-centric: positive item vs. negative item.
-                        let d_items = euclid_dist_sq(&mut tape, gp, gq);
-                        let nd = tape.neg(d_items);
-                        let dp2 = tape.add(d_pos, nd);
-                        let m2 = tape.add_scalar(dp2, *margin_v);
-                        let h2 = tape.relu(m2);
-                        let l_item = tape.mean_all(h2);
-                        tape.add(l_user, l_item)
-                    }
-                    _ => hinge_loss(&mut tape, d_pos, d_neg, self.opts.margin),
-                };
-
-                let mut grads = tape.backward(loss);
-                if let Some(g) = grads.take(u_leaf) {
-                    optim::sgd(&mut self.u, &g, self.opts.lr);
-                }
-                if let Some(g) = grads.take(v_leaf) {
-                    optim::sgd(&mut self.v, &g, self.opts.lr);
-                }
-                if let Some((uc, ic)) = ctx_leaves {
-                    let gu_ctx = grads.take(uc);
-                    let gi_ctx = grads.take(ic);
-                    if let Relation::Neighborhood {
-                        user_ctx, item_ctx, ..
-                    } = &mut self.relation
-                    {
-                        if let Some(g) = gu_ctx {
-                            optim::sgd(user_ctx, &g, self.opts.lr);
-                        }
-                        if let Some(g) = gi_ctx {
-                            optim::sgd(item_ctx, &g, self.opts.lr);
-                        }
-                    }
-                }
-                if let Some((k, m)) = mem_leaves {
-                    let gk = grads.take(k);
-                    let gm = grads.take(m);
-                    if let Relation::Memory { keys, memory } = &mut self.relation {
-                        if let Some(g) = gk {
-                            optim::sgd(keys, &g, self.opts.lr);
-                        }
-                        if let Some(g) = gm {
-                            optim::sgd(memory, &g, self.opts.lr);
-                        }
-                    }
-                }
-                // CML-family norm constraint.
-                unit_ball_project(&mut self.u);
-                unit_ball_project(&mut self.v);
-            }
-        }
-        // Materialize TransCF contexts for inference.
-        if let Relation::Neighborhood {
-            user_ctx,
-            item_ctx,
-            ui,
-            iu,
-        } = &self.relation
-        {
-            self.p_ctx = ui.matmul(item_ctx);
-            self.q_ctx = iu.matmul(user_ctx);
-        }
+        self.extra = extra;
+        self.out = Scored::new(u, v, Score::SqDist);
     }
 
     fn scores_for_user(&self, user: u32) -> Vec<f64> {
-        let urow = self.u.row(user as usize);
-        let n_items = self.v.rows();
-        let d = self.u.cols();
-        match &self.relation {
-            Relation::None | Relation::Symmetric { .. } => (0..n_items)
-                .map(|v| -vecops::sqdist(urow, self.v.row(v)))
-                .collect(),
-            Relation::Neighborhood { .. } => {
-                let pu = self.p_ctx.row(user as usize);
-                let mut shifted = vec![0.0; d];
-                (0..n_items)
+        let (urow, items) = (self.out.users.row(user as usize), &self.out.items);
+        let d = urow.len();
+        let mut shifted = vec![0.0; d];
+        match self.relation {
+            Relation::None | Relation::Symmetric => self.out.scores_for_user(user),
+            Relation::Neighborhood => {
+                let [p_ctx, q_ctx] = &self.extra;
+                let pu = p_ctx.row(user as usize);
+                (0..items.rows())
                     .map(|v| {
-                        let qv = self.q_ctx.row(v);
+                        let qv = q_ctx.row(v);
                         for i in 0..d {
                             shifted[i] = urow[i] + pu[i] * qv[i];
                         }
-                        -vecops::sqdist(&shifted, self.v.row(v))
+                        -vecops::sqdist(&shifted, items.row(v))
                     })
                     .collect()
             }
-            Relation::Memory { keys, memory } => {
-                let slots = keys.rows();
-                let mut shifted = vec![0.0; d];
-                let mut att = vec![0.0; slots];
-                (0..n_items)
+            Relation::Memory => {
+                let [keys, memory] = &self.extra;
+                let mut att = vec![0.0; keys.rows()];
+                (0..items.rows())
                     .map(|v| {
-                        let vrow = self.v.row(v);
+                        let vrow = items.row(v);
                         // r = softmax((u ⊙ v)·Kᵀ)·M
                         let mut mx = f64::NEG_INFINITY;
                         for (s, a) in att.iter_mut().enumerate() {
@@ -375,32 +235,13 @@ impl Recommender for MetricModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::positives_beat_mean;
     use taxorec_data::{generate_preset, Preset, Scale};
 
     fn setup() -> (Dataset, Split) {
         let d = generate_preset(Preset::Ciao, Scale::Tiny);
         let s = Split::standard(&d);
         (d, s)
-    }
-
-    fn positives_beat_mean(model: &dyn Recommender, split: &Split) -> bool {
-        let mut pos = 0.0;
-        let mut np = 0usize;
-        let mut all = 0.0;
-        let mut na = 0usize;
-        for (u, items) in split.train.iter().enumerate() {
-            if items.is_empty() {
-                continue;
-            }
-            let s = model.scores_for_user(u as u32);
-            for &v in items {
-                pos += s[v as usize];
-                np += 1;
-            }
-            all += s.iter().sum::<f64>();
-            na += s.len();
-        }
-        pos / np as f64 > all / na as f64
     }
 
     #[test]
@@ -412,8 +253,8 @@ mod tests {
         });
         m.fit(&d, &s);
         assert!(positives_beat_mean(&m, &s));
-        for r in 0..m.u.rows() {
-            assert!(vecops::norm(m.u.row(r)) <= 1.0 + 1e-9);
+        for r in 0..m.out.users.rows() {
+            assert!(vecops::norm(m.out.users.row(r)) <= 1.0 + 1e-9);
         }
     }
 

@@ -1,13 +1,15 @@
 //! Matrix-factorization baselines: BPRMF, NMF, NeuMF (paper §V-A.3,
 //! "general recommendation methods").
 
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use taxorec_autodiff::{Csr, Matrix, Tape};
-use taxorec_core::{init, optim};
-use taxorec_data::{Dataset, NegativeSampler, Recommender, Split};
+use taxorec_autodiff::{Csr, Matrix, Tape, Var};
+use taxorec_core::init;
+use taxorec_data::{Dataset, Recommender, Split};
 
-use crate::common::{bpr_loss, epoch_triplets, gather_indices, TrainOpts};
+use crate::common::{Score, Scored, Step, TrainOpts};
 
 // ---------------------------------------------------------------------------
 // BPRMF — Rendle et al., UAI 2009.
@@ -17,8 +19,7 @@ use crate::common::{bpr_loss, epoch_triplets, gather_indices, TrainOpts};
 /// `x̂_uv = p_u · q_v`, trained with the pairwise log-sigmoid objective.
 pub struct Bprmf {
     opts: TrainOpts,
-    p: Matrix,
-    q: Matrix,
+    out: Scored,
 }
 
 impl Bprmf {
@@ -26,8 +27,7 @@ impl Bprmf {
     pub fn new(opts: TrainOpts) -> Self {
         Self {
             opts,
-            p: Matrix::zeros(0, 0),
-            q: Matrix::zeros(0, 0),
+            out: Scored::default(),
         }
     }
 }
@@ -39,43 +39,19 @@ impl Recommender for Bprmf {
 
     fn fit(&mut self, dataset: &Dataset, split: &Split) {
         let mut rng = StdRng::seed_from_u64(self.opts.seed);
-        self.p = init::normal_matrix(&mut rng, dataset.n_users, self.opts.dim, 0.1);
-        self.q = init::normal_matrix(&mut rng, dataset.n_items, self.opts.dim, 0.1);
-        let sampler = NegativeSampler::new(dataset.n_items, split.train.clone());
-        let mut pairs = split.train_pairs();
-        if pairs.is_empty() {
-            return;
-        }
-        for _ in 0..self.opts.epochs {
-            let (users, pos, neg) =
-                epoch_triplets(&mut pairs, &sampler, self.opts.negatives, &mut rng);
-            for lo in (0..users.len()).step_by(self.opts.batch) {
-                let hi = (lo + self.opts.batch).min(users.len());
-                let mut tape = Tape::new();
-                let p = tape.leaf(self.p.clone());
-                let q = tape.leaf(self.q.clone());
-                let gu = tape.gather_rows(p, gather_indices(&users[lo..hi]));
-                let gp = tape.gather_rows(q, gather_indices(&pos[lo..hi]));
-                let gq = tape.gather_rows(q, gather_indices(&neg[lo..hi]));
-                let sp = tape.row_dot(gu, gp);
-                let sn = tape.row_dot(gu, gq);
-                let loss = bpr_loss(&mut tape, sp, sn);
-                let mut grads = tape.backward(loss);
-                if let Some(g) = grads.take(p) {
-                    optim::sgd(&mut self.p, &g, self.opts.lr);
-                }
-                if let Some(g) = grads.take(q) {
-                    optim::sgd(&mut self.q, &g, self.opts.lr);
-                }
-            }
-        }
+        let mut p = init::normal_matrix(&mut rng, dataset.n_users, self.opts.dim, 0.1);
+        let mut q = init::normal_matrix(&mut rng, dataset.n_items, self.opts.dim, 0.1);
+        let params = &mut [(&mut p, Step::Sgd), (&mut q, Step::Sgd)];
+        self.opts
+            .fit_triplets(dataset, split, &mut rng, params, None, |tape, w, b| {
+                let (gu, gp, gq) = b.gather(tape, w[0], w[1], 0);
+                Score::Dot.triplet_loss(tape, gu, gp, gq, 0.0)
+            });
+        self.out = Scored::new(p, q, Score::Dot);
     }
 
     fn scores_for_user(&self, user: u32) -> Vec<f64> {
-        let urow = self.p.row(user as usize);
-        (0..self.q.rows())
-            .map(|v| taxorec_geometry::vecops::dot(urow, self.q.row(v)))
-            .collect()
+        self.out.scores_for_user(user)
     }
 }
 
@@ -168,18 +144,10 @@ impl Recommender for Nmf {
 /// cross-entropy on sampled negatives.
 pub struct Neumf {
     opts: TrainOpts,
-    // GMF embeddings.
-    p_g: Matrix,
-    q_g: Matrix,
-    // MLP embeddings + weights ([U,V]·W1 = U·W1a + V·W1b).
-    p_m: Matrix,
-    q_m: Matrix,
-    w1a: Matrix,
-    w1b: Matrix,
-    w2: Matrix,
-    /// Fusion head over [gmf ⊙; mlp hidden] — split in two like W1.
-    h_g: Matrix,
-    h_m: Matrix,
+    /// `[p_g, q_g, p_m, q_m, w1a, w1b, w2, h_g, h_m]`: the GMF embeddings,
+    /// the MLP embeddings and weights (`[U,V]·W1 = U·W1a + V·W1b`), and the
+    /// fusion head over `[gmf ⊙; mlp hidden]`, split in two like `W1`.
+    params: Vec<Matrix>,
 }
 
 impl Neumf {
@@ -187,42 +155,22 @@ impl Neumf {
     pub fn new(opts: TrainOpts) -> Self {
         Self {
             opts,
-            p_g: Matrix::zeros(0, 0),
-            q_g: Matrix::zeros(0, 0),
-            p_m: Matrix::zeros(0, 0),
-            q_m: Matrix::zeros(0, 0),
-            w1a: Matrix::zeros(0, 0),
-            w1b: Matrix::zeros(0, 0),
-            w2: Matrix::zeros(0, 0),
-            h_g: Matrix::zeros(0, 0),
-            h_m: Matrix::zeros(0, 0),
+            params: Vec::new(),
         }
     }
 
-    /// Builds the fused score for gathered user/item rows on a tape;
-    /// returns the `(batch × 1)` logit.
-    #[allow(clippy::too_many_arguments)]
-    fn score(
-        tape: &mut Tape,
-        gu_g: taxorec_autodiff::Var,
-        gv_g: taxorec_autodiff::Var,
-        gu_m: taxorec_autodiff::Var,
-        gv_m: taxorec_autodiff::Var,
-        w1a: taxorec_autodiff::Var,
-        w1b: taxorec_autodiff::Var,
-        w2: taxorec_autodiff::Var,
-        h_g: taxorec_autodiff::Var,
-        h_m: taxorec_autodiff::Var,
-    ) -> taxorec_autodiff::Var {
-        let gmf = tape.hadamard(gu_g, gv_g);
-        let ua = tape.matmul(gu_m, w1a);
-        let vb = tape.matmul(gv_m, w1b);
+    /// Builds the fused `(rows × 1)` logit for gathered GMF user/item rows
+    /// `g` and MLP user/item rows `m`, over the weight leaves `w[4..]`.
+    fn score(tape: &mut Tape, w: &[Var], g: (Var, Var), m: (Var, Var)) -> Var {
+        let gmf = tape.hadamard(g.0, g.1);
+        let ua = tape.matmul(m.0, w[4]);
+        let vb = tape.matmul(m.1, w[5]);
         let pre1 = tape.add(ua, vb);
         let hid1 = tape.relu(pre1);
-        let pre2 = tape.matmul(hid1, w2);
+        let pre2 = tape.matmul(hid1, w[6]);
         let hid2 = tape.relu(pre2);
-        let s_g = tape.matmul(gmf, h_g);
-        let s_m = tape.matmul(hid2, h_m);
+        let s_g = tape.matmul(gmf, w[7]);
+        let s_m = tape.matmul(hid2, w[8]);
         tape.add(s_g, s_m)
     }
 }
@@ -234,134 +182,69 @@ impl Recommender for Neumf {
 
     fn fit(&mut self, dataset: &Dataset, split: &Split) {
         let mut rng = StdRng::seed_from_u64(self.opts.seed);
-        let d = self.opts.dim / 2;
-        let d = d.max(2);
-        self.p_g = init::normal_matrix(&mut rng, dataset.n_users, d, 0.1);
-        self.q_g = init::normal_matrix(&mut rng, dataset.n_items, d, 0.1);
-        self.p_m = init::normal_matrix(&mut rng, dataset.n_users, d, 0.1);
-        self.q_m = init::normal_matrix(&mut rng, dataset.n_items, d, 0.1);
+        let d = (self.opts.dim / 2).max(2);
         let scale = (1.0 / d as f64).sqrt();
-        self.w1a = init::normal_matrix(&mut rng, d, d, scale);
-        self.w1b = init::normal_matrix(&mut rng, d, d, scale);
-        self.w2 = init::normal_matrix(&mut rng, d, d, scale);
-        self.h_g = init::normal_matrix(&mut rng, d, 1, scale);
-        self.h_m = init::normal_matrix(&mut rng, d, 1, scale);
-        let sampler = NegativeSampler::new(dataset.n_items, split.train.clone());
-        let mut pairs = split.train_pairs();
-        if pairs.is_empty() {
-            return;
-        }
-        for _ in 0..self.opts.epochs {
-            let (users, pos, neg) =
-                epoch_triplets(&mut pairs, &sampler, self.opts.negatives, &mut rng);
-            for lo in (0..users.len()).step_by(self.opts.batch) {
-                let hi = (lo + self.opts.batch).min(users.len());
-                let mut tape = Tape::new();
-                let p_g = tape.leaf(self.p_g.clone());
-                let q_g = tape.leaf(self.q_g.clone());
-                let p_m = tape.leaf(self.p_m.clone());
-                let q_m = tape.leaf(self.q_m.clone());
-                let w1a = tape.leaf(self.w1a.clone());
-                let w1b = tape.leaf(self.w1b.clone());
-                let w2 = tape.leaf(self.w2.clone());
-                let h_g = tape.leaf(self.h_g.clone());
-                let h_m = tape.leaf(self.h_m.clone());
-                let ui = gather_indices(&users[lo..hi]);
-                let pi = gather_indices(&pos[lo..hi]);
-                let ni = gather_indices(&neg[lo..hi]);
-                let gu_g = tape.gather_rows(p_g, ui.clone());
-                let gu_m = tape.gather_rows(p_m, ui);
-                let gp_g = tape.gather_rows(q_g, pi.clone());
-                let gp_m = tape.gather_rows(q_m, pi);
-                let gn_g = tape.gather_rows(q_g, ni.clone());
-                let gn_m = tape.gather_rows(q_m, ni);
-                let s_pos = Self::score(&mut tape, gu_g, gp_g, gu_m, gp_m, w1a, w1b, w2, h_g, h_m);
-                let s_neg = Self::score(&mut tape, gu_g, gn_g, gu_m, gn_m, w1a, w1b, w2, h_g, h_m);
+        let (n_users, n_items) = (dataset.n_users, dataset.n_items);
+        let mut init = |r, c, std| init::normal_matrix(&mut rng, r, c, std);
+        let mut params = vec![
+            init(n_users, d, 0.1),
+            init(n_items, d, 0.1),
+            init(n_users, d, 0.1),
+            init(n_items, d, 0.1),
+            init(d, d, scale),
+            init(d, d, scale),
+            init(d, d, scale),
+            init(d, 1, scale),
+            init(d, 1, scale),
+        ];
+        let blocks = &mut params
+            .iter_mut()
+            .map(|m| (m, Step::Sgd))
+            .collect::<Vec<_>>();
+        self.opts
+            .fit_triplets(dataset, split, &mut rng, blocks, None, |tape, w, b| {
+                let (gu_g, gp_g, gn_g) = b.gather(tape, w[0], w[1], 0);
+                let (gu_m, gp_m, gn_m) = b.gather(tape, w[2], w[3], 0);
+                let s_pos = Self::score(tape, w, (gu_g, gp_g), (gu_m, gp_m));
+                let s_neg = Self::score(tape, w, (gu_g, gn_g), (gu_m, gn_m));
                 // BCE: positives label 1 → softplus(−s); negatives label 0
                 // → softplus(s).
                 let nsp = tape.neg(s_pos);
                 let l_pos = tape.softplus(nsp);
                 let l_neg = tape.softplus(s_neg);
                 let l_sum = tape.add(l_pos, l_neg);
-                let loss = tape.mean_all(l_sum);
-                let mut grads = tape.backward(loss);
-                for (param, var) in [
-                    (&mut self.p_g, p_g),
-                    (&mut self.q_g, q_g),
-                    (&mut self.p_m, p_m),
-                    (&mut self.q_m, q_m),
-                    (&mut self.w1a, w1a),
-                    (&mut self.w1b, w1b),
-                    (&mut self.w2, w2),
-                    (&mut self.h_g, h_g),
-                    (&mut self.h_m, h_m),
-                ] {
-                    if let Some(g) = grads.take(var) {
-                        optim::sgd(param, &g, self.opts.lr);
-                    }
-                }
-            }
-        }
+                tape.mean_all(l_sum)
+            });
+        self.params = params;
     }
 
     fn scores_for_user(&self, user: u32) -> Vec<f64> {
-        // Rebuild the forward for one user against all items on a tape
-        // (values only; no backward).
-        let n_items = self.q_g.rows();
+        // The training forward for one user against all items, values only.
+        let n_items = self.params[1].rows();
         let mut tape = Tape::new();
-        let u_idx = rc_idx(vec![user as usize; n_items]);
-        let all: std::sync::Arc<Vec<usize>> = rc_idx((0..n_items).collect());
-        let p_g = tape.leaf(self.p_g.clone());
-        let q_g = tape.leaf(self.q_g.clone());
-        let p_m = tape.leaf(self.p_m.clone());
-        let q_m = tape.leaf(self.q_m.clone());
-        let w1a = tape.leaf(self.w1a.clone());
-        let w1b = tape.leaf(self.w1b.clone());
-        let w2 = tape.leaf(self.w2.clone());
-        let h_g = tape.leaf(self.h_g.clone());
-        let h_m = tape.leaf(self.h_m.clone());
-        let gu_g = tape.gather_rows(p_g, u_idx.clone());
-        let gu_m = tape.gather_rows(p_m, u_idx);
-        let gv_g = tape.gather_rows(q_g, all.clone());
-        let gv_m = tape.gather_rows(q_m, all);
-        let s = Self::score(&mut tape, gu_g, gv_g, gu_m, gv_m, w1a, w1b, w2, h_g, h_m);
+        let w: Vec<Var> = self.params.iter().map(|m| tape.leaf_copy(m)).collect();
+        let users = Arc::new(vec![user as usize; n_items]);
+        let items = Arc::new((0..n_items).collect::<Vec<_>>());
+        let g = (
+            tape.gather_rows(w[0], users.clone()),
+            tape.gather_rows(w[1], items.clone()),
+        );
+        let m = (tape.gather_rows(w[2], users), tape.gather_rows(w[3], items));
+        let s = Self::score(&mut tape, &w, g, m);
         tape.value(s).data().to_vec()
     }
-}
-
-fn rc_idx(v: Vec<usize>) -> std::sync::Arc<Vec<usize>> {
-    std::sync::Arc::new(v)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::positives_beat_mean;
     use taxorec_data::{generate_preset, Preset, Scale};
 
     fn setup() -> (Dataset, Split) {
         let d = generate_preset(Preset::Ciao, Scale::Tiny);
         let s = Split::standard(&d);
         (d, s)
-    }
-
-    fn positives_beat_mean(model: &dyn Recommender, split: &Split) -> bool {
-        let mut pos = 0.0;
-        let mut np = 0usize;
-        let mut all = 0.0;
-        let mut na = 0usize;
-        for (u, items) in split.train.iter().enumerate() {
-            if items.is_empty() {
-                continue;
-            }
-            let s = model.scores_for_user(u as u32);
-            for &v in items {
-                pos += s[v as usize];
-                np += 1;
-            }
-            all += s.iter().sum::<f64>();
-            na += s.len();
-        }
-        pos / np as f64 > all / na as f64
     }
 
     #[test]

@@ -2,19 +2,42 @@
 //! methods"). All three consume item tags *flat* — no hierarchy — which is
 //! exactly the gap TaxoRec targets.
 
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use taxorec_autodiff::{Matrix, Tape, Var};
-use taxorec_core::{init, optim};
-use taxorec_data::{Dataset, NegativeSampler, Recommender, Split};
-use taxorec_geometry::vecops;
+use taxorec_core::init;
+use taxorec_data::{Dataset, Recommender, Split};
 
-use crate::common::{
-    bpr_loss, epoch_triplets, euclid_dist_sq, gather_indices, hinge_loss, item_tag_mean,
-    sym_norm_adjacency, unit_ball_project, TrainOpts,
-};
+use crate::common::{item_tag_mean, propagate, sym_norm_adjacency, Score, Scored, Step, TrainOpts};
+
+/// The fit CMLF and AMF share: user points `u`, item points
+/// `v + Ā_v·T` (the free part plus the mean of the item's tag
+/// embeddings), each block stepped by `step`, trained with `score`'s
+/// triplet loss.
+fn fit_tag_fused(
+    opts: &TrainOpts,
+    dataset: &Dataset,
+    split: &Split,
+    step: Step,
+    score: Score,
+) -> Scored {
+    let mut rng = StdRng::seed_from_u64(opts.seed);
+    let d = opts.dim;
+    let mut u = init::normal_matrix(&mut rng, dataset.n_users, d, 0.1);
+    let mut v = init::normal_matrix(&mut rng, dataset.n_items, d, 0.1);
+    let mut t = init::normal_matrix(&mut rng, dataset.n_tags.max(1), d, 0.1);
+    let item_tag = item_tag_mean(dataset);
+    let params = &mut [(&mut u, step), (&mut v, step), (&mut t, step)];
+    opts.fit_triplets(dataset, split, &mut rng, params, None, |tape, w, b| {
+        let tag_part = tape.spmm(&item_tag, w[2]);
+        let items = tape.add(w[1], tag_part);
+        let (gu, gp, gq) = b.gather(tape, w[0], items, 0);
+        score.triplet_loss(tape, gu, gp, gq, opts.margin)
+    });
+    let mut items = item_tag.matmul(&t);
+    items.add_assign(&v);
+    Scored::new(u, items, score)
+}
 
 // ---------------------------------------------------------------------------
 // CMLF — CML with tag features (Hsieh et al., WWW 2017, feature variant).
@@ -24,11 +47,7 @@ use crate::common::{
 /// trained with the standard CML hinge and norm constraint.
 pub struct Cmlf {
     opts: TrainOpts,
-    u: Matrix,
-    v: Matrix,
-    t: Matrix,
-    item_tag: Arc<taxorec_autodiff::Csr>,
-    final_items: Matrix,
+    out: Scored,
 }
 
 impl Cmlf {
@@ -36,11 +55,7 @@ impl Cmlf {
     pub fn new(opts: TrainOpts) -> Self {
         Self {
             opts,
-            u: Matrix::zeros(0, 0),
-            v: Matrix::zeros(0, 0),
-            t: Matrix::zeros(0, 0),
-            item_tag: Arc::new(taxorec_autodiff::Csr::identity(1)),
-            final_items: Matrix::zeros(0, 0),
+            out: Scored::default(),
         }
     }
 }
@@ -51,60 +66,11 @@ impl Recommender for Cmlf {
     }
 
     fn fit(&mut self, dataset: &Dataset, split: &Split) {
-        let mut rng = StdRng::seed_from_u64(self.opts.seed);
-        let d = self.opts.dim;
-        self.u = init::normal_matrix(&mut rng, dataset.n_users, d, 0.1);
-        self.v = init::normal_matrix(&mut rng, dataset.n_items, d, 0.1);
-        self.t = init::normal_matrix(&mut rng, dataset.n_tags.max(1), d, 0.1);
-        self.item_tag = item_tag_mean(dataset);
-        let sampler = NegativeSampler::new(dataset.n_items, split.train.clone());
-        let mut pairs = split.train_pairs();
-        if pairs.is_empty() {
-            self.final_items = self.v.clone();
-            return;
-        }
-        for _ in 0..self.opts.epochs {
-            let (users, pos, neg) =
-                epoch_triplets(&mut pairs, &sampler, self.opts.negatives, &mut rng);
-            for lo in (0..users.len()).step_by(self.opts.batch) {
-                let hi = (lo + self.opts.batch).min(users.len());
-                let mut tape = Tape::new();
-                let u_leaf = tape.leaf(self.u.clone());
-                let v_leaf = tape.leaf(self.v.clone());
-                let t_leaf = tape.leaf(self.t.clone());
-                let tag_part = tape.spmm(&self.item_tag, t_leaf);
-                let items = tape.add(v_leaf, tag_part);
-                let gu = tape.gather_rows(u_leaf, gather_indices(&users[lo..hi]));
-                let gp = tape.gather_rows(items, gather_indices(&pos[lo..hi]));
-                let gq = tape.gather_rows(items, gather_indices(&neg[lo..hi]));
-                let d_pos = euclid_dist_sq(&mut tape, gu, gp);
-                let d_neg = euclid_dist_sq(&mut tape, gu, gq);
-                let loss = hinge_loss(&mut tape, d_pos, d_neg, self.opts.margin);
-                let mut grads = tape.backward(loss);
-                if let Some(g) = grads.take(u_leaf) {
-                    optim::sgd(&mut self.u, &g, self.opts.lr);
-                }
-                if let Some(g) = grads.take(v_leaf) {
-                    optim::sgd(&mut self.v, &g, self.opts.lr);
-                }
-                if let Some(g) = grads.take(t_leaf) {
-                    optim::sgd(&mut self.t, &g, self.opts.lr);
-                }
-                unit_ball_project(&mut self.u);
-                unit_ball_project(&mut self.v);
-                unit_ball_project(&mut self.t);
-            }
-        }
-        let mut items = self.item_tag.matmul(&self.t);
-        items.add_assign(&self.v);
-        self.final_items = items;
+        self.out = fit_tag_fused(&self.opts, dataset, split, Step::SgdUnitBall, Score::SqDist);
     }
 
     fn scores_for_user(&self, user: u32) -> Vec<f64> {
-        let urow = self.u.row(user as usize);
-        (0..self.final_items.rows())
-            .map(|v| -vecops::sqdist(urow, self.final_items.row(v)))
-            .collect()
+        self.out.scores_for_user(user)
     }
 }
 
@@ -116,11 +82,7 @@ impl Recommender for Cmlf {
 /// aspect (tag) part: `x̂_uv = p_u · (q_v + Ā_v·T)`, trained with BPR.
 pub struct Amf {
     opts: TrainOpts,
-    p: Matrix,
-    q: Matrix,
-    t: Matrix,
-    item_tag: Arc<taxorec_autodiff::Csr>,
-    final_items: Matrix,
+    out: Scored,
 }
 
 impl Amf {
@@ -128,11 +90,7 @@ impl Amf {
     pub fn new(opts: TrainOpts) -> Self {
         Self {
             opts,
-            p: Matrix::zeros(0, 0),
-            q: Matrix::zeros(0, 0),
-            t: Matrix::zeros(0, 0),
-            item_tag: Arc::new(taxorec_autodiff::Csr::identity(1)),
-            final_items: Matrix::zeros(0, 0),
+            out: Scored::default(),
         }
     }
 }
@@ -143,57 +101,11 @@ impl Recommender for Amf {
     }
 
     fn fit(&mut self, dataset: &Dataset, split: &Split) {
-        let mut rng = StdRng::seed_from_u64(self.opts.seed);
-        let d = self.opts.dim;
-        self.p = init::normal_matrix(&mut rng, dataset.n_users, d, 0.1);
-        self.q = init::normal_matrix(&mut rng, dataset.n_items, d, 0.1);
-        self.t = init::normal_matrix(&mut rng, dataset.n_tags.max(1), d, 0.1);
-        self.item_tag = item_tag_mean(dataset);
-        let sampler = NegativeSampler::new(dataset.n_items, split.train.clone());
-        let mut pairs = split.train_pairs();
-        if pairs.is_empty() {
-            self.final_items = self.q.clone();
-            return;
-        }
-        for _ in 0..self.opts.epochs {
-            let (users, pos, neg) =
-                epoch_triplets(&mut pairs, &sampler, self.opts.negatives, &mut rng);
-            for lo in (0..users.len()).step_by(self.opts.batch) {
-                let hi = (lo + self.opts.batch).min(users.len());
-                let mut tape = Tape::new();
-                let p_leaf = tape.leaf(self.p.clone());
-                let q_leaf = tape.leaf(self.q.clone());
-                let t_leaf = tape.leaf(self.t.clone());
-                let tag_part = tape.spmm(&self.item_tag, t_leaf);
-                let items = tape.add(q_leaf, tag_part);
-                let gu = tape.gather_rows(p_leaf, gather_indices(&users[lo..hi]));
-                let gp = tape.gather_rows(items, gather_indices(&pos[lo..hi]));
-                let gq = tape.gather_rows(items, gather_indices(&neg[lo..hi]));
-                let sp = tape.row_dot(gu, gp);
-                let sn = tape.row_dot(gu, gq);
-                let loss = bpr_loss(&mut tape, sp, sn);
-                let mut grads = tape.backward(loss);
-                if let Some(g) = grads.take(p_leaf) {
-                    optim::sgd(&mut self.p, &g, self.opts.lr);
-                }
-                if let Some(g) = grads.take(q_leaf) {
-                    optim::sgd(&mut self.q, &g, self.opts.lr);
-                }
-                if let Some(g) = grads.take(t_leaf) {
-                    optim::sgd(&mut self.t, &g, self.opts.lr);
-                }
-            }
-        }
-        let mut items = self.item_tag.matmul(&self.t);
-        items.add_assign(&self.q);
-        self.final_items = items;
+        self.out = fit_tag_fused(&self.opts, dataset, split, Step::Sgd, Score::Dot);
     }
 
     fn scores_for_user(&self, user: u32) -> Vec<f64> {
-        let urow = self.p.row(user as usize);
-        (0..self.final_items.rows())
-            .map(|v| vecops::dot(urow, self.final_items.row(v)))
-            .collect()
+        self.out.scores_for_user(user)
     }
 }
 
@@ -201,19 +113,16 @@ impl Recommender for Amf {
 // AGCN — adaptive graph convolutional network (Wu et al., SIGIR 2020).
 // ---------------------------------------------------------------------------
 
+/// Weight of AGCN's attribute-reconstruction loss.
+const ATTR_WEIGHT: f64 = 0.3;
+
 /// Joint item recommendation + attribute inference: item inputs fuse free
 /// embeddings with projected tag attributes, LightGCN-style propagation,
 /// and a joint BPR + attribute-reconstruction objective.
 pub struct Agcn {
     opts: TrainOpts,
     layers: usize,
-    /// Attribute-loss weight.
-    attr_weight: f64,
-    emb: Matrix,
-    t: Matrix,
-    item_tag: Arc<taxorec_autodiff::Csr>,
-    final_emb: Matrix,
-    n_users: usize,
+    out: Scored,
 }
 
 impl Agcn {
@@ -222,38 +131,8 @@ impl Agcn {
         Self {
             opts,
             layers,
-            attr_weight: 0.3,
-            emb: Matrix::zeros(0, 0),
-            t: Matrix::zeros(0, 0),
-            item_tag: Arc::new(taxorec_autodiff::Csr::identity(1)),
-            final_emb: Matrix::zeros(0, 0),
-            n_users: 0,
+            out: Scored::default(),
         }
-    }
-
-    /// Builds the propagated stacked embedding with tag-fused item inputs.
-    fn propagate(
-        &self,
-        tape: &mut Tape,
-        e0: Var,
-        t_leaf: Var,
-        adj: &Arc<taxorec_autodiff::Csr>,
-        n_users: usize,
-        n_items: usize,
-    ) -> Var {
-        // Item rows get the projected tag attributes added.
-        let tag_part = tape.spmm(&self.item_tag, t_leaf); // n_items × d
-        let users0 = tape.slice_rows(e0, 0, n_users);
-        let items0 = tape.slice_rows(e0, n_users, n_items);
-        let items_in = tape.add(items0, tag_part);
-        let fused = tape.concat_rows(users0, items_in);
-        let mut acc = fused;
-        let mut z = fused;
-        for _ in 0..self.layers {
-            z = tape.spmm(adj, z);
-            acc = tape.add(acc, z);
-        }
-        tape.scale(acc, 1.0 / (self.layers + 1) as f64)
     }
 }
 
@@ -264,131 +143,60 @@ impl Recommender for Agcn {
 
     fn fit(&mut self, dataset: &Dataset, split: &Split) {
         let mut rng = StdRng::seed_from_u64(self.opts.seed);
-        self.n_users = dataset.n_users;
-        let n = dataset.n_users + dataset.n_items;
-        let d = self.opts.dim;
-        self.emb = init::normal_matrix(&mut rng, n, d, 0.1);
-        self.t = init::normal_matrix(&mut rng, dataset.n_tags.max(1), d, 0.1);
-        self.item_tag = item_tag_mean(dataset);
+        let (n_users, n_items, d) = (dataset.n_users, dataset.n_items, self.opts.dim);
+        let mut emb = init::normal_matrix(&mut rng, n_users + n_items, d, 0.1);
+        let mut t = init::normal_matrix(&mut rng, dataset.n_tags.max(1), d, 0.1);
+        let item_tag = item_tag_mean(dataset);
         let adj = sym_norm_adjacency(dataset, split);
         // Dense binary attribute target for the reconstruction loss.
-        let mut attr_target = Matrix::zeros(dataset.n_items, dataset.n_tags.max(1));
+        let mut attr_target = Matrix::zeros(n_items, dataset.n_tags.max(1));
         for (v, tags) in dataset.item_tags.iter().enumerate() {
             for &t in tags {
                 attr_target.set(v, t as usize, 1.0);
             }
         }
-        let sampler = NegativeSampler::new(dataset.n_items, split.train.clone());
-        let mut pairs = split.train_pairs();
-        if pairs.is_empty() {
-            self.final_emb = self.emb.clone();
-            return;
-        }
-        for _ in 0..self.opts.epochs {
-            let (users, pos, neg) =
-                epoch_triplets(&mut pairs, &sampler, self.opts.negatives, &mut rng);
-            for lo in (0..users.len()).step_by(self.opts.batch) {
-                let hi = (lo + self.opts.batch).min(users.len());
-                let mut tape = Tape::new();
-                let e0 = tape.leaf(self.emb.clone());
-                let t_leaf = tape.leaf(self.t.clone());
-                let e = self.propagate(
-                    &mut tape,
-                    e0,
-                    t_leaf,
-                    &adj,
-                    dataset.n_users,
-                    dataset.n_items,
-                );
-                let u_idx: Vec<usize> = users[lo..hi].iter().map(|&u| u as usize).collect();
-                let p_idx: Vec<usize> = pos[lo..hi]
-                    .iter()
-                    .map(|&v| self.n_users + v as usize)
-                    .collect();
-                let n_idx: Vec<usize> = neg[lo..hi]
-                    .iter()
-                    .map(|&v| self.n_users + v as usize)
-                    .collect();
-                let gu = tape.gather_rows(e, Arc::new(u_idx));
-                let gp = tape.gather_rows(e, Arc::new(p_idx));
-                let gq = tape.gather_rows(e, Arc::new(n_idx));
-                let sp = tape.row_dot(gu, gp);
-                let sn = tape.row_dot(gu, gq);
-                let l_bpr = bpr_loss(&mut tape, sp, sn);
+        let forward = |tape: &mut Tape, w: &[Var]| {
+            propagate(tape, w[0], Some((&item_tag, w[1])), &adj, self.layers)
+        };
+        let params = &mut [(&mut emb, Step::Sgd), (&mut t, Step::Sgd)];
+        self.opts
+            .fit_triplets(dataset, split, &mut rng, params, None, |tape, w, b| {
+                let e = forward(tape, w);
+                let (gu, gp, gq) = b.gather(tape, e, e, n_users);
+                let l_bpr = Score::Dot.triplet_loss(tape, gu, gp, gq, 0.0);
                 // Attribute inference: X̂ = E_items·Tᵀ, BCE vs. Ψ:
                 // mean(softplus(X̂) − X̂ ⊙ Ψ).
-                let items = tape.slice_rows(e, dataset.n_users, dataset.n_items);
-                let tt = tape.leaf(self.t.transpose());
+                let items = tape.slice_rows(e, n_users, n_items);
+                let tt = tape.value(w[1]).transpose();
+                let tt = tape.leaf(tt);
                 let logits = tape.matmul(items, tt);
                 let sp_term = tape.softplus(logits);
-                let target = tape.leaf(attr_target.clone());
+                let target = tape.leaf_copy(&attr_target);
                 let xy = tape.hadamard(logits, target);
                 let nxy = tape.neg(xy);
                 let bce = tape.add(sp_term, nxy);
                 let l_attr = tape.mean_all(bce);
-                let l_attr = tape.scale(l_attr, self.attr_weight);
-                let loss = tape.add(l_bpr, l_attr);
-                let mut grads = tape.backward(loss);
-                if let Some(g) = grads.take(e0) {
-                    optim::sgd(&mut self.emb, &g, self.opts.lr);
-                }
-                if let Some(g) = grads.take(t_leaf) {
-                    optim::sgd(&mut self.t, &g, self.opts.lr);
-                }
-            }
-        }
-        let mut tape = Tape::new();
-        let e0 = tape.leaf(self.emb.clone());
-        let t_leaf = tape.leaf(self.t.clone());
-        let e = self.propagate(
-            &mut tape,
-            e0,
-            t_leaf,
-            &adj,
-            dataset.n_users,
-            dataset.n_items,
-        );
-        self.final_emb = tape.value(e).clone();
+                let l_attr = tape.scale(l_attr, ATTR_WEIGHT);
+                tape.add(l_bpr, l_attr)
+            });
+        self.out = Scored::propagated(Score::Dot, n_users, &[&emb, &t], forward);
     }
 
     fn scores_for_user(&self, user: u32) -> Vec<f64> {
-        let urow = self.final_emb.row(user as usize);
-        let n_items = self.final_emb.rows() - self.n_users;
-        (0..n_items)
-            .map(|v| vecops::dot(urow, self.final_emb.row(self.n_users + v)))
-            .collect()
+        self.out.scores_for_user(user)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::positives_beat_mean;
     use taxorec_data::{generate_preset, Preset, Scale};
 
     fn setup() -> (Dataset, Split) {
         let d = generate_preset(Preset::Ciao, Scale::Tiny);
         let s = Split::standard(&d);
         (d, s)
-    }
-
-    fn positives_beat_mean(model: &dyn Recommender, split: &Split) -> bool {
-        let mut pos = 0.0;
-        let mut np = 0usize;
-        let mut all = 0.0;
-        let mut na = 0usize;
-        for (u, items) in split.train.iter().enumerate() {
-            if items.is_empty() {
-                continue;
-            }
-            let s = model.scores_for_user(u as u32);
-            for &v in items {
-                pos += s[v as usize];
-                np += 1;
-            }
-            all += s.iter().sum::<f64>();
-            na += s.len();
-        }
-        pos / np as f64 > all / na as f64
     }
 
     #[test]
