@@ -1,9 +1,11 @@
 //! The full baseline lineup, in the paper's Table II row order, plus
-//! TaxoRec itself — one factory for the experiment harness.
+//! TaxoRec itself and the Euclidean CML+Agg ablation of Table III — one
+//! factory for the experiment harness.
 
 use taxorec_core::{TaxoRec, TaxoRecConfig};
 use taxorec_data::Recommender;
 
+use crate::ablation::CmlAgg;
 use crate::common::TrainOpts;
 use crate::graph::{Hgcf, LightGcn, Ngcf};
 use crate::hyper::HyperMl;
@@ -30,10 +32,10 @@ fn metric_opts(opts: &TrainOpts) -> TrainOpts {
     }
 }
 
-/// Builds one model by its Table II name.
+/// Builds one model by its Table II name, or `"CML+Agg"`.
 ///
-/// `gcn_layers` applies to the graph models; `seed` overrides
-/// `opts.seed`. Returns `None` for an unknown name.
+/// `gcn_layers` applies to the graph models. Returns `None` for an
+/// unknown name.
 pub fn by_name(
     name: &str,
     opts: &TrainOpts,
@@ -56,6 +58,7 @@ pub fn by_name(
         "CMLF" => Box::new(Cmlf::new(metric_opts(opts))),
         "AMF" => Box::new(Amf::new(o)),
         "AGCN" => Box::new(Agcn::new(o, gcn_layers)),
+        "CML+Agg" => Box::new(CmlAgg::new(metric_opts(opts), gcn_layers)),
         "TaxoRec" => Box::new(TaxoRec::new(taxorec_config.clone())),
         _ => return None,
     })
@@ -70,6 +73,7 @@ pub const TABLE2_ORDER: [&str; 15] = [
 #[cfg(test)]
 mod tests {
     use super::*;
+    use taxorec_data::{generate_preset, Preset, Scale, Split};
 
     #[test]
     fn every_table2_name_resolves() {
@@ -80,5 +84,29 @@ mod tests {
             assert_eq!(m.name(), name);
         }
         assert!(by_name("NotAModel", &opts, &cfg, 2).is_none());
+    }
+
+    /// A split without a single training interaction: every model still
+    /// ends its fit with a full, finite score row.
+    #[test]
+    fn every_model_scores_after_a_fit_on_an_empty_training_split() {
+        let d = generate_preset(Preset::Ciao, Scale::Tiny);
+        let mut s = Split::standard(&d);
+        s.train.iter_mut().for_each(Vec::clear);
+        let opts = TrainOpts {
+            epochs: 2,
+            ..TrainOpts::fast_test()
+        };
+        let cfg = TaxoRecConfig {
+            epochs: 2,
+            ..TaxoRecConfig::fast_test()
+        };
+        for name in TABLE2_ORDER.into_iter().chain(["CML+Agg"]) {
+            let mut m = by_name(name, &opts, &cfg, 2).expect("lineup name");
+            m.fit(&d, &s);
+            let scores = m.scores_for_user(0);
+            assert_eq!(scores.len(), d.n_items, "{name}");
+            assert!(scores.iter().all(|x| x.is_finite()), "{name}");
+        }
     }
 }

@@ -27,7 +27,7 @@ fn bench_training(c: &mut Criterion) {
     for name in ["TaxoRec", "Hyper+CML+Agg", "LightGCN", "CML"] {
         c.bench_function(&format!("{name}_fit_1epoch_ciao_tiny"), |b| {
             b.iter(|| {
-                let mut m = make_model(name, &profile, 1, &dataset.name);
+                let mut m = make_model(name, &profile, 1);
                 m.fit(&dataset, &split);
             })
         });

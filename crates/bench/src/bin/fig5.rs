@@ -29,7 +29,7 @@ fn main() {
             p.dim = dims[di];
             // TaxoRec reserves a fixed tag budget (paper: 12 of 64).
             p.dim_tag = 8.min(dims[di] / 2);
-            let mut model = make_model(models[mi], &p, p.seeds[0], &dataset.name);
+            let mut model = make_model(models[mi], &p, p.seeds[0]);
             model.fit(&dataset, &split);
             let e = evaluate(model.as_ref(), &split, &[10]);
             100.0 * e.mean_recall(0)

@@ -18,7 +18,7 @@ fn main() {
     );
     for preset in [Preset::AmazonBook, Preset::Yelp] {
         let (dataset, split) = dataset_and_split(preset, profile.scale);
-        let mut model = TaxoRec::new(profile.taxorec_config_for(&dataset.name, profile.seeds[0]));
+        let mut model = TaxoRec::new(profile.taxorec_config(profile.seeds[0]));
         model.fit(&dataset, &split);
         let taxo = model.taxonomy().expect("taxonomy constructed");
         println!(

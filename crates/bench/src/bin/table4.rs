@@ -71,7 +71,7 @@ fn main() {
     let results = par_map("table4", jobs.len(), |i| {
         let (si, di) = jobs[i];
         let (dataset, split) = &datasets[di];
-        let mut cfg = profile.taxorec_config_for(&dataset.name, profile.seeds[0]);
+        let mut cfg = profile.taxorec_config(profile.seeds[0]);
         (all[si].patch)(&mut cfg);
         let mut model = TaxoRec::new(cfg);
         model.fit(dataset, split);

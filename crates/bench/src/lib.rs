@@ -12,7 +12,7 @@
 //! * `TAXOREC_SEEDS` — number of seeds per cell (default 3)
 //! * `TAXOREC_EPOCHS` — training epochs (default 60)
 
-use taxorec_baselines::{zoo, CmlAgg, TrainOpts};
+use taxorec_baselines::{zoo, TrainOpts};
 use taxorec_core::{TaxoRec, TaxoRecConfig};
 use taxorec_data::{generate_preset, Dataset, Preset, Recommender, Scale, Split};
 use taxorec_eval::{run_cell, CellStats};
@@ -95,15 +95,6 @@ impl BenchProfile {
             ..TaxoRecConfig::default()
         }
     }
-
-    /// Per-dataset TaxoRec configuration. The final grid search selected
-    /// the same configuration for every dataset, so this currently
-    /// forwards to [`BenchProfile::taxorec_config`]; the hook stays so
-    /// per-dataset tuning can be reintroduced without touching call
-    /// sites.
-    pub fn taxorec_config_for(&self, _dataset_name: &str, seed: u64) -> TaxoRecConfig {
-        self.taxorec_config(seed)
-    }
 }
 
 /// Generates a preset dataset and its standard 60/20/20 split.
@@ -115,24 +106,10 @@ pub fn dataset_and_split(preset: Preset, scale: Scale) -> (Dataset, Split) {
 
 /// Builds any model of the lineup (Table II names plus the Table III
 /// ablations `CML+Agg`, `Hyper+CML`, `Hyper+CML+Agg`).
-/// `dataset_name` selects the per-dataset TaxoRec tuning (pass `""` for
-/// the shared default).
-pub fn make_model(
-    name: &str,
-    profile: &BenchProfile,
-    seed: u64,
-    dataset_name: &str,
-) -> Box<dyn Recommender> {
+pub fn make_model(name: &str, profile: &BenchProfile, seed: u64) -> Box<dyn Recommender> {
     let opts = profile.train_opts(seed);
-    let cfg = profile.taxorec_config_for(dataset_name, seed);
+    let cfg = profile.taxorec_config(seed);
     match name {
-        "CML+Agg" => Box::new(CmlAgg::new(
-            TrainOpts {
-                lr: opts.lr.max(0.5),
-                ..opts
-            },
-            profile.gcn_layers,
-        )),
         "Hyper+CML" => Box::new(TaxoRec::new(cfg.ablation_hyper_cml())),
         "Hyper+CML+Agg" => Box::new(TaxoRec::new(cfg.ablation_hyper_cml_agg())),
         _ => zoo::by_name(name, &opts, &cfg, profile.gcn_layers)
@@ -164,7 +141,7 @@ pub fn run_jobs(
         let (dataset, split) = &datasets[job.dataset_idx];
         run_cell(
             &job.model,
-            &|seed| make_model(&job.model, profile, seed, &dataset.name),
+            &|seed| make_model(&job.model, profile, seed),
             dataset,
             split,
             ks,
@@ -227,11 +204,11 @@ mod tests {
     fn make_model_covers_full_lineup() {
         let p = tiny_profile();
         for name in zoo::TABLE2_ORDER {
-            let m = make_model(name, &p, 1, "Ciao-synth");
+            let m = make_model(name, &p, 1);
             assert_eq!(m.name(), name);
         }
         for name in ["CML+Agg", "Hyper+CML", "Hyper+CML+Agg"] {
-            let m = make_model(name, &p, 1, "");
+            let m = make_model(name, &p, 1);
             assert_eq!(m.name(), name);
         }
     }
