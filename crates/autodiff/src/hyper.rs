@@ -25,7 +25,9 @@
 
 use crate::matrix::Matrix;
 use crate::sparse::Csr;
-use taxorec_geometry::{arcosh, arcosh_grad, lorentz, vecops, EPS_DIV, EPS_SMALL, MAX_BALL_NORM};
+use taxorec_geometry::{
+    arcosh, arcosh_grad, lorentz, multiversion, vecops, EPS_DIV, EPS_SMALL, MAX_BALL_NORM,
+};
 
 /// Rows whose inner products [`lorentz_dist_sq_rows_fwd`] reduces in
 /// lockstep; see `taxorec_geometry::vecops`.
@@ -77,7 +79,7 @@ multiversion! {
     /// Backward of [`lorentz_exp_origin_fwd`], which **writes** `grad_z`:
     /// `z̄ = ḡ₀·sinh(r)/r·z + sinh(r)/r·ḡ_s + (z·ḡ_s)·(cosh(r)r − sinh(r))/r³ · z`,
     /// both factors read from the forward's `aux`.
-    pub fn lorentz_exp_origin_bwd(z: &Matrix, aux: &Matrix, grad_out: &Matrix, grad_z: &mut Matrix) {
+    pub fn lorentz_exp_origin_bwd(isa: Isa, z: &Matrix, aux: &Matrix, grad_out: &Matrix, grad_z: &mut Matrix) {
         assert_eq!(grad_z.shape(), z.shape());
         for r in 0..z.rows() {
             let zr = z.row(r);
@@ -129,7 +131,7 @@ multiversion! {
     /// `x̄₀ = (ḡ·x_s/n)·arcosh'(x₀)`,
     /// `x̄_s = (a/n)·ḡ − (a/n³)(x_s·ḡ)·x_s` with `n = ‖x_s‖` and
     /// `a = arcosh(x₀)` read from the forward's `aux`; zero where `n < EPS_DIV`.
-    pub fn lorentz_log_origin_bwd(x: &Matrix, aux: &Matrix, grad_out: &Matrix, grad_x: &mut Matrix) {
+    pub fn lorentz_log_origin_bwd(isa: Isa, x: &Matrix, aux: &Matrix, grad_out: &Matrix, grad_x: &mut Matrix) {
         assert_eq!(grad_x.shape(), x.shape());
         for r in 0..x.rows() {
             let xr = x.row(r);
@@ -252,6 +254,7 @@ multiversion! {
     /// have been added into it with as a matrix of its own.
     #[allow(clippy::too_many_arguments)]
     pub fn lorentz_dist_sq_rows_bwd(
+        isa: Isa,
         x: &Matrix,
         y: &Matrix,
         idx: &[usize],

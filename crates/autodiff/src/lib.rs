@@ -90,9 +90,6 @@
 //!   bit for bit (`tests/tape_reuse.rs`). `Tape::new()` is the same code
 //!   with an empty free list.
 
-#[macro_use]
-mod isa;
-
 pub mod hyper;
 pub mod matrix;
 pub mod sparse;
@@ -101,3 +98,181 @@ pub mod tape;
 pub use matrix::Matrix;
 pub use sparse::Csr;
 pub use tape::{Gradients, OpTime, Tape, Var};
+
+#[cfg(test)]
+mod tests {
+    //! Every clone of every `multiversion!` kernel against the baseline
+    //! clone, on inputs that reach the edges `tests/kernel_bits.rs` does:
+    //! widths on both sides of the 8-column blocks, empty rows, the small
+    //! radius series, degenerate rows, signed zeros and non-finite values.
+
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    use taxorec_geometry::isa::Isa;
+    use taxorec_geometry::lorentz;
+
+    /// `v`'s bits, with every NaN mapped to one value: Rust leaves the
+    /// sign and payload of a NaN result unspecified.
+    fn key(v: f64) -> u64 {
+        if v.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    const EDGES: [f64; 6] = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1e-300,
+    ];
+
+    /// `rows × cols` values in `±scale`, about one in ten of them one of
+    /// [`EDGES`].
+    fn edgy(rng: &mut StdRng, rows: usize, cols: usize, scale: f64) -> Matrix {
+        let data = (0..rows * cols)
+            .map(|_| match rng.random_range(0..10usize) {
+                0 => EDGES[rng.random_range(0..EDGES.len())],
+                _ => (rng.random::<f64>() - 0.5) * 2.0 * scale,
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    /// `len` values cycling through [`EDGES`] from its `from`-th.
+    fn edge_row(len: usize, from: usize) -> impl Iterator<Item = f64> {
+        (from..from + len).map(|j| EDGES[j % EDGES.len()])
+    }
+
+    /// Hyperboloid rows of `d` spatial coordinates at each radius of
+    /// `scales`, then two rows of [`EDGES`].
+    fn hyperboloid(rng: &mut StdRng, d: usize, scales: &[f64]) -> Matrix {
+        let mut rows = Vec::new();
+        for &scale in scales {
+            let spatial: Vec<f64> = (0..d)
+                .map(|_| (rng.random::<f64>() - 0.5) * 2.0 * scale)
+                .collect();
+            rows.extend(lorentz::from_spatial(&spatial));
+        }
+        rows.extend(edge_row(d + 1, 0).chain(edge_row(d + 1, 3)));
+        Matrix::from_vec(rows.len() / (d + 1), d + 1, rows)
+    }
+
+    /// Asserts that `run` returns the baseline clone's bits on every clone.
+    fn each_clone(what: &str, run: impl Fn(Isa) -> Vec<f64>) {
+        let want: Vec<u64> = run(Isa::BASELINE).into_iter().map(key).collect();
+        for isa in Isa::supported() {
+            let got: Vec<u64> = run(isa).into_iter().map(key).collect();
+            assert_eq!(got, want, "{what} on {}", isa.name());
+        }
+    }
+
+    #[test]
+    fn every_clone_of_every_kernel_returns_the_baseline_bits() {
+        let clones: Vec<&str> = Isa::supported().iter().map(|i| i.name()).collect();
+        println!("autodiff clones: {clones:?}");
+        let mut rng = StdRng::seed_from_u64(61);
+        // The spmm body, below one block, at and between multiples of
+        // 8 columns and past the widest register kernel; every fifth row
+        // empty; writing and adding, from the first row and from a later one.
+        for width in 1..=41 {
+            let (rows, cols) = (23, 17);
+            let mut triplets = Vec::new();
+            for r in (0..rows).filter(|r| r % 5 != 2) {
+                for _ in 0..rng.random_range(1..7usize) {
+                    let v = edgy(&mut rng, 1, 1, 1.0).get(0, 0);
+                    triplets.push((r, rng.random_range(0..cols), v));
+                }
+            }
+            let m = Csr::from_triplets(rows, cols, &triplets);
+            let x = edgy(&mut rng, cols, width, 2.0);
+            let init = edgy(&mut rng, rows, width, 1.0);
+            for (add, r0) in [(false, 0), (true, 0), (false, 5), (true, 5)] {
+                each_clone(
+                    &format!("fill_rows width {width}, add {add}, r0 {r0}"),
+                    |isa| {
+                        let mut out = init.data()[r0 * width..].to_vec();
+                        sparse::fill_rows(isa, &m, &x, r0, &mut out, add);
+                        out
+                    },
+                );
+            }
+        }
+        for d in [1, 2, 5, 8, 9, 17, 32] {
+            // A row of edge values, a row of signed zeros, then radius
+            // 0, below the sinh series cut (1e-7), below the residual
+            // series cut (1e-4), ordinary and large.
+            let mut rows: Vec<f64> = edge_row(d, 0).collect();
+            rows.extend((0..d).map(|j| if j % 2 == 0 { -0.0 } else { 0.0 }));
+            for scale in [0.0, 3e-9, 2e-6, 0.3, 1.7, 6.0] {
+                rows.extend((0..d).map(|_| (rng.random::<f64>() - 0.5) * 2.0 * scale));
+            }
+            let z = Matrix::from_vec(rows.len() / d, d, rows);
+            let n = z.rows();
+            let (mut out, mut aux) = (Matrix::zeros(n, d + 1), Matrix::zeros(n, 2));
+            hyper::lorentz_exp_origin_fwd(&z, &mut out, &mut aux);
+            let g = edgy(&mut rng, n, d + 1, 1.0);
+            each_clone(&format!("lorentz_exp_origin_bwd d {d}"), |isa| {
+                let mut gz = Matrix::full(n, d, f64::NAN);
+                hyper::lorentz_exp_origin_bwd(isa, &z, &aux, &g, &mut gz);
+                gz.into_vec()
+            });
+
+            // ‖x_s‖ = 0, below EPS_DIV, just above it, small, ordinary, far.
+            let x = hyperboloid(&mut rng, d, &[0.0, 1e-14, 3e-12, 1e-5, 0.4, 5.0]);
+            let n = x.rows();
+            let (mut out, mut aux) = (Matrix::zeros(n, d), Matrix::zeros(n, 2));
+            hyper::lorentz_log_origin_fwd(&x, &mut out, &mut aux);
+            let g = edgy(&mut rng, n, d, 1.0);
+            each_clone(&format!("lorentz_log_origin_bwd d {d}"), |isa| {
+                let mut gx = Matrix::full(n, d + 1, f64::NAN);
+                hyper::lorentz_log_origin_bwd(isa, &x, &aux, &g, &mut gx);
+                gx.into_vec()
+            });
+
+            // Rows equal to, next to and far from the row they are paired
+            // with; row 0 of `y` read by many, its last row by none.
+            let y = hyperboloid(&mut rng, d, &[0.2, 0.9, 2.5, 0.5, 1e-9]);
+            let mut x = hyperboloid(&mut rng, d, &[0.3; 11]);
+            let idx: Vec<usize> = (0..x.rows())
+                .map(|r| {
+                    if r % 4 == 1 {
+                        0
+                    } else {
+                        rng.random_range(0..y.rows() - 1)
+                    }
+                })
+                .collect();
+            for (r, &yr) in idx.iter().enumerate().filter(|(r, _)| r % 3 == 0) {
+                x.row_mut(r).copy_from_slice(y.row(yr));
+                x.row_mut(r)[1] += if r % 2 == 0 { 1e-9 } else { 0.0 };
+            }
+            let n = x.rows();
+            let (mut out, mut aux) = (Matrix::zeros(n, 1), Matrix::zeros(n, 2));
+            hyper::lorentz_dist_sq_rows_fwd(&x, &y, &idx, &mut out, &mut aux);
+            let g = edgy(&mut rng, n, 1, 1.0);
+            let (gx0, gy0) = (
+                edgy(&mut rng, n, d + 1, 1.0),
+                edgy(&mut rng, y.rows(), d + 1, 1.0),
+            );
+            for add in [false, true] {
+                each_clone(
+                    &format!("lorentz_dist_sq_rows_bwd d {d}, add {add}"),
+                    |isa| {
+                        let (mut gx, mut gy) = (gx0.clone(), gy0.clone());
+                        let mut term = vec![f64::NAN; d + 1];
+                        let term = add.then_some(term.as_mut_slice());
+                        hyper::lorentz_dist_sq_rows_bwd(
+                            isa, &x, &y, &idx, &aux, &g, &mut gx, term, &mut gy,
+                        );
+                        gx.into_vec().into_iter().chain(gy.into_vec()).collect()
+                    },
+                );
+            }
+        }
+    }
+}

@@ -166,13 +166,6 @@ impl Matrix {
         }
     }
 
-    /// In-place scaling.
-    pub fn scale_assign(&mut self, c: f64) {
-        for a in &mut self.data {
-            *a *= c;
-        }
-    }
-
     /// Dense matmul `self (n×k) · other (k×m) → (n×m)`.
     ///
     /// # Panics
@@ -211,11 +204,6 @@ impl Matrix {
     /// Sum of all entries.
     pub fn sum(&self) -> f64 {
         self.data.iter().sum()
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute entry (0 for empty matrices).
@@ -289,7 +277,6 @@ mod tests {
         let a = Matrix::from_vec(2, 2, vec![1.0, -2.0, 3.0, -4.0]);
         assert_eq!(a.sum(), -2.0);
         assert_eq!(a.max_abs(), 4.0);
-        assert!((a.frobenius_norm() - 30.0f64.sqrt()).abs() < 1e-12);
         assert!(a.all_finite());
         let b = Matrix::from_vec(1, 1, vec![f64::NAN]);
         assert!(!b.all_finite());
@@ -314,7 +301,5 @@ mod tests {
         assert_eq!(a.data(), &[11.0, 22.0]);
         a.axpy_assign(0.5, &b);
         assert_eq!(a.data(), &[16.0, 32.0]);
-        a.scale_assign(2.0);
-        assert_eq!(a.data(), &[32.0, 64.0]);
     }
 }

@@ -13,13 +13,16 @@
 //! instead of adding every entry into the output row in memory. Each
 //! entry `(j, v)` still adds `v·x[j][c]` to column `c`'s running sum in
 //! entry order from `0.0`, so the bits are the in-memory loop's. The body
-//! is compiled three times (baseline, AVX2, AVX-512F) and the widest the
-//! CPU supports runs (`multiversion!`).
+//! is compiled three times (baseline, AVX2, AVX-512F) by
+//! `taxorec_geometry::multiversion!`; a product runs the widest clone the
+//! CPU supports, and a unit test holds every clone to the baseline's bits.
 
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use crate::matrix::Matrix;
+use taxorec_geometry::isa::Isa;
+use taxorec_geometry::multiversion;
 
 /// Rows per parallel spmm job. Large enough to amortize job claiming,
 /// small enough that skewed row lengths still load-balance.
@@ -195,15 +198,16 @@ impl Csr {
         // Pool spin-up only pays off for substantial products; the cutoff
         // affects scheduling, never values.
         let flops = self.nnz().saturating_mul(m);
+        let isa = Isa::detected();
         if self.rows >= 2 * SPMM_ROW_BLOCK && flops >= 1 << 15 {
             taxorec_parallel::par_chunks(
                 "autodiff.spmm",
                 out.data_mut(),
                 SPMM_ROW_BLOCK * m,
-                |offset, block| fill_rows(self, x, offset / m, block, add),
+                |offset, block| fill_rows(isa, self, x, offset / m, block, add),
             );
         } else {
-            fill_rows(self, x, 0, out.data_mut(), add);
+            fill_rows(isa, self, x, 0, out.data_mut(), add);
         }
     }
 
@@ -278,7 +282,7 @@ multiversion! {
     /// `out` (whole rows, every entry), or added into it with `add`,
     /// dispatched on the product's width to the register kernel, or —
     /// below one block or above [`MAX_COL_BLOCKS`] — to the in-memory loop.
-    fn fill_rows(m: &Csr, x: &Matrix, r0: usize, out: &mut [f64], add: bool) {
+    pub(crate) fn fill_rows(isa: Isa, m: &Csr, x: &Matrix, r0: usize, out: &mut [f64], add: bool) {
         let tail = !x.cols().is_multiple_of(COL_BLOCK);
         match (x.cols() / COL_BLOCK, tail) {
             (1, false) => fill_rows_blocked::<1, false>(m, x, r0, out, add),

@@ -28,6 +28,7 @@ use std::time::Instant;
 use crate::hyper;
 use crate::matrix::Matrix;
 use crate::sparse::Csr;
+use taxorec_geometry::isa::Isa;
 
 /// Handle to a tape node. Cheap to copy; only valid for the tape that
 /// created it.
@@ -1060,13 +1061,13 @@ fn accumulate_parents(
         Op::LorentzExpO(z) => {
             let vz = value(*z);
             let mut gz = pool.take(vz.rows(), vz.cols());
-            hyper::lorentz_exp_origin_bwd(vz, aux, g, &mut gz);
+            hyper::lorentz_exp_origin_bwd(Isa::detected(), vz, aux, g, &mut gz);
             add_grad(grads, pool, *z, gz);
         }
         Op::LorentzLogO(x) => {
             let vx = value(*x);
             let mut gx = pool.take(vx.rows(), vx.cols());
-            hyper::lorentz_log_origin_bwd(vx, aux, g, &mut gx);
+            hyper::lorentz_log_origin_bwd(Isa::detected(), vx, aux, g, &mut gx);
             add_grad(grads, pool, *x, gx);
         }
         Op::LorentzDistSq(x, y) => {
@@ -1080,16 +1081,17 @@ fn accumulate_parents(
         Op::LorentzDistSqRows { x, y, idx } => {
             let (vx, vy) = (value(*x), value(*y));
             let mut gy = pool.take_zeroed(vy.rows(), vy.cols());
+            let isa = Isa::detected();
             // The two sides of a triplet share `x`: the second adds its
             // rows into the first's gradient, one row of scratch at a time.
             contribute(grads, pool, *x, vx.shape(), |pool, gx, add| {
                 if add {
                     let mut term = pool.take(1, vx.cols());
                     let t = Some(term.data_mut());
-                    hyper::lorentz_dist_sq_rows_bwd(vx, vy, idx, aux, g, gx, t, &mut gy);
+                    hyper::lorentz_dist_sq_rows_bwd(isa, vx, vy, idx, aux, g, gx, t, &mut gy);
                     pool.give(term);
                 } else {
-                    hyper::lorentz_dist_sq_rows_bwd(vx, vy, idx, aux, g, gx, None, &mut gy);
+                    hyper::lorentz_dist_sq_rows_bwd(isa, vx, vy, idx, aux, g, gx, None, &mut gy);
                 }
             });
             add_grad(grads, pool, *y, gy);

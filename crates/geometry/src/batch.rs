@@ -35,16 +35,24 @@
 //! `TaxoRec::finalize()`, which runs once per epoch after RSGD (see
 //! DESIGN.md §12 for the full invalidation contract).
 //!
-//! Two entry points share the sweeps. [`fused_scores_block`] writes every
-//! score of a range for one anchor, sweeping both channels (full score
-//! rows, and the reference the tests compare against). [`fused_rank`] is
-//! the one *ranking* entry: a multi-anchor sweep of the interaction
-//! channel alone, then the tag inner product and the `arcosh` finisher
-//! only for items that can still enter the caller's top-K — an exact
-//! pruning, argued in DESIGN.md §12. Production reaches both through
+//! One body sweeps every range, `neg_inner_strips`: strips of rows
+//! outside, register-blocked groups of anchors inside, one group shape
+//! per constant group size, so a one-anchor call keeps its accumulators
+//! in registers as a many-anchor one does. It is compiled once per vector
+//! width by [`multiversion!`](crate::multiversion), and the tests hold
+//! every clone to the baseline's bits and to the scalar inner product.
+//! Two entry points share it. [`fused_scores_block`] writes every score
+//! of a range for one anchor, sweeping both channels (full score rows,
+//! and the reference the tests compare against). [`fused_rank`] is the
+//! one *ranking* entry: a multi-anchor sweep of the interaction channel
+//! alone, then the tag inner product and the `arcosh` finisher only for
+//! items that can still enter the caller's top-K — an exact pruning,
+//! argued in DESIGN.md §12. Production reaches both through
 //! `taxorec_data::Scorer`.
 
 use crate::arcosh;
+use crate::isa::Isa;
+use crate::multiversion;
 
 /// Precomputed per-row cache over a block of hyperboloid points, stored
 /// in panel-major strips for fused anchor-vs-block kernels.
@@ -135,64 +143,19 @@ impl BlockCache {
 
     /// Writes `−⟨anchor, x_i⟩_L` for `i in lo..hi` into `out`
     /// (`out.len() == hi − lo`), bit-identical per item to
-    /// `-lorentz::inner(anchor, row_i)`.
-    ///
-    /// Strip-mined over the panel-major layout: see [`neg_inner_strips`]
-    /// for the schedule and the bit-identity argument.
+    /// `-lorentz::inner(anchor, row_i)`: the strip sweep with one anchor.
     pub fn neg_inner_block(&self, anchor: &[f64], lo: usize, hi: usize, out: &mut [f64]) {
-        assert_eq!(anchor.len(), self.ambient, "anchor/cache dim mismatch");
-        assert!(lo <= hi && hi <= self.rows, "block {lo}..{hi} out of range");
+        assert!(lo <= hi, "block {lo}..{hi} out of range");
         assert_eq!(out.len(), hi - lo, "output length mismatch");
-        // Runtime ISA dispatch: the AVX2 clone runs the *same* generic
-        // body with 256-bit auto-vectorization (Rust never contracts
-        // mul+add into FMA, so lane width cannot change any result bit);
-        // the baseline build only assumes SSE2.
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: feature presence just checked.
-                unsafe {
-                    return neg_inner_strips_avx512(
-                        &self.time,
-                        &self.spatial,
-                        self.ambient,
-                        anchor,
-                        lo,
-                        out,
-                    );
-                }
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: feature presence just checked.
-                unsafe {
-                    return neg_inner_strips_avx2(
-                        &self.time,
-                        &self.spatial,
-                        self.ambient,
-                        anchor,
-                        lo,
-                        out,
-                    );
-                }
-            }
-        }
-        neg_inner_strips(&self.time, &self.spatial, self.ambient, anchor, lo, out);
+        self.neg_inner_rows(Isa::detected(), &[anchor], lo, hi - lo, hi - lo, out);
     }
 
-    /// Multi-anchor variant of [`BlockCache::neg_inner_block`], the sweep
-    /// of [`fused_rank`]: writes `−⟨anchor_u, x_i⟩_L` for every anchor `u`
-    /// and the `n` rows from `lo` into `out[u·stride + i]`, and performs
-    /// the ISA dispatch.
-    ///
-    /// Per `(anchor, item)` pair the arithmetic is exactly
-    /// [`neg_inner_one`]'s, so each anchor's row is bit-identical to a
-    /// separate [`BlockCache::neg_inner_block`] call. The point of the
-    /// batched form is memory traffic: one pass streams each panel tile
-    /// once for up to [`MULTI`] anchors, so a block of users amortizes
-    /// the item-side reads that dominate single-anchor sweeps when the
-    /// panel outgrows L2.
-    fn neg_inner_multi_dispatch(
+    /// Writes `−⟨anchor_u, x_i⟩_L` for every anchor `u` and the `n` rows
+    /// from `lo` into `out[u·stride + i]`, on the clone `isa` names: the
+    /// checked entry of [`neg_inner_strips`].
+    fn neg_inner_rows(
         &self,
+        isa: Isa,
         anchors: &[&[f64]],
         lo: usize,
         n: usize,
@@ -207,49 +170,23 @@ impl BlockCache {
         for a in anchors {
             assert_eq!(a.len(), self.ambient, "anchor/cache dim mismatch");
         }
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: feature presence just checked.
-                unsafe {
-                    return neg_inner_strips_multi_avx512(
-                        &self.time,
-                        &self.spatial,
-                        self.ambient,
-                        anchors,
-                        lo,
-                        n,
-                        stride,
-                        out,
-                    );
-                }
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: feature presence just checked.
-                unsafe {
-                    return neg_inner_strips_multi_avx2(
-                        &self.time,
-                        &self.spatial,
-                        self.ambient,
-                        anchors,
-                        lo,
-                        n,
-                        stride,
-                        out,
-                    );
-                }
-            }
+        neg_inner_strips(isa, self, anchors, lo, n, stride, out);
+    }
+
+    /// One item's negated Lorentz inner product against `anchor`, read
+    /// from the panel-major layout — the sweep's partial strips at the
+    /// edges of a range, and [`fused_rank`]'s tag channel for the items
+    /// its prune keeps. Accumulation order matches
+    /// [`crate::lorentz::inner`] and the strip sweep exactly, so the bits
+    /// are theirs.
+    #[inline(always)]
+    fn neg_inner_one(&self, anchor: &[f64], idx: usize) -> f64 {
+        let base = (idx / STRIP) * STRIP * (self.ambient - 1) + idx % STRIP;
+        let mut acc = -anchor[0] * self.time[idx];
+        for (j, &aj) in anchor.iter().enumerate().skip(1) {
+            acc += aj * self.spatial[base + (j - 1) * STRIP];
         }
-        neg_inner_strips_multi(
-            &self.time,
-            &self.spatial,
-            self.ambient,
-            anchors,
-            lo,
-            n,
-            stride,
-            out,
-        );
+        -acc
     }
 
     /// Writes the geodesic distance `d_H(anchor, x_i)` for `i in lo..hi`
@@ -279,247 +216,110 @@ fn within_bound(x: &[f64]) -> bool {
     x.iter().all(|v| v.abs() <= INNER_BOUND)
 }
 
-/// Strip width of the fused inner-product kernels: 8 f64 accumulators
-/// give the compiler independent chains to hide FP-add latency while
-/// fitting the vector register file on every supported tier.
+/// Rows per strip of the sweep: each anchor of a group keeps `STRIP`
+/// accumulators, independent chains that hide FP-add latency.
 const STRIP: usize = 32;
 
-/// One item's negated Lorentz inner product against the anchor, read
-/// from the panel-major layout — the scalar fallback for partial strips
-/// at the edges of a query range, and [`fused_rank`]'s tag channel for
-/// the items its prune keeps. Accumulation order matches
-/// [`crate::lorentz::inner`] and the strip kernels exactly, so the bits
-/// are theirs.
-#[inline(always)]
-fn neg_inner_one(
-    time: &[f64],
-    spatial: &[f64],
-    ambient: usize,
-    anchor: &[f64],
-    na0: f64,
-    idx: usize,
-) -> f64 {
-    let base = (idx / STRIP) * STRIP * (ambient - 1) + idx % STRIP;
-    let mut acc = na0 * time[idx];
-    for j in 1..ambient {
-        acc += anchor[j] * spatial[base + (j - 1) * STRIP];
-    }
-    -acc
-}
-
-/// Generic strip-mined body of [`BlockCache::neg_inner_block`]: items in
-/// strips of [`STRIP`] with register-resident accumulators over the
-/// panel-major layout, so a whole strip's inputs are one contiguous
-/// sequential read and `out` is written exactly once. Within a strip
-/// each item accumulates its dimensions in the scalar kernel's exact
-/// order: `acc = (−a₀)·tᵢ; acc += aⱼ·xᵢ[j] (j ascending); out = −acc` —
-/// unary minus binds to the operand, so both sign flips are exact.
-/// Partial strips at the range edges run [`neg_inner_one`] per item.
-#[inline(always)]
-fn neg_inner_strips(
-    time: &[f64],
-    spatial: &[f64],
-    ambient: usize,
-    anchor: &[f64],
-    lo: usize,
-    out: &mut [f64],
-) {
-    let na0 = -anchor[0];
-    let n = out.len();
-    let panel = STRIP * (ambient - 1);
-    let mut i = 0;
-    // Head: items before the first strip boundary.
-    while i < n && !(lo + i).is_multiple_of(STRIP) {
-        out[i] = neg_inner_one(time, spatial, ambient, anchor, na0, lo + i);
-        i += 1;
-    }
-    // Aligned full strips: one contiguous panel each.
-    while i + STRIP <= n {
-        let t = &time[lo + i..lo + i + STRIP];
-        let mut acc = [0.0f64; STRIP];
-        for k in 0..STRIP {
-            acc[k] = na0 * t[k];
-        }
-        let base = (lo + i) / STRIP * panel;
-        let tile = &spatial[base..base + panel];
-        for j in 1..ambient {
-            let aj = anchor[j];
-            let col = &tile[(j - 1) * STRIP..j * STRIP];
-            for k in 0..STRIP {
-                acc[k] += aj * col[k];
-            }
-        }
-        for k in 0..STRIP {
-            out[i + k] = -acc[k];
-        }
-        i += STRIP;
-    }
-    // Tail: the final partial strip.
-    while i < n {
-        out[i] = neg_inner_one(time, spatial, ambient, anchor, na0, lo + i);
-        i += 1;
-    }
-}
-
-/// [`neg_inner_strips`] compiled with AVX-512F enabled, selected at
-/// runtime. Identical IEEE-754 operation sequence — only the vector
-/// width differs.
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX-512F.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn neg_inner_strips_avx512(
-    time: &[f64],
-    spatial: &[f64],
-    ambient: usize,
-    anchor: &[f64],
-    lo: usize,
-    out: &mut [f64],
-) {
-    neg_inner_strips(time, spatial, ambient, anchor, lo, out);
-}
-
-/// [`neg_inner_strips`] compiled with AVX2 enabled, selected at runtime.
-/// Identical IEEE-754 operation sequence — only the vector width differs.
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn neg_inner_strips_avx2(
-    time: &[f64],
-    spatial: &[f64],
-    ambient: usize,
-    anchor: &[f64],
-    lo: usize,
-    out: &mut [f64],
-) {
-    neg_inner_strips(time, spatial, ambient, anchor, lo, out);
-}
-
-/// Anchors per register-blocked group of the multi-anchor kernels: the
-/// widest block whose `MULTI × STRIP` accumulator tile still fits the
-/// AVX-512 register file alongside the shared column loads.
+/// Anchors per register-blocked group of the sweep: the widest block
+/// whose `MULTI × STRIP` accumulator tile still fits the AVX-512 register
+/// file alongside the shared column loads.
 const MULTI: usize = 4;
 
-/// Generic body of the multi-anchor sweep: strips in the
-/// outer loop, anchors in register-blocked groups of up to [`MULTI`] in
-/// the inner loop. Each strip's panel tile is therefore read from
-/// memory once per *block* of anchors — the first group pulls it in,
-/// later groups hit L1 (a tile is `STRIP · (ambient−1)` doubles, ≤16 KiB
-/// at ambient 65) — and every `col` load inside a group feeds [`MULTI`]
-/// accumulator strips. Per `(anchor, item)` pair the operation sequence
-/// is exactly the single-anchor kernel's — blocking only changes which
-/// loads are shared, never the arithmetic.
-#[allow(clippy::too_many_arguments)]
+multiversion! {
+    /// The one strip sweep: `out[u·stride + i] = −⟨anchors[u], x_{lo+i}⟩_L`
+    /// for `i < n`. Strips of [`STRIP`] rows are the outer loop, anchors
+    /// in register-blocked groups of up to [`MULTI`] the inner one, so a
+    /// strip's panel tile is read from memory once per *block* of anchors
+    /// — the first group pulls it in, later groups hit L1 (a tile is
+    /// `STRIP · (ambient−1)` doubles, ≤16 KiB at ambient 65) — and every
+    /// column load feeds a whole group. Within a strip each item
+    /// accumulates its dimensions in the scalar kernel's exact order:
+    /// `acc = (−a₀)·tᵢ; acc += aⱼ·xᵢ[j] (j ascending); out = −acc` — unary
+    /// minus binds to the operand, so both sign flips are exact. Partial
+    /// strips at the range edges run [`BlockCache::neg_inner_one`] per
+    /// item, the same operations one at a time.
+    fn neg_inner_strips(
+        isa: Isa,
+        c: &BlockCache,
+        anchors: &[&[f64]],
+        lo: usize,
+        n: usize,
+        stride: usize,
+        out: &mut [f64],
+    ) {
+        let panel = STRIP * (c.ambient - 1);
+        let edge = |i: usize, out: &mut [f64]| {
+            for (u, anchor) in anchors.iter().enumerate() {
+                out[u * stride + i] = c.neg_inner_one(anchor, lo + i);
+            }
+        };
+        let mut i = 0;
+        // Head: items before the first strip boundary.
+        while i < n && !(lo + i).is_multiple_of(STRIP) {
+            edge(i, out);
+            i += 1;
+        }
+        // Aligned full strips: one tile read serves every anchor group.
+        while i + STRIP <= n {
+            let t = &c.time[lo + i..lo + i + STRIP];
+            let base = (lo + i) / STRIP * panel;
+            let tile = &c.spatial[base..base + panel];
+            for (g, group) in anchors.chunks(MULTI).enumerate() {
+                let out = &mut out[g * MULTI * stride + i..];
+                match group.len() {
+                    1 => strip_group::<1>(group, t, tile, stride, out),
+                    2 => strip_group::<2>(group, t, tile, stride, out),
+                    3 => strip_group::<3>(group, t, tile, stride, out),
+                    _ => strip_group::<MULTI>(group, t, tile, stride, out),
+                }
+            }
+            i += STRIP;
+        }
+        // Tail: the final partial strip.
+        while i < n {
+            edge(i, out);
+            i += 1;
+        }
+    }
+}
+
+/// One strip of [`neg_inner_strips`] for a group of `B` anchors: `B ×
+/// STRIP` accumulators, which stay in registers because `B` is a
+/// constant, and each item's operations in the scalar kernel's order.
 #[inline(always)]
-fn neg_inner_strips_multi(
-    time: &[f64],
-    spatial: &[f64],
-    ambient: usize,
-    anchors: &[&[f64]],
-    lo: usize,
-    n: usize,
+fn strip_group<const B: usize>(
+    group: &[&[f64]],
+    t: &[f64],
+    tile: &[f64],
     stride: usize,
     out: &mut [f64],
 ) {
-    let panel = STRIP * (ambient - 1);
-    let n_anchors = anchors.len();
-    let mut i = 0;
-    // Head: items before the first strip boundary.
-    while i < n && !(lo + i).is_multiple_of(STRIP) {
-        for (u, anchor) in anchors.iter().enumerate() {
-            out[u * stride + i] = neg_inner_one(time, spatial, ambient, anchor, -anchor[0], lo + i);
+    let group: &[&[f64]; B] = group.try_into().expect("group of B anchors");
+    let mut acc = [[0.0f64; STRIP]; B];
+    for (accu, anchor) in acc.iter_mut().zip(group) {
+        let na0 = -anchor[0];
+        for k in 0..STRIP {
+            accu[k] = na0 * t[k];
         }
-        i += 1;
     }
-    // Aligned full strips: one tile read serves every anchor group.
-    while i + STRIP <= n {
-        let t = &time[lo + i..lo + i + STRIP];
-        let base = (lo + i) / STRIP * panel;
-        let tile = &spatial[base..base + panel];
-        let mut a = 0;
-        while a < n_anchors {
-            let b = (n_anchors - a).min(MULTI);
-            let group = &anchors[a..a + b];
-            let mut acc = [[0.0f64; STRIP]; MULTI];
-            for (u, accu) in acc.iter_mut().take(b).enumerate() {
-                let na0 = -group[u][0];
-                for k in 0..STRIP {
-                    accu[k] = na0 * t[k];
-                }
+    // Columns sliced by range, not by `chunks_exact`: the range's length
+    // is a constant the vectorizer sees. With `chunks_exact` a block of
+    // 32 anchors swept three times slower on an AVX-512 host.
+    for j in 1..=tile.len() / STRIP {
+        let col = &tile[(j - 1) * STRIP..j * STRIP];
+        for (accu, anchor) in acc.iter_mut().zip(group) {
+            let aj = anchor[j];
+            for k in 0..STRIP {
+                accu[k] += aj * col[k];
             }
-            for j in 1..ambient {
-                let col = &tile[(j - 1) * STRIP..j * STRIP];
-                for (u, accu) in acc.iter_mut().take(b).enumerate() {
-                    let aj = group[u][j];
-                    for k in 0..STRIP {
-                        accu[k] += aj * col[k];
-                    }
-                }
-            }
-            for (u, accu) in acc.iter().take(b).enumerate() {
-                let dst = &mut out[(a + u) * stride + i..(a + u) * stride + i + STRIP];
-                for k in 0..STRIP {
-                    dst[k] = -accu[k];
-                }
-            }
-            a += b;
         }
-        i += STRIP;
     }
-    // Tail: the final partial strip.
-    while i < n {
-        for (u, anchor) in anchors.iter().enumerate() {
-            out[u * stride + i] = neg_inner_one(time, spatial, ambient, anchor, -anchor[0], lo + i);
+    for (u, accu) in acc.iter().enumerate() {
+        let dst = &mut out[u * stride..u * stride + STRIP];
+        for k in 0..STRIP {
+            dst[k] = -accu[k];
         }
-        i += 1;
     }
-}
-
-/// [`neg_inner_strips_multi`] compiled with AVX-512F enabled, selected
-/// at runtime. Identical IEEE-754 operation sequence — only the vector
-/// width differs.
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX-512F.
-#[allow(clippy::too_many_arguments)]
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn neg_inner_strips_multi_avx512(
-    time: &[f64],
-    spatial: &[f64],
-    ambient: usize,
-    anchors: &[&[f64]],
-    lo: usize,
-    n: usize,
-    stride: usize,
-    out: &mut [f64],
-) {
-    neg_inner_strips_multi(time, spatial, ambient, anchors, lo, n, stride, out);
-}
-
-/// [`neg_inner_strips_multi`] compiled with AVX2 enabled, selected at
-/// runtime. Identical IEEE-754 operation sequence — only the vector
-/// width differs.
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX2.
-#[allow(clippy::too_many_arguments)]
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn neg_inner_strips_multi_avx2(
-    time: &[f64],
-    spatial: &[f64],
-    ambient: usize,
-    anchors: &[&[f64]],
-    lo: usize,
-    n: usize,
-    stride: usize,
-    out: &mut [f64],
-) {
-    neg_inner_strips_multi(time, spatial, ambient, anchors, lo, n, stride, out);
 }
 
 /// Second distance channel of a fused two-channel score pass.
@@ -696,6 +496,7 @@ pub fn fused_rank<S: RankSink + ?Sized>(
         }
         finite_tag.extend(t.anchors.iter().map(|a| t.cache.bounded && within_bound(a)));
     }
+    let isa = Isa::detected();
     let mut ni_ir = RANK_SCRATCH.take();
     let buf_len = b * (hi - lo).min(FUSED_ITEM_CHUNK);
     if ni_ir.len() < buf_len {
@@ -705,17 +506,14 @@ pub fn fused_rank<S: RankSink + ?Sized>(
     while c0 < hi {
         let c1 = (c0 + FUSED_ITEM_CHUNK).min(hi);
         let m = c1 - c0;
-        ir.neg_inner_multi_dispatch(u_irs, c0, m, m, &mut ni_ir[..b * m]);
+        ir.neg_inner_rows(isa, u_irs, c0, m, m, &mut ni_ir[..b * m]);
         for u in 0..b {
             let row = &ni_ir[u * m..(u + 1) * m];
             match &tag {
                 Some(t) => {
                     let alpha = t.alphas[u];
                     let anchor = t.anchors[u];
-                    let c = t.cache;
-                    let tag_ni = |slot| {
-                        neg_inner_one(&c.time, &c.spatial, c.ambient, anchor, -anchor[0], slot)
-                    };
+                    let tag_ni = |slot| t.cache.neg_inner_one(anchor, slot);
                     let finite = finite_tag[u];
                     // The rule needs a tag term that is `≥ 0`, never NaN.
                     let sound = (0.0..f64::INFINITY).contains(&alpha);
@@ -754,6 +552,8 @@ pub fn fused_rank<S: RankSink + ?Sized>(
 mod tests {
     use super::*;
     use crate::lorentz;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn flat(points: &[Vec<f64>]) -> Vec<f64> {
         points.iter().flat_map(|p| p.iter().copied()).collect()
@@ -888,32 +688,136 @@ mod tests {
         }
     }
 
-    #[test]
-    fn multi_anchor_rows_match_single_anchor_sweeps() {
-        // 6 anchors exercises one full MULTI group plus a remainder; the
-        // sub-range 1..4 exercises the unaligned head/tail per group.
-        let pts = sample_points();
-        let c = BlockCache::build(&flat(&pts), 4);
-        let anchor_pts: Vec<Vec<f64>> = (0..6)
-            .map(|a| {
-                let s = a as f64 * 0.3 - 0.8;
-                lorentz::from_spatial(&[s, -s * 0.5, 0.2 + s])
+    /// `v`'s bits, with every NaN mapped to one value: Rust leaves the
+    /// sign and payload of a NaN result unspecified.
+    fn key(v: f64) -> u64 {
+        if v.is_nan() {
+            f64::NAN.to_bits()
+        } else {
+            v.to_bits()
+        }
+    }
+
+    /// Values a sweep must pass through as the scalar kernel does.
+    const EDGES: [f64; 7] = [
+        0.0,
+        -0.0,
+        1e-300,
+        -1e300,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+    ];
+
+    /// `n` hyperboloid points of `ambient` coordinates, a few spatial
+    /// coordinates `−0.0`; with `edges`, about one value in eight is
+    /// replaced by one of [`EDGES`].
+    fn points(rng: &mut StdRng, n: usize, ambient: usize, edges: bool) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|_| {
+                let spatial: Vec<f64> = (1..ambient)
+                    .map(|_| match rng.random_range(0..10usize) {
+                        0 => -0.0,
+                        _ => (rng.random::<f64>() - 0.5) * 4.0,
+                    })
+                    .collect();
+                let mut p = lorentz::from_spatial(&spatial);
+                for v in p.iter_mut() {
+                    if edges && rng.random_range(0..8usize) == 0 {
+                        *v = EDGES[rng.random_range(0..EDGES.len())];
+                    }
+                }
+                p
             })
-            .collect();
-        let anchors: Vec<&[f64]> = anchor_pts.iter().map(|p| p.as_slice()).collect();
-        for (lo, hi) in [(0usize, pts.len()), (1, 4)] {
-            let n = hi - lo;
-            let mut multi = vec![0.0; anchors.len() * n];
-            c.neg_inner_multi_dispatch(&anchors, lo, n, n, &mut multi);
-            let mut single = vec![0.0; n];
-            for (u, a) in anchors.iter().enumerate() {
-                c.neg_inner_block(a, lo, hi, &mut single);
-                for i in 0..n {
-                    assert_eq!(
-                        multi[u * n + i].to_bits(),
-                        single[i].to_bits(),
-                        "anchor {u} item {i} range {lo}..{hi}"
-                    );
+            .collect()
+    }
+
+    /// Rows `lo..hi` of `isa`'s sweep for each anchor, through a stride
+    /// two longer than the range, whose gap must stay untouched.
+    fn sweep(c: &BlockCache, isa: Isa, anchors: &[&[f64]], lo: usize, hi: usize) -> Vec<f64> {
+        let (n, stride) = (hi - lo, hi - lo + 2);
+        let mut out = vec![7.0; anchors.len() * stride];
+        c.neg_inner_rows(isa, anchors, lo, n, stride, &mut out);
+        for row in out.chunks(stride) {
+            assert!(
+                row[n..].iter().all(|&v| v == 7.0),
+                "sweep wrote past its range"
+            );
+        }
+        out.chunks(stride)
+            .flat_map(|row| row[..n].to_vec())
+            .collect()
+    }
+
+    /// Three and a half strips of rows, ranges that start and end on and
+    /// off strip boundaries, and anchor blocks of every group shape.
+    const ROWS: usize = 3 * STRIP + 16;
+    const RANGES: [(usize, usize); 5] = [
+        (0, ROWS),
+        (5, ROWS - 3),
+        (STRIP, 3 * STRIP),
+        (1, 2 * STRIP + 1),
+        (40, 50),
+    ];
+
+    #[test]
+    fn strip_sweep_is_the_scalar_inner_product() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for ambient in [2, 13, 33, 65] {
+            let pts = points(&mut rng, ROWS, ambient, false);
+            let c = BlockCache::build(&flat(&pts), ambient);
+            let anchor_pts = points(&mut rng, 2 * MULTI + 1, ambient, false);
+            for b in 1..=anchor_pts.len() {
+                let anchors: Vec<&[f64]> = anchor_pts[..b].iter().map(Vec::as_slice).collect();
+                for (lo, hi) in RANGES {
+                    let got = sweep(&c, Isa::detected(), &anchors, lo, hi);
+                    for (u, row) in got.chunks(hi - lo).enumerate() {
+                        for (i, v) in row.iter().enumerate() {
+                            let want = -lorentz::inner(anchors[u], &pts[lo + i]);
+                            assert_eq!(
+                                v.to_bits(),
+                                want.to_bits(),
+                                "ambient {ambient}, {b} anchors, range {lo}..{hi}: anchor {u} row {}",
+                                lo + i
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_clone_sweeps_the_baseline_bits() {
+        let clones = Isa::supported();
+        println!(
+            "sweep clones: {:?}",
+            clones.iter().map(|i| i.name()).collect::<Vec<_>>()
+        );
+        let mut rng = StdRng::seed_from_u64(5);
+        for ambient in [2, 13, 33, 65] {
+            let pts = points(&mut rng, ROWS, ambient, true);
+            let c = BlockCache::build(&flat(&pts), ambient);
+            let anchor_pts = points(&mut rng, 2 * MULTI + 1, ambient, true);
+            for b in 1..=anchor_pts.len() {
+                let anchors: Vec<&[f64]> = anchor_pts[..b].iter().map(Vec::as_slice).collect();
+                for (lo, hi) in RANGES {
+                    let want: Vec<u64> = sweep(&c, Isa::BASELINE, &anchors, lo, hi)
+                        .into_iter()
+                        .map(key)
+                        .collect();
+                    for &isa in &clones {
+                        let got: Vec<u64> = sweep(&c, isa, &anchors, lo, hi)
+                            .into_iter()
+                            .map(key)
+                            .collect();
+                        assert_eq!(
+                            got,
+                            want,
+                            "{} at ambient {ambient}, {b} anchors, range {lo}..{hi}",
+                            isa.name()
+                        );
+                    }
                 }
             }
         }

@@ -32,6 +32,7 @@
 
 pub mod batch;
 pub mod convert;
+pub mod isa;
 pub mod klein;
 pub mod lorentz;
 pub mod poincare;

@@ -9,8 +9,8 @@
 //! `fused_scores_block` scores — same item ids in the same order (ties →
 //! lower id) with `f64::to_bits`-identical scores — and `Scorer::scores`
 //! has to equal the scalar `Anchor::score` loop bit for bit. At `k ≥ n`
-//! nothing is pruned, so every multi-anchor sweep score is compared with
-//! the single-anchor sweep's.
+//! nothing is pruned, so every score a block of anchors sweeps is
+//! compared with the same sweep run for its anchor alone.
 //! The generated inputs aim at where a pruning rule could go wrong:
 //! rows at the origin and on the clip shell (distances near 0 and near
 //! the largest the model produces), duplicated rows (exact score ties),
