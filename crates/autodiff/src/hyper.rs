@@ -25,6 +25,7 @@
 
 use crate::matrix::Matrix;
 use crate::sparse::Csr;
+use crate::tape::Triplets;
 use taxorec_geometry::{
     arcosh, arcosh_grad, lorentz, multiversion, vecops, EPS_DIV, EPS_SMALL, MAX_BALL_NORM,
 };
@@ -56,14 +57,14 @@ fn exp_origin_factors(r: f64) -> (f64, f64, f64) {
 // exp_o : tangent (n×d) → hyperboloid (n×(d+1))   [paper Eq. 15]
 // ---------------------------------------------------------------------------
 
-/// Forward of the Lorentz exponential map at the origin. Row `r` of `aux`
-/// (`n×2`) keeps `sinh(r)/r` and `(cosh(r)·r − sinh(r))/r³` for the
-/// backward.
-pub fn lorentz_exp_origin_fwd(z: &Matrix, out: &mut Matrix, aux: &mut Matrix) {
+/// Forward of the Lorentz exponential map at the origin. Entries `2r` and
+/// `2r + 1` of `aux` (two per row) keep `sinh(r)/r` and
+/// `(cosh(r)·r − sinh(r))/r³` for the backward.
+pub fn lorentz_exp_origin_fwd(z: &Matrix, out: &mut Matrix, aux: &mut [f64]) {
     let (n, d) = z.shape();
     assert_eq!(out.shape(), (n, d + 1));
-    assert_eq!(aux.shape(), (n, 2));
-    for r in 0..n {
+    assert_eq!(aux.len(), 2 * n);
+    for (r, a) in aux.chunks_exact_mut(2).enumerate() {
         let zr = z.row(r);
         let (cosh, sinhc, residual) = exp_origin_factors(vecops::norm(zr));
         let orow = out.row_mut(r);
@@ -71,7 +72,7 @@ pub fn lorentz_exp_origin_fwd(z: &Matrix, out: &mut Matrix, aux: &mut Matrix) {
         for (o, &zj) in orow[1..].iter_mut().zip(zr) {
             *o = sinhc * zj;
         }
-        aux.row_mut(r).copy_from_slice(&[sinhc, residual]);
+        a.copy_from_slice(&[sinhc, residual]);
     }
 }
 
@@ -79,12 +80,13 @@ multiversion! {
     /// Backward of [`lorentz_exp_origin_fwd`], which **writes** `grad_z`:
     /// `z̄ = ḡ₀·sinh(r)/r·z + sinh(r)/r·ḡ_s + (z·ḡ_s)·(cosh(r)r − sinh(r))/r³ · z`,
     /// both factors read from the forward's `aux`.
-    pub fn lorentz_exp_origin_bwd(isa: Isa, z: &Matrix, aux: &Matrix, grad_out: &Matrix, grad_z: &mut Matrix) {
+    pub fn lorentz_exp_origin_bwd(isa: Isa, z: &Matrix, aux: &[f64], grad_out: &Matrix, grad_z: &mut Matrix) {
         assert_eq!(grad_z.shape(), z.shape());
-        for r in 0..z.rows() {
+        assert_eq!(aux.len(), 2 * z.rows());
+        for (r, a) in aux.chunks_exact(2).enumerate() {
             let zr = z.row(r);
             let g = grad_out.row(r);
-            let (s, c) = (aux.get(r, 0), aux.get(r, 1));
+            let (s, c) = (a[0], a[1]);
             let g0 = g[0];
             let gs = &g[1..];
             let zg = vecops::dot(zr, gs);
@@ -100,29 +102,31 @@ multiversion! {
 // ---------------------------------------------------------------------------
 
 /// Forward of the Lorentz logarithmic map at the origin:
-/// `z = arcosh(x₀)·x_s/‖x_s‖` per row. Row `r` of `aux` (`n×2`) keeps
-/// `‖x_s‖` and `arcosh(x₀)` (`0` where `‖x_s‖ < EPS_DIV`: the row maps to
-/// the origin and has no gradient).
-pub fn lorentz_log_origin_fwd(x: &Matrix, out: &mut Matrix, aux: &mut Matrix) {
+/// `z = arcosh(x₀)·x_s/‖x_s‖` per row, written into the `n×d` row-major
+/// `out`. Entries `2r` and `2r + 1` of `aux` keep `‖x_s‖` and
+/// `arcosh(x₀)` (`0` where `‖x_s‖ < EPS_DIV`: the row maps to the origin
+/// and has no gradient).
+pub fn lorentz_log_origin_fwd(x: &Matrix, out: &mut [f64], aux: &mut [f64]) {
     let (n, dc) = x.shape();
-    assert_eq!(out.shape(), (n, dc - 1));
-    assert_eq!(aux.shape(), (n, 2));
-    for r in 0..n {
+    let d = dc - 1;
+    assert_eq!(out.len(), n * d);
+    assert_eq!(aux.len(), 2 * n);
+    for (r, a) in aux.chunks_exact_mut(2).enumerate() {
         let xr = x.row(r);
         let spatial = &xr[1..];
         let nn = vecops::norm(spatial);
-        let orow = out.row_mut(r);
+        let orow = &mut out[r * d..(r + 1) * d];
         if nn < EPS_DIV {
             orow.fill(0.0);
-            aux.row_mut(r).copy_from_slice(&[nn, 0.0]);
+            a.copy_from_slice(&[nn, 0.0]);
             continue;
         }
-        let a = arcosh(xr[0]);
-        let f = a / nn;
+        let arc = arcosh(xr[0]);
+        let f = arc / nn;
         for (o, &sj) in orow.iter_mut().zip(spatial) {
             *o = f * sj;
         }
-        aux.row_mut(r).copy_from_slice(&[nn, a]);
+        a.copy_from_slice(&[nn, arc]);
     }
 }
 
@@ -131,14 +135,18 @@ multiversion! {
     /// `x̄₀ = (ḡ·x_s/n)·arcosh'(x₀)`,
     /// `x̄_s = (a/n)·ḡ − (a/n³)(x_s·ḡ)·x_s` with `n = ‖x_s‖` and
     /// `a = arcosh(x₀)` read from the forward's `aux`; zero where `n < EPS_DIV`.
-    pub fn lorentz_log_origin_bwd(isa: Isa, x: &Matrix, aux: &Matrix, grad_out: &Matrix, grad_x: &mut Matrix) {
+    /// `grad_out` is `n×d` row-major, as the forward's `out`.
+    pub fn lorentz_log_origin_bwd(isa: Isa, x: &Matrix, aux: &[f64], grad_out: &[f64], grad_x: &mut Matrix) {
         assert_eq!(grad_x.shape(), x.shape());
-        for r in 0..x.rows() {
+        let d = x.cols() - 1;
+        assert_eq!(aux.len(), 2 * x.rows());
+        assert_eq!(grad_out.len(), x.rows() * d);
+        for (r, a) in aux.chunks_exact(2).enumerate() {
             let xr = x.row(r);
             let spatial = &xr[1..];
-            let g = grad_out.row(r);
+            let g = &grad_out[r * d..(r + 1) * d];
             let gx = grad_x.row_mut(r);
-            let (nn, a) = (aux.get(r, 0), aux.get(r, 1));
+            let (nn, a) = (a[0], a[1]);
             if nn < EPS_DIV {
                 gx.fill(0.0);
                 continue;
@@ -282,6 +290,118 @@ multiversion! {
                         *g += t;
                     }
                 }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// One channel of the triplet hinge: the squared distances of each triplet's
+// user to its positive and its negative item, and their gradients
+// (users, items, triplets) → (n×4 scalars)   [Eq. 17 over a triplet batch]
+// ---------------------------------------------------------------------------
+
+/// Forward of one channel of [`crate::Tape::triplet_hinge`]. For triplet
+/// `r` (user `u`, positive `p`, negative `q`), entries `col..col + 4` of
+/// row `r` of `aux` get `s = −⟨x_u, y_p⟩_L`, `arcosh s`, and the same two
+/// for `q`, where `x_u` is row `u` of `users` and `y_v` is row
+/// `offset + v` of `items`, both read in place. Per triplet, this is the
+/// arithmetic of [`lorentz_dist_sq_rows_fwd`] over gathered user rows:
+/// [`LANES`] triplets' inner products run in lockstep, each in
+/// [`lorentz::inner`]'s order.
+pub(crate) fn triplet_dists_fwd(
+    users: &Matrix,
+    items: &Matrix,
+    offset: usize,
+    t: &Triplets,
+    aux: &mut Matrix,
+    col: usize,
+) {
+    assert_eq!(users.cols(), items.cols());
+    let n = t.len();
+    assert_eq!(aux.rows(), n);
+    assert!(col + 4 <= aux.cols());
+    let full = n - n % LANES;
+    for r0 in (0..full).step_by(LANES) {
+        triplet_dists::<LANES>(users, items, offset, t, r0, aux, col);
+    }
+    for r0 in full..n {
+        triplet_dists::<1>(users, items, offset, t, r0, aux, col);
+    }
+}
+
+/// Triplets `r0..r0 + N` of [`triplet_dists_fwd`].
+#[inline(always)]
+fn triplet_dists<const N: usize>(
+    users: &Matrix,
+    items: &Matrix,
+    offset: usize,
+    t: &Triplets,
+    r0: usize,
+    aux: &mut Matrix,
+    col: usize,
+) {
+    let x: [&[f64]; N] = std::array::from_fn(|l| users.row(t.users[r0 + l]));
+    for (side, idx) in [(0, &t.pos), (2, &t.neg)] {
+        let neg_s =
+            lorentz::inner_lanes::<N>(x, std::array::from_fn(|l| items.row(offset + idx[r0 + l])));
+        for (l, neg_s) in neg_s.into_iter().enumerate() {
+            let s = -neg_s;
+            aux.row_mut(r0 + l)[col + side..col + side + 2].copy_from_slice(&[s, arcosh(s)]);
+        }
+    }
+}
+
+multiversion! {
+    /// Backward of one channel of [`crate::Tape::triplet_hinge`], given
+    /// the forward's `aux` (see [`triplet_dists_fwd`]) and each triplet's
+    /// distance weights `w[2r]` (positive side) and `w[2r + 1]` (negative
+    /// side). It accumulates, in `r` order, from the caller's zeros:
+    ///
+    /// * into `grad_users` (`users`' shape, row-major), at the triplet's
+    ///   user row, `(0 + t_q) + t_p` — the negative side's term written
+    ///   first, then the positive side's added, as
+    ///   [`lorentz_dist_sq_rows_bwd`] forms a gathered row's gradient
+    ///   (`scratch` holds these two rows) — the sum a row gather's
+    ///   scatter-add forms;
+    /// * into `grad_neg` and `grad_pos` (one row per item, row-major), at
+    ///   the negative and the positive item's row, that item's term.
+    ///
+    /// The caller adds `grad_pos` into `grad_neg`: the two sides' sums,
+    /// formed separately and then added, as the two gathered
+    /// distance ops' gradients were.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn triplet_channel_bwd(
+        isa: Isa,
+        users: &Matrix,
+        items: &Matrix,
+        offset: usize,
+        t: &Triplets,
+        aux: &Matrix,
+        col: usize,
+        w: &[f64],
+        grad_users: &mut [f64],
+        grad_neg: &mut [f64],
+        grad_pos: &mut [f64],
+        scratch: &mut [f64],
+    ) {
+        let dc = users.cols();
+        assert_eq!(w.len(), 2 * t.len());
+        let (gu, term) = scratch.split_at_mut(dc);
+        let rows = t.users.iter().zip(&t.pos).zip(&t.neg);
+        for (r, ((&u, &p), &q)) in rows.enumerate() {
+            let (a, x) = (&aux.row(r)[col..col + 4], users.row(u));
+            gu.fill(0.0);
+            let gq = &mut grad_neg[q * dc..(q + 1) * dc];
+            lorentz::distance_sq_grad_at(x, items.row(offset + q), a[2], a[3], w[2 * r + 1], gu, gq);
+            term.fill(0.0);
+            let gp = &mut grad_pos[p * dc..(p + 1) * dc];
+            lorentz::distance_sq_grad_at(x, items.row(offset + p), a[0], a[1], w[2 * r], term, gp);
+            for (g, &t) in gu.iter_mut().zip(&*term) {
+                *g += t;
+            }
+            for (g, &v) in grad_users[u * dc..(u + 1) * dc].iter_mut().zip(&*gu) {
+                *g += v;
             }
         }
     }
@@ -525,7 +645,7 @@ mod tests {
         // written, not assumed.
         let x = Matrix::from_vec(1, 3, vec![1.0, 0.0, 0.0]);
         let mut out = stale(1, 2);
-        lorentz_log_origin_fwd(&x, &mut out, &mut stale(1, 2));
+        lorentz_log_origin_fwd(&x, out.data_mut(), stale(1, 2).data_mut());
         assert_eq!(out.data(), &[0.0, 0.0]);
     }
 
@@ -549,9 +669,9 @@ mod tests {
     fn exp_log_fwd_roundtrip() {
         let z = Matrix::from_vec(2, 3, vec![0.4, -0.2, 0.7, 0.0, 1.5, -0.9]);
         let mut x = stale(2, 4);
-        lorentz_exp_origin_fwd(&z, &mut x, &mut stale(2, 2));
+        lorentz_exp_origin_fwd(&z, &mut x, stale(2, 2).data_mut());
         let mut back = stale(2, 3);
-        lorentz_log_origin_fwd(&x, &mut back, &mut stale(2, 2));
+        lorentz_log_origin_fwd(&x, back.data_mut(), stale(2, 2).data_mut());
         for i in 0..6 {
             assert!((back.data()[i] - z.data()[i]).abs() < 1e-9);
         }
@@ -561,7 +681,7 @@ mod tests {
     fn dist_sq_of_identical_rows_is_zero() {
         let z = Matrix::from_vec(1, 2, vec![0.3, -0.4]);
         let mut x = stale(1, 3);
-        lorentz_exp_origin_fwd(&z, &mut x, &mut stale(1, 2));
+        lorentz_exp_origin_fwd(&z, &mut x, stale(1, 2).data_mut());
         let mut d = stale(1, 1);
         lorentz_dist_sq_fwd(&x, &x, &mut d);
         assert!(d.as_scalar() < 1e-9);

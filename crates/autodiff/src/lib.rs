@@ -9,9 +9,10 @@
 //! * [`Tape`] / [`Var`] — an arena-based autodiff tape with elementwise,
 //!   linear-algebra, reduction, and *hyperbolic composite* ops
 //!   (Lorentz exp/log at the origin, Lorentz/Poincaré distances, model
-//!   conversions, Einstein-midpoint aggregation) whose backward passes are
-//!   hand-derived in [`hyper`] and finite-difference-verified in
-//!   `tests/gradcheck.rs`.
+//!   conversions, Einstein-midpoint aggregation, and the two nodes of a
+//!   training step: [`Tape::global_aggregation`] and
+//!   [`Tape::triplet_hinge`]) whose backward passes are hand-derived in
+//!   [`hyper`] and finite-difference-verified in `tests/gradcheck.rs`.
 //!
 //! A one-off computation records on a fresh tape and drops it:
 //!
@@ -67,8 +68,9 @@
 //!   every op that writes each entry of its output — elementwise ops,
 //!   gathers, `concat`/`slice`, `spmm`, the `hyper::*_fwd` kernels — just
 //!   overwrites them. Only what *accumulates* asks for zeros: the
-//!   scatter-adds of `gather_rows`' backward and the `hyper::*_bwd`
-//!   kernels that `+=` into their gradient arguments. A backward that is
+//!   scatter-adds of `gather_rows`' backward, the `hyper::*_bwd`
+//!   kernels that `+=` into their gradient arguments, and the per-row
+//!   sums of `triplet_hinge`'s backward. A backward that is
 //!   the only writer of its gradient's entries gets an unzeroed buffer and
 //!   writes each entry as `0.0 + t`: the bits of adding `t` into a zero,
 //!   `−0.0` turned to `+0.0` included. Where a gradient already exists,
@@ -80,7 +82,11 @@
 //!   (the `sinh`/`cosh` factors, `‖x_s‖` and `arcosh x₀`, `s` and
 //!   `arcosh s`) in a second buffer from the free list, which their
 //!   backward reads instead of recomputing; `reset` returns it with the
-//!   value.
+//!   value. `global_aggregation` keeps both maps' scalars there and, in
+//!   its node, the layer sum `exp_o` was applied to; `triplet_hinge`
+//!   keeps each triplet's hinge argument and value, both sides' `s` and
+//!   `arcosh s` per channel, and its tag weight. `reset` returns all of
+//!   them.
 //! * **Who may reset.** Whoever owns the tape. `reset` takes `&mut self`, so
 //!   a `Var` can only outlive its program if its holder also gave the tape
 //!   away; the trainer's `Forward` struct owns the tape together with the
@@ -97,7 +103,7 @@ pub mod tape;
 
 pub use matrix::Matrix;
 pub use sparse::Csr;
-pub use tape::{Gradients, OpTime, Tape, Var};
+pub use tape::{Channel, Gradients, Hinge, OpTime, TagChannel, Tape, Triplets, Var};
 
 #[cfg(test)]
 mod tests {
@@ -214,11 +220,11 @@ mod tests {
             let z = Matrix::from_vec(rows.len() / d, d, rows);
             let n = z.rows();
             let (mut out, mut aux) = (Matrix::zeros(n, d + 1), Matrix::zeros(n, 2));
-            hyper::lorentz_exp_origin_fwd(&z, &mut out, &mut aux);
+            hyper::lorentz_exp_origin_fwd(&z, &mut out, aux.data_mut());
             let g = edgy(&mut rng, n, d + 1, 1.0);
             each_clone(&format!("lorentz_exp_origin_bwd d {d}"), |isa| {
                 let mut gz = Matrix::full(n, d, f64::NAN);
-                hyper::lorentz_exp_origin_bwd(isa, &z, &aux, &g, &mut gz);
+                hyper::lorentz_exp_origin_bwd(isa, &z, aux.data(), &g, &mut gz);
                 gz.into_vec()
             });
 
@@ -226,11 +232,11 @@ mod tests {
             let x = hyperboloid(&mut rng, d, &[0.0, 1e-14, 3e-12, 1e-5, 0.4, 5.0]);
             let n = x.rows();
             let (mut out, mut aux) = (Matrix::zeros(n, d), Matrix::zeros(n, 2));
-            hyper::lorentz_log_origin_fwd(&x, &mut out, &mut aux);
+            hyper::lorentz_log_origin_fwd(&x, out.data_mut(), aux.data_mut());
             let g = edgy(&mut rng, n, d, 1.0);
             each_clone(&format!("lorentz_log_origin_bwd d {d}"), |isa| {
                 let mut gx = Matrix::full(n, d + 1, f64::NAN);
-                hyper::lorentz_log_origin_bwd(isa, &x, &aux, &g, &mut gx);
+                hyper::lorentz_log_origin_bwd(isa, &x, aux.data(), g.data(), &mut gx);
                 gx.into_vec()
             });
 
@@ -273,6 +279,66 @@ mod tests {
                     },
                 );
             }
+
+            // A triplet batch over the same rows: users stacked above the
+            // items, user 0 and item 0 read by many, coincident pairs.
+            let (nu, nv) = (x.rows(), y.rows());
+            let mut stacked = x.data().to_vec();
+            stacked.extend_from_slice(y.data());
+            let stacked = Matrix::from_vec(nu + nv, d + 1, stacked);
+            let len = 3 * nu + 1;
+            let t = Triplets {
+                users: (0..len)
+                    .map(|r| {
+                        if r % 3 == 0 {
+                            0
+                        } else {
+                            rng.random_range(0..nu)
+                        }
+                    })
+                    .collect(),
+                pos: (0..len)
+                    .map(|r| if r % 4 == 0 { 0 } else { idx[r % nu] })
+                    .collect(),
+                neg: (0..len)
+                    .map(|r| {
+                        if r % 5 == 0 {
+                            0
+                        } else {
+                            rng.random_range(0..nv)
+                        }
+                    })
+                    .collect(),
+            };
+            let mut aux = Matrix::zeros(len, 4);
+            hyper::triplet_dists_fwd(&stacked, &stacked, nu, &t, &mut aux, 0);
+            let w = edgy(&mut rng, len, 2, 1.0);
+            let (gu0, gv0) = (
+                edgy(&mut rng, nu, d + 1, 1.0),
+                edgy(&mut rng, nv, d + 1, 1.0),
+            );
+            each_clone(&format!("triplet_channel_bwd d {d}"), |isa| {
+                let (mut gu, mut gneg, mut gpos) = (gu0.clone(), gv0.clone(), gv0.clone());
+                let mut scratch = vec![f64::NAN; 2 * (d + 1)];
+                hyper::triplet_channel_bwd(
+                    isa,
+                    &stacked,
+                    &stacked,
+                    nu,
+                    &t,
+                    &aux,
+                    0,
+                    w.data(),
+                    gu.data_mut(),
+                    gneg.data_mut(),
+                    gpos.data_mut(),
+                    &mut scratch,
+                );
+                [gu, gneg, gpos]
+                    .into_iter()
+                    .flat_map(Matrix::into_vec)
+                    .collect()
+            });
         }
     }
 }

@@ -95,10 +95,18 @@ impl Matrix {
     /// Makes `self` a copy of `other` (shape and entries), keeping the
     /// allocation when its capacity suffices.
     pub fn copy_from(&mut self, other: &Matrix) {
-        self.rows = other.rows;
-        self.cols = other.cols;
+        self.copy_rows_from(other, 0..other.rows);
+    }
+
+    /// Becomes a copy of rows `rows` of `other`, reusing this matrix's
+    /// allocation.
+    pub fn copy_rows_from(&mut self, other: &Matrix, rows: std::ops::Range<usize>) {
+        let c = other.cols;
+        self.rows = rows.len();
+        self.cols = c;
         self.data.clear();
-        self.data.extend_from_slice(&other.data);
+        self.data
+            .extend_from_slice(&other.data[rows.start * c..rows.end * c]);
     }
 
     /// Element accessor.

@@ -97,11 +97,25 @@ enum Op {
         tags: Var,
         item_tag: Arc<Csr>,
     },
+    /// `exp_o(Σ_l Pˡ·log_o[users; items])`; `sum` is `exp_o`'s input.
+    GlobalAggregation {
+        users: Var,
+        items: Var,
+        propagate: Arc<Csr>,
+        layers: usize,
+        sum: Matrix,
+    },
+    TripletHinge {
+        ir: Channel,
+        tag: Option<Channel>,
+        triplets: Arc<Triplets>,
+        hinge: Hinge,
+    },
 }
 
 /// Name of every op kind, indexed by `Op::kind`: the tape method that
 /// records it.
-const OP_NAMES: [&str; 33] = [
+const OP_NAMES: [&str; 35] = [
     "leaf",
     "add",
     "sub",
@@ -135,6 +149,8 @@ const OP_NAMES: [&str; 33] = [
     "klein_to_poincare",
     "poincare_to_lorentz",
     "einstein_midpoint",
+    "global_aggregation",
+    "triplet_hinge",
 ];
 
 impl Op {
@@ -174,6 +190,8 @@ impl Op {
             Op::KleinToPoincare(..) => 30,
             Op::PoincareToLorentz(..) => 31,
             Op::EinsteinMidpoint { .. } => 32,
+            Op::GlobalAggregation { .. } => 33,
+            Op::TripletHinge { .. } => 34,
         }
     }
 }
@@ -264,6 +282,94 @@ impl Gradients {
         self.grads.get_mut(v.0).and_then(|g| g.take())
     }
 }
+
+/// One embedding space a triplet batch is scored in: user `u` is row `u`
+/// of `users`, item `v` is row `item_offset + v` of `items`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Channel {
+    /// Holds the user rows, from row 0.
+    pub users: Var,
+    /// Holds the item rows, from row `item_offset`.
+    pub items: Var,
+    /// The row of `items` that holds item 0.
+    pub item_offset: usize,
+}
+
+impl Channel {
+    /// Users in rows `0..n_users` of `v` and the items after them, as
+    /// [`Tape::global_aggregation`] stacks them.
+    pub fn stacked(v: Var, n_users: usize) -> Self {
+        Self {
+            users: v,
+            items: v,
+            item_offset: n_users,
+        }
+    }
+
+    /// Users and items in matrices of their own.
+    pub fn split(users: Var, items: Var) -> Self {
+        Self {
+            users,
+            items,
+            item_offset: 0,
+        }
+    }
+}
+
+/// A triplet batch: triplet `r` is user `users[r]`, positive item `pos[r]`
+/// and negative item `neg[r]`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Triplets {
+    /// Each triplet's user.
+    pub users: Vec<usize>,
+    /// Each triplet's positive item.
+    pub pos: Vec<usize>,
+    /// Each triplet's negative item.
+    pub neg: Vec<usize>,
+}
+
+impl Triplets {
+    /// Number of triplets.
+    pub fn len(&self) -> usize {
+        self.users.len()
+    }
+
+    /// True when the batch holds no triplet.
+    pub fn is_empty(&self) -> bool {
+        self.users.is_empty()
+    }
+}
+
+/// The per-triplet loss of [`Tape::triplet_hinge`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Hinge {
+    /// `max(x, 0)`, paper Eq. 18's `[·]₊`.
+    Relu,
+    /// `ln(1 + eˣ)`, as [`Tape::softplus`] computes it.
+    Softplus,
+}
+
+/// The tag channel of [`Tape::triplet_hinge`]: its squared distances count
+/// `gain · alpha[u]` times for a triplet of user `u` (paper Eq. 17's
+/// `α_u`; a constant, with no gradient).
+#[derive(Clone, Copy, Debug)]
+pub struct TagChannel<'a> {
+    /// Where the tag-space rows are.
+    pub channel: Channel,
+    /// Multiplies every user's weight.
+    pub gain: f64,
+    /// One weight per user.
+    pub alpha: &'a [f64],
+}
+
+/// Columns of a [`Tape::triplet_hinge`] node's `aux`, one row per triplet:
+/// the hinge's argument and value, each channel's four distance scalars
+/// (see [`hyper::triplet_dists_fwd`]), and the tag weight `gain·α_u`.
+const HINGE_X: usize = 0;
+const HINGE_H: usize = 1;
+const HINGE_IR: usize = 2;
+const HINGE_TAG: usize = 6;
+const HINGE_WEIGHT: usize = 10;
 
 /// The tape's free list: storage of matrices it no longer needs, handed
 /// out again to whatever asks for at most that much.
@@ -384,6 +490,9 @@ impl Tape {
         for node in self.nodes.drain(..) {
             self.pool.give(node.value);
             self.pool.give(node.aux);
+            if let Op::GlobalAggregation { sum, .. } = node.op {
+                self.pool.give(sum);
+            }
         }
     }
 
@@ -720,7 +829,7 @@ impl Tape {
         let (n, d) = self.value(z).shape();
         let mut m = self.pool.take(n, d + 1);
         let mut aux = self.pool.take(n, 2);
-        hyper::lorentz_exp_origin_fwd(self.value(z), &mut m, &mut aux);
+        hyper::lorentz_exp_origin_fwd(self.value(z), &mut m, aux.data_mut());
         self.push_with_aux(m, aux, Op::LorentzExpO(z), t0)
     }
 
@@ -730,7 +839,7 @@ impl Tape {
         let (n, dc) = self.value(x).shape();
         let mut m = self.pool.take(n, dc - 1);
         let mut aux = self.pool.take(n, 2);
-        hyper::lorentz_log_origin_fwd(self.value(x), &mut m, &mut aux);
+        hyper::lorentz_log_origin_fwd(self.value(x), m.data_mut(), aux.data_mut());
         self.push_with_aux(m, aux, Op::LorentzLogO(x), t0)
     }
 
@@ -807,6 +916,131 @@ impl Tape {
         )
     }
 
+    /// Global aggregation (paper Eqs. 12–15) as one node. The hyperboloid
+    /// rows of `users` and `items` (`d+1` columns each) are mapped to the
+    /// tangent space at the origin into one stacked buffer (Eq. 12),
+    /// propagated `layers` times by the `(n_u + n_v)²` matrix `propagate`
+    /// (Eq. 13), summed over the layer outputs as each is written (Eq. 14)
+    /// and mapped back (Eq. 15). The output stays stacked: users in rows
+    /// `0..n_u`, items after them ([`Channel::stacked`]).
+    ///
+    /// Value and gradients are the bits of the chain it replaces —
+    /// `lorentz_log_origin` of each input, `concat_rows`, one `spmm` per
+    /// layer, one `add` per layer after the first, `lorentz_exp_origin`
+    /// and two `slice_rows` — without its copies. The backward forms
+    /// `g_L = g` and `g_l = g + Pᵀg_{l+1}` (the chain's own two-operand
+    /// sums: addition commutes) through [`Csr::product_into`]'s add mode,
+    /// then `Pᵀg_1` for the two log maps.
+    pub fn global_aggregation(
+        &mut self,
+        users: Var,
+        items: Var,
+        propagate: &Arc<Csr>,
+        layers: usize,
+    ) -> Var {
+        let t0 = self.clock.start();
+        let layers = layers.max(1);
+        let (nu, dc) = self.value(users).shape();
+        let nv = self.value(items).rows();
+        assert_eq!(self.value(items).cols(), dc, "global_aggregation columns");
+        let (n, d) = (nu + nv, dc - 1);
+        assert_eq!(
+            (propagate.rows(), propagate.cols()),
+            (n, n),
+            "global_aggregation propagation shape"
+        );
+        // Per-row scalars: log_o's two of every row, then exp_o's two.
+        let mut aux = self.pool.take(n, 4);
+        let (log_aux, exp_aux) = aux.data_mut().split_at_mut(2 * n);
+        let mut z = self.pool.take(n, d);
+        let (zu, zv) = z.data_mut().split_at_mut(nu * d);
+        let (au, av) = log_aux.split_at_mut(2 * nu);
+        hyper::lorentz_log_origin_fwd(self.value(users), zu, au);
+        hyper::lorentz_log_origin_fwd(self.value(items), zv, av);
+        let sum = layer_sum(&mut self.pool, propagate, z, layers);
+        let mut value = self.pool.take(n, dc);
+        hyper::lorentz_exp_origin_fwd(&sum, &mut value, exp_aux);
+        let op = Op::GlobalAggregation {
+            users,
+            items,
+            propagate: Arc::clone(propagate),
+            layers,
+            sum,
+        };
+        self.push_with_aux(value, aux, op, t0)
+    }
+
+    /// The triplet loss of a batch (paper Eqs. 17–19) as one node:
+    /// `mean_r h(g(u,p) − g(u,q) + margin)` over the triplets `(u, p, q)`,
+    /// with `g(u,v) = d²(u,v) + gain·α_u·d²_tag(u,v)` (the tag term only
+    /// with a `tag` channel), `d²` the squared Lorentz distance and `h`
+    /// the `hinge`. Every row is read in place by index, and the backward
+    /// adds each triplet's gradient straight into its channels'
+    /// gradients; `α` gets none.
+    ///
+    /// Value and gradients are the bits of the chain it replaces: per
+    /// channel, `gather_rows` of the users and `lorentz_dist_sq_rows` to
+    /// the positive and the negative items; for the tag channel,
+    /// `mul_col_broadcast` by `gain·α_u` and an `add` per side; then `sub`,
+    /// `add_scalar`, `softplus` or `relu`, and `mean_all`. Each channel's
+    /// item gradient is the negative side's sum plus the positive side's,
+    /// each formed on its own, as the chain's two distance ops formed them.
+    pub fn triplet_hinge(
+        &mut self,
+        triplets: &Arc<Triplets>,
+        ir: Channel,
+        tag: Option<TagChannel<'_>>,
+        margin: f64,
+        hinge: Hinge,
+    ) -> Var {
+        let t0 = self.clock.start();
+        let t = triplets.as_ref();
+        let n = t.len();
+        let width = if tag.is_some() {
+            HINGE_WEIGHT + 1
+        } else {
+            HINGE_TAG
+        };
+        let mut aux = self.pool.take(n, width);
+        let rows = |c: &Channel| (&self.nodes[c.users.0].value, &self.nodes[c.items.0].value);
+        let (users, items) = rows(&ir);
+        hyper::triplet_dists_fwd(users, items, ir.item_offset, t, &mut aux, HINGE_IR);
+        if let Some(tag) = &tag {
+            let (users, items) = rows(&tag.channel);
+            let offset = tag.channel.item_offset;
+            hyper::triplet_dists_fwd(users, items, offset, t, &mut aux, HINGE_TAG);
+            for (r, &u) in t.users.iter().enumerate() {
+                aux.set(r, HINGE_WEIGHT, tag.gain * tag.alpha[u]);
+            }
+        }
+        for r in 0..n {
+            let a = aux.row_mut(r);
+            let mut g_pos = a[HINGE_IR + 1] * a[HINGE_IR + 1];
+            let mut g_neg = a[HINGE_IR + 3] * a[HINGE_IR + 3];
+            if tag.is_some() {
+                let c = a[HINGE_WEIGHT];
+                g_pos += a[HINGE_TAG + 1] * a[HINGE_TAG + 1] * c;
+                g_neg += a[HINGE_TAG + 3] * a[HINGE_TAG + 3] * c;
+            }
+            let x = g_pos - g_neg + margin;
+            a[HINGE_X] = x;
+            a[HINGE_H] = match hinge {
+                Hinge::Relu => x.max(0.0),
+                Hinge::Softplus => x.max(0.0) + (-x.abs()).exp().ln_1p(),
+            };
+        }
+        // `mean_all`'s sum: `Iterator::sum`, in triplet order.
+        let total: f64 = (0..n).map(|r| aux.get(r, HINGE_H)).sum();
+        let value = self.pool.full(1, 1, total / n as f64);
+        let op = Op::TripletHinge {
+            ir,
+            tag: tag.map(|t| t.channel),
+            triplets: Arc::clone(triplets),
+            hinge,
+        };
+        self.push_with_aux(value, aux, op, t0)
+    }
+
     /// Runs reverse-mode accumulation from the scalar node `loss`
     /// (seeded with gradient 1). The gradient matrices come from the
     /// tape's free list; [`Tape::recycle`] returns them to it.
@@ -861,6 +1095,108 @@ fn contribute(
     };
     write(pool, &mut dest, add);
     grads[v.0] = Some(dest);
+}
+
+/// `Σ_{l=1..L} Pˡ·z` (`L = layers ≥ 1`), each layer written from the one
+/// before and added into the sum as it is formed, left to right:
+/// `((z₁ + z₂) + z₃) + …`, the last layer through the product's add mode.
+/// Takes `z`'s storage; the layers' buffers go back to the pool.
+fn layer_sum(pool: &mut Pool, p: &Csr, z: Matrix, layers: usize) -> Matrix {
+    let (n, d) = z.shape();
+    let (mut prev, mut next) = (z, pool.take(n, d));
+    p.matmul_into(&prev, &mut next);
+    if layers == 1 {
+        pool.give(prev);
+        return next;
+    }
+    std::mem::swap(&mut prev, &mut next);
+    p.matmul_into(&prev, &mut next);
+    let mut sum = pool.zip(&prev, &next, |a, b| a + b);
+    for l in 3..=layers {
+        std::mem::swap(&mut prev, &mut next);
+        if l == layers {
+            p.product_into(&prev, &mut sum, true);
+        } else {
+            p.matmul_into(&prev, &mut next);
+            sum.add_assign(&next);
+        }
+    }
+    pool.give(prev);
+    pool.give(next);
+    sum
+}
+
+/// The gradient of [`layer_sum`]'s input given `g`, its output's: with
+/// `g_L = g` and `g_l = g + Pᵀg_{l+1}`, it is `Pᵀg_1`. Takes `g`'s storage.
+fn layer_sum_bwd(pool: &mut Pool, pt: &Csr, g: Matrix, layers: usize) -> Matrix {
+    let mut below: Option<Matrix> = None;
+    for _ in 1..layers {
+        let mut gl = pool.copy(&g);
+        pt.product_into(below.as_ref().unwrap_or(&g), &mut gl, true);
+        if let Some(done) = below.replace(gl) {
+            pool.give(done);
+        }
+    }
+    let mut out = pool.take(g.rows(), g.cols());
+    pt.matmul_into(below.as_ref().unwrap_or(&g), &mut out);
+    if let Some(done) = below {
+        pool.give(done);
+    }
+    pool.give(g);
+    out
+}
+
+/// One channel's share of a [`Tape::triplet_hinge`] backward, given the
+/// per-triplet distance weights `w`: [`hyper::triplet_channel_bwd`] into
+/// zeroed buffers, the positive side's item sums added into the negative
+/// side's, and the results added to the channel's gradient slots.
+#[allow(clippy::too_many_arguments)]
+fn triplet_channel_grads(
+    nodes: &[Node],
+    pool: &mut Pool,
+    grads: &mut [Option<Matrix>],
+    c: Channel,
+    t: &Triplets,
+    aux: &Matrix,
+    col: usize,
+    w: &[f64],
+) {
+    let (users, items) = (&nodes[c.users.0].value, &nodes[c.items.0].value);
+    let (dc, off) = (users.cols(), c.item_offset);
+    let mut pos = pool.take_zeroed(items.rows() - off, dc);
+    let mut scratch = pool.take(2, dc);
+    let mut gi = pool.take_zeroed(items.rows(), dc);
+    let isa = Isa::detected();
+    if c.users == c.items {
+        let (gu, gv) = gi.data_mut().split_at_mut(off * dc);
+        let (gp, s) = (pos.data_mut(), scratch.data_mut());
+        hyper::triplet_channel_bwd(isa, users, items, off, t, aux, col, w, gu, gv, gp, s);
+    } else {
+        let mut gu = pool.take_zeroed(users.rows(), dc);
+        let gv = &mut gi.data_mut()[off * dc..];
+        let (gp, s) = (pos.data_mut(), scratch.data_mut());
+        hyper::triplet_channel_bwd(
+            isa,
+            users,
+            items,
+            off,
+            t,
+            aux,
+            col,
+            w,
+            gu.data_mut(),
+            gv,
+            gp,
+            s,
+        );
+        add_grad(grads, pool, c.users, gu);
+    }
+    for (g, &p) in gi.data_mut()[off * dc..].iter_mut().zip(pos.data()) {
+        *g += p;
+    }
+    add_grad(grads, pool, c.items, gi);
+    pool.give(pos);
+    pool.give(scratch);
 }
 
 /// Pushes the gradient `g` of node `i` to its parents. Contributions that
@@ -1061,13 +1397,13 @@ fn accumulate_parents(
         Op::LorentzExpO(z) => {
             let vz = value(*z);
             let mut gz = pool.take(vz.rows(), vz.cols());
-            hyper::lorentz_exp_origin_bwd(Isa::detected(), vz, aux, g, &mut gz);
+            hyper::lorentz_exp_origin_bwd(Isa::detected(), vz, aux.data(), g, &mut gz);
             add_grad(grads, pool, *z, gz);
         }
         Op::LorentzLogO(x) => {
             let vx = value(*x);
             let mut gx = pool.take(vx.rows(), vx.cols());
-            hyper::lorentz_log_origin_bwd(Isa::detected(), vx, aux, g, &mut gx);
+            hyper::lorentz_log_origin_bwd(Isa::detected(), vx, aux.data(), g.data(), &mut gx);
             add_grad(grads, pool, *x, gx);
         }
         Op::LorentzDistSq(x, y) => {
@@ -1127,6 +1463,77 @@ fn accumulate_parents(
             let mut gt = pool.take_zeroed(vt.rows(), vt.cols());
             hyper::einstein_midpoint_bwd(vt, item_tag, out, g, &mut gt);
             add_grad(grads, pool, *tags, gt);
+        }
+        Op::GlobalAggregation {
+            users,
+            items,
+            propagate,
+            layers,
+            sum,
+        } => {
+            let (n, d) = sum.shape();
+            let nu = value(*users).rows();
+            let isa = Isa::detected();
+            let (log_aux, exp_aux) = aux.data().split_at(2 * n);
+            let mut g_sum = pool.take(n, d);
+            hyper::lorentz_exp_origin_bwd(isa, sum, exp_aux, g, &mut g_sum);
+            let gz = layer_sum_bwd(pool, propagate.transposed(), g_sum, *layers);
+            let (gzu, gzv) = gz.data().split_at(nu * d);
+            let (au, av) = log_aux.split_at(2 * nu);
+            // The item rows' log map was recorded second: its backward first.
+            for (x, a, gzx) in [(*items, av, gzv), (*users, au, gzu)] {
+                let vx = value(x);
+                let mut gx = pool.take(vx.rows(), vx.cols());
+                hyper::lorentz_log_origin_bwd(isa, vx, a, gzx, &mut gx);
+                add_grad(grads, pool, x, gx);
+            }
+            pool.give(gz);
+        }
+        Op::TripletHinge {
+            ir,
+            tag,
+            triplets,
+            hinge,
+        } => {
+            // The chain's gradients of each triplet's two distances:
+            // `mean_all` and the hinge give `gd`, `sub` sends `gd` to the
+            // positive side and `−gd` to the negative; the tag channel's
+            // `mul_col_broadcast` multiplies both by `gain·α_u`.
+            let n = triplets.len();
+            let gm = g.as_scalar() / n as f64;
+            let mut w = pool.take(n, 2);
+            for (r, wr) in w.data_mut().chunks_exact_mut(2).enumerate() {
+                let x = aux.get(r, HINGE_X);
+                let gd = match hinge {
+                    Hinge::Relu => {
+                        if x > 0.0 {
+                            gm
+                        } else {
+                            0.0
+                        }
+                    }
+                    Hinge::Softplus => gm / (1.0 + (-x).exp()),
+                };
+                wr.copy_from_slice(&[gd, -gd]);
+            }
+            // The tag channel was recorded later in the chain: it goes first.
+            if let Some(tag) = tag {
+                let mut wt = pool.take(n, 2);
+                for (r, (o, wr)) in wt
+                    .data_mut()
+                    .chunks_exact_mut(2)
+                    .zip(w.data().chunks_exact(2))
+                    .enumerate()
+                {
+                    let c = aux.get(r, HINGE_WEIGHT);
+                    o.copy_from_slice(&[wr[0] * c, wr[1] * c]);
+                }
+                let wt_data = wt.data();
+                triplet_channel_grads(nodes, pool, grads, *tag, triplets, aux, HINGE_TAG, wt_data);
+                pool.give(wt);
+            }
+            triplet_channel_grads(nodes, pool, grads, *ir, triplets, aux, HINGE_IR, w.data());
+            pool.give(w);
         }
     }
 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use taxorec_autodiff::{Csr, Matrix, Tape, Var};
+use taxorec_autodiff::{Channel, Csr, Hinge, Matrix, TagChannel, Tape, Triplets, Var};
 
 mod common;
 use common::{rand_ball_matrix, rand_hyperboloid_matrix, rand_matrix};
@@ -684,4 +684,106 @@ fn grad_full_taxorec_like_pipeline() {
         1e-3,
         1e-6,
     );
+}
+
+#[test]
+fn grad_global_aggregation() {
+    // Three users and four items on one propagation graph; every depth the
+    // model uses, with respect to either input.
+    let mut rng = StdRng::seed_from_u64(22);
+    let users0 = rand_hyperboloid_matrix(&mut rng, 3, 2);
+    let items0 = rand_hyperboloid_matrix(&mut rng, 4, 2);
+    let mut triplets: Vec<(usize, usize, f64)> = (0..7).map(|r| (r, r, 1.0)).collect();
+    triplets.extend([
+        (0, 3, 0.5),
+        (0, 5, 0.5),
+        (1, 4, 1.0),
+        (3, 0, 0.7),
+        (5, 0, 0.4),
+        (6, 2, 0.9),
+    ]);
+    let adj = Arc::new(Csr::from_triplets(7, 7, &triplets));
+    let w = weight_like(&mut rng, 7, 3);
+    for layers in 1..=3 {
+        let weighted = |t: &mut Tape, u: Var, v: Var| {
+            let out = t.global_aggregation(u, v, &adj, layers);
+            let w = t.leaf(w.clone());
+            let h = t.hadamard(out, w);
+            t.sum_all(h)
+        };
+        check_grad(
+            &users0,
+            &|t, u| {
+                let v = t.leaf(items0.clone());
+                weighted(t, u, v)
+            },
+            1e-4,
+            1e-6,
+        );
+        check_grad(
+            &items0,
+            &|t, v| {
+                let u = t.leaf(users0.clone());
+                weighted(t, u, v)
+            },
+            1e-4,
+            1e-6,
+        );
+    }
+}
+
+#[test]
+fn grad_triplet_hinge() {
+    // Five triplets over three users and four items (user 0 and item 1
+    // repeated, item 2 on both sides); one channel on a stacked matrix or
+    // two on split ones; both hinges. The relu margin keeps every
+    // triplet's argument away from the kink.
+    let mut rng = StdRng::seed_from_u64(23);
+    let batch = Arc::new(Triplets {
+        users: vec![0, 1, 0, 2, 0],
+        pos: vec![1, 2, 1, 3, 0],
+        neg: vec![2, 0, 3, 1, 2],
+    });
+    let stacked0 = rand_hyperboloid_matrix(&mut rng, 7, 3);
+    let (u_tg0, v_tg0) = (
+        rand_hyperboloid_matrix(&mut rng, 3, 2),
+        rand_hyperboloid_matrix(&mut rng, 4, 2),
+    );
+    let alpha = [0.3, 0.8, 0.55];
+    for (hinge, margin) in [(Hinge::Relu, 40.0), (Hinge::Softplus, 0.5)] {
+        check_grad(
+            &stacked0,
+            &|t, x| t.triplet_hinge(&batch, Channel::stacked(x, 3), None, margin, hinge),
+            1e-4,
+            1e-6,
+        );
+        let two = |t: &mut Tape, x: Var, u: Var, v: Var| {
+            let tag = TagChannel {
+                channel: Channel::split(u, v),
+                gain: 1.3,
+                alpha: &alpha,
+            };
+            t.triplet_hinge(&batch, Channel::stacked(x, 3), Some(tag), margin, hinge)
+        };
+        check_grad(
+            &u_tg0,
+            &|t, u| {
+                let x = t.leaf(stacked0.clone());
+                let v = t.leaf(v_tg0.clone());
+                two(t, x, u, v)
+            },
+            1e-4,
+            1e-6,
+        );
+        check_grad(
+            &v_tg0,
+            &|t, v| {
+                let x = t.leaf(stacked0.clone());
+                let u = t.leaf(u_tg0.clone());
+                two(t, x, u, v)
+            },
+            1e-4,
+            1e-6,
+        );
+    }
 }

@@ -12,12 +12,17 @@
 //! widths on both sides of the 8-column blocks, empty rows, the `s → 1`
 //! clamp, the small-radius series, degenerate rows, signed zeros and
 //! non-finite entries.
+//!
+//! The fused training-step ops, `Tape::global_aggregation` and
+//! `Tape::triplet_hinge`, are held to the primitive chains they replaced
+//! (`chain_aggregation`, `chain_hinge` below), recorded on the tape as the
+//! trainer recorded them.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use taxorec_autodiff::{Csr, Matrix, Tape, Var};
+use taxorec_autodiff::{Channel, Csr, Hinge, Matrix, TagChannel, Tape, Triplets, Var};
 use taxorec_geometry::{lorentz, vecops};
 
 #[allow(dead_code)]
@@ -534,5 +539,274 @@ fn lockstep_reductions_keep_the_scalar_start_values() {
     );
     for l in 0..4 {
         assert_eq!(got[l].to_bits(), reference::inner(&xs[l], &ys[l]).to_bits());
+    }
+}
+
+/// The Eqs. 12–15 chain [`Tape::global_aggregation`] replaced, as the
+/// trainer recorded it: both log maps, `concat_rows`, one `spmm` per
+/// layer with the layer outputs summed by `add`, `exp_o`, and the two
+/// halves sliced back out.
+fn chain_aggregation(t: &mut Tape, u: Var, v: Var, p: &Arc<Csr>, layers: usize) -> (Var, Var) {
+    let (nu, nv) = (t.value(u).rows(), t.value(v).rows());
+    let zu = t.lorentz_log_origin(u);
+    let zv = t.lorentz_log_origin(v);
+    let mut z = t.concat_rows(zu, zv);
+    let mut acc: Option<Var> = None;
+    for _ in 0..layers.max(1) {
+        z = t.spmm(p, z);
+        acc = Some(match acc {
+            None => z,
+            Some(a) => t.add(a, z),
+        });
+    }
+    let out = t.lorentz_exp_origin(acc.unwrap());
+    (t.slice_rows(out, 0, nu), t.slice_rows(out, nu, nv))
+}
+
+/// The Eqs. 17–19 chain [`Tape::triplet_hinge`] replaced, as the trainer
+/// recorded it: per channel a user gather and the two distances, the tag
+/// channel weighted by `gain·α_u` and added, then `sub`, the margin, the
+/// hinge and the mean.
+fn chain_hinge(
+    t: &mut Tape,
+    b: &Triplets,
+    ir: (Var, Var),
+    tag: Option<(Var, Var, f64, &[f64])>,
+    margin: f64,
+    hinge: Hinge,
+) -> Var {
+    let users = Arc::new(b.users.clone());
+    let (pos, neg) = (Arc::new(b.pos.clone()), Arc::new(b.neg.clone()));
+    let gu = t.gather_rows(ir.0, Arc::clone(&users));
+    let mut g_pos = t.lorentz_dist_sq_rows(gu, ir.1, Arc::clone(&pos));
+    let mut g_neg = t.lorentz_dist_sq_rows(gu, ir.1, Arc::clone(&neg));
+    if let Some((u, v, gain, alpha)) = tag {
+        let gu_t = t.gather_rows(u, Arc::clone(&users));
+        let d_pos = t.lorentz_dist_sq_rows(gu_t, v, Arc::clone(&pos));
+        let d_neg = t.lorentz_dist_sq_rows(gu_t, v, Arc::clone(&neg));
+        let a = t.leaf_with(b.len(), 1, |col| {
+            for (a, &u) in col.iter_mut().zip(&b.users) {
+                *a = gain * alpha[u];
+            }
+        });
+        let a_pos = t.mul_col_broadcast(d_pos, a);
+        let a_neg = t.mul_col_broadcast(d_neg, a);
+        g_pos = t.add(g_pos, a_pos);
+        g_neg = t.add(g_neg, a_neg);
+    }
+    let diff = t.sub(g_pos, g_neg);
+    let shifted = t.add_scalar(diff, margin);
+    let h = match hinge {
+        Hinge::Relu => t.relu(shifted),
+        Hinge::Softplus => t.softplus(shifted),
+    };
+    t.mean_all(h)
+}
+
+/// One generated training step: hyperboloid rows for both channels, a
+/// propagation matrix over the stacked users and items, and per-user
+/// weights.
+struct Step {
+    params: [Matrix; 4],
+    propagate: Arc<Csr>,
+    alpha: Vec<f64>,
+}
+
+fn step_case(rng: &mut StdRng, nu: usize, nv: usize, d_ir: usize, d_tag: usize) -> Step {
+    let n = nu + nv;
+    // `I + D⁻¹A`-like: the diagonal, a few neighbours, duplicates summed;
+    // every seventh row has no neighbour.
+    let mut triplets: Vec<(usize, usize, f64)> = (0..n).map(|r| (r, r, 1.0)).collect();
+    for r in (0..n).filter(|r| r % 7 != 3) {
+        for _ in 0..rng.random_range(1..6usize) {
+            triplets.push((r, rng.random_range(0..n), rng.random::<f64>() * 0.6));
+        }
+    }
+    Step {
+        params: [
+            rand_hyperboloid_matrix(rng, nu, d_ir),
+            rand_hyperboloid_matrix(rng, nv, d_ir),
+            rand_hyperboloid_matrix(rng, nu, d_tag),
+            rand_hyperboloid_matrix(rng, nv, d_tag),
+        ],
+        propagate: Arc::new(Csr::from_triplets(n, n, &triplets)),
+        alpha: (0..nu).map(|_| rng.random::<f64>()).collect(),
+    }
+}
+
+/// `len` triplets over `nu` users and `nv` items, with repeats: user 0 and
+/// item 0 in every third triplet, item 1 both a positive and a negative,
+/// and a triplet whose positive is its negative.
+fn triplet_batch(rng: &mut StdRng, len: usize, nu: usize, nv: usize) -> Triplets {
+    let mut b = Triplets::default();
+    for r in 0..len {
+        let u = if r % 3 == 0 {
+            0
+        } else {
+            rng.random_range(0..nu)
+        };
+        let (p, q) = match r % 5 {
+            0 => (0, 1),
+            1 => (1, rng.random_range(0..nv)),
+            2 => (2, 2),
+            _ => (rng.random_range(0..nv), rng.random_range(0..nv)),
+        };
+        b.users.push(u);
+        b.pos.push(p);
+        b.neg.push(q);
+    }
+    b
+}
+
+/// What a step left behind, as bits: the loss, each channel's output
+/// rows (users then items) and the gradient of every parameter.
+type StepBits = (Vec<u64>, Vec<u64>, Vec<Vec<u64>>);
+
+/// Runs the batches of one configuration through the chain (`fused`
+/// false) or the fused ops on one reused tape, reset between batches.
+fn run_step(
+    s: &Step,
+    batches: &[Triplets],
+    layers: Option<usize>,
+    two: bool,
+    hinge: Hinge,
+    fused: bool,
+) -> Vec<StepBits> {
+    let (margin, gain) = (if hinge == Hinge::Relu { 0.0 } else { 1.5 }, 0.7);
+    let mut t = Tape::new();
+    let mut out = Vec::new();
+    for b in batches {
+        t.reset();
+        let leaves: Vec<Var> = s.params.iter().map(|m| t.leaf_copy(m)).collect();
+        let channels = if two { 2 } else { 1 };
+        let (loss, rows) = if fused {
+            let mut ch = Vec::new();
+            for c in 0..channels {
+                let (u, v) = (leaves[2 * c], leaves[2 * c + 1]);
+                ch.push(match layers {
+                    Some(l) => {
+                        let nu = t.value(u).rows();
+                        Channel::stacked(t.global_aggregation(u, v, &s.propagate, l), nu)
+                    }
+                    None => Channel::split(u, v),
+                });
+            }
+            let tag = ch.get(1).map(|&channel| TagChannel {
+                channel,
+                gain,
+                alpha: &s.alpha,
+            });
+            let batch = Arc::new(b.clone());
+            let loss = t.triplet_hinge(&batch, ch[0], tag, margin, hinge);
+            let rows: Vec<u64> = ch
+                .iter()
+                .flat_map(|c| {
+                    let (u, v) = (t.value(c.users), t.value(c.items));
+                    let items = &v.data()[c.item_offset * v.cols()..];
+                    let users = &u.data()[..u.cols() * s.params[0].rows()];
+                    users
+                        .iter()
+                        .chain(items)
+                        .map(|&x| key(x))
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            (loss, rows)
+        } else {
+            let mut ch = Vec::new();
+            for c in 0..channels {
+                let (u, v) = (leaves[2 * c], leaves[2 * c + 1]);
+                ch.push(match layers {
+                    Some(l) => chain_aggregation(&mut t, u, v, &s.propagate, l),
+                    None => (u, v),
+                });
+            }
+            let tag = ch.get(1).map(|&(u, v)| (u, v, gain, s.alpha.as_slice()));
+            let loss = chain_hinge(&mut t, b, ch[0], tag, margin, hinge);
+            let rows: Vec<u64> = ch
+                .iter()
+                .flat_map(|&(u, v)| bits(t.value(u)).into_iter().chain(bits(t.value(v))))
+                .collect();
+            (loss, rows)
+        };
+        let value = bits(t.value(loss));
+        let mut g = t.backward(loss);
+        let grads = leaves[..2 * channels]
+            .iter()
+            .map(|&leaf| bits(g.wrt(leaf).expect("gradient reaches every parameter")))
+            .collect();
+        g.take(leaves[0]);
+        t.recycle(g);
+        out.push((value, rows, grads));
+    }
+    out
+}
+
+#[test]
+fn fused_training_step_matches_the_chain_it_replaced() {
+    let mut rng = StdRng::seed_from_u64(71);
+    for (nu, nv, d_ir, d_tag) in [(5, 7, 2, 3), (11, 9, 8, 4), (140, 130, 32, 8)] {
+        let s = step_case(&mut rng, nu, nv, d_ir, d_tag);
+        // A full batch, then a shorter last one on the reset tape.
+        let batches = [
+            triplet_batch(&mut rng, 4 * nu + 3, nu, nv),
+            triplet_batch(&mut rng, 2 * nu + 1, nu, nv),
+        ];
+        for layers in [None, Some(1), Some(2), Some(3)] {
+            for two in [false, true] {
+                for hinge in [Hinge::Relu, Hinge::Softplus] {
+                    let what = format!("{nu}×{nv}, d {d_ir}/{d_tag}, layers {layers:?}, two channels {two}, {hinge:?}");
+                    let chain = run_step(&s, &batches, layers, two, hinge, false);
+                    let fused = run_step(&s, &batches, layers, two, hinge, true);
+                    for (i, (c, f)) in chain.iter().zip(&fused).enumerate() {
+                        assert_eq!(c.0, f.0, "loss, batch {i}, {what}");
+                        assert_eq!(c.1, f.1, "aggregated rows, batch {i}, {what}");
+                        for (k, (gc, gf)) in c.2.iter().zip(&f.2).enumerate() {
+                            assert_eq!(gc, gf, "gradient of parameter {k}, batch {i}, {what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The hinge alone against its chain, on a stacked matrix the chain
+/// slices (the slices' backward adds `+0.0` into every gradient entry),
+/// with `−0.0` and exactly coincident user and item rows in the input.
+#[test]
+fn fused_hinge_on_a_stacked_matrix_matches_the_sliced_chain() {
+    let mut rng = StdRng::seed_from_u64(73);
+    let (nu, nv, d) = (6, 8, 4);
+    let mut stacked = rand_hyperboloid_matrix(&mut rng, nu + nv, d);
+    // User 0 sits exactly on item 0, user 1 on item 2.
+    for (u, v) in [(0, 0), (1, 2)] {
+        let row = stacked.row(nu + v).to_vec();
+        stacked.row_mut(u).copy_from_slice(&row);
+    }
+    stacked.row_mut(3)[2] = -0.0;
+    let b = triplet_batch(&mut rng, 29, nu, nv);
+    for hinge in [Hinge::Relu, Hinge::Softplus] {
+        let run = |fused: bool| {
+            let mut t = Tape::new();
+            let x = t.leaf_copy(&stacked);
+            let loss = if fused {
+                t.triplet_hinge(
+                    &Arc::new(b.clone()),
+                    Channel::stacked(x, nu),
+                    None,
+                    0.3,
+                    hinge,
+                )
+            } else {
+                let u = t.slice_rows(x, 0, nu);
+                let v = t.slice_rows(x, nu, nv);
+                chain_hinge(&mut t, &b, (u, v), None, 0.3, hinge)
+            };
+            let value = bits(t.value(loss));
+            let mut g = t.backward(loss);
+            (value, bits(&g.take(x).unwrap()))
+        };
+        assert_eq!(run(false), run(true), "{hinge:?}");
     }
 }

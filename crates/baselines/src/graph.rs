@@ -192,6 +192,16 @@ impl Recommender for Hgcf {
     fn scores_for_user(&self, user: u32) -> Vec<f64> {
         self.inner.scores_for_user(user)
     }
+
+    /// The inner [`TaxoRec`]'s fused block ranking.
+    fn top_k_block(
+        &self,
+        users: &[u32],
+        k: usize,
+        exclude: &dyn Fn(usize, u32) -> bool,
+    ) -> Vec<Vec<(u32, f64)>> {
+        self.inner.top_k_block(users, k, exclude)
+    }
 }
 
 #[cfg(test)]

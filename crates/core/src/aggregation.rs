@@ -11,9 +11,10 @@
 //!
 //! Both are expressed as tape ops so the gradients reach the underlying
 //! parameters (including the tag embeddings `T^P`, which is how
-//! recommendation feedback refines the taxonomy).
+//! recommendation feedback refines the taxonomy). The global aggregation is
+//! one tape node per channel, [`Tape::global_aggregation`].
 
-use taxorec_autodiff::{Tape, Var};
+use taxorec_autodiff::{Channel, Tape, Var};
 
 use crate::graph::GraphMatrices;
 
@@ -30,7 +31,8 @@ pub fn local_tag_aggregation(tape: &mut Tape, t_p: Var, graph: &GraphMatrices) -
 /// Global aggregation (Eqs. 12–15) over the stacked user/item node set.
 ///
 /// Input: hyperboloid user (`n_users × (d+1)`) and item (`n_items × (d+1)`)
-/// matrices. Output: the propagated hyperboloid matrices, same shapes.
+/// matrices. Output: the propagated hyperboloid rows, users then items in
+/// one matrix, as a [`Channel`].
 ///
 /// Following Eq. 14, the output sums the *layer outputs* `z^1..z^L`
 /// (each `z^{l+1} = (I + D⁻¹A)·z^l`, Eq. 13), then applies `exp_o`
@@ -41,24 +43,10 @@ pub fn global_aggregation(
     items: Var,
     graph: &GraphMatrices,
     layers: usize,
-) -> (Var, Var) {
+) -> Channel {
     let _span = taxorec_telemetry::span!("train.agg.global");
-    let zu = tape.lorentz_log_origin(users); // Eq. 12
-    let zv = tape.lorentz_log_origin(items);
-    let mut z = tape.concat_rows(zu, zv);
-    let mut acc: Option<Var> = None;
-    for _ in 0..layers.max(1) {
-        z = tape.spmm(&graph.propagate, z); // Eq. 13
-        acc = Some(match acc {
-            None => z,
-            Some(a) => tape.add(a, z), // Eq. 14
-        });
-    }
-    let summed = acc.expect("at least one layer");
-    let out = tape.lorentz_exp_origin(summed); // Eq. 15
-    let u_out = tape.slice_rows(out, 0, graph.n_users);
-    let v_out = tape.slice_rows(out, graph.n_users, graph.n_items);
-    (u_out, v_out)
+    let out = tape.global_aggregation(users, items, &graph.propagate, layers);
+    Channel::stacked(out, graph.n_users)
 }
 
 #[cfg(test)]
@@ -155,11 +143,12 @@ mod tests {
         };
         let users = tape.leaf(mk(2));
         let items = tape.leaf(mk(3));
-        let (uo, vo) = global_aggregation(&mut tape, users, items, &g, 3);
-        assert_eq!(tape.value(uo).shape(), (2, 3));
-        assert_eq!(tape.value(vo).shape(), (3, 3));
-        for r in 0..2 {
-            assert!(lorentz::constraint_residual(tape.value(uo).row(r)) < 1e-7);
+        let out = global_aggregation(&mut tape, users, items, &g, 3);
+        assert_eq!(out.items, out.users);
+        assert_eq!(out.item_offset, 2);
+        assert_eq!(tape.value(out.users).shape(), (5, 3));
+        for r in 0..5 {
+            assert!(lorentz::constraint_residual(tape.value(out.users).row(r)) < 1e-7);
         }
     }
 
@@ -187,10 +176,11 @@ mod tests {
             .copy_from_slice(&lorentz::from_spatial(&[-1.0, 0.0]));
         let u = tape.leaf(users);
         let v = tape.leaf(items);
-        let (uo, _) = global_aggregation(&mut tape, u, v, &g, 1);
+        let out = global_aggregation(&mut tape, u, v, &g, 1);
+        let uo = tape.value(out.users);
         // User 0 interacted with item 0 (spatial +x): pulled to +x.
-        assert!(tape.value(uo).get(0, 1) > 0.1);
+        assert!(uo.get(0, 1) > 0.1);
         // User 1 interacted with items 1,2 (−x): pulled to −x.
-        assert!(tape.value(uo).get(1, 1) < -0.1);
+        assert!(uo.get(1, 1) < -0.1);
     }
 }

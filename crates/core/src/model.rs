@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use taxorec_autodiff::{Csr, Matrix, Tape, Var};
+use taxorec_autodiff::{Channel, Csr, Hinge, Matrix, TagChannel, Tape, Triplets, Var};
 use taxorec_data::{Anchor, Dataset, ItemEmbeddings, NegativeSampler, Recommender, Scorer, Split};
 use taxorec_geometry::{convert, lorentz};
 use taxorec_taxonomy::{construct_taxonomy, ConstructConfig, RegularizerPlan, Taxonomy};
@@ -106,27 +106,22 @@ struct Forward {
     v_ir_leaf: Var,
     u_tg_leaf: Option<Var>,
     t_p_leaf: Option<Var>,
-    u_ir: Var,
-    v_ir: Var,
-    u_tg: Option<Var>,
-    v_tg: Option<Var>,
+    /// Where the interaction-space user and item rows are: the leaves, or
+    /// the stacked output of the global aggregation.
+    ir: Channel,
+    /// The tag-space rows, when the tag channel is active.
+    tg: Option<Channel>,
 }
 
-/// The index lists of one triplet batch in the form the tape's row ops keep
-/// them (`Arc`, so a node holds its list without a copy). One set per fit:
-/// [`Tape::reset`] drops the tape's handles, which makes these unique again
-/// and lets [`TaxoRec::build_loss`] refill them in place.
-#[derive(Default)]
-struct TripletIdx {
-    users: Arc<Vec<usize>>,
-    pos: Arc<Vec<usize>>,
-    neg: Arc<Vec<usize>>,
-}
-
-fn refill(dst: &mut Arc<Vec<usize>>, src: &[u32]) {
-    let dst = Arc::make_mut(dst);
-    dst.clear();
-    dst.extend(src.iter().map(|&x| x as usize));
+/// Refills `dst` with one triplet batch. A fit keeps one `dst`:
+/// [`Tape::reset`] drops the tape's handle on it, which makes it unique
+/// again, so each batch is written into the vectors of the last.
+fn refill(dst: &mut Arc<Triplets>, users: &[u32], pos: &[u32], neg: &[u32]) {
+    let t = Arc::make_mut(dst);
+    for (dst, src) in [(&mut t.users, users), (&mut t.pos, pos), (&mut t.neg, neg)] {
+        dst.clear();
+        dst.extend(src.iter().map(|&x| x as usize));
+    }
 }
 
 impl TaxoRec {
@@ -233,27 +228,29 @@ impl TaxoRec {
             v_ir_leaf,
             u_tg_leaf: None,
             t_p_leaf: None,
-            u_ir: u_ir_leaf,
-            v_ir: v_ir_leaf,
-            u_tg: None,
-            v_tg: None,
+            ir: Channel::split(u_ir_leaf, v_ir_leaf),
+            tg: None,
         };
         if !self.config.use_aggregation {
             return f;
         }
         let layers = self.config.gcn_layers;
-        (f.u_ir, f.v_ir) = global_aggregation(&mut f.tape, u_ir_leaf, v_ir_leaf, graph, layers);
+        f.ir = global_aggregation(&mut f.tape, u_ir_leaf, v_ir_leaf, graph, layers);
         if !self.tags_active {
             return f;
         }
         let u_tg_leaf = f.tape.leaf_copy(&self.u_tg);
         let t_p_leaf = f.tape.leaf_copy(&self.t_p);
         let v_tg_local = local_tag_aggregation(&mut f.tape, t_p_leaf, graph);
-        let (u_tg, v_tg) = global_aggregation(&mut f.tape, u_tg_leaf, v_tg_local, graph, layers);
+        f.tg = Some(global_aggregation(
+            &mut f.tape,
+            u_tg_leaf,
+            v_tg_local,
+            graph,
+            layers,
+        ));
         f.u_tg_leaf = Some(u_tg_leaf);
         f.t_p_leaf = Some(t_p_leaf);
-        f.u_tg = Some(u_tg);
-        f.v_tg = Some(v_tg);
         f
     }
 
@@ -266,50 +263,29 @@ impl TaxoRec {
     /// gradient at the plain rate — the Eq. 8 pull touches `T^P` directly
     /// and needs no compensation.
     ///
-    /// The user rows are gathered (their gradient is summed per triplet
-    /// before it is scattered); the item rows are read in place by
-    /// [`Tape::lorentz_dist_sq_rows`].
+    /// The metric loss is one [`Tape::triplet_hinge`] node over both
+    /// channels, reading the user and item rows in place.
     fn build_loss(
         &self,
         f: &mut Forward,
-        idx: &mut TripletIdx,
+        triplets: &mut Arc<Triplets>,
         users: &[u32],
         pos: &[u32],
         neg: &[u32],
     ) -> (Var, Option<Var>) {
         let tape = &mut f.tape;
-        refill(&mut idx.users, users);
-        refill(&mut idx.pos, pos);
-        refill(&mut idx.neg, neg);
-
-        let gu = tape.gather_rows(f.u_ir, Arc::clone(&idx.users));
-        let mut g_pos = tape.lorentz_dist_sq_rows(gu, f.v_ir, Arc::clone(&idx.pos));
-        let mut g_neg = tape.lorentz_dist_sq_rows(gu, f.v_ir, Arc::clone(&idx.neg));
-
-        if let (Some(u_tg), Some(v_tg)) = (f.u_tg, f.v_tg) {
-            let gu_t = tape.gather_rows(u_tg, Arc::clone(&idx.users));
-            let d_pos_t = tape.lorentz_dist_sq_rows(gu_t, v_tg, Arc::clone(&idx.pos));
-            let d_neg_t = tape.lorentz_dist_sq_rows(gu_t, v_tg, Arc::clone(&idx.neg));
-            let gain = self.config.tag_channel_gain;
-            let alpha = tape.leaf_with(users.len(), 1, |col| {
-                for (a, &u) in col.iter_mut().zip(users) {
-                    *a = gain * self.alphas[u as usize];
-                }
-            });
-            let a_pos = tape.mul_col_broadcast(d_pos_t, alpha);
-            let a_neg = tape.mul_col_broadcast(d_neg_t, alpha);
-            g_pos = tape.add(g_pos, a_pos);
-            g_neg = tape.add(g_neg, a_neg);
-        }
-
-        let diff = tape.sub(g_pos, g_neg);
-        let with_margin = tape.add_scalar(diff, self.config.margin);
+        refill(triplets, users, pos, neg);
+        let tag = f.tg.map(|channel| TagChannel {
+            channel,
+            gain: self.config.tag_channel_gain,
+            alpha: &self.alphas,
+        });
         let hinge = if self.config.soft_hinge {
-            tape.softplus(with_margin)
+            Hinge::Softplus
         } else {
-            tape.relu(with_margin)
+            Hinge::Relu
         };
-        let metric = tape.mean_all(hinge);
+        let metric = tape.triplet_hinge(triplets, f.ir, tag, self.config.margin, hinge);
 
         // Taxonomy-aware regularization (Eq. 8), when a plan exists.
         let mut reg_loss = None;
@@ -571,7 +547,7 @@ impl TaxoRec {
         let mut users: Vec<u32> = Vec::new();
         let mut pos: Vec<u32> = Vec::new();
         let mut neg: Vec<u32> = Vec::new();
-        let mut idx = TripletIdx::default();
+        let mut triplets = Arc::new(Triplets::default());
         let mut pairs = Vec::with_capacity(base_pairs.len());
         let mut snap_params: [Matrix; 4] = std::array::from_fn(|_| Matrix::zeros(0, 0));
         let mut tape = Tape::new();
@@ -635,7 +611,8 @@ impl TaxoRec {
                 let mut f = self.forward(tape);
                 let stage_t1 = Instant::now();
                 agg_time += stage_t1 - stage_t0;
-                let (metric_loss, reg_loss) = self.build_loss(&mut f, &mut idx, &users, &pos, &neg);
+                let (metric_loss, reg_loss) =
+                    self.build_loss(&mut f, &mut triplets, &users, &pos, &neg);
                 let batch_loss = f.tape.value(metric_loss).as_scalar()
                     + reg_loss.map(|r| f.tape.value(r).as_scalar()).unwrap_or(0.0);
                 let stage_t2 = Instant::now();
@@ -854,11 +831,17 @@ impl TaxoRec {
     /// their allocations). Hands the tape back.
     fn finalize(&mut self, tape: Tape) -> Tape {
         let f = self.forward(tape);
-        self.final_u_ir.copy_from(f.tape.value(f.u_ir));
-        self.final_v_ir.copy_from(f.tape.value(f.v_ir));
-        if let (Some(u_tg), Some(v_tg)) = (f.u_tg, f.v_tg) {
-            self.final_u_tg.copy_from(f.tape.value(u_tg));
-            self.final_v_tg.copy_from(f.tape.value(v_tg));
+        let (n_users, n_items) = (self.u_ir.rows(), self.v_ir.rows());
+        let copy_out = |c: Channel, users: &mut Matrix, items: &mut Matrix| {
+            users.copy_rows_from(f.tape.value(c.users), 0..n_users);
+            items.copy_rows_from(
+                f.tape.value(c.items),
+                c.item_offset..c.item_offset + n_items,
+            );
+        };
+        copy_out(f.ir, &mut self.final_u_ir, &mut self.final_v_ir);
+        if let Some(tg) = f.tg {
+            copy_out(tg, &mut self.final_u_tg, &mut self.final_v_tg);
         }
         // Taken out while the item view borrows `self`.
         let mut scorer = std::mem::take(&mut self.scorer);
@@ -1175,6 +1158,69 @@ mod tests {
             record.nan_batches
         );
         assert_eq!(record.update_secs, 0.0, "nothing was updated");
+    }
+
+    #[test]
+    fn a_timed_training_step_records_the_fused_ops_and_no_row_copies() {
+        // The default configuration (two epochs, so the final rebuild
+        // installs an Eq. 8 plan), then one batch exactly as the fit loop
+        // builds it, on a timed tape.
+        let (d, s) = tiny_setup();
+        let cfg = TaxoRecConfig {
+            epochs: 2,
+            ..TaxoRecConfig::default()
+        };
+        let mut m = TaxoRec::new(cfg);
+        m.fit(&d, &s);
+        assert!(m.reg_center_csr.is_some(), "the fit left an Eq. 8 plan");
+        let sampler = NegativeSampler::new(d.n_items, s.train.clone());
+        let mut rng = StdRng::seed_from_u64(5);
+        let (mut users, mut pos, mut neg) = (Vec::new(), Vec::new(), Vec::new());
+        for (u, v) in s.train_pairs().into_iter().take(50) {
+            for _ in 0..m.config.negatives {
+                users.push(u);
+                pos.push(v);
+                neg.push(sampler.sample(u, &mut rng));
+            }
+        }
+        let mut tape = Tape::new();
+        tape.set_timed(true);
+        let mut f = m.forward(tape);
+        let mut triplets = Arc::new(Triplets::default());
+        let (metric, reg) = m.build_loss(&mut f, &mut triplets, &users, &pos, &neg);
+        let grads = f.tape.backward(metric);
+        f.tape.recycle(grads);
+        let grads = f.tape.backward(reg.expect("a plan records the Eq. 8 term"));
+        f.tape.recycle(grads);
+
+        let times: Vec<_> = f.tape.op_times().collect();
+        let nodes = |name: &str| {
+            times
+                .iter()
+                .find(|(n, _)| *n == name)
+                .map_or((0, 0), |(_, t)| (t.fwd_nodes, t.bwd_nodes))
+        };
+        assert_eq!(nodes("global_aggregation"), (2, 2), "{times:?}");
+        assert_eq!(nodes("triplet_hinge"), (1, 1), "{times:?}");
+        for copy in ["concat_rows", "slice_rows", "add", "mul_col_broadcast"] {
+            assert_eq!(nodes(copy), (0, 0), "{copy}: {times:?}");
+        }
+        // What the two fused ops replaced records nothing either.
+        for replaced in [
+            "lorentz_log_origin",
+            "lorentz_exp_origin",
+            "lorentz_dist_sq_rows",
+            "sub",
+            "add_scalar",
+            "softplus",
+            "relu",
+        ] {
+            assert_eq!(nodes(replaced), (0, 0), "{replaced}: {times:?}");
+        }
+        // The Eq. 8 regulariser keeps its chain: its two gathers, of the
+        // tags and of their centers, are the only ones.
+        assert_eq!(nodes("poincare_dist"), (1, 1), "{times:?}");
+        assert_eq!(nodes("gather_rows"), (2, 2), "{times:?}");
     }
 
     #[test]

@@ -54,6 +54,12 @@ pub fn mobius_add(x: &[f64], y: &[f64], out: &mut [f64]) {
 /// Note the paper uses this simplified form (valid for the RSGD step after
 /// the Riemannian gradient rescaling); for `η = 0` it returns `x`.
 pub fn exp_map(x: &[f64], eta: &[f64], out: &mut [f64]) {
+    exp_map_scaling(x, &mut eta.to_vec(), out);
+}
+
+/// [`exp_map`], scaling `eta` in place into the Möbius summand
+/// `tanh(‖η‖/2)·η/‖η‖` (left as it was when `η ≈ 0`).
+fn exp_map_scaling(x: &[f64], eta: &mut [f64], out: &mut [f64]) {
     let n = norm(eta);
     if n < EPS_DIV {
         out.copy_from_slice(x);
@@ -61,11 +67,10 @@ pub fn exp_map(x: &[f64], eta: &[f64], out: &mut [f64]) {
         return;
     }
     let f = (n / 2.0).tanh() / n;
-    let mut y = vec![0.0; eta.len()];
-    for (o, e) in y.iter_mut().zip(eta) {
-        *o = f * e;
+    for e in eta.iter_mut() {
+        *e *= f;
     }
-    mobius_add(x, &y, out);
+    mobius_add(x, eta, out);
 }
 
 /// Rescales a Euclidean gradient at `x` into the Riemannian gradient of the
@@ -91,14 +96,14 @@ pub fn rsgd_step(x: &mut [f64], grad_e: &[f64], lr: f64) {
 }
 
 /// [`rsgd_step`] with caller-provided buffers (`rg` and `out`, both of
-/// `x.len()`) for optimizer loops that update many rows. Arithmetic is
-/// identical to [`rsgd_step`].
+/// `x.len()`, overwritten) for optimizer loops that update many rows: it
+/// allocates nothing. Arithmetic is identical to [`rsgd_step`].
 pub fn rsgd_step_buffered(x: &mut [f64], grad_e: &[f64], lr: f64, rg: &mut [f64], out: &mut [f64]) {
     riemannian_grad(x, grad_e, rg);
     for g in rg.iter_mut() {
         *g *= -lr;
     }
-    exp_map(x, rg, out);
+    exp_map_scaling(x, rg, out);
     x.copy_from_slice(out);
     clip_norm(x, MAX_BALL_NORM);
 }
