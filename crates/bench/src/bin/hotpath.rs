@@ -10,7 +10,10 @@
 //! `--assert-floor` exits non-zero when a fused rate falls below its
 //! naive counterpart — the CI regression floor — or when, outside the
 //! timed reps, any user's fused top-K differs from the naive one in an
-//! item id or a score bit, at either thread count. Problem size is
+//! item id or a score bit, at either thread count. That check runs on
+//! the timed fixture's random points and on planted clusters at the same
+//! dims, where the prune keeps few items, so a catalogue past the
+//! kernel's size crossover also crosses its f32 screen. Problem size is
 //! overridable via `TAXOREC_HOTPATH_ITEMS` and `TAXOREC_HOTPATH_USERS`.
 
 use std::hint::black_box;
@@ -19,7 +22,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use taxorec_bench::time_it;
 use taxorec_core::init;
-use taxorec_data::{select_top_k, Anchor, ItemEmbeddings, Scorer};
+use taxorec_data::{
+    generate_embeddings, select_top_k, Anchor, EmbedConfig, ItemEmbeddings, Scorer,
+};
 use taxorec_geometry::lorentz;
 
 /// Tag-irrelevant spatial dims — the paper's D − D_t = 52 rounded up to
@@ -49,6 +54,7 @@ struct Fixture {
 }
 
 impl Fixture {
+    /// The timed fixture: random points.
     fn build(n_users: usize, n_items: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(0x7a_0f_ec);
         // std 0.8 spreads points from near the origin out to spatial
@@ -58,20 +64,45 @@ impl Fixture {
         let v_ir = init::lorentz_matrix(&mut rng, n_items, DIM_IR, 0.8);
         let u_tg = init::lorentz_matrix(&mut rng, n_users, DIM_TAG, 0.8);
         let v_tg = init::lorentz_matrix(&mut rng, n_items, DIM_TAG, 0.8);
+        let alphas = (0..n_users).map(|u| 0.5 + (u % 7) as f64 * 0.1).collect();
+        let [u_ir, v_ir, u_tg, v_tg] = [u_ir, v_ir, u_tg, v_tg].map(|m| m.data().to_vec());
+        Self::new(n_users, n_items, [u_ir, v_ir, u_tg, v_tg], alphas)
+    }
+
+    /// Planted tag-tree clusters at the same dims, from the serving
+    /// benchmark's generator: the second fixture of the exactness check.
+    fn planted(n_users: usize, n_items: usize) -> Self {
+        let emb = generate_embeddings(&EmbedConfig {
+            n_items,
+            n_users,
+            dim_ir: DIM_IR,
+            dim_tag: DIM_TAG,
+            seed: 0x7a_0f_ec,
+            ..EmbedConfig::default()
+        });
+        Self::new(
+            n_users,
+            n_items,
+            [emb.u_ir, emb.v_ir, emb.u_tg, emb.v_tg],
+            emb.alphas,
+        )
+    }
+
+    fn new(n_users: usize, n_items: usize, rows: [Vec<f64>; 4], alphas: Vec<f64>) -> Self {
+        let [u_ir, v_ir, u_tg, v_tg] = rows;
         let scorer = Scorer::build(&ItemEmbeddings {
-            v_ir: v_ir.data(),
+            v_ir: &v_ir,
             ambient_ir: DIM_IR + 1,
-            v_tg: Some(v_tg.data()),
+            v_tg: Some(&v_tg),
             ambient_tg: DIM_TAG + 1,
         });
-        let alphas = (0..n_users).map(|u| 0.5 + (u % 7) as f64 * 0.1).collect();
         Self {
             n_users,
             n_items,
-            u_ir: u_ir.data().to_vec(),
-            u_tg: u_tg.data().to_vec(),
-            v_ir: v_ir.data().to_vec(),
-            v_tg: v_tg.data().to_vec(),
+            u_ir,
+            u_tg,
+            v_ir,
+            v_tg,
             scorer,
             alphas,
         }
@@ -214,6 +245,7 @@ fn main() {
         .unwrap_or(512)
         .max(1);
     let fx = Fixture::build(n_users, n_items);
+    let planted = assert_floor.then(|| Fixture::planted(n_users, n_items));
     let users_per_rep = n_users as f64;
 
     let prev_threads = std::env::var("TAXOREC_THREADS").ok();
@@ -221,8 +253,8 @@ fn main() {
     let mut mismatches = Vec::new();
     for &threads in &[1usize, 4] {
         std::env::set_var("TAXOREC_THREADS", threads.to_string());
-        if assert_floor {
-            mismatches.push((threads, mismatched_users(&fx)));
+        if let Some(planted) = &planted {
+            mismatches.push((threads, mismatched_users(&fx) + mismatched_users(planted)));
         }
         let (en, ef) = measure_pair(REPS, users_per_rep, || eval_naive(&fx), || eval_fused(&fx));
         results.push(Measurement {
@@ -277,10 +309,12 @@ fn main() {
         for &(threads, bad) in &mismatches {
             assert_eq!(
                 bad, 0,
-                "fused top-{TOP_K} differs from naive for {bad} of {n_users} users at {threads} threads"
+                "fused top-{TOP_K} differs from naive for {bad} of 2 × {n_users} users at {threads} threads"
             );
         }
-        println!("exactness passed: fused top-{TOP_K} = naive (ids, score bits) for every user");
+        println!(
+            "exactness passed: fused top-{TOP_K} = naive (ids, score bits) for every user of both fixtures"
+        );
         for m in &results {
             assert!(
                 m.fused_rate >= m.naive_rate,

@@ -18,11 +18,30 @@
 //! multi-anchor blocks, ranges that straddle strip and chunk boundaries,
 //! and candidates offered leaf by leaf out of order, the way the
 //! retrieval index offers them.
+//!
+//! Above a size crossover the kernel sweeps an f32 screen of the cache
+//! and skips an item only when its f32 value clears the cut by a proven
+//! rounding bound. Every test here also ranks through the screened path,
+//! forced on whatever catalogue size (`fused_rank_with` takes the sweep
+//! as it takes an `Isa`), and a property test aims at the screen's own
+//! edges: items within a few f32 ulps of one another and of the cut,
+//! anchors and rows at its magnitude bound and just past it, NaN and
+//! infinite rows, and `α` of 0, negative or NaN. One case crosses the
+//! crossover through `Scorer::rank` itself.
+
+use std::ops::Range;
 
 use proptest::prelude::*;
-use taxorec::data::{select_top_k, Anchor, ItemEmbeddings, Scorer, TopKAccumulator};
-use taxorec::geometry::batch::{fused_scores_block, BlockCache, TagChannel};
+use taxorec::data::{
+    generate_embeddings, select_top_k, Anchor, EmbedConfig, ItemEmbeddings, Scorer,
+    TopKAccumulator, TopKSink,
+};
+use taxorec::geometry::batch::{
+    fused_rank_with, fused_scores_block, BlockCache, Sweep, TagChannel, TagChannelMulti,
+    SCREEN_BOUND, SCREEN_MIN_BYTES,
+};
 use taxorec::geometry::convert::poincare_to_lorentz;
+use taxorec::geometry::isa::Isa;
 
 const DIM_IR: usize = 3;
 const DIM_TG: usize = 2;
@@ -113,6 +132,60 @@ fn scorer<'a>(v_ir: &'a [f64], v_tg: Option<&'a [f64]>) -> (ItemEmbeddings<'a>, 
     (items, Scorer::build(&items))
 }
 
+/// The kernel under `Scorer::rank_range`, through `sweep` whatever the
+/// range's size: anchor `a` ranks into `accs[a]`.
+#[allow(clippy::too_many_arguments)]
+fn rank_with(
+    sweep: Sweep,
+    ir: &BlockCache,
+    tg: Option<&BlockCache>,
+    block: &[Anchor<'_>],
+    range: Range<usize>,
+    item_ids: Option<&[u32]>,
+    accs: &mut [TopKAccumulator],
+    exclude: impl Fn(usize, u32) -> bool,
+) {
+    let u_irs: Vec<&[f64]> = block.iter().map(|a| a.ir).collect();
+    let (u_tgs, alphas): (Vec<&[f64]>, Vec<f64>) =
+        block.iter().map(|a| a.tg.unwrap_or((&[], 0.0))).unzip();
+    let tag = tg.map(|cache| TagChannelMulti {
+        cache,
+        anchors: &u_tgs,
+        alphas: &alphas,
+    });
+    let mut sink = TopKSink {
+        accs,
+        acc_of: None,
+        item_ids,
+        exclude,
+    };
+    fused_rank_with(Isa::detected(), sweep, ir, &u_irs, tag, range, &mut sink);
+}
+
+/// [`rank_with`] through the screen, over the whole of `range` in one
+/// call, best first per anchor.
+fn screened(
+    ir: &BlockCache,
+    tg: Option<&BlockCache>,
+    block: &[Anchor<'_>],
+    range: Range<usize>,
+    k: usize,
+    exclude: impl Fn(usize, u32) -> bool,
+) -> Vec<Vec<(u32, f64)>> {
+    let mut accs: Vec<TopKAccumulator> = block.iter().map(|_| TopKAccumulator::new(k)).collect();
+    rank_with(
+        Sweep::Screened,
+        ir,
+        tg,
+        block,
+        range,
+        None,
+        &mut accs,
+        exclude,
+    );
+    accs.into_iter().map(TopKAccumulator::into_sorted).collect()
+}
+
 fn assert_same(got: &[(u32, f64)], want: &[(u32, f64)], what: &str) -> Result<(), String> {
     if got.len() != want.len() {
         return Err(format!("{what}: {} items, want {}", got.len(), want.len()));
@@ -185,14 +258,23 @@ proptest! {
 
         let mut accs: Vec<TopKAccumulator> =
             block.iter().map(|_| scorer.accumulator(k)).collect();
+        // The same leaves through the screen, which the scorer only takes
+        // above the crossover.
+        let mut screened_accs: Vec<TopKAccumulator> =
+            block.iter().map(|_| scorer.accumulator(k)).collect();
         for &(leaf_lo, leaf_hi) in &leaves {
             scorer.rank_range(&block, leaf_lo..leaf_hi, Some(&ids), &mut accs, None, exclude);
+            rank_with(
+                Sweep::Screened, &ir, tg, &block, leaf_lo..leaf_hi, Some(&ids),
+                &mut screened_accs, exclude,
+            );
         }
         // The whole catalogue in one call, rows as their own ids.
         let whole = scorer.rank(&block, &vec![k; block.len()], exclude);
+        let whole_screened = screened(&ir, tg, &block, 0..n, k.min(n), exclude);
         let own_ids: Vec<u32> = (0..n as u32).collect();
         let mut row = vec![0.0; n];
-        for (pos, acc) in accs.into_iter().enumerate() {
+        for (pos, (acc, screened_acc)) in accs.into_iter().zip(screened_accs).enumerate() {
             let want = exhaustive(
                 &ir, tg, &u_ir[pos], &u_tg[pos], alphas[pos], (lo, hi), &ids, k,
                 |item| exclude(pos, item),
@@ -200,11 +282,19 @@ proptest! {
             if let Err(e) = assert_same(&acc.into_sorted(), &want, &format!("anchor {pos}")) {
                 prop_assert!(false, "{e} (n {n}, range {lo}..{hi}, k {k}, alpha {})", alphas[pos]);
             }
+            let what = format!("screened, anchor {pos}");
+            if let Err(e) = assert_same(&screened_acc.into_sorted(), &want, &what) {
+                prop_assert!(false, "{e} (n {n}, range {lo}..{hi}, k {k}, alpha {})", alphas[pos]);
+            }
             let want = exhaustive(
                 &ir, tg, &u_ir[pos], &u_tg[pos], alphas[pos], (0, n), &own_ids, k,
                 |item| exclude(pos, item),
             );
             if let Err(e) = assert_same(&whole[pos], &want, &format!("rank, anchor {pos}")) {
+                prop_assert!(false, "{e} (n {n}, k {k}, alpha {})", alphas[pos]);
+            }
+            let what = format!("screened rank, anchor {pos}");
+            if let Err(e) = assert_same(&whole_screened[pos], &want, &what) {
                 prop_assert!(false, "{e} (n {n}, k {k}, alpha {})", alphas[pos]);
             }
             // Full score rows: the fused row is the scalar Eq. 17 loop.
@@ -270,6 +360,7 @@ fn hostile_alphas_and_nan_rows_rank_as_the_unpruned_path() {
     let ids: Vec<u32> = (0..n as u32).collect();
     for k in [1, 10] {
         let got = scorer.rank(&block, &vec![k; block.len()], |_, _| false);
+        let got_screened = screened(&ir, Some(&tg), &block, 0..n, k, |_, _| false);
         for (pos, (alpha, u_ir)) in cases.iter().enumerate() {
             let want = exhaustive(
                 &ir,
@@ -283,6 +374,11 @@ fn hostile_alphas_and_nan_rows_rank_as_the_unpruned_path() {
                 |_| false,
             );
             assert_same(&got[pos], &want, &format!("case {pos} k {k}")).unwrap();
+            let what = format!("screened case {pos} k {k}");
+            assert_same(&got_screened[pos], &want, &what).unwrap();
+            // Alone in its block, so no hostile neighbour decides the sweep.
+            let alone = screened(&ir, Some(&tg), &block[pos..=pos], 0..n, k, |_, _| false);
+            assert_same(&alone[0], &want, &format!("{what} alone")).unwrap();
         }
     }
 }
@@ -337,12 +433,16 @@ fn tag_rows_and_anchors_past_the_bound_rank_as_the_unpruned_path() {
             .collect();
         for k in [1, 10] {
             let got = scorer.rank(&block, &vec![k; block.len()], |_, _| false);
+            let got_screened = screened(&ir, Some(&tg), &block, 0..n, k, |_, _| false);
             for (pos, &(alpha, u_tg)) in cases.iter().enumerate() {
                 let want = exhaustive(&ir, Some(&tg), &u_ir, u_tg, alpha, (0, n), &ids, k, |_| {
                     false
                 });
                 let what = format!("case {pos} k {k} bounded rows {}", v_tg == &clean_tg);
                 assert_same(&got[pos], &want, &what).unwrap();
+                assert_same(&got_screened[pos], &want, &format!("screened {what}")).unwrap();
+                let alone = screened(&ir, Some(&tg), &block[pos..=pos], 0..n, k, |_, _| false);
+                assert_same(&alone[0], &want, &format!("screened {what} alone")).unwrap();
             }
         }
     }
@@ -385,4 +485,154 @@ fn a_k_of_zero_sweeps_nothing() {
     let [zero, ten] = consulted.get();
     assert_eq!(zero, 0, "k = 0 beside k = 10");
     assert!(ten >= 10, "k = 10 consulted {ten} times");
+}
+
+/// One generated row of the near-cut catalogue: the base row it copies,
+/// and the f32 ulps by which it moves one spatial coordinate.
+type NearRow = (usize, i32, usize);
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The screen's own edges. Rows are copies of a few base rows, each
+    /// moved by a few f32 ulps in one coordinate, so many exact values
+    /// sit within f32 ulps of one another and of the cut the K-th of them
+    /// sets. On top: one row or anchor at the magnitude bound (screened)
+    /// or just past it (not), NaN and infinite rows, and `α` of 0,
+    /// negative or NaN. The screened ranking, the f64 one and
+    /// `select_top_k` over the unpruned scores must agree to the bit.
+    #[test]
+    fn screened_ranking_equals_the_unpruned_path_near_the_cut_and_at_the_bound(
+        bases in proptest::collection::vec(row_spec(), 1..4),
+        near in proptest::collection::vec((0usize..4, -4i32..5, 0usize..DIM_IR), 8..64),
+        n in 700usize..1400,
+        hostile in (0u32..12, 0usize..10_000),
+        anchors in proptest::collection::vec((row_spec(), 0usize..6), 1..6),
+        range in (0usize..10_000, 0usize..10_000),
+        k_choice in 0usize..4,
+        with_tag in 0u32..3,
+    ) {
+        let rows: Vec<RowSpec> = (0..n)
+            .map(|i| {
+                let (base, ulps, dim): NearRow = near[i % near.len()];
+                let (kind, mut ir, tg) = bases[base % bases.len()].clone();
+                ir[dim] *= 1.0 + f64::from(ulps) * f64::from(f32::EPSILON);
+                (kind, ir, tg)
+            })
+            .collect();
+        let (mut v_ir, v_tg) = matrices(&rows, &[(1, 0)]);
+        let mut u_ir: Vec<Vec<f64>> =
+            anchors.iter().map(|((kind, d, _), _)| lift(*kind, d)).collect();
+        let u_tg: Vec<Vec<f64>> = anchors.iter().map(|((kind, _, d), _)| lift(*kind, d)).collect();
+        // At most one hostile value, in a late row or in the first anchor.
+        let (what, at) = hostile;
+        let cell = (n / 2 + at % (n / 2)) * (DIM_IR + 1) + at % (DIM_IR + 1);
+        match what {
+            0 => v_ir[cell] = SCREEN_BOUND,
+            1 => v_ir[cell] = -SCREEN_BOUND.next_up(),
+            2 => v_ir[cell] = f64::NAN,
+            3 => v_ir[cell] = [f64::INFINITY, f64::NEG_INFINITY][at % 2],
+            4 => u_ir[0][at % (DIM_IR + 1)] = SCREEN_BOUND,
+            5 => u_ir[0][at % (DIM_IR + 1)] = SCREEN_BOUND.next_up(),
+            _ => {}
+        }
+        let alphas_of = [0.0, 0.5, -0.5, f64::NAN, 1e6, f64::INFINITY];
+        let alphas: Vec<f64> = anchors.iter().map(|&(_, a)| alphas_of[a]).collect();
+        let ir = BlockCache::build(&v_ir, DIM_IR + 1);
+        let tg_cache = BlockCache::build(&v_tg, DIM_TG + 1);
+        let tg = (with_tag > 0).then_some(&tg_cache);
+        let block: Vec<Anchor<'_>> = (0..anchors.len())
+            .map(|a| Anchor { ir: &u_ir[a], tg: tg.map(|_| (u_tg[a].as_slice(), alphas[a])) })
+            .collect();
+        // Ranges past the first chunk, whose sweep is f64 while no anchor
+        // has a floor yet, but not aligned to it.
+        let (lo, hi) = (range.0 % 64, n - range.1 % 64);
+        let k = [1, 3, 10, 40][k_choice];
+        let ids: Vec<u32> = (0..n as u32).collect();
+        let exclude = |_: usize, _: u32| false;
+        // An anchor the pruning rule cannot serve keeps its whole block on
+        // the f64 sweep, so each anchor also ranks alone.
+        for (pos, anchor) in block.iter().enumerate() {
+            let got = screened(&ir, tg, std::slice::from_ref(anchor), lo..hi, k, exclude);
+            let want = exhaustive(
+                &ir, tg, &u_ir[pos], &u_tg[pos], alphas[pos], (lo, hi), &ids, k, |_| false,
+            );
+            if let Err(e) = assert_same(&got[0], &want, &format!("screened, anchor {pos} alone")) {
+                prop_assert!(false, "{e} (n {n}, range {lo}..{hi}, k {k}, alpha {}, hostile {what})", alphas[pos]);
+            }
+        }
+        let fresh = || -> Vec<TopKAccumulator> { block.iter().map(|_| TopKAccumulator::new(k)).collect() };
+        let (mut accs, mut exact_accs) = (fresh(), fresh());
+        rank_with(Sweep::Screened, &ir, tg, &block, lo..hi, None, &mut accs, exclude);
+        rank_with(Sweep::Exact, &ir, tg, &block, lo..hi, None, &mut exact_accs, exclude);
+        for (pos, (acc, exact_acc)) in accs.into_iter().zip(exact_accs).enumerate() {
+            let want = exhaustive(
+                &ir, tg, &u_ir[pos], &u_tg[pos], alphas[pos], (lo, hi), &ids, k, |_| false,
+            );
+            let context = format!("(n {n}, range {lo}..{hi}, k {k}, alpha {}, hostile {what})", alphas[pos]);
+            if let Err(e) = assert_same(&acc.into_sorted(), &want, &format!("screened, anchor {pos}")) {
+                prop_assert!(false, "{e} {context}");
+            }
+            if let Err(e) = assert_same(&exact_acc.into_sorted(), &want, &format!("f64, anchor {pos}")) {
+                prop_assert!(false, "{e} {context}");
+            }
+        }
+    }
+}
+
+/// Above the crossover `Scorer::rank` takes the screen on its own: a
+/// planted catalogue at the default 32 + 8 dims, twice
+/// `SCREEN_MIN_BYTES` of interaction panel, ranked for a block of users
+/// with and without exclusions, equals the unpruned path to the bit.
+#[test]
+fn a_catalogue_above_the_crossover_ranks_as_the_unpruned_path() {
+    let ambient = 33;
+    let n = 2 * SCREEN_MIN_BYTES / (8 * ambient) + 300;
+    let emb = generate_embeddings(&EmbedConfig {
+        n_items: n,
+        n_users: 6,
+        dim_ir: ambient - 1,
+        dim_tag: 8,
+        seed: 38,
+        ..EmbedConfig::default()
+    });
+    assert_eq!(Sweep::for_range(n, ambient), Sweep::Screened);
+    let items = ItemEmbeddings {
+        v_ir: &emb.v_ir,
+        ambient_ir: emb.ambient_ir,
+        v_tg: Some(&emb.v_tg),
+        ambient_tg: emb.ambient_tg,
+    };
+    let scorer = Scorer::build(&items);
+    let ir = BlockCache::build(&emb.v_ir, emb.ambient_ir);
+    let tg = BlockCache::build(&emb.v_tg, emb.ambient_tg);
+    let (ai, at) = (emb.ambient_ir, emb.ambient_tg);
+    let block: Vec<Anchor<'_>> = (0..6)
+        .map(|u| Anchor {
+            ir: &emb.u_ir[u * ai..(u + 1) * ai],
+            tg: Some((&emb.u_tg[u * at..(u + 1) * at], emb.alphas[u])),
+        })
+        .collect();
+    let ids: Vec<u32> = (0..n as u32).collect();
+    for stride in [1, 3] {
+        let exclude =
+            |pos: usize, item: u32| stride > 1 && (item as usize + pos).is_multiple_of(stride);
+        let ks: Vec<usize> = (0..block.len()).map(|u| 5 + 3 * u).collect();
+        let got = scorer.rank(&block, &ks, exclude);
+        for (pos, anchor) in block.iter().enumerate() {
+            let (u_tg, alpha) = anchor.tg.expect("tag channel");
+            let want = exhaustive(
+                &ir,
+                Some(&tg),
+                anchor.ir,
+                u_tg,
+                alpha,
+                (0, n),
+                &ids,
+                ks[pos],
+                |item| exclude(pos, item),
+            );
+            assert_same(&got[pos], &want, &format!("anchor {pos}, stride {stride}")).unwrap();
+        }
+    }
 }
