@@ -131,7 +131,7 @@ fn embed(tree: &TagTree, hyperbolic: bool, scale: f64, epochs: usize, seed: u64)
     EmbedOutcome { stress, violations }
 }
 
-fn main() {
+pub fn run() {
     let profile = BenchProfile::from_env();
     println!("Fig. 3 — Euclidean vs hyperbolic arrangement of the planted Yelp taxonomy (2-D)\n");
     let d = generate_preset(Preset::Yelp, profile.scale);

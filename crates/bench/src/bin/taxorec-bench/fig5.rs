@@ -8,7 +8,7 @@ use taxorec_data::Preset;
 use taxorec_eval::{evaluate, TextTable};
 use taxorec_parallel::par_map;
 
-fn main() {
+pub fn run() {
     let profile = BenchProfile::from_env();
     let dims = [16usize, 32, 48, 64];
     let models = ["CML", "HyperML", "TaxoRec"];

@@ -10,7 +10,7 @@ use taxorec_taxonomy::{
     ancestor_scores, random_coherence_baseline, random_pair_precision, sibling_coherence,
 };
 
-fn main() {
+pub fn run() {
     let profile = BenchProfile::from_env();
     println!(
         "Fig. 6 — automatically constructed tag taxonomies, scale {:?}\n",

@@ -236,7 +236,7 @@ impl Measurement {
     }
 }
 
-fn main() {
+pub fn run() {
     let assert_floor = std::env::args().any(|a| a == "--assert-floor");
     let n_items = taxorec_telemetry::env("TAXOREC_HOTPATH_ITEMS")
         .unwrap_or(3584)

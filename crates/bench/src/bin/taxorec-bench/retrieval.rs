@@ -82,7 +82,7 @@ fn batch_qps(index: &TaxoIndex, emb: &taxorec_data::SynthEmbeddings, beam: usize
     n as f64 / secs
 }
 
-fn main() {
+pub fn run() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let assert_floor = args.iter().any(|a| a == "--assert-floor");
     let mode = match args.iter().position(|a| a == "--retrieval") {

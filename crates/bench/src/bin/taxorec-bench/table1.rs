@@ -5,7 +5,7 @@ use taxorec_bench::{write_bench_telemetry, BenchProfile};
 use taxorec_data::{generate_preset, Preset};
 use taxorec_eval::TextTable;
 
-fn main() {
+pub fn run() {
     let profile = BenchProfile::from_env();
     println!(
         "Table I — statistics of the datasets (synthetic analogues, scale {:?})\n",

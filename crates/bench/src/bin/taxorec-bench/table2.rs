@@ -8,7 +8,7 @@ use taxorec_bench::{dataset_and_split, run_jobs, write_bench_telemetry, BenchPro
 use taxorec_data::Preset;
 use taxorec_eval::{mark_best, wilcoxon_signed_rank, TextTable};
 
-fn main() {
+pub fn run() {
     let profile = BenchProfile::from_env();
     let ks = [10usize, 20];
     println!(

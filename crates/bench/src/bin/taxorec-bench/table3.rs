@@ -7,7 +7,7 @@ use taxorec_eval::TextTable;
 
 const ROWS: [&str; 5] = ["CML", "CML+Agg", "Hyper+CML", "Hyper+CML+Agg", "TaxoRec"];
 
-fn main() {
+pub fn run() {
     let profile = BenchProfile::from_env();
     let ks = [10usize, 20];
     println!(

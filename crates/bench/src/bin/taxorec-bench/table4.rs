@@ -51,7 +51,7 @@ fn settings() -> Vec<Setting> {
     out
 }
 
-fn main() {
+pub fn run() {
     let profile = BenchProfile::from_env();
     let ks = [10usize];
     println!(

@@ -7,7 +7,7 @@ use taxorec_core::TaxoRec;
 use taxorec_data::{Preset, Recommender};
 use taxorec_eval::top_k_indices;
 
-fn main() {
+pub fn run() {
     let profile = BenchProfile::from_env();
     println!(
         "Table V — tag-based user profiles and recommendations, scale {:?}\n",

@@ -1,12 +1,13 @@
 //! The experiment harness: regenerates every table and figure of the
 //! TaxoRec paper on the synthetic dataset analogues.
 //!
-//! One binary per experiment (see `src/bin/`): `table1` … `table5`,
-//! `fig3`, `fig5`, `fig6`. Criterion microbenchmarks (runtime claims of
-//! §V-B) live in `benches/`.
+//! One binary, `taxorec-bench <name>`, with a subcommand per experiment
+//! (see `src/bin/taxorec-bench/`): `table1` … `table5`, `fig3`, `fig5`,
+//! `fig6`, the §V-B `runtime` table, and the `hotpath` and `retrieval`
+//! microbenchmarks. `taxorec-loadgen` drives a running server.
 //!
 //! Scale, seeds, and epochs are controlled by environment variables so the
-//! same binaries serve quick smoke runs and fuller reproductions:
+//! same subcommands serve quick smoke runs and fuller reproductions:
 //!
 //! * `TAXOREC_SCALE` — `tiny` | `bench` (default) | `full`
 //! * `TAXOREC_SEEDS` — number of seeds per cell (default 3)
@@ -152,8 +153,8 @@ pub fn run_jobs(
 
 /// Appends this process's full metric snapshot as one JSON line to
 /// `BENCH_telemetry.json` in the working directory, labelled with the
-/// producing binary: `{"bin":…,"generated_unix_ms":…,"telemetry":…}`.
-/// Every bench binary calls this on exit so a full reproduction run leaves
+/// producing experiment: `{"bin":…,"generated_unix_ms":…,"telemetry":…}`.
+/// Every experiment subcommand calls this on exit so a full reproduction run leaves
 /// a machine-readable record of training health and runtime next to its
 /// tables.
 pub fn write_bench_telemetry(bin: &str) {

@@ -9,8 +9,8 @@
 //!   `panic@parallel.job:17,nan@train.epoch:5,io@checkpoint.save:2`
 //!   arms exactly one invocation of each site, so every recovery path in
 //!   the workspace is testable and bit-reproducible.
-//! * [`retry`] — bounded retry with exponential backoff and
-//!   decorrelated jitter, shared by checkpoint IO and the shard router.
+//! * [`retry`] — bounded retry with exponential backoff, used by
+//!   checkpoint IO.
 //!
 //! With `TAXOREC_FAULT` unset the probe fast-path is a single relaxed
 //! atomic load — the harness costs nothing in production.
@@ -25,4 +25,4 @@ pub use fault::{
     disable, inject_io, inject_nan, inject_panic, inject_panic_or_stall, inject_stall, install,
     probe, reset, stall_duration, FaultEntry, FaultKind, FaultSpec, FaultSpecError,
 };
-pub use retry::{DecorrelatedJitter, RetryPolicy};
+pub use retry::RetryPolicy;

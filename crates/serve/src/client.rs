@@ -11,9 +11,8 @@
 //! already what a keep-alive transport needs.
 //!
 //! Failures carry the [`Phase`] they happened in; `refused` is its own
-//! phase because it is the signature of a target that is restarting
-//! (the router retries it in place, `taxorec-loadgen --allow-refused`
-//! exempts exactly it).
+//! phase because it means nothing is listening at the target
+//! (`taxorec-loadgen --allow-refused` exempts exactly it).
 
 use std::fmt;
 use std::io::{Read, Write};
@@ -173,7 +172,9 @@ fn send(
     stream.write_all(request.as_bytes())
 }
 
-fn read_response(stream: &mut impl Read) -> Result<Response, Error> {
+/// Reads one response off `stream`: its head, then a `Content-Length`
+/// framed body, or the rest of the stream when the header is absent.
+pub(crate) fn read_response(stream: &mut impl Read) -> Result<Response, Error> {
     let (head, mut body) = net::read_head(stream, MAX_HEAD_BYTES).map_err(|e| {
         let phase = match e.kind() {
             std::io::ErrorKind::InvalidData => Phase::Parse,

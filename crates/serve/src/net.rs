@@ -545,9 +545,12 @@ impl Reply {
         self
     }
 
-    /// Writes the `Connection: close` response; a client that has gone
-    /// away is not the server's problem, so write errors are dropped.
-    pub(crate) fn write(&self, stream: &mut TcpStream, trace_id: u64) {
+    /// Writes the `Connection: close` response as one buffer in one
+    /// `write_all`, so head and body leave in the same segment rather
+    /// than waiting on Nagle's algorithm for the head's ACK. A client
+    /// that has gone away is not the server's problem, so write errors
+    /// are dropped.
+    pub(crate) fn write(&self, stream: &mut impl Write, trace_id: u64) {
         let reason = match self.status {
             200 => "OK",
             202 => "Accepted",
@@ -558,7 +561,7 @@ impl Reply {
             503 => "Service Unavailable",
             _ => "Internal Server Error",
         };
-        let header = format!(
+        let mut wire = format!(
             "HTTP/1.1 {} {reason}\r\nContent-Type: {}\r\n\
              Content-Length: {}\r\nx-taxorec-trace: {trace_id:016x}\r\n\
              {}Connection: close\r\n\r\n",
@@ -566,11 +569,10 @@ impl Reply {
             self.content_type,
             self.body.len(),
             self.extra_headers
-        );
-        let _ = stream
-            .write_all(header.as_bytes())
-            .and_then(|()| stream.write_all(self.body.as_bytes()))
-            .and_then(|()| stream.flush());
+        )
+        .into_bytes();
+        wire.extend_from_slice(self.body.as_bytes());
+        let _ = stream.write_all(&wire).and_then(|()| stream.flush());
     }
 
     /// Records the request under `<server>.<endpoint>.{ms,requests,errors}`
@@ -684,6 +686,172 @@ mod tests {
             .unwrap_err()
             .contains("non-negative"));
         assert!(require_param("k=5", "user").unwrap_err().contains("user"));
+    }
+
+    #[test]
+    fn a_reply_goes_out_in_one_write_with_the_exact_bytes() {
+        /// Records every `write` call it receives.
+        #[derive(Default)]
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut out = Writes::default();
+        Reply::new(503, "{\"error\":\"é\"}".to_string(), "other")
+            .header("Retry-After", 2)
+            .write(&mut out, 0xab);
+        let expected = "HTTP/1.1 503 Service Unavailable\r\n\
+                        Content-Type: application/json\r\n\
+                        Content-Length: 14\r\n\
+                        x-taxorec-trace: 00000000000000ab\r\n\
+                        Retry-After: 2\r\n\
+                        Connection: close\r\n\r\n\
+                        {\"error\":\"é\"}";
+        assert_eq!(out.0, vec![expected.as_bytes().to_vec()]);
+    }
+
+    /// Hands out `data` in the pieces that `cuts` (ascending byte
+    /// offsets) mark, never more than one piece per `read`.
+    struct Pieces<'a> {
+        data: &'a [u8],
+        cuts: Vec<usize>,
+        pos: usize,
+    }
+
+    impl Read for Pieces<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let end = self
+                .cuts
+                .iter()
+                .copied()
+                .find(|&c| c > self.pos)
+                .unwrap_or(self.data.len());
+            let n = (end - self.pos).min(buf.len());
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// Runs `parse` over `data` delivered whole, split at every byte
+    /// position, and one byte at a time, and asserts every delivery
+    /// gives what the whole one gives.
+    fn same_at_every_split<T: PartialEq + std::fmt::Debug>(
+        data: &[u8],
+        parse: impl Fn(&mut Pieces<'_>) -> T,
+    ) -> T {
+        let deliver = |cuts: Vec<usize>| parse(&mut Pieces { data, cuts, pos: 0 });
+        let whole = deliver(Vec::new());
+        for at in 1..data.len() {
+            assert_eq!(deliver(vec![at]), whole, "split at byte {at} of {data:?}");
+        }
+        let bytewise = deliver((1..data.len()).collect());
+        assert_eq!(bytewise, whole, "one byte at a time: {data:?}");
+        whole
+    }
+
+    /// A request as the servers read it: the head, then the body its
+    /// `Content-Length` announces (none without the header).
+    fn request_parts(r: &mut impl Read, max_head: usize) -> Result<(String, Vec<u8>), String> {
+        let kind = |e: std::io::Error| format!("{:?}", e.kind());
+        let (head, prefix) = read_head(r, max_head).map_err(kind)?;
+        let len = header(&head, "content-length").map_or(0, |v| v.parse().unwrap());
+        let body = read_body(r, prefix, len).map_err(kind)?;
+        Ok((head, body))
+    }
+
+    fn response_parts(r: &mut Pieces<'_>) -> Result<(u16, String, String), &'static str> {
+        crate::client::read_response(r)
+            .map(|resp| (resp.status, resp.head, resp.body))
+            .map_err(|e| e.phase.as_str())
+    }
+
+    #[test]
+    fn requests_read_the_same_at_every_split_point() {
+        let ok = |head: &str, body: &[u8]| Ok((head.to_string(), body.to_vec()));
+        let get = b"GET /recommend?user=3&k=5 HTTP/1.1\r\nHost: x\r\n\r\n";
+        assert_eq!(
+            same_at_every_split(get, |r| request_parts(r, 1024)),
+            ok("GET /recommend?user=3&k=5 HTTP/1.1\r\nHost: x", b"")
+        );
+        let ingest = b"POST /ingest HTTP/1.1\r\nContent-Length: 11\r\n\r\n0\t1\t12\tjazz";
+        assert_eq!(
+            same_at_every_split(ingest, |r| request_parts(r, 1024)),
+            ok(
+                "POST /ingest HTTP/1.1\r\nContent-Length: 11",
+                b"0\t1\t12\tjazz"
+            )
+        );
+        // Two- and three-byte characters in the head and the body: some
+        // split lands inside each of them.
+        let utf8 =
+            "POST /ingest HTTP/1.1\r\nx-tag: café\r\nContent-Length: 12\r\n\r\n0\t1\t2\t日本";
+        assert_eq!(
+            same_at_every_split(utf8.as_bytes(), |r| request_parts(r, 1024)),
+            ok(
+                "POST /ingest HTTP/1.1\r\nx-tag: café\r\nContent-Length: 12",
+                "0\t1\t2\t日本".as_bytes()
+            )
+        );
+    }
+
+    #[test]
+    fn the_head_limit_and_early_ends_hold_at_every_split_point() {
+        let get = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+        // Exactly at the limit (blank line included) is accepted, one
+        // byte past it is not.
+        assert!(same_at_every_split(get, |r| request_parts(r, get.len())).is_ok());
+        assert_eq!(
+            same_at_every_split(get, |r| request_parts(r, get.len() - 1)),
+            Err("InvalidData".to_string())
+        );
+        let eof = Err("UnexpectedEof".to_string());
+        assert_eq!(same_at_every_split(b"", |r| request_parts(r, 64)), eof);
+        assert_eq!(
+            same_at_every_split(b"GET / HTTP/1.1\r\nHost:", |r| request_parts(r, 64)),
+            eof
+        );
+        let short = b"POST /ingest HTTP/1.1\r\nContent-Length: 9\r\n\r\n0\t1\t2";
+        assert_eq!(same_at_every_split(short, |r| request_parts(r, 64)), eof);
+    }
+
+    #[test]
+    fn responses_read_the_same_at_every_split_point() {
+        let framed = "HTTP/1.1 200 OK\r\nContent-Length: 14\r\n\r\n{\"items\":[é]}trailing";
+        assert_eq!(
+            same_at_every_split(framed.as_bytes(), response_parts),
+            Ok((
+                200,
+                "HTTP/1.1 200 OK\r\nContent-Length: 14".to_string(),
+                "{\"items\":[é]}".to_string()
+            ))
+        );
+        let unframed =
+            b"HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1\r\n\r\n{\"error\":\"x\"}";
+        assert_eq!(
+            same_at_every_split(unframed, response_parts),
+            Ok((
+                503,
+                "HTTP/1.1 503 Service Unavailable\r\nRetry-After: 1".to_string(),
+                "{\"error\":\"x\"}".to_string()
+            ))
+        );
+        let cut = b"HTTP/1.1 200 OK\r\nContent-Length: 40\r\n\r\n{\"items\":";
+        assert_eq!(same_at_every_split(cut, response_parts), Err("read"));
+        assert_eq!(
+            same_at_every_split(b"HTTP/1.1 200 OK\r\nContent-Le", response_parts),
+            Err("read")
+        );
+        assert_eq!(
+            same_at_every_split(b"SSH-2.0-x\r\n\r\n", response_parts),
+            Err("parse")
+        );
     }
 
     #[test]

@@ -18,9 +18,10 @@
 //!    circuit [`Breaker`](crate::breaker::Breaker).
 //! 3. Forward upstream with the client's trace id in an
 //!    `x-taxorec-trace` header, so shard-side spans join the router's
-//!    trace tree. Connection-refused upstreams are retried on a
-//!    decorrelated-jitter schedule (reads are idempotent); any other
-//!    transport error fails the candidate over to the next shard.
+//!    trace tree. Any transport error, connection-refused included,
+//!    fails the candidate over to the next shard at once: every shard
+//!    answers every user with the same bytes, and a refused owner has
+//!    no warm cache left to wait for.
 //! 4. **Hedging**: if the in-flight attempt has produced nothing after
 //!    [`RouterOptions::hedge_after`], a second attempt is launched at
 //!    the next candidate; first complete response wins. A shard wedged
@@ -63,12 +64,11 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use taxorec_resilience::{DecorrelatedJitter, RetryPolicy};
 use taxorec_telemetry::json::{self, push_str_escaped, Value};
 use taxorec_telemetry::{trace, TraceContext};
 
 use crate::breaker::Breaker;
-use crate::client::{self, Phase, Timeouts};
+use crate::client::{self, Timeouts};
 use crate::net::{
     self, require_param, Conn, Edge, Front, PoolSpec, Reply, Request, Shedder, Stage,
 };
@@ -97,13 +97,8 @@ pub struct RouterOptions {
     /// Silence threshold before a hedged second attempt is launched at
     /// the next candidate shard.
     pub hedge_after: Duration,
-    /// Total per-request budget across all candidates, retries, and
-    /// hedges.
+    /// Total per-request budget across all candidates and hedges.
     pub deadline: Duration,
-    /// Retry schedule for connection-refused upstreams (a shard
-    /// restarting mid-reload). Only idempotent reads flow through the
-    /// router, so re-sending is always safe.
-    pub retry: RetryPolicy,
     /// Consecutive transport failures that open a shard's breaker.
     pub breaker_threshold: u32,
     /// How long an open breaker refuses before a half-open probe.
@@ -121,12 +116,6 @@ impl Default for RouterOptions {
             connect_timeout: Duration::from_millis(250),
             hedge_after: Duration::from_millis(50),
             deadline: Duration::from_secs(2),
-            retry: RetryPolicy {
-                max_attempts: 3,
-                initial_backoff: Duration::from_millis(5),
-                multiplier: 2,
-                max_backoff: Duration::from_millis(50),
-            },
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(500),
         }
@@ -413,8 +402,7 @@ struct Proxied {
 }
 
 /// Forwards `target` to the candidate shards for `user`: owner first,
-/// bounded jittered retries on connection-refused, failover on any
-/// other transport error, and a hedged second attempt when the
+/// failover on any transport error, and a hedged second attempt when the
 /// in-flight one has been silent for `hedge_after`. Returns the first
 /// complete upstream response, or `Err(reason)` when every admissible
 /// candidate failed or the deadline expired (the caller answers `503 +
@@ -452,26 +440,16 @@ fn proxy(
             // The router's trace id travels upstream so shard spans join
             // this trace.
             let trace_header = format!("x-taxorec-trace: {:016x}\r\n", ctx.trace_id);
-            let retry = opts.retry;
             let connect_timeout = opts.connect_timeout;
-            let seed = ctx.trace_id ^ shard_idx as u64;
             let spawned = std::thread::Builder::new()
                 .name(format!("taxorec-router-try-{shard_idx}"))
                 .spawn(move || {
-                    let result = attempt(
-                        addr,
-                        &target,
-                        &trace_header,
-                        connect_timeout,
-                        deadline,
-                        retry,
-                        seed,
-                    )
-                    .map(|r| Proxied {
-                        status: r.status,
-                        body: r.body,
-                        shard: shard_idx,
-                    });
+                    let result = attempt(addr, &target, &trace_header, connect_timeout, deadline)
+                        .map(|r| Proxied {
+                            status: r.status,
+                            body: r.body,
+                            shard: shard_idx,
+                        });
                     let _ = tx.send((shard_idx, result));
                 });
             if spawned.is_ok() {
@@ -571,61 +549,36 @@ fn shard_failure(shared: &RouterShared, shard_idx: u32) {
 }
 
 /// One upstream exchange through [`client::request`], bounded by what
-/// is left of `deadline`. Connection-refused — the signature of a shard
-/// restarting mid-reload — is retried in place on the decorrelated-
-/// jitter schedule (these reads are idempotent, and failing over would
-/// abandon the owner's warm cache); any other transport error,
-/// including a body cut short of its `Content-Length`, returns
-/// immediately so the caller can fail over.
+/// is left of `deadline`. Any transport error, connection-refused and a
+/// body cut short of its `Content-Length` included, returns at once so
+/// the caller can fail over.
 fn attempt(
     addr: SocketAddr,
     target: &str,
     extra_headers: &str,
     connect_timeout: Duration,
     deadline: Instant,
-    retry: RetryPolicy,
-    seed: u64,
 ) -> Result<client::Response, client::Error> {
-    let mut jitter = DecorrelatedJitter::new(retry, seed);
-    let mut attempts = 0usize;
-    loop {
-        attempts += 1;
-        let timeouts = Timeouts {
-            connect: connect_timeout,
-            io: deadline
-                .saturating_duration_since(Instant::now())
-                .max(Duration::from_millis(1)),
-        };
-        match client::request(addr, "GET", target, extra_headers, "", timeouts) {
-            Err(e)
-                if e.phase == Phase::Refused
-                    && attempts < retry.max_attempts.max(1)
-                    && Instant::now() < deadline =>
-            {
-                taxorec_telemetry::counter("router.connect.refused_retry").inc(1);
-                std::thread::sleep(jitter.next_backoff());
-            }
-            outcome => return outcome,
-        }
-    }
+    let timeouts = Timeouts {
+        connect: connect_timeout,
+        io: deadline
+            .saturating_duration_since(Instant::now())
+            .max(Duration::from_millis(1)),
+    };
+    client::request(addr, "GET", target, extra_headers, "", timeouts)
 }
 
-/// One unretried control-plane fetch (`/healthz`, `/metrics`) from a
-/// shard; `None` unless it answered `200`.
+/// One control-plane fetch (`/healthz`, `/metrics`) from a shard;
+/// `None` unless it answered `200`.
 fn fetch(addr: SocketAddr, target: &str, connect_timeout: Duration) -> Option<String> {
-    let deadline = Instant::now() + connect_timeout * 4;
-    attempt(
-        addr,
-        target,
-        "",
-        connect_timeout,
-        deadline,
-        RetryPolicy::none(),
-        0,
-    )
-    .ok()
-    .filter(|r| r.status == 200)
-    .map(|r| r.body)
+    let timeouts = Timeouts {
+        connect: connect_timeout,
+        io: connect_timeout * 4,
+    };
+    client::request(addr, "GET", target, "", "", timeouts)
+        .ok()
+        .filter(|r| r.status == 200)
+        .map(|r| r.body)
 }
 
 /// Background prober: polls each shard's `/healthz` every

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 
 use taxorec_core::{TaxoRec, TaxoRecConfig};
 use taxorec_data::{generate_preset, Preset, Recommender, Scale, Split};
-use taxorec_resilience::{disable, install, FaultSpec, RetryPolicy};
+use taxorec_resilience::{disable, install, FaultSpec};
 use taxorec_serve::client::{self, Response, Timeouts};
 use taxorec_serve::router::healthz_users;
 use taxorec_serve::{
@@ -75,12 +75,6 @@ fn fast_router_opts() -> RouterOptions {
         connect_timeout: Duration::from_millis(200),
         hedge_after: Duration::from_millis(50),
         deadline: Duration::from_secs(3),
-        retry: RetryPolicy {
-            max_attempts: 2,
-            initial_backoff: Duration::from_millis(2),
-            multiplier: 2,
-            max_backoff: Duration::from_millis(20),
-        },
         ..RouterOptions::default()
     }
 }

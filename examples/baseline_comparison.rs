@@ -38,5 +38,7 @@ fn main() {
         ]);
     }
     println!("{}", table.render());
-    println!("(full 15-method grid: cargo run --release -p taxorec-bench --bin table2)");
+    println!(
+        "(full 15-method grid: cargo run --release -p taxorec-bench --bin taxorec-bench -- table2)"
+    );
 }
