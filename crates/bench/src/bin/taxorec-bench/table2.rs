@@ -11,11 +11,12 @@ use taxorec_eval::{mark_best, wilcoxon_signed_rank, TextTable};
 pub fn run() {
     let profile = BenchProfile::from_env();
     let ks = [10usize, 20];
+    let (taxorec_epochs, baseline_epochs) = profile.epoch_budgets();
     println!(
-        "Table II — overall performance (%), scale {:?}, {} seed(s), {} epochs\n",
+        "Table II — overall performance (%), scale {:?}, {} seed(s), \
+         TaxoRec {taxorec_epochs} epochs, baselines {baseline_epochs} epochs\n",
         profile.scale,
         profile.seeds.len(),
-        profile.epochs
     );
     let datasets: Vec<_> = Preset::ALL
         .iter()

@@ -10,11 +10,12 @@ const ROWS: [&str; 5] = ["CML", "CML+Agg", "Hyper+CML", "Hyper+CML+Agg", "TaxoRe
 pub fn run() {
     let profile = BenchProfile::from_env();
     let ks = [10usize, 20];
+    let (taxorec_epochs, baseline_epochs) = profile.epoch_budgets();
     println!(
-        "Table III — ablation analysis (%), scale {:?}, {} seed(s), {} epochs\n",
+        "Table III — ablation analysis (%), scale {:?}, {} seed(s), \
+         Hyper+CML(+Agg) and TaxoRec {taxorec_epochs} epochs, CML(+Agg) {baseline_epochs} epochs\n",
         profile.scale,
         profile.seeds.len(),
-        profile.epochs
     );
     let datasets: Vec<_> = Preset::ALL
         .iter()

@@ -11,7 +11,8 @@
 //!
 //! * `TAXOREC_SCALE` — `tiny` | `bench` (default) | `full`
 //! * `TAXOREC_SEEDS` — number of seeds per cell (default 3)
-//! * `TAXOREC_EPOCHS` — training epochs (default 60)
+//! * `TAXOREC_EPOCHS` — TaxoRec's training epochs (default 60); the
+//!   baselines train `max(TAXOREC_EPOCHS, 100)`
 
 use taxorec_baselines::{zoo, TrainOpts};
 use taxorec_core::{TaxoRec, TaxoRecConfig};
@@ -25,7 +26,8 @@ pub struct BenchProfile {
     pub scale: Scale,
     /// Seeds per (model, dataset) cell.
     pub seeds: Vec<u64>,
-    /// Training epochs for every model.
+    /// Training epochs for TaxoRec and its `Hyper+CML` ablations. The
+    /// baselines train `epochs.max(100)` ([`BenchProfile::train_opts`]).
     pub epochs: usize,
     /// Total embedding dimensionality `D`.
     pub dim: usize,
@@ -64,6 +66,13 @@ impl BenchProfile {
             p.epochs = n.max(1);
         }
         p
+    }
+
+    /// `(TaxoRec's epochs, every baseline's epochs)`, read from
+    /// [`BenchProfile::taxorec_config`] and [`BenchProfile::train_opts`]
+    /// so a table header states the budgets its rows trained with.
+    pub fn epoch_budgets(&self) -> (usize, usize) {
+        (self.taxorec_config(0).epochs, self.train_opts(0).epochs)
     }
 
     /// Baseline training options derived from this profile. Learning rate

@@ -13,11 +13,7 @@
 //!   and return results in index order — no cross-element arithmetic is
 //!   reassociated;
 //! * [`par_chunks`] hands each worker a disjoint slice whose position is
-//!   fixed by its offset — per-chunk computation order is unchanged;
-//! * [`par_reduce`] folds a *fixed* caller-chosen chunking sequentially
-//!   within each chunk and combines the chunk results left-to-right in
-//!   chunk order — the association pattern depends only on the chunk
-//!   size, never on the number of workers.
+//!   fixed by its offset — per-chunk computation order is unchanged.
 //!
 //! ## Width, nesting and panics
 //!
@@ -209,29 +205,6 @@ where
     });
 }
 
-/// Order-deterministic chunked reduction: folds each fixed chunk
-/// `lo..hi` of `0..n` with `fold(lo, hi)` (sequential within the chunk),
-/// then combines the per-chunk accumulators **left-to-right in chunk
-/// order** with `combine`. Returns `None` when `n == 0`.
-///
-/// Because the chunk boundaries depend only on `chunk` (never on the
-/// worker count), the association pattern — and therefore every floating
-/// point rounding — is identical for any `TAXOREC_THREADS`. Reductions
-/// whose `combine` is exactly associative (integer-valued sums, max/min,
-/// boolean or) are additionally bit-identical to the plain sequential
-/// fold for any chunk size.
-pub fn par_reduce<T, F, C>(label: &str, n: usize, chunk: usize, fold: F, combine: C) -> Option<T>
-where
-    T: Send,
-    F: Fn(usize, usize) -> T + Sync,
-    C: Fn(T, T) -> T,
-{
-    let chunk = chunk.max(1);
-    let fold_chunk = |ci: usize| fold(ci * chunk, (ci * chunk + chunk).min(n));
-    let partials = run(label, n.div_ceil(chunk), 1, &fold_chunk);
-    partials.into_iter().reduce(combine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,14 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn par_reduce_integer_sum_matches_sequential() {
-        let sum = |lo: usize, hi: usize| (lo as u64..hi as u64).sum::<u64>();
-        let par = par_reduce("test.reduce", 1000, 64, sum, |a, b| a + b);
-        assert_eq!(par, Some((0..1000u64).sum()));
-        assert_eq!(par_reduce("test.reduce", 0, 8, sum, |a, b| a + b), None);
-    }
-
-    #[test]
     fn sequential_path_is_bit_identical_to_parallel() {
         let work = |i: usize| (i as f64 + 0.5).sin() * (i as f64).cos();
         let seq = with_threads("1", || par_map_chunked("test.det", 500, 16, work));
@@ -316,17 +281,6 @@ mod tests {
             .iter()
             .zip(&par)
             .all(|(a, b)| a.to_bits() == b.to_bits()));
-    }
-
-    #[test]
-    fn par_reduce_deterministic_across_thread_counts() {
-        // Non-associative float sum: identical only because the chunking
-        // is fixed.
-        let fold = |lo: usize, hi: usize| (lo..hi).map(|i| 1.0 / (i as f64 + 1.0)).sum::<f64>();
-        let reduce = || par_reduce("test.reduce", 10_000, 128, fold, |x, y| x + y).unwrap();
-        let a = with_threads("1", reduce);
-        let b = with_threads("7", reduce);
-        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]

@@ -48,6 +48,14 @@
 //! frontier is a set of disjoint non-empty subtrees, of which there are
 //! at most `n_leaves` — a beam `B ≥ n_leaves` never truncates, selects
 //! every leaf, and reproduces the exhaustive ranking bit-identically.
+//!
+//! # The tail
+//!
+//! The tree covers slots `0 .. end[root]`. Items appended since the
+//! build ([`IndexParts::append_items`]) fill the slots after it, in id
+//! order, and every query ranks that tail exhaustively after its leaves.
+//! The tree itself is never patched: its ranges, centroids and radii
+//! are those of the build.
 
 use std::collections::VecDeque;
 
@@ -204,8 +212,8 @@ impl IndexParts {
             }
             seen[slot] = true;
         }
-        if self.start[0] != 0 || self.end[0] as usize != self.n_items || self.level[0] != 0 {
-            return Err("root does not cover the full catalogue".into());
+        if self.start[0] != 0 || self.level[0] != 0 {
+            return Err("root does not start the catalogue".into());
         }
         for n in 0..n_nodes {
             if self.start[n] > self.end[n] || self.end[n] as usize > self.n_items {
@@ -245,23 +253,16 @@ impl IndexParts {
         Ok(())
     }
 
-    /// Patches newly appended catalogue items into the tree without a
+    /// Appends newly grown catalogue items to the tail without a
     /// rebuild (the streaming-ingestion fast path).
     ///
     /// `items` must be the *full* post-growth embedding table; rows
-    /// `self.n_items..` are the new items. They are assigned the tail
-    /// slots of the **rightmost spine** (root → last child → … → leaf):
-    /// every spine node's slot range already ends at the old catalogue
-    /// size, so extending those ranges — and only those — preserves the
-    /// children-partition invariant exactly. Spine radii are enlarged to
-    /// keep the optimistic routing bound valid; centroids are left
-    /// untouched (they are summaries, not invariants — the periodic
-    /// full rebuild re-tightens them). Beam routing therefore stays
-    /// *correct* after a patch, merely less selective along one spine.
+    /// `self.n_items..` are the new items. They take the slots after
+    /// the last one, in id order; the tree (node ranges, centroids and
+    /// radii) is untouched, and every beam query ranks the tail in full.
     ///
     /// Returns the number of items appended. Pre-flight errors leave
-    /// the parts unchanged; the trailing [`IndexParts::validate`] is a
-    /// self-check and cannot fail for parts that validated beforehand.
+    /// the parts unchanged.
     pub fn append_items(&mut self, items: &ItemEmbeddings<'_>) -> Result<usize, String> {
         items.check()?;
         let total = items.v_ir.len() / items.ambient_ir;
@@ -281,35 +282,8 @@ impl IndexParts {
             return Err("ambient_tg differs from the index".into());
         }
         let n_new = total - self.n_items;
-        if n_new == 0 {
-            return Ok(0);
-        }
-        // Rightmost spine: the unique root→leaf path whose slot ranges
-        // all end at the old catalogue size.
-        let mut spine = vec![0usize];
-        while !self.is_leaf(*spine.last().unwrap()) {
-            spine.push(self.child_hi[*spine.last().unwrap()] as usize - 1);
-        }
-        debug_assert!(spine.iter().all(|&s| self.end[s] as usize == self.n_items));
-        for &s in &spine {
-            self.end[s] += n_new as u32;
-            let cent = &self.cent_ir[s * self.ambient_ir..(s + 1) * self.ambient_ir];
-            for i in self.n_items..total {
-                let row = &items.v_ir[i * self.ambient_ir..(i + 1) * self.ambient_ir];
-                self.radius_ir[s] = self.radius_ir[s].max(lorentz::distance(cent, row));
-            }
-            if self.ambient_tg != 0 {
-                let cent = &self.cent_tg[s * self.ambient_tg..(s + 1) * self.ambient_tg];
-                let v_tg = items.v_tg.unwrap();
-                for i in self.n_items..total {
-                    let row = &v_tg[i * self.ambient_tg..(i + 1) * self.ambient_tg];
-                    self.radius_tg[s] = self.radius_tg[s].max(lorentz::distance(cent, row));
-                }
-            }
-        }
         self.item_ids.extend(self.n_items as u32..total as u32);
         self.n_items = total;
-        self.validate()?;
         Ok(n_new)
     }
 }
@@ -321,7 +295,8 @@ pub struct SearchStats {
     pub beam: usize,
     /// Leaves selected by the router.
     pub leaves: usize,
-    /// Items fused-scored (before seen-item exclusion).
+    /// Items fused-scored (before seen-item exclusion), the tail
+    /// included.
     pub candidates: usize,
 }
 
@@ -650,7 +625,8 @@ impl TaxoIndex {
 
     /// The beam search itself, for a block of anchors: routes each one,
     /// then ranks each selected leaf once for *all* anchors that chose
-    /// it (item panels stream once per leaf, not once per query).
+    /// it (item panels stream once per leaf, not once per query), then
+    /// the tail once for all anchors.
     /// Results and stats are parallel to `anchors`; a query's ranking
     /// does not depend on what else shares its block.
     pub fn search_block(
@@ -661,9 +637,11 @@ impl TaxoIndex {
         exclude: &dyn Fn(usize, u32) -> bool,
     ) -> (Vec<Vec<(u32, f64)>>, Vec<SearchStats>) {
         let beam = self.effective_beam(beam);
+        let tail = self.parts.end[0] as usize..self.parts.n_items;
         let mut stats = vec![
             SearchStats {
                 beam,
+                candidates: tail.len(),
                 ..SearchStats::default()
             };
             anchors.len()
@@ -691,6 +669,16 @@ impl TaxoIndex {
                 Some(&self.parts.item_ids),
                 &mut accs,
                 Some(&queries),
+                exclude,
+            );
+        }
+        if !tail.is_empty() {
+            self.items.rank_range(
+                anchors,
+                tail,
+                Some(&self.parts.item_ids),
+                &mut accs,
+                None,
                 exclude,
             );
         }
@@ -1012,13 +1000,15 @@ mod tests {
     }
 
     #[test]
-    fn append_items_patches_the_rightmost_spine() {
+    fn append_items_fills_the_tail_and_leaves_the_tree_alone() {
         let (idx, mut flat) = build_planted(50, 20);
         let mut parts = idx.parts().clone();
-        let (n0, nodes0) = (parts.n_items, parts.n_nodes());
-        // Three new items near cluster 1.
+        let before = parts.clone();
+        let n0 = parts.n_items;
+        // Three new items between the planted clusters, nearest to no
+        // existing leaf's members.
         for i in 0..3 {
-            let p = lorentz::from_spatial(&[-1.8 + 0.05 * i as f64, 0.1]);
+            let p = lorentz::from_spatial(&[0.9 + 0.05 * i as f64, 0.9]);
             flat.extend_from_slice(&p);
         }
         let items = ItemEmbeddings {
@@ -1029,30 +1019,36 @@ mod tests {
         };
         assert_eq!(parts.append_items(&items).unwrap(), 3);
         assert_eq!(parts.n_items, n0 + 3);
-        assert_eq!(parts.n_nodes(), nodes0, "patch-in adds no nodes");
-        parts.validate().expect("patched parts stay valid");
+        parts.validate().expect("parts with a tail stay valid");
         assert_eq!(&parts.item_ids[n0..], &[200, 201, 202]);
-        // The patched parts rebuild into a working index that can
-        // return the new items, and a full beam stays exact.
-        let patched = TaxoIndex::from_parts(parts.clone(), &items).expect("rebuild");
-        let anchor = lorentz::from_spatial(&[-1.8, 0.1]);
-        let (got, _) = idx_search_full(&patched, &anchor, 5);
-        assert!(
-            got.iter().any(|&(v, _)| v >= 200),
-            "new items must be retrievable, got {got:?}"
+        // The tree is untouched: same nodes, ranges, centroids and radii.
+        assert_eq!(parts.end[0] as usize, n0);
+        assert_eq!(
+            (&parts.child_lo, &parts.start, &parts.end, &parts.level),
+            (&before.child_lo, &before.start, &before.end, &before.level)
         );
-        let exact = patched.search_exact(&anchor, None, 5, &|_| false);
-        assert_eq!(got, exact);
+        assert_eq!(
+            (&parts.cent_ir, &parts.radius_ir, &parts.radius_tg),
+            (&before.cent_ir, &before.radius_ir, &before.radius_tg)
+        );
+        let patched = TaxoIndex::from_parts(parts.clone(), &items).expect("rebuild");
+        // A full beam still equals the exhaustive ranking bit for bit.
+        let anchor = lorentz::from_spatial(&[0.9, 0.9]);
+        let (full, stats) = patched.search(&anchor, None, patched.n_leaves(), 8, &|_| false);
+        assert_eq!(stats.candidates, n0 + 3);
+        let exact = patched.search_exact(&anchor, None, 8, &|_| false);
+        assert_eq!(full.len(), exact.len());
+        for (a, b) in full.iter().zip(&exact) {
+            assert_eq!(a.0, b.0);
+            assert_eq!(a.1.to_bits(), b.1.to_bits());
+        }
+        // At the default beam the appended item nearest the anchor is
+        // still returned first: the tail is ranked for every query.
+        let (got, stats) = patched.search(&anchor, None, 0, 5, &|_| false);
+        assert!(stats.candidates < n0, "the default beam must still prune");
+        assert_eq!(got[0].0, 200, "got {got:?}");
         // Appending zero items is a no-op.
         assert_eq!(parts.append_items(&items).unwrap(), 0);
-    }
-
-    fn idx_search_full(
-        idx: &TaxoIndex,
-        anchor: &[f64],
-        k: usize,
-    ) -> (Vec<(u32, f64)>, SearchStats) {
-        idx.search(anchor, None, idx.n_leaves(), k, &|_| false)
     }
 
     #[test]

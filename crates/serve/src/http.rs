@@ -11,7 +11,7 @@
 //! ```text
 //! acceptor → conn queue → parser workers → batch queue → scorer pool
 //!                              │ (cache hits, /healthz, …)     │
-//!                              └──────────→ inline response    └→ responder pool
+//!                              └──────────→ inline response    └→ batched response
 //! ```
 //!
 //! The acceptor enqueues raw connections into a bounded queue; parser
@@ -23,9 +23,11 @@
 //! it never waits for company, so a lone request is scored at once and
 //! batches form only while every scorer is busy) and ranks the block in
 //! one fused [`ServingModel::recommend_many`] pass — **bit-identical**
-//! to a batch of one. Completed requests fan out to a responder
-//! pool that owns the socket writes, so a slow-reading client can only
-//! ever occupy a parser worker or a responder — never a scorer.
+//! to a batch of one. The scorer that ranked a batch writes each of its
+//! replies. A reply is at most `MAX_K` = 1000 items (about 40 KB), which a
+//! peer's kernel receive buffer takes whole even when the peer never
+//! reads, so a write blocks only against a peer that shrank its window —
+//! and then it pins one scorer while the other keeps serving.
 //!
 //! Endpoints (`GET` unless noted):
 //!
@@ -94,10 +96,6 @@ use crate::online::{self, IngestOptions, Journal};
 
 /// Updater sleep slice (stop-flag recheck bound).
 const POLL_INTERVAL: Duration = Duration::from_millis(10);
-/// Responder threads writing completed batched responses back to their
-/// sockets. Two keep one slow-reading client from delaying every other
-/// batched response; no deployment has asked for another number.
-const N_RESPONDERS: usize = 2;
 /// Default `k` when `/recommend` omits it.
 const DEFAULT_K: usize = 10;
 /// Upper bound on `k` per request (keeps a typo from ranking the world).
@@ -201,7 +199,7 @@ const HEALTH_DRAINING: u8 = 2;
 
 /// A parsed `/recommend` cache miss travelling through the batching
 /// pipeline with its connection: handed from the parser worker to the
-/// [`Batcher`], scored in a block, and written by a responder.
+/// [`Batcher`], scored in a block, and written by the same scorer.
 struct RecommendReq {
     stream: TcpStream,
     ctx: TraceContext,
@@ -214,7 +212,7 @@ struct RecommendReq {
     k: usize,
 }
 
-/// Outcome of scoring one batched request, written by a responder.
+/// Outcome of scoring one batched request.
 enum Scored {
     /// 200 with the ranked items.
     Ranked(Ranking),
@@ -222,25 +220,6 @@ enum Scored {
     NotFound(String),
     /// 500 — this request's batch panicked; only its own batch fails.
     Internal,
-}
-
-/// The batching stages behind the parser workers: scheduler, then the
-/// responder stage that owns all socket writes for batched responses.
-/// The responder stage is unbounded on purpose: every entry is a
-/// completed request whose admission was already bounded by the
-/// connection and batch queues, so refusing here could only drop a
-/// scored response.
-struct Pipeline {
-    batcher: Batcher<RecommendReq>,
-    responders: Arc<Stage<(RecommendReq, Scored)>>,
-}
-
-impl Pipeline {
-    /// Scores every queued request, then writes every scored response.
-    fn shutdown(&self) {
-        self.batcher.shutdown();
-        self.responders.shutdown();
-    }
 }
 
 /// State shared by the workers, the updater, and the handle.
@@ -268,11 +247,11 @@ impl Shared {
 }
 
 /// A running server: the listening front (acceptor + parser workers),
-/// the batching pipeline behind it, and the optional ingest updater.
+/// the batcher behind it, and the optional ingest updater.
 pub struct ServerHandle {
     front: Front,
     shared: Arc<Shared>,
-    pipeline: Arc<Pipeline>,
+    batcher: Arc<Batcher<RecommendReq>>,
     updater: Option<JoinHandle<()>>,
     slot: Arc<ModelSlot>,
 }
@@ -305,16 +284,16 @@ impl ServerHandle {
     }
 
     /// Stage-ordered drain: acceptor + parser workers first (no new
-    /// submissions), then the batcher (scores every queued request),
-    /// then the responders (every scored response is written). Each
-    /// stage's queue is empty before the next stage stops.
+    /// submissions), then the batcher (scores and answers every queued
+    /// request). Each stage's queue is empty before the next stage
+    /// stops.
     fn drain(&mut self) {
         self.shared.health.store(HEALTH_DRAINING, Ordering::SeqCst);
         self.front.shutdown();
         if let Some(updater) = self.updater.take() {
             let _ = updater.join();
         }
-        self.pipeline.shutdown();
+        self.batcher.shutdown();
     }
 }
 
@@ -409,30 +388,14 @@ fn serve_impl(
     });
     let slot = Arc::new(ModelSlot::new(model));
 
-    // Responder pool: owns all socket writes for batched responses.
-    let responders = Stage::new(usize::MAX, None);
-    let live_responders = responders.spawn_workers(
-        &PoolSpec {
-            thread: "taxorec-respond",
-            metric: "serve.responder",
-            fault_site: None,
-        },
-        N_RESPONDERS,
-        |stage| {
-            while let Some((req, scored)) = stage.pop() {
-                write_recommend_response(req, scored);
-            }
-        },
-    )?;
-
     // Scorer pool behind the bounded batch queue. The handler scores one
     // assembled block through the fused multi-anchor path and stamps the
     // retroactive per-request `batch.wait` / `score` spans; a panicking
-    // batch falls back to 500s for only its own requests. The model is
-    // resolved through the slot per batch, so a warm reload takes
-    // effect from the next assembled block on.
+    // batch falls back to 500s for only its own requests. The scorer
+    // then writes each reply itself. The model is resolved through the
+    // slot per batch, so a warm reload takes effect from the next
+    // assembled block on.
     let scoring_slot = Arc::clone(&slot);
-    let complete_to = Arc::clone(&responders);
     let (batcher, live_scorers) = Batcher::spawn(
         batch_opts.clone(),
         move |jobs: &[BatchJob<RecommendReq>]| {
@@ -453,25 +416,14 @@ fn serve_impl(
                 .collect()
         },
         |_job| Scored::Internal,
-        move |req, scored| {
-            // The responders outlive the scorers (drain order), so a
-            // refusal cannot happen; if it ever did, answering from the
-            // scorer beats dropping a scored response.
-            if let Err((req, scored)) = complete_to.push((req, scored)) {
-                write_recommend_response(req, scored);
-            }
-        },
-    )
-    .inspect_err(|_| responders.shutdown())?;
-    let pipeline = Arc::new(Pipeline {
-        batcher,
-        responders,
-    });
+        write_recommend_response,
+    )?;
+    let batcher = Arc::new(batcher);
 
     let (front, live_workers) = {
         let shared = Arc::clone(&shared);
         let slot = Arc::clone(&slot);
-        let pipeline = Arc::clone(&pipeline);
+        let batcher = Arc::clone(&batcher);
         net::listen(
             addr,
             Arc::clone(&shared.conns),
@@ -489,24 +441,20 @@ fn serve_impl(
                 io_timeout: shared.opts.io_timeout,
                 shedder,
             },
-            move |conn| handle_connection(conn, &shared, &slot, &pipeline),
+            move |conn| handle_connection(conn, &shared, &slot, &batcher),
         )
     }
-    .inspect_err(|_| pipeline.shutdown())?;
-    if live_workers < n_requested
-        || live_scorers < batch_opts.n_scorers.max(1)
-        || live_responders < N_RESPONDERS
-    {
+    .inspect_err(|_| batcher.shutdown())?;
+    if live_workers < n_requested || live_scorers < batch_opts.n_scorers.max(1) {
         shared.health.store(HEALTH_DEGRADED, Ordering::SeqCst);
         taxorec_telemetry::sink::warn(&format!(
-            "serving degraded: {live_workers}/{n_requested} workers, {live_scorers} scorers, \
-             {live_responders} responders"
+            "serving degraded: {live_workers}/{n_requested} workers, {live_scorers} scorers"
         ));
     }
     let mut handle = ServerHandle {
         front,
         shared,
-        pipeline,
+        batcher,
         updater: None,
         slot,
     };
@@ -667,7 +615,12 @@ fn adopt_trace(head: &str, ctx: TraceContext) -> TraceContext {
     }
 }
 
-fn handle_connection(conn: Conn, shared: &Shared, slot: &Arc<ModelSlot>, pipeline: &Pipeline) {
+fn handle_connection(
+    conn: Conn,
+    shared: &Shared,
+    slot: &Arc<ModelSlot>,
+    batcher: &Batcher<RecommendReq>,
+) {
     let Conn {
         mut stream,
         ctx,
@@ -708,15 +661,15 @@ fn handle_connection(conn: Conn, shared: &Shared, slot: &Arc<ModelSlot>, pipelin
         if request.method == "POST" && request.path == "/ingest" {
             return Routed::Done(handle_ingest(&head, body_prefix, &mut stream, shared));
         }
-        route(&request, shared, model, slot, pipeline)
+        route(&request, shared, model, slot, batcher)
     }));
     let reply = match routed {
         Ok(Routed::Done(reply)) => reply,
         Ok(Routed::Batch { user, k }) => {
             // A `/recommend` cache miss: hand the connection to the
-            // batching pipeline. The responder pool owns everything from
-            // here (response write, latency histogram, root span) — this
-            // worker is immediately free for the next connection.
+            // batcher. The scorer owns everything from here (response
+            // write, latency histogram, root span) — this worker is
+            // immediately free for the next connection.
             let req = RecommendReq {
                 stream,
                 ctx,
@@ -725,12 +678,12 @@ fn handle_connection(conn: Conn, shared: &Shared, slot: &Arc<ModelSlot>, pipelin
                 user,
                 k,
             };
-            if let Err(mut req) = pipeline.batcher.try_submit(req) {
+            if let Err(mut req) = batcher.try_submit(req) {
                 // Batch queue full (or draining): shed exactly like the
                 // connection queue does, before any scoring work.
                 shared
                     .shedder
-                    .shed(&mut req.stream, ctx, pipeline.batcher.queue_depth());
+                    .shed(&mut req.stream, ctx, batcher.queue_depth());
                 taxorec_telemetry::counter("serve.http.recommend.errors").inc(1);
             }
             return;
@@ -762,8 +715,9 @@ fn finish_request(reply: &Reply, ctx: TraceContext, started: Instant, accepted: 
     trace::emit_root_at("http", ctx, accepted, Instant::now());
 }
 
-/// Writes one batched `/recommend` response from a responder thread,
-/// with the retroactive `respond` span the inline path opens as a scope.
+/// Writes one batched `/recommend` response from the scorer that ranked
+/// it, with the retroactive `respond` span the inline path opens as a
+/// scope. This is the [`Batcher`]'s completion callback.
 fn write_recommend_response(mut req: RecommendReq, scored: Scored) {
     let reply = match scored {
         Scored::Ranked(items) => {
@@ -803,7 +757,7 @@ fn route(
     shared: &Shared,
     model: &ServingModel,
     slot: &Arc<ModelSlot>,
-    pipeline: &Pipeline,
+    batcher: &Batcher<RecommendReq>,
 ) -> Routed {
     let Request {
         method,
@@ -816,7 +770,7 @@ fn route(
         return Routed::Done(Reply::error(405, &msg, "other"));
     }
     Routed::Done(match path {
-        "/healthz" => Reply::new(200, healthz_json(shared, model, pipeline), "healthz"),
+        "/healthz" => Reply::new(200, healthz_json(shared, model, batcher), "healthz"),
         "/metrics" => Reply::new(200, taxorec_telemetry::prometheus::render(), "metrics")
             .content_type(taxorec_telemetry::prometheus::CONTENT_TYPE),
         "/metrics.json" => Reply::new(200, taxorec_telemetry::snapshot(), "metrics"),
@@ -1085,7 +1039,7 @@ fn handle_reload(query: &str, shared: &Shared, slot: &Arc<ModelSlot>) -> Reply {
     reply
 }
 
-fn healthz_json(shared: &Shared, model: &ServingModel, pipeline: &Pipeline) -> String {
+fn healthz_json(shared: &Shared, model: &ServingModel, batcher: &Batcher<RecommendReq>) -> String {
     let (cache_len, cache_cap) = model.cache_usage();
     let queued = shared.conns.len();
     let mut body = String::with_capacity(224);
@@ -1111,11 +1065,11 @@ fn healthz_json(shared: &Shared, model: &ServingModel, pipeline: &Pipeline) -> S
     body.push_str(",\"capacity\":");
     body.push_str(&shared.opts.max_queue.to_string());
     body.push_str("},\"batch\":{\"depth\":");
-    body.push_str(&pipeline.batcher.queue_depth().to_string());
+    body.push_str(&batcher.queue_depth().to_string());
     body.push_str(",\"capacity\":");
-    body.push_str(&pipeline.batcher.capacity().to_string());
+    body.push_str(&batcher.capacity().to_string());
     body.push_str(",\"max_batch\":");
-    body.push_str(&pipeline.batcher.options().max_batch.to_string());
+    body.push_str(&batcher.options().max_batch.to_string());
     body.push_str("},\"cache\":{\"entries\":");
     body.push_str(&cache_len.to_string());
     body.push_str(",\"capacity\":");

@@ -577,7 +577,7 @@ impl ServingModel {
 
 /// A hot-swappable handle to the serving engine — the warm-reload seam.
 ///
-/// Every pipeline stage (parser workers, the batch scorer, responders)
+/// Every pipeline stage (parser workers, the batch scorers)
 /// resolves the model through its slot at the moment it needs one, so
 /// an [`ModelSlot::swap`] takes effect for the *next* request while
 /// every in-flight request keeps the `Arc` it already cloned. No lock

@@ -4,8 +4,8 @@
 //! what the request *means*.
 //!
 //! * [`Stage`] — the one `Mutex<VecDeque>` + `Condvar` queue, with the
-//!   workers that drain it. Both servers' connection queues, the batch
-//!   queue and the responder queue are instances.
+//!   workers that drain it. Both servers' connection queues and the
+//!   batch queue are instances.
 //! * [`listen`] — bind, a blocking acceptor that stamps deadlines and a
 //!   trace identity on every connection and sheds ([`Shedder`]) when the
 //!   connection stage is full, plus the workers that drain that stage.
@@ -67,8 +67,7 @@ pub(crate) struct Stage<T> {
 }
 
 impl<T: Send + 'static> Stage<T> {
-    /// `capacity` waiting items at most; `usize::MAX` for a stage whose
-    /// every entry was already admitted by a bounded stage upstream.
+    /// `capacity` waiting items at most.
     pub(crate) fn new(capacity: usize, depth: Option<Arc<Gauge>>) -> Arc<Self> {
         Arc::new(Self {
             state: Mutex::new(StageState {

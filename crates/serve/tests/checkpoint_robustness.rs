@@ -53,6 +53,21 @@ fn seal_gives_the_identity_the_written_bytes_carry() {
 }
 
 #[test]
+fn an_index_root_past_the_catalogue_is_rejected() {
+    // The root may end before the catalogue (appended items form the
+    // tail), never after it.
+    let mut ckpt = trained_checkpoint()
+        .with_retrieval_index(&taxorec_retrieval::IndexConfig::default())
+        .expect("index");
+    let parts = ckpt.index.as_mut().expect("index parts");
+    parts.end[0] = parts.n_items as u32 + 1;
+    match Checkpoint::from_bytes(&ckpt.to_bytes()) {
+        Err(CheckpointError::Invalid(msg)) => assert!(msg.contains("retrieval index"), "{msg}"),
+        other => panic!("expected Invalid, got {other:?}"),
+    }
+}
+
+#[test]
 fn save_and_load_file_round_trip() {
     let ckpt = trained_checkpoint();
     let path = tmp_path("roundtrip.taxo");

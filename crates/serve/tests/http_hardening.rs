@@ -296,12 +296,13 @@ fn slow_clients_cannot_stall_batched_scoring() {
     // deadline)…
     let mut trickler = TcpStream::connect(addr).expect("connect");
     write!(trickler, "GET /recomm").expect("partial send");
-    // …and a client that submits a full batched request but never reads
-    // its response occupies, at worst, a responder.
+    // …and a client that submits a full batched request for the largest
+    // reply (`k` at its maximum) but never reads it: the scorer that
+    // writes it must not be held up by the unread bytes.
     let mut deaf = TcpStream::connect(addr).expect("connect");
     write!(
         deaf,
-        "GET /recommend?user=1&k=3 HTTP/1.1\r\nHost: x\r\n\r\n"
+        "GET /recommend?user=1&k=1000 HTTP/1.1\r\nHost: x\r\n\r\n"
     )
     .expect("send");
     std::thread::sleep(Duration::from_millis(100));

@@ -11,8 +11,9 @@ use rand::rngs::StdRng;
 use rand::RngExt;
 use taxorec_geometry::poincare;
 
-/// Points per parallel assignment job: node tag sets below this size run
-/// inline (single job), larger ones fan out without per-point overhead.
+/// Points per parallel assignment job, and the point count above which
+/// the centroid update fans out too: a node's tag set (tens of tags)
+/// runs inline, an index split over thousands of items keeps the pool.
 const KMEANS_ASSIGN_CHUNK: usize = 256;
 
 /// Seeding strategy for [`poincare_kmeans`].
@@ -123,24 +124,30 @@ pub fn poincare_kmeans(
         if !changed && iterations > 1 {
             break;
         }
-        // Update step: Einstein centroid per cluster — clusters are
-        // disjoint, so each is computed exactly as in the sequential loop.
-        let assign = &assignment;
-        let new_centroids = taxorec_parallel::par_map("taxo.kmeans.update", k, |c| {
-            let members: Vec<&[f64]> = points
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| assign[i] == c)
-                .map(|(_, &t)| row(t))
-                .collect();
+        // Update step: Einstein centroid per cluster over its members in
+        // point order, bucketed in one pass — clusters are disjoint, so
+        // each is computed exactly as in the sequential loop.
+        let mut buckets: Vec<Vec<&[f64]>> = vec![Vec::new(); k];
+        for (&t, &c) in points.iter().zip(&assignment) {
+            buckets[c].push(row(t));
+        }
+        let centroid = |c: usize| {
+            let members = &buckets[c];
             if members.is_empty() {
                 return None;
             }
             let weights = vec![1.0; members.len()];
             let mut out = vec![0.0; dim];
-            poincare::einstein_centroid(&members, &weights, &mut out);
+            poincare::einstein_centroid(members, &weights, &mut out);
             Some(out)
-        });
+        };
+        let per_job = if points.len() > KMEANS_ASSIGN_CHUNK {
+            1
+        } else {
+            k
+        };
+        let new_centroids =
+            taxorec_parallel::par_map_chunked("taxo.kmeans.update", k, per_job, centroid);
         for (c, cent) in new_centroids.into_iter().enumerate() {
             if let Some(cent) = cent {
                 centroids[c * dim..(c + 1) * dim].copy_from_slice(&cent);

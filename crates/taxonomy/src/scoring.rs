@@ -18,11 +18,6 @@ pub const BM25_K1: f64 = 1.2;
 /// See [`BM25_K1`].
 pub const BM25_B: f64 = 0.5;
 
-/// Items per [`GroupStats::compute`] reduction chunk. All partial sums are
-/// integer-valued counts, so the chunked combine is exactly associative and
-/// the result is bit-identical to a plain sequential pass.
-const STATS_ITEM_CHUNK: usize = 1024;
-
 /// Precomputed statistics of one candidate tag set `G_k`:
 /// the induced item set `E_k` and its tag-frequency profile.
 #[derive(Clone, Debug)]
@@ -47,36 +42,18 @@ impl GroupStats {
         for &t in group {
             in_group[t as usize] = true;
         }
-        // Chunked reduction over items: every accumulator is an integer-
-        // valued count, so merging partials is exact and the totals are
-        // bit-identical to the sequential loop for any thread count.
-        let partial = taxorec_parallel::par_reduce(
-            "taxo.scoring.stats",
-            item_tags.len(),
-            STATS_ITEM_CHUNK,
-            |lo, hi| {
-                let mut tf = vec![0.0; n_tags];
-                let mut total_tf = 0.0;
-                let mut n_items = 0usize;
-                for tags in &item_tags[lo..hi] {
-                    if tags.iter().any(|&t| in_group[t as usize]) {
-                        n_items += 1;
-                        total_tf += tags.len() as f64;
-                        for &t in tags {
-                            tf[t as usize] += 1.0;
-                        }
-                    }
+        let mut tf = vec![0.0; n_tags];
+        let mut total_tf = 0.0;
+        let mut n_items = 0usize;
+        for tags in item_tags {
+            if tags.iter().any(|&t| in_group[t as usize]) {
+                n_items += 1;
+                total_tf += tags.len() as f64;
+                for &t in tags {
+                    tf[t as usize] += 1.0;
                 }
-                (tf, total_tf, n_items)
-            },
-            |(mut tf_a, tot_a, n_a), (tf_b, tot_b, n_b)| {
-                for (a, b) in tf_a.iter_mut().zip(&tf_b) {
-                    *a += b;
-                }
-                (tf_a, tot_a + tot_b, n_a + n_b)
-            },
-        );
-        let (tf, total_tf, n_items) = partial.unwrap_or_else(|| (vec![0.0; n_tags], 0.0, 0usize));
+            }
+        }
         let avgdl = if n_items == 0 {
             0.0
         } else {
@@ -90,13 +67,14 @@ impl GroupStats {
         }
     }
 
-    /// [`GroupStats::compute`] for every candidate group at once, one pool
-    /// job per group (the per-group item reduction then runs inline, so
-    /// there is no nested fan-out). Results are in `groups` order.
+    /// [`GroupStats::compute`] for every candidate group, in `groups`
+    /// order. A plain loop: handing these counts to the worker pool
+    /// cost more than the counts themselves (DESIGN.md §11).
     pub fn compute_all(groups: &[Vec<u32>], item_tags: &[Vec<u32>], n_tags: usize) -> Vec<Self> {
-        taxorec_parallel::par_map("taxo.scoring.groups", groups.len(), |k| {
-            Self::compute(&groups[k], item_tags, n_tags)
-        })
+        groups
+            .iter()
+            .map(|g| Self::compute(g, item_tags, n_tags))
+            .collect()
     }
 
     /// Context factor `con(t, G_k)` (paper Eq. 4):
