@@ -41,8 +41,10 @@
 //! (an upper bound on any member's fused score, by the triangle
 //! inequality, for α ≥ 0), keeps the best `B` (ties → lower node id),
 //! and stops when the frontier is all leaves. Selected leaves' slot
-//! ranges are fused-scored and merged through the order-independent
-//! [`TopKAccumulator`].
+//! ranges are fused-scored, best bound first, and merged through the
+//! order-independent [`TopKAccumulator`]: the nearest leaf sets the
+//! top-K cut before the others offer their items, and no order changes
+//! a result bit.
 //!
 //! Because selection only ever *truncates* to the top `B` — and any
 //! frontier is a set of disjoint non-empty subtrees, of which there are
@@ -57,7 +59,7 @@
 //! The tree itself is never patched: its ranges, centroids and radii
 //! are those of the build.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -646,17 +648,23 @@ impl TaxoIndex {
             };
             anchors.len()
         ];
-        // leaf id → positions of the queries that selected it. Leaves
-        // are visited in ascending id order for determinism (the
-        // accumulator does not care, but stable iteration keeps runs
-        // reproducible to the byte under instrumentation).
-        let mut by_leaf: std::collections::BTreeMap<usize, Vec<usize>> =
-            std::collections::BTreeMap::new();
+        // (leaf id, positions of the queries that selected it), each leaf
+        // at its first selection: queries in block order, each query's
+        // leaves best bound first. The nearest leaf is ranked first, so
+        // the top-K cut tightens early and later leaves offer fewer
+        // items; the accumulator is insertion-order independent, so the
+        // order moves no bit, and it is a pure function of the block.
+        let mut by_leaf: Vec<(usize, Vec<usize>)> = Vec::new();
+        let mut position: HashMap<usize, usize> = HashMap::new();
         for (q, anchor) in anchors.iter().enumerate() {
-            for leaf in self.route(anchor.ir, anchor.tg, beam) {
+            for (leaf, _) in self.route(anchor.ir, anchor.tg, beam) {
                 stats[q].leaves += 1;
                 stats[q].candidates += (self.parts.end[leaf] - self.parts.start[leaf]) as usize;
-                by_leaf.entry(leaf).or_default().push(q);
+                let at = *position.entry(leaf).or_insert_with(|| {
+                    by_leaf.push((leaf, Vec::new()));
+                    by_leaf.len() - 1
+                });
+                by_leaf[at].1.push(q);
             }
         }
         let mut accs: Vec<TopKAccumulator> =
@@ -696,11 +704,18 @@ impl TaxoIndex {
         }
     }
 
-    /// Beam descent: returns the selected leaf ids, ascending. See the
-    /// module docs for the bound formula and the `B ≥ n_leaves` coverage
-    /// guarantee. `α` is clamped at 0 for the bound only — a negative
-    /// channel weight would flip the triangle inequality.
-    fn route(&self, anchor_ir: &[f64], tag: Option<(&[f64], f64)>, beam: usize) -> Vec<usize> {
+    /// Beam descent: returns the selected leaves with their bounds, best
+    /// bound first (ties → lower id), the order the last round kept them
+    /// in. See the module docs for the bound formula and the
+    /// `B ≥ n_leaves` coverage guarantee. `α` is clamped at 0 for the
+    /// bound only — a negative channel weight would flip the triangle
+    /// inequality.
+    fn route(
+        &self,
+        anchor_ir: &[f64],
+        tag: Option<(&[f64], f64)>,
+        beam: usize,
+    ) -> Vec<(usize, f64)> {
         let p = &self.parts;
         let beam = beam.max(1);
         let mut frontier: Vec<(usize, f64)> = vec![(0, f64::INFINITY)];
@@ -743,9 +758,7 @@ impl TaxoIndex {
             scored.truncate(beam);
             std::mem::swap(&mut frontier, &mut scored);
         }
-        let mut leaves: Vec<usize> = frontier.iter().map(|&(n, _)| n).collect();
-        leaves.sort_unstable();
-        leaves
+        frontier
     }
 }
 
@@ -979,6 +992,53 @@ mod tests {
         // cluster is well separated.
         let exact = idx.search_exact(&anchor, None, 10, &|_| false);
         assert_eq!(got, exact);
+    }
+
+    /// Every beam's route from `anchor`: leaves only, as many as the
+    /// beam allows, in non-increasing bound order with ties by id.
+    /// Returns how many neighbouring pairs tied.
+    fn assert_routes_best_first(idx: &TaxoIndex, anchor: &[f64]) -> usize {
+        let mut ties = 0;
+        for beam in 1..=idx.n_leaves() {
+            let leaves = idx.route(anchor, None, beam);
+            assert_eq!(leaves.len(), beam, "beam {beam}");
+            assert!(leaves.iter().all(|&(n, _)| idx.parts().is_leaf(n)));
+            for pair in leaves.windows(2) {
+                let ((a, bound_a), (b, bound_b)) = (pair[0], pair[1]);
+                assert!(
+                    bound_a > bound_b || (bound_a == bound_b && a < b),
+                    "beam {beam}: {leaves:?}"
+                );
+                ties += usize::from(bound_a == bound_b);
+            }
+        }
+        ties
+    }
+
+    #[test]
+    fn route_returns_leaves_best_bound_first_ties_by_id() {
+        let (idx, _) = build_planted(50, 20);
+        for c in [[1.8, 0.0], [1.5, 0.3], [-1.9, 0.2], [0.0, 0.0], [0.9, 0.9]] {
+            assert_routes_best_first(&idx, &lorentz::from_spatial(&c));
+        }
+        // Identical points: every leaf has the same centroid and radius,
+        // so every bound ties and only the ids order the leaves.
+        let p = lorentz::from_spatial(&[0.3, 0.3]);
+        let flat: Vec<f64> = (0..64).flat_map(|_| p.clone()).collect();
+        let items = ItemEmbeddings {
+            v_ir: &flat,
+            ambient_ir: 3,
+            v_tg: None,
+            ambient_tg: 0,
+        };
+        let cfg = IndexConfig {
+            max_leaf: 8,
+            ..IndexConfig::default()
+        };
+        let idx = TaxoIndex::build(&items, None, &[], &cfg).expect("build");
+        assert!(idx.n_leaves() > 2);
+        let far = lorentz::from_spatial(&[-1.0, 0.5]);
+        assert!(assert_routes_best_first(&idx, &far) > 0, "no tie to order");
     }
 
     #[test]

@@ -175,7 +175,7 @@ fn send(
 /// Reads one response off `stream`: its head, then a `Content-Length`
 /// framed body, or the rest of the stream when the header is absent.
 pub(crate) fn read_response(stream: &mut impl Read) -> Result<Response, Error> {
-    let (head, mut body) = net::read_head(stream, MAX_HEAD_BYTES).map_err(|e| {
+    let (head, mut body) = net::read_head(stream, Vec::new(), MAX_HEAD_BYTES).map_err(|e| {
         let phase = match e.kind() {
             std::io::ErrorKind::InvalidData => Phase::Parse,
             _ => Phase::Read,

@@ -10,14 +10,19 @@
 //!
 //! ```text
 //! acceptor → conn queue → parser workers → batch queue → scorer pool
-//!                              │ (cache hits, /healthz, …)     │
-//!                              └──────────→ inline response    └→ batched response
+//!    │ (cache hits)            │ (late-head hits, /healthz, …) │
+//!    └→ inline response        └──────────→ inline response    └→ batched response
 //! ```
 //!
-//! The acceptor enqueues raw connections into a bounded queue; parser
-//! workers read and route them. Endpoints other than `/recommend` — and
-//! `/recommend` cache **hits** — are answered inline by the parser
-//! worker. Cache misses become [`RecommendReq`]s submitted to the
+//! The acceptor reads each new connection once without waiting and
+//! answers a `/recommend` cache **hit** whose whole head is in those
+//! bytes itself (`answer_hit`): no hand-off, and a reply the socket
+//! does not take whole leaves its tail to a worker. Every other
+//! connection goes into a bounded queue with the bytes already read;
+//! parser workers read on from them and route. Endpoints other than
+//! `/recommend` — and hits whose head arrived after the acceptor's
+//! read — are answered inline by the parser worker. Cache misses become
+//! [`RecommendReq`]s submitted to the
 //! [`Batcher`]: a free scorer thread takes a request together with
 //! whatever else is already queued (up to [`BatchOptions::max_batch`];
 //! it never waits for company, so a lone request is scored at once and
@@ -55,18 +60,19 @@
 //!
 //! ## Hardening
 //!
-//! * **Deadlines** — every accepted connection gets read/write timeouts
-//!   ([`ServeOptions::io_timeout`]); a stalled or trickling client is
-//!   disconnected instead of pinning a worker forever.
+//! * **Deadlines** — every connection handed to a worker gets read/write
+//!   timeouts ([`ServeOptions::io_timeout`]); a stalled or trickling
+//!   client is disconnected instead of pinning a worker forever. The
+//!   acceptor needs none: it never waits on a peer.
 //! * **Size caps** — request heads over
 //!   [`ServeOptions::max_request_bytes`] are rejected with `400`.
 //! * **Load shedding** — when the connection queue is full the acceptor
 //!   answers `503` with a `Retry-After` header immediately rather than
 //!   letting the backlog grow without bound (`serve.http.shed`).
-//! * **Panic isolation** — each request handler runs under
-//!   `catch_unwind`; a panicking request gets a `500` and the worker
-//!   lives on (`serve.http.panics`). The `serve.request` fault site makes
-//!   this deterministically testable.
+//! * **Panic isolation** — each request handler, the acceptor's inline
+//!   path included, runs under `catch_unwind`; a panicking request gets
+//!   a `500` and the thread lives on (`serve.http.panics`). The
+//!   `serve.request` fault site makes this deterministically testable.
 //! * **Degraded spawn** — if some worker threads fail to spawn the
 //!   server runs with the ones it got and `/healthz` reports
 //!   `"degraded"`; only zero workers is fatal.
@@ -74,7 +80,8 @@
 //! `/healthz` reports `"ready"`, `"degraded"` (reduced worker pool), or
 //! `"draining"` (shutdown in progress). Every request lands in the
 //! `serve.http.requests` counter and a per-endpoint latency histogram
-//! (`serve.http.<endpoint>.ms`).
+//! (`serve.http.<endpoint>.ms`); `serve.http.inline` counts the hits the
+//! acceptor answered.
 
 use std::net::{SocketAddr, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -90,7 +97,7 @@ use crate::batch::{BatchJob, BatchOptions, Batcher};
 use crate::checkpoint::{write_atomic, Checkpoint};
 use crate::model::{ModelSlot, Ranking, ServeError, ServingModel};
 use crate::net::{
-    self, param, require_param, Conn, Edge, Front, PoolSpec, Reply, Request, Shedder, Stage,
+    self, param, require_param, Conn, Edge, Front, Inline, PoolSpec, Reply, Request, Shedder, Stage,
 };
 use crate::online::{self, IngestOptions, Journal};
 
@@ -441,6 +448,11 @@ fn serve_impl(
                 io_timeout: shared.opts.io_timeout,
                 shedder,
             },
+            {
+                let (shared, slot) = (Arc::clone(&shared), Arc::clone(&slot));
+                let inline = taxorec_telemetry::counter("serve.http.inline");
+                move |conn: &mut Conn| answer_hit(conn, &shared, &slot, &inline)
+            },
             move |conn| handle_connection(conn, &shared, &slot, &batcher),
         )
     }
@@ -615,6 +627,59 @@ fn adopt_trace(head: &str, ctx: TraceContext) -> TraceContext {
     }
 }
 
+/// The acceptor's inline path (DESIGN.md §14): answers a `GET
+/// /recommend` whose whole head arrived with the connection and whose
+/// `(user, k)` is in the response cache, without a hand-off and without
+/// waiting on the peer. Anything else — a partial head, a miss, a bad
+/// query, another endpoint — is declined to a worker, which reads on
+/// from the same bytes. The `serve.request` fault site is probed only
+/// once a hit is found, so an armed fault fires once wherever its
+/// request lands.
+fn answer_hit(
+    conn: &mut Conn,
+    shared: &Shared,
+    slot: &ModelSlot,
+    inline: &taxorec_telemetry::Counter,
+) -> Inline {
+    let start = Instant::now();
+    let max_head = shared.opts.max_request_bytes;
+    let Ok((head, _)) = net::read_head(&mut std::io::empty(), conn.prefix.clone(), max_head) else {
+        return Inline::Declined;
+    };
+    let request = Request::parse(&head);
+    if request.method != "GET" || request.path != "/recommend" {
+        return Inline::Declined;
+    }
+    let Ok((user, k)) = recommend_key(request.query) else {
+        return Inline::Declined;
+    };
+    let (ctx, accepted) = (adopt_trace(&head, conn.ctx), conn.accepted);
+    let _trace_scope = trace::scope(ctx);
+    let model = slot.load();
+    let routed = catch_unwind(AssertUnwindSafe(|| {
+        let items = model.cached_hit(user, k)?;
+        taxorec_resilience::inject_panic_or_stall("serve.request");
+        Some(Reply::new(
+            200,
+            recommend_body(user, k, &items),
+            "recommend",
+        ))
+    }));
+    let reply = match routed {
+        Ok(Some(reply)) => reply,
+        Ok(None) => return Inline::Declined,
+        Err(_) => panic_reply(ctx),
+    };
+    trace::emit_span_at("queue", ctx, accepted, start);
+    taxorec_telemetry::counter("serve.http.requests").inc(1);
+    inline.inc(1);
+    let writing = Instant::now();
+    net::answer_now(reply, &mut conn.stream, ctx.trace_id, move |reply| {
+        trace::emit_span_at("respond", ctx, writing, Instant::now());
+        finish_request(reply, ctx, start, accepted);
+    })
+}
+
 fn handle_connection(
     conn: Conn,
     shared: &Shared,
@@ -625,10 +690,13 @@ fn handle_connection(
         mut stream,
         ctx,
         accepted,
+        prefix,
+        ..
     } = conn;
     let dequeued = Instant::now();
     let max_head = shared.opts.max_request_bytes;
-    let Some((head, body_prefix)) = net::read_request(&mut stream, max_head, ctx.trace_id) else {
+    let Some((head, body_prefix)) = net::read_request(&mut stream, prefix, max_head, ctx.trace_id)
+    else {
         trace::emit_span_at("queue", ctx, accepted, dequeued);
         return;
     };
@@ -688,21 +756,24 @@ fn handle_connection(
             }
             return;
         }
-        Err(_) => {
-            taxorec_telemetry::counter("serve.http.panics").inc(1);
-            taxorec_telemetry::sink::warn("request handler panicked; worker continues");
-            // Dump *before* responding so the dump file exists by the
-            // time the client sees the 500.
-            flight_event!("serve.panic", ctx.trace_id, 500, 0.0);
-            flight::dump("serve.request.panic");
-            Reply::error(500, "internal error", "other")
-        }
+        Err(_) => panic_reply(ctx),
     };
     {
         let _respond_span = trace::child_span("respond");
         reply.write(&mut stream, ctx.trace_id);
     }
     finish_request(&reply, ctx, start, accepted);
+}
+
+/// The `500` for a request whose handler panicked, once the panic is
+/// counted and the flight ring dumped — *before* responding, so the dump
+/// file exists by the time the client sees the 500.
+fn panic_reply(ctx: TraceContext) -> Reply {
+    taxorec_telemetry::counter("serve.http.panics").inc(1);
+    taxorec_telemetry::sink::warn("request handler panicked; the thread continues");
+    flight_event!("serve.panic", ctx.trace_id, 500, 0.0);
+    flight::dump("serve.request.panic");
+    Reply::error(500, "internal error", "other")
 }
 
 /// Closes out one answered request: endpoint histogram/counters, flight
@@ -792,24 +863,30 @@ fn route(
     })
 }
 
+/// The validated `(user, k)` of a `/recommend` query, or the reason it
+/// is a `400`.
+fn recommend_key(query: &str) -> Result<(u32, usize), String> {
+    let user = require_param(query, "user")?;
+    let k = match param(query, "k") {
+        None => DEFAULT_K,
+        Some(raw) => match raw.parse::<usize>() {
+            Ok(k) if k <= MAX_K => k,
+            Ok(k) => return Err(format!("k = {k} exceeds the maximum of {MAX_K}")),
+            Err(_) => return Err(format!("query parameter 'k' = {raw:?} is not an integer")),
+        },
+    };
+    Ok((user, k))
+}
+
 /// Validates a `/recommend` query and probes the response cache. Hits
 /// (and rejects) resolve inline on the parser worker — a cached answer
 /// never pays batching latency; misses go to the scheduler. Unknown
 /// users also take the batched path and come back as per-request `404`s
 /// from [`ServingModel::recommend_many`]'s independent error entries.
 fn handle_recommend(query: &str, model: &ServingModel) -> Routed {
-    let reject = |msg: &str| Routed::Done(Reply::error(400, msg, "recommend"));
-    let user = match require_param(query, "user") {
-        Ok(u) => u,
-        Err(msg) => return reject(&msg),
-    };
-    let k = match param(query, "k") {
-        None => DEFAULT_K,
-        Some(raw) => match raw.parse::<usize>() {
-            Ok(k) if k <= MAX_K => k,
-            Ok(k) => return reject(&format!("k = {k} exceeds the maximum of {MAX_K}")),
-            Err(_) => return reject(&format!("query parameter 'k' = {raw:?} is not an integer")),
-        },
+    let (user, k) = match recommend_key(query) {
+        Ok(key) => key,
+        Err(msg) => return Routed::Done(Reply::error(400, &msg, "recommend")),
     };
     match model.cached(user, k) {
         Some(items) => Routed::Done(Reply::new(

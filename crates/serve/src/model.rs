@@ -29,6 +29,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use taxorec_core::{TaxoRec, TaxoRecConfig};
 use taxorec_data::{Anchor, Dataset, Scorer, Split};
@@ -358,9 +359,8 @@ impl ServingModel {
 
     /// Probes the response cache for `(user, k)` without scoring,
     /// counting the outcome in `serve.cache.hit` / `serve.cache.miss`.
-    /// The serving tier uses this to answer hot keys straight from the
-    /// worker thread instead of routing them through the batch
-    /// scheduler.
+    /// The serving tier's parser workers use this to answer hot keys
+    /// without routing them through the batch scheduler.
     pub fn cached(&self, user: u32, k: usize) -> Option<Ranking> {
         let _cache_span = taxorec_telemetry::trace::child_span("cache");
         match self.probe(cache_key(user, k)) {
@@ -373,6 +373,19 @@ impl ServingModel {
                 None
             }
         }
+    }
+
+    /// [`ServingModel::cached`] for a thread that answers only hits (the
+    /// acceptor's inline path): a hit is counted in `serve.cache.hit`
+    /// and spanned `cache`; a miss is left silent for the worker that
+    /// serves it, so each miss is counted once.
+    pub(crate) fn cached_hit(&self, user: u32, k: usize) -> Option<Ranking> {
+        let probing = Instant::now();
+        let hit = self.probe(cache_key(user, k))?;
+        taxorec_telemetry::counter("serve.cache.hit").inc(1);
+        let ctx = taxorec_telemetry::trace::current();
+        taxorec_telemetry::trace::emit_span_at("cache", ctx, probing, Instant::now());
+        Some(hit)
     }
 
     /// Silent cache probe (no counters, no span): the batched path

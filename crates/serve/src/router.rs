@@ -70,7 +70,7 @@ use taxorec_telemetry::{trace, TraceContext};
 use crate::breaker::Breaker;
 use crate::client::{self, Timeouts};
 use crate::net::{
-    self, require_param, Conn, Edge, Front, PoolSpec, Reply, Request, Shedder, Stage,
+    self, require_param, Conn, Edge, Front, Inline, PoolSpec, Reply, Request, Shedder, Stage,
 };
 use crate::ring::Ring;
 
@@ -292,7 +292,10 @@ pub fn route_with(
     }
     let (front, _live_workers) = {
         let shared = Arc::clone(&shared);
-        net::listen(addr, conns, edge, move |conn| handle_client(conn, &shared))?
+        let decline = |_: &mut Conn| Inline::Declined;
+        net::listen(addr, conns, edge, decline, move |conn| {
+            handle_client(conn, &shared)
+        })?
     };
     let mut handle = RouterHandle {
         front,
@@ -314,10 +317,12 @@ fn handle_client(conn: Conn, shared: &RouterShared) {
         mut stream,
         ctx,
         accepted,
+        prefix,
+        ..
     } = conn;
     let _scope = trace::scope(ctx);
     let max_head = shared.opts.max_request_bytes;
-    let Some((head, _)) = net::read_request(&mut stream, max_head, ctx.trace_id) else {
+    let Some((head, _)) = net::read_request(&mut stream, prefix, max_head, ctx.trace_id) else {
         return;
     };
     taxorec_telemetry::counter("router.requests").inc(1);
