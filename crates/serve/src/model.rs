@@ -13,8 +13,10 @@
 //! evaluated in the same operation order on the same bit-exact floats.
 //!
 //! A bounded LRU cache keyed on `(user, k)` absorbs repeated queries
-//! (hit/miss counters land in `taxorec-telemetry` as `serve.cache.*`),
-//! and batched multi-user queries fan out over `taxorec-parallel`.
+//! (hit/miss counters land in `taxorec-telemetry` as `serve.cache.*`);
+//! an entry keeps its ranking and, once the HTTP tier asks for it, its
+//! rendered `/recommend` body. Batched multi-user queries fan out over
+//! `taxorec-parallel`.
 //!
 //! When the artifact carries a retrieval index
 //! ([`Checkpoint::with_retrieval_index`]) the engine can serve
@@ -28,7 +30,8 @@
 //! exactly.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::fmt::Write;
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use taxorec_core::{TaxoRec, TaxoRecConfig};
@@ -36,6 +39,7 @@ use taxorec_data::{Anchor, Dataset, Scorer, Split};
 use taxorec_geometry::{convert, lorentz};
 use taxorec_retrieval::{RetrievalMode, TaxoIndex};
 use taxorec_taxonomy::Taxonomy;
+use taxorec_telemetry::{held_counter, json::push_f64};
 
 use crate::checkpoint::{item_embeddings, ArtifactInfo, Checkpoint, CheckpointError};
 use crate::lru::LruCache;
@@ -123,6 +127,57 @@ pub struct Explanation {
 /// A shared, immutable recommendation list: `(item, score)` best first.
 pub type Ranking = Arc<Vec<(u32, f64)>>;
 
+/// One response-cache entry: the ranking of a `(user, k)` query and, once
+/// the serving tier asks for it, its `/recommend` body. The body is
+/// rendered at most once per entry: by the scorer that ranked it when the
+/// HTTP tier ranked it, on first use when the entry came from the library
+/// API. A hit copies it; it never renders again.
+pub(crate) struct Answer {
+    user: u32,
+    k: usize,
+    items: Ranking,
+    body: OnceLock<Arc<str>>,
+}
+
+impl Answer {
+    fn new(user: u32, k: usize, items: Ranking) -> Arc<Self> {
+        Arc::new(Self {
+            user,
+            k,
+            items,
+            body: OnceLock::new(),
+        })
+    }
+
+    /// The `/recommend` success body, rendered on the first call.
+    pub(crate) fn body(&self) -> Arc<str> {
+        let body = self
+            .body
+            .get_or_init(|| recommend_body(self.user, self.k, &self.items).into());
+        Arc::clone(body)
+    }
+}
+
+/// The `/recommend` success body — the one renderer, so a hit and a
+/// freshly ranked miss are the same bytes. The capacity holds items
+/// whose score prints in up to 27 characters, as a distance-based score
+/// does, so the body is written in one allocation; a longer score (`f64`
+/// prints without an exponent) only grows the string.
+fn recommend_body(user: u32, k: usize, items: &[(u32, f64)]) -> String {
+    let mut body = String::with_capacity(66 + items.len() * 56);
+    let _ = write!(body, "{{\"user\":{user},\"k\":{k},\"items\":[");
+    for (i, &(item, score)) in items.iter().enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        let _ = write!(body, "{{\"item\":{item},\"score\":");
+        push_f64(&mut body, score);
+        body.push('}');
+    }
+    body.push_str("]}");
+    body
+}
+
 /// Response-cache key for a `(user, k)` query. Total: every distinct
 /// `k` maps to a distinct key (`usize` embeds losslessly in `u64`), so
 /// two different huge `k` values can never alias one cached `Ranking`.
@@ -155,7 +210,7 @@ pub struct ServingModel {
     index: Option<TaxoIndex>,
     /// How `recommend` generates candidates; fixed at construction.
     retrieval: RetrievalMode,
-    cache: Mutex<LruCache<(u32, u64), Ranking>>,
+    cache: Mutex<LruCache<(u32, u64), Arc<Answer>>>,
 }
 
 impl ServingModel {
@@ -362,27 +417,34 @@ impl ServingModel {
     /// The serving tier's parser workers use this to answer hot keys
     /// without routing them through the batch scheduler.
     pub fn cached(&self, user: u32, k: usize) -> Option<Ranking> {
+        self.cached_answer(user, k)
+            .map(|hit| Arc::clone(&hit.items))
+    }
+
+    /// [`ServingModel::cached`] with the entry's body: what a parser
+    /// worker answers a hit with.
+    pub(crate) fn cached_answer(&self, user: u32, k: usize) -> Option<Arc<Answer>> {
         let _cache_span = taxorec_telemetry::trace::child_span("cache");
         match self.probe(cache_key(user, k)) {
             Some(hit) => {
-                taxorec_telemetry::counter("serve.cache.hit").inc(1);
+                held_counter!("serve.cache.hit").inc(1);
                 Some(hit)
             }
             None => {
-                taxorec_telemetry::counter("serve.cache.miss").inc(1);
+                held_counter!("serve.cache.miss").inc(1);
                 None
             }
         }
     }
 
-    /// [`ServingModel::cached`] for a thread that answers only hits (the
-    /// acceptor's inline path): a hit is counted in `serve.cache.hit`
-    /// and spanned `cache`; a miss is left silent for the worker that
-    /// serves it, so each miss is counted once.
-    pub(crate) fn cached_hit(&self, user: u32, k: usize) -> Option<Ranking> {
+    /// [`ServingModel::cached_answer`] for a thread that answers only
+    /// hits (the acceptor's inline path): a hit is counted in
+    /// `serve.cache.hit` and spanned `cache`; a miss is left silent for
+    /// the worker that serves it, so each miss is counted once.
+    pub(crate) fn cached_hit(&self, user: u32, k: usize) -> Option<Arc<Answer>> {
         let probing = Instant::now();
         let hit = self.probe(cache_key(user, k))?;
-        taxorec_telemetry::counter("serve.cache.hit").inc(1);
+        held_counter!("serve.cache.hit").inc(1);
         let ctx = taxorec_telemetry::trace::current();
         taxorec_telemetry::trace::emit_span_at("cache", ctx, probing, Instant::now());
         Some(hit)
@@ -393,7 +455,7 @@ impl ServingModel {
     /// may have filled the entry while this one waited in the queue —
     /// and that second look must not double-count the miss the HTTP
     /// layer already recorded.
-    fn probe(&self, key: (u32, u64)) -> Option<Ranking> {
+    fn probe(&self, key: (u32, u64)) -> Option<Arc<Answer>> {
         self.cache.lock().unwrap().get(&key).map(Arc::clone)
     }
 
@@ -416,7 +478,21 @@ impl ServingModel {
     /// whatever else shared its block. The tests check that against a
     /// kernel-free reference.
     pub fn recommend_many(&self, queries: &[(u32, usize)]) -> Vec<Result<Ranking, ServeError>> {
-        let mut out: Vec<Option<Result<Ranking, ServeError>>> = Vec::new();
+        self.answer_many(queries, false)
+            .into_iter()
+            .map(|answer| answer.map(|a| Arc::clone(&a.items)))
+            .collect()
+    }
+
+    /// [`ServingModel::recommend_many`] with each query's cache entry.
+    /// With `render` every entry this call ranks gets its `/recommend`
+    /// body before it enters the cache, so a later hit only copies it.
+    pub(crate) fn answer_many(
+        &self,
+        queries: &[(u32, usize)],
+        render: bool,
+    ) -> Vec<Result<Arc<Answer>, ServeError>> {
+        let mut out: Vec<Option<Result<Arc<Answer>, ServeError>>> = Vec::new();
         out.resize_with(queries.len(), || None);
         let mut misses: Vec<usize> = Vec::new();
         for (qi, &(user, k)) in queries.iter().enumerate() {
@@ -434,12 +510,17 @@ impl ServingModel {
         for block in misses.chunks(SERVE_BLOCK) {
             for (&qi, ranking) in block.iter().zip(self.score_block(queries, block)) {
                 let (user, k) = queries[qi];
-                let result = Arc::new(ranking);
-                self.cache
+                let answer = Answer::new(user, k, Arc::new(ranking));
+                if render {
+                    answer.body();
+                }
+                // An evicted entry is freed after the lock is released.
+                let _evicted = self
+                    .cache
                     .lock()
                     .unwrap()
-                    .put(cache_key(user, k), Arc::clone(&result));
-                out[qi] = Some(Ok(result));
+                    .put(cache_key(user, k), Arc::clone(&answer));
+                out[qi] = Some(Ok(answer));
             }
         }
         out.into_iter()
@@ -668,6 +749,58 @@ mod tests {
         assert_eq!(c.len(), 3);
         assert_eq!(&a[..3], &c[..]);
         assert!(serving.cache_usage().0 >= 2);
+    }
+
+    #[test]
+    fn the_body_is_the_rendered_ranking() {
+        let items = [
+            (7, -1.5),
+            (9, 2.0),
+            (4_294_967_295, -0.000_123_456_789_012_345_67),
+        ];
+        let body = recommend_body(3, 2, &items);
+        assert_eq!(
+            body,
+            "{\"user\":3,\"k\":2,\"items\":[{\"item\":7,\"score\":-1.5},\
+             {\"item\":9,\"score\":2},\
+             {\"item\":4294967295,\"score\":-0.00012345678901234567}]}"
+        );
+        assert!(body.len() <= body.capacity() && body.capacity() == 66 + 3 * 56);
+        assert_eq!(
+            recommend_body(0, 0, &[]),
+            "{\"user\":0,\"k\":0,\"items\":[]}"
+        );
+    }
+
+    #[test]
+    fn an_entry_is_rendered_once_and_its_hits_share_the_body() {
+        let (m, d, s) = trained();
+        let serving = ServingModel::from_model(&m, &d, &s).unwrap();
+        let ranked = serving.answer_many(&[(1, 5)], true).pop().unwrap().unwrap();
+        let rendered = ranked.body.get().expect("rendered before it was cached");
+        let hit = serving.cached_answer(1, 5).expect("cached");
+        assert!(
+            Arc::ptr_eq(rendered, &hit.body()),
+            "a hit copies, never renders"
+        );
+        assert_eq!(**rendered, *recommend_body(1, 5, &ranked.items));
+
+        // An entry the library API filled renders on its first use.
+        let ranking = serving.recommend(2, 3).unwrap();
+        let entry = serving.cached_answer(2, 3).expect("cached");
+        assert!(entry.body.get().is_none(), "recommend renders nothing");
+        assert_eq!(*entry.body(), *recommend_body(2, 3, &ranking));
+
+        // Without a cache the reply is rendered once, and nothing is kept.
+        let uncached = ServingModel::with_cache_capacity(Arc::clone(serving.checkpoint()), 0);
+        let uncached = uncached.unwrap();
+        let lone = uncached
+            .answer_many(&[(1, 5)], true)
+            .pop()
+            .unwrap()
+            .unwrap();
+        assert_eq!(*lone.body(), **rendered);
+        assert_eq!(uncached.cache_usage().0, 0);
     }
 
     #[test]

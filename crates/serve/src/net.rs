@@ -20,15 +20,16 @@
 //!   what the socket takes without waiting and hands back the rest.
 
 use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use taxorec_telemetry::json::push_str_escaped;
-use taxorec_telemetry::{flight, trace, Counter, Gauge, TraceContext};
+use taxorec_telemetry::{flight, trace, Counter, Gauge, Histogram, TraceContext};
 
 const JSON_CONTENT_TYPE: &str = "application/json";
 /// Acceptor back-off after a failed `accept` (fd exhaustion): retry,
@@ -301,7 +302,7 @@ impl Shedder {
             shed: taxorec_telemetry::counter(counter),
             event,
             event_id: flight::kind_id(event),
-            reply: Reply::error(503, message, "").header("Retry-After", retry_after),
+            reply: Reply::error(503, message, Endpoint::Other).header("Retry-After", retry_after),
         }
     }
 
@@ -347,6 +348,10 @@ pub(crate) struct Edge {
     /// worker: a stalled or trickling client is disconnected instead of
     /// pinning a worker forever.
     pub io_timeout: Duration,
+    /// How long the acceptor keeps re-reading a connection that has sent
+    /// nothing yet, spinning, before it goes to a worker; zero for a
+    /// server whose `answer` hook declines everything.
+    pub head_grace: Duration,
     pub shedder: Arc<Shedder>,
 }
 
@@ -426,7 +431,7 @@ fn accept_loop(
                 // and queue wait is covered by the trace.
                 let (ctx, accepted) = (trace::mint(), Instant::now());
                 let _ = stream.set_nonblocking(true);
-                let prefix = read_ready(&mut stream);
+                let prefix = read_ready(&mut stream, edge.head_grace);
                 let mut conn = Conn {
                     stream,
                     ctx,
@@ -457,15 +462,25 @@ fn accept_loop(
     }
 }
 
-/// One read of a non-blocking socket: the request bytes that arrived
-/// with the connection (often the whole head), or none. After an error
-/// other than `WouldBlock` the socket is closed or broken, and the
-/// worker's read meets that and answers it.
-fn read_ready(stream: &mut impl Read) -> Vec<u8> {
+/// Reads a non-blocking socket without blocking: the request bytes that
+/// arrived with the connection (often the whole head), or none. A
+/// socket that has sent nothing yet is read again until `grace` has
+/// passed: the request is usually microseconds behind the `connect`
+/// that woke the acceptor, and a hit whose head arrives in that window
+/// is answered here instead of on a worker. After an error other than
+/// `WouldBlock` the socket is closed or broken, and the worker's read
+/// meets that and answers it.
+fn read_ready(stream: &mut impl Read, grace: Duration) -> Vec<u8> {
     let mut chunk = [0u8; 4096];
-    match stream.read(&mut chunk) {
-        Ok(n) => chunk[..n].to_vec(),
-        Err(_) => Vec::new(),
+    let started = Instant::now();
+    loop {
+        match stream.read(&mut chunk) {
+            Ok(n) => return chunk[..n].to_vec(),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock && started.elapsed() < grace => {
+                std::hint::spin_loop();
+            }
+            Err(_) => return Vec::new(),
+        }
     }
 }
 
@@ -513,19 +528,14 @@ pub(crate) fn read_head(
     mut raw: Vec<u8>,
     max_bytes: usize,
 ) -> std::io::Result<(String, Vec<u8>)> {
-    let invalid = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
     let closed = |what: &str| std::io::Error::new(std::io::ErrorKind::UnexpectedEof, what);
     let mut chunk = [0u8; 4096];
     // The blank line cannot end before `scanned`: earlier bytes were
     // searched already.
     let mut scanned = 0;
-    let head_end = loop {
-        if let Some(at) = raw[scanned..].windows(4).position(|w| w == b"\r\n\r\n") {
-            break scanned + at;
-        }
-        if raw.len() >= max_bytes {
-            // No blank line yet: the head is over the limit.
-            break raw.len();
+    let head_len = loop {
+        if let Some(head) = head_in(&raw, scanned, max_bytes)? {
+            break head.len();
         }
         scanned = raw.len().saturating_sub(3);
         match stream.read(&mut chunk)? {
@@ -534,13 +544,35 @@ pub(crate) fn read_head(
             n => raw.extend_from_slice(&chunk[..n]),
         }
     };
+    let body = raw.split_off(head_len + 4);
+    raw.truncate(head_len);
+    let head = String::from_utf8(raw).expect("head_in checked the head is UTF-8");
+    Ok((head, body))
+}
+
+/// The head at the start of `raw`, without its blank line, read in place:
+/// `None` while `raw` holds no blank line at or after byte `scanned` and
+/// is under `max_bytes`. A head over `max_bytes` (blank line included) or
+/// not UTF-8 is `InvalidData`. The one scan behind [`read_head`], and
+/// what the acceptor reads its bytes with.
+pub(crate) fn head_in(
+    raw: &[u8],
+    scanned: usize,
+    max_bytes: usize,
+) -> std::io::Result<Option<&str>> {
+    let invalid = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidData, what);
+    let head_end = match raw[scanned..].windows(4).position(|w| w == b"\r\n\r\n") {
+        Some(at) => scanned + at,
+        None if raw.len() < max_bytes => return Ok(None),
+        // No blank line yet: the head is over the limit.
+        None => raw.len(),
+    };
     if head_end + 4 > max_bytes {
         return Err(invalid(format!("head exceeds {max_bytes} bytes")));
     }
-    let body = raw.split_off(head_end + 4);
-    raw.truncate(head_end);
-    let head = String::from_utf8(raw).map_err(|_| invalid("head is not UTF-8".into()))?;
-    Ok((head, body))
+    let head = std::str::from_utf8(&raw[..head_end]);
+    head.map(Some)
+        .map_err(|_| invalid("head is not UTF-8".into()))
 }
 
 /// The request head, from the acceptor's `prefix` on, and the body
@@ -554,8 +586,12 @@ pub(crate) fn read_request(
 ) -> Option<(String, Vec<u8>)> {
     let head = read_head(stream, prefix, max_bytes).ok();
     if head.is_none() {
-        Reply::error(400, "malformed, oversized, or timed-out request", "other")
-            .write(stream, trace_id);
+        Reply::error(
+            400,
+            "malformed, oversized, or timed-out request",
+            Endpoint::Other,
+        )
+        .write(stream, trace_id);
     }
     head
 }
@@ -614,13 +650,135 @@ impl<'h> Request<'h> {
     }
 }
 
+/// The label a reply is recorded under in
+/// `<server>.<endpoint>.{ms,requests,errors}`: a closed set, so each
+/// server resolves its series once ([`Red`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Endpoint {
+    Recommend,
+    Explain,
+    Healthz,
+    Metrics,
+    Flight,
+    Admin,
+    Ingest,
+    Other,
+}
+
+impl Endpoint {
+    const COUNT: usize = 8;
+
+    fn label(self) -> &'static str {
+        match self {
+            Self::Recommend => "recommend",
+            Self::Explain => "explain",
+            Self::Healthz => "healthz",
+            Self::Metrics => "metrics",
+            Self::Flight => "flight",
+            Self::Admin => "admin",
+            Self::Ingest => "ingest",
+            Self::Other => "other",
+        }
+    }
+}
+
+/// One endpoint's series, each looked up on its first use.
+struct Series {
+    ms: OnceLock<Arc<Histogram>>,
+    requests: OnceLock<Arc<Counter>>,
+    errors: OnceLock<Arc<Counter>>,
+}
+
+impl Series {
+    const fn new() -> Self {
+        Self {
+            ms: OnceLock::new(),
+            requests: OnceLock::new(),
+            errors: OnceLock::new(),
+        }
+    }
+}
+
+/// One server's rate, errors and duration series, per [`Endpoint`]: a
+/// `static` per server, so recording a request builds no name and takes
+/// no registry lock. A series registers on its first use, as a lookup by
+/// name would.
+pub(crate) struct Red {
+    server: &'static str,
+    series: [Series; Endpoint::COUNT],
+}
+
+impl Red {
+    pub(crate) const fn new(server: &'static str) -> Self {
+        Self {
+            server,
+            // One per `Endpoint`, in declaration order.
+            series: [
+                Series::new(),
+                Series::new(),
+                Series::new(),
+                Series::new(),
+                Series::new(),
+                Series::new(),
+                Series::new(),
+                Series::new(),
+            ],
+        }
+    }
+
+    fn name(&self, endpoint: Endpoint, leaf: &str) -> String {
+        format!("{}.{}.{leaf}", self.server, endpoint.label())
+    }
+
+    fn ms(&self, endpoint: Endpoint) -> &Histogram {
+        let cell = &self.series[endpoint as usize].ms;
+        cell.get_or_init(|| taxorec_telemetry::histogram(&self.name(endpoint, "ms")))
+    }
+
+    fn requests(&self, endpoint: Endpoint) -> &Counter {
+        let cell = &self.series[endpoint as usize].requests;
+        cell.get_or_init(|| taxorec_telemetry::counter(&self.name(endpoint, "requests")))
+    }
+
+    /// `<server>.<endpoint>.errors`, also counted for a request shed
+    /// before it had a reply.
+    pub(crate) fn errors(&self, endpoint: Endpoint) -> &Counter {
+        let cell = &self.series[endpoint as usize].errors;
+        cell.get_or_init(|| taxorec_telemetry::counter(&self.name(endpoint, "errors")))
+    }
+}
+
+/// A reply body: text a handler rendered for this reply, or one shared
+/// with the response cache, which the wire buffer copies once.
+#[derive(Debug)]
+pub(crate) enum Body {
+    Owned(String),
+    Shared(Arc<str>),
+}
+
+impl std::ops::Deref for Body {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        match self {
+            Self::Owned(text) => text,
+            Self::Shared(text) => text,
+        }
+    }
+}
+
+impl PartialEq<&str> for Body {
+    fn eq(&self, other: &&str) -> bool {
+        **self == **other
+    }
+}
+
 /// One response, decided by a handler; [`Reply::write`] puts it on the
 /// wire and [`Reply::record`] closes the request's telemetry.
 pub(crate) struct Reply {
     pub status: u16,
-    pub body: String,
-    /// Label in `<server>.<endpoint>.{ms,requests,errors}`.
-    endpoint: &'static str,
+    pub body: Body,
+    endpoint: Endpoint,
     content_type: &'static str,
     /// Complete `Name: value\r\n` lines added by [`Reply::header`].
     extra_headers: String,
@@ -628,7 +786,16 @@ pub(crate) struct Reply {
 
 impl Reply {
     /// A JSON response.
-    pub(crate) fn new(status: u16, body: String, endpoint: &'static str) -> Self {
+    pub(crate) fn new(status: u16, body: String, endpoint: Endpoint) -> Self {
+        Self::with_body(status, Body::Owned(body), endpoint)
+    }
+
+    /// A JSON response whose body the response cache holds.
+    pub(crate) fn shared(status: u16, body: Arc<str>, endpoint: Endpoint) -> Self {
+        Self::with_body(status, Body::Shared(body), endpoint)
+    }
+
+    fn with_body(status: u16, body: Body, endpoint: Endpoint) -> Self {
         Self {
             status,
             body,
@@ -639,7 +806,7 @@ impl Reply {
     }
 
     /// `{"error": message}`.
-    pub(crate) fn error(status: u16, message: &str, endpoint: &'static str) -> Self {
+    pub(crate) fn error(status: u16, message: &str, endpoint: Endpoint) -> Self {
         let mut body = String::with_capacity(message.len() + 12);
         body.push_str("{\"error\":");
         push_str_escaped(&mut body, message);
@@ -653,7 +820,7 @@ impl Reply {
     }
 
     pub(crate) fn header(mut self, name: &str, value: impl std::fmt::Display) -> Self {
-        self.extra_headers.push_str(&format!("{name}: {value}\r\n"));
+        let _ = write!(self.extra_headers, "{name}: {value}\r\n");
         self
     }
 
@@ -688,7 +855,7 @@ impl Reply {
         Vec::new()
     }
 
-    /// The whole response: head and body in one buffer.
+    /// The whole response: head and body in one buffer, allocated once.
     fn wire(&self, trace_id: u64) -> Vec<u8> {
         let reason = match self.status {
             200 => "OK",
@@ -700,7 +867,12 @@ impl Reply {
             503 => "Service Unavailable",
             _ => "Internal Server Error",
         };
-        let mut wire = format!(
+        // Besides the content type and the extra headers a head is at
+        // most 146 bytes (the longest reason, a 20-digit length).
+        let head = 146 + self.content_type.len() + self.extra_headers.len();
+        let mut wire = Vec::with_capacity(head + self.body.len());
+        let _ = write!(
+            wire,
             "HTTP/1.1 {} {reason}\r\nContent-Type: {}\r\n\
              Content-Length: {}\r\nx-taxorec-trace: {trace_id:016x}\r\n\
              {}Connection: close\r\n\r\n",
@@ -708,22 +880,21 @@ impl Reply {
             self.content_type,
             self.body.len(),
             self.extra_headers
-        )
-        .into_bytes();
+        );
         wire.extend_from_slice(self.body.as_bytes());
         wire
     }
 
     /// Records the request under `<server>.<endpoint>.{ms,requests,errors}`
-    /// and returns the latency in ms since `started` — routing plus the
-    /// response write, so the histogram reflects what a client observes.
-    pub(crate) fn record(&self, server: &str, started: Instant) -> f64 {
+    /// in `red` and returns the latency in ms since `started` — routing
+    /// plus the response write, so the histogram reflects what a client
+    /// observes.
+    pub(crate) fn record(&self, red: &Red, started: Instant) -> f64 {
         let ms = started.elapsed().as_secs_f64() * 1e3;
-        let name = |leaf| format!("{server}.{}.{leaf}", self.endpoint);
-        taxorec_telemetry::histogram(&name("ms")).observe(ms);
-        taxorec_telemetry::counter(&name("requests")).inc(1);
+        red.ms(self.endpoint).observe(ms);
+        red.requests(self.endpoint).inc(1);
         if self.status >= 400 {
-            taxorec_telemetry::counter(&name("errors")).inc(1);
+            red.errors(self.endpoint).inc(1);
         }
         ms
     }
@@ -842,7 +1013,7 @@ mod tests {
             }
         }
         let mut out = Writes::default();
-        Reply::new(503, "{\"error\":\"é\"}".to_string(), "other")
+        Reply::new(503, "{\"error\":\"é\"}".to_string(), Endpoint::Other)
             .header("Retry-After", 2)
             .write(&mut out, 0xab);
         let expected = "HTTP/1.1 503 Service Unavailable\r\n\
@@ -875,7 +1046,13 @@ mod tests {
                 Ok(())
             }
         }
-        let reply = || Reply::new(200, "{\"items\":[{\"item\":3}]}".to_string(), "recommend");
+        let reply = || {
+            Reply::new(
+                200,
+                "{\"items\":[{\"item\":3}]}".to_string(),
+                Endpoint::Recommend,
+            )
+        };
         let mut whole = Vec::new();
         reply().write(&mut whole, 0x2a);
         for room in 0..=whole.len() {
@@ -1069,7 +1246,7 @@ mod tests {
 
     #[test]
     fn error_replies_escape_their_message() {
-        let j = Reply::error(400, "bad \"quote\"", "other").body;
+        let j = Reply::error(400, "bad \"quote\"", Endpoint::Other).body;
         assert_eq!(j, "{\"error\":\"bad \\\"quote\\\"\"}");
         assert!(taxorec_telemetry::json::parse(&j).is_ok());
     }

@@ -65,17 +65,20 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use taxorec_telemetry::json::{self, push_str_escaped, Value};
-use taxorec_telemetry::{trace, TraceContext};
+use taxorec_telemetry::{held_counter, trace, TraceContext};
 
 use crate::breaker::Breaker;
 use crate::client::{self, Timeouts};
 use crate::net::{
-    self, require_param, Conn, Edge, Front, Inline, PoolSpec, Reply, Request, Shedder, Stage,
+    self, require_param, Conn, Edge, Endpoint, Front, Inline, PoolSpec, Red, Reply, Request,
+    Shedder, Stage,
 };
 use crate::ring::Ring;
 
 /// Prober sleep slice (stop-flag recheck bound).
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
+/// The router's `router.<endpoint>.{ms,requests,errors}` series.
+static ROUTER: Red = Red::new("router");
 
 /// Tuning knobs for [`route_with`]. [`RouterOptions::from_env`] reads
 /// `TAXOREC_ROUTER_PROBE_MS`; [`Default`] ignores the environment.
@@ -269,6 +272,7 @@ pub fn route_with(
         },
         n_workers: opts.n_workers,
         io_timeout: opts.io_timeout,
+        head_grace: Duration::ZERO,
         shedder: Arc::new(Shedder::new(
             "router.shed",
             "router.shed",
@@ -325,7 +329,7 @@ fn handle_client(conn: Conn, shared: &RouterShared) {
     let Some((head, _)) = net::read_request(&mut stream, prefix, max_head, ctx.trace_id) else {
         return;
     };
-    taxorec_telemetry::counter("router.requests").inc(1);
+    held_counter!("router.requests").inc(1);
     let start = Instant::now();
     let Request {
         method,
@@ -335,21 +339,25 @@ fn handle_client(conn: Conn, shared: &RouterShared) {
     } = Request::parse(&head);
     if method != "GET" {
         let msg = format!("method {method:?} not allowed; use GET");
-        Reply::error(405, &msg, "other").write(&mut stream, ctx.trace_id);
+        Reply::error(405, &msg, Endpoint::Other).write(&mut stream, ctx.trace_id);
         return;
     }
     let reply = match path {
-        "/healthz" => Reply::new(200, fleet_healthz_json(shared), "healthz"),
-        "/metrics" => Reply::new(200, taxorec_telemetry::prometheus::render(), "metrics")
-            .content_type(taxorec_telemetry::prometheus::CONTENT_TYPE),
-        "/metrics.json" => Reply::new(200, taxorec_telemetry::snapshot(), "metrics"),
-        "/shards/metrics" => Reply::new(200, scrape_shard_metrics(shared), "metrics")
+        "/healthz" => Reply::new(200, fleet_healthz_json(shared), Endpoint::Healthz),
+        "/metrics" => Reply::new(
+            200,
+            taxorec_telemetry::prometheus::render(),
+            Endpoint::Metrics,
+        )
+        .content_type(taxorec_telemetry::prometheus::CONTENT_TYPE),
+        "/metrics.json" => Reply::new(200, taxorec_telemetry::snapshot(), Endpoint::Metrics),
+        "/shards/metrics" => Reply::new(200, scrape_shard_metrics(shared), Endpoint::Metrics)
             .content_type(taxorec_telemetry::prometheus::CONTENT_TYPE),
         "/recommend" | "/explain" => {
             let endpoint = if path == "/recommend" {
-                "recommend"
+                Endpoint::Recommend
             } else {
-                "explain"
+                Endpoint::Explain
             };
             match require_param(query, "user") {
                 Err(msg) => Reply::error(400, &msg, endpoint),
@@ -372,10 +380,10 @@ fn handle_client(conn: Conn, shared: &RouterShared) {
                 },
             }
         }
-        _ => Reply::error(404, &format!("no route for {path:?}"), "other"),
+        _ => Reply::error(404, &format!("no route for {path:?}"), Endpoint::Other),
     };
     reply.write(&mut stream, ctx.trace_id);
-    reply.record("router", start);
+    reply.record(&ROUTER, start);
     trace::emit_root_at("router", ctx, accepted, Instant::now());
 }
 

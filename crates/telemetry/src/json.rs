@@ -14,6 +14,8 @@
 //! every escape, including `\u` surrogate pairs; a lone surrogate is an
 //! error. Errors read `invalid JSON at byte N: …`.
 
+use std::fmt::Write;
+
 /// Appends `s` as a JSON string literal (quoted, escaped) to `out`.
 pub fn push_str_escaped(out: &mut String, s: &str) {
     out.push('"');
@@ -25,7 +27,7 @@ pub fn push_str_escaped(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -42,9 +44,9 @@ pub fn push_f64(out: &mut String, v: f64) {
     } else if v.is_infinite() {
         out.push_str(if v > 0.0 { "\"inf\"" } else { "\"-inf\"" });
     } else if v == v.trunc() && v.abs() < 1e15 {
-        out.push_str(&format!("{}", v as i64));
+        let _ = write!(out, "{}", v as i64);
     } else {
-        out.push_str(&format!("{v}"));
+        let _ = write!(out, "{v}");
     }
 }
 
@@ -367,6 +369,79 @@ mod tests {
         s.clear();
         push_f64(&mut s, f64::NEG_INFINITY);
         assert_eq!(s, "\"-inf\"");
+    }
+
+    /// `push_f64` as it was written with `format!` temporaries: the
+    /// reference the in-place writer must match byte for byte.
+    fn push_f64_by_format(out: &mut String, v: f64) {
+        if v.is_nan() {
+            out.push_str("\"NaN\"");
+        } else if v.is_infinite() {
+            out.push_str(if v > 0.0 { "\"inf\"" } else { "\"-inf\"" });
+        } else if v == v.trunc() && v.abs() < 1e15 {
+            out.push_str(&format!("{}", v as i64));
+        } else {
+            out.push_str(&format!("{v}"));
+        }
+    }
+
+    #[test]
+    fn numbers_write_the_bytes_format_wrote() {
+        let two53 = 9_007_199_254_740_992.0;
+        let mut corpus = vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::EPSILON,
+            1e15,
+            -1e15,
+            1e15 - 1.0,
+            -(1e15 - 1.0),
+            1e15 - 0.5,
+            1e15 + 2.0,
+            999_999_999_999_999.9,
+            two53,
+            two53 - 1.0,
+            two53 + 2.0,
+            -two53,
+            i64::MAX as f64,
+            i64::MIN as f64,
+            u64::MAX as f64,
+            f64::MAX,
+            f64::MIN,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            0.1,
+            -2.5,
+            123.0,
+            -1.234_567_890_123_456_7,
+        ];
+        // Seeded random bit patterns (splitmix64): every exponent, NaN
+        // payloads and subnormals included.
+        let mut state = 0x5eed_u64;
+        corpus.extend((0..20_000).map(|_| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            f64::from_bits(z ^ (z >> 31))
+        }));
+        let (mut have, mut want) = (String::new(), String::new());
+        for v in corpus {
+            have.clear();
+            want.clear();
+            push_f64(&mut have, v);
+            push_f64_by_format(&mut want, v);
+            assert_eq!(have, want, "bits {:#018x}", v.to_bits());
+        }
+        let mut escaped = String::new();
+        push_str_escaped(&mut escaped, "\u{0}\u{1f}\u{7f}");
+        assert_eq!(escaped, "\"\\u0000\\u001f\u{7f}\"");
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! The global metric registry: counters, gauges, and fixed-bucket
 //! histograms, all updated lock-free through `AtomicU64` (floats stored as
 //! bit patterns). Registration takes a short mutex; hot paths hold `Arc`
-//! handles (see the [`crate::span!`] macro, which caches per call site) so
-//! steady-state recording never touches the registry lock.
+//! handles (see the [`crate::span!`] and [`crate::held_counter!`] macros,
+//! which cache per call site) so steady-state recording never touches the
+//! registry lock.
 
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -249,31 +251,44 @@ fn registry() -> &'static Registry {
     REGISTRY.get_or_init(Registry::default)
 }
 
+/// The metric named `name` in `map`, created by `new` on first use. A
+/// name already registered is found by `&str`: only an insert allocates.
+fn lookup<T>(map: &Mutex<HashMap<String, Arc<T>>>, name: &str, new: fn(&str) -> T) -> Arc<T> {
+    let mut map = map.lock().unwrap();
+    if let Some(metric) = map.get(name) {
+        return Arc::clone(metric);
+    }
+    let metric = Arc::new(new(name));
+    map.insert(name.to_string(), Arc::clone(&metric));
+    metric
+}
+
 /// The counter named `name`, created on first use.
 pub fn counter(name: &str) -> Arc<Counter> {
-    let mut map = registry().counters.lock().unwrap();
-    Arc::clone(
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Counter::new(name))),
-    )
+    lookup(&registry().counters, name, Counter::new)
 }
 
 /// The gauge named `name`, created on first use.
 pub fn gauge(name: &str) -> Arc<Gauge> {
-    let mut map = registry().gauges.lock().unwrap();
-    Arc::clone(
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Gauge::new(name))),
-    )
+    lookup(&registry().gauges, name, Gauge::new)
 }
 
 /// The histogram named `name`, created on first use.
 pub fn histogram(name: &str) -> Arc<Histogram> {
-    let mut map = registry().histograms.lock().unwrap();
-    Arc::clone(
-        map.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Histogram::new(name))),
-    )
+    lookup(&registry().histograms, name, Histogram::new)
+}
+
+/// The counter named `$name`, looked up on the first call at this call
+/// site and held in a static after: `held_counter!("serve.cache.hit").inc(1)`
+/// costs one atomic load beyond the add. The series registers on first
+/// use, exactly as with [`counter`].
+#[macro_export]
+macro_rules! held_counter {
+    ($name:literal) => {{
+        static __HELD: ::std::sync::OnceLock<::std::sync::Arc<$crate::registry::Counter>> =
+            ::std::sync::OnceLock::new();
+        &**__HELD.get_or_init(|| $crate::registry::counter($name))
+    }};
 }
 
 /// All registered counters, sorted by name (for exposition renderers).
@@ -337,7 +352,7 @@ pub fn snapshot() -> String {
             }
             json::push_str_escaped(&mut out, name);
             out.push(':');
-            out.push_str(&map[*name].get().to_string());
+            let _ = write!(out, "{}", map[*name].get());
         }
     }
     out.push_str("},\"gauges\":{");
@@ -366,7 +381,7 @@ pub fn snapshot() -> String {
             let h = &map[*name];
             json::push_str_escaped(&mut out, name);
             out.push_str(":{\"count\":");
-            out.push_str(&h.count().to_string());
+            let _ = write!(out, "{}", h.count());
             out.push_str(",\"sum\":");
             json::push_f64(&mut out, h.sum());
             out.push_str(",\"min\":");
@@ -387,7 +402,7 @@ pub fn snapshot() -> String {
                     out.push('[');
                     json::push_f64(&mut out, bucket_upper_bound(b));
                     out.push(',');
-                    out.push_str(&c.to_string());
+                    let _ = write!(out, "{c}");
                     out.push(']');
                 }
             }

@@ -107,6 +107,31 @@ enum SinkState {
 
 static SINK: Mutex<SinkState> = Mutex::new(SinkState::Unresolved);
 
+const SINK_UNRESOLVED: u8 = 0;
+const SINK_OFF: u8 = 1;
+const SINK_ON: u8 = 2;
+
+/// `SINK`'s state as one byte, stored under its lock on every change, so
+/// an emitter finds the sink off with one atomic load instead of the
+/// process-wide lock (as `taxorec_resilience`'s fault probe does).
+static SINK_MODE: AtomicU8 = AtomicU8::new(SINK_UNRESOLVED);
+
+/// Replaces the sink state and its mirror; `state` is the locked `SINK`.
+fn set_state(state: &mut SinkState, next: SinkState) {
+    let mode = match next {
+        SinkState::Unresolved => SINK_UNRESOLVED,
+        SinkState::Off => SINK_OFF,
+        SinkState::On(_) => SINK_ON,
+    };
+    *state = next;
+    SINK_MODE.store(mode, Ordering::Release);
+}
+
+/// True when the sink is known to be off, read without the lock.
+fn known_off() -> bool {
+    SINK_MODE.load(Ordering::Acquire) == SINK_OFF
+}
+
 /// Locks the sink state, recovering from a poisoned lock — a panic in
 /// one emitter must never wedge every later metric emission.
 fn lock_sink() -> std::sync::MutexGuard<'static, SinkState> {
@@ -117,7 +142,7 @@ fn resolve_from_env(state: &mut SinkState) {
     if !matches!(state, SinkState::Unresolved) {
         return;
     }
-    *state = match std::env::var("TAXOREC_METRICS") {
+    let next = match std::env::var("TAXOREC_METRICS") {
         Ok(v)
             if v.eq_ignore_ascii_case("json")
                 || v.eq_ignore_ascii_case("jsonl")
@@ -137,10 +162,14 @@ fn resolve_from_env(state: &mut SinkState) {
         }
         _ => SinkState::Off,
     };
+    set_state(state, next);
 }
 
 /// True when metric events are being emitted anywhere.
 pub fn metrics_enabled() -> bool {
+    if known_off() {
+        return false;
+    }
     let mut state = lock_sink();
     resolve_from_env(&mut state);
     matches!(*state, SinkState::On(_))
@@ -150,20 +179,26 @@ pub fn metrics_enabled() -> bool {
 /// test hook for asserting on emitted JSONL.
 pub fn install_memory_sink() -> Arc<Mutex<Vec<String>>> {
     let buf = Arc::new(Mutex::new(Vec::new()));
-    *lock_sink() = SinkState::On(MetricsSink::Memory(Arc::clone(&buf)));
+    set_state(
+        &mut lock_sink(),
+        SinkState::On(MetricsSink::Memory(Arc::clone(&buf))),
+    );
     buf
 }
 
 /// Routes metric events to `path` (append), regardless of the environment.
 pub fn install_file_sink(path: &str) -> std::io::Result<()> {
     let f = OpenOptions::new().create(true).append(true).open(path)?;
-    *lock_sink() = SinkState::On(MetricsSink::File(Mutex::new(f)));
+    set_state(
+        &mut lock_sink(),
+        SinkState::On(MetricsSink::File(Mutex::new(f))),
+    );
     Ok(())
 }
 
 /// Turns metric emission off, regardless of the environment.
 pub fn disable_metrics() {
-    *lock_sink() = SinkState::Off;
+    set_state(&mut lock_sink(), SinkState::Off);
 }
 
 /// Flushes a file-backed metrics sink so buffered tail events reach disk
@@ -196,6 +231,9 @@ pub enum Attr {
 /// Emits one metric event as a JSONL record:
 /// `{"ts_ms":…,"kind":…,"name":…,"value":…}` plus any attributes.
 pub fn emit_metric(kind: &str, name: &str, value: f64, attrs: &[(&str, Attr)]) {
+    if known_off() {
+        return;
+    }
     let mut state = lock_sink();
     resolve_from_env(&mut state);
     if !matches!(&*state, SinkState::On(_)) {
@@ -231,6 +269,9 @@ pub fn emit_json_line(line: &str) {
         json::parse(line).is_ok(),
         "emit_json_line got invalid JSON: {line}"
     );
+    if known_off() {
+        return;
+    }
     let mut state = lock_sink();
     resolve_from_env(&mut state);
     if matches!(&*state, SinkState::On(_)) {
@@ -248,7 +289,7 @@ fn write_or_disable(state: &mut SinkState, line: &str) {
         _ => return,
     };
     if !ok {
-        *state = SinkState::Off;
+        set_state(state, SinkState::Off);
         eprintln!(
             "[taxorec:warn] metrics sink write failed; disabling metric emission \
              for the rest of the process"
