@@ -6,6 +6,7 @@
 //! addition (Eq. 22), the Möbius exponential map used by Riemannian SGD on
 //! tag embeddings (Eq. 21), and the Riemannian gradient rescaling.
 
+use crate::multiversion;
 use crate::vecops::{axpy, clip_norm, dot, norm, sqdist, sqnorm};
 use crate::{arcosh, EPS_DIV, MAX_BALL_NORM};
 
@@ -23,9 +24,88 @@ pub fn distance(x: &[f64], y: &[f64]) -> f64 {
 /// Poincaré distance. Exposed separately for gradient computations.
 pub fn distance_arg(x: &[f64], y: &[f64]) -> f64 {
     let a = sqdist(x, y);
-    let b = (1.0 - sqnorm(x)).max(EPS_DIV);
-    let c = (1.0 - sqnorm(y)).max(EPS_DIV);
-    1.0 + 2.0 * a / (b * c)
+    1.0 + 2.0 * a / (ball_den(x) * ball_den(y))
+}
+
+/// `(1 − ‖x‖²).max(EPS_DIV)`: the guarded factor [`distance_arg`] forms
+/// for each of its points, exposed so a caller measuring one point
+/// against many can form it once.
+#[inline]
+pub fn ball_den(x: &[f64]) -> f64 {
+    (1.0 - sqnorm(x)).max(EPS_DIV)
+}
+
+/// Centroids per panel of [`distance_arg_panel`]: one lane each, eight
+/// lanes being one AVX-512 register of `f64`.
+pub const PANEL_LANES: usize = 8;
+
+/// Rows per register-blocked group of [`distance_arg_panel`]: four
+/// lane vectors of independent sums hide the add latency.
+const PANEL_ROWS: usize = 4;
+
+multiversion! {
+    /// [`distance_arg`] from each listed row of `emb` to each of
+    /// [`PANEL_LANES`] centroids, bit for bit:
+    /// `out[i][l] = 1 + 2‖xᵢ − c_l‖² / (den[i]·cden[l])` with
+    /// `xᵢ = emb[rows[i]·dim..][..dim]`, `den` and `cden` the rows' and
+    /// centroids' [`ball_den`], and the centroids dimension-major in
+    /// `panel` (`panel[j·PANEL_LANES + l]` is coordinate `j` of centroid
+    /// `l`). Every (row, centroid) pair sums `(xⱼ − cⱼ)²` in `j` order from
+    /// −0.0, as [`sqdist`] does; rows and lanes only interleave
+    /// independent sums. A lane no centroid fills computes a value the
+    /// caller ignores.
+    #[allow(clippy::too_many_arguments)]
+    pub fn distance_arg_panel(
+        isa: Isa,
+        emb: &[f64],
+        dim: usize,
+        rows: &[u32],
+        den: &[f64],
+        panel: &[f64],
+        cden: &[f64; PANEL_LANES],
+        out: &mut [[f64; PANEL_LANES]],
+    ) {
+        let (cols, _) = panel[..dim * PANEL_LANES].as_chunks::<PANEL_LANES>();
+        let row = |i: usize| &emb[rows[i] as usize * dim..][..dim];
+        let mut i = 0;
+        while i + PANEL_ROWS <= rows.len() {
+            let xs = std::array::from_fn(|p| row(i + p));
+            let dens = std::array::from_fn(|p| den[i + p]);
+            panel_group::<PANEL_ROWS>(xs, dens, cols, cden, &mut out[i..i + PANEL_ROWS]);
+            i += PANEL_ROWS;
+        }
+        while i < rows.len() {
+            panel_group::<1>([row(i)], [den[i]], cols, cden, &mut out[i..i + 1]);
+            i += 1;
+        }
+    }
+}
+
+/// [`distance_arg_panel`] for `R` rows: `R × PANEL_LANES` sums, each in
+/// its own accumulator.
+#[inline(always)]
+fn panel_group<const R: usize>(
+    xs: [&[f64]; R],
+    dens: [f64; R],
+    cols: &[[f64; PANEL_LANES]],
+    cden: &[f64; PANEL_LANES],
+    out: &mut [[f64; PANEL_LANES]],
+) {
+    let mut acc = [[-0.0f64; PANEL_LANES]; R];
+    for (j, col) in cols.iter().enumerate() {
+        for r in 0..R {
+            let xj = xs[r][j];
+            for l in 0..PANEL_LANES {
+                let d = xj - col[l];
+                acc[r][l] += d * d;
+            }
+        }
+    }
+    for r in 0..R {
+        for l in 0..PANEL_LANES {
+            out[r][l] = 1.0 + 2.0 * acc[r][l] / (dens[r] * cden[l]);
+        }
+    }
 }
 
 /// Möbius addition `x ⊕ y` (paper Eq. 22):
@@ -149,12 +229,27 @@ pub fn einstein_centroid(points: &[&[f64]], weights: &[f64], out: &mut [f64]) {
     let mut wsum = 0.0;
     let mut k = vec![0.0; d];
     for (p, &w) in points.iter().zip(weights) {
-        crate::convert::poincare_to_klein(p, &mut k);
-        let gamma = crate::klein::lorentz_factor(&k);
-        let g = gamma * w;
+        let g = klein_factor(p, &mut k) * w;
         axpy(&mut acc, g, &k);
         wsum += g;
     }
+    einstein_centroid_finish(&mut acc, wsum, out);
+}
+
+/// The per-point half of [`einstein_centroid`]: writes `x`'s Klein
+/// coordinates into `k` and returns their Lorentz factor `γ`, so a caller
+/// that averages the same points many times can convert each once.
+#[inline]
+pub fn klein_factor(x: &[f64], k: &mut [f64]) -> f64 {
+    crate::convert::poincare_to_klein(x, k);
+    crate::klein::lorentz_factor(k)
+}
+
+/// The closing half of [`einstein_centroid`]: from `acc = Σ gᵢ·kᵢ` and
+/// `wsum = Σ gᵢ` (each summed from `0.0` in point order, `gᵢ = γᵢ·wᵢ`,
+/// `kᵢ` from [`klein_factor`]) writes the ball centroid into `out`.
+/// `acc` is consumed as scratch.
+pub fn einstein_centroid_finish(acc: &mut [f64], wsum: f64, out: &mut [f64]) {
     if wsum.abs() < EPS_DIV {
         out.fill(0.0);
         return;
@@ -162,8 +257,8 @@ pub fn einstein_centroid(points: &[&[f64]], weights: &[f64], out: &mut [f64]) {
     for a in acc.iter_mut() {
         *a /= wsum;
     }
-    clip_norm(&mut acc, MAX_BALL_NORM);
-    crate::convert::klein_to_poincare(&acc, out);
+    clip_norm(acc, MAX_BALL_NORM);
+    crate::convert::klein_to_poincare(acc, out);
     clip_norm(out, MAX_BALL_NORM);
 }
 
@@ -312,5 +407,62 @@ mod tests {
         let mut out = [0.0, 0.0];
         einstein_centroid(&[&a], &[2.5], &mut out);
         assert!((out[0] - a[0]).abs() < 1e-9 && (out[1] - a[1]).abs() < 1e-9);
+    }
+
+    /// Every clone of the panel sweep returns, lane by lane, the bits of
+    /// [`distance_arg`] on the row and the centroid, any NaN equal to any
+    /// NaN: rows in register groups and the tail, dimensions across the
+    /// vector widths, and rows on or past the sphere, signed zeros and
+    /// non-finite values.
+    #[test]
+    fn every_clone_of_the_panel_sweep_returns_distance_arg_bits() {
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let clones = crate::isa::Isa::supported();
+        println!(
+            "panel clones: {:?}",
+            clones.iter().map(|i| i.name()).collect::<Vec<_>>()
+        );
+        let edges = [0.0, -0.0, 1.0, -1.0, 1.0 + 1e-9, f64::NAN, f64::INFINITY];
+        let key = |v: f64| if v.is_nan() { u64::MAX } else { v.to_bits() };
+        let mut rng = StdRng::seed_from_u64(17);
+        let value = |rng: &mut StdRng| {
+            if rng.random_range(0..12usize) == 0 {
+                edges[rng.random_range(0..edges.len())]
+            } else {
+                rng.random_range(-0.7..0.7)
+            }
+        };
+        for dim in [0, 1, 3, 8, 13, 32] {
+            let n_rows = 11;
+            let emb: Vec<f64> = (0..n_rows * dim).map(|_| value(&mut rng)).collect();
+            let cents: Vec<Vec<f64>> = (0..PANEL_LANES)
+                .map(|_| (0..dim).map(|_| value(&mut rng)).collect())
+                .collect();
+            let mut panel = vec![0.0; dim * PANEL_LANES];
+            for (l, c) in cents.iter().enumerate() {
+                for (j, &v) in c.iter().enumerate() {
+                    panel[j * PANEL_LANES + l] = v;
+                }
+            }
+            let cden: [f64; PANEL_LANES] = std::array::from_fn(|l| ball_den(&cents[l]));
+            for len in [0, 1, 4, 5, 9, 11] {
+                let rows: Vec<u32> = (0..len as u32).rev().collect();
+                let row = |r: u32| &emb[r as usize * dim..(r as usize + 1) * dim];
+                let den: Vec<f64> = rows.iter().map(|&r| ball_den(row(r))).collect();
+                let run = |isa| {
+                    let mut out = vec![[0.0; PANEL_LANES]; len];
+                    distance_arg_panel(isa, &emb, dim, &rows, &den, &panel, &cden, &mut out);
+                    out.iter().flatten().map(|&v| key(v)).collect::<Vec<_>>()
+                };
+                let want: Vec<u64> = rows
+                    .iter()
+                    .flat_map(|&r| cents.iter().map(move |c| key(distance_arg(row(r), c))))
+                    .collect();
+                for &isa in &clones {
+                    assert_eq!(run(isa), want, "{} at dim {dim}, {len} rows", isa.name());
+                }
+            }
+        }
     }
 }

@@ -12,7 +12,8 @@
 //! forms reduce `N` independent rows in lockstep — element `j` of every
 //! lane, then element `j + 1` — so the `N` chains overlap, while each
 //! lane keeps exactly the order and the start value of the scalar form.
-//! `N = 1` *is* the scalar form: [`dot`] and [`clip_norm`] call it.
+//! `N = 1` *is* the scalar form: [`dot`], [`sqdist`] and [`clip_norm`]
+//! call it.
 
 /// Dot product of two equal-length slices.
 ///
@@ -61,8 +62,31 @@ pub fn norm(a: &[f64]) -> f64 {
 /// Squared Euclidean distance `‖a − b‖²`.
 #[inline]
 pub fn sqdist(a: &[f64], b: &[f64]) -> f64 {
-    debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
+    sqdist_lanes([a], [b])[0]
+}
+
+/// [`sqdist`] of `N` pairs in lockstep. Each lane sums
+/// `(a[j]−b[j])·(a[j]−b[j])` in `j` order from **−0.0**, as
+/// `Iterator::sum::<f64>` does. Pairs of unequal length are read to the
+/// shorter, as `zip` would.
+///
+/// # Panics
+/// Panics in debug builds if the lengths differ.
+#[inline(always)]
+pub fn sqdist_lanes<const N: usize>(a: [&[f64]; N], b: [&[f64]; N]) -> [f64; N] {
+    for l in 0..N {
+        debug_assert_eq!(a[l].len(), b[l].len());
+    }
+    let len = a.iter().chain(&b).map(|s| s.len()).min().unwrap_or(0);
+    let (a, b) = (a.map(|s| &s[..len]), b.map(|s| &s[..len]));
+    let mut acc = [-0.0; N];
+    for j in 0..len {
+        for l in 0..N {
+            let d = a[l][j] - b[l][j];
+            acc[l] += d * d;
+        }
+    }
+    acc
 }
 
 /// Writes `a + b` into `out`.

@@ -6,15 +6,45 @@
 //! [`taxorec_geometry::poincare::einstein_centroid`]). Seeding is
 //! k-means++ (with Poincaré distances), which the ablation benches compare
 //! against uniform seeding.
+//!
+//! # Same bits, less arithmetic
+//!
+//! The Lloyd loop returns, bit for bit, what a loop of
+//! [`poincare::distance`] and [`poincare::einstein_centroid`] calls
+//! returns (`tests/kmeans_reference.rs` keeps that loop and holds this one
+//! to it). It gets there with far less arithmetic:
+//!
+//! 1. each point's `(1 − ‖x‖²).max(EPS_DIV)` is formed once per call and
+//!    each centroid's once per iteration, the factors
+//!    [`poincare::distance_arg`] would form on every call;
+//! 2. k-means++ seeding keeps each point's running minimum distance and
+//!    folds in only the newest centroid (`f64::min` is exact, so the fold
+//!    is the one the full rescan performs);
+//! 3. a point's distance arguments to [`PANEL_LANES`] centroids come from
+//!    one [`poincare::distance_arg_panel`] sweep, a lane per centroid, each
+//!    lane summing in [`sqdist`](taxorec_geometry::vecops::sqdist)'s order;
+//! 4. a centroid whose argument exceeds the least one by more than a
+//!    factor `1 + 10⁻⁹` cannot be the nearest ([`nearest`] proves it), so
+//!    `arcosh` runs only when two or more are within that factor, and the
+//!    first of equal distances still wins; a point's distance to its
+//!    centroid is formed only when an empty cluster needs the farthest
+//!    point;
+//! 5. each point's Klein coordinates and Lorentz factor are formed once
+//!    per call, so an Einstein-midpoint update is a weighted sum.
 
 use rand::rngs::StdRng;
 use rand::RngExt;
-use taxorec_geometry::poincare;
+use taxorec_geometry::arcosh;
+use taxorec_geometry::isa::Isa;
+use taxorec_geometry::poincare::{self, PANEL_LANES};
+use taxorec_geometry::vecops::{axpy, sqdist_lanes};
 
-/// Points per parallel assignment job, and the point count above which
-/// the centroid update fans out too: a node's tag set (tens of tags)
-/// runs inline, an index split over thousands of items keeps the pool.
-const KMEANS_ASSIGN_CHUNK: usize = 256;
+/// Points per assignment block: the argument buffer of one block stays
+/// in L1 beside the centroid panels.
+const ASSIGN_BLOCK: usize = 256;
+
+/// Slack factor of the argument screen in [`nearest`].
+const ARG_SLACK: f64 = 1.0 + 1e-9;
 
 /// Seeding strategy for [`poincare_kmeans`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,7 +74,8 @@ pub struct KmeansResult {
 /// * `k` — number of clusters (reduced to `points.len()` if larger).
 ///
 /// Empty clusters are re-seeded to the point currently farthest from its
-/// centroid. Deterministic for a fixed RNG state.
+/// centroid. Deterministic for a fixed RNG state, and runs on the
+/// caller's thread: a caller with several point sets fans them out.
 ///
 /// # Panics
 /// Panics if `points` is empty or `k == 0`.
@@ -60,44 +91,67 @@ pub fn poincare_kmeans(
     assert!(!points.is_empty(), "cannot cluster an empty point set");
     assert!(k > 0, "k must be positive");
     let k = k.min(points.len());
+    let n = points.len();
     let row = |t: u32| -> &[f64] { &emb[t as usize * dim..(t as usize + 1) * dim] };
+    let den: Vec<f64> = points.iter().map(|&t| poincare::ball_den(row(t))).collect();
 
-    let mut centroids = seed(emb, dim, points, k, seeding, rng);
-    let mut assignment = vec![0usize; points.len()];
+    let mut centroids = seed(emb, dim, points, &den, k, seeding, rng);
+    // The per-point half of every Einstein midpoint below.
+    let mut klein = vec![0.0; n * dim];
+    let gamma: Vec<f64> = (0..n)
+        .map(|i| poincare::klein_factor(row(points[i]), &mut klein[i * dim..(i + 1) * dim]))
+        .collect();
+
+    let isa = Isa::detected();
+    let mut assignment = vec![0usize; n];
+    // Each point's argument to its nearest centroid: `arcosh` of it is
+    // the distance, formed only when an empty cluster needs the farthest
+    // point.
+    let mut best_arg = vec![0.0f64; n];
+    let groups = k.div_ceil(PANEL_LANES);
+    let mut args = vec![[0.0f64; PANEL_LANES]; ASSIGN_BLOCK.min(n) * groups];
+    let mut point_args = vec![0.0f64; k];
     let mut iterations = 0;
     let mut total_moves = 0u64;
     for _ in 0..max_iters {
         iterations += 1;
-        // Assignment step: each point's nearest centroid is independent of
-        // every other point's, so it parallelizes bit-identically; the
-        // bookkeeping (changed / total_moves) is applied sequentially.
-        let cents = &centroids;
-        let nearest = taxorec_parallel::par_map_chunked(
-            "taxo.kmeans.assign",
-            points.len(),
-            KMEANS_ASSIGN_CHUNK,
-            |i| {
-                let t = points[i];
-                let mut best = 0usize;
-                let mut best_d = f64::INFINITY;
-                for c in 0..k {
-                    let d = poincare::distance(row(t), &cents[c * dim..(c + 1) * dim]);
-                    if d < best_d {
-                        best_d = d;
-                        best = c;
-                    }
-                }
-                (best, best_d)
-            },
-        );
+        // Assignment step: each point's nearest centroid, in blocks of
+        // points swept against every panel of centroids.
+        let panels = Panels::new(&centroids, dim, k);
         let mut changed = false;
-        let mut dists = vec![0.0f64; points.len()];
-        for (i, &(best, best_d)) in nearest.iter().enumerate() {
-            dists[i] = best_d;
-            if assignment[i] != best {
-                assignment[i] = best;
-                changed = true;
-                total_moves += 1;
+        let mut members = vec![0usize; k];
+        for lo in (0..n).step_by(ASSIGN_BLOCK) {
+            let hi = (lo + ASSIGN_BLOCK).min(n);
+            let m = hi - lo;
+            for (g, (panel, cden)) in panels.iter().enumerate() {
+                poincare::distance_arg_panel(
+                    isa,
+                    emb,
+                    dim,
+                    &points[lo..hi],
+                    &den[lo..hi],
+                    panel,
+                    cden,
+                    &mut args[g * m..(g + 1) * m],
+                );
+            }
+            for i in 0..m {
+                let row_args = if groups == 1 {
+                    &args[i][..k]
+                } else {
+                    for (c, a) in point_args.iter_mut().enumerate() {
+                        *a = args[c / PANEL_LANES * m + i][c % PANEL_LANES];
+                    }
+                    &point_args[..]
+                };
+                let (best, arg) = nearest(row_args);
+                best_arg[lo + i] = arg;
+                members[best] += 1;
+                if assignment[lo + i] != best {
+                    assignment[lo + i] = best;
+                    changed = true;
+                    total_moves += 1;
+                }
             }
         }
         // Re-seed empty clusters to the farthest point. Points grabbed by
@@ -106,6 +160,11 @@ pub fn poincare_kmeans(
         // of fighting over the same argmax (which left all but the last
         // one still empty).
         let mut reseeded: Vec<usize> = Vec::new();
+        let dists: Vec<f64> = if members.contains(&0) {
+            best_arg.iter().map(|&a| arcosh(a)).collect()
+        } else {
+            Vec::new()
+        };
         for c in 0..k {
             if !assignment.contains(&c) {
                 let far = dists
@@ -124,41 +183,32 @@ pub fn poincare_kmeans(
         if !changed && iterations > 1 {
             break;
         }
-        // Update step: Einstein centroid per cluster over its members in
-        // point order, bucketed in one pass — clusters are disjoint, so
-        // each is computed exactly as in the sequential loop.
-        let mut buckets: Vec<Vec<&[f64]>> = vec![Vec::new(); k];
-        for (&t, &c) in points.iter().zip(&assignment) {
-            buckets[c].push(row(t));
+        // Update step: Einstein centroid per cluster, each summing its
+        // members in point order from the per-point Klein coordinates.
+        let mut acc = vec![0.0; k * dim];
+        let mut wsum = vec![0.0; k];
+        members.fill(0);
+        for (i, &c) in assignment.iter().enumerate() {
+            axpy(
+                &mut acc[c * dim..(c + 1) * dim],
+                gamma[i],
+                &klein[i * dim..(i + 1) * dim],
+            );
+            wsum[c] += gamma[i];
+            members[c] += 1;
         }
-        let centroid = |c: usize| {
-            let members = &buckets[c];
-            if members.is_empty() {
-                return None;
-            }
-            let weights = vec![1.0; members.len()];
-            let mut out = vec![0.0; dim];
-            poincare::einstein_centroid(members, &weights, &mut out);
-            Some(out)
-        };
-        let per_job = if points.len() > KMEANS_ASSIGN_CHUNK {
-            1
-        } else {
-            k
-        };
-        let new_centroids =
-            taxorec_parallel::par_map_chunked("taxo.kmeans.update", k, per_job, centroid);
-        for (c, cent) in new_centroids.into_iter().enumerate() {
-            if let Some(cent) = cent {
-                centroids[c * dim..(c + 1) * dim].copy_from_slice(&cent);
-            }
+        for c in (0..k).filter(|&c| members[c] > 0) {
+            poincare::einstein_centroid_finish(
+                &mut acc[c * dim..(c + 1) * dim],
+                wsum[c],
+                &mut centroids[c * dim..(c + 1) * dim],
+            );
         }
     }
     taxorec_telemetry::histogram("taxo.kmeans.iters").observe(iterations as f64);
     // Churn: mean assignment flips per point over the whole run — high
     // values flag unstable clusterings (near-boundary embeddings).
-    taxorec_telemetry::histogram("taxo.kmeans.churn")
-        .observe(total_moves as f64 / points.len() as f64);
+    taxorec_telemetry::histogram("taxo.kmeans.churn").observe(total_moves as f64 / n as f64);
     KmeansResult {
         assignment,
         centroids,
@@ -166,10 +216,106 @@ pub fn poincare_kmeans(
     }
 }
 
+/// The centroids of one Lloyd iteration as [`poincare::distance_arg_panel`]
+/// reads them: groups of [`PANEL_LANES`], each dimension-major, with each
+/// centroid's [`poincare::ball_den`]. Lanes past `k` hold the origin.
+struct Panels {
+    panels: Vec<f64>,
+    cden: Vec<[f64; PANEL_LANES]>,
+    /// Doubles per panel.
+    size: usize,
+}
+
+impl Panels {
+    fn new(centroids: &[f64], dim: usize, k: usize) -> Self {
+        let groups = k.div_ceil(PANEL_LANES);
+        let mut panels = vec![0.0; groups * dim * PANEL_LANES];
+        let mut cden = vec![[1.0; PANEL_LANES]; groups];
+        for c in 0..k {
+            let (g, l) = (c / PANEL_LANES, c % PANEL_LANES);
+            let cent = &centroids[c * dim..(c + 1) * dim];
+            cden[g][l] = poincare::ball_den(cent);
+            let panel = &mut panels[g * dim * PANEL_LANES..(g + 1) * dim * PANEL_LANES];
+            for (j, &v) in cent.iter().enumerate() {
+                panel[j * PANEL_LANES + l] = v;
+            }
+        }
+        let size = dim * PANEL_LANES;
+        Self { panels, cden, size }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&[f64], &[f64; PANEL_LANES])> {
+        (0..self.cden.len()).map(|g| {
+            (
+                &self.panels[g * self.size..(g + 1) * self.size],
+                &self.cden[g],
+            )
+        })
+    }
+}
+
+/// The nearest centroid of one point and its distance argument, from
+/// the point's arguments to each centroid: the centroid the scalar loop
+/// `d = arcosh(args[c]); if d < best_d { .. }` over `c = 0..k` from
+/// `(0, ∞)` picks, with `arcosh` evaluated only where it can decide.
+///
+/// A centroid whose argument exceeds `cut = fl(a_min·(1 + 10⁻⁹))`, `a_min`
+/// the least argument, is passed over. In exact arithmetic its `arcosh`
+/// exceeds `arcosh(a_min)` by at least `ln(1 + 10⁻⁹) − 2⁻⁵³ > 0.99·10⁻⁹`,
+/// since `d/dx arcosh x = 1/√(x² − 1) ≥ 1/x`. std's `acosh`,
+/// `ln(x + √(x − 1)·√(x + 1))`, is within a few ulp of its result, about
+/// `10⁻¹⁴` at most for arguments up to `10³⁰⁰` (ball points give at most
+/// `10²⁶`), so the computed distance of a passed-over centroid is
+/// strictly greater than that of `a_min`'s, and the scalar loop would
+/// not pick it. When exactly one centroid is left, it is the answer and
+/// no `arcosh` runs; otherwise the scalar loop runs over those left, in
+/// index order, so the first of equal distances wins. Past `10³⁰⁰`,
+/// where `acosh` may overflow and the scalar loop answers 0 for a set of
+/// infinite distances, the scalar loop runs over every centroid. A NaN
+/// argument (which [`arcosh`] maps to 0, the nearest) never compares
+/// greater than `cut`, so it is always among those left.
+#[inline]
+fn nearest(args: &[f64]) -> (usize, f64) {
+    // `f64::min` would pass over NaN the same way.
+    let mut a_min = f64::INFINITY;
+    for &a in args {
+        if a < a_min {
+            a_min = a;
+        }
+    }
+    let cut = if a_min <= 1e300 {
+        a_min * ARG_SLACK
+    } else {
+        f64::INFINITY
+    };
+    let mut left = args
+        .iter()
+        .enumerate()
+        .filter(|(_, &a)| a <= cut || a.is_nan());
+    let first = left.next().map_or(0, |(c, _)| c);
+    if cut < f64::INFINITY && left.next().is_none() {
+        return (first, args[first]);
+    }
+    let mut best = 0usize;
+    let mut best_d = f64::INFINITY;
+    for (c, &a) in args.iter().enumerate() {
+        if a > cut {
+            continue;
+        }
+        let d = arcosh(a);
+        if d < best_d {
+            best_d = d;
+            best = c;
+        }
+    }
+    (best, args[best])
+}
+
 fn seed(
     emb: &[f64],
     dim: usize,
     points: &[u32],
+    den: &[f64],
     k: usize,
     seeding: Seeding,
     rng: &mut StdRng,
@@ -193,18 +339,17 @@ fn seed(
         Seeding::PlusPlus => {
             let first = rng.random_range(0..points.len());
             centroids.extend_from_slice(row(points[first]));
+            // Each point's distance to its nearest centroid so far, the
+            // newest centroid folded in per round.
+            let mut best = vec![f64::INFINITY; points.len()];
             let mut d2 = vec![0.0f64; points.len()];
             while centroids.len() < k * dim {
-                let n_cent = centroids.len() / dim;
+                let newest = &centroids[centroids.len() - dim..];
+                fold_nearest(emb, dim, points, den, newest, &mut best);
                 let mut total = 0.0;
-                for (i, &t) in points.iter().enumerate() {
-                    let mut best = f64::INFINITY;
-                    for c in 0..n_cent {
-                        let d = poincare::distance(row(t), &centroids[c * dim..(c + 1) * dim]);
-                        best = best.min(d);
-                    }
-                    d2[i] = best * best;
-                    total += d2[i];
+                for (w, &b) in d2.iter_mut().zip(&best) {
+                    *w = b * b;
+                    total += *w;
                 }
                 let next = if total <= 1e-15 {
                     rng.random_range(0..points.len())
@@ -225,6 +370,29 @@ fn seed(
         }
     }
     centroids
+}
+
+/// `best[i] = best[i].min(d(xᵢ, c))` for every point, four points' sums
+/// in lockstep.
+fn fold_nearest(emb: &[f64], dim: usize, points: &[u32], den: &[f64], c: &[f64], best: &mut [f64]) {
+    const LANES: usize = 4;
+    let row = |t: u32| -> &[f64] { &emb[t as usize * dim..(t as usize + 1) * dim] };
+    let cden = poincare::ball_den(c);
+    let fold = |b: &mut f64, a: f64, den: f64| {
+        *b = b.min(arcosh(1.0 + 2.0 * a / (den * cden)));
+    };
+    let mut i = 0;
+    while i + LANES <= points.len() {
+        let a = sqdist_lanes::<LANES>(std::array::from_fn(|l| row(points[i + l])), [c; LANES]);
+        for l in 0..LANES {
+            fold(&mut best[i + l], a[l], den[i + l]);
+        }
+        i += LANES;
+    }
+    for i in i..points.len() {
+        let a = sqdist_lanes([row(points[i])], [c])[0];
+        fold(&mut best[i], a, den[i]);
+    }
 }
 
 #[cfg(test)]
@@ -327,6 +495,40 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2], "each cluster owns exactly one point");
         assert!(r.centroids.iter().all(|v| v.is_finite()));
+    }
+
+    /// [`nearest`] picks what the scalar scan over every argument picks,
+    /// with the same argument: ties, a runner-up inside and outside the
+    /// slack, NaN arguments (distance 0) and arguments past `10³⁰⁰`.
+    #[test]
+    fn nearest_is_the_scalar_scan() {
+        let scan = |args: &[f64]| {
+            let (mut best, mut best_d) = (0usize, f64::INFINITY);
+            for (c, &a) in args.iter().enumerate() {
+                if arcosh(a) < best_d {
+                    (best, best_d) = (c, arcosh(a));
+                }
+            }
+            (best, args[best].to_bits())
+        };
+        let near = 2.0 * (1.0 + 1e-12);
+        let far = 2.0 * (1.0 + 1e-8);
+        for args in [
+            vec![2.0],
+            vec![3.0, 2.0, 2.0],
+            vec![near, 2.0, far],
+            vec![2.0, near],
+            vec![far, 2.0],
+            vec![1.0, 1.0 + 1e-17, 1.0],
+            vec![2.0, f64::NAN, f64::NAN],
+            vec![f64::NAN; 3],
+            vec![1e301, 1e302, 1e301],
+            vec![f64::INFINITY; 2],
+            vec![f64::INFINITY, 1e308, 5.0],
+        ] {
+            let (c, a) = nearest(&args);
+            assert_eq!((c, a.to_bits()), scan(&args), "{args:?}");
+        }
     }
 
     #[test]
