@@ -30,7 +30,9 @@
 
 pub mod index;
 
-pub use index::{IndexConfig, IndexParts, ItemEmbeddings, SearchStats, TaxoIndex, INDEX_MAX_DEPTH};
+pub use index::{
+    derived_beam, IndexConfig, IndexParts, ItemEmbeddings, SearchStats, TaxoIndex, INDEX_MAX_DEPTH,
+};
 
 /// How a consumer (serve, eval, bench) retrieves candidates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -552,7 +552,12 @@ pub fn fold_batch(
         // taxonomy when reconciliation fired (node ids churned).
         if let Some(parts) = ckpt.index.as_mut() {
             if rebuilt {
-                let index_cfg = parts.config;
+                let mut index_cfg = parts.config;
+                // A derived default beam is derived again for the new
+                // tree, whose leaf count has moved.
+                if parts.beam_is_derived() {
+                    index_cfg.beam = 0;
+                }
                 let items = item_embeddings(&ckpt.state);
                 match TaxoIndex::build(
                     &items,
@@ -722,6 +727,56 @@ mod tests {
         assert_eq!(report.dropped, 1);
         assert_eq!(Rows::of(&ckpt.state), rows);
         assert_eq!(ckpt.tag_names[tags..], ["fresh-a", "fresh-b"]);
+    }
+
+    /// A drift rebuild whose tree grows past 128 leaves widens a beam the
+    /// first build derived, and keeps one the first build was given.
+    #[test]
+    fn a_drift_rebuild_derives_the_beam_again_only_when_the_build_did() {
+        use taxorec_core::{TaxoRec, TaxoRecConfig};
+        use taxorec_data::{generate_preset, Preset, Recommender, Scale, Split};
+        use taxorec_retrieval::{derived_beam, IndexConfig};
+        let d = generate_preset(Preset::Ciao, Scale::Tiny);
+        let s = Split::standard(&d);
+        let mut cfg = TaxoRecConfig::fast_test();
+        cfg.epochs = 1;
+        let mut m = TaxoRec::new(cfg);
+        m.fit(&d, &s);
+        // Grow the catalogue past 128 one-item leaves, every item with a
+        // fresh tag, so the drift limit fires on the last interaction.
+        let fresh = 140usize.saturating_sub(d.n_items).max(8);
+        let batch: Vec<IngestInteraction> = (0..fresh)
+            .map(|i| IngestInteraction {
+                user: (i % d.n_users) as u32,
+                item: (d.n_items + i) as u32,
+                tags: vec![format!("grown-{i}")],
+            })
+            .collect();
+        let opts = IngestOptions {
+            drift_limit: fresh as u64,
+            ..IngestOptions::default()
+        };
+        for (asked, kept) in [(0, None), (5, Some(5))] {
+            let config = IndexConfig {
+                max_leaf: 1,
+                beam: asked,
+                ..IndexConfig::default()
+            };
+            let mut ckpt = Checkpoint::from_model(&m)
+                .with_dataset(&d)
+                .with_retrieval_index(&config)
+                .unwrap();
+            let before = ckpt.index.as_ref().unwrap();
+            assert!(before.n_leaves() <= 128, "{} leaves", before.n_leaves());
+            assert_eq!(before.config.beam, kept.unwrap_or(8));
+            let report = fold_batch(&mut ckpt, &batch, &opts, &mut 0).unwrap();
+            assert_eq!(report.rebuilds, 1, "{report:?}");
+            let after = ckpt.index.as_ref().unwrap();
+            assert!(after.n_leaves() > 128, "{} leaves", after.n_leaves());
+            let want = kept.unwrap_or(derived_beam(after.n_leaves()));
+            assert_eq!(after.config.beam, want, "asked for {asked}");
+        }
+        assert!(derived_beam(129) > 8);
     }
 
     #[test]
