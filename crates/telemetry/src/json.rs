@@ -38,6 +38,12 @@ pub fn push_str_escaped(out: &mut String, s: &str) {
 /// Appends `v` as a JSON number. Non-finite values (not representable in
 /// JSON) are encoded as strings: `"NaN"`, `"inf"`, `"-inf"` — keeping the
 /// document parseable while preserving the signal that a value went bad.
+///
+/// An integer below `10¹⁵` in magnitude is written as one; any other value
+/// with `|v| < 10⁻⁵` or `|v| ≥ 10¹⁶` in `{:e}` form (`1e300`,
+/// `-1.2345678901234567e-300`), the rest as `Display` writes them. Every
+/// form is the shortest that reads back to the same `f64`, so [`parse`]
+/// returns the bits written, except that `-0.0` is written `0`.
 pub fn push_f64(out: &mut String, v: f64) {
     if v.is_nan() {
         out.push_str("\"NaN\"");
@@ -45,6 +51,8 @@ pub fn push_f64(out: &mut String, v: f64) {
         out.push_str(if v > 0.0 { "\"inf\"" } else { "\"-inf\"" });
     } else if v == v.trunc() && v.abs() < 1e15 {
         let _ = write!(out, "{}", v as i64);
+    } else if v.abs() < 1e-5 || v.abs() >= 1e16 {
+        let _ = write!(out, "{v:e}");
     } else {
         let _ = write!(out, "{v}");
     }
@@ -371,7 +379,7 @@ mod tests {
         assert_eq!(s, "\"-inf\"");
     }
 
-    /// `push_f64` as it was written with `format!` temporaries: the
+    /// `push_f64`'s rule written with `format!` temporaries: the
     /// reference the in-place writer must match byte for byte.
     fn push_f64_by_format(out: &mut String, v: f64) {
         if v.is_nan() {
@@ -380,13 +388,16 @@ mod tests {
             out.push_str(if v > 0.0 { "\"inf\"" } else { "\"-inf\"" });
         } else if v == v.trunc() && v.abs() < 1e15 {
             out.push_str(&format!("{}", v as i64));
+        } else if v.abs() < 1e-5 || v.abs() >= 1e16 {
+            out.push_str(&format!("{v:e}"));
         } else {
             out.push_str(&format!("{v}"));
         }
     }
 
-    #[test]
-    fn numbers_write_the_bytes_format_wrote() {
+    /// The `f64` corpus both number tests run: edge values and seeded
+    /// random bit patterns.
+    fn number_corpus() -> Vec<f64> {
         let two53 = 9_007_199_254_740_992.0;
         let mut corpus = vec![
             0.0,
@@ -431,8 +442,22 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
             f64::from_bits(z ^ (z >> 31))
         }));
+        corpus.extend([
+            1e-5,
+            -1e-5,
+            1e-5f64.next_down(),
+            1e16,
+            1e16 - 2.0,
+            1e300,
+            1.5e-7,
+        ]);
+        corpus
+    }
+
+    #[test]
+    fn numbers_write_the_bytes_format_wrote() {
         let (mut have, mut want) = (String::new(), String::new());
-        for v in corpus {
+        for v in number_corpus() {
             have.clear();
             want.clear();
             push_f64(&mut have, v);
@@ -442,6 +467,33 @@ mod tests {
         let mut escaped = String::new();
         push_str_escaped(&mut escaped, "\u{0}\u{1f}\u{7f}");
         assert_eq!(escaped, "\"\\u0000\\u001f\u{7f}\"");
+    }
+
+    /// Every finite value reads back through [`parse`] to the bits it was
+    /// written from (`-0.0` to `0.0`, its one exception), and no form is
+    /// longer than the 24 bytes of `-1.2345678901234568e-300`.
+    #[test]
+    fn numbers_read_back_to_their_bits() {
+        let mut text = String::new();
+        for v in number_corpus().into_iter().filter(|v| v.is_finite()) {
+            text.clear();
+            push_f64(&mut text, v);
+            let back = match parse(&text) {
+                Ok(Value::Num(x)) => x,
+                other => panic!("{text} parsed as {other:?}"),
+            };
+            let want = if v == 0.0 { 0.0f64 } else { v };
+            assert_eq!(
+                back.to_bits(),
+                want.to_bits(),
+                "{text} from {:#018x}",
+                v.to_bits()
+            );
+            assert!(text.len() <= 24, "{text} from {:#018x}", v.to_bits());
+        }
+        text.clear();
+        push_f64(&mut text, -1.234_567_890_123_456_8e-300);
+        assert_eq!(text, "-1.2345678901234568e-300");
     }
 
     #[test]
