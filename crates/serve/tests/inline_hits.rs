@@ -11,7 +11,8 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, Once};
 use std::time::{Duration, Instant};
 
 use taxorec_core::{TaxoRec, TaxoRecConfig};
@@ -57,10 +58,35 @@ fn untraced(head: &str) -> String {
 
 /// An armed fault spec, disarmed on drop — also when the test fails
 /// while it is armed, so the tests after it run unfaulted.
+///
+/// While armed, a panic prints its message and no backtrace. Every
+/// request that misses the acceptor panics on a worker, and with
+/// `RUST_BACKTRACE=1` the default hook resolves a backtrace for each,
+/// milliseconds of work in a debug build. With that hook in force one
+/// miss kept following another: about one debug run in ten lost all of
+/// `ATTEMPTS` to the workers, where a run otherwise loses a request to
+/// a worker now and then and lands the next.
 struct Armed;
+
+/// Set while an [`Armed`] lives: the panic hook skips the backtrace.
+static QUIET_PANICS: AtomicBool = AtomicBool::new(false);
 
 impl Armed {
     fn with(spec: &str) -> Self {
+        // Installed once and switched by the flag: `Drop` may run while
+        // the test unwinds, where `set_hook` would panic again.
+        static HOOK: Once = Once::new();
+        HOOK.call_once(|| {
+            let default = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                if QUIET_PANICS.load(Ordering::SeqCst) {
+                    eprintln!("{info}");
+                } else {
+                    default(info);
+                }
+            }));
+        });
+        QUIET_PANICS.store(true, Ordering::SeqCst);
         install(FaultSpec::parse(spec).expect("spec"));
         Armed
     }
@@ -69,6 +95,7 @@ impl Armed {
 impl Drop for Armed {
     fn drop(&mut self) {
         disable();
+        QUIET_PANICS.store(false, Ordering::SeqCst);
     }
 }
 
