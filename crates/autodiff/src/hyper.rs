@@ -1,11 +1,12 @@
 //! Forward/backward kernels of the rowwise hyperbolic composite ops.
 //!
 //! Each function pair implements one differentiable building block of the
-//! TaxoRec computation graph with an analytically derived backward pass.
-//! Treating these as single tape nodes (instead of chains of primitive ops)
-//! keeps the tape small and lets each backward handle its own numerical
-//! guards. Every derivation is verified against central finite differences
-//! in `tests/gradcheck.rs`.
+//! TaxoRec computation graph with an analytically derived backward pass:
+//! a tape op of its own, or a part of a fused one (the maps at the origin
+//! inside `Tape::global_aggregation`, a channel of `Tape::triplet_hinge`).
+//! Whole blocks instead of chains of primitive ops keep the tape small and
+//! let each backward handle its own numerical guards. Every derivation is
+//! verified against central finite differences in `tests/gradcheck.rs`.
 //!
 //! Shape conventions: hyperboloid points carry `d+1` ambient columns (time
 //! coordinate first); ball/Klein/tangent vectors carry `d` columns. All ops
@@ -30,7 +31,7 @@ use taxorec_geometry::{
     arcosh, arcosh_grad, lorentz, multiversion, vecops, EPS_DIV, EPS_SMALL, MAX_BALL_NORM,
 };
 
-/// Rows whose inner products [`lorentz_dist_sq_rows_fwd`] reduces in
+/// Triplets whose inner products [`triplet_dists_fwd`] reduces in
 /// lockstep; see `taxorec_geometry::vecops`.
 const LANES: usize = 4;
 
@@ -200,102 +201,6 @@ pub fn lorentz_dist_sq_bwd(
 }
 
 // ---------------------------------------------------------------------------
-// Squared Lorentz distance against indexed rows:
-// (n×(d+1), m×(d+1), idx ∈ [0,m)ⁿ) → (n×1)   [Eq. 17 over a triplet batch]
-// ---------------------------------------------------------------------------
-
-/// Forward of `D_r = arcosh(−⟨x_r, y_{idx[r]}⟩_L)²`: [`lorentz_dist_sq_fwd`]
-/// of `x` against the gathered rows of `y`, reading them in place. The
-/// inner products of [`LANES`] rows run in lockstep, each in
-/// [`lorentz::inner`]'s order. Row `r` of `aux` (`n×2`) keeps
-/// `s = −⟨x_r, y_{idx[r]}⟩_L` and `arcosh(s)` for the backward.
-pub fn lorentz_dist_sq_rows_fwd(
-    x: &Matrix,
-    y: &Matrix,
-    idx: &[usize],
-    out: &mut Matrix,
-    aux: &mut Matrix,
-) {
-    assert_eq!(x.cols(), y.cols());
-    assert_eq!(x.rows(), idx.len());
-    assert_eq!(out.shape(), (idx.len(), 1));
-    assert_eq!(aux.shape(), (idx.len(), 2));
-    let full = idx.len() - idx.len() % LANES;
-    for r0 in (0..full).step_by(LANES) {
-        dist_sq_rows::<LANES>(x, y, idx, r0, out, aux);
-    }
-    for r0 in full..idx.len() {
-        dist_sq_rows::<1>(x, y, idx, r0, out, aux);
-    }
-}
-
-/// Rows `r0..r0 + N` of [`lorentz_dist_sq_rows_fwd`].
-#[inline(always)]
-fn dist_sq_rows<const N: usize>(
-    x: &Matrix,
-    y: &Matrix,
-    idx: &[usize],
-    r0: usize,
-    out: &mut Matrix,
-    aux: &mut Matrix,
-) {
-    let neg_s = lorentz::inner_lanes::<N>(
-        std::array::from_fn(|l| x.row(r0 + l)),
-        std::array::from_fn(|l| y.row(idx[r0 + l])),
-    );
-    for (l, neg_s) in neg_s.into_iter().enumerate() {
-        let s = -neg_s;
-        let d = arcosh(s);
-        out.set(r0 + l, 0, d * d);
-        aux.row_mut(r0 + l).copy_from_slice(&[s, d]);
-    }
-}
-
-multiversion! {
-    /// Backward of [`lorentz_dist_sq_rows_fwd`], with `s` and `arcosh(s)` read
-    /// from its `aux`. It accumulates into `grad_y`: row `idx[r]` gets the sum
-    /// over every `r` that read it, added in `r` order — the order (and so
-    /// the bits) of a row gather followed by [`lorentz_dist_sq_bwd`] and the
-    /// gather's scatter-add. It **writes** `grad_x`, row `r` being its own
-    /// term alone — or, given a `term` row of scratch, adds each row's term
-    /// into the gradient `grad_x` already holds: the sum the term would
-    /// have been added into it with as a matrix of its own.
-    #[allow(clippy::too_many_arguments)]
-    pub fn lorentz_dist_sq_rows_bwd(
-        isa: Isa,
-        x: &Matrix,
-        y: &Matrix,
-        idx: &[usize],
-        aux: &Matrix,
-        grad_out: &Matrix,
-        grad_x: &mut Matrix,
-        term: Option<&mut [f64]>,
-        grad_y: &mut Matrix,
-    ) {
-        assert_eq!(grad_x.shape(), x.shape());
-        let mut term = term;
-        for (r, &yr) in idx.iter().enumerate() {
-            let (s, arcosh_s, w) = (aux.get(r, 0), aux.get(r, 1), grad_out.get(r, 0));
-            let (xr, yrow, gy) = (x.row(r), y.row(yr), grad_y.row_mut(yr));
-            match term.as_deref_mut() {
-                None => {
-                    let gx = grad_x.row_mut(r);
-                    gx.fill(0.0);
-                    lorentz::distance_sq_grad_at(xr, yrow, s, arcosh_s, w, gx, gy);
-                }
-                Some(term) => {
-                    term.fill(0.0);
-                    lorentz::distance_sq_grad_at(xr, yrow, s, arcosh_s, w, term, gy);
-                    for (g, &t) in grad_x.row_mut(r).iter_mut().zip(&*term) {
-                        *g += t;
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // One channel of the triplet hinge: the squared distances of each triplet's
 // user to its positive and its negative item, and their gradients
 // (users, items, triplets) → (n×4 scalars)   [Eq. 17 over a triplet batch]
@@ -305,8 +210,8 @@ multiversion! {
 /// `r` (user `u`, positive `p`, negative `q`), entries `col..col + 4` of
 /// row `r` of `aux` get `s = −⟨x_u, y_p⟩_L`, `arcosh s`, and the same two
 /// for `q`, where `x_u` is row `u` of `users` and `y_v` is row
-/// `offset + v` of `items`, both read in place. Per triplet, this is the
-/// arithmetic of [`lorentz_dist_sq_rows_fwd`] over gathered user rows:
+/// `offset + v` of `items`, both read in place. Per side, this is
+/// [`lorentz_dist_sq_fwd`]'s arithmetic on the gathered rows:
 /// [`LANES`] triplets' inner products run in lockstep, each in
 /// [`lorentz::inner`]'s order.
 pub(crate) fn triplet_dists_fwd(
@@ -360,10 +265,9 @@ multiversion! {
     ///
     /// * into `grad_users` (`users`' shape, row-major), at the triplet's
     ///   user row, `(0 + t_q) + t_p` — the negative side's term written
-    ///   first, then the positive side's added, as
-    ///   [`lorentz_dist_sq_rows_bwd`] forms a gathered row's gradient
-    ///   (`scratch` holds these two rows) — the sum a row gather's
-    ///   scatter-add forms;
+    ///   first, then the positive side's added, as the chain's two
+    ///   distance ops formed a gathered row's gradient (`scratch` holds
+    ///   these two rows) — the sum a row gather's scatter-add forms;
     /// * into `grad_neg` and `grad_pos` (one row per item, row-major), at
     ///   the negative and the positive item's row, that item's term.
     ///

@@ -8,11 +8,11 @@
 //!   (paper Eq. 13) and item–tag weighting (Eq. 10),
 //! * [`Tape`] / [`Var`] — an arena-based autodiff tape with elementwise,
 //!   linear-algebra, reduction, and *hyperbolic composite* ops
-//!   (Lorentz exp/log at the origin, Lorentz/Poincaré distances, model
-//!   conversions, Einstein-midpoint aggregation, and the two nodes of a
-//!   training step: [`Tape::global_aggregation`] and
-//!   [`Tape::triplet_hinge`]) whose backward passes are hand-derived in
-//!   [`hyper`] and finite-difference-verified in `tests/gradcheck.rs`.
+//!   (Lorentz/Poincaré distances, model conversions, Einstein-midpoint
+//!   aggregation, and the two nodes of a training step:
+//!   [`Tape::global_aggregation`] and [`Tape::triplet_hinge`]) whose
+//!   backward passes are hand-derived in [`hyper`] and
+//!   finite-difference-verified in `tests/gradcheck.rs`.
 //!
 //! A one-off computation records on a fresh tape and drops it:
 //!
@@ -74,19 +74,17 @@
 //!   the only writer of its gradient's entries gets an unzeroed buffer and
 //!   writes each entry as `0.0 + t`: the bits of adding `t` into a zero,
 //!   `−0.0` turned to `+0.0` included. Where a gradient already exists,
-//!   the backward of `spmm` and of `lorentz_dist_sq_rows` adds each
-//!   finished entry of its contribution into it instead of writing the
-//!   contribution out to be summed in — the same sums.
-//! * **Forward scalars (`aux`).** `lorentz_exp_origin`, `lorentz_log_origin`
-//!   and `lorentz_dist_sq_rows` keep a few per-row scalars of their forward
-//!   (the `sinh`/`cosh` factors, `‖x_s‖` and `arcosh x₀`, `s` and
-//!   `arcosh s`) in a second buffer from the free list, which their
-//!   backward reads instead of recomputing; `reset` returns it with the
-//!   value. `global_aggregation` keeps both maps' scalars there and, in
-//!   its node, the layer sum `exp_o` was applied to; `triplet_hinge`
-//!   keeps each triplet's hinge argument and value, both sides' `s` and
-//!   `arcosh s` per channel, and its tag weight. `reset` returns all of
-//!   them.
+//!   the backward of `spmm` adds each finished entry of its contribution
+//!   into it instead of writing the contribution out to be summed in —
+//!   the same sums.
+//! * **Forward scalars (`aux`).** The two fused ops keep per-row scalars
+//!   of their forward in a second buffer from the free list, which their
+//!   backward reads instead of recomputing: `global_aggregation` the log
+//!   maps' `‖x_s‖` and `arcosh x₀` and the exp map's `sinh`/`cosh`
+//!   factors (and, in its node, the layer sum `exp_o` was applied to);
+//!   `triplet_hinge` each triplet's hinge argument and value, both sides'
+//!   `s` and `arcosh s` per channel, and its tag weight. `reset` returns
+//!   all of them with the values.
 //! * **Who may reset.** Whoever owns the tape. `reset` takes `&mut self`, so
 //!   a `Var` can only outlive its program if its holder also gave the tape
 //!   away; the trainer's `Forward` struct owns the tape together with the
@@ -256,28 +254,6 @@ mod tests {
             for (r, &yr) in idx.iter().enumerate().filter(|(r, _)| r % 3 == 0) {
                 x.row_mut(r).copy_from_slice(y.row(yr));
                 x.row_mut(r)[1] += if r % 2 == 0 { 1e-9 } else { 0.0 };
-            }
-            let n = x.rows();
-            let (mut out, mut aux) = (Matrix::zeros(n, 1), Matrix::zeros(n, 2));
-            hyper::lorentz_dist_sq_rows_fwd(&x, &y, &idx, &mut out, &mut aux);
-            let g = edgy(&mut rng, n, 1, 1.0);
-            let (gx0, gy0) = (
-                edgy(&mut rng, n, d + 1, 1.0),
-                edgy(&mut rng, y.rows(), d + 1, 1.0),
-            );
-            for add in [false, true] {
-                each_clone(
-                    &format!("lorentz_dist_sq_rows_bwd d {d}, add {add}"),
-                    |isa| {
-                        let (mut gx, mut gy) = (gx0.clone(), gy0.clone());
-                        let mut term = vec![f64::NAN; d + 1];
-                        let term = add.then_some(term.as_mut_slice());
-                        hyper::lorentz_dist_sq_rows_bwd(
-                            isa, &x, &y, &idx, &aux, &g, &mut gx, term, &mut gy,
-                        );
-                        gx.into_vec().into_iter().chain(gy.into_vec()).collect()
-                    },
-                );
             }
 
             // A triplet batch over the same rows: users stacked above the

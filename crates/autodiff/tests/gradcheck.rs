@@ -1,4 +1,6 @@
-//! Central finite-difference verification of every tape op's backward pass.
+//! Central finite-difference verification of every tape op's backward pass,
+//! and of the exp and log maps at the origin that `Tape::global_aggregation`
+//! composes.
 //!
 //! Strategy: build a scalar loss `L(x) = sum(w ⊙ f(x))` with a fixed random
 //! weighting `w` (so gradients of non-scalar outputs are exercised entry by
@@ -8,7 +10,8 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use taxorec_autodiff::{Channel, Csr, Hinge, Matrix, TagChannel, Tape, Triplets, Var};
+use taxorec_autodiff::{hyper, Channel, Csr, Hinge, Matrix, TagChannel, Tape, Triplets, Var};
+use taxorec_geometry::isa::Isa;
 
 mod common;
 use common::{rand_ball_matrix, rand_hyperboloid_matrix, rand_matrix};
@@ -42,7 +45,29 @@ fn check_grad(x0: &Matrix, build: &dyn Fn(&mut Tape, Var) -> Var, tol: f64, h: f
     let out = build(&mut t, x);
     let grads = t.backward(out);
     let analytic = grads.wrt(x).expect("gradient must reach the input");
-    let numeric = fd_grad(x0, &loss_of, h);
+    assert_close(analytic, &fd_grad(x0, &loss_of, h), tol);
+}
+
+/// [`check_grad`] for a kernel pair the tape composes but does not record
+/// as an op of its own: `f` is the forward, and `grad(x, w)` the gradient
+/// of `L(x) = sum(w ⊙ f(x))`.
+fn check_kernel_grad(
+    x0: &Matrix,
+    w: &Matrix,
+    f: &dyn Fn(&Matrix) -> Matrix,
+    grad: &dyn Fn(&Matrix, &Matrix) -> Matrix,
+    tol: f64,
+    h: f64,
+) {
+    let loss_of = |m: &Matrix| -> f64 {
+        let y = f(m);
+        y.data().iter().zip(w.data()).map(|(a, b)| a * b).sum()
+    };
+    assert_close(&grad(x0, w), &fd_grad(x0, &loss_of, h), tol);
+}
+
+/// Entry by entry, `|a − n| ≤ tol·(1 + |n|)`.
+fn assert_close(analytic: &Matrix, numeric: &Matrix, tol: f64) {
     for i in 0..analytic.data().len() {
         let a = analytic.data()[i];
         let n = numeric.data()[i];
@@ -203,16 +228,14 @@ fn grad_activations() {
         }
     }
     let w = weight_like(&mut rng, 3, 3);
-    for op in 0..5usize {
+    for op in 0..3usize {
         check_grad(
             &x0,
             &|t, x| {
                 let y = match op {
                     0 => t.relu(x),
                     1 => t.leaky_relu(x, 0.2),
-                    2 => t.sigmoid(x),
-                    3 => t.softplus(x),
-                    _ => t.tanh(x),
+                    _ => t.softplus(x),
                 };
                 let w = t.leaf(w.clone());
                 let yw = t.hadamard(y, w);
@@ -288,42 +311,6 @@ fn grad_row_reductions() {
 }
 
 #[test]
-fn grad_mul_col_broadcast() {
-    let mut rng = StdRng::seed_from_u64(8);
-    let x0 = rand_matrix(&mut rng, 4, 3, 1.0);
-    let s = rand_matrix(&mut rng, 4, 1, 1.0);
-    let w = weight_like(&mut rng, 4, 3);
-    check_grad(
-        &x0,
-        &|t, x| {
-            let sv = t.leaf(s.clone());
-            let y = t.mul_col_broadcast(x, sv);
-            let w = t.leaf(w.clone());
-            let yw = t.hadamard(y, w);
-            t.sum_all(yw)
-        },
-        1e-6,
-        1e-6,
-    );
-    // Gradient with respect to the broadcast vector.
-    let s0 = rand_matrix(&mut rng, 4, 1, 1.0);
-    let xfix = rand_matrix(&mut rng, 4, 3, 1.0);
-    let w2 = weight_like(&mut rng, 4, 3);
-    check_grad(
-        &s0,
-        &|t, s| {
-            let xv = t.leaf(xfix.clone());
-            let y = t.mul_col_broadcast(xv, s);
-            let w = t.leaf(w2.clone());
-            let yw = t.hadamard(y, w);
-            t.sum_all(yw)
-        },
-        1e-6,
-        1e-6,
-    );
-}
-
-#[test]
 fn grad_softmax_rows() {
     let mut rng = StdRng::seed_from_u64(9);
     let x0 = rand_matrix(&mut rng, 3, 4, 2.0);
@@ -346,13 +333,20 @@ fn grad_lorentz_exp_origin() {
     let mut rng = StdRng::seed_from_u64(10);
     let x0 = rand_matrix(&mut rng, 4, 3, 1.5);
     let w = weight_like(&mut rng, 4, 4);
-    check_grad(
+    let fwd = |z: &Matrix| {
+        let mut out = Matrix::zeros(z.rows(), z.cols() + 1);
+        let mut aux = vec![0.0; 2 * z.rows()];
+        hyper::lorentz_exp_origin_fwd(z, &mut out, &mut aux);
+        (out, aux)
+    };
+    check_kernel_grad(
         &x0,
-        &|t, x| {
-            let y = t.lorentz_exp_origin(x);
-            let w = t.leaf(w.clone());
-            let yw = t.hadamard(y, w);
-            t.sum_all(yw)
+        &w,
+        &|z| fwd(z).0,
+        &|z, w| {
+            let mut gz = Matrix::zeros(z.rows(), z.cols());
+            hyper::lorentz_exp_origin_bwd(Isa::detected(), z, &fwd(z).1, w, &mut gz);
+            gz
         },
         1e-5,
         1e-6,
@@ -364,13 +358,20 @@ fn grad_lorentz_log_origin() {
     let mut rng = StdRng::seed_from_u64(11);
     let x0 = rand_hyperboloid_matrix(&mut rng, 4, 3);
     let w = weight_like(&mut rng, 4, 3);
-    check_grad(
+    let fwd = |x: &Matrix| {
+        let mut out = Matrix::zeros(x.rows(), x.cols() - 1);
+        let mut aux = vec![0.0; 2 * x.rows()];
+        hyper::lorentz_log_origin_fwd(x, out.data_mut(), &mut aux);
+        (out, aux)
+    };
+    check_kernel_grad(
         &x0,
-        &|t, x| {
-            let y = t.lorentz_log_origin(x);
-            let w = t.leaf(w.clone());
-            let yw = t.hadamard(y, w);
-            t.sum_all(yw)
+        &w,
+        &|x| fwd(x).0,
+        &|x, w| {
+            let mut gx = Matrix::zeros(x.rows(), x.cols());
+            hyper::lorentz_log_origin_bwd(Isa::detected(), x, &fwd(x).1, w.data(), &mut gx);
+            gx
         },
         1e-4,
         1e-6,
@@ -404,41 +405,6 @@ fn grad_lorentz_dist_sq() {
             let w = t.leaf(w.clone());
             let dw = t.hadamard(d, w);
             t.sum_all(dw)
-        },
-        1e-4,
-        1e-6,
-    );
-}
-
-#[test]
-fn grad_lorentz_dist_sq_rows() {
-    // Five triplets over three "items": item 1 is read three times, item 2
-    // never — with respect to both sides.
-    let mut rng = StdRng::seed_from_u64(20);
-    let x0 = rand_hyperboloid_matrix(&mut rng, 5, 3);
-    let y0 = rand_hyperboloid_matrix(&mut rng, 3, 3);
-    let idx = Arc::new(vec![1usize, 0, 1, 1, 0]);
-    let w = weight_like(&mut rng, 5, 1);
-    let weighted = |t: &mut Tape, x: Var, y: Var| {
-        let d = t.lorentz_dist_sq_rows(x, y, Arc::clone(&idx));
-        let w = t.leaf(w.clone());
-        let h = t.hadamard(d, w);
-        t.sum_all(h)
-    };
-    check_grad(
-        &x0,
-        &|t, x| {
-            let y = t.leaf(y0.clone());
-            weighted(t, x, y)
-        },
-        1e-4,
-        1e-6,
-    );
-    check_grad(
-        &y0,
-        &|t, y| {
-            let x = t.leaf(x0.clone());
-            weighted(t, x, y)
         },
         1e-4,
         1e-6,
@@ -579,66 +545,10 @@ fn grad_taxonomy_regularizer_path() {
 }
 
 #[test]
-fn grad_personalized_tag_weight_path() {
-    // The Eq. 16 chain: tag-space Lorentz distances per (u, pos, neg)
-    // triple, scaled per-row by the personalized weight α_u
-    // (`mul_col_broadcast`), added to the interaction-space margin and
-    // pushed through the hinge. Checked both with respect to the user tag
-    // embeddings and with respect to α itself.
-    let mut rng = StdRng::seed_from_u64(19);
-    let n_triples = 4;
-    let u_tg0 = rand_hyperboloid_matrix(&mut rng, 3, 2);
-    let v_tg0 = rand_hyperboloid_matrix(&mut rng, 5, 2);
-    let u_idx = Arc::new(vec![0usize, 1, 2, 0]);
-    let p_idx = Arc::new(vec![0usize, 2, 4, 1]);
-    let q_idx = Arc::new(vec![3usize, 1, 0, 4]);
-    let alpha0 = Matrix::from_vec(n_triples, 1, vec![0.3, 0.8, 0.1, 0.55]);
-    let base0 = rand_matrix(&mut rng, n_triples, 1, 0.5);
-    let build = |t: &mut Tape, u_tg: Var, v_tg: Var, alpha: Var, base: Var| -> Var {
-        let gu_t = t.gather_rows(u_tg, Arc::clone(&u_idx));
-        let gp_t = t.gather_rows(v_tg, Arc::clone(&p_idx));
-        let gq_t = t.gather_rows(v_tg, Arc::clone(&q_idx));
-        let d_pos = t.lorentz_dist_sq(gu_t, gp_t);
-        let d_neg = t.lorentz_dist_sq(gu_t, gq_t);
-        let a_pos = t.mul_col_broadcast(d_pos, alpha);
-        let a_neg = t.mul_col_broadcast(d_neg, alpha);
-        let g_pos = t.add(base, a_pos);
-        let margin = t.sub(g_pos, a_neg);
-        let shifted = t.add_scalar(margin, 0.2);
-        let hinge = t.relu(shifted);
-        t.mean_all(hinge)
-    };
-    // With respect to the user tag embeddings.
-    check_grad(
-        &u_tg0,
-        &|t, u_tg| {
-            let v_tg = t.leaf(v_tg0.clone());
-            let alpha = t.leaf(alpha0.clone());
-            let base = t.leaf(base0.clone());
-            build(t, u_tg, v_tg, alpha, base)
-        },
-        1e-4,
-        1e-6,
-    );
-    // With respect to α itself.
-    check_grad(
-        &alpha0,
-        &|t, alpha| {
-            let u_tg = t.leaf(u_tg0.clone());
-            let v_tg = t.leaf(v_tg0.clone());
-            let base = t.leaf(base0.clone());
-            build(t, u_tg, v_tg, alpha, base)
-        },
-        1e-4,
-        1e-6,
-    );
-}
-
-#[test]
 fn grad_full_taxorec_like_pipeline() {
     // End-to-end chain close to the real model: Poincaré tags → Klein →
-    // Einstein midpoint → Poincaré → Lorentz → log_o → propagation →
-    // exp_o → distance → hinge loss.
+    // Einstein midpoint → Poincaré → Lorentz items → global aggregation
+    // with two users → triplet distances → hinge loss.
     let mut rng = StdRng::seed_from_u64(16);
     let tags0 = rand_ball_matrix(&mut rng, 4, 2, 0.5);
     let item_tag = Arc::new(Csr::from_triplets(
@@ -652,34 +562,38 @@ fn grad_full_taxorec_like_pipeline() {
             (2, 0, 1.0),
         ],
     ));
+    // Two users above three items.
     let adj = Arc::new(Csr::from_triplets(
-        3,
-        3,
+        5,
+        5,
         &[
             (0, 0, 1.0),
-            (0, 1, 0.5),
+            (0, 2, 0.5),
             (1, 1, 1.0),
+            (1, 4, 0.3),
             (2, 2, 1.0),
-            (2, 0, 0.3),
+            (2, 3, 0.5),
+            (3, 3, 1.0),
+            (4, 4, 1.0),
+            (4, 0, 0.3),
         ],
     ));
-    let anchor0 = rand_hyperboloid_matrix(&mut rng, 3, 2);
+    let users0 = rand_hyperboloid_matrix(&mut rng, 2, 2);
+    let batch = Arc::new(Triplets {
+        users: vec![0, 1, 0],
+        pos: vec![0, 2, 1],
+        neg: vec![1, 0, 2],
+    });
     check_grad(
         &tags0,
         &|t, tags| {
             let k = t.poincare_to_klein(tags);
             let mu = t.einstein_midpoint(k, &item_tag);
             let p = t.klein_to_poincare(mu);
-            let l = t.poincare_to_lorentz(p);
-            let z = t.lorentz_log_origin(l);
-            let z1 = t.spmm(&adj, z);
-            let zs = t.add(z, z1);
-            let back = t.lorentz_exp_origin(zs);
-            let anchor = t.leaf(anchor0.clone());
-            let d = t.lorentz_dist_sq(back, anchor);
-            let dm = t.add_scalar(d, -0.5);
-            let h = t.relu(dm);
-            t.mean_all(h)
+            let items = t.poincare_to_lorentz(p);
+            let users = t.leaf(users0.clone());
+            let agg = t.global_aggregation(users, items, &adj, 2);
+            t.triplet_hinge(&batch, Channel::stacked(agg, 2), None, 0.5, Hinge::Softplus)
         },
         1e-3,
         1e-6,

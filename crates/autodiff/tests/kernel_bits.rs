@@ -14,16 +14,22 @@
 //! non-finite entries.
 //!
 //! The fused training-step ops, `Tape::global_aggregation` and
-//! `Tape::triplet_hinge`, are held to the primitive chains they replaced
-//! (`chain_aggregation`, `chain_hinge` below), recorded on the tape as the
-//! trainer recorded them.
+//! `Tape::triplet_hinge`, are held to the primitive chains of tape ops
+//! they replaced. Those chains are stated here as straight-line scalar
+//! code over the `reference` kernels (`scalar_aggregation`,
+//! `scalar_hinge`), in the chains' operation order and with no tape, so
+//! the reference shares nothing with what it checks. The exp and log
+//! maps at the origin are no tape ops of their own: their kernels are
+//! called directly, on every clone the host runs.
 
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use taxorec_autodiff::hyper;
 use taxorec_autodiff::{Channel, Csr, Hinge, Matrix, TagChannel, Tape, Triplets, Var};
-use taxorec_geometry::{lorentz, vecops};
+use taxorec_geometry::isa::Isa;
+use taxorec_geometry::{arcosh, lorentz, vecops};
 
 #[allow(dead_code)]
 mod common;
@@ -73,30 +79,6 @@ mod reference {
             }
         }
         out
-    }
-
-    pub fn dist_sq_rows_fwd(x: &Matrix, y: &Matrix, idx: &[usize]) -> Matrix {
-        let mut out = Matrix::zeros(idx.len(), 1);
-        for (r, &yr) in idx.iter().enumerate() {
-            let d = arcosh(-inner(x.row(r), y.row(yr)));
-            out.set(r, 0, d * d);
-        }
-        out
-    }
-
-    pub fn dist_sq_rows_bwd(x: &Matrix, y: &Matrix, idx: &[usize], g: &Matrix) -> (Matrix, Matrix) {
-        let mut gx = Matrix::zeros(x.rows(), x.cols());
-        let mut gy = Matrix::zeros(y.rows(), y.cols());
-        for (r, &yr) in idx.iter().enumerate() {
-            distance_sq_grad(
-                x.row(r),
-                y.row(yr),
-                g.get(r, 0),
-                gx.row_mut(r),
-                gy.row_mut(yr),
-            );
-        }
-        (gx, gy)
     }
 
     fn sinhc(r: f64) -> f64 {
@@ -350,14 +332,16 @@ fn spmm_of_zero_width_and_empty_matrices() {
     );
 }
 
-/// `n` hyperboloid rows with every special case of the distance on the
-/// diagonal: `x_r = y_{idx[r]}` exactly (`s` rounds to or below 1 and is
-/// clamped) for every third row, a near-coincident pair, and far pairs.
+/// `n` triplets, user `r` being row `r` of `n` user rows, with every
+/// special case of the distance on the positive side: user `r` sits
+/// exactly on its positive item (`s` rounds to or below 1 and is clamped)
+/// for every third triplet, next to it for some others, and far from it
+/// for the rest. Item 0 is read by many triplets, item `m − 1` by none;
+/// the negative items are the positive ones in reverse.
 fn dist_case(rng: &mut StdRng, n: usize, m: usize, d: usize) {
     let y = rand_hyperboloid_matrix(rng, m, d);
     let mut x = rand_hyperboloid_matrix(rng, n, d);
-    // Row m−1 of y is never read; row 0 is read by many.
-    let idx: Vec<usize> = (0..n)
+    let pos: Vec<usize> = (0..n)
         .map(|r| {
             if r % 4 == 1 {
                 0
@@ -366,7 +350,7 @@ fn dist_case(rng: &mut StdRng, n: usize, m: usize, d: usize) {
             }
         })
         .collect();
-    for (r, &yr) in idx.iter().enumerate() {
+    for (r, &yr) in pos.iter().enumerate() {
         match r % 3 {
             0 => x.row_mut(r).copy_from_slice(y.row(yr)),
             1 if r % 2 == 0 => {
@@ -378,49 +362,34 @@ fn dist_case(rng: &mut StdRng, n: usize, m: usize, d: usize) {
             _ => {}
         }
     }
-    let mut w = rand_matrix(rng, n, 1, 1.0);
-    if n > 2 {
-        w.set(2, 0, 0.0);
-        w.set(n - 1, 0, -0.0);
-    }
-    // A second distance over the same `x`, as the negative side of a
-    // triplet batch: its backward runs first and the first one's terms
-    // are added into the gradient of `x` it leaves.
-    let idx2: Vec<usize> = idx.iter().rev().copied().collect();
-    let w2 = rand_matrix(rng, n, 1, 1.0);
-    let (idx, idx2) = (Arc::new(idx), Arc::new(idx2));
-    let mut t = Tape::new();
-    let xv = t.leaf_copy(&x);
-    let yv = t.leaf_copy(&y);
-    let dist = t.lorentz_dist_sq_rows(xv, yv, Arc::clone(&idx));
-    let dist2 = t.lorentz_dist_sq_rows(xv, yv, Arc::clone(&idx2));
-    let wv = t.leaf_copy(&w);
-    let w2v = t.leaf_copy(&w2);
-    let weighted = t.hadamard(dist, wv);
-    let weighted2 = t.hadamard(dist2, w2v);
-    let (s1, s2) = (t.sum_all(weighted), t.sum_all(weighted2));
-    let loss = t.add(s1, s2);
-    let value = bits(t.value(dist));
-    let mut g = t.backward(loss);
-    let (gx, gy) = (g.take(xv).unwrap(), g.take(yv).unwrap());
+    let b = Triplets {
+        users: (0..n).collect(),
+        neg: pos.iter().rev().copied().collect(),
+        pos,
+    };
+    // The relu hinge leaves some triplets with a zero weight.
+    for (hinge, margin) in [(Hinge::Relu, 0.0), (Hinge::Softplus, 1.5)] {
+        let mut t = Tape::new();
+        let (xv, yv) = (t.leaf_copy(&x), t.leaf_copy(&y));
+        let batch = Arc::new(b.clone());
+        let loss = t.triplet_hinge(&batch, Channel::split(xv, yv), None, margin, hinge);
+        let value = bits(t.value(loss));
+        let mut g = t.backward(loss);
+        let (gx, gy) = (g.take(xv).unwrap(), g.take(yv).unwrap());
 
-    assert_eq!(
-        value,
-        bits(&reference::dist_sq_rows_fwd(&x, &y, &idx)),
-        "value, n = {n}"
-    );
-    let (mut want_x, mut want_y) = reference::dist_sq_rows_bwd(&x, &y, &idx2, &w2);
-    let (first_x, first_y) = reference::dist_sq_rows_bwd(&x, &y, &idx, &w);
-    want_x.add_assign(&first_x);
-    want_y.add_assign(&first_y);
-    assert_eq!(bits(&gx), bits(&want_x), "grad x, n = {n}");
-    assert_eq!(bits(&gy), bits(&want_y), "grad y, n = {n}");
+        let (want, mut grads) = scalar_hinge(&b, (&x, &y), None, margin, hinge);
+        let (want_x, want_y) = grads.remove(0);
+        let what = format!("n = {n}, {hinge:?}");
+        assert_eq!(value, vec![key(want)], "value, {what}");
+        assert_eq!(bits(&gx), bits(&want_x), "grad users, {what}");
+        assert_eq!(bits(&gy), bits(&want_y), "grad items, {what}");
+    }
 }
 
 #[test]
-fn lorentz_dist_sq_rows_matches_the_recomputing_kernels() {
+fn triplet_distances_match_the_recomputing_kernels() {
     let mut rng = StdRng::seed_from_u64(21);
-    // Row counts on both sides of the four-row lockstep groups.
+    // Triplet counts on both sides of the four-triplet lockstep groups.
     for n in 1..=13 {
         dist_case(&mut rng, n, 5, 3);
     }
@@ -445,19 +414,26 @@ fn lorentz_exp_origin_matches_the_recomputing_kernels() {
     let mut rng = StdRng::seed_from_u64(31);
     for d in [1, 2, 5, 32] {
         let z = tangent_rows(&mut rng, d);
-        let mut w = rand_matrix(&mut rng, z.rows(), d + 1, 1.0);
+        let n = z.rows();
+        let mut w = rand_matrix(&mut rng, n, d + 1, 1.0);
         w.row_mut(0).fill(-0.0);
-        let (value, gz) = through_tape(&z, &w, &|t, z| t.lorentz_exp_origin(z));
+        let (mut value, mut aux) = (Matrix::full(n, d + 1, f64::NAN), vec![f64::NAN; 2 * n]);
+        hyper::lorentz_exp_origin_fwd(&z, &mut value, &mut aux);
         assert_eq!(
             bits(&value),
             bits(&reference::exp_origin_fwd(&z)),
             "d = {d}"
         );
-        assert_eq!(
-            bits(&gz),
-            bits(&reference::exp_origin_bwd(&z, &w)),
-            "d = {d}"
-        );
+        for isa in Isa::supported() {
+            let mut gz = Matrix::full(n, d, f64::NAN);
+            hyper::lorentz_exp_origin_bwd(isa, &z, &aux, &w, &mut gz);
+            assert_eq!(
+                bits(&gz),
+                bits(&reference::exp_origin_bwd(&z, &w)),
+                "d = {d}, {}",
+                isa.name()
+            );
+        }
     }
 }
 
@@ -475,19 +451,26 @@ fn lorentz_log_origin_matches_the_recomputing_kernels() {
             rows.extend(lorentz::from_spatial(&spatial));
         }
         let x = Matrix::from_vec(rows.len() / (d + 1), d + 1, rows);
-        let mut w = rand_matrix(&mut rng, x.rows(), d, 1.0);
+        let n = x.rows();
+        let mut w = rand_matrix(&mut rng, n, d, 1.0);
         w.row_mut(4).fill(-0.0);
-        let (value, gx) = through_tape(&x, &w, &|t, x| t.lorentz_log_origin(x));
+        let (mut value, mut aux) = (Matrix::full(n, d, f64::NAN), vec![f64::NAN; 2 * n]);
+        hyper::lorentz_log_origin_fwd(&x, value.data_mut(), &mut aux);
         assert_eq!(
             bits(&value),
             bits(&reference::log_origin_fwd(&x)),
             "d = {d}"
         );
-        assert_eq!(
-            bits(&gx),
-            bits(&reference::log_origin_bwd(&x, &w)),
-            "d = {d}"
-        );
+        for isa in Isa::supported() {
+            let mut gx = Matrix::full(n, d + 1, f64::NAN);
+            hyper::lorentz_log_origin_bwd(isa, &x, &aux, w.data(), &mut gx);
+            assert_eq!(
+                bits(&gx),
+                bits(&reference::log_origin_bwd(&x, &w)),
+                "d = {d}, {}",
+                isa.name()
+            );
+        }
     }
 }
 
@@ -542,65 +525,214 @@ fn lockstep_reductions_keep_the_scalar_start_values() {
     }
 }
 
-/// The Eqs. 12–15 chain [`Tape::global_aggregation`] replaced, as the
-/// trainer recorded it: both log maps, `concat_rows`, one `spmm` per
-/// layer with the layer outputs summed by `add`, `exp_o`, and the two
-/// halves sliced back out.
-fn chain_aggregation(t: &mut Tape, u: Var, v: Var, p: &Arc<Csr>, layers: usize) -> (Var, Var) {
-    let (nu, nv) = (t.value(u).rows(), t.value(v).rows());
-    let zu = t.lorentz_log_origin(u);
-    let zv = t.lorentz_log_origin(v);
-    let mut z = t.concat_rows(zu, zv);
-    let mut acc: Option<Var> = None;
-    for _ in 0..layers.max(1) {
-        z = t.spmm(p, z);
-        acc = Some(match acc {
-            None => z,
-            Some(a) => t.add(a, z),
-        });
-    }
-    let out = t.lorentz_exp_origin(acc.unwrap());
-    (t.slice_rows(out, 0, nu), t.slice_rows(out, nu, nv))
+/// `a` on top of `b`.
+fn stack(a: &Matrix, b: &Matrix) -> Matrix {
+    let mut data = a.data().to_vec();
+    data.extend_from_slice(b.data());
+    Matrix::from_vec(a.rows() + b.rows(), a.cols(), data)
 }
 
-/// The Eqs. 17–19 chain [`Tape::triplet_hinge`] replaced, as the trainer
-/// recorded it: per channel a user gather and the two distances, the tag
-/// channel weighted by `gain·α_u` and added, then `sub`, the margin, the
-/// hinge and the mean.
-fn chain_hinge(
-    t: &mut Tape,
+/// Rows `0..at` of `m`, and the rest.
+fn split_rows(m: &Matrix, at: usize) -> (Matrix, Matrix) {
+    let (top, bottom) = m.data().split_at(at * m.cols());
+    (
+        Matrix::from_vec(at, m.cols(), top.to_vec()),
+        Matrix::from_vec(m.rows() - at, m.cols(), bottom.to_vec()),
+    )
+}
+
+/// `a[i] + b[i]` for every entry.
+fn plus(a: &Matrix, b: &Matrix) -> Matrix {
+    assert_eq!(a.shape(), b.shape());
+    let data = a.data().iter().zip(b.data()).map(|(x, y)| x + y).collect();
+    Matrix::from_vec(a.rows(), a.cols(), data)
+}
+
+/// Paper Eqs. 12–15 for one channel, in the chain's operation order:
+/// both log maps into one stacked matrix, `layers` propagations by `p`
+/// with the layer outputs summed left to right (`((z₁ + z₂) + z₃) + …`),
+/// then `exp_o`. Returns the stacked output and the layer sum `exp_o`
+/// was applied to.
+fn scalar_aggregation(u: &Matrix, v: &Matrix, p: &Csr, layers: usize) -> (Matrix, Matrix) {
+    let z = stack(&reference::log_origin_fwd(u), &reference::log_origin_fwd(v));
+    let mut layer = reference::spmm(p, &z);
+    let mut sum = layer.clone();
+    for _ in 1..layers.max(1) {
+        layer = reference::spmm(p, &layer);
+        sum = plus(&sum, &layer);
+    }
+    (reference::exp_origin_fwd(&sum), sum)
+}
+
+/// The gradients of `u` and `v` given `g`, that of
+/// [`scalar_aggregation`]'s stacked output: `exp_o`'s backward gives
+/// `g_s`; the layers give `g_L = g_s` and `g_l = g_s + Pᵀg_{l+1}` (the
+/// chain's two-operand sums: addition commutes); the stacked log maps
+/// get `Pᵀg_1`.
+fn scalar_aggregation_bwd(
+    u: &Matrix,
+    v: &Matrix,
+    p: &Csr,
+    layers: usize,
+    sum: &Matrix,
+    g: &Matrix,
+) -> (Matrix, Matrix) {
+    let g_sum = reference::exp_origin_bwd(sum, g);
+    let pt = p.transposed();
+    let mut g_layer = g_sum.clone();
+    for _ in 1..layers.max(1) {
+        g_layer = plus(&g_sum, &reference::spmm(pt, &g_layer));
+    }
+    let (gzu, gzv) = split_rows(&reference::spmm(pt, &g_layer), u.rows());
+    (
+        reference::log_origin_bwd(u, &gzu),
+        reference::log_origin_bwd(v, &gzv),
+    )
+}
+
+/// One channel of [`scalar_hinge`]: its user rows and its item rows.
+type Space<'a> = (&'a Matrix, &'a Matrix);
+
+/// `arcosh(−⟨x, y⟩_L)²`.
+fn dist_sq(x: &[f64], y: &[f64]) -> f64 {
+    let d = arcosh(-reference::inner(x, y));
+    d * d
+}
+
+/// Paper Eqs. 17–19, in the chain's operation order: per triplet
+/// `(u, p, q)`, `x = (g(u,p) − g(u,q)) + margin` with
+/// `g(u,v) = d²(u,v) + d²_tag(u,v)·(gain·α_u)` (the tag term only with a
+/// `tag` channel), the hinge of `x`, and the mean as `Iterator::sum` in
+/// triplet order over `n`. Returns the loss and each channel's gradients,
+/// users then items.
+fn scalar_hinge(
     b: &Triplets,
-    ir: (Var, Var),
-    tag: Option<(Var, Var, f64, &[f64])>,
+    ir: Space<'_>,
+    tag: Option<(Space<'_>, f64, &[f64])>,
     margin: f64,
     hinge: Hinge,
-) -> Var {
-    let users = Arc::new(b.users.clone());
-    let (pos, neg) = (Arc::new(b.pos.clone()), Arc::new(b.neg.clone()));
-    let gu = t.gather_rows(ir.0, Arc::clone(&users));
-    let mut g_pos = t.lorentz_dist_sq_rows(gu, ir.1, Arc::clone(&pos));
-    let mut g_neg = t.lorentz_dist_sq_rows(gu, ir.1, Arc::clone(&neg));
-    if let Some((u, v, gain, alpha)) = tag {
-        let gu_t = t.gather_rows(u, Arc::clone(&users));
-        let d_pos = t.lorentz_dist_sq_rows(gu_t, v, Arc::clone(&pos));
-        let d_neg = t.lorentz_dist_sq_rows(gu_t, v, Arc::clone(&neg));
-        let a = t.leaf_with(b.len(), 1, |col| {
-            for (a, &u) in col.iter_mut().zip(&b.users) {
-                *a = gain * alpha[u];
-            }
-        });
-        let a_pos = t.mul_col_broadcast(d_pos, a);
-        let a_neg = t.mul_col_broadcast(d_neg, a);
-        g_pos = t.add(g_pos, a_pos);
-        g_neg = t.add(g_neg, a_neg);
+) -> (f64, Vec<(Matrix, Matrix)>) {
+    let n = b.len();
+    let mut x = Vec::with_capacity(n);
+    for r in 0..n {
+        let (u, p, q) = (b.users[r], b.pos[r], b.neg[r]);
+        let mut g_pos = dist_sq(ir.0.row(u), ir.1.row(p));
+        let mut g_neg = dist_sq(ir.0.row(u), ir.1.row(q));
+        if let Some(((tu, tv), gain, alpha)) = tag {
+            let c = gain * alpha[u];
+            g_pos += dist_sq(tu.row(u), tv.row(p)) * c;
+            g_neg += dist_sq(tu.row(u), tv.row(q)) * c;
+        }
+        x.push((g_pos - g_neg) + margin);
     }
-    let diff = t.sub(g_pos, g_neg);
-    let shifted = t.add_scalar(diff, margin);
-    let h = match hinge {
-        Hinge::Relu => t.relu(shifted),
-        Hinge::Softplus => t.softplus(shifted),
+    let h = |x: f64| match hinge {
+        Hinge::Relu => x.max(0.0),
+        Hinge::Softplus => x.max(0.0) + (-x.abs()).exp().ln_1p(),
     };
-    t.mean_all(h)
+    let loss = x.iter().map(|&x| h(x)).sum::<f64>() / n as f64;
+
+    // Each triplet's weight on its positive distance; the negative one
+    // gets its negation.
+    let gm = 1.0 / n as f64;
+    let gd: Vec<f64> = x
+        .iter()
+        .map(|&x| match hinge {
+            Hinge::Relu => {
+                if x > 0.0 {
+                    gm
+                } else {
+                    0.0
+                }
+            }
+            Hinge::Softplus => gm / (1.0 + (-x).exp()),
+        })
+        .collect();
+    let mut grads = vec![scalar_channel_bwd(b, ir, &|r| (gd[r], -gd[r]))];
+    if let Some((space, gain, alpha)) = tag {
+        let c = |r: usize| gain * alpha[b.users[r]];
+        grads.push(scalar_channel_bwd(b, space, &|r| {
+            (gd[r] * c(r), -gd[r] * c(r))
+        }));
+    }
+    (loss, grads)
+}
+
+/// One channel's gradients in [`scalar_hinge`], given each triplet's
+/// weights on its positive and its negative distance. A user row gets
+/// `(0 + t_neg) + (0 + t_pos)` per triplet, what the two distance ops
+/// wrote into its gathered row, added into a zero in triplet order; an
+/// item gets the negative side's sum plus the positive side's, each
+/// formed from zero in triplet order.
+fn scalar_channel_bwd(
+    b: &Triplets,
+    (users, items): Space<'_>,
+    w: &dyn Fn(usize) -> (f64, f64),
+) -> (Matrix, Matrix) {
+    let dc = users.cols();
+    let mut g_users = Matrix::zeros(users.rows(), dc);
+    let mut g_neg = Matrix::zeros(items.rows(), dc);
+    let mut g_pos = Matrix::zeros(items.rows(), dc);
+    for r in 0..b.len() {
+        let (u, p, q) = (b.users[r], b.pos[r], b.neg[r]);
+        let (w_pos, w_neg) = w(r);
+        let (mut t_neg, mut t_pos) = (vec![0.0; dc], vec![0.0; dc]);
+        let x = users.row(u);
+        reference::distance_sq_grad(x, items.row(q), w_neg, &mut t_neg, g_neg.row_mut(q));
+        reference::distance_sq_grad(x, items.row(p), w_pos, &mut t_pos, g_pos.row_mut(p));
+        for ((g, tn), tp) in g_users.row_mut(u).iter_mut().zip(t_neg).zip(t_pos) {
+            *g += tn + tp;
+        }
+    }
+    (g_users, plus(&g_neg, &g_pos))
+}
+
+/// `0.0 + g` for every entry: a gradient as the chain's slices passed it
+/// on, added into a zero.
+fn from_zero(g: Matrix) -> Matrix {
+    plus(&Matrix::zeros(g.rows(), g.cols()), &g)
+}
+
+/// [`run_step`]'s bits for one batch from the scalar functions alone.
+fn scalar_step(s: &Step, b: &Triplets, layers: Option<usize>, two: bool, hinge: Hinge) -> StepBits {
+    let (margin, gain) = step_constants(hinge);
+    let channels = if two { 2 } else { 1 };
+    // Each channel's user rows, item rows and, aggregated, the layer sum.
+    let spaces: Vec<(Matrix, Matrix, Option<Matrix>)> = (0..channels)
+        .map(|c| {
+            let (u, v) = (&s.params[2 * c], &s.params[2 * c + 1]);
+            match layers {
+                Some(l) => {
+                    let (out, sum) = scalar_aggregation(u, v, &s.propagate, l);
+                    let (ou, ov) = split_rows(&out, u.rows());
+                    (ou, ov, Some(sum))
+                }
+                None => (u.clone(), v.clone(), None),
+            }
+        })
+        .collect();
+    let rows = spaces
+        .iter()
+        .flat_map(|(u, v, _)| bits(u).into_iter().chain(bits(v)))
+        .collect();
+    let tag = spaces
+        .get(1)
+        .map(|(u, v, _)| ((u, v), gain, s.alpha.as_slice()));
+    let ir = (&spaces[0].0, &spaces[0].1);
+    let (loss, hinge_grads) = scalar_hinge(b, ir, tag, margin, hinge);
+    let mut grads = Vec::new();
+    for (c, (gu, gv)) in hinge_grads.into_iter().enumerate() {
+        let (u, v) = (&s.params[2 * c], &s.params[2 * c + 1]);
+        let (gu, gv) = match (layers, &spaces[c].2) {
+            (Some(l), Some(sum)) => {
+                let g = from_zero(stack(&gu, &gv));
+                scalar_aggregation_bwd(u, v, &s.propagate, l, sum, &g)
+            }
+            _ => (gu, gv),
+        };
+        grads.push(bits(&gu));
+        grads.push(bits(&gv));
+    }
+    (vec![key(loss)], rows, grads)
 }
 
 /// One generated training step: hyperboloid rows for both channels, a
@@ -662,73 +794,58 @@ fn triplet_batch(rng: &mut StdRng, len: usize, nu: usize, nv: usize) -> Triplets
 /// rows (users then items) and the gradient of every parameter.
 type StepBits = (Vec<u64>, Vec<u64>, Vec<Vec<u64>>);
 
-/// Runs the batches of one configuration through the chain (`fused`
-/// false) or the fused ops on one reused tape, reset between batches.
+/// The margin and the tag gain of a step with `hinge`.
+fn step_constants(hinge: Hinge) -> (f64, f64) {
+    (if hinge == Hinge::Relu { 0.0 } else { 1.5 }, 0.7)
+}
+
+/// Runs the batches of one configuration through the fused ops on one
+/// reused tape, reset between batches.
 fn run_step(
     s: &Step,
     batches: &[Triplets],
     layers: Option<usize>,
     two: bool,
     hinge: Hinge,
-    fused: bool,
 ) -> Vec<StepBits> {
-    let (margin, gain) = (if hinge == Hinge::Relu { 0.0 } else { 1.5 }, 0.7);
+    let (margin, gain) = step_constants(hinge);
     let mut t = Tape::new();
     let mut out = Vec::new();
     for b in batches {
         t.reset();
         let leaves: Vec<Var> = s.params.iter().map(|m| t.leaf_copy(m)).collect();
         let channels = if two { 2 } else { 1 };
-        let (loss, rows) = if fused {
-            let mut ch = Vec::new();
-            for c in 0..channels {
-                let (u, v) = (leaves[2 * c], leaves[2 * c + 1]);
-                ch.push(match layers {
-                    Some(l) => {
-                        let nu = t.value(u).rows();
-                        Channel::stacked(t.global_aggregation(u, v, &s.propagate, l), nu)
-                    }
-                    None => Channel::split(u, v),
-                });
-            }
-            let tag = ch.get(1).map(|&channel| TagChannel {
-                channel,
-                gain,
-                alpha: &s.alpha,
+        let mut ch = Vec::new();
+        for c in 0..channels {
+            let (u, v) = (leaves[2 * c], leaves[2 * c + 1]);
+            ch.push(match layers {
+                Some(l) => {
+                    let nu = t.value(u).rows();
+                    Channel::stacked(t.global_aggregation(u, v, &s.propagate, l), nu)
+                }
+                None => Channel::split(u, v),
             });
-            let batch = Arc::new(b.clone());
-            let loss = t.triplet_hinge(&batch, ch[0], tag, margin, hinge);
-            let rows: Vec<u64> = ch
-                .iter()
-                .flat_map(|c| {
-                    let (u, v) = (t.value(c.users), t.value(c.items));
-                    let items = &v.data()[c.item_offset * v.cols()..];
-                    let users = &u.data()[..u.cols() * s.params[0].rows()];
-                    users
-                        .iter()
-                        .chain(items)
-                        .map(|&x| key(x))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            (loss, rows)
-        } else {
-            let mut ch = Vec::new();
-            for c in 0..channels {
-                let (u, v) = (leaves[2 * c], leaves[2 * c + 1]);
-                ch.push(match layers {
-                    Some(l) => chain_aggregation(&mut t, u, v, &s.propagate, l),
-                    None => (u, v),
-                });
-            }
-            let tag = ch.get(1).map(|&(u, v)| (u, v, gain, s.alpha.as_slice()));
-            let loss = chain_hinge(&mut t, b, ch[0], tag, margin, hinge);
-            let rows: Vec<u64> = ch
-                .iter()
-                .flat_map(|&(u, v)| bits(t.value(u)).into_iter().chain(bits(t.value(v))))
-                .collect();
-            (loss, rows)
-        };
+        }
+        let tag = ch.get(1).map(|&channel| TagChannel {
+            channel,
+            gain,
+            alpha: &s.alpha,
+        });
+        let batch = Arc::new(b.clone());
+        let loss = t.triplet_hinge(&batch, ch[0], tag, margin, hinge);
+        let rows: Vec<u64> = ch
+            .iter()
+            .flat_map(|c| {
+                let (u, v) = (t.value(c.users), t.value(c.items));
+                let items = &v.data()[c.item_offset * v.cols()..];
+                let users = &u.data()[..u.cols() * s.params[0].rows()];
+                users
+                    .iter()
+                    .chain(items)
+                    .map(|&x| key(x))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
         let value = bits(t.value(loss));
         let mut g = t.backward(loss);
         let grads = leaves[..2 * channels]
@@ -756,9 +873,9 @@ fn fused_training_step_matches_the_chain_it_replaced() {
             for two in [false, true] {
                 for hinge in [Hinge::Relu, Hinge::Softplus] {
                     let what = format!("{nu}×{nv}, d {d_ir}/{d_tag}, layers {layers:?}, two channels {two}, {hinge:?}");
-                    let chain = run_step(&s, &batches, layers, two, hinge, false);
-                    let fused = run_step(&s, &batches, layers, two, hinge, true);
-                    for (i, (c, f)) in chain.iter().zip(&fused).enumerate() {
+                    let fused = run_step(&s, &batches, layers, two, hinge);
+                    for (i, (f, b)) in fused.iter().zip(&batches).enumerate() {
+                        let c = scalar_step(&s, b, layers, two, hinge);
                         assert_eq!(c.0, f.0, "loss, batch {i}, {what}");
                         assert_eq!(c.1, f.1, "aggregated rows, batch {i}, {what}");
                         for (k, (gc, gf)) in c.2.iter().zip(&f.2).enumerate() {
@@ -772,7 +889,7 @@ fn fused_training_step_matches_the_chain_it_replaced() {
 }
 
 /// The hinge alone against its chain, on a stacked matrix the chain
-/// slices (the slices' backward adds `+0.0` into every gradient entry),
+/// sliced (the slices' backward added `+0.0` into every gradient entry),
 /// with `−0.0` and exactly coincident user and item rows in the input.
 #[test]
 fn fused_hinge_on_a_stacked_matrix_matches_the_sliced_chain() {
@@ -786,27 +903,24 @@ fn fused_hinge_on_a_stacked_matrix_matches_the_sliced_chain() {
     }
     stacked.row_mut(3)[2] = -0.0;
     let b = triplet_batch(&mut rng, 29, nu, nv);
+    let (u, v) = split_rows(&stacked, nu);
     for hinge in [Hinge::Relu, Hinge::Softplus] {
-        let run = |fused: bool| {
-            let mut t = Tape::new();
-            let x = t.leaf_copy(&stacked);
-            let loss = if fused {
-                t.triplet_hinge(
-                    &Arc::new(b.clone()),
-                    Channel::stacked(x, nu),
-                    None,
-                    0.3,
-                    hinge,
-                )
-            } else {
-                let u = t.slice_rows(x, 0, nu);
-                let v = t.slice_rows(x, nu, nv);
-                chain_hinge(&mut t, &b, (u, v), None, 0.3, hinge)
-            };
-            let value = bits(t.value(loss));
-            let mut g = t.backward(loss);
-            (value, bits(&g.take(x).unwrap()))
-        };
-        assert_eq!(run(false), run(true), "{hinge:?}");
+        let mut t = Tape::new();
+        let x = t.leaf_copy(&stacked);
+        let loss = t.triplet_hinge(
+            &Arc::new(b.clone()),
+            Channel::stacked(x, nu),
+            None,
+            0.3,
+            hinge,
+        );
+        let value = bits(t.value(loss));
+        let mut g = t.backward(loss);
+        let fused = (value, bits(&g.take(x).unwrap()));
+
+        let (loss, mut g) = scalar_hinge(&b, (&u, &v), None, 0.3, hinge);
+        let (gu, gv) = g.remove(0);
+        let chain = (vec![key(loss)], bits(&from_zero(stack(&gu, &gv))));
+        assert_eq!(chain, fused, "{hinge:?}");
     }
 }

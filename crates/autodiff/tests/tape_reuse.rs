@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use taxorec_autodiff::{Csr, Matrix, Tape, Var};
+use taxorec_autodiff::{Channel, Csr, Hinge, Matrix, TagChannel, Tape, Triplets, Var};
 
 mod common;
 use common::{rand_ball_matrix, rand_hyperboloid_matrix, rand_matrix};
@@ -62,29 +62,44 @@ fn run(tape: &mut Tape, program: &dyn Fn(&mut Tape) -> Var) -> Snapshot {
     snap
 }
 
+/// Op kinds a [`Tape`] records, every one of which [`every_op_program`]
+/// reaches.
+const OP_KINDS: usize = 29;
+
+/// `len` triplets over `users` users and `items` items.
+fn rand_triplets(rng: &mut StdRng, len: usize, users: usize, items: usize) -> Arc<Triplets> {
+    Arc::new(Triplets {
+        users: (0..len).map(|_| rng.random_range(0..users)).collect(),
+        pos: (0..len).map(|_| rng.random_range(0..items)).collect(),
+        neg: (0..len).map(|_| rng.random_range(0..items)).collect(),
+    })
+}
+
 /// A program over **every** tape op, with all shapes drawn from `seed`.
 fn every_op_program(seed: u64) -> impl Fn(&mut Tape) -> Var {
     let mut rng = StdRng::seed_from_u64(seed);
     let n = rng.random_range(2..7usize);
     let d = rng.random_range(2..5usize);
     let m = rng.random_range(2..6usize);
+    let layers = rng.random_range(1..4usize);
     let a0 = rand_matrix(&mut rng, n, d, 1.0);
     let b0 = rand_matrix(&mut rng, n, d, 1.0);
     let w0 = rand_matrix(&mut rng, d, 3, 1.0);
-    let col0 = rand_matrix(&mut rng, n, 1, 1.0);
     let ball0 = rand_ball_matrix(&mut rng, m, d, 0.6);
     let hx0 = rand_hyperboloid_matrix(&mut rng, n, d);
-    let hy0 = rand_hyperboloid_matrix(&mut rng, m, d);
+    let hy0 = rand_hyperboloid_matrix(&mut rng, 2 * n, d);
     let square = rand_csr(&mut rng, n, n);
     let item_tag = rand_csr(&mut rng, n, m);
+    let propagate = rand_csr(&mut rng, 2 * n, 2 * n);
     let gather = rand_idx(&mut rng, n + 2, n);
     let rows = rand_idx(&mut rng, n, m);
+    let triplets = rand_triplets(&mut rng, n + 3, n, n);
+    let alpha: Vec<f64> = (0..n).map(|_| rng.random::<f64>()).collect();
     move |t: &mut Tape| {
         let mut terms: Vec<Var> = Vec::new();
         let a = t.leaf_copy(&a0);
         let b = t.leaf(b0.clone());
         let w = t.leaf_copy(&w0);
-        let col = t.leaf_with(n, 1, |dst| dst.copy_from_slice(col0.data()));
 
         // Elementwise and linear algebra.
         let s = t.add(a, b);
@@ -93,7 +108,6 @@ fn every_op_program(seed: u64) -> impl Fn(&mut Tape) -> Var {
         let s = t.scale(s, 1.5);
         let s = t.add_scalar(s, 0.25);
         let s = t.hadamard(s, s);
-        let s = t.mul_col_broadcast(s, col);
         let mm = t.matmul(s, w);
         terms.push(t.sum_all(mm));
         let sp = t.spmm(&square, s);
@@ -106,31 +120,33 @@ fn every_op_program(seed: u64) -> impl Fn(&mut Tape) -> Var {
         let act = t.relu(a);
         let act = t.leaky_relu(act, 0.1);
         let act = t.add(act, b);
-        let act = t.sigmoid(act);
         let act = t.softplus(act);
         let act = t.sqrt(act);
-        let act = t.tanh(act);
         let sm = t.softmax_rows(act);
         let rd = t.row_dot(sm, b);
         let rn = t.row_sqnorm(act);
         let red = t.add(rd, rn);
         terms.push(t.sum_all(red));
 
-        // The hyperbolic composites.
+        // The hyperbolic composites, and the two ops of a training step.
         let ball = t.leaf_copy(&ball0);
         let klein = t.poincare_to_klein(ball);
         let mid = t.einstein_midpoint(klein, &item_tag);
         let back = t.klein_to_poincare(mid);
         let lifted = t.poincare_to_lorentz(back);
-        let tangent = t.lorentz_log_origin(lifted);
-        let prop = t.spmm(&square, tangent);
-        let hyp = t.lorentz_exp_origin(prop);
         let hx = t.leaf_copy(&hx0);
         let hy = t.leaf_copy(&hy0);
-        let dist = t.lorentz_dist_sq(hyp, hx);
-        let dist_rows = t.lorentz_dist_sq_rows(hyp, hy, Arc::clone(&rows));
-        let both = t.add(dist, dist_rows);
-        terms.push(t.mean_all(both));
+        let agg = t.global_aggregation(hx, lifted, &propagate, layers);
+        let dist = t.lorentz_dist_sq(agg, hy);
+        terms.push(t.mean_all(dist));
+        let tag = TagChannel {
+            channel: Channel::split(hx, hy),
+            gain: 0.7,
+            alpha: &alpha,
+        };
+        let ir = Channel::stacked(agg, n);
+        terms.push(t.triplet_hinge(&triplets, ir, Some(tag), 0.5, Hinge::Softplus));
+        terms.push(t.triplet_hinge(&triplets, ir, None, 0.5, Hinge::Relu));
         let ball_rows = t.gather_rows(ball, Arc::clone(&rows));
         let pd = t.poincare_dist(back, ball_rows);
         terms.push(t.mean_all(pd));
@@ -144,28 +160,29 @@ fn every_op_program(seed: u64) -> impl Fn(&mut Tape) -> Var {
 }
 
 /// The `grad_full_taxorec_like_pipeline` program of `gradcheck.rs`, with
-/// `items` items over `tags` tags.
+/// `items` items over `tags` tags and three users.
 fn pipeline_program(seed: u64, items: usize, tags: usize) -> impl Fn(&mut Tape) -> Var {
     let mut rng = StdRng::seed_from_u64(seed);
     let tags0 = rand_ball_matrix(&mut rng, tags, 2, 0.6);
     let item_tag = rand_csr(&mut rng, items, tags);
-    let adj = rand_csr(&mut rng, items, items);
-    let anchor0 = rand_hyperboloid_matrix(&mut rng, items, 2);
+    let adj = rand_csr(&mut rng, 3 + items, 3 + items);
+    let users0 = rand_hyperboloid_matrix(&mut rng, 3, 2);
+    let triplets = rand_triplets(&mut rng, 2 * items, 3, items);
     move |t: &mut Tape| {
         let tags = t.leaf_copy(&tags0);
         let k = t.poincare_to_klein(tags);
         let mu = t.einstein_midpoint(k, &item_tag);
         let p = t.klein_to_poincare(mu);
-        let l = t.poincare_to_lorentz(p);
-        let z = t.lorentz_log_origin(l);
-        let z1 = t.spmm(&adj, z);
-        let zs = t.add(z, z1);
-        let back = t.lorentz_exp_origin(zs);
-        let anchor = t.leaf_copy(&anchor0);
-        let d = t.lorentz_dist_sq(back, anchor);
-        let dm = t.add_scalar(d, -0.5);
-        let h = t.relu(dm);
-        t.mean_all(h)
+        let items = t.poincare_to_lorentz(p);
+        let users = t.leaf_copy(&users0);
+        let agg = t.global_aggregation(users, items, &adj, 2);
+        t.triplet_hinge(
+            &triplets,
+            Channel::stacked(agg, 3),
+            None,
+            0.5,
+            Hinge::Softplus,
+        )
     }
 }
 
@@ -183,6 +200,15 @@ fn every_op_on_a_reset_tape_equals_a_fresh_tape_bit_for_bit() {
         );
         let again = run(&mut reused, &program);
         assert_eq!(fresh, again, "seed {seed}");
+    }
+    // The program reaches every kind, forward and backward.
+    let mut timed = Tape::new();
+    timed.set_timed(true);
+    run(&mut timed, &every_op_program(0));
+    let times: Vec<_> = timed.op_times().collect();
+    assert_eq!(times.len(), OP_KINDS, "{times:?}");
+    for (name, t) in times {
+        assert!(t.fwd_nodes > 0 && t.bwd_nodes > 0, "{name}: {t:?}");
     }
 }
 
@@ -214,21 +240,33 @@ fn a_second_backward_on_the_same_tape_sees_no_trace_of_the_first() {
     }
 }
 
-/// The ops that keep per-row forward scalars for their backward (`aux`):
-/// exp/log at the origin and the indexed squared distance, on `n` rows.
+/// The ops that keep per-row forward scalars for their backward (`aux`),
+/// the two of a training step: an aggregation of `n` users and four
+/// items, then the hinge over it, with a tag channel for even seeds (a
+/// wider `aux`).
 fn aux_program(seed: u64, n: usize) -> impl Fn(&mut Tape) -> Var {
     let mut rng = StdRng::seed_from_u64(seed);
-    let z0 = rand_matrix(&mut rng, n, 3, 1.5);
+    let users0 = rand_hyperboloid_matrix(&mut rng, n, 3);
     let items0 = rand_hyperboloid_matrix(&mut rng, 4, 3);
-    let rows = rand_idx(&mut rng, n, 4);
+    let propagate = rand_csr(&mut rng, n + 4, n + 4);
+    let triplets = rand_triplets(&mut rng, n + 2, n, 4);
+    let alpha: Vec<f64> = (0..n).map(|_| rng.random::<f64>()).collect();
     move |t: &mut Tape| {
-        let z = t.leaf_copy(&z0);
-        let x = t.lorentz_exp_origin(z);
-        let back = t.lorentz_log_origin(x);
-        let again = t.lorentz_exp_origin(back);
-        let items = t.leaf_copy(&items0);
-        let d = t.lorentz_dist_sq_rows(again, items, Arc::clone(&rows));
-        t.mean_all(d)
+        let u = t.leaf_copy(&users0);
+        let v = t.leaf_copy(&items0);
+        let agg = t.global_aggregation(u, v, &propagate, 2);
+        let tag = seed.is_multiple_of(2).then(|| TagChannel {
+            channel: Channel::split(u, v),
+            gain: 0.7,
+            alpha: &alpha,
+        });
+        t.triplet_hinge(
+            &triplets,
+            Channel::stacked(agg, n),
+            tag,
+            0.5,
+            Hinge::Softplus,
+        )
     }
 }
 
