@@ -983,7 +983,7 @@ fn add_grad(grads: &mut [Option<Matrix>], pool: &mut Pool, v: Var, contribution:
 }
 
 /// [`add_grad`] for a kernel that can add its contribution into a matrix
-/// directly: `write(pool, dest, add)` writes a fresh `shape` buffer that
+/// directly: `write(dest, add)` writes a fresh `shape` buffer that
 /// becomes `v`'s gradient (`add` false) or, when `v` has one, adds each
 /// finished entry of the contribution into it (`add` true) — the sums
 /// `add_grad` forms, without a matrix for the contribution.
@@ -992,13 +992,13 @@ fn contribute(
     pool: &mut Pool,
     v: Var,
     shape: (usize, usize),
-    write: impl FnOnce(&mut Pool, &mut Matrix, bool),
+    write: impl FnOnce(&mut Matrix, bool),
 ) {
     let (mut dest, add) = match grads[v.0].take() {
         Some(slot) => (slot, true),
         None => (pool.take(shape.0, shape.1), false),
     };
-    write(pool, &mut dest, add);
+    write(&mut dest, add);
     grads[v.0] = Some(dest);
 }
 
@@ -1159,7 +1159,7 @@ fn accumulate_parents(
             add_grad(grads, pool, *b, gb);
         }
         Op::Spmm { m, x } => {
-            contribute(grads, pool, *x, (m.cols(), g.cols()), |_, gx, add| {
+            contribute(grads, pool, *x, (m.cols(), g.cols()), |gx, add| {
                 m.transposed().product_into(g, gx, add);
             });
         }

@@ -21,7 +21,6 @@ use crate::graph::GraphMatrices;
 /// Local aggregation (Eqs. 9–11): Poincaré tag matrix → hyperboloid item
 /// matrix (`n_items × (dim_tag + 1)`).
 pub fn local_tag_aggregation(tape: &mut Tape, t_p: Var, graph: &GraphMatrices) -> Var {
-    let _span = taxorec_telemetry::span!("train.agg.local");
     let klein = tape.poincare_to_klein(t_p); // Eq. 9
     let mu = tape.einstein_midpoint(klein, &graph.item_tag); // Eq. 10
     let p = tape.klein_to_poincare(mu); // Eq. 11 (inner map)
@@ -44,7 +43,6 @@ pub fn global_aggregation(
     graph: &GraphMatrices,
     layers: usize,
 ) -> Channel {
-    let _span = taxorec_telemetry::span!("train.agg.global");
     let out = tape.global_aggregation(users, items, &graph.propagate, layers);
     Channel::stacked(out, graph.n_users)
 }

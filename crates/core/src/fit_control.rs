@@ -113,7 +113,7 @@ pub struct FitControl<'a> {
     /// Emit a checkpoint every this many completed epochs (0 = never).
     pub checkpoint_every: usize,
     /// Receives each checkpoint. A failing sink is warned and counted
-    /// (`resilience.checkpoint.failed`) but never stops training.
+    /// ([`FitReport::checkpoint_failures`]) but never stops training.
     #[allow(clippy::type_complexity)]
     pub checkpoint_sink: Option<Box<dyn FnMut(&TrainState) -> Result<(), String> + 'a>>,
     /// Divergence rollbacks allowed before giving up.

@@ -432,7 +432,6 @@ pub fn apply_interactions(
             }
         }
     }
-    taxorec_telemetry::counter("core.incremental.applied").inc(batch.len() as u64);
     Ok(IncrementalReport {
         applied: batch.len(),
         new_users,

@@ -24,7 +24,7 @@ use taxorec_autodiff::{Channel, Csr, Hinge, Matrix, TagChannel, Tape, Triplets, 
 use taxorec_data::{Anchor, Dataset, ItemEmbeddings, NegativeSampler, Recommender, Scorer, Split};
 use taxorec_geometry::{convert, lorentz};
 use taxorec_taxonomy::{construct_taxonomy, ConstructConfig, RegularizerPlan, Taxonomy};
-use taxorec_telemetry::{span, EpochRecord, RebuildStats, TrainingMonitor};
+use taxorec_telemetry::{EpochRecord, RebuildStats, TrainingMonitor};
 
 use crate::aggregation::{global_aggregation, local_tag_aggregation};
 use crate::config::TaxoRecConfig;
@@ -336,7 +336,6 @@ impl TaxoRec {
             }
             None => 1.0,
         };
-        taxorec_telemetry::gauge("taxo.rebuild.moved_frac").set(moved_frac);
         let stats = RebuildStats {
             nodes: taxo.len(),
             depth: taxo.depth(),
@@ -458,7 +457,6 @@ impl TaxoRec {
         split: &Split,
         mut ctl: FitControl<'_>,
     ) -> FitReport {
-        let _fit_span = span!("train.fit");
         // The run's trace context: the same mechanism as a serve request,
         // so TAXOREC_TRACE renders training epochs and their stage
         // breakdown alongside (or instead of) request traces.
@@ -504,7 +502,6 @@ impl TaxoRec {
                     Some(taxo) => self.install_regularizer(taxo, dataset.n_tags),
                     None => self.taxonomy = None,
                 }
-                taxorec_telemetry::counter("resilience.resume").inc(1);
                 taxorec_telemetry::sink::info(&format!(
                     "{}: resuming at epoch {start_epoch}/{} (lr_scale {lr_scale})",
                     self.name, cfg.epochs
@@ -593,9 +590,6 @@ impl TaxoRec {
             pairs.clear();
             pairs.extend_from_slice(&base_pairs);
             pairs.shuffle(&mut rng);
-            let mut epoch_loss = 0.0;
-            let mut n_batches = 0usize;
-            let mut nan_batches = 0usize;
             for chunk in pairs.chunks(cfg.batch_size.max(1)) {
                 users.clear();
                 pos.clear();
@@ -622,7 +616,6 @@ impl TaxoRec {
                     // (through backward) and the epoch mean: skip the
                     // update, counted and warned through the monitor.
                     monitor.observe_batch(batch_loss, 0.0);
-                    nan_batches += 1;
                     tape = f.tape;
                     continue;
                 }
@@ -645,8 +638,6 @@ impl TaxoRec {
                 let stage_t3 = Instant::now();
                 backward_time += stage_t3 - stage_t2;
                 if monitor.observe_batch(batch_loss, grad_norm) {
-                    epoch_loss += batch_loss;
-                    n_batches += 1;
                     let lr = cfg.lr * lr_scale;
                     if let Some(g) = g_u_ir {
                         optim::rsgd_lorentz(&mut self.u_ir, g, lr);
@@ -670,8 +661,6 @@ impl TaxoRec {
                         optim::rsgd_poincare(&mut self.t_p, g, lr);
                     }
                     update_time += stage_t3.elapsed();
-                } else {
-                    nan_batches += 1;
                 }
                 // The gradients' storage goes back to the tape, the tape
                 // back to the loop: the next batch is written over this one.
@@ -722,7 +711,8 @@ impl TaxoRec {
                 }
             }
 
-            let mut epoch_mean = epoch_loss / n_batches.max(1) as f64;
+            let (n_batches, nan_batches) = (epoch_record.n_batches, epoch_record.nan_batches);
+            let mut epoch_mean = epoch_record.mean_loss;
             if taxorec_resilience::inject_nan("train.epoch") {
                 epoch_mean = f64::NAN;
             }
@@ -731,7 +721,6 @@ impl TaxoRec {
             if diverged {
                 rollbacks += 1;
                 report.rollbacks += 1;
-                taxorec_telemetry::counter("resilience.rollback").inc(1);
                 // A divergence is an incident: capture the recent-event
                 // history before the retry overwrites it.
                 taxorec_telemetry::flight_event!(
@@ -782,13 +771,9 @@ impl TaxoRec {
                 if let Some(sink) = ctl.checkpoint_sink.as_mut() {
                     let state = self.capture_train_state(epoch + 1, &rng, lr_scale, rollbacks);
                     match sink(&state) {
-                        Ok(()) => {
-                            report.checkpoints_written += 1;
-                            taxorec_telemetry::counter("resilience.checkpoint.written").inc(1);
-                        }
+                        Ok(()) => report.checkpoints_written += 1,
                         Err(e) => {
                             report.checkpoint_failures += 1;
-                            taxorec_telemetry::counter("resilience.checkpoint.failed").inc(1);
                             taxorec_telemetry::sink::warn(&format!(
                                 "{}: checkpoint after epoch {epoch} failed (training \
                                  continues): {e}",
@@ -991,9 +976,9 @@ mod tests {
             assert_eq!(r.nan_batches, 0, "healthy run skips nothing");
             assert!(r.duration_secs >= 0.0);
         }
-        // loss_history and the monitor agree on the per-epoch means.
+        // loss_history is read off the records: the same means, bit for bit.
         for (h, r) in m.loss_history.iter().zip(&m.epoch_records) {
-            assert!((h - r.mean_loss).abs() < 1e-12);
+            assert_eq!(h.to_bits(), r.mean_loss.to_bits(), "epoch {}", r.epoch);
         }
     }
 

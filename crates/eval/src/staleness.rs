@@ -7,9 +7,9 @@
 //! rank the observed item inside its top-K? — and only then becomes
 //! training signal at the next refresh tick. Staleness at any event is
 //! the number of events accepted since the generation answering the
-//! query was built, which is exactly what the serving tier's
-//! `serve.ingest.staleness` gauge measures: the harness quantifies the
-//! recommendation-quality cost of letting that gauge grow.
+//! query was built, which is exactly what the serving tier's `/healthz`
+//! reports as `ingest.staleness`: the harness quantifies the
+//! recommendation-quality cost of letting that number grow.
 //!
 //! The harness is generic over the model through two closures, so it
 //! drives anything from the in-process incremental fold

@@ -28,21 +28,12 @@
 //! first probes the `parallel.job` fault site — one atomic load while the
 //! harness is disarmed — so `TAXOREC_FAULT=panic@parallel.job:17` makes
 //! exactly the 17th job panic.
-//!
-//! ## Telemetry
-//!
-//! Through handles resolved once per process: `parallel.job.duration`
-//! (histogram of per-job seconds), `parallel.jobs` (completed jobs), and
-//! the gauges `parallel.pool.threads` (workers of the last pool) and
-//! `parallel.pool.utilization` (busy time / (workers × wall)).
 
 use std::cell::Cell;
 use std::panic::resume_unwind;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
-
-use taxorec_telemetry::registry::{Counter, Gauge, Histogram};
 
 thread_local! {
     /// True while the current thread is a pool worker: nested `par_*`
@@ -67,23 +58,6 @@ pub fn in_pool() -> bool {
     IN_POOL.with(|f| f.get())
 }
 
-struct Metrics {
-    job_secs: Arc<Histogram>,
-    jobs: Arc<Counter>,
-    threads: Arc<Gauge>,
-    utilization: Arc<Gauge>,
-}
-
-fn metrics() -> &'static Metrics {
-    static METRICS: OnceLock<Metrics> = OnceLock::new();
-    METRICS.get_or_init(|| Metrics {
-        job_secs: taxorec_telemetry::histogram("parallel.job.duration"),
-        jobs: taxorec_telemetry::counter("parallel.jobs"),
-        threads: taxorec_telemetry::gauge("parallel.pool.threads"),
-        utilization: taxorec_telemetry::gauge("parallel.pool.utilization"),
-    })
-}
-
 /// The one runner: `f(0) .. f(n - 1)` in jobs of `chunk` indices, in index
 /// order. Inline it is a loop that allocates nothing beyond the result;
 /// on the pool, workers claim jobs through an atomic cursor and keep
@@ -91,17 +65,12 @@ fn metrics() -> &'static Metrics {
 fn run<R: Send>(label: &str, n: usize, chunk: usize, f: &(dyn Fn(usize) -> R + Sync)) -> Vec<R> {
     let chunk = chunk.clamp(1, n.max(1));
     let n_jobs = n.div_ceil(chunk);
-    // Job `b` is the items `b * chunk ..`; returns its nanoseconds.
+    // Job `b` is the items `b * chunk ..`.
     let job = |b: usize, emit: &mut dyn FnMut(usize, R)| {
-        let t0 = Instant::now();
         taxorec_resilience::inject_panic("parallel.job");
         for i in b * chunk..(b * chunk + chunk).min(n) {
             emit(i, f(i));
         }
-        let ns = t0.elapsed().as_nanos() as u64;
-        metrics().job_secs.observe(ns as f64 * 1e-9);
-        metrics().jobs.inc(1);
-        ns
     };
     let inline = n_jobs <= 1 || in_pool();
     let width = if inline { 1 } else { thread_count() };
@@ -114,7 +83,6 @@ fn run<R: Send>(label: &str, n: usize, chunk: usize, f: &(dyn Fn(usize) -> R + S
         return out;
     }
     let next = AtomicUsize::new(0);
-    let busy_ns = AtomicU64::new(0);
     // The launcher's ambient trace context is re-installed in every
     // worker, so spans opened inside pool jobs parent into the request
     // or training run that fanned the work out (`Copy`, free to carry).
@@ -132,8 +100,7 @@ fn run<R: Send>(label: &str, n: usize, chunk: usize, f: &(dyn Fn(usize) -> R + S
                         if b >= n_jobs {
                             return done;
                         }
-                        let ns = job(b, &mut |i, r| done.push((i, r)));
-                        busy_ns.fetch_add(ns, Ordering::Relaxed);
+                        job(b, &mut |i, r| done.push((i, r)));
                     }
                 })
             })
@@ -141,9 +108,6 @@ fn run<R: Send>(label: &str, n: usize, chunk: usize, f: &(dyn Fn(usize) -> R + S
         workers.into_iter().map(|w| w.join()).collect()
     });
     let wall = started.elapsed().as_secs_f64();
-    let utilization = busy_ns.into_inner() as f64 * 1e-9 / (wall * n_workers as f64).max(1e-9);
-    metrics().threads.set(n_workers as f64);
-    metrics().utilization.set(utilization);
     let msg = format!("{label}: {n_jobs} jobs on {n_workers} workers in {wall:.3}s");
     taxorec_telemetry::sink::debug(&msg);
     let mut pairs = Vec::with_capacity(n);
@@ -169,9 +133,9 @@ where
 
 /// Like [`par_map`], but workers claim contiguous blocks of `chunk` items
 /// at a time, amortizing the per-job bookkeeping over cheap items. The
-/// chunk size affects scheduling and telemetry only — each item is still
-/// computed independently, so results are bit-identical for any chunking
-/// and thread count.
+/// chunk size affects scheduling only — each item is still computed
+/// independently, so results are bit-identical for any chunking and
+/// thread count.
 pub fn par_map_chunked<T, F>(label: &str, n: usize, chunk: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -306,13 +270,6 @@ mod tests {
         for (i, inner) in out.iter().enumerate() {
             assert_eq!(inner, &vec![i * 10, i * 10 + 1, i * 10 + 2, i * 10 + 3]);
         }
-    }
-
-    #[test]
-    fn pool_publishes_telemetry() {
-        let _ = par_map("test.telemetry", 32, |i| i);
-        assert!(taxorec_telemetry::counter("parallel.jobs").get() >= 32);
-        assert!(taxorec_telemetry::histogram("parallel.job.duration").count() >= 1);
     }
 
     #[test]

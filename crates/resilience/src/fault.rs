@@ -266,7 +266,6 @@ pub fn probe(site: &str) -> Option<FaultKind> {
             .find(|e| e.site == site && if e.repeat { n >= e.at } else { n == e.at })
             .map(|e| e.kind)?
     };
-    taxorec_telemetry::counter("resilience.fault.injected").inc(1);
     taxorec_telemetry::sink::warn(&format!(
         "fault injection: firing {}@{site} (armed via TAXOREC_FAULT)",
         kind.name()
@@ -274,9 +273,8 @@ pub fn probe(site: &str) -> Option<FaultKind> {
     Some(kind)
 }
 
-/// Records that `site` fired a kind it cannot express (counted, warned).
+/// Records that `site` fired a kind it cannot express (warned).
 pub fn unsupported(site: &str, kind: FaultKind) {
-    taxorec_telemetry::counter("resilience.fault.unsupported").inc(1);
     taxorec_telemetry::sink::warn(&format!(
         "fault injection: site {site} cannot express kind {:?}; ignoring",
         kind.name()

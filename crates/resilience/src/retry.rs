@@ -1,8 +1,8 @@
 //! Bounded retry with exponential backoff.
 //!
-//! The policy is deliberately tiny: a fixed attempt budget, a geometric
-//! backoff schedule, and telemetry. [`RetryPolicy::run`] re-tries a
-//! failed checkpoint save and reports under `resilience.retry.*`.
+//! The policy is deliberately tiny: a fixed attempt budget and a
+//! geometric backoff schedule. [`RetryPolicy::run`] re-tries a failed
+//! checkpoint save, warning on each failed attempt.
 
 use std::time::Duration;
 
@@ -44,9 +44,6 @@ impl RetryPolicy {
     /// Runs `op(attempt)` (attempt is 0-based) until it succeeds or the
     /// attempt budget is exhausted, sleeping the backoff schedule between
     /// attempts. Returns the first success or the *last* error.
-    ///
-    /// Retries are counted under `resilience.retry.attempts`; an
-    /// exhausted budget under `resilience.retry.exhausted`.
     pub fn run<T, E, F>(&self, label: &str, mut op: F) -> Result<T, E>
     where
         E: std::fmt::Display,
@@ -56,7 +53,6 @@ impl RetryPolicy {
         let mut last_err = None;
         for attempt in 0..attempts {
             if attempt > 0 {
-                taxorec_telemetry::counter("resilience.retry.attempts").inc(1);
                 std::thread::sleep(self.backoff_for(attempt));
             }
             match op(attempt) {
@@ -70,7 +66,6 @@ impl RetryPolicy {
                 }
             }
         }
-        taxorec_telemetry::counter("resilience.retry.exhausted").inc(1);
         Err(last_err.expect("at least one attempt ran"))
     }
 }

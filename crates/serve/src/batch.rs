@@ -47,9 +47,8 @@
 //!
 //! `serve.batch.size` (histogram, requests per formed batch),
 //! `serve.batch.wait_ms` (histogram, per-request queue wait),
-//! `serve.batch.queue.depth` (gauge), `serve.batch.batches` /
-//! `serve.batch.requests` / `serve.batch.shed` / `serve.batch.panics`
-//! (counters). The handles are resolved once per scheduler, not per
+//! `serve.batch.batches` / `serve.batch.requests` / `serve.batch.shed` /
+//! `serve.batch.panics` (counters); `/healthz` reports the queue depth. The handles are resolved once per scheduler, not per
 //! batch: a registry lookup is a `String` allocation under the global
 //! registry mutex, and most batches hold one request.
 
@@ -94,8 +93,7 @@ pub struct BatchJob<R> {
     pub enqueued: Instant,
 }
 
-/// The scheduler's telemetry handles, resolved once at spawn
-/// (`serve.batch.queue.depth` lives in the stage).
+/// The scheduler's telemetry handles, resolved once at spawn.
 struct BatchMetrics {
     size: Arc<Histogram>,
     wait_ms: Arc<Histogram>,
@@ -151,10 +149,7 @@ impl<R: Send + 'static> Batcher<R> {
         F: Fn(&BatchJob<R>) -> S + Send + Sync + 'static,
         C: Fn(R, S) + Send + Sync + 'static,
     {
-        let stage = Stage::new(
-            opts.queue_capacity,
-            Some(taxorec_telemetry::gauge("serve.batch.queue.depth")),
-        );
+        let stage = Stage::new(opts.queue_capacity, None);
         let metrics = Arc::new(BatchMetrics::resolve());
         let max_batch = opts.max_batch.max(1);
         let scorer_metrics = Arc::clone(&metrics);

@@ -493,11 +493,7 @@ impl Checkpoint {
     /// rename over `path`, so a crash mid-write never leaves a truncated
     /// artifact under the final name.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        let bytes = self.to_bytes();
-        write_atomic(path.as_ref(), &bytes)?;
-        taxorec_telemetry::counter("serve.checkpoint.saved").inc(1);
-        taxorec_telemetry::gauge("serve.checkpoint.bytes").set(bytes.len() as f64);
-        Ok(())
+        write_atomic(path.as_ref(), &self.to_bytes())
     }
 
     /// Reads and validates an artifact from disk.
@@ -505,9 +501,7 @@ impl Checkpoint {
         let path = path.as_ref();
         let bytes = std::fs::read(path)
             .map_err(|e| CheckpointError::Io(format!("read {}: {e}", path.display())))?;
-        let ckpt = Self::from_bytes(&bytes)?;
-        taxorec_telemetry::counter("serve.checkpoint.loaded").inc(1);
-        Ok(ckpt)
+        Self::from_bytes(&bytes)
     }
 }
 
@@ -629,11 +623,7 @@ impl TrainCheckpoint {
     /// Writes the checkpoint atomically (tmp + rename), like
     /// [`Checkpoint::save`].
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-        let bytes = self.to_bytes();
-        write_atomic(path.as_ref(), &bytes)?;
-        taxorec_telemetry::counter("resilience.train_checkpoint.saved").inc(1);
-        taxorec_telemetry::gauge("resilience.train_checkpoint.bytes").set(bytes.len() as f64);
-        Ok(())
+        write_atomic(path.as_ref(), &self.to_bytes())
     }
 
     /// Reads and validates a training checkpoint from disk.
@@ -641,9 +631,7 @@ impl TrainCheckpoint {
         let path = path.as_ref();
         let bytes = std::fs::read(path)
             .map_err(|e| CheckpointError::Io(format!("read {}: {e}", path.display())))?;
-        let ckpt = Self::from_bytes(&bytes)?;
-        taxorec_telemetry::counter("resilience.train_checkpoint.loaded").inc(1);
-        Ok(ckpt)
+        Self::from_bytes(&bytes)
     }
 }
 

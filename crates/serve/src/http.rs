@@ -525,7 +525,6 @@ fn updater_loop(base: Checkpoint, shared: &Shared, slot: &Arc<ModelSlot>, stop: 
             std::thread::sleep(POLL_INTERVAL.min(opts.tick));
         }
         let batch = journal.drain(opts.batch);
-        taxorec_telemetry::gauge("serve.ingest.staleness").set(journal.staleness() as f64);
         if batch.is_empty() {
             continue;
         }
@@ -566,19 +565,16 @@ fn update_tick(
     let mut next = Checkpoint::clone(master);
     let folded = online::fold_batch(&mut next, batch, opts, drift);
     observe_ms("serve.ingest.fold.ms", started);
-    let report = match folded {
-        Ok(r) => r,
-        Err(e) => {
-            *drift = drift_before;
-            taxorec_telemetry::counter("serve.ingest.fold_errors").inc(1);
-            taxorec_telemetry::sink::warn(&format!(
-                "ingest: folding {} interactions failed: {e}; batch dropped",
-                batch.len()
-            ));
-            journal.mark_applied(batch.len() as u64);
-            return;
-        }
-    };
+    if let Err(e) = folded {
+        *drift = drift_before;
+        taxorec_telemetry::counter("serve.ingest.fold_errors").inc(1);
+        taxorec_telemetry::sink::warn(&format!(
+            "ingest: folding {} interactions failed: {e}; batch dropped",
+            batch.len()
+        ));
+        journal.mark_applied(batch.len() as u64);
+        return;
+    }
     let sealing = Instant::now();
     next.artifact = Some(next.seal());
     observe_ms("serve.ingest.seal.ms", sealing);
@@ -618,9 +614,6 @@ fn update_tick(
     }
     *master = next;
     journal.mark_applied(batch.len() as u64);
-    taxorec_telemetry::gauge("serve.ingest.cursor").set(report.cursor as f64);
-    taxorec_telemetry::gauge("serve.ingest.drift").set(*drift as f64);
-    taxorec_telemetry::gauge("serve.ingest.staleness").set(journal.staleness() as f64);
     observe_ms("serve.ingest.tick.ms", started);
 }
 
@@ -855,7 +848,6 @@ fn route(
         "/debug/flight" => Reply::new(200, flight::snapshot_json(), Endpoint::Flight),
         "/admin/drain" if shared.opts.admin => {
             shared.health.store(HEALTH_DRAINING, Ordering::SeqCst);
-            taxorec_telemetry::counter("serve.admin.drain").inc(1);
             Reply::new(
                 200,
                 "{\"status\":\"draining\"}".to_string(),
@@ -1019,7 +1011,6 @@ fn handle_ingest(
             Endpoint::Ingest,
         ),
         Err(depth) => {
-            taxorec_telemetry::counter("serve.ingest.rejected").inc(1);
             let retry_after = opts.tick.as_secs().max(1);
             reject(
                 503,
@@ -1071,7 +1062,6 @@ fn handle_reload(query: &str, shared: &Shared, slot: &Arc<ModelSlot>) -> Reply {
     let old = slot.load();
     let prior_health = shared.health.load(Ordering::SeqCst);
     shared.health.store(HEALTH_DRAINING, Ordering::SeqCst);
-    let started = Instant::now();
     let built = Checkpoint::load_file(path)
         .and_then(|ckpt| ServingModel::with_cache_capacity(ckpt, old.cache_usage().1))
         .and_then(|m| m.with_retrieval(old.retrieval_mode()));
@@ -1079,9 +1069,6 @@ fn handle_reload(query: &str, shared: &Shared, slot: &Arc<ModelSlot>) -> Reply {
         Ok(new_model) => {
             let new_info = new_model.artifact_info();
             let replaced = slot.swap(Arc::new(new_model));
-            taxorec_telemetry::counter("serve.admin.reload").inc(1);
-            taxorec_telemetry::histogram("serve.admin.reload.ms")
-                .observe(started.elapsed().as_secs_f64() * 1e3);
             taxorec_telemetry::sink::info(&format!("checkpoint reloaded from {path:?}"));
             let mut body = String::from("{\"status\":\"reloaded\",\"path\":");
             push_str_escaped(&mut body, path);
@@ -1093,7 +1080,6 @@ fn handle_reload(query: &str, shared: &Shared, slot: &Arc<ModelSlot>) -> Reply {
             Reply::new(200, body, Endpoint::Admin)
         }
         Err(e) => {
-            taxorec_telemetry::counter("serve.admin.reload.errors").inc(1);
             taxorec_telemetry::sink::warn(&format!(
                 "checkpoint reload from {path:?} failed: {e}; keeping current model"
             ));

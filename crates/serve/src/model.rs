@@ -257,7 +257,6 @@ impl ServingModel {
         // them (at zero) even before the first beam query.
         taxorec_telemetry::gauge("serve.retrieval.recall_mode").set(0.0);
         taxorec_telemetry::counter("serve.retrieval.candidates");
-        taxorec_telemetry::histogram("serve.retrieval.routed_ms");
         Ok(Self {
             ckpt,
             sorted_seen,
@@ -547,12 +546,9 @@ impl ServingModel {
         // result truncated to its own: a top-`k` list is a prefix of
         // the top-`k_max` list under the same total order.
         let k_max = ks.iter().copied().max().unwrap_or(0);
-        let t0 = std::time::Instant::now();
         let (mut results, stats) = index.search_block(&anchors, beam, k_max, &exclude);
         let candidates: usize = stats.iter().map(|st| st.candidates).sum();
         taxorec_telemetry::counter("serve.retrieval.candidates").inc(candidates as u64);
-        taxorec_telemetry::histogram("serve.retrieval.routed_ms")
-            .observe(t0.elapsed().as_secs_f64() * 1e3);
         for (ranking, &k) in results.iter_mut().zip(&ks) {
             ranking.truncate(k);
         }

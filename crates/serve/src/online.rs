@@ -130,8 +130,8 @@ pub struct IngestInteraction {
 ///
 /// `accepted` / `applied` are *journal cursors*: monotone counts of
 /// interactions ever accepted / folded, both starting at the base
-/// checkpoint's cursor. `accepted − applied` is the staleness the
-/// `serve.ingest.staleness` gauge reports. A single updater thread is
+/// checkpoint's cursor. `accepted − applied` is the staleness
+/// `/healthz` reports. A single updater thread is
 /// the only consumer, which makes `applied` safe to use as the fold's
 /// base cursor.
 pub struct Journal {
@@ -162,11 +162,8 @@ impl Journal {
             return Err(q.len());
         }
         q.extend(batch);
-        let depth = q.len();
         drop(q);
         self.accepted.fetch_add(n as u64, Ordering::SeqCst);
-        taxorec_telemetry::counter("serve.ingest.accepted").inc(n as u64);
-        taxorec_telemetry::gauge("serve.ingest.queue").set(depth as f64);
         Ok(n)
     }
 
@@ -174,9 +171,7 @@ impl Journal {
     pub fn drain(&self, max: usize) -> Vec<IngestInteraction> {
         let mut q = self.q.lock().unwrap_or_else(|e| e.into_inner());
         let n = max.min(q.len());
-        let out: Vec<_> = q.drain(..n).collect();
-        taxorec_telemetry::gauge("serve.ingest.queue").set(q.len() as f64);
-        out
+        q.drain(..n).collect()
     }
 
     /// Records `n` more interactions as folded into the serving model.

@@ -290,10 +290,6 @@ pub fn route_with(
         shards: shard_states,
         opts,
     });
-    // Gauges registered up front so `/metrics` shows the fleet at zero.
-    for i in 0..shards.len() {
-        taxorec_telemetry::gauge(&format!("router.shard.{i}.up")).set(0.0);
-    }
     let (front, _live_workers) = {
         let shared = Arc::clone(&shared);
         let decline = |_: &mut Conn| Inline::Declined;
@@ -596,9 +592,9 @@ fn fetch(addr: SocketAddr, target: &str, connect_timeout: Duration) -> Option<St
 
 /// Background prober: polls each shard's `/healthz` every
 /// `probe_interval`, refreshing the routing cache (health state, shard
-/// identity, checkpoint fingerprint) and the `router.shard.<i>.up`
-/// gauges. Routing decisions read this cache, so probe latency never
-/// lands on the request path.
+/// identity, checkpoint fingerprint) that the router's `/healthz` lists.
+/// Routing decisions read this cache, so probe latency never lands on
+/// the request path.
 fn prober_loop(shared: &RouterShared, stop: &AtomicBool) {
     loop {
         for (i, shard) in shared.shards.iter().enumerate() {
@@ -613,8 +609,6 @@ fn prober_loop(shared: &RouterShared, stop: &AtomicBool) {
                 None => SHARD_DOWN,
             };
             let prev = shard.health.swap(state, Ordering::SeqCst);
-            let up = (state == SHARD_READY || state == SHARD_DEGRADED) as u8;
-            taxorec_telemetry::gauge(&format!("router.shard.{i}.up")).set(up as f64);
             if prev != state && prev != SHARD_UNKNOWN {
                 taxorec_telemetry::sink::info(&format!(
                     "shard {i} {} -> {}",

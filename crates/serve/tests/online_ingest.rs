@@ -1,6 +1,7 @@
 //! Streaming-ingestion integration: determinism of the incremental
 //! fold at the artifact level, ingest-while-serving, the never-seen-tag
-//! graft path, and the keep-alive stale-model regression.
+//! graft path, the keep-alive stale-model regression, and the ingest
+//! counters' exact deltas.
 //!
 //! Test A mutates the process-global `TAXOREC_THREADS`, so every test
 //! here serializes on one lock.
@@ -623,5 +624,72 @@ fn a_hostile_user_id_is_dropped_and_the_server_keeps_answering() {
     assert_eq!(u64_at(&health, &["users"]), Some(n_users), "{health}");
     let answered = client::get(addr, "/recommend?user=1&k=5").expect("response");
     assert_eq!(answered.status, 200, "{}", answered.body);
+    handle.shutdown();
+}
+
+/// The ingest counters count each event once: a batch of `N`
+/// interactions carrying `G` never-seen tags, folded by the live
+/// updater, moves `serve.ingest.applied` by `N` and
+/// `serve.ingest.attached` by `G` in `/metrics.json`.
+#[test]
+fn ingest_counters_count_each_interaction_and_graft_once() {
+    const N: usize = 12;
+    const G: usize = 5;
+    let _g = lock();
+    let base = base_checkpoint().clone();
+    let (users, items) = (base.state.n_users() as u32, base.state.n_items() as u32);
+    let known_tag = base.tag_names.first().cloned().expect("a named tag");
+    let batch: Vec<IngestInteraction> = (0..N as u32)
+        .map(|i| IngestInteraction {
+            user: (i * 3) % users,
+            item: (i * 5) % items,
+            tags: match i as usize {
+                i if i < G => vec![format!("count-once-{i}")],
+                i if i % 2 == 0 => vec![known_tag.clone()],
+                _ => vec![],
+            },
+        })
+        .collect();
+    let model = ServingModel::new(base.clone()).expect("model");
+    let handle = serve_online(
+        Arc::new(model),
+        base,
+        "127.0.0.1:0",
+        ServeOptions {
+            n_workers: 2,
+            ingest: IngestOptions {
+                tick: Duration::from_millis(50),
+                // No drift rebuild: every fresh tag is grafted.
+                drift_limit: 1000,
+                ..ingest_opts()
+            },
+            ..ServeOptions::default()
+        },
+    )
+    .expect("bind");
+    let addr = handle.local_addr();
+    let counts = || {
+        let doc = client::get(addr, "/metrics.json").expect("response").body;
+        let at = |name| u64_at(&doc, &["counters", name]).unwrap_or(0);
+        (at("serve.ingest.applied"), at("serve.ingest.attached"))
+    };
+    let before = counts();
+    let posted = client::request(
+        addr,
+        "POST",
+        "/ingest",
+        "",
+        &ingest_body(&batch),
+        Timeouts::default(),
+    )
+    .expect("response");
+    assert_eq!(posted.status, 202, "{}", posted.body);
+    health_at_cursor(addr, N as u64);
+    let after = counts();
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        (N as u64, G as u64),
+        "(applied, attached) deltas"
+    );
     handle.shutdown();
 }

@@ -129,7 +129,6 @@ pub fn attach_tag(
     }
     let leaf = taxo.add_child(node, vec![tag], vec![score]);
     debug_assert_eq!(taxo.validate(), Ok(()));
-    taxorec_telemetry::counter("taxonomy.attached").inc(1);
     Ok(AttachReport {
         node,
         leaf,

@@ -167,7 +167,7 @@ pub fn construct_taxonomy(
     item_tags: &[Vec<u32>],
     config: &ConstructConfig,
 ) -> Taxonomy {
-    let _span = taxorec_telemetry::span!("taxo.rebuild");
+    let started = std::time::Instant::now();
     let mut rng = StdRng::seed_from_u64(config.seed);
     let all: Vec<u32> = (0..n_tags as u32).collect();
     let mut taxo = Taxonomy::new_root(all);
@@ -192,10 +192,8 @@ pub fn construct_taxonomy(
         }
         taxo.node_mut(node_idx).retained = split.general;
     }
-    taxorec_telemetry::counter("taxo.rebuild.count").inc(1);
-    taxorec_telemetry::gauge("taxo.rebuild.nodes").set(taxo.len() as f64);
-    taxorec_telemetry::gauge("taxo.rebuild.depth").set(taxo.depth() as f64);
     debug_assert_eq!(taxo.validate(), Ok(()));
+    taxorec_telemetry::histogram("taxo.rebuild.duration").observe(started.elapsed().as_secs_f64());
     taxo
 }
 

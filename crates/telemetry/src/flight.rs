@@ -347,7 +347,6 @@ pub fn dump(reason: &str) -> Option<PathBuf> {
     out.push_str("]}\n");
     match std::fs::write(&path, out) {
         Ok(()) => {
-            crate::registry::counter("flight.dumps").inc(1);
             sink::warn(&format!("flight recorder dumped to {}", path.display()));
             Some(path)
         }

@@ -1,25 +1,19 @@
 //! # taxorec-telemetry
 //!
 //! Zero-dependency observability for the TaxoRec workspace: a global
-//! metric registry, lightweight RAII spans, env-controlled sinks, and a
-//! training-health monitor for the epoch loop.
+//! metric registry, env-controlled sinks, opt-in trace spans, a flight
+//! recorder, and a training-health monitor for the epoch loop.
 //!
 //! ## Quick tour
 //!
 //! ```
-//! use taxorec_telemetry::{registry, span, TrainingMonitor};
+//! use taxorec_telemetry::{registry, TrainingMonitor};
 //!
 //! // Counters / gauges / histograms — lock-free after registration.
-//! let c = registry::counter("train.nan_batches");
-//! c.inc(1);
+//! registry::counter("serve.cache.hit").inc(1);
+//! registry::histogram("taxo.rebuild.duration").observe(0.25);
 //!
-//! // RAII span feeding the `taxo.rebuild.duration` histogram.
-//! {
-//!     let _guard = span!("taxo.rebuild");
-//!     // ... work ...
-//! }
-//!
-//! // Epoch-loop health monitoring.
+//! // Epoch-loop health monitoring: the one record of a fit's epochs.
 //! taxorec_telemetry::sink::disable_metrics(); // keep doctest silent
 //! let mut monitor = TrainingMonitor::new("taxorec").with_fail_fast(false);
 //! monitor.begin_epoch(0);
@@ -49,8 +43,11 @@
 //!
 //! Dotted, lowercase, grouped by subsystem: `train.*` (epoch loop),
 //! `taxo.*` (taxonomy construction / k-means), `eval.*` (evaluation
-//! runner), `bench.*` (benchmark harness). Span histograms are always
-//! `<span name>.duration` in seconds.
+//! runner), `serve.*` and `router.*` (serving tier). Durations named
+//! `*.duration` are in seconds, `*.ms` and `*_ms` in milliseconds. Every
+//! series has a reader — a test, perfbench, a CI step or a row of
+//! DESIGN.md §9's operator table — and `tests/series.rs` fails on one
+//! that has none.
 
 pub mod flight;
 pub mod json;
@@ -58,7 +55,6 @@ pub mod monitor;
 pub mod prometheus;
 pub mod registry;
 pub mod sink;
-pub mod span;
 pub mod trace;
 
 pub use monitor::{EpochRecord, RebuildStats, TrainingMonitor};
@@ -67,7 +63,6 @@ pub use sink::{
     disable_metrics, install_file_sink, install_memory_sink, metrics_enabled, set_log_level,
     LogLevel,
 };
-pub use span::Span;
 pub use trace::TraceContext;
 
 /// The workspace's one reader of `TAXOREC_*` settings: the variable's

@@ -1,15 +1,15 @@
 //! Training-health monitoring for the epoch loop: per-epoch loss,
 //! gradient norm, boundary proximity (max ‖x‖ in the Poincaré ball),
 //! NaN/Inf detection with configurable fail-fast, and taxonomy-rebuild
-//! statistics. The monitor both keeps an in-memory record (for tests and
-//! post-hoc inspection) and feeds the global registry / JSONL sink under
-//! the `train.*` metric names.
+//! statistics. The monitor's [`EpochRecord`]s are the one record of a
+//! fit; it also publishes the epoch's loss, gradient norm, boundary
+//! proximity and wall time as `train.*` series.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use crate::registry::{self, Counter, Gauge, Histogram};
-use crate::sink::{self, Attr};
+use crate::registry::{self, Gauge, Histogram};
+use crate::sink;
 
 /// Statistics of one taxonomy reconstruction (Algorithm 1 invocation).
 #[derive(Clone, Debug)]
@@ -85,13 +85,6 @@ pub struct TrainingMonitor {
     g_grad: Arc<Gauge>,
     g_boundary: Arc<Gauge>,
     h_epoch: Arc<Histogram>,
-    h_aggregation: Arc<Histogram>,
-    h_scoring: Arc<Histogram>,
-    h_loss: Arc<Histogram>,
-    h_backward: Arc<Histogram>,
-    h_update: Arc<Histogram>,
-    c_nan: Arc<Counter>,
-    c_epochs: Arc<Counter>,
 }
 
 impl TrainingMonitor {
@@ -124,13 +117,6 @@ impl TrainingMonitor {
             g_grad: registry::gauge("train.grad_norm"),
             g_boundary: registry::gauge("train.boundary_max_norm"),
             h_epoch: registry::histogram("train.epoch.duration"),
-            h_aggregation: registry::histogram("train.stage.aggregation.duration"),
-            h_scoring: registry::histogram("train.stage.scoring.duration"),
-            h_loss: registry::histogram("train.stage.loss.duration"),
-            h_backward: registry::histogram("train.stage.backward.duration"),
-            h_update: registry::histogram("train.stage.update.duration"),
-            c_nan: registry::counter("train.nan_batches"),
-            c_epochs: registry::counter("train.epochs"),
         }
     }
 
@@ -163,15 +149,14 @@ impl TrainingMonitor {
 
     /// Records one batch. Returns `true` when the batch is healthy; `false`
     /// means the loss or gradient was NaN/Inf — the caller should skip the
-    /// parameter update (the batch is counted under `train.nan_batches`
-    /// and a warning goes through the sink).
+    /// parameter update (the batch is counted in the epoch's
+    /// `nan_batches` and a warning goes through the sink).
     ///
     /// # Panics
     /// Panics on a non-finite batch when fail-fast is enabled.
     pub fn observe_batch(&mut self, loss: f64, grad_norm: f64) -> bool {
         if !loss.is_finite() || !grad_norm.is_finite() {
             self.nan_batches += 1;
-            self.c_nan.inc(1);
             let msg = format!(
                 "non-finite batch in run {} epoch {}: loss={loss} grad_norm={grad_norm}",
                 self.run, self.epoch
@@ -202,7 +187,7 @@ impl TrainingMonitor {
     /// Accumulates the current epoch's stage breakdown (seconds spent in
     /// neighbour aggregation, building the loss, backward passes, and
     /// parameter update). Call once per epoch or repeatedly per batch —
-    /// the values add up until `end_epoch` publishes them.
+    /// the values add up until `end_epoch` records them.
     pub fn observe_stages(
         &mut self,
         aggregation_secs: f64,
@@ -217,7 +202,7 @@ impl TrainingMonitor {
     }
 
     /// Closes the current epoch: computes means, stores the record, and
-    /// publishes `train.*` metrics (one JSONL event per gauge when the
+    /// publishes the `train.*` series (one JSONL event each when the
     /// metrics sink is on).
     pub fn end_epoch(&mut self) -> &EpochRecord {
         let duration_secs = self
@@ -245,27 +230,6 @@ impl TrainingMonitor {
         self.g_grad.set(record.mean_grad_norm);
         self.g_boundary.set(record.boundary_max_norm);
         self.h_epoch.observe(duration_secs);
-        if record.aggregation_secs + record.scoring_secs + record.update_secs > 0.0 {
-            self.h_aggregation.observe(record.aggregation_secs);
-            self.h_scoring.observe(record.scoring_secs);
-            self.h_loss.observe(record.loss_secs);
-            self.h_backward.observe(record.backward_secs);
-            self.h_update.observe(record.update_secs);
-        }
-        self.c_epochs.inc(1);
-        if let Some(r) = &record.rebuild {
-            sink::emit_metric(
-                "event",
-                "taxo.rebuild.stats",
-                r.duration_secs,
-                &[
-                    ("nodes", Attr::I(r.nodes as i64)),
-                    ("depth", Attr::I(r.depth as i64)),
-                    ("moved_frac", Attr::F(r.moved_frac)),
-                    ("epoch", Attr::I(record.epoch as i64)),
-                ],
-            );
-        }
         sink::info(&format!(
             "epoch {:>3} [{}] loss {:.5} grad {:.4} boundary {:.4} batches {} ({} skipped) {:.2}s",
             record.epoch,

@@ -1,9 +1,8 @@
 //! The global metric registry: counters, gauges, and fixed-bucket
 //! histograms, all updated lock-free through `AtomicU64` (floats stored as
 //! bit patterns). Registration takes a short mutex; hot paths hold `Arc`
-//! handles (see the [`crate::span!`] and [`crate::held_counter!`] macros,
-//! which cache per call site) so steady-state recording never touches the
-//! registry lock.
+//! handles (see the [`crate::held_counter!`] macro, which caches one per
+//! call site) so steady-state recording never touches the registry lock.
 
 use std::collections::HashMap;
 use std::fmt::Write;

@@ -6,36 +6,17 @@
 //! Family mentions (`TAXOREC_INGEST_*`) name no single variable and are
 //! exempt.
 
+mod common;
+
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
+
+use common::{read, root, rust_files};
 
 /// The most knobs the workspace may read.
 const MAX_KNOBS: usize = 35;
 
 const PREFIX: &str = "TAXOREC_";
-
-fn root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-}
-
-fn read(path: &Path) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
-
-/// Every `.rs` file under `dir`, recursively.
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries {
-        let path = entry.expect("directory entry").path();
-        if path.is_dir() {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
 
 /// Every `.rs` file under `crates/*/src`.
 fn source_files() -> Vec<PathBuf> {

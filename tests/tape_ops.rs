@@ -9,7 +9,11 @@
 //! The match is textual, so an unrelated method of the same name also
 //! counts as a call.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use std::path::PathBuf;
+
+use common::{read, root, rust_files};
 
 /// Kinds no production source needs to call, with the reason. `leaf` is
 /// entered through `leaf_copy` as often as through `leaf`.
@@ -23,29 +27,6 @@ const EXEMPT: [(&str, &str); 2] = [
         "the loss reducer of the tests, which check gradients through it",
     ),
 ];
-
-fn root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-}
-
-fn read(path: &Path) -> String {
-    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
-
-/// Every `.rs` file under `dir`, recursively.
-fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries {
-        let path = entry.expect("directory entry").path();
-        if path.is_dir() {
-            rust_files(&path, out);
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-}
 
 /// The production sources: `crates/*/src` but autodiff's, `src/` and
 /// `examples/`.
