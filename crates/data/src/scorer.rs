@@ -13,7 +13,8 @@
 use std::ops::Range;
 
 use taxorec_geometry::batch::{
-    fused_rank, fused_scores_block, BlockCache, TagChannel, TagChannelMulti, FUSED_ITEM_CHUNK,
+    fused_rank, fused_scores_block, spatial_order, BlockCache, TagChannel, TagChannelMulti,
+    FUSED_ITEM_CHUNK,
 };
 use taxorec_geometry::lorentz;
 
@@ -99,18 +100,53 @@ impl Anchor<'_> {
 pub struct Scorer {
     ir: BlockCache,
     tg: Option<BlockCache>,
+    /// Item of each cache row ([`Scorer::build_permuted`]); `None` when
+    /// row `i` is item `i`.
+    item_ids: Option<Vec<u32>>,
 }
 
 impl Scorer {
-    /// Builds the caches over `items`.
+    /// Builds the caches over `items`, row `i` item `i`.
     pub fn build(items: &ItemEmbeddings<'_>) -> Self {
         let mut scorer = Self::default();
         scorer.rebuild(items);
         scorer
     }
 
-    /// Refreshes the caches from `items`, reusing their allocations.
+    /// Builds the caches over `items` with row `i` item `order[i]`,
+    /// written straight from the order: no permuted copy of the
+    /// embeddings is made. `order` must list each item once. Rankings are
+    /// the same ids and score bits as [`Scorer::build`]'s, and
+    /// [`Scorer::scores`] still writes item `i` at index `i`.
+    pub fn build_permuted(items: &ItemEmbeddings<'_>, order: Vec<u32>) -> Self {
+        let ir = BlockCache::build_permuted(items.v_ir, items.ambient_ir, &order);
+        let tg = items
+            .v_tg
+            .map(|v_tg| BlockCache::build_permuted(v_tg, items.ambient_tg, &order));
+        if let Some(tg) = &tg {
+            assert_eq!(tg.rows(), ir.rows(), "channels disagree on rows");
+        }
+        Scorer {
+            ir,
+            tg,
+            item_ids: Some(order),
+        }
+    }
+
+    /// [`Scorer::build_permuted`] in [`spatial_order`], the interaction
+    /// cache with a ball bound per strip, so a ranking pass skips,
+    /// unswept, every strip whose items the bound proves below each
+    /// anchor's `k`-th best (DESIGN.md §12, step 4).
+    pub fn build_ordered(items: &ItemEmbeddings<'_>) -> Self {
+        let mut scorer = Self::build_permuted(items, spatial_order(items.v_ir, items.ambient_ir));
+        scorer.ir = std::mem::take(&mut scorer.ir).with_strip_bounds();
+        scorer
+    }
+
+    /// Refreshes the caches from `items`, reusing their allocations; row
+    /// `i` is item `i` again.
     pub fn rebuild(&mut self, items: &ItemEmbeddings<'_>) {
+        self.item_ids = None;
         self.ir.rebuild(items.v_ir, items.ambient_ir);
         match items.v_tg {
             Some(v_tg) => {
@@ -140,12 +176,24 @@ impl Scorer {
         );
     }
 
-    /// Writes `anchor`'s score for every item into `out` (index = cache
-    /// row, `out.len() == n_items`), bit-identical to an
-    /// [`Anchor::score`] loop.
+    /// Writes `anchor`'s score for every item into `out` (index = item,
+    /// `out.len() == n_items`), bit-identical to an [`Anchor::score`]
+    /// loop.
     pub fn scores(&self, anchor: &Anchor<'_>, out: &mut [f64]) {
         assert_eq!(out.len(), self.n_items(), "output length mismatch");
         self.check(std::slice::from_ref(anchor));
+        let Some(ids) = &self.item_ids else {
+            return self.row_scores(anchor, out);
+        };
+        let mut by_row = vec![0.0; out.len()];
+        self.row_scores(anchor, &mut by_row);
+        for (&item, score) in ids.iter().zip(by_row) {
+            out[item as usize] = score;
+        }
+    }
+
+    /// [`Scorer::scores`] by cache row.
+    fn row_scores(&self, anchor: &Anchor<'_>, out: &mut [f64]) {
         let mut scratch = [0.0; FUSED_ITEM_CHUNK];
         for (c, chunk) in out.chunks_mut(FUSED_ITEM_CHUNK).enumerate() {
             let lo = c * FUSED_ITEM_CHUNK;
@@ -176,11 +224,10 @@ impl Scorer {
 
     /// Ranks the cache rows `range` for a block of anchors through the
     /// fused ranking kernel: anchor `a` offers into `accs[acc_of[a]]`
-    /// (`accs[a]` without a map), row `i` as item `item_ids[i]` (`i`
-    /// without one), skipping candidates for which
-    /// `exclude(accumulator, item)` holds. The item panels stream once
-    /// for the whole block, and only items that can still enter an
-    /// accumulator are finished and offered; what each accumulator ends
+    /// (`accs[a]` without a map), each row as its item, skipping
+    /// candidates for which `exclude(accumulator, item)` holds. The item
+    /// panels stream once for the whole block, and only items that can
+    /// still enter an accumulator are finished and offered; what each accumulator ends
     /// up holding is exactly — ids, order, score bits — what
     /// `select_top_k` over [`Scorer::scores`] would (DESIGN.md §12).
     /// Accumulators are order-independent, so ranges may be ranked in any
@@ -190,7 +237,6 @@ impl Scorer {
         &self,
         anchors: &[Anchor<'_>],
         range: Range<usize>,
-        item_ids: Option<&[u32]>,
         accs: &mut [TopKAccumulator],
         acc_of: Option<&[usize]>,
         exclude: X,
@@ -205,7 +251,7 @@ impl Scorer {
                 .unzip();
             if !live_anchors.is_empty() {
                 let map = Some(live_accs.as_slice());
-                self.rank_range(&live_anchors, range, item_ids, accs, map, exclude);
+                self.rank_range(&live_anchors, range, accs, map, exclude);
             }
             return;
         }
@@ -229,7 +275,7 @@ impl Scorer {
             &mut TopKSink {
                 accs,
                 acc_of,
-                item_ids,
+                item_ids: self.item_ids.as_deref(),
                 exclude,
             },
         );
@@ -246,7 +292,7 @@ impl Scorer {
     ) -> Vec<Vec<(u32, f64)>> {
         assert_eq!(anchors.len(), ks.len(), "one k per anchor");
         let mut accs: Vec<TopKAccumulator> = ks.iter().map(|&k| self.accumulator(k)).collect();
-        self.rank_range(anchors, 0..self.n_items(), None, &mut accs, None, exclude);
+        self.rank_range(anchors, 0..self.n_items(), &mut accs, None, exclude);
         accs.into_iter().map(TopKAccumulator::into_sorted).collect()
     }
 }

@@ -56,6 +56,12 @@
 //! cut by a proven bound on the f32 rounding error. Every other item gets
 //! its exact f64 value from `neg_inner_one`, so the sink sees the offers
 //! of the f64 sweep, bit for bit.
+//!
+//! A cache built in [`spatial_order`] may carry a ball bound per strip
+//! ([`BlockCache::with_strip_bounds`]). [`fused_rank`] then skips a whole
+//! strip, swept neither screened nor in f64, when the bound proves every
+//! item in it above every anchor's cut — where the per-item rule would
+//! skip each of them. A cache without bounds ranks as before.
 
 use std::ops::{AddAssign, Deref, Mul, Neg, Range};
 use std::sync::OnceLock;
@@ -94,6 +100,8 @@ pub struct BlockCache {
     /// dropped by [`BlockCache::rebuild`]; `None` inside when the cache
     /// cannot be screened.
     screen: OnceLock<Option<Screen>>,
+    /// Per-strip ball bounds ([`BlockCache::with_strip_bounds`]).
+    bounds: Option<Box<StripBounds>>,
 }
 
 impl BlockCache {
@@ -108,6 +116,21 @@ impl BlockCache {
     /// existing allocations. This is the **invalidation point**: call it
     /// after every mutation of the source matrix (per epoch, after RSGD).
     pub fn rebuild(&mut self, data: &[f64], ambient: usize) {
+        self.fill(data, ambient, None);
+    }
+
+    /// Builds a cache whose row `i` is row `order[i]` of the row-major
+    /// `data`, written straight from the permutation: no permuted copy of
+    /// `data` is made. `order` must list each row of `data` once.
+    pub fn build_permuted(data: &[f64], ambient: usize, order: &[u32]) -> Self {
+        let mut c = Self::default();
+        c.fill(data, ambient, Some(order));
+        c
+    }
+
+    /// The one filler: row `i` of the cache is row `order[i]` of `data`
+    /// (row `i` without an order).
+    fn fill(&mut self, data: &[f64], ambient: usize, order: Option<&[u32]>) {
         assert!(ambient >= 2, "hyperboloid points need ambient dim >= 2");
         assert_eq!(
             data.len() % ambient,
@@ -117,6 +140,9 @@ impl BlockCache {
             ambient
         );
         let rows = data.len() / ambient;
+        if let Some(order) = order {
+            assert_eq!(order.len(), rows, "order length differs from rows");
+        }
         self.rows = rows;
         self.ambient = ambient;
         self.time.clear();
@@ -126,7 +152,8 @@ impl BlockCache {
         self.spatial.resize(rows.div_ceil(STRIP) * panel, 0.0);
         let mut bounded = ambient < MAX_BOUNDED_AMBIENT;
         for i in 0..rows {
-            let row = &data[i * ambient..(i + 1) * ambient];
+            let src = order.map_or(i, |order| order[i] as usize);
+            let row = &data[src * ambient..(src + 1) * ambient];
             self.time[i] = row[0];
             let base = (i / STRIP) * panel + i % STRIP;
             for (j, &v) in row.iter().enumerate().skip(1) {
@@ -136,6 +163,18 @@ impl BlockCache {
         }
         self.bounded = bounded;
         self.screen = OnceLock::new();
+        self.bounds = None;
+    }
+
+    /// Adds a ball bound per strip of [`STRIP`] rows — a centre and a
+    /// radius rounded up — which lets [`fused_rank`] skip a strip whose
+    /// every item it proves above the cut, with no sweep at all
+    /// (DESIGN.md §12, step 4). Pays on a cache in spatial order
+    /// ([`spatial_order`]), whose strips are tight balls; dropped by
+    /// [`BlockCache::rebuild`].
+    pub fn with_strip_bounds(mut self) -> Self {
+        self.bounds = Some(Box::new(StripBounds::build(Isa::detected(), &self)));
+        self
     }
 
     /// Number of cached rows.
@@ -244,29 +283,428 @@ impl Screen {
         if c.ambient > MAX_SCREEN_AMBIENT || !c.time.iter().chain(&c.spatial).all(in_bound) {
             return None;
         }
-        let panel = STRIP * (c.ambient - 1);
-        let max = |m: f64, v: f64| m.max(v);
-        let t_max = c
-            .time
-            .chunks(STRIP)
-            .map(|t| t.iter().map(|v| v.abs()).fold(0.0, max));
-        let n_max = c.spatial.chunks(panel).map(|tile| {
-            let mut sq = [0.0f64; STRIP];
-            for col in tile.chunks_exact(STRIP) {
-                for (s, &v) in sq.iter_mut().zip(col) {
-                    *s += v * v;
-                }
-            }
-            sq.into_iter().fold(0.0, max).sqrt()
-        });
+        let (t_max, n_max) = strip_maxima(c);
         Some(Screen {
-            panel,
+            panel: STRIP * (c.ambient - 1),
             time: c.time.iter().map(|&v| v as f32).collect(),
             spatial: c.spatial.iter().map(|&v| v as f32).collect(),
-            t_max: t_max.collect(),
-            n_max: n_max.collect(),
+            t_max,
+            n_max,
         })
     }
+}
+
+/// Per strip of `c`, `max |tᵢ|` and the largest spatial norm
+/// `‖(xᵢ[1], …, xᵢ[d])‖` of its rows, as computed in f64: the `P` bound
+/// of the screen and of the strip bounds.
+fn strip_maxima(c: &BlockCache) -> (Vec<f64>, Vec<f64>) {
+    let panel = STRIP * (c.ambient - 1);
+    let max = |m: f64, v: f64| m.max(v);
+    let t_max = c
+        .time
+        .chunks(STRIP)
+        .map(|t| t.iter().map(|v| v.abs()).fold(0.0, max));
+    let n_max = c.spatial.chunks(panel).map(|tile| {
+        let mut sq = [0.0f64; STRIP];
+        for col in tile.chunks_exact(STRIP) {
+            for (s, &v) in sq.iter_mut().zip(col) {
+                *s += v * v;
+            }
+        }
+        sq.into_iter().fold(0.0, max).sqrt()
+    });
+    (t_max.collect(), n_max.collect())
+}
+
+/// Per-strip ball bounds of a [`BlockCache`] (DESIGN.md §12, step 4):
+/// for strip `s` a centre `c` on the hyperboloid and a radius `r`,
+/// rounded up, past every row's distance from `c`, kept as `cosh r` and
+/// `sinh r` — the bound needs no `cosh` or `arcosh` at query time — plus
+/// what its error terms are stated in.
+#[derive(Clone, Debug)]
+struct StripBounds {
+    /// One row per strip: its centre.
+    centres: BlockCache,
+    /// Per strip, the centre's spatial norm `‖c_s‖` and its [`defect`].
+    centre_norm: Vec<f64>,
+    centre_defect: Vec<f64>,
+    /// Per strip, `cosh r`; `+∞` for a strip with a row that is not
+    /// finite or past [`INNER_BOUND`], or whose mean does not normalise —
+    /// no bound clears it.
+    cosh_r: Vec<f64>,
+    /// Per strip, `sinh r` rounded up.
+    sinh_r: Vec<f64>,
+    /// Per strip, the screen's `t_max` and `n_max` ([`strip_maxima`]) and
+    /// the largest [`defect`] of its rows.
+    t_max: Vec<f64>,
+    n_max: Vec<f64>,
+    defect: Vec<f64>,
+}
+
+/// Relative rounding allowance of the strip bounds' own f64 evaluation,
+/// `2⁻⁵⁰`: each quantity is a few products, sums and at most one `sqrt`,
+/// each good to `2⁻⁵³`, so its error stays below `5·2⁻⁵³` of the
+/// magnitudes it is summed from (DESIGN.md §12, step 4).
+const BOUND_EVAL: f64 = f64::from_bits((1023 - 50) << 52);
+
+/// Anchor terms of the strip bound: `|a₀|`, `‖a_s‖` and the [`defect`]
+/// of one anchor, and the chain's `γ′` inflated for evaluating the
+/// bound.
+struct AnchorTerms {
+    t: f64,
+    n: f64,
+    defect: f64,
+    gamma: f64,
+}
+
+impl AnchorTerms {
+    fn new(a: &[f64]) -> Self {
+        AnchorTerms {
+            t: a[0].abs(),
+            n: a[1..].iter().map(|v| v * v).sum::<f64>().sqrt(),
+            defect: defect(a),
+            gamma: chain_error(a.len()),
+        }
+    }
+}
+
+impl StripBounds {
+    fn build(isa: Isa, c: &BlockCache) -> StripBounds {
+        let d = c.ambient;
+        let n_strips = c.rows.div_ceil(STRIP);
+        let (t_max, n_max) = strip_maxima(c);
+        let gamma = chain_error(d);
+        let mut centres = vec![0.0; n_strips * d];
+        let (mut centre_norm, mut centre_defect) = (vec![0.0; n_strips], vec![0.0; n_strips]);
+        let (mut cosh_r, mut sinh_r) = (vec![0.0; n_strips], vec![0.0; n_strips]);
+        let mut defects = vec![0.0; n_strips];
+        let panel = STRIP * (d - 1);
+        for s in 0..n_strips {
+            let t = &c.time[s * STRIP..((s + 1) * STRIP).min(c.rows)];
+            let tile = &c.spatial[s * panel..(s + 1) * panel];
+            let centre = &mut centres[s * d..(s + 1) * d];
+            let ball = Ball::of(isa, t, tile, centre, gamma);
+            centre_norm[s] = ball.centre_norm;
+            centre_defect[s] = ball.centre_defect;
+            cosh_r[s] = ball.cosh_r;
+            sinh_r[s] = ((ball.cosh_r - 1.0) * (ball.cosh_r + 1.0)).sqrt() * (1.0 + BOUND_EVAL);
+            defects[s] = ball.defect;
+        }
+        StripBounds {
+            centres: BlockCache::build(&centres, d),
+            centre_norm,
+            centre_defect,
+            cosh_r,
+            sinh_r,
+            t_max,
+            n_max,
+            defect: defects,
+        }
+    }
+
+    /// A lower bound on the computed f64 value `fl(−⟨a, x⟩)` of every row
+    /// `x` of strip `s`, from `y_c`, the computed `−⟨a, c⟩` of its centre;
+    /// `−∞` when none is proven. The argument is DESIGN.md §12's step 4:
+    /// with `â, ĉ, x̂` the points of the hyperboloid that share `a`'s,
+    /// `c`'s, `x`'s spatial coordinates, `L ≤ cosh d(â, ĉ)` and, for
+    /// `d(â, ĉ) ≥ r`, `cosh(d(â, ĉ) − r) ≥ L·cosh r − √(L² − 1)·sinh r`,
+    /// which the triangle inequality puts under `cosh d(â, x̂)`; then the
+    /// defects move `x̂` to `x` and `γ′·P` the exact `−⟨a, x⟩` to its
+    /// computed value.
+    #[inline]
+    fn lower_bound(&self, s: usize, y_c: f64, a: &AnchorTerms) -> f64 {
+        let (c0, cn, dc) = (
+            self.centres.time[s],
+            self.centre_norm[s],
+            self.centre_defect[s],
+        );
+        // `γ′·P_c` for the computed `y_c`, then `ĉ` for `c` and `â` for `a`.
+        let e_c = a.gamma * (a.t * c0 + a.n * cn) + a.t * dc + a.defect * (c0 + dc);
+        let l = y_c - e_c * (1.0 + BOUND_EVAL);
+        let (ch, sh) = (self.cosh_r[s], self.sinh_r[s]);
+        // `d(â, ĉ) ≥ r`, where the bound rises with `L`; NaN fails it too.
+        let outside = l > ch * (1.0 + BOUND_EVAL);
+        if !outside {
+            return f64::NEG_INFINITY;
+        }
+        let (lc, ss) = (l * ch, ((l - 1.0) * (l + 1.0)).sqrt() * sh);
+        let ball = lc - ss - (lc + ss) * (2.0 * BOUND_EVAL);
+        // `x̂` for `x` and `â` for `a`, then `γ′·P` for the item's chain.
+        let (tm, dx) = (self.t_max[s], self.defect[s]);
+        let e_x = a.gamma * (a.t * tm + a.n * self.n_max[s]) + a.t * dx + a.defect * (tm + dx);
+        ball - e_x * (1.0 + BOUND_EVAL)
+    }
+}
+
+/// One strip's ball: its centre's norm and defect, `cosh r` and the
+/// largest row defect.
+struct Ball {
+    centre_norm: f64,
+    centre_defect: f64,
+    cosh_r: f64,
+    defect: f64,
+}
+
+impl Ball {
+    /// The ball of one strip — the time components `t` of its rows and
+    /// its panel `tile` — writing its centre, the rows' mean scaled onto
+    /// the hyperboloid, into `centre`. `cosh r` is the largest, over the
+    /// rows, of an upper bound on `−⟨ĉ, x̂⟩`: the row's computed
+    /// `−⟨c, x⟩`, plus `γ′·P` for its chain, plus the defects of `x` and
+    /// `c`. Every per-row sum runs across the strip's lanes, a column at
+    /// a time, as the sweep does ([`strip_sums`]).
+    fn of(isa: Isa, t: &[f64], tile: &[f64], centre: &mut [f64], gamma: f64) -> Ball {
+        let (d, r) = (centre.len(), t.len());
+        let unbounded = Ball {
+            centre_norm: 0.0,
+            centre_defect: f64::INFINITY,
+            cosh_r: f64::INFINITY,
+            defect: f64::INFINITY,
+        };
+        centre.fill(0.0);
+        let cols = || tile.chunks_exact(STRIP).map(|col| &col[..r]);
+        if d > MAX_SCREEN_AMBIENT || !within_bound(t) || !cols().all(within_bound) {
+            return unbounded;
+        }
+        centre[0] = t.iter().sum();
+        for (c, col) in centre[1..].iter_mut().zip(cols()) {
+            *c = col.iter().sum();
+        }
+        let norm_sq = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>();
+        let q = centre[0] * centre[0] - norm_sq(&centre[1..]);
+        if !(centre[0] > 0.0 && q > 0.0 && q.is_finite()) {
+            centre.fill(0.0);
+            return unbounded;
+        }
+        let scale = q.sqrt();
+        for c in &mut centre[1..] {
+            *c /= scale;
+        }
+        centre[0] = (1.0 + norm_sq(&centre[1..])).sqrt();
+        let (c0, cn, dc) = (centre[0], norm_sq(&centre[1..]).sqrt(), defect(centre));
+        let mut sums = StripSums::default();
+        for (k, &x) in t.iter().enumerate() {
+            let (p, pe) = two_square(x);
+            let (h, e) = two_sum(p, -1.0);
+            (sums.hi[k], sums.lo[k], sums.terms[k]) = (h, pe + e, p + 1.0);
+            sums.acc[k] = -c0 * x;
+        }
+        strip_sums(isa, &centre[1..], tile, &mut sums);
+        let (mut cosh_r, mut max_defect) = (1.0f64, 0.0f64);
+        for (k, &x0) in t.iter().enumerate() {
+            let dx = defect_of(sums.hi[k], sums.lo[k], sums.terms[k], x0, d);
+            let (z, x0) = (-sums.acc[k], x0.abs());
+            let terms = gamma * (c0 * x0 + cn * sums.sq[k].sqrt()) + c0 * dx + dc * (x0 + dx);
+            let y = z + terms + (z.abs() + terms) * BOUND_EVAL;
+            // A NaN `y` (an infinite defect) leaves the bound infinite.
+            cosh_r = if y.is_nan() {
+                f64::INFINITY
+            } else {
+                cosh_r.max(y)
+            };
+            max_defect = max_defect.max(dx);
+        }
+        if !(cosh_r.is_finite() && dc.is_finite() && max_defect.is_finite()) {
+            return unbounded;
+        }
+        Ball {
+            centre_norm: cn,
+            centre_defect: dc,
+            cosh_r,
+            defect: max_defect,
+        }
+    }
+}
+
+/// Per-row sums of one strip, a lane per row: the [`defect`]'s
+/// double-double `q = hi + lo` and the sum `terms` of the squares it
+/// was summed from, the chain `acc` of `−⟨c, x⟩` against the strip's
+/// centre (`neg_inner_one`'s order, before its final negation), and
+/// `‖x_s‖²`.
+#[derive(Default)]
+struct StripSums {
+    hi: [f64; STRIP],
+    lo: [f64; STRIP],
+    terms: [f64; STRIP],
+    acc: [f64; STRIP],
+    sq: [f64; STRIP],
+}
+
+multiversion! {
+    /// The column sweep of [`Ball::of`]: adds each spatial column of a
+    /// strip's `tile` to every lane of `sums`, against the centre's
+    /// spatial coordinates `c_s`. Each lane's operations run in a fixed
+    /// order, with no contraction, so every clone has the baseline's
+    /// bits.
+    fn strip_sums(isa: Isa, c_s: &[f64], tile: &[f64], sums: &mut StripSums) {
+        for (&cj, col) in c_s.iter().zip(tile.chunks_exact(STRIP)) {
+            let col: &[f64; STRIP] = col.try_into().expect("a strip's column");
+            for (k, &x) in col.iter().enumerate() {
+                let (p, pe) = two_square(x);
+                let (h, e) = two_sum(sums.hi[k], -p);
+                sums.hi[k] = h;
+                sums.lo[k] += e - pe;
+                sums.terms[k] += p;
+                sums.acc[k] += cj * x;
+                sums.sq[k] += x * x;
+            }
+        }
+    }
+}
+
+/// `γ′_D = D·u′/(1 − D·u′)` for an f64 inner product of `D = ambient`
+/// terms (`u′ = 2⁻⁵³`), times `1 + 2⁻³⁰` for evaluating `γ′·P` itself:
+/// the computed chain is within `γ′_D·Σ|aⱼxⱼ|` of the exact sum.
+fn chain_error(ambient: usize) -> f64 {
+    let n = ambient as f64;
+    let u = f64::EPSILON / 2.0;
+    n * u / (1.0 - n * u) * (1.0 + f64::from_bits((1023 - 30) << 52))
+}
+
+/// An upper bound on `|x₀ − √(1 + ‖x_s‖²)|`: how far `x` lies off the
+/// hyperboloid along its time axis; `+∞` unless `x₀ ≥ 0` and `x` is
+/// within [`INNER_BOUND`] with at most [`MAX_SCREEN_AMBIENT`] values.
+/// `q = x₀² − 1 − ‖x_s‖²` is summed in double-double — exact products
+/// and exact two-sums, so its error is `O(D²·2⁻¹⁰⁶)` of the terms — and
+/// `|x₀ − x̂₀| = |q| / (x₀ + x̂₀) ≤ |q| / (x₀ + 1)`. A point that
+/// `from_spatial` lifted is off by about an ulp of `x₀`, one whose
+/// coordinates are exactly on the hyperboloid by about nothing.
+fn defect(x: &[f64]) -> f64 {
+    if x.len() > MAX_SCREEN_AMBIENT || !within_bound(x) {
+        return f64::INFINITY;
+    }
+    let (p, pe) = two_square(x[0]);
+    let (mut hi, e) = two_sum(p, -1.0);
+    let (mut lo, mut terms) = (pe + e, p + 1.0);
+    for &v in &x[1..] {
+        let (p, pe) = two_square(v);
+        let (h, e) = two_sum(hi, -p);
+        (hi, lo, terms) = (h, lo + (e - pe), terms + p);
+    }
+    defect_of(hi, lo, terms, x[0], x.len())
+}
+
+/// [`defect`] from `q = hi + lo` summed in double-double over `ambient`
+/// squares whose magnitudes sum to `terms`, and `x₀`: the error of the
+/// `lo` additions is below `2(D+1)(D+2)·2⁻¹⁰⁶` of `terms`, `D²·2⁻¹⁰⁰`
+/// for `D ≥ 2`; `2⁻¹⁰⁰⁰` covers the products' underflow.
+#[inline]
+fn defect_of(hi: f64, lo: f64, terms: f64, x0: f64, ambient: usize) -> f64 {
+    if x0.is_nan() || x0 < 0.0 {
+        return f64::INFINITY;
+    }
+    let n = ambient as f64;
+    let q = (hi + lo).abs() * (1.0 + BOUND_EVAL)
+        + n * n * f64::from_bits((1023 - 100) << 52) * terms
+        + f64::from_bits((1023 - 1000) << 52);
+    q / (x0 + 1.0) * (1.0 + BOUND_EVAL)
+}
+
+/// `a + b` as `s + e` exactly (Knuth's two-sum).
+#[inline(always)]
+fn two_sum(a: f64, b: f64) -> (f64, f64) {
+    let s = a + b;
+    let bb = s - a;
+    (s, (a - (s - bb)) + (b - bb))
+}
+
+/// `a²` as `p + e` exactly, barring underflow (Dekker's product, with
+/// Veltkamp's split; `|a| ≤ 2⁵⁰⁰` keeps the split finite).
+#[inline(always)]
+fn two_square(a: f64) -> (f64, f64) {
+    let p = a * a;
+    let t = 134_217_729.0 * a;
+    let hi = t - (t - a);
+    let lo = a - hi;
+    (p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo)
+}
+
+/// Pivot rows sampled per split of [`spatial_order`], at most: half
+/// the rows of a small split, at least 16. At the lowest levels a full
+/// sample costs as much as the keys; on the 60,000-item serving fixture
+/// it swept 32.5 % of the rows at `k = 10`, against 33.3 %, for about
+/// 5 ms more of build.
+const PIVOT_SAMPLE: usize = 64;
+
+/// A spatial order of the `rows × ambient` row-major points: `order[i]`
+/// is the row that goes to position `i`, for
+/// [`BlockCache::build_permuted`]. A recursive two-pivot split down to
+/// single strips: from a strided sample of the rows ([`PIVOT_SAMPLE`]),
+/// `p` is the one farthest from the first and `q` the one farthest from
+/// `p`; the rows
+/// are ranked by `−⟨p, x⟩ / −⟨q, x⟩` and cut at the multiple of
+/// [`STRIP`] at or past the median. So each strip holds near points — a
+/// tight ball for [`BlockCache::with_strip_bounds`]. Deterministic; an
+/// order is a heuristic only, every order ranks the same.
+pub fn spatial_order(data: &[f64], ambient: usize) -> Vec<u32> {
+    spatial_order_on(Isa::detected(), data, ambient)
+}
+
+/// [`spatial_order`] on the clone `isa` names.
+fn spatial_order_on(isa: Isa, data: &[f64], ambient: usize) -> Vec<u32> {
+    assert!(ambient >= 2, "hyperboloid points need ambient dim >= 2");
+    let mut keyed: Vec<(f64, u32)> = (0..(data.len() / ambient) as u32)
+        .map(|i| (0.0, i))
+        .collect();
+    split_rows(isa, data, ambient, &mut keyed);
+    keyed.into_iter().map(|(_, i)| i).collect()
+}
+
+/// One level of [`spatial_order`] over `rows` (key, row) pairs.
+fn split_rows(isa: Isa, data: &[f64], ambient: usize, rows: &mut [(f64, u32)]) {
+    if rows.len() <= STRIP {
+        return;
+    }
+    let row = |i: u32| &data[i as usize * ambient..(i as usize + 1) * ambient];
+    let step = rows
+        .len()
+        .div_ceil((rows.len() / 2).clamp(16, PIVOT_SAMPLE));
+    let farthest = |from: &[f64]| {
+        let sample = rows.iter().step_by(step).map(|&(_, i)| i);
+        let far = sample.map(|i| (split_key(from, row(i)), i));
+        far.max_by(|a, b| a.0.total_cmp(&b.0)).expect("rows").1
+    };
+    let p = row(farthest(row(rows[0].1)));
+    let q = row(farthest(p));
+    split_keys(isa, data, p, q, rows);
+    let mid = rows.len().div_ceil(STRIP).div_ceil(2) * STRIP;
+    rows.select_nth_unstable_by(mid, |a, b| a.0.total_cmp(&b.0));
+    let (left, right) = rows.split_at_mut(mid);
+    split_rows(isa, data, ambient, left);
+    split_rows(isa, data, ambient, right);
+}
+
+multiversion! {
+    /// The key pass of one [`spatial_order`] split: each pair's key
+    /// becomes `−⟨p, x⟩ / −⟨q, x⟩` of its row `x` ([`split_key`]).
+    fn split_keys(isa: Isa, data: &[f64], p: &[f64], q: &[f64], rows: &mut [(f64, u32)]) {
+        let ambient = p.len();
+        for (key, i) in rows.iter_mut() {
+            let x = &data[*i as usize * ambient..(*i as usize + 1) * ambient];
+            *key = split_key(p, x) / split_key(q, x);
+        }
+    }
+}
+
+/// `−⟨a, x⟩_L` summed in eight lanes: a split key, bit-matched to
+/// nothing.
+#[inline(always)]
+fn split_key(a: &[f64], x: &[f64]) -> f64 {
+    let (a_s, x_s) = (&a[1..], &x[1..]);
+    let whole = x_s.len() / 8 * 8;
+    let mut lanes = [0.0; 8];
+    for (ca, cx) in a_s[..whole]
+        .chunks_exact(8)
+        .zip(x_s[..whole].chunks_exact(8))
+    {
+        for l in 0..8 {
+            lanes[l] += ca[l] * cx[l];
+        }
+    }
+    for j in whole..x_s.len() {
+        lanes[0] += a_s[j] * x_s[j];
+    }
+    a[0] * x[0] - lanes.iter().sum::<f64>()
 }
 
 /// Magnitude bound of [`BlockCache`]'s `bounded` flag, `2^500`. With
@@ -621,15 +1059,37 @@ fn prune_cut(floor: Option<f64>) -> f64 {
     }
 }
 
-thread_local! {
-    /// Per-thread sweep buffers of [`fused_rank`] (one chunk of negated
-    /// interaction inner products per anchor, f64 and screened), kept
-    /// across calls so a ranking pass allocates nothing in steady state.
-    /// Taken out for the duration of a call, so a sink that re-enters the
-    /// kernel just allocates.
-    static RANK_SCRATCH: std::cell::Cell<(Vec<f64>, Vec<f32>)> =
-        const { std::cell::Cell::new((Vec::new(), Vec::new())) };
+/// Per-thread buffers of [`fused_rank`], kept across calls so a ranking
+/// pass allocates nothing in steady state.
+#[derive(Default)]
+struct RankScratch {
+    /// One chunk of negated interaction inner products per anchor, f64
+    /// and screened.
+    ni_ir: Vec<f64>,
+    ni_screen: Vec<f32>,
+    /// Per anchor and strip, the strip bound's lower bound on every
+    /// item's f64 value; per strip, whether it was swept.
+    floors: Vec<f64>,
+    swept: Vec<bool>,
 }
+
+thread_local! {
+    /// [`RankScratch`] of this thread. Taken out for the duration of a
+    /// call, so a sink that re-enters the kernel just allocates.
+    static RANK_SCRATCH: std::cell::Cell<RankScratch> = const {
+        std::cell::Cell::new(RankScratch {
+            ni_ir: Vec::new(),
+            ni_screen: Vec::new(),
+            floors: Vec::new(),
+            swept: Vec::new(),
+        })
+    };
+}
+
+/// Strips whose items a ranking pass over a bounded cache offers first,
+/// per anchor: those whose centres are nearest it, so its floor is set
+/// before the bounds are compared with it.
+const SEED_STRIPS: usize = 4;
 
 /// Which sweep a ranking pass streams the interaction channel through.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -716,9 +1176,9 @@ impl<'a> ScreenedBlock<'a> {
 /// sweeps the negated interaction inner products of each
 /// [`FUSED_ITEM_CHUNK`] for the whole block, then — only for items that
 /// can still enter the anchor's top-K — computes the tag inner product,
-/// runs the finisher and offers the item to `sink`. Offers arrive in
-/// ascending slot order per anchor. The sweep is
-/// [`Sweep::for_range`]'s pick on the detected clone.
+/// runs the finisher and offers the item to `sink`. Without strip
+/// bounds, offers arrive in ascending slot order per anchor. The sweep
+/// is [`Sweep::for_range`]'s pick on the detected clone.
 ///
 /// **Pruning rule.** With a full selection whose worst score is `τ`, an
 /// item with `ni_ir > cosh(√−τ)·(1+1e‑9)` has `−arcosh(ni_ir)² < τ`; the
@@ -742,6 +1202,18 @@ impl<'a> ScreenedBlock<'a> {
 /// rounding error can explain — where the rule above would skip it too.
 /// Every other item takes its f64 value from `neg_inner_one` and meets
 /// the rule as before, so the offers are the f64 sweep's.
+///
+/// **The strip bounds.** Over a cache with strip bounds, each anchor's
+/// [`SEED_STRIPS`] strips of nearest centre are ranked first, so its floor
+/// is set; then every other strip of the range in order, each skipped
+/// when its bound is above the cut of every anchor of the block — it
+/// proves each item's f64 value above the cut, where the rule would skip
+/// the item, so the offers are the same set. A strip any anchor needs is
+/// swept for the whole block. No strip is skipped for an anchor without
+/// a finite cut (no floor, `α` outside `[0, ∞)`, a NaN or positive
+/// floor) or whose tag inner products are not provably finite, and a
+/// strip with a row that is not finite, or whose mean does not
+/// normalise, has no bound (DESIGN.md §12, step 4).
 pub fn fused_rank<S: RankSink + ?Sized>(
     ir: &BlockCache,
     u_irs: &[&[f64]],
@@ -815,7 +1287,13 @@ pub fn fused_rank_with<S: RankSink + ?Sized>(
         Sweep::Screened if finite.iter().all(|&f| f) => ScreenedBlock::new(ir, u_irs),
         _ => None,
     };
-    let (mut ni_ir, mut ni_screen) = RANK_SCRATCH.take();
+    let mut scratch = RANK_SCRATCH.take();
+    let RankScratch {
+        ni_ir,
+        ni_screen,
+        floors,
+        swept,
+    } = &mut scratch;
     let buf_len = b * (hi - lo).min(FUSED_ITEM_CHUNK);
     if ni_ir.len() < buf_len {
         ni_ir.resize(buf_len, 0.0);
@@ -823,35 +1301,34 @@ pub fn fused_rank_with<S: RankSink + ?Sized>(
     if screen.is_some() && ni_screen.len() < buf_len {
         ni_screen.resize(buf_len, 0.0);
     }
-    // Items of the last chunk that met the rule on their f64 value: the
+    // Items of the last run that met the rule on their f64 value: the
     // screen pays only while few do (`SCREEN_MAX_KEPT_BASE`).
     let mut kept = usize::MAX;
-    let mut c0 = lo;
-    while c0 < hi {
-        // Chunks end on multiples of the chunk size, so only the range's
-        // own edges split a strip.
-        let c1 = ((c0 / FUSED_ITEM_CHUNK + 1) * FUSED_ITEM_CHUNK).min(hi);
+    // Each anchor's cut, kept current: it moves only when an offer lands.
+    let mut cuts: Vec<f64> = (0..b).map(|u| cut_of(u, sink)).collect();
+    // One run of rows `c0..c1`, at most a chunk long and split from its
+    // strips only at the range's edges: swept for the whole block, each
+    // item meeting the rule.
+    let mut sweep_run = |sink: &mut S, cuts: &mut [f64], c0: usize, c1: usize| {
         let m = c1 - c0;
-        let screened = screen.as_ref().filter(|_| {
-            kept <= SCREEN_MAX_KEPT_BASE + b && (0..b).all(|u| cut_of(u, sink).is_finite())
-        });
+        let screened = screen
+            .as_ref()
+            .filter(|_| kept <= SCREEN_MAX_KEPT_BASE + b && cuts.iter().all(|c| c.is_finite()));
         kept = 0;
         let Some(scr) = screened else {
             ir.neg_inner_rows(isa, u_irs, c0, m, m, &mut ni_ir[..b * m]);
-            for u in 0..b {
-                let mut cut = cut_of(u, sink);
+            for (u, cut) in cuts.iter_mut().enumerate() {
                 for (i, &ni) in ni_ir[u * m..(u + 1) * m].iter().enumerate() {
-                    if ni > cut && finite[u] {
+                    if ni > *cut && finite[u] {
                         continue;
                     }
                     kept += 1;
-                    if consider(sink, u, c0 + i, ni, cut) {
-                        cut = cut_of(u, sink);
+                    if consider(sink, u, c0 + i, ni, *cut) {
+                        *cut = cut_of(u, sink);
                     }
                 }
             }
-            c0 = c1;
-            continue;
+            return;
         };
         screen_strips(
             isa,
@@ -861,16 +1338,15 @@ pub fn fused_rank_with<S: RankSink + ?Sized>(
             m,
             &mut ni_screen[..b * m],
         );
-        for u in 0..b {
+        for (u, cut) in cuts.iter_mut().enumerate() {
             let row = &ni_screen[u * m..(u + 1) * m];
-            let mut cut = cut_of(u, sink);
             // One run per strip, the unit of the error bound.
             let mut i = 0;
             while i < m {
                 let strip = (c0 + i) / STRIP;
                 let run = i..((strip + 1) * STRIP - c0).min(m);
                 i = run.end;
-                let mut threshold = scr.threshold(u, strip, cut);
+                let mut threshold = scr.threshold(u, strip, *cut);
                 // The common case as one vector compare: every item clears.
                 let clear = row[run.clone()].iter().map(|&s| usize::from(s > threshold));
                 if clear.sum::<usize>() == run.len() {
@@ -883,16 +1359,93 @@ pub fn fused_rank_with<S: RankSink + ?Sized>(
                     }
                     let slot = c0 + i;
                     kept += 1;
-                    if consider(sink, u, slot, ir.neg_inner_one(u_irs[u], slot), cut) {
-                        cut = cut_of(u, sink);
-                        threshold = scr.threshold(u, strip, cut);
+                    if consider(sink, u, slot, ir.neg_inner_one(u_irs[u], slot), *cut) {
+                        *cut = cut_of(u, sink);
+                        threshold = scr.threshold(u, strip, *cut);
                     }
                 }
             }
         }
-        c0 = c1;
+    };
+    let Some(bounds) = ir.bounds.as_deref() else {
+        // Chunks end on multiples of the chunk size, so only the range's
+        // own edges split a strip.
+        let mut c0 = lo;
+        while c0 < hi {
+            let c1 = ((c0 / FUSED_ITEM_CHUNK + 1) * FUSED_ITEM_CHUNK).min(hi);
+            sweep_run(sink, &mut cuts, c0, c1);
+            c0 = c1;
+        }
+        RANK_SCRATCH.set(scratch);
+        return;
+    };
+    // The strip bounds: each anchor's nearest strips first, then every
+    // other strip in order, skipped when its bound proves every item
+    // above the cut of every anchor of the block. `floors` holds each
+    // anchor's `−⟨a, c⟩` to every centre.
+    let n_strips = bounds.cosh_r.len();
+    let strips = lo / STRIP..hi.div_ceil(STRIP);
+    floors.resize(b * n_strips, 0.0);
+    bounds
+        .centres
+        .neg_inner_rows(isa, u_irs, 0, n_strips, n_strips, floors);
+    let mut seeds: Vec<usize> = Vec::with_capacity(SEED_STRIPS * b);
+    for floors in floors.chunks_exact_mut(n_strips) {
+        let mut nearest = [(f64::INFINITY, usize::MAX); SEED_STRIPS];
+        for s in strips.clone().filter(|&s| bounds.cosh_r[s] < f64::INFINITY) {
+            if floors[s] < nearest[SEED_STRIPS - 1].0 {
+                nearest[SEED_STRIPS - 1] = (floors[s], s);
+                nearest.sort_by(|a, b| a.0.total_cmp(&b.0));
+            }
+        }
+        for (_, s) in nearest {
+            if s != usize::MAX && !seeds.contains(&s) {
+                seeds.push(s);
+            }
+        }
     }
-    RANK_SCRATCH.set((ni_ir, ni_screen));
+    let terms: Vec<AnchorTerms> = u_irs.iter().map(|a| AnchorTerms::new(a)).collect();
+    swept.clear();
+    swept.resize(n_strips, false);
+    // Strip `s` is needed while some anchor's bound does not prove all
+    // its items above that anchor's cut — always for an anchor whose tag
+    // inner products may be NaN or `+∞`, which needs every item. The
+    // anchor that needed the last strip is asked first: near strips tend
+    // to be needed by the same anchor.
+    let mut needer = 0;
+    let mut live = |s: usize, cuts: &[f64]| {
+        let needs = |u: usize| {
+            !(finite[u] && bounds.lower_bound(s, floors[u * n_strips + s], &terms[u]) > cuts[u])
+        };
+        let found = (needer..b).chain(0..needer).find(|&u| needs(u));
+        needer = found.unwrap_or(needer);
+        found.is_some()
+    };
+    let rows_of = |s: usize| (s * STRIP).max(lo)..((s + 1) * STRIP).min(hi);
+    for s in seeds {
+        if live(s, &cuts) {
+            swept[s] = true;
+            sweep_run(sink, &mut cuts, rows_of(s).start, rows_of(s).end);
+        }
+    }
+    let mut s = strips.start;
+    while s < strips.end {
+        if swept[s] || !live(s, &cuts) {
+            s += 1;
+            continue;
+        }
+        let mut end = s + 1;
+        while end < strips.end
+            && (end - s) * STRIP < FUSED_ITEM_CHUNK
+            && !swept[end]
+            && live(end, &cuts)
+        {
+            end += 1;
+        }
+        sweep_run(sink, &mut cuts, rows_of(s).start, rows_of(end - 1).end);
+        s = end;
+    }
+    RANK_SCRATCH.set(scratch);
 }
 
 #[cfg(test)]
@@ -1209,6 +1762,39 @@ mod tests {
         }
     }
 
+    /// The ordering's key pass and the bounds' column sweep on every
+    /// clone: the same order and the same bound bits as the baseline.
+    #[test]
+    fn every_clone_orders_and_bounds_as_the_baseline() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for (n, ambient) in [(ROWS, 2), (700, 9), (700, 33), (300, 65)] {
+            let data = flat(&points(&mut rng, n, ambient, &[]));
+            let bits = |isa| -> (Vec<u32>, Vec<u64>) {
+                let order = spatial_order_on(isa, &data, ambient);
+                let c = BlockCache::build_permuted(&data, ambient, &order);
+                let b = StripBounds::build(isa, &c);
+                let fields = [
+                    &b.cosh_r,
+                    &b.sinh_r,
+                    &b.defect,
+                    &b.centre_norm,
+                    &b.centre_defect,
+                ];
+                (
+                    order,
+                    fields
+                        .iter()
+                        .flat_map(|f| f.iter().map(|v| v.to_bits()))
+                        .collect(),
+                )
+            };
+            let want = bits(Isa::BASELINE);
+            for isa in Isa::supported() {
+                assert_eq!(bits(isa), want, "{} at ambient {ambient}", isa.name());
+            }
+        }
+    }
+
     /// The claim the screen rests on, checked item by item: on every full
     /// strip the sweep is the scalar f32 chain (`(−ã₀)·t̃; += ãⱼ·x̃ⱼ;
     /// negate`), and its distance from the f64 value is within `E`. Rows
@@ -1473,6 +2059,188 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn spatial_order_is_a_deterministic_permutation_whose_strips_are_tighter() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for (n, ambient) in [(0, 3), (1, 3), (31, 2), (32, 9), (33, 9), (1000, 33)] {
+            let data = flat(&points(&mut rng, n, ambient, &[]));
+            let order = spatial_order(&data, ambient);
+            assert_eq!(order, spatial_order(&data, ambient), "n {n}");
+            let mut sorted = order.clone();
+            sorted.sort_unstable();
+            assert_eq!(sorted, (0..n as u32).collect::<Vec<_>>(), "n {n}");
+        }
+        // Strip radii: the mean `cosh r` of an ordered cache's strips is
+        // well below that of the same rows in their given order.
+        let data = flat(&points(&mut rng, 4096, 3, &[]));
+        let mean_cosh_r = |c: BlockCache| {
+            let b = c.with_strip_bounds().bounds.expect("bounds");
+            b.cosh_r.iter().sum::<f64>() / b.cosh_r.len() as f64
+        };
+        let ordered = mean_cosh_r(BlockCache::build_permuted(
+            &data,
+            3,
+            &spatial_order(&data, 3),
+        ));
+        let given = mean_cosh_r(BlockCache::build(&data, 3));
+        assert!(ordered < given / 2.0, "ordered {ordered}, given {given}");
+    }
+
+    /// The claim the strip skip rests on, checked row by row: for every
+    /// strip and anchor, the bound is at most the computed f64 value of
+    /// each of the strip's rows, as the sweep computes it. Rows far out
+    /// on the hyperboloid cancel by orders of magnitude, and anchors sit
+    /// on rows, where the bound is tightest.
+    #[test]
+    fn the_strip_bound_is_below_every_rows_computed_value() {
+        let mut rng = StdRng::seed_from_u64(19);
+        for (ambient, scale) in [
+            (2, 1.0),
+            (3, 1.0),
+            (9, 8.0),
+            (33, 1.0),
+            (33, 40.0),
+            (65, 4.0),
+        ] {
+            let far = |p: Vec<f64>| {
+                let spatial: Vec<f64> = p[1..].iter().map(|v| v * scale).collect();
+                lorentz::from_spatial(&spatial)
+            };
+            let pts: Vec<Vec<f64>> = points(&mut rng, 700, ambient, &[])
+                .into_iter()
+                .map(far)
+                .collect();
+            let data = flat(&pts);
+            let c = BlockCache::build_permuted(&data, ambient, &spatial_order(&data, ambient))
+                .with_strip_bounds();
+            let b = c.bounds.as_deref().expect("bounds");
+            let mut anchors: Vec<Vec<f64>> = pts.iter().step_by(37).cloned().collect();
+            anchors.extend(points(&mut rng, 8, ambient, &[]).into_iter().map(far));
+            let mut proven = 0;
+            for a in &anchors {
+                let terms = AnchorTerms::new(a);
+                for s in 0..b.cosh_r.len() {
+                    let bound = b.lower_bound(s, b.centres.neg_inner_one(a, s), &terms);
+                    for i in s * STRIP..((s + 1) * STRIP).min(c.rows) {
+                        let y = c.neg_inner_one(a, i);
+                        assert!(
+                            bound <= y,
+                            "ambient {ambient}, scale {scale}: strip {s} row {i}: {bound} > {y}"
+                        );
+                    }
+                    proven += usize::from(bound > 1.0);
+                }
+            }
+            assert!(
+                proven > 0,
+                "ambient {ambient}, scale {scale}: no bound above 1"
+            );
+        }
+    }
+
+    /// What the bound cannot vouch for is never skipped: a strip with a
+    /// NaN row or an infinite one, or whose mean does not normalise, has
+    /// no bound, and an anchor that is NaN, infinite or off the forward
+    /// sheet meets none.
+    #[test]
+    fn hostile_strips_and_anchors_have_no_bound() {
+        let near = |x: f64| lorentz::from_spatial(&[x, 0.5 * x]);
+        let mut pts: Vec<Vec<f64>> = (0..4 * STRIP)
+            .map(|i| near(1.0 + 1e-3 * i as f64))
+            .collect();
+        pts[3] = vec![f64::NAN, 1.0, 1.0];
+        pts[STRIP + 5] = vec![f64::INFINITY, 1.0, 0.5];
+        pts[2 * STRIP + 7][2] = f64::NEG_INFINITY;
+        // A strip of rows off the hyperboloid whose sum is not timelike.
+        for (i, p) in pts[3 * STRIP..].iter_mut().enumerate() {
+            *p = vec![0.0, 1.0 + i as f64, 0.0];
+        }
+        let c = BlockCache::build(&flat(&pts), 3).with_strip_bounds();
+        let b = c.bounds.as_deref().expect("bounds");
+        assert!(
+            b.cosh_r.iter().all(|r| *r == f64::INFINITY),
+            "{:?}",
+            b.cosh_r
+        );
+        let far = lorentz::from_spatial(&[-40.0, 30.0]);
+        for s in 0..4 {
+            let bound = b.lower_bound(s, b.centres.neg_inner_one(&far, s), &AnchorTerms::new(&far));
+            assert_eq!(bound, f64::NEG_INFINITY, "strip {s}");
+        }
+        let clean: Vec<Vec<f64>> = (0..STRIP).map(|i| near(1.0 + 1e-3 * i as f64)).collect();
+        let c = BlockCache::build(&flat(&clean), 3).with_strip_bounds();
+        let b = c.bounds.as_deref().expect("bounds");
+        let bound =
+            |a: &[f64]| b.lower_bound(0, b.centres.neg_inner_one(a, 0), &AnchorTerms::new(a));
+        assert!(bound(&far) > 1.0, "a clean strip is bounded");
+        let mut flipped = far.clone();
+        flipped[0] = -flipped[0];
+        for bad in [
+            vec![f64::NAN, -40.0, 30.0],
+            vec![f64::INFINITY, -40.0, 30.0],
+            flipped,
+        ] {
+            let clears = bound(&bad) > 1.0;
+            assert!(!clears, "{bad:?}");
+        }
+    }
+
+    /// The item chain's rounding term `γ′·P` carries weight. Anchor and
+    /// rows sit about 12 from the origin on one geodesic, so each inner
+    /// product cancels two terms near 10¹⁰ down to about 1.0015, on a
+    /// grid of about 10⁻⁶. Row 0's computed value lies 1.6·10⁻⁶ below its
+    /// exact one and ties row 32's (32 copies of one row), the lower id
+    /// winning: row 0 is the top-1. Strip 0's other rows lie 1 nearer the
+    /// origin, so its centre is far from the anchor and its ball is tight
+    /// at row 0; strip 1, nearer, is ranked first and sets the cut. The
+    /// bound keeps strip 0, but without `γ′·P` it would clear that cut
+    /// and drop row 0.
+    #[test]
+    fn the_chain_term_keeps_a_strip_the_bare_bound_would_skip() {
+        let lift = |s: f64| lorentz::from_spatial(&[s]);
+        let anchor = lift(101670.47158367405);
+        let mut pts = vec![lift(96190.79274743576)];
+        pts.extend(vec![lift(35318.38538583754); STRIP - 1]);
+        pts.extend(vec![lift(107459.1193088258); STRIP]);
+        let c = BlockCache::build(&flat(&pts), 2).with_strip_bounds();
+        let y = |i| c.neg_inner_one(&anchor, i);
+        assert_eq!(y(0).to_bits(), y(STRIP).to_bits(), "row 0 ties row {STRIP}");
+        let cut = prune_cut(Some(finish_one_channel(y(STRIP))));
+        let b = c.bounds.as_deref().expect("bounds");
+        let terms = AnchorTerms::new(&anchor);
+        let bound = b.lower_bound(0, b.centres.neg_inner_one(&anchor, 0), &terms);
+        let chain = terms.gamma * (terms.t * b.t_max[0] + terms.n * b.n_max[0]);
+        assert!(bound <= cut, "the bound keeps strip 0");
+        assert!(
+            bound + chain > cut,
+            "without γ′·P, {} clears the cut {cut}",
+            bound + chain
+        );
+        for sweep in [Sweep::Exact, Sweep::Screened] {
+            let mut sink = KeepAll {
+                k: 1,
+                offers: vec![Vec::new()],
+            };
+            fused_rank_with(
+                Isa::detected(),
+                sweep,
+                &c,
+                &[&anchor],
+                None,
+                0..pts.len(),
+                &mut sink,
+            );
+            let mut offers = sink.offers.pop().expect("one anchor");
+            offers.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            let want = finish_one_channel(y(0));
+            assert_eq!(
+                offers.first().map(|&(i, v)| (i, v.to_bits())),
+                Some((0, want.to_bits())),
+                "{sweep:?}"
+            );
         }
     }
 

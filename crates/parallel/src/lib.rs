@@ -108,8 +108,9 @@ fn run<R: Send>(label: &str, n: usize, chunk: usize, f: &(dyn Fn(usize) -> R + S
         workers.into_iter().map(|w| w.join()).collect()
     });
     let wall = started.elapsed().as_secs_f64();
-    let msg = format!("{label}: {n_jobs} jobs on {n_workers} workers in {wall:.3}s");
-    taxorec_telemetry::sink::debug(&msg);
+    taxorec_telemetry::sink::debug(|| {
+        format!("{label}: {n_jobs} jobs on {n_workers} workers in {wall:.3}s")
+    });
     let mut pairs = Vec::with_capacity(n);
     for worker in joined {
         pairs.extend(worker.unwrap_or_else(|payload| resume_unwind(payload)));

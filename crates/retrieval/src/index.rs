@@ -485,21 +485,7 @@ impl TaxoIndex {
         if has_tg && (items.v_tg.is_none() || parts.ambient_tg != items.ambient_tg) {
             return Err("index tag channel differs from the model".into());
         }
-        let n = parts.n_items;
-        let mut perm_ir = vec![0.0; n * parts.ambient_ir];
-        permute_rows(items.v_ir, parts.ambient_ir, &parts.item_ids, &mut perm_ir);
-        let perm_tg = has_tg.then(|| {
-            let v_tg = items.v_tg.expect("checked above");
-            let mut perm = vec![0.0; n * parts.ambient_tg];
-            permute_rows(v_tg, parts.ambient_tg, &parts.item_ids, &mut perm);
-            perm
-        });
-        let items = Scorer::build(&ItemEmbeddings {
-            v_ir: &perm_ir,
-            ambient_ir: parts.ambient_ir,
-            v_tg: perm_tg.as_deref(),
-            ambient_tg: parts.ambient_tg,
-        });
+        let items = Scorer::build_permuted(items, parts.item_ids.clone());
         let cent_ir = BlockCache::build(&parts.cent_ir, parts.ambient_ir);
         let cent_tg = if has_tg {
             Some(BlockCache::build(&parts.cent_tg, parts.ambient_tg))
@@ -596,7 +582,6 @@ impl TaxoIndex {
                 tg: tag,
             }],
             0..self.parts.n_items,
-            Some(&self.parts.item_ids),
             &mut acc,
             None,
             |_, item| exclude(item),
@@ -654,21 +639,14 @@ impl TaxoIndex {
             self.items.rank_range(
                 &sub,
                 self.parts.start[leaf] as usize..self.parts.end[leaf] as usize,
-                Some(&self.parts.item_ids),
                 &mut accs,
                 Some(&queries),
                 exclude,
             );
         }
         if !tail.is_empty() {
-            self.items.rank_range(
-                anchors,
-                tail,
-                Some(&self.parts.item_ids),
-                &mut accs,
-                None,
-                exclude,
-            );
+            self.items
+                .rank_range(anchors, tail, &mut accs, None, exclude);
         }
         (
             accs.into_iter().map(TopKAccumulator::into_sorted).collect(),
@@ -739,16 +717,6 @@ impl TaxoIndex {
             std::mem::swap(&mut frontier, &mut scored);
         }
         frontier
-    }
-}
-
-/// Copies `src` rows into `dst` in permutation order:
-/// `dst[slot] = src[item_ids[slot]]`.
-fn permute_rows(src: &[f64], ambient: usize, item_ids: &[u32], dst: &mut [f64]) {
-    for (slot, &item) in item_ids.iter().enumerate() {
-        let i = item as usize;
-        dst[slot * ambient..(slot + 1) * ambient]
-            .copy_from_slice(&src[i * ambient..(i + 1) * ambient]);
     }
 }
 

@@ -199,10 +199,10 @@ pub struct ServingModel {
     /// them). Empty in the common case; the shared checkpoint keeps its
     /// lists as they are, because its bytes are its identity.
     sorted_seen: BTreeMap<usize, Vec<u32>>,
-    /// The fused scorer over the item embeddings. The model is
-    /// immutable, so it is built once at construction and never
-    /// invalidated (DESIGN.md §12).
-    scorer: Scorer,
+    /// The fused scorer of exact-mode misses, built by the first exact
+    /// ranking and kept: the model is immutable, so it is never
+    /// invalidated. A Beam engine never builds it (DESIGN.md §14).
+    exact: OnceLock<Scorer>,
     /// Retrieval index rebuilt from the artifact's [`IndexParts`]
     /// section (`None` when the artifact carries none).
     ///
@@ -242,7 +242,6 @@ impl ServingModel {
             })
             .collect();
         let items = item_embeddings(&ckpt.state);
-        let scorer = Scorer::build(&items);
         // Rebuild the index's permuted scorer from the model embeddings
         // (the artifact stores structure only).
         let index = ckpt
@@ -260,7 +259,7 @@ impl ServingModel {
         Ok(Self {
             ckpt,
             sorted_seen,
-            scorer,
+            exact: OnceLock::new(),
             index,
             retrieval: RetrievalMode::Exact,
             cache: Mutex::new(LruCache::new(cache_capacity)),
@@ -540,7 +539,7 @@ impl ServingModel {
         let exclude = |pos: usize, item: u32| seen[pos].binary_search(&item).is_ok();
         let _kernel_span = taxorec_telemetry::trace::child_span("kernel");
         let (Some(beam), Some(index)) = (self.beam_width(), &self.index) else {
-            return self.scorer.rank(&anchors, &ks, exclude);
+            return self.exact_scorer().rank(&anchors, &ks, exclude);
         };
         // The index is queried at the block's largest `k` and each
         // result truncated to its own: a top-`k` list is a prefix of
@@ -555,10 +554,18 @@ impl ServingModel {
         results
     }
 
-    /// `user`'s side of Eq. 17, matching the scorer's channels.
+    /// The exact-mode scorer, built on first use: the catalogue in
+    /// spatial order with strip bounds ([`Scorer::build_ordered`],
+    /// DESIGN.md §12).
+    fn exact_scorer(&self) -> &Scorer {
+        self.exact
+            .get_or_init(|| Scorer::build_ordered(&item_embeddings(&self.ckpt.state)))
+    }
+
+    /// `user`'s side of Eq. 17, matching the item side's channels.
     fn anchor(&self, user: usize) -> Anchor<'_> {
         let s = &self.ckpt.state;
-        let u_tg = self.scorer.has_tag_channel().then_some(&s.u_tg);
+        let u_tg = item_embeddings(s).v_tg.is_some().then_some(&s.u_tg);
         taxorec_core::export::anchor(&s.config, &s.alphas, &s.u_ir, u_tg, user)
     }
 
@@ -816,7 +823,16 @@ mod tests {
     /// `tests/parallel_determinism.rs`), ranked by one `select_top_k`
     /// pass. Shares no code with the fused ranking path.
     fn scalar_ranking(m: &TaxoRec, s: &Split, user: u32, k: usize) -> Vec<(u32, f64)> {
-        let st = m.export_state();
+        scalar_ranking_of(&m.export_state(), &s.train[user as usize], user, k)
+    }
+
+    /// [`scalar_ranking`] over a model state, skipping `seen`.
+    fn scalar_ranking_of(
+        st: &taxorec_core::ModelState,
+        seen: &[u32],
+        user: u32,
+        k: usize,
+    ) -> Vec<(u32, f64)> {
         let u = user as usize;
         let alpha = st.config.tag_channel_gain * st.alphas[u];
         let scores: Vec<f64> = (0..st.v_ir.rows())
@@ -828,7 +844,7 @@ mod tests {
                 -g
             })
             .collect();
-        select_top_k(&scores, k, |v| s.train[u].contains(&(v as u32)))
+        select_top_k(&scores, k, |v| seen.contains(&(v as u32)))
     }
 
     #[test]
@@ -863,6 +879,102 @@ mod tests {
                         "user {u} k {k}: score not bit-identical"
                     );
                 }
+            }
+        }
+    }
+
+    /// The exact scorer is built by the first exact ranking and kept; a
+    /// Beam engine — what every ingest tick's swap builds, through
+    /// `with_cache_capacity` and `with_retrieval` — answers without ever
+    /// building it.
+    #[test]
+    fn only_an_exact_engine_builds_the_exact_scorer_once_on_its_first_miss() {
+        let (m, d, s) = trained();
+        let exact = ServingModel::from_model(&m, &d, &s).unwrap();
+        assert!(exact.exact.get().is_none(), "built at construction");
+        exact.recommend(0, 5).unwrap();
+        let built: *const Scorer = exact.exact.get().expect("built by the first miss");
+        exact.recommend_many(&[(1, 3), (2, 7)]);
+        assert!(
+            std::ptr::eq(built, exact.exact.get().unwrap()),
+            "built twice"
+        );
+
+        let ckpt = Checkpoint::from_model(&m)
+            .with_dataset(&d)
+            .with_seen_items(&s.train)
+            .with_retrieval_index(&taxorec_retrieval::IndexConfig::default())
+            .unwrap();
+        let beam = ServingModel::with_cache_capacity(ckpt, 16)
+            .and_then(|m| m.with_retrieval(RetrievalMode::Beam(0)))
+            .unwrap();
+        let users: Vec<u32> = (0..d.n_users as u32).collect();
+        assert!(beam.recommend_batch(&users, 10).iter().all(Result::is_ok));
+        assert!(
+            beam.exact.get().is_none(),
+            "a Beam engine built the exact scorer"
+        );
+    }
+
+    /// Past `SCREEN_MIN_BYTES` of interaction panel the ordered exact
+    /// scorer skips strips and screens the rest; its rankings are still
+    /// the scalar loop's, ids and score bits. A planted catalogue at the
+    /// default 32 + 8 dims just past the crossover, unfitted, served with
+    /// and without seen items.
+    #[test]
+    fn an_ordered_catalogue_serves_the_scalar_exhaustive_ranking() {
+        use taxorec_autodiff::Matrix;
+        use taxorec_geometry::batch::{Sweep, SCREEN_MIN_BYTES};
+        let cfg = TaxoRecConfig::default();
+        let (ai, at) = (cfg.dim_ir + 1, cfg.dim_tag + 1);
+        let n_items = SCREEN_MIN_BYTES / (8 * ai) + 100;
+        assert_eq!(Sweep::for_range(n_items, ai), Sweep::Screened);
+        let emb = taxorec_data::generate_embeddings(&taxorec_data::EmbedConfig {
+            n_items,
+            n_users: 40,
+            dim_ir: cfg.dim_ir,
+            dim_tag: cfg.dim_tag,
+            seed: 49,
+            ..taxorec_data::EmbedConfig::default()
+        });
+        let seen: Vec<Vec<u32>> = (0..40u32)
+            .map(|u| (0..n_items as u32).filter(|v| (v + u) % 29 == 0).collect())
+            .collect();
+        let state = taxorec_core::ModelState {
+            name: "TaxoRec".into(),
+            tags_active: true,
+            u_ir: Matrix::from_vec(40, ai, emb.u_ir.clone()),
+            v_ir: Matrix::from_vec(n_items, ai, emb.v_ir.clone()),
+            u_tg: Matrix::from_vec(40, at, emb.u_tg.clone()),
+            v_tg: Matrix::from_vec(n_items, at, emb.v_tg.clone()),
+            t_p: Matrix::zeros(0, cfg.dim_tag),
+            alphas: emb.alphas.clone(),
+            taxonomy: None,
+            config: cfg,
+        };
+        for seen in [Vec::new(), seen] {
+            let ckpt = Checkpoint {
+                state: state.clone(),
+                tag_names: Vec::new(),
+                item_tags: Vec::new(),
+                seen_items: seen.clone(),
+                index: None,
+                artifact: None,
+                journal_cursor: None,
+            };
+            let serving = ServingModel::with_cache_capacity(ckpt, 0).unwrap();
+            let queries: Vec<(u32, usize)> = (0..40u32)
+                .map(|u| (u, [1, 10, 37][u as usize % 3]))
+                .collect();
+            let got = serving.recommend_many(&queries);
+            assert_eq!(serving.exact.get().unwrap().n_items(), n_items);
+            for (&(u, k), have) in queries.iter().zip(got) {
+                let seen_u = seen.get(u as usize).map_or(&[][..], Vec::as_slice);
+                let want = scalar_ranking_of(&state, seen_u, u, k);
+                let bits = |r: &[(u32, f64)]| -> Vec<(u32, u64)> {
+                    r.iter().map(|&(i, s)| (i, s.to_bits())).collect()
+                };
+                assert_eq!(bits(&have.unwrap()), bits(&want), "user {u} k {k}");
             }
         }
     }

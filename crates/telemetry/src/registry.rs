@@ -64,7 +64,7 @@ impl Gauge {
     /// Records `v` (and emits a JSONL event when the metrics sink is on).
     pub fn set(&self, v: f64) {
         self.bits.store(v.to_bits(), Ordering::Relaxed);
-        sink::emit_metric("gauge", &self.name, v, &[]);
+        sink::emit_metric("gauge", &self.name, v);
     }
 
     /// Last recorded value (`NaN` before the first `set`).
@@ -130,7 +130,7 @@ impl Histogram {
             atomic_f64_min(&self.min_bits, v);
             atomic_f64_max(&self.max_bits, v);
         }
-        sink::emit_metric("histogram", &self.name, v, &[]);
+        sink::emit_metric("histogram", &self.name, v);
     }
 
     /// Number of observations.

@@ -85,10 +85,11 @@ pub fn info(msg: &str) {
     }
 }
 
-/// Writes a debug-level line when enabled.
-pub fn debug(msg: &str) {
+/// Writes a debug-level line when enabled. The message is built only
+/// then, so a call on a hot path costs one level check.
+pub fn debug(msg: impl FnOnce() -> String) {
     if log_enabled(LogLevel::Debug) {
-        eprintln!("[taxorec:debug] {msg}");
+        eprintln!("[taxorec:debug] {}", msg());
     }
 }
 
@@ -218,19 +219,9 @@ pub fn unix_ms() -> u128 {
         .unwrap_or(0)
 }
 
-/// A typed attribute attached to a metric event.
-pub enum Attr {
-    /// Float attribute.
-    F(f64),
-    /// Integer attribute.
-    I(i64),
-    /// String attribute.
-    S(String),
-}
-
 /// Emits one metric event as a JSONL record:
-/// `{"ts_ms":…,"kind":…,"name":…,"value":…}` plus any attributes.
-pub fn emit_metric(kind: &str, name: &str, value: f64, attrs: &[(&str, Attr)]) {
+/// `{"ts_ms":…,"kind":…,"name":…,"value":…}`.
+pub fn emit_metric(kind: &str, name: &str, value: f64) {
     if known_off() {
         return;
     }
@@ -248,16 +239,6 @@ pub fn emit_metric(kind: &str, name: &str, value: f64, attrs: &[(&str, Attr)]) {
     json::push_str_escaped(&mut line, name);
     line.push_str(",\"value\":");
     json::push_f64(&mut line, value);
-    for (k, v) in attrs {
-        line.push(',');
-        json::push_str_escaped(&mut line, k);
-        line.push(':');
-        match v {
-            Attr::F(x) => json::push_f64(&mut line, *x),
-            Attr::I(x) => line.push_str(&x.to_string()),
-            Attr::S(x) => json::push_str_escaped(&mut line, x),
-        }
-    }
     line.push('}');
     write_or_disable(&mut state, &line);
 }
@@ -324,16 +305,7 @@ mod tests {
     fn memory_sink_captures_valid_json() {
         let _g = crate::test_lock();
         let buf = install_memory_sink();
-        emit_metric(
-            "gauge",
-            "test.value",
-            1.5,
-            &[
-                ("run", Attr::S("a\"b".into())),
-                ("epoch", Attr::I(3)),
-                ("f", Attr::F(0.25)),
-            ],
-        );
+        emit_metric("gauge", "test.\"value", 1.5);
         emit_json_line("{\"model\":\"X\",\"recall\":[1,2]}");
         let lines = buf.lock().unwrap().clone();
         disable_metrics();
@@ -341,8 +313,7 @@ mod tests {
         for l in &lines {
             assert!(crate::json::parse(l).is_ok(), "{l}");
         }
-        assert!(lines[0].contains("\"name\":\"test.value\""));
-        assert!(lines[0].contains("\"epoch\":3"));
+        assert!(lines[0].contains("\"name\":\"test.\\\"value\""));
     }
 
     #[test]
@@ -350,7 +321,7 @@ mod tests {
         let _g = crate::test_lock();
         disable_metrics();
         // Must not panic or print.
-        emit_metric("counter", "x", 1.0, &[]);
+        emit_metric("counter", "x", 1.0);
         assert!(!metrics_enabled());
     }
 
@@ -366,9 +337,9 @@ mod tests {
         // the sink, and return normally; later emits are no-ops.
         install_file_sink("/dev/full").expect("open /dev/full");
         assert!(metrics_enabled());
-        emit_metric("gauge", "test.full_disk", 1.0, &[]);
+        emit_metric("gauge", "test.full_disk", 1.0);
         assert!(!metrics_enabled(), "sink disabled after the failed write");
-        emit_metric("gauge", "test.full_disk", 2.0, &[]);
+        emit_metric("gauge", "test.full_disk", 2.0);
         emit_json_line("{\"after\":\"disable\"}");
         disable_metrics();
     }

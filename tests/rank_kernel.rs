@@ -28,6 +28,13 @@
 //! anchors and rows at its magnitude bound and just past it, NaN and
 //! infinite rows, and `α` of 0, negative or NaN. One case crosses the
 //! crossover through `Scorer::rank` itself.
+//!
+//! `Scorer::build_ordered` stores the catalogue in spatial order with a
+//! ball bound per 32-row strip, and the kernel skips a strip unswept
+//! when the bound proves every item in it below each anchor's cut. Its
+//! rankings are held to the same reference over clustered catalogues,
+//! blocks whose anchors need different strips, hostile strips and
+//! anchors, and a strip whose bound is tight to the chain's rounding.
 
 use std::ops::Range;
 
@@ -37,8 +44,8 @@ use taxorec::data::{
     TopKAccumulator, TopKSink,
 };
 use taxorec::geometry::batch::{
-    fused_rank_with, fused_scores_block, BlockCache, Sweep, TagChannel, TagChannelMulti,
-    SCREEN_BOUND, SCREEN_MIN_BYTES,
+    fused_rank_with, fused_scores_block, spatial_order, BlockCache, Sweep, TagChannel,
+    TagChannelMulti, SCREEN_BOUND, SCREEN_MIN_BYTES,
 };
 use taxorec::geometry::convert::poincare_to_lorentz;
 use taxorec::geometry::isa::Isa;
@@ -132,6 +139,16 @@ fn scorer<'a>(v_ir: &'a [f64], v_tg: Option<&'a [f64]>) -> (ItemEmbeddings<'a>, 
     (items, Scorer::build(&items))
 }
 
+/// The ordered scorer over the generated matrices.
+fn ordered(v_ir: &[f64], v_tg: Option<&[f64]>) -> Scorer {
+    Scorer::build_ordered(&ItemEmbeddings {
+        v_ir,
+        ambient_ir: DIM_IR + 1,
+        v_tg,
+        ambient_tg: DIM_TG + 1,
+    })
+}
+
 /// The kernel under `Scorer::rank_range`, through `sweep` whatever the
 /// range's size: anchor `a` ranks into `accs[a]`.
 #[allow(clippy::too_many_arguments)]
@@ -184,6 +201,58 @@ fn screened(
         exclude,
     );
     accs.into_iter().map(TopKAccumulator::into_sorted).collect()
+}
+
+/// The ordered catalogue as bare kernel caches — rows in
+/// `spatial_order`, the interaction cache with strip bounds — ranked over
+/// `range` through each sweep, the screen forced whatever the size, with
+/// the order as the row → item map: the strip skip meets the screen's
+/// per-item rule and a range cut with no regard for strips. Each anchor
+/// must get the unpruned reference over the same rows.
+fn check_bounded_kernel(
+    (v_ir, ambient_ir): (&[f64], usize),
+    v_tg: Option<(&[f64], usize)>,
+    block: &[Anchor<'_>],
+    ks: &[usize],
+    range: Range<usize>,
+    exclude: &dyn Fn(usize, u32) -> bool,
+) -> Result<(), String> {
+    let order = spatial_order(v_ir, ambient_ir);
+    let ir = BlockCache::build_permuted(v_ir, ambient_ir, &order);
+    let tg = v_tg.map(|(data, ambient)| BlockCache::build_permuted(data, ambient, &order));
+    let bounded = ir.clone().with_strip_bounds();
+    for sweep in [Sweep::Screened, Sweep::Exact] {
+        let n = order.len();
+        let mut accs: Vec<TopKAccumulator> =
+            ks.iter().map(|&k| TopKAccumulator::new(k.min(n))).collect();
+        rank_with(
+            sweep,
+            &bounded,
+            tg.as_ref(),
+            block,
+            range.clone(),
+            Some(&order),
+            &mut accs,
+            exclude,
+        );
+        for (pos, acc) in accs.into_iter().enumerate() {
+            let (u_tg, alpha) = block[pos].tg.unwrap_or((&[], 0.0));
+            let want = exhaustive(
+                &ir,
+                tg.as_ref(),
+                block[pos].ir,
+                u_tg,
+                alpha,
+                (range.start, range.end),
+                &order,
+                ks[pos],
+                |item| exclude(pos, item),
+            );
+            let what = format!("{sweep:?} bounded kernel, anchor {pos}, rows {range:?}");
+            assert_same(&acc.into_sorted(), &want, &what)?;
+        }
+    }
+    Ok(())
 }
 
 fn assert_same(got: &[(u32, f64)], want: &[(u32, f64)], what: &str) -> Result<(), String> {
@@ -256,6 +325,21 @@ proptest! {
             _ => {}
         }
 
+        // The scorer whose row `slot` is item `ids[slot]`: the generated
+        // row `slot` relabelled as that item.
+        let relabel = |data: &[f64], ambient: usize| -> Vec<f64> {
+            let mut out = vec![0.0; data.len()];
+            for (slot, &item) in ids.iter().enumerate() {
+                let at = item as usize * ambient;
+                out[at..at + ambient].copy_from_slice(&data[slot * ambient..(slot + 1) * ambient]);
+            }
+            out
+        };
+        let (rel_ir, rel_tg) = (relabel(&v_ir, DIM_IR + 1), relabel(&v_tg, DIM_TG + 1));
+        let labelled = Scorer::build_permuted(
+            &ItemEmbeddings { v_tg: tg.map(|_| rel_tg.as_slice()), v_ir: &rel_ir, ..items },
+            ids.clone(),
+        );
         let mut accs: Vec<TopKAccumulator> =
             block.iter().map(|_| scorer.accumulator(k)).collect();
         // The same leaves through the screen, which the scorer only takes
@@ -263,7 +347,7 @@ proptest! {
         let mut screened_accs: Vec<TopKAccumulator> =
             block.iter().map(|_| scorer.accumulator(k)).collect();
         for &(leaf_lo, leaf_hi) in &leaves {
-            scorer.rank_range(&block, leaf_lo..leaf_hi, Some(&ids), &mut accs, None, exclude);
+            labelled.rank_range(&block, leaf_lo..leaf_hi, &mut accs, None, exclude);
             rank_with(
                 Sweep::Screened, &ir, tg, &block, leaf_lo..leaf_hi, Some(&ids),
                 &mut screened_accs, exclude,
@@ -305,6 +389,209 @@ proptest! {
             }
         }
     }
+}
+
+/// Rows in a few tight clusters around generated centres, so an ordered
+/// cache's strips are small balls and most of them are far from any one
+/// anchor: the strip skip runs on nearly every strip.
+fn clustered(centres: &[RowSpec], n: usize, spread: f64) -> Vec<RowSpec> {
+    (0..n)
+        .map(|i| {
+            let (kind, ir, tg) = &centres[i % centres.len()];
+            let wiggle = |d: &[f64], salt: usize| -> Vec<f64> {
+                let t = (i * 7 + salt) as f64;
+                d.iter()
+                    .enumerate()
+                    .map(|(j, x)| x + spread * (t * (0.7 + j as f64)).sin())
+                    .collect()
+            };
+            (*kind, wiggle(ir, 0), wiggle(tg, 3))
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The ordered scorer ranks as `select_top_k` over the unpruned
+    /// scores, ids and bits: clustered catalogues with rows next to the
+    /// origin and on the clip shell, `k` of 0, 1, 10, n and past n per
+    /// anchor, exclusions, and blocks of 1 to 6 anchors in different
+    /// clusters, whose bounds keep different strips.
+    #[test]
+    fn the_ordered_scorer_ranks_as_select_top_k_over_unpruned_scores(
+        centres in proptest::collection::vec(row_spec(), 1..9),
+        n in 40usize..1500,
+        spread in 0.0f64..0.05,
+        anchors in proptest::collection::vec((row_spec(), 0usize..5, 0usize..5), 1..7),
+        with_tag in 0u32..3,
+        stride in 1usize..7,
+        range in (0usize..10_000, 0usize..10_000),
+    ) {
+        let (v_ir, v_tg) = matrices(&clustered(&centres, n, spread), &[(1, 0)]);
+        let ir = BlockCache::build(&v_ir, DIM_IR + 1);
+        let tg_cache = BlockCache::build(&v_tg, DIM_TG + 1);
+        let tg = (with_tag > 0).then_some(&tg_cache);
+        let spatial = ordered(&v_ir, tg.map(|_| v_tg.as_slice()));
+
+        let alphas_of = [0.0, f64::MIN_POSITIVE, 1e-9, 0.5, 1e6];
+        let u_ir: Vec<Vec<f64>> = anchors.iter().map(|((kind, d, _), _, _)| lift(*kind, d)).collect();
+        let u_tg: Vec<Vec<f64>> = anchors.iter().map(|((kind, _, d), _, _)| lift(*kind, d)).collect();
+        let alphas: Vec<f64> = anchors.iter().map(|&(_, a, _)| alphas_of[a]).collect();
+        let ks: Vec<usize> = anchors.iter().map(|&(_, _, k)| [0, 1, 10, n, n + 7][k]).collect();
+        let block: Vec<Anchor<'_>> = (0..anchors.len())
+            .map(|a| Anchor { ir: &u_ir[a], tg: tg.map(|_| (u_tg[a].as_slice(), alphas[a])) })
+            .collect();
+        let exclude = |pos: usize, item: u32| stride > 1 && (item as usize + pos).is_multiple_of(stride);
+        let ids: Vec<u32> = (0..n as u32).collect();
+        let got = spatial.rank(&block, &ks, exclude);
+        for (pos, got) in got.iter().enumerate() {
+            let want = exhaustive(
+                &ir, tg, &u_ir[pos], &u_tg[pos], alphas[pos], (0, n), &ids, ks[pos],
+                |item| exclude(pos, item),
+            );
+            if let Err(e) = assert_same(got, &want, &format!("anchor {pos}")) {
+                prop_assert!(false, "{e} (n {n}, k {}, alpha {})", ks[pos], alphas[pos]);
+            }
+            // Alone, where no other anchor keeps a strip swept.
+            let alone = spatial.rank(&block[pos..=pos], &ks[pos..=pos], |_, item| exclude(pos, item));
+            if let Err(e) = assert_same(&alone[0], &want, &format!("anchor {pos} alone")) {
+                prop_assert!(false, "{e} (n {n}, k {}, alpha {})", ks[pos], alphas[pos]);
+            }
+        }
+        // The bare kernel over the whole catalogue and over a sub-range
+        // with no regard for STRIP.
+        let lo = range.0 % n;
+        let hi = lo + range.1 % (n - lo + 1);
+        for rows in [0..n, lo..hi] {
+            let tg_rows = tg.map(|_| (v_tg.as_slice(), DIM_TG + 1));
+            if let Err(e) = check_bounded_kernel(
+                (&v_ir, DIM_IR + 1), tg_rows, &block, &ks, rows, &exclude,
+            ) {
+                prop_assert!(false, "{e} (n {n}, ks {ks:?}, alphas {alphas:?})");
+            }
+        }
+        // Full score rows come back by item, not by cache row.
+        let (items, plain) = scorer(&v_ir, tg.map(|_| v_tg.as_slice()));
+        let (mut row, mut want) = (vec![0.0; n], vec![0.0; n]);
+        spatial.scores(&block[0], &mut row);
+        plain.scores(&block[0], &mut want);
+        for i in 0..n {
+            prop_assert!(row[i].to_bits() == want[i].to_bits(), "score row: item {i}");
+            prop_assert!(row[i].to_bits() == block[0].score(items.row(i)).to_bits(), "item {i}");
+        }
+    }
+}
+
+/// Strips the bound cannot vouch for, in an ordered catalogue: a NaN row
+/// (which `arcosh` ranks at distance 0, the best score), an infinite
+/// row, and 40 rows off the hyperboloid whose sum is not timelike, so
+/// the mean of their strip does not normalise; and anchors whose `α` is
+/// negative or NaN beside clean ones. Each ranks as the unpruned path —
+/// and so it does once an infinite tag row makes every anchor's tag
+/// inner products unprovable, when no strip may be skipped on its
+/// interaction bound: against `α = 0` that row scores `0·∞`, a NaN that
+/// `total_cmp` ranks first.
+#[test]
+fn hostile_strips_and_alphas_rank_through_the_ordered_scorer_as_the_unpruned_path() {
+    let n = 900;
+    let centres: Vec<RowSpec> = (0..6)
+        .map(|c| {
+            let t = c as f64;
+            (
+                c as u32 % 10,
+                vec![(t * 1.3).sin(), (t * 0.7).cos(), (t * 2.1).sin()],
+                vec![(t * 0.9).cos(), (t * 1.7).sin()],
+            )
+        })
+        .collect();
+    let (mut v_ir, v_tg) = matrices(&clustered(&centres, n, 0.02), &[(1, 0)]);
+    let a = DIM_IR + 1;
+    v_ir[100 * a + 2] = f64::NAN;
+    v_ir[300 * a] = f64::INFINITY;
+    v_ir[500 * a + 1] = f64::NEG_INFINITY;
+    for i in 700..740 {
+        let row = &mut v_ir[i * a..(i + 1) * a];
+        row.copy_from_slice(&[0.0, 1.0 + i as f64, -0.5, 0.25]);
+    }
+    let mut inf_tg = v_tg.clone();
+    inf_tg[800 * (DIM_TG + 1)] = f64::INFINITY;
+    let ir = BlockCache::build(&v_ir, a);
+    let u_ir: Vec<Vec<f64>> = centres.iter().map(|(kind, d, _)| lift(*kind, d)).collect();
+    let u_tg = lift(5, &[-0.4, 0.1]);
+    let alphas = [0.5, -0.5, f64::NAN, 0.0, 1e6, f64::INFINITY];
+    let block: Vec<Anchor<'_>> = u_ir
+        .iter()
+        .zip(alphas)
+        .map(|(ir, alpha)| Anchor {
+            ir,
+            tg: Some((&u_tg, alpha)),
+        })
+        .collect();
+    let ids: Vec<u32> = (0..n as u32).collect();
+    for v_tg in [&v_tg, &inf_tg] {
+        let tg = BlockCache::build(v_tg, DIM_TG + 1);
+        let scorer = ordered(&v_ir, Some(v_tg));
+        for k in [1, 10, 50] {
+            let got = scorer.rank(&block, &vec![k; block.len()], |_, _| false);
+            for (pos, alpha) in alphas.iter().enumerate() {
+                let want = exhaustive(
+                    &ir,
+                    Some(&tg),
+                    &u_ir[pos],
+                    &u_tg,
+                    *alpha,
+                    (0, n),
+                    &ids,
+                    k,
+                    |_| false,
+                );
+                assert_same(&got[pos], &want, &format!("anchor {pos} k {k}")).unwrap();
+                let alone = scorer.rank(&block[pos..=pos], &[k], |_, _| false);
+                assert_same(&alone[0], &want, &format!("anchor {pos} alone, k {k}")).unwrap();
+            }
+            let ks = vec![k; block.len()];
+            for rows in [0..n, 37..871] {
+                let tg_rows = Some((v_tg.as_slice(), DIM_TG + 1));
+                check_bounded_kernel((&v_ir, a), tg_rows, &block, &ks, rows, &|_, _| false)
+                    .unwrap();
+            }
+        }
+    }
+}
+
+/// The item chain's rounding term of the strip bound carries weight
+/// through the ordered scorer too. Anchor and rows sit about 12 from the
+/// origin on one geodesic, where an inner product cancels two terms near
+/// 10¹⁰ and is computed on a grid of about 10⁻⁶: item 0's value lies
+/// 1.6·10⁻⁶ below its exact one and ties items 32–63, so item 0 is the
+/// top-1 by id. The order puts item 0 in a strip with 31 rows 1 nearer
+/// the origin, whose bound is tight at item 0; the strip of items 32–63,
+/// nearer the anchor, is ranked first and sets the cut. Without the
+/// `γ′·P` term the bound would clear that cut and the top-1 would be
+/// item 32.
+#[test]
+fn the_chain_term_keeps_a_near_cut_strip_of_the_ordered_scorer() {
+    let lift1 = |s: f64| taxorec::geometry::lorentz::from_spatial(&[s]);
+    let anchor = lift1(101670.47158367405);
+    let mut rows = vec![lift1(96190.79274743576)];
+    rows.extend(vec![lift1(35318.38538583754); 31]);
+    rows.extend(vec![lift1(107459.1193088258); 32]);
+    let v_ir: Vec<f64> = rows.concat();
+    let items = ItemEmbeddings {
+        v_ir: &v_ir,
+        ambient_ir: 2,
+        v_tg: None,
+        ambient_tg: 0,
+    };
+    let block = [Anchor {
+        ir: &anchor,
+        tg: None,
+    }];
+    let want = Scorer::build(&items).rank(&block, &[1], |_, _| false);
+    assert_eq!(want[0][0].0, 0, "item 0 is the top-1");
+    let got = Scorer::build_ordered(&items).rank(&block, &[1], |_, _| false);
+    assert_same(&got[0], &want[0], "ordered").unwrap();
 }
 
 /// Checkpoints are outside input: nothing stops an artifact from carrying
