@@ -84,14 +84,11 @@ pub fn run() {
         let epochs_secs: f64 = records.iter().map(|r| r.duration_secs).sum();
         let tags = model.tag_embeddings();
         let construct_ms = |seeding: Seeding| {
+            // Training's construction: its seeds, with `seeding` swept.
             let construct = ConstructConfig {
-                k: cfg.taxo_k,
-                delta: cfg.taxo_delta,
-                min_node_size: cfg.taxo_min_node,
-                max_depth: cfg.taxo_max_depth,
                 seeding,
                 seed: cfg.seed ^ 0x7a70,
-                ..ConstructConfig::default()
+                ..cfg.construct_config()
             };
             median_ms(|| {
                 construct_taxonomy(

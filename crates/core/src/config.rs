@@ -1,6 +1,6 @@
 //! TaxoRec hyperparameters (paper §V-A.4 lists the tuned grid).
 
-use taxorec_taxonomy::Seeding;
+use taxorec_taxonomy::{ConstructConfig, Seeding};
 
 /// Full configuration of the TaxoRec model and its training loop.
 ///
@@ -124,6 +124,20 @@ impl TaxoRecConfig {
             taxo_rebuild_every: 5,
             batch_size: 2048,
             ..Self::default()
+        }
+    }
+
+    /// Algorithm 1's parameters as this configuration sets them, seeded
+    /// with [`TaxoRecConfig::seed`]: what a drift rebuild of the online
+    /// fold constructs with, and training with its own seed.
+    pub fn construct_config(&self) -> ConstructConfig {
+        ConstructConfig {
+            k: self.taxo_k,
+            delta: self.taxo_delta,
+            min_node_size: self.taxo_min_node,
+            max_depth: self.taxo_max_depth,
+            seeding: self.taxo_seeding,
+            seed: self.seed,
         }
     }
 

@@ -29,18 +29,21 @@
 //! epoch mean, or a majority of batches skipped as non-finite). A
 //! diverged epoch is **rolled back**: parameters, RNG, and loss history
 //! are restored to the start-of-epoch snapshot, the effective learning
-//! rate is multiplied by [`FitControl::lr_backoff`], and the epoch is
-//! re-run. After [`FitControl::max_rollbacks`] rollbacks the loop gives
+//! rate is multiplied by [`LR_BACKOFF`], and the epoch is
+//! re-run. After [`MAX_ROLLBACKS`] rollbacks the loop gives
 //! up, restores the last good snapshot, and returns with
 //! [`FitReport::gave_up`] set — the model stays usable at its last
 //! healthy parameters instead of poisoning downstream consumers.
-
-use std::time::Duration;
 
 use taxorec_autodiff::Matrix;
 use taxorec_taxonomy::Taxonomy;
 
 use crate::config::TaxoRecConfig;
+
+/// Divergence rollbacks allowed in one run before training gives up.
+pub const MAX_ROLLBACKS: usize = 3;
+/// Learning-rate multiplier applied on each rollback.
+pub const LR_BACKOFF: f64 = 0.5;
 
 /// A resumable snapshot of mid-training state. Produced by the
 /// checkpoint sink of [`crate::TaxoRec::fit_controlled`]; feed it back
@@ -58,8 +61,7 @@ pub struct TrainState {
     /// Current divergence-recovery learning-rate multiplier (1.0 unless
     /// rollbacks happened).
     pub lr_scale: f64,
-    /// Rollbacks consumed so far (counts against
-    /// [`FitControl::max_rollbacks`]).
+    /// Rollbacks consumed so far (counts against [`MAX_ROLLBACKS`]).
     pub rollbacks: usize,
     /// Raw user embeddings on the hyperboloid (`n_users × (dim_ir+1)`).
     pub u_ir: Matrix,
@@ -105,8 +107,10 @@ impl TrainState {
 }
 
 /// Knobs for [`crate::TaxoRec::fit_controlled`]. [`Default`] reproduces
-/// plain `fit`: no resume, no checkpoints, up to 3 divergence rollbacks
-/// with learning-rate halving.
+/// plain `fit`: no resume, no checkpoints. Divergence recovery is not a
+/// knob: up to [`MAX_ROLLBACKS`] rollbacks, each scaling the learning
+/// rate by [`LR_BACKOFF`].
+#[derive(Default)]
 pub struct FitControl<'a> {
     /// Continue from a previous [`TrainState`] instead of initializing.
     pub resume: Option<TrainState>,
@@ -116,32 +120,11 @@ pub struct FitControl<'a> {
     /// ([`FitReport::checkpoint_failures`]) but never stops training.
     #[allow(clippy::type_complexity)]
     pub checkpoint_sink: Option<Box<dyn FnMut(&TrainState) -> Result<(), String> + 'a>>,
-    /// Divergence rollbacks allowed before giving up.
-    pub max_rollbacks: usize,
-    /// Learning-rate multiplier applied on each rollback.
-    pub lr_backoff: f64,
-    /// Sleep inserted after every epoch (testing hook: makes mid-run
-    /// kills land deterministically between epochs).
-    pub epoch_throttle: Duration,
     /// Called after every successfully completed epoch with its record
     /// (loss, grad norm, stage breakdown). Drives progress tails like
     /// `train-demo --follow`; rolled-back epochs are not reported.
     #[allow(clippy::type_complexity)]
     pub on_epoch: Option<Box<dyn FnMut(&taxorec_telemetry::EpochRecord) + 'a>>,
-}
-
-impl Default for FitControl<'_> {
-    fn default() -> Self {
-        Self {
-            resume: None,
-            checkpoint_every: 0,
-            checkpoint_sink: None,
-            max_rollbacks: 3,
-            lr_backoff: 0.5,
-            epoch_throttle: Duration::ZERO,
-            on_epoch: None,
-        }
-    }
 }
 
 /// What [`crate::TaxoRec::fit_controlled`] did.

@@ -49,14 +49,17 @@ pub struct Interaction {
     pub tags: Vec<u32>,
 }
 
-/// Tuning of the incremental fold. [`Default`] matches the serving
-/// tier's `IngestOptions` defaults.
+/// Riemannian step size of the fold on the Lorentz interaction channels
+/// (tag pulls scale it by the model's `lr_tag_mult`).
+pub const FOLD_LR: f64 = 0.05;
+/// Hinge margin of the fold's triplet objective (HyperML Eq. 4 shape).
+pub const FOLD_MARGIN: f64 = 1.0;
+
+/// Tuning of the incremental fold. The serving tier folds with
+/// [`Default`] and the trained model's seed; the step size and margin
+/// are [`FOLD_LR`] and [`FOLD_MARGIN`].
 #[derive(Clone, Copy, Debug)]
 pub struct IncrementalConfig {
-    /// Riemannian step size for the Lorentz interaction channels.
-    pub lr: f64,
-    /// Hinge margin of the triplet objective (HyperML Eq. 4 shape).
-    pub margin: f64,
     /// Base seed for negative sampling and new-row initialization.
     /// Use the trained model's `config.seed` so a replayed journal
     /// reproduces the artifact bit-for-bit.
@@ -69,8 +72,6 @@ pub struct IncrementalConfig {
 impl Default for IncrementalConfig {
     fn default() -> Self {
         Self {
-            lr: 0.05,
-            margin: 1.0,
             seed: 0,
             max_growth: 100_000,
         }
@@ -362,7 +363,7 @@ pub fn apply_interactions(
     let amb_ir = state.u_ir.cols();
     let amb_tg = if tags_on { state.u_tg.cols() } else { 0 };
     let dim_tag = state.config.dim_tag;
-    let lr_tag = cfg.lr * state.config.lr_tag_mult;
+    let lr_tag = FOLD_LR * state.config.lr_tag_mult;
     // Reusable step buffers, sized for the widest ambient dimension.
     let width = amb_ir.max(amb_tg).max(dim_tag);
     let mut rg = vec![0.0; width];
@@ -393,8 +394,8 @@ pub fn apply_interactions(
             u,
             pos,
             neg,
-            cfg.margin,
-            cfg.lr,
+            FOLD_MARGIN,
+            FOLD_LR,
             &mut rg[..amb_ir],
         );
         if tags_on {
@@ -404,8 +405,8 @@ pub fn apply_interactions(
                 u,
                 pos,
                 neg,
-                cfg.margin,
-                cfg.lr,
+                FOLD_MARGIN,
+                FOLD_LR,
                 &mut rg[..amb_tg],
             );
             // Pull each annotating tag toward the item's tag-channel
@@ -600,7 +601,6 @@ mod tests {
         let cfg = IncrementalConfig {
             seed: base.config.seed,
             max_growth: 5,
-            ..IncrementalConfig::default()
         };
         let (u, v, t) = (base.n_users(), base.n_items(), base.n_tags());
         let ev = |user: usize, item: usize, tags: &[usize]| Interaction {
@@ -698,7 +698,6 @@ mod tests {
         let mut state = trained_state();
         let cfg = IncrementalConfig {
             seed: 3,
-            lr: 0.05,
             ..IncrementalConfig::default()
         };
         // A brand-new user repeatedly hitting one item must end up

@@ -18,7 +18,7 @@ pub mod optim;
 
 pub use config::TaxoRecConfig;
 pub use export::ModelState;
-pub use fit_control::{FitControl, FitReport, TrainState};
+pub use fit_control::{FitControl, FitReport, TrainState, LR_BACKOFF, MAX_ROLLBACKS};
 pub use graph::GraphMatrices;
 pub use incremental::{apply_interactions, IncrementalConfig, IncrementalReport, Interaction};
 pub use model::TaxoRec;

@@ -23,13 +23,13 @@ use rand::SeedableRng;
 use taxorec_autodiff::{Channel, Csr, Hinge, Matrix, TagChannel, Tape, Triplets, Var};
 use taxorec_data::{Anchor, Dataset, ItemEmbeddings, NegativeSampler, Recommender, Scorer, Split};
 use taxorec_geometry::{convert, lorentz};
-use taxorec_taxonomy::{construct_taxonomy, ConstructConfig, RegularizerPlan, Taxonomy};
+use taxorec_taxonomy::{construct_taxonomy, RegularizerPlan, Taxonomy};
 use taxorec_telemetry::{EpochRecord, RebuildStats, TrainingMonitor};
 
 use crate::aggregation::{global_aggregation, local_tag_aggregation};
 use crate::config::TaxoRecConfig;
 use crate::export;
-use crate::fit_control::{FitControl, FitReport};
+use crate::fit_control::{FitControl, FitReport, LR_BACKOFF, MAX_ROLLBACKS};
 use crate::graph::GraphMatrices;
 use crate::init;
 use crate::optim;
@@ -312,15 +312,9 @@ impl TaxoRec {
             .taxonomy
             .as_ref()
             .map(|t| tag_group_signatures(t, dataset.n_tags));
-        let cfg = ConstructConfig {
-            k: self.config.taxo_k,
-            delta: self.config.taxo_delta,
-            min_node_size: self.config.taxo_min_node,
-            max_depth: self.config.taxo_max_depth,
-            seeding: self.config.taxo_seeding,
-            seed: self.config.seed ^ 0x7a70,
-            ..ConstructConfig::default()
-        };
+        // Training's k-means stream is its own, apart from the fold's.
+        let mut cfg = self.config.construct_config();
+        cfg.seed ^= 0x7a70;
         let taxo = construct_taxonomy(
             self.t_p.data(),
             self.t_p.cols(),
@@ -441,12 +435,14 @@ impl TaxoRec {
     /// * **Divergence recovery**: a diverged epoch (non-finite mean loss,
     ///   or a majority of batches skipped as non-finite) is rolled back to
     ///   its start-of-epoch snapshot and re-run with the learning rate
-    ///   scaled by `ctl.lr_backoff`, up to `ctl.max_rollbacks` times;
+    ///   scaled by [`LR_BACKOFF`], up to [`MAX_ROLLBACKS`] times;
     ///   after that training stops at the last healthy parameters.
     ///
-    /// Fault injection: each epoch probes the `train.epoch` site, so
+    /// Fault injection: each epoch probes the `train.epoch` site once, so
     /// `TAXOREC_FAULT=nan@train.epoch:5` forces epoch 5's loss to NaN and
-    /// exercises the rollback path deterministically.
+    /// exercises the rollback path deterministically, and
+    /// `stall@train.epoch:1+` sleeps `TAXOREC_FAULT_STALL_MS` in every
+    /// epoch, so an external kill lands mid-run.
     ///
     /// # Panics
     /// Panics if a resume state fails validation or does not match the
@@ -713,7 +709,7 @@ impl TaxoRec {
 
             let (n_batches, nan_batches) = (epoch_record.n_batches, epoch_record.nan_batches);
             let mut epoch_mean = epoch_record.mean_loss;
-            if taxorec_resilience::inject_nan("train.epoch") {
+            if taxorec_resilience::inject_nan_or_stall("train.epoch") {
                 epoch_mean = f64::NAN;
             }
             let total = n_batches + nan_batches;
@@ -745,16 +741,16 @@ impl TaxoRec {
                 }
                 rng = StdRng::from_state(snap_rng);
                 self.loss_history.truncate(snap_losses);
-                if rollbacks > ctl.max_rollbacks {
+                if rollbacks > MAX_ROLLBACKS {
                     taxorec_telemetry::sink::warn(&format!(
-                        "{}: epoch {epoch} diverged; rollback budget ({}) exhausted — \
-                         stopping at the last healthy parameters",
-                        self.name, ctl.max_rollbacks
+                        "{}: epoch {epoch} diverged; rollback budget ({MAX_ROLLBACKS}) \
+                         exhausted — stopping at the last healthy parameters",
+                        self.name
                     ));
                     report.gave_up = true;
                     break;
                 }
-                lr_scale *= ctl.lr_backoff;
+                lr_scale *= LR_BACKOFF;
                 taxorec_telemetry::sink::warn(&format!(
                     "{}: epoch {epoch} diverged (mean {epoch_mean}, {nan_batches}/{total} \
                      non-finite batches); rolled back, retrying with lr_scale {lr_scale}",
@@ -782,9 +778,6 @@ impl TaxoRec {
                         }
                     }
                 }
-            }
-            if !ctl.epoch_throttle.is_zero() {
-                std::thread::sleep(ctl.epoch_throttle);
             }
             epoch += 1;
         }
@@ -1128,7 +1121,6 @@ mod tests {
             &s,
             FitControl {
                 resume: Some(poisoned),
-                max_rollbacks: 0,
                 ..FitControl::default()
             },
         );

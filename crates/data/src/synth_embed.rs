@@ -53,10 +53,6 @@ pub struct EmbedConfig {
     pub dim_ir: usize,
     /// Spatial dimension of the tag channel (rows get `+1`).
     pub dim_tag: usize,
-    /// Gaussian noise scale of items around their leaf center.
-    pub cluster_spread: f64,
-    /// Gaussian noise scale of user anchors around their home leaf.
-    pub user_spread: f64,
     /// Base RNG seed.
     pub seed: u64,
 }
@@ -69,8 +65,6 @@ impl Default for EmbedConfig {
             branching: vec![8, 8],
             dim_ir: 32,
             dim_tag: 8,
-            cluster_spread: 0.08,
-            user_spread: 0.10,
             seed: 42,
         }
     }
@@ -110,6 +104,11 @@ pub struct SynthEmbeddings {
     /// Ambient dimension of the tag matrices.
     pub ambient_tg: usize,
 }
+
+/// Gaussian noise scale of items around their leaf center.
+const CLUSTER_SPREAD: f64 = 0.08;
+/// Gaussian noise scale of user anchors around their home leaf.
+const USER_SPREAD: f64 = 0.10;
 
 /// Per-depth Möbius step radii of the hierarchical center layout (deeper
 /// levels step less, clamped at the last entry).
@@ -165,7 +164,7 @@ pub fn generate_embeddings(config: &EmbedConfig) -> SynthEmbeddings {
             let leaf = leaves[leaf_pos] as usize;
             place_near(
                 &centers_ir[leaf * config.dim_ir..(leaf + 1) * config.dim_ir],
-                config.cluster_spread,
+                CLUSTER_SPREAD,
                 &mut rng,
                 &mut scratch[..config.dim_ir],
                 &mut point[..config.dim_ir],
@@ -173,7 +172,7 @@ pub fn generate_embeddings(config: &EmbedConfig) -> SynthEmbeddings {
             );
             place_near(
                 &centers_tg[leaf * config.dim_tag..(leaf + 1) * config.dim_tag],
-                config.cluster_spread,
+                CLUSTER_SPREAD,
                 &mut rng,
                 &mut scratch[..config.dim_tag],
                 &mut point[..config.dim_tag],
@@ -199,7 +198,7 @@ pub fn generate_embeddings(config: &EmbedConfig) -> SynthEmbeddings {
         let leaf = leaves[leaf_pos] as usize;
         place_near(
             &centers_ir[leaf * config.dim_ir..(leaf + 1) * config.dim_ir],
-            config.user_spread,
+            USER_SPREAD,
             &mut rng,
             &mut scratch[..config.dim_ir],
             &mut point[..config.dim_ir],
@@ -207,7 +206,7 @@ pub fn generate_embeddings(config: &EmbedConfig) -> SynthEmbeddings {
         );
         place_near(
             &centers_tg[leaf * config.dim_tag..(leaf + 1) * config.dim_tag],
-            config.user_spread,
+            USER_SPREAD,
             &mut rng,
             &mut scratch[..config.dim_tag],
             &mut point[..config.dim_tag],

@@ -23,16 +23,19 @@
 //! | site              | kind(s) honoured | effect                               |
 //! |-------------------|------------------|--------------------------------------|
 //! | `parallel.job`    | `panic`          | pool job panics (probed per job)     |
-//! | `train.epoch`     | `nan`            | every batch loss in the epoch is NaN |
+//! | `train.epoch`     | `nan`, `stall`   | epoch mean is NaN / epoch sleeps     |
 //! | `checkpoint.save` | `io`             | checkpoint write fails               |
-//! | `serve.request`   | `panic`          | HTTP worker panics mid-request       |
+//! | `serve.request`   | `panic`, `stall` | HTTP worker panics / stalls          |
 //! | `serve.batch`     | `panic`, `stall` | scorer batch panics / stalls         |
 //! | `serve.spawn`     | `io`             | one server worker fails to spawn     |
+//! | `router.spawn`    | `io`             | one router worker fails to spawn     |
 //!
 //! `stall` puts the probing thread to sleep for
 //! `TAXOREC_FAULT_STALL_MS` milliseconds (default 100) — the
 //! deterministic way to wedge a pipeline stage and observe backpressure
-//! (queue growth, load shedding) without relying on timing races.
+//! (queue growth, load shedding) without relying on timing races, or to
+//! slow training so an external kill lands mid-run
+//! (`stall@train.epoch:1+`).
 //!
 //! A kind that a site does not honour is counted and warned about, never
 //! silently dropped.
@@ -292,10 +295,17 @@ pub fn inject_panic(site: &str) {
     }
 }
 
-/// Probes `site`; true when a `nan` fault is armed for this invocation.
-pub fn inject_nan(site: &str) -> bool {
+/// Probes `site` once and handles both the kinds a numeric loop can
+/// express: true when a `nan` fault is armed for this invocation, a
+/// sleep of [`stall_duration`] for a `stall` (the loop then carries on),
+/// anything else reported as unsupported.
+pub fn inject_nan_or_stall(site: &str) -> bool {
     match probe(site) {
         Some(FaultKind::Nan) => true,
+        Some(FaultKind::Stall) => {
+            std::thread::sleep(stall_duration());
+            false
+        }
         Some(other) => {
             unsupported(site, other);
             false
@@ -401,10 +411,13 @@ mod tests {
     fn fires_on_the_exact_ordinal() {
         let _g = lock();
         install(FaultSpec::parse("nan@t.site:3").unwrap());
-        assert!(!inject_nan("t.site"));
-        assert!(!inject_nan("t.site"));
-        assert!(inject_nan("t.site"), "third probe fires");
-        assert!(!inject_nan("t.site"), "one-shot: fourth probe is clean");
+        assert!(!inject_nan_or_stall("t.site"));
+        assert!(!inject_nan_or_stall("t.site"));
+        assert!(inject_nan_or_stall("t.site"), "third probe fires");
+        assert!(
+            !inject_nan_or_stall("t.site"),
+            "one-shot: fourth probe is clean"
+        );
         disable();
     }
 
@@ -422,9 +435,12 @@ mod tests {
     fn sites_count_independently() {
         let _g = lock();
         install(FaultSpec::parse("nan@t.a:2,nan@t.b:1").unwrap());
-        assert!(inject_nan("t.b"), "t.b fires on its own first probe");
-        assert!(!inject_nan("t.a"));
-        assert!(inject_nan("t.a"));
+        assert!(
+            inject_nan_or_stall("t.b"),
+            "t.b fires on its own first probe"
+        );
+        assert!(!inject_nan_or_stall("t.a"));
+        assert!(inject_nan_or_stall("t.a"));
         disable();
     }
 
@@ -464,6 +480,18 @@ mod tests {
         let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(msg.contains("fault injected: panic@t.ps"), "{msg}");
         inject_panic_or_stall("t.ps"); // third probe: clean
+        disable();
+    }
+
+    #[test]
+    fn nan_or_stall_handles_both_kinds_with_one_probe_each() {
+        let _g = lock();
+        install(FaultSpec::parse("stall@t.ns:1,nan@t.ns:2").unwrap());
+        let t0 = std::time::Instant::now();
+        assert!(!inject_nan_or_stall("t.ns"), "a stall is no NaN");
+        assert!(t0.elapsed() >= stall_duration(), "first probe stalls");
+        assert!(inject_nan_or_stall("t.ns"), "second probe is NaN");
+        assert!(!inject_nan_or_stall("t.ns"), "third probe: clean");
         disable();
     }
 

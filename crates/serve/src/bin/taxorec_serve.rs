@@ -203,16 +203,6 @@ fn train_demo(args: &[String]) -> Result<(), String> {
             );
         }));
     }
-    // Testing hook: slow the epoch loop down so an external kill lands
-    // mid-run deterministically (see the crash-resume integration test).
-    if let Ok(ms) = std::env::var("TAXOREC_EPOCH_SLEEP_MS") {
-        let ms: u64 = ms
-            .trim()
-            .parse()
-            .map_err(|_| format!("TAXOREC_EPOCH_SLEEP_MS={ms:?} is not an integer"))?;
-        ctl.epoch_throttle = Duration::from_millis(ms);
-    }
-
     println!(
         "training TaxoRec on synthetic {} ({} users, {} items, {} tags), {} epochs…",
         dataset.name, dataset.n_users, dataset.n_items, dataset.n_tags, config.epochs

@@ -105,6 +105,14 @@ use crate::online::{self, IngestOptions, Journal};
 
 /// Updater sleep slice (stop-flag recheck bound).
 const POLL_INTERVAL: Duration = Duration::from_millis(10);
+/// Ingest journal capacity; `POST /ingest` answers `503 + Retry-After`
+/// when full (backpressure, same contract as the connection queue).
+const JOURNAL_CAP: usize = 65_536;
+/// Most interactions folded per update tick; the rest stay journaled
+/// for the next tick.
+const TICK_BATCH: usize = 4096;
+/// Largest `POST /ingest` body accepted (bytes).
+const MAX_INGEST_BODY: usize = 1024 * 1024;
 /// Default `k` when `/recommend` omits it.
 const DEFAULT_K: usize = 10;
 /// Upper bound on `k` per request (keeps a typo from ranking the world).
@@ -378,12 +386,9 @@ fn serve_impl(
 ) -> std::io::Result<ServerHandle> {
     let n_requested = opts.n_workers.max(1);
     let batch_opts = opts.batch.clone();
-    let journal = online_base.as_ref().map(|base| {
-        Arc::new(Journal::new(
-            opts.ingest.journal_cap,
-            base.journal_cursor.unwrap_or(0),
-        ))
-    });
+    let journal = online_base
+        .as_ref()
+        .map(|base| Arc::new(Journal::new(JOURNAL_CAP, base.journal_cursor.unwrap_or(0))));
     let shedder = Arc::new(Shedder::new(
         "serve.http.shed",
         "serve.shed",
@@ -524,7 +529,7 @@ fn updater_loop(base: Checkpoint, shared: &Shared, slot: &Arc<ModelSlot>, stop: 
             }
             std::thread::sleep(POLL_INTERVAL.min(opts.tick));
         }
-        let batch = journal.drain(opts.batch);
+        let batch = journal.drain(TICK_BATCH);
         if batch.is_empty() {
             continue;
         }
@@ -970,17 +975,13 @@ fn handle_ingest(
     let Some(journal) = shared.journal.as_ref() else {
         return reject(503, "ingestion is not enabled; start with serve --ingest");
     };
-    let opts = &shared.opts.ingest;
     let Some(expected) = net::header(head, "content-length").and_then(|v| v.parse().ok()) else {
         return reject(400, "POST /ingest requires a Content-Length header");
     };
-    if expected > opts.max_body {
+    if expected > MAX_INGEST_BODY {
         return reject(
             413,
-            &format!(
-                "body of {expected} bytes exceeds the {} byte ingest limit",
-                opts.max_body
-            ),
+            &format!("body of {expected} bytes exceeds the {MAX_INGEST_BODY} byte ingest limit"),
         );
     }
     // Start from what `read_request` over-read past the head and pull
@@ -1011,7 +1012,7 @@ fn handle_ingest(
             Endpoint::Ingest,
         ),
         Err(depth) => {
-            let retry_after = opts.tick.as_secs().max(1);
+            let retry_after = shared.opts.ingest.tick.as_secs().max(1);
             reject(
                 503,
                 &format!(

@@ -39,7 +39,7 @@ use taxorec_core::incremental::{
     apply_interactions, grown_rows, reserve_rows, IncrementalConfig, Interaction, Rows,
 };
 use taxorec_retrieval::TaxoIndex;
-use taxorec_taxonomy::{attach_tag, construct_taxonomy, ConstructConfig};
+use taxorec_taxonomy::{attach_tag, construct_taxonomy};
 use taxorec_telemetry::env;
 use taxorec_telemetry::json::{self, Value};
 
@@ -57,24 +57,9 @@ pub struct IngestOptions {
     /// Update-tick interval: how often the journal is drained and the
     /// model rebuilt + swapped. Env: `TAXOREC_INGEST_TICK_MS`.
     pub tick: Duration,
-    /// Journal capacity; `POST /ingest` answers `503 + Retry-After`
-    /// when full (backpressure, same contract as the connection queue).
-    pub journal_cap: usize,
-    /// Most interactions folded per tick; the rest stay journaled for
-    /// the next tick.
-    pub batch: usize,
-    /// Riemannian step size of the incremental fold.
-    pub lr: f64,
-    /// Margin of the incremental triplet hinge.
-    pub margin: f64,
     /// Grafted-tag count that triggers a full Algorithm-1 taxonomy
     /// rebuild (and index rebuild) to reconcile accumulated drift.
     pub drift_limit: u64,
-    /// Hard cap on rows a single interaction may grow the model by
-    /// (hostile/corrupt id guard).
-    pub max_growth: usize,
-    /// Largest `POST /ingest` body accepted (bytes).
-    pub max_body: usize,
     /// When set, every tick's artifact is persisted here atomically, so
     /// a restart resumes from the last folded state (journal cursor
     /// included). Env: `TAXOREC_INGEST_CHECKPOINT`.
@@ -86,13 +71,7 @@ impl Default for IngestOptions {
         Self {
             enabled: false,
             tick: Duration::from_millis(1000),
-            journal_cap: 65_536,
-            batch: 4096,
-            lr: 0.05,
-            margin: 1.0,
             drift_limit: 64,
-            max_growth: 100_000,
-            max_body: 1024 * 1024,
             checkpoint_path: None,
         }
     }
@@ -424,10 +403,8 @@ pub fn fold_batch(
         return Ok(report);
     }
     let inc_cfg = IncrementalConfig {
-        lr: opts.lr,
-        margin: opts.margin,
         seed: ckpt.state.config.seed,
-        max_growth: opts.max_growth,
+        ..IncrementalConfig::default()
     };
     // Serving context must stay length-consistent with the growing
     // model (checkpoint validation requires all-or-nothing lists), so
@@ -519,22 +496,12 @@ pub fn fold_batch(
         }
         let mut rebuilt = false;
         if *drift >= opts.drift_limit && ckpt.state.taxonomy.is_some() {
-            let cfg = &ckpt.state.config;
-            let taxo_cfg = ConstructConfig {
-                k: cfg.taxo_k,
-                delta: cfg.taxo_delta,
-                min_node_size: cfg.taxo_min_node,
-                max_depth: cfg.taxo_max_depth,
-                seeding: cfg.taxo_seeding,
-                seed: cfg.seed,
-                ..ConstructConfig::default()
-            };
             let taxo = construct_taxonomy(
                 ckpt.state.t_p.data(),
                 dim_tag,
                 ckpt.state.n_tags(),
                 &ckpt.item_tags,
-                &taxo_cfg,
+                &ckpt.state.config.construct_config(),
             );
             ckpt.state.taxonomy = Some(taxo);
             *drift = 0;
@@ -701,11 +668,7 @@ mod tests {
             },
         ];
         let opts = IngestOptions::default();
-        let cfg = IncrementalConfig {
-            max_growth: opts.max_growth,
-            ..IncrementalConfig::default()
-        };
-        let (plan, rows) = plan_batch(&ckpt, &batch, &cfg);
+        let (plan, rows) = plan_batch(&ckpt, &batch, &IncrementalConfig::default());
         // The hostile user counts for nothing; its item and tag neither.
         let expected = Rows {
             users: d.n_users + 1,
@@ -807,7 +770,6 @@ mod tests {
         // whatever the ambient environment actually sets.
         let d = IngestOptions::default();
         assert!(!d.enabled);
-        assert!(d.journal_cap > 0 && d.batch > 0 && d.max_body > 0);
         assert!(d.tick >= Duration::from_millis(10));
     }
 }

@@ -77,6 +77,12 @@ use crate::ring::Ring;
 
 /// Prober sleep slice (stop-flag recheck bound).
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
+/// Largest client request head accepted.
+const MAX_REQUEST_BYTES: usize = 16 * 1024;
+/// Consecutive transport failures that open a shard's breaker.
+const BREAKER_THRESHOLD: u32 = 3;
+/// How long an open breaker refuses before a half-open probe.
+const BREAKER_COOLDOWN: Duration = Duration::from_millis(500);
 /// The router's `router.<endpoint>.{ms,requests,errors}` series.
 static ROUTER: Red = Red::new("router");
 
@@ -90,8 +96,6 @@ pub struct RouterOptions {
     pub io_timeout: Duration,
     /// Accepted client connections allowed to wait for a worker.
     pub max_queue: usize,
-    /// Largest client request head accepted.
-    pub max_request_bytes: usize,
     /// How often the background prober polls each shard's `/healthz`.
     /// Env: `TAXOREC_ROUTER_PROBE_MS`.
     pub probe_interval: Duration,
@@ -102,10 +106,6 @@ pub struct RouterOptions {
     pub hedge_after: Duration,
     /// Total per-request budget across all candidates and hedges.
     pub deadline: Duration,
-    /// Consecutive transport failures that open a shard's breaker.
-    pub breaker_threshold: u32,
-    /// How long an open breaker refuses before a half-open probe.
-    pub breaker_cooldown: Duration,
 }
 
 impl Default for RouterOptions {
@@ -114,13 +114,10 @@ impl Default for RouterOptions {
             n_workers: 4,
             io_timeout: Duration::from_secs(5),
             max_queue: 128,
-            max_request_bytes: 16 * 1024,
             probe_interval: Duration::from_millis(200),
             connect_timeout: Duration::from_millis(250),
             hedge_after: Duration::from_millis(50),
             deadline: Duration::from_secs(2),
-            breaker_threshold: 3,
-            breaker_cooldown: Duration::from_millis(500),
         }
     }
 }
@@ -195,6 +192,9 @@ impl ShardState {
 /// State shared by the workers, the prober, and the handle.
 struct RouterShared {
     draining: AtomicBool,
+    /// Some front-end worker failed to spawn: the router serves on a
+    /// reduced pool and reports `degraded`, as a shard does.
+    short_handed: AtomicBool,
     ring: Ring,
     shards: Vec<ShardState>,
     opts: RouterOptions,
@@ -260,7 +260,7 @@ pub fn route_with(
         .map(|&a| ShardState {
             addr: a,
             health: AtomicU8::new(SHARD_UNKNOWN),
-            breaker: Mutex::new(Breaker::new(opts.breaker_threshold, opts.breaker_cooldown)),
+            breaker: Mutex::new(Breaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN)),
             meta: Mutex::new(ShardMeta::default()),
         })
         .collect();
@@ -268,7 +268,9 @@ pub fn route_with(
         pool: PoolSpec {
             thread: "taxorec-router",
             metric: "router.worker",
-            fault_site: None,
+            // `TAXOREC_FAULT=io@router.spawn:2` loses exactly the second
+            // worker, driving `/healthz` to `degraded`.
+            fault_site: Some("router.spawn"),
         },
         n_workers: opts.n_workers,
         io_timeout: opts.io_timeout,
@@ -284,19 +286,27 @@ pub fn route_with(
         opts.max_queue,
         Some(taxorec_telemetry::gauge("router.queue.depth")),
     );
+    let n_requested = opts.n_workers.max(1);
     let shared = Arc::new(RouterShared {
         draining: AtomicBool::new(false),
+        short_handed: AtomicBool::new(false),
         ring,
         shards: shard_states,
         opts,
     });
-    let (front, _live_workers) = {
+    let (front, live_workers) = {
         let shared = Arc::clone(&shared);
         let decline = |_: &mut Conn| Inline::Declined;
         net::listen(addr, conns, edge, decline, move |conn| {
             handle_client(conn, &shared)
         })?
     };
+    if live_workers < n_requested {
+        shared.short_handed.store(true, Ordering::SeqCst);
+        taxorec_telemetry::sink::warn(&format!(
+            "routing degraded: {live_workers}/{n_requested} workers"
+        ));
+    }
     let mut handle = RouterHandle {
         front,
         shared,
@@ -321,8 +331,8 @@ fn handle_client(conn: Conn, shared: &RouterShared) {
         ..
     } = conn;
     let _scope = trace::scope(ctx);
-    let max_head = shared.opts.max_request_bytes;
-    let Some((head, _)) = net::read_request(&mut stream, prefix, max_head, ctx.trace_id) else {
+    let Some((head, _)) = net::read_request(&mut stream, prefix, MAX_REQUEST_BYTES, ctx.trace_id)
+    else {
         return;
     };
     held_counter!("router.requests").inc(1);
@@ -670,8 +680,9 @@ pub fn healthz_users(body: &str) -> Option<usize> {
 }
 
 /// The router's aggregate `/healthz`: its own status (`ready` when the
-/// full fleet is routable, `degraded` when only part of it is,
-/// `draining` on shutdown), the user count every routable shard can
+/// full fleet is routable on a full worker pool, `degraded` when only
+/// part of the fleet is or a worker failed to spawn, `draining` on
+/// shutdown), the user count every routable shard can
 /// serve (their minimum; absent until one has answered), plus each
 /// shard's probed state, breaker, identity, and checkpoint fingerprint.
 fn fleet_healthz_json(shared: &RouterShared) -> String {
@@ -723,7 +734,7 @@ fn fleet_healthz_json(shared: &RouterShared) -> String {
     shards_json.push(']');
     let status = if shared.draining.load(Ordering::SeqCst) {
         "draining"
-    } else if up == shared.shards.len() {
+    } else if up == shared.shards.len() && !shared.short_handed.load(Ordering::SeqCst) {
         "ready"
     } else {
         "degraded"

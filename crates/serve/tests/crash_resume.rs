@@ -22,13 +22,13 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 /// A `train-demo` command with a hygienic environment: no inherited
-/// fault spec, throttle, or thread override can skew determinism.
+/// fault spec, stall length, or thread override can skew determinism.
 fn train_cmd(args: &[&str]) -> Command {
     let mut cmd = Command::new(BIN);
     cmd.arg("train-demo")
         .args(args)
         .env_remove("TAXOREC_FAULT")
-        .env_remove("TAXOREC_EPOCH_SLEEP_MS")
+        .env_remove("TAXOREC_FAULT_STALL_MS")
         .env_remove("TAXOREC_THREADS")
         .stdout(Stdio::piped())
         .stderr(Stdio::piped());
@@ -60,8 +60,8 @@ fn sigkilled_training_resumes_to_a_byte_identical_artifact() {
     ]));
     let clean_bytes = std::fs::read(&out_clean).expect("clean artifact");
 
-    // Interrupted run: throttled so SIGKILL lands mid-training, with a
-    // checkpoint after every completed epoch.
+    // Interrupted run: every epoch stalls 200 ms so SIGKILL lands
+    // mid-training, with a checkpoint after every completed epoch.
     let mut child = train_cmd(&[
         out_resumed.to_str().unwrap(),
         "--epochs",
@@ -71,7 +71,8 @@ fn sigkilled_training_resumes_to_a_byte_identical_artifact() {
         "--checkpoint-every",
         "1",
     ])
-    .env("TAXOREC_EPOCH_SLEEP_MS", "200")
+    .env("TAXOREC_FAULT", "stall@train.epoch:1+")
+    .env("TAXOREC_FAULT_STALL_MS", "200")
     .spawn()
     .expect("spawn throttled train-demo");
 

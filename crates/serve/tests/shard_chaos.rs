@@ -36,7 +36,7 @@ fn artifact() -> &'static PathBuf {
         let out = Command::new(BIN)
             .args(["train-demo", path.to_str().unwrap(), "--epochs", "2"])
             .env_remove("TAXOREC_FAULT")
-            .env_remove("TAXOREC_EPOCH_SLEEP_MS")
+            .env_remove("TAXOREC_FAULT_STALL_MS")
             .output()
             .expect("spawn train-demo");
         assert!(

@@ -1,6 +1,7 @@
 //! In-process sharded-tier tests: router failover, hedging, 503
 //! behavior, aggregated health, warm checkpoint reload, degraded-spawn
-//! health transitions, and trace adoption (DESIGN.md §16).
+//! health transitions of shard and router, and trace adoption
+//! (DESIGN.md §16).
 //!
 //! Everything here runs router and shards inside one test process so
 //! the assertions can be exact (byte-identical bodies, telemetry
@@ -529,6 +530,48 @@ fn health_transitions_ready_degraded_draining_under_injected_worker_loss() {
         .status;
     assert_eq!(status, 200, "draining must keep serving");
     handle.shutdown();
+}
+
+#[test]
+fn router_reports_degraded_when_a_worker_fails_to_spawn() {
+    let _g = lock();
+    let model = Arc::new(serving_model());
+    let shard = serve_with(model, "127.0.0.1:0", shard_opts("whole")).expect("shard");
+    // The second router worker is lost: the router routes on the rest
+    // and says so, although its whole fleet is up.
+    install(FaultSpec::parse("io@router.spawn:2").expect("spec"));
+    let router = route_with(
+        vec![shard.local_addr()],
+        "127.0.0.1:0",
+        RouterOptions {
+            n_workers: 3,
+            ..fast_router_opts()
+        },
+    )
+    .expect("router");
+    disable();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let body = client::get(router.local_addr(), "/healthz")
+            .expect("response")
+            .body;
+        if body.contains("\"id\":\"whole\"") {
+            assert!(body.contains("\"up\":1,\"total\":1"), "{body}");
+            assert!(body.contains("\"status\":\"degraded\""), "{body}");
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "router never probed its shard: {body}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    let status = client::get(router.local_addr(), "/recommend?user=0&k=3")
+        .expect("response")
+        .status;
+    assert_eq!(status, 200, "a short-handed router still routes");
+    router.shutdown();
+    shard.shutdown();
 }
 
 #[test]

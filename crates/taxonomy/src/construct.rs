@@ -18,7 +18,14 @@ use crate::kmeans::{poincare_kmeans, Seeding};
 use crate::scoring::{score, GroupStats};
 use crate::tree::Taxonomy;
 
-/// Configuration of the construction algorithm.
+/// k-means Lloyd iteration cap per split.
+const KMEANS_ITERS: usize = 30;
+/// Adaptive-refinement iteration cap (Algorithm 1's `while True` is
+/// guaranteed to terminate, the cap is a defensive bound).
+const REFINE_ITERS: usize = 10;
+
+/// Configuration of the construction algorithm: the paper's `K` and `δ`
+/// (§V-D), the tree's size bounds, seeding and seed.
 #[derive(Clone, Debug)]
 pub struct ConstructConfig {
     /// Number of children per split, `K ∈ {2,3,4}` in the paper (§V-D).
@@ -29,13 +36,8 @@ pub struct ConstructConfig {
     pub min_node_size: usize,
     /// Maximum tree depth (root = 0).
     pub max_depth: usize,
-    /// k-means Lloyd iteration cap.
-    pub kmeans_iters: usize,
     /// Centroid seeding strategy (ablation knob).
     pub seeding: Seeding,
-    /// Adaptive-refinement iteration cap (Algorithm 1's `while True` is
-    /// guaranteed to terminate, the cap is a defensive bound).
-    pub refine_iters: usize,
     /// RNG seed for k-means.
     pub seed: u64,
 }
@@ -47,9 +49,7 @@ impl Default for ConstructConfig {
             delta: 0.25,
             min_node_size: 4,
             max_depth: 4,
-            kmeans_iters: 30,
             seeding: Seeding::PlusPlus,
-            refine_iters: 10,
             seed: 17,
         }
     }
@@ -81,7 +81,7 @@ pub fn adaptive_split(
 ) -> SplitResult {
     let mut t_sub: Vec<u32> = tags.to_vec();
     let mut groups: Vec<Vec<u32>> = Vec::new();
-    for _ in 0..config.refine_iters {
+    for _ in 0..REFINE_ITERS {
         if t_sub.len() < 2 {
             groups = if t_sub.is_empty() {
                 Vec::new()
@@ -97,7 +97,7 @@ pub fn adaptive_split(
             &t_sub,
             config.k,
             config.seeding,
-            config.kmeans_iters,
+            KMEANS_ITERS,
             rng,
         );
         let k = km.centroids.len() / dim;

@@ -1,5 +1,5 @@
 //! The source walker the textual guards share (`knobs.rs`, `tape_ops.rs`,
-//! `series.rs`).
+//! `series.rs`, `options.rs`).
 
 use std::path::{Path, PathBuf};
 

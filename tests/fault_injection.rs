@@ -13,7 +13,7 @@
 use std::panic::catch_unwind;
 use std::sync::Mutex;
 
-use taxorec::core::{FitControl, TaxoRec, TaxoRecConfig};
+use taxorec::core::{FitControl, TaxoRec, TaxoRecConfig, MAX_ROLLBACKS};
 use taxorec::data::{generate_preset, Preset, Recommender, Scale, Split};
 use taxorec::parallel::par_map;
 use taxorec::resilience::{disable, install, FaultSpec, RetryPolicy};
@@ -129,13 +129,11 @@ fn persistent_divergence_exhausts_the_budget_and_gives_up() {
     // Every attempt of the second epoch diverges, forever.
     arm("nan@train.epoch:2+");
     let mut model = TaxoRec::new(cfg.clone());
-    let ctl = FitControl::default();
-    let max_rollbacks = ctl.max_rollbacks;
-    let report = model.fit_controlled(&dataset, &split, ctl);
+    let report = model.fit_controlled(&dataset, &split, FitControl::default());
     disable();
 
     assert!(report.gave_up, "{report:?}");
-    assert_eq!(report.rollbacks, max_rollbacks + 1, "{report:?}");
+    assert_eq!(report.rollbacks, MAX_ROLLBACKS + 1, "{report:?}");
     assert_eq!(report.epochs_run, 1, "only the clean first epoch landed");
     // Graceful degradation: the model stops at its last healthy
     // parameters instead of poisoning downstream consumers.

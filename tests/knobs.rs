@@ -14,7 +14,7 @@ use std::path::PathBuf;
 use common::{read, root, rust_files};
 
 /// The most knobs the workspace may read.
-const MAX_KNOBS: usize = 35;
+const MAX_KNOBS: usize = 26;
 
 const PREFIX: &str = "TAXOREC_";
 
