@@ -1,7 +1,11 @@
 //! Microbenchmark of the production ranking path (DESIGN.md §12)
 //! against the seed scalar implementation it replaced: full-catalog
 //! two-channel scoring plus top-K selection per user (users/sec) — the
-//! fused side *is* `Scorer::rank`, what eval, serving and retrieval run.
+//! fused side *is* `Scorer::rank` over `Scorer::build`'s caches, what
+//! TaxoRec's eval runs. Serving ranks through `Scorer::build_ordered`
+//! (spatial order, strip bounds in both channels) and the retrieval index
+//! through `Scorer::build_permuted`; the exactness check below covers the
+//! ordered scorer too.
 //!
 //! The metric runs at `TAXOREC_THREADS` = 1 and 4 and reports the naive
 //! and fused rates plus their ratio. Results overwrite
@@ -9,11 +13,13 @@
 //!
 //! `--assert-floor` exits non-zero when a fused rate falls below its
 //! naive counterpart — the CI regression floor — or when, outside the
-//! timed reps, any user's fused top-K differs from the naive one in an
+//! timed reps, any user's top-K through either scorer — the plain one
+//! and the ordered one serving ships — differs from the naive one in an
 //! item id or a score bit, at either thread count. That check runs on
 //! the timed fixture's random points and on planted clusters at the same
-//! dims, where the prune keeps few items, so a catalogue past the
-//! kernel's size crossover also crosses its f32 screen. Problem size is
+//! dims, where the prune keeps few items and the strip bounds skip many
+//! strips, so a catalogue past the kernel's size crossover also crosses
+//! its f32 screen. Problem size is
 //! overridable via `TAXOREC_HOTPATH_ITEMS` and `TAXOREC_HOTPATH_USERS`.
 
 use std::hint::black_box;
@@ -90,12 +96,7 @@ impl Fixture {
 
     fn new(n_users: usize, n_items: usize, rows: [Vec<f64>; 4], alphas: Vec<f64>) -> Self {
         let [u_ir, v_ir, u_tg, v_tg] = rows;
-        let scorer = Scorer::build(&ItemEmbeddings {
-            v_ir: &v_ir,
-            ambient_ir: DIM_IR + 1,
-            v_tg: Some(&v_tg),
-            ambient_tg: DIM_TAG + 1,
-        });
+        let scorer = Scorer::build(&items(&v_ir, &v_tg));
         Self {
             n_users,
             n_items,
@@ -106,6 +107,11 @@ impl Fixture {
             scorer,
             alphas,
         }
+    }
+
+    /// The serving path's scorer over the same items.
+    fn ordered(&self) -> Scorer {
+        Scorer::build_ordered(&items(&self.v_ir, &self.v_tg))
     }
 
     fn u_ir_row(&self, u: usize) -> &[f64] {
@@ -125,6 +131,16 @@ impl Fixture {
     }
 }
 
+/// The two channels' item rows as a scorer's input.
+fn items<'a>(v_ir: &'a [f64], v_tg: &'a [f64]) -> ItemEmbeddings<'a> {
+    ItemEmbeddings {
+        v_ir,
+        ambient_ir: DIM_IR + 1,
+        v_tg: Some(v_tg),
+        ambient_tg: DIM_TAG + 1,
+    }
+}
+
 /// One user's top-K on the seed scalar path: fresh score `Vec`, one
 /// scalar two-channel distance pair per item, then top-K selection.
 fn naive_top(fx: &Fixture, u: usize) -> Vec<(u32, f64)> {
@@ -141,8 +157,8 @@ fn naive_top(fx: &Fixture, u: usize) -> Vec<(u32, f64)> {
 }
 
 /// Top-K lists of user block `c` ([`EVAL_USER_CHUNK`] users) through
-/// [`Scorer::rank`] — the production streaming path itself.
-fn fused_block(fx: &Fixture, c: usize) -> Vec<Vec<(u32, f64)>> {
+/// `scorer`'s [`Scorer::rank`] — the production streaming path itself.
+fn fused_block(fx: &Fixture, scorer: &Scorer, c: usize) -> Vec<Vec<(u32, f64)>> {
     let lo = c * EVAL_USER_CHUNK;
     let hi = (lo + EVAL_USER_CHUNK).min(fx.n_users);
     let anchors: Vec<Anchor<'_>> = (lo..hi)
@@ -152,7 +168,7 @@ fn fused_block(fx: &Fixture, c: usize) -> Vec<Vec<(u32, f64)>> {
         })
         .collect();
     let ks = [TOP_K; EVAL_USER_CHUNK];
-    fx.scorer.rank(&anchors, &ks[..hi - lo], |_, _| false)
+    scorer.rank(&anchors, &ks[..hi - lo], |_, _| false)
 }
 
 /// First item id of a top-K list — what a timed rep folds into its sum.
@@ -172,7 +188,7 @@ fn eval_naive(fx: &Fixture) -> f64 {
 fn eval_fused(fx: &Fixture) -> f64 {
     let n_chunks = fx.n_users.div_ceil(EVAL_USER_CHUNK);
     let tops = taxorec_parallel::par_map("hotpath.eval.fused", n_chunks, |c| {
-        fused_block(fx, c)
+        fused_block(fx, &fx.scorer, c)
             .iter()
             .map(|top| first_id(top))
             .sum::<f64>()
@@ -180,12 +196,14 @@ fn eval_fused(fx: &Fixture) -> f64 {
     tops.iter().sum()
 }
 
-/// Users whose fused top-K differs from the naive one in an item id or
-/// a score bit — 0 when the pruned kernel is exact.
-fn mismatched_users(fx: &Fixture) -> usize {
+/// Users whose top-K through `scorer` differs from the naive one in an
+/// item id or a score bit — 0 when the pruned kernel is exact.
+fn mismatched_users(fx: &Fixture, scorer: &Scorer) -> usize {
     let naive = taxorec_parallel::par_map("hotpath.check.naive", fx.n_users, |u| naive_top(fx, u));
     let n_chunks = fx.n_users.div_ceil(EVAL_USER_CHUNK);
-    let fused = taxorec_parallel::par_map("hotpath.check.fused", n_chunks, |c| fused_block(fx, c));
+    let fused = taxorec_parallel::par_map("hotpath.check.fused", n_chunks, |c| {
+        fused_block(fx, scorer, c)
+    });
     let bits = |top: &[(u32, f64)]| -> Vec<(u32, u64)> {
         top.iter().map(|&(i, s)| (i, s.to_bits())).collect()
     };
@@ -246,6 +264,10 @@ pub fn run() {
         .max(1);
     let fx = Fixture::build(n_users, n_items);
     let planted = assert_floor.then(|| Fixture::planted(n_users, n_items));
+    // The fixtures the exactness check runs on, and the scorer serving
+    // ships for each, beside the one eval times.
+    let checked: Vec<&Fixture> = planted.iter().flat_map(|p| [&fx, p]).collect();
+    let ordered: Vec<Scorer> = checked.iter().map(|f| f.ordered()).collect();
     let users_per_rep = n_users as f64;
 
     let prev_threads = std::env::var("TAXOREC_THREADS").ok();
@@ -253,8 +275,11 @@ pub fn run() {
     let mut mismatches = Vec::new();
     for &threads in &[1usize, 4] {
         std::env::set_var("TAXOREC_THREADS", threads.to_string());
-        if let Some(planted) = &planted {
-            mismatches.push((threads, mismatched_users(&fx) + mismatched_users(planted)));
+        if assert_floor {
+            let bad: usize = (checked.iter().zip(&ordered))
+                .map(|(f, o)| mismatched_users(f, &f.scorer) + mismatched_users(f, o))
+                .sum();
+            mismatches.push((threads, bad));
         }
         let (en, ef) = measure_pair(REPS, users_per_rep, || eval_naive(&fx), || eval_fused(&fx));
         results.push(Measurement {
@@ -309,11 +334,11 @@ pub fn run() {
         for &(threads, bad) in &mismatches {
             assert_eq!(
                 bad, 0,
-                "fused top-{TOP_K} differs from naive for {bad} of 2 × {n_users} users at {threads} threads"
+                "fused top-{TOP_K} differs from naive for {bad} of 4 × {n_users} users at {threads} threads"
             );
         }
         println!(
-            "exactness passed: fused top-{TOP_K} = naive (ids, score bits) for every user of both fixtures"
+            "exactness passed: fused top-{TOP_K} = naive (ids, score bits) for every user of both fixtures, plain and ordered"
         );
         for m in &results {
             assert!(

@@ -133,13 +133,15 @@ impl Scorer {
         }
     }
 
-    /// [`Scorer::build_permuted`] in [`spatial_order`], the interaction
+    /// [`Scorer::build_permuted`] in [`spatial_order`], each channel's
     /// cache with a ball bound per strip, so a ranking pass skips,
-    /// unswept, every strip whose items the bound proves below each
-    /// anchor's `k`-th best (DESIGN.md §12, step 4).
+    /// unswept, every strip whose items the bounds prove below each
+    /// anchor's `k`-th best (DESIGN.md §12, step 4). Strip `s` holds the
+    /// same items in both caches.
     pub fn build_ordered(items: &ItemEmbeddings<'_>) -> Self {
         let mut scorer = Self::build_permuted(items, spatial_order(items.v_ir, items.ambient_ir));
         scorer.ir = std::mem::take(&mut scorer.ir).with_strip_bounds();
+        scorer.tg = scorer.tg.take().map(BlockCache::with_strip_bounds);
         scorer
     }
 

@@ -404,35 +404,94 @@ impl StripBounds {
 
     /// A lower bound on the computed f64 value `fl(−⟨a, x⟩)` of every row
     /// `x` of strip `s`, from `y_c`, the computed `−⟨a, c⟩` of its centre;
-    /// `−∞` when none is proven. The argument is DESIGN.md §12's step 4:
-    /// with `â, ĉ, x̂` the points of the hyperboloid that share `a`'s,
-    /// `c`'s, `x`'s spatial coordinates, `L ≤ cosh d(â, ĉ)` and, for
-    /// `d(â, ĉ) ≥ r`, `cosh(d(â, ĉ) − r) ≥ L·cosh r − √(L² − 1)·sinh r`,
-    /// which the triangle inequality puts under `cosh d(â, x̂)`; then the
-    /// defects move `x̂` to `x` and `γ′·P` the exact `−⟨a, x⟩` to its
-    /// computed value.
-    #[inline]
+    /// `−∞` when none is proven. [`strip_lower_bounds`] runs the same
+    /// arithmetic over every strip.
+    #[cfg(test)]
     fn lower_bound(&self, s: usize, y_c: f64, a: &AnchorTerms) -> f64 {
-        let (c0, cn, dc) = (
-            self.centres.time[s],
-            self.centre_norm[s],
-            self.centre_defect[s],
-        );
+        let strip = StripBall {
+            c0: self.centres.time[s],
+            cn: self.centre_norm[s],
+            dc: self.centre_defect[s],
+            cosh_r: self.cosh_r[s],
+            sinh_r: self.sinh_r[s],
+            t_max: self.t_max[s],
+            n_max: self.n_max[s],
+            defect: self.defect[s],
+        };
+        strip.lower_bound(y_c, a)
+    }
+}
+
+/// What one strip's bound reads of [`StripBounds`].
+struct StripBall {
+    c0: f64,
+    cn: f64,
+    dc: f64,
+    cosh_r: f64,
+    sinh_r: f64,
+    t_max: f64,
+    n_max: f64,
+    defect: f64,
+}
+
+impl StripBall {
+    /// The strip's lower bound on `fl(−⟨a, x⟩)` for every row `x`, from
+    /// `y_c`, the computed `−⟨a, c⟩` of its centre; `−∞` when none is
+    /// proven. The argument is DESIGN.md §12's step 4: with `â, ĉ, x̂`
+    /// the points of the hyperboloid that share `a`'s, `c`'s, `x`'s
+    /// spatial coordinates, `L ≤ cosh d(â, ĉ)` and, for `d(â, ĉ) ≥ r`,
+    /// `cosh(d(â, ĉ) − r) ≥ L·cosh r − √(L² − 1)·sinh r`, which the
+    /// triangle inequality puts under `cosh d(â, x̂)`; then the defects
+    /// move `x̂` to `x` and `γ′·P` the exact `−⟨a, x⟩` to its computed
+    /// value. Both sides of the `d(â, ĉ) ≥ r` test are evaluated and one
+    /// is selected, so a pass over many strips has no branch.
+    #[inline(always)]
+    fn lower_bound(self, y_c: f64, a: &AnchorTerms) -> f64 {
+        let Self { c0, cn, dc, .. } = self;
         // `γ′·P_c` for the computed `y_c`, then `ĉ` for `c` and `â` for `a`.
         let e_c = a.gamma * (a.t * c0 + a.n * cn) + a.t * dc + a.defect * (c0 + dc);
         let l = y_c - e_c * (1.0 + BOUND_EVAL);
-        let (ch, sh) = (self.cosh_r[s], self.sinh_r[s]);
+        let (ch, sh) = (self.cosh_r, self.sinh_r);
         // `d(â, ĉ) ≥ r`, where the bound rises with `L`; NaN fails it too.
         let outside = l > ch * (1.0 + BOUND_EVAL);
-        if !outside {
-            return f64::NEG_INFINITY;
-        }
         let (lc, ss) = (l * ch, ((l - 1.0) * (l + 1.0)).sqrt() * sh);
         let ball = lc - ss - (lc + ss) * (2.0 * BOUND_EVAL);
         // `x̂` for `x` and `â` for `a`, then `γ′·P` for the item's chain.
-        let (tm, dx) = (self.t_max[s], self.defect[s]);
-        let e_x = a.gamma * (a.t * tm + a.n * self.n_max[s]) + a.t * dx + a.defect * (tm + dx);
-        ball - e_x * (1.0 + BOUND_EVAL)
+        let (tm, dx) = (self.t_max, self.defect);
+        let e_x = a.gamma * (a.t * tm + a.n * self.n_max) + a.t * dx + a.defect * (tm + dx);
+        let bound = ball - e_x * (1.0 + BOUND_EVAL);
+        if outside {
+            bound
+        } else {
+            f64::NEG_INFINITY
+        }
+    }
+}
+
+multiversion! {
+    /// [`StripBall::lower_bound`] of every strip of `b` for one anchor,
+    /// in place: `ys[s]` holds the computed `−⟨a, c_s⟩` of strip `s`'s
+    /// centre and is overwritten with the strip's bound. The body has no
+    /// branch, so the clones vectorize it; each lane runs the bound's
+    /// operations in its order, so every clone has the baseline's bits.
+    fn strip_lower_bounds(isa: Isa, b: &StripBounds, a: &AnchorTerms, ys: &mut [f64]) {
+        let n = ys.len();
+        let (c0, cn, dc) = (&b.centres.time[..n], &b.centre_norm[..n], &b.centre_defect[..n]);
+        let (cosh_r, sinh_r) = (&b.cosh_r[..n], &b.sinh_r[..n]);
+        let (t_max, n_max, defect) = (&b.t_max[..n], &b.n_max[..n], &b.defect[..n]);
+        for s in 0..n {
+            let strip = StripBall {
+                c0: c0[s],
+                cn: cn[s],
+                dc: dc[s],
+                cosh_r: cosh_r[s],
+                sinh_r: sinh_r[s],
+                t_max: t_max[s],
+                n_max: n_max[s],
+                defect: defect[s],
+            };
+            ys[s] = strip.lower_bound(ys[s], a);
+        }
     }
 }
 
@@ -1059,31 +1118,127 @@ fn prune_cut(floor: Option<f64>) -> f64 {
     }
 }
 
-/// Per-thread buffers of [`fused_rank`], kept across calls so a ranking
-/// pass allocates nothing in steady state.
-#[derive(Default)]
+/// Relative slack of the two-channel strip test: a strip is skipped
+/// when its bound on `d²_ir + w·d²_tg` exceeds `−τ·(1+1e‑9)`. The bound
+/// and each finished score are a few roundings and two `acosh` calls
+/// away from the exact value at their inputs, each good to a few ulp but
+/// not proven monotone; `1e-9` of the value is seven orders of magnitude
+/// more (DESIGN.md §12, step 4).
+const SCORE_SLACK: f64 = 1.0 + 1e-9;
+
+/// One anchor's cuts, from its floor `τ`.
+#[derive(Clone, Copy, Debug)]
+struct Cut {
+    /// [`prune_cut`]: the negated interaction inner product above which
+    /// an item scores below `τ` on its interaction term alone.
+    ni: f64,
+    /// `−τ·`[`SCORE_SLACK`]: the value of `d²_ir + w·d²_tg` above which
+    /// an item scores below `τ`. NaN — nothing clears it — without a
+    /// floor, and for a floor that is NaN or above `−2⁻¹⁰²²`, where the
+    /// absolute rounding of a subnormal product is not within a relative
+    /// slack.
+    score: f64,
+}
+
+impl Cut {
+    #[inline]
+    fn of(floor: Option<f64>) -> Cut {
+        let g = floor.map_or(f64::NAN, |tau| -tau);
+        Cut {
+            ni: prune_cut(floor),
+            score: if g >= f64::MIN_POSITIVE {
+                g * SCORE_SLACK
+            } else {
+                f64::NAN
+            },
+        }
+    }
+}
+
+/// Whether every item of a strip scores strictly below the floor whose
+/// score cut is `cut`, by lower bounds `b_ir`, `b_tg` on its computed
+/// negated inner products in each channel and the tag weight `w ≥ 0`:
+/// `arcosh(b_ir)² + w·arcosh(b_tg)² > cut`. The brackets
+/// `4(x−1)/(x+1) ≤ arcosh(x)² ≤ 2(x−1)` decide most strips; `acosh`
+/// runs only in the band between them. A bound at or below 1 (`−∞`: none
+/// proven) counts as distance 0, as the finisher clamps it.
+#[inline]
+fn two_channel_clears(b_ir: f64, b_tg: f64, w: f64, cut: f64) -> bool {
+    let (x, y) = (b_ir.max(1.0), b_tg.max(1.0));
+    let below = |v: f64| 4.0 * (v - 1.0) / (v + 1.0);
+    if below(x) + w * below(y) > cut {
+        return true;
+    }
+    let above = |v: f64| 2.0 * (v - 1.0);
+    above(x) + w * above(y) > cut && {
+        let (d_ir, d_tg) = (arcosh(x), arcosh(y));
+        d_ir * d_ir + w * (d_tg * d_tg) > cut
+    }
+}
+
+/// Per-thread buffers of [`fused_rank`], kept across calls so that a
+/// warm ranking pass whose block and catalogue are no larger than the
+/// last one's allocates nothing.
 struct RankScratch {
     /// One chunk of negated interaction inner products per anchor, f64
     /// and screened.
     ni_ir: Vec<f64>,
     ni_screen: Vec<f32>,
-    /// Per anchor and strip, the strip bound's lower bound on every
-    /// item's f64 value; per strip, whether it was swept.
+    /// Per anchor: whether its tag inner products are provably finite,
+    /// whether its tag term is `≥ 0` and never NaN, and its cuts.
+    finite: Vec<bool>,
+    sound: Vec<bool>,
+    cuts: Vec<Cut>,
+    /// The screen's per-anchor copies and weights.
+    screen: ScreenBufs,
+    /// Per anchor and strip, first the computed `−⟨a, c⟩` of the strip's
+    /// interaction centre, then its lower bound on every item's f64
+    /// value; the same for the tag channel.
     floors: Vec<f64>,
+    tag_floors: Vec<f64>,
+    /// Per anchor, its terms of each channel's strip bound.
+    terms: Vec<AnchorTerms>,
+    tag_terms: Vec<AnchorTerms>,
+    /// Strips ranked first ([`SEED_STRIPS`] per anchor), and per strip
+    /// whether it was swept.
+    seeds: Vec<usize>,
     swept: Vec<bool>,
+}
+
+impl RankScratch {
+    const fn new() -> Self {
+        RankScratch {
+            ni_ir: Vec::new(),
+            ni_screen: Vec::new(),
+            finite: Vec::new(),
+            sound: Vec::new(),
+            cuts: Vec::new(),
+            screen: ScreenBufs {
+                anchors: Vec::new(),
+                t_weight: Vec::new(),
+                n_weight: Vec::new(),
+            },
+            floors: Vec::new(),
+            tag_floors: Vec::new(),
+            terms: Vec::new(),
+            tag_terms: Vec::new(),
+            seeds: Vec::new(),
+            swept: Vec::new(),
+        }
+    }
+}
+
+impl Default for RankScratch {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 thread_local! {
     /// [`RankScratch`] of this thread. Taken out for the duration of a
     /// call, so a sink that re-enters the kernel just allocates.
-    static RANK_SCRATCH: std::cell::Cell<RankScratch> = const {
-        std::cell::Cell::new(RankScratch {
-            ni_ir: Vec::new(),
-            ni_screen: Vec::new(),
-            floors: Vec::new(),
-            swept: Vec::new(),
-        })
-    };
+    static RANK_SCRATCH: std::cell::Cell<RankScratch> =
+        const { std::cell::Cell::new(RankScratch::new()) };
 }
 
 /// Strips whose items a ranking pass over a bounded cache offers first,
@@ -1116,23 +1271,33 @@ impl Sweep {
     }
 }
 
-/// A block of anchors prepared for a cache's screen: their f32 copies
-/// and the per-anchor weights of the error bound.
-struct ScreenedBlock<'a> {
-    screen: &'a Screen,
+/// The screen's per-anchor buffers of a block, kept in [`RankScratch`]:
+/// the anchors' f32 copies and the weights of the error bound.
+#[derive(Default)]
+struct ScreenBufs {
     anchors: Vec<Vec<f32>>,
     /// Per anchor, `ρ·|a₀|` and `ρ·‖a_s‖`: a strip's bound on
     /// `Σ|aⱼxⱼ|` is `|a₀|·t_max + ‖a_s‖·n_max` (Cauchy–Schwarz).
     t_weight: Vec<f64>,
     n_weight: Vec<f64>,
+}
+
+/// A block of anchors prepared for a cache's screen.
+struct ScreenedBlock<'a> {
+    screen: &'a Screen,
+    /// The block's [`ScreenBufs`], filled.
+    anchors: &'a [Vec<f32>],
+    t_weight: &'a [f64],
+    n_weight: &'a [f64],
     /// The absolute underflow term `A`.
     abs: f64,
 }
 
 impl<'a> ScreenedBlock<'a> {
     /// `None` when an anchor value is non-finite or past
-    /// [`SCREEN_BOUND`], or the cache has no screen.
-    fn new(ir: &'a BlockCache, u_irs: &[&[f64]]) -> Option<Self> {
+    /// [`SCREEN_BOUND`], or the cache has no screen. Fills `bufs`,
+    /// reusing its allocations.
+    fn new(ir: &'a BlockCache, u_irs: &[&[f64]], bufs: &'a mut ScreenBufs) -> Option<Self> {
         if !u_irs
             .iter()
             .all(|a| a.iter().all(|v| v.abs() <= SCREEN_BOUND))
@@ -1142,14 +1307,22 @@ impl<'a> ScreenedBlock<'a> {
         let screen = ir.screen()?;
         let (rho, abs) = screen_error(ir.ambient);
         let norm = |a: &[f64]| a[1..].iter().map(|v| v * v).sum::<f64>().sqrt();
+        if bufs.anchors.len() < u_irs.len() {
+            bufs.anchors.resize_with(u_irs.len(), Vec::new);
+        }
+        for (f32s, a) in bufs.anchors.iter_mut().zip(u_irs) {
+            f32s.clear();
+            f32s.extend(a.iter().map(|&v| v as f32));
+        }
+        bufs.t_weight.clear();
+        bufs.t_weight.extend(u_irs.iter().map(|a| rho * a[0].abs()));
+        bufs.n_weight.clear();
+        bufs.n_weight.extend(u_irs.iter().map(|a| rho * norm(a)));
         Some(ScreenedBlock {
             screen,
-            anchors: u_irs
-                .iter()
-                .map(|a| a.iter().map(|&v| v as f32).collect())
-                .collect(),
-            t_weight: u_irs.iter().map(|a| rho * a[0].abs()).collect(),
-            n_weight: u_irs.iter().map(|a| rho * norm(a)).collect(),
+            anchors: &bufs.anchors[..u_irs.len()],
+            t_weight: &bufs.t_weight,
+            n_weight: &bufs.n_weight,
             abs,
         })
     }
@@ -1206,14 +1379,19 @@ impl<'a> ScreenedBlock<'a> {
 /// **The strip bounds.** Over a cache with strip bounds, each anchor's
 /// [`SEED_STRIPS`] strips of nearest centre are ranked first, so its floor
 /// is set; then every other strip of the range in order, each skipped
-/// when its bound is above the cut of every anchor of the block — it
-/// proves each item's f64 value above the cut, where the rule would skip
-/// the item, so the offers are the same set. A strip any anchor needs is
-/// swept for the whole block. No strip is skipped for an anchor without
-/// a finite cut (no floor, `α` outside `[0, ∞)`, a NaN or positive
-/// floor) or whose tag inner products are not provably finite, and a
-/// strip with a row that is not finite, or whose mean does not
-/// normalise, has no bound (DESIGN.md §12, step 4).
+/// when no anchor of the block needs it. An anchor does not need a strip
+/// when its bound is above the anchor's cut — it proves each item's f64
+/// value above the cut, where the rule would skip the item — or, when the
+/// tag cache carries strip bounds too, when the two channels' bounds
+/// prove every finished score strictly below the anchor's floor
+/// ([`Cut::score`]), where the selection would reject the item. So every
+/// item that could enter a selection is still offered, with the same
+/// bits. A strip any anchor needs is swept for the whole block. No strip
+/// is skipped for an anchor without a finite cut (no floor, `α` outside
+/// `[0, ∞)`, a NaN or positive floor) or whose tag inner products are
+/// not provably finite, and a strip with a row that is not finite, or
+/// whose mean does not normalise, has no bound in that channel
+/// (DESIGN.md §12, step 4).
 pub fn fused_rank<S: RankSink + ?Sized>(
     ir: &BlockCache,
     u_irs: &[&[f64]],
@@ -1242,9 +1420,27 @@ pub fn fused_rank_with<S: RankSink + ?Sized>(
         assert_eq!(a.len(), ir.ambient, "anchor/cache dim mismatch");
     }
     let b = u_irs.len();
+    let mut scratch = RANK_SCRATCH.take();
+    let RankScratch {
+        ni_ir,
+        ni_screen,
+        finite,
+        sound,
+        cuts,
+        screen: screen_bufs,
+        floors,
+        tag_floors,
+        terms,
+        tag_terms,
+        seeds,
+        swept,
+    } = &mut scratch;
     // Per anchor: whether its tag inner products are provably finite, and
     // whether its tag term is `≥ 0`, never NaN — what the rule needs.
-    let (mut finite, mut sound) = (vec![true; b], vec![true; b]);
+    finite.clear();
+    finite.resize(b, true);
+    sound.clear();
+    sound.resize(b, true);
     if let Some(t) = &tag {
         assert_eq!(t.anchors.len(), b, "tag anchors/users mismatch");
         assert_eq!(t.alphas.len(), b, "tag alphas/users mismatch");
@@ -1257,7 +1453,8 @@ pub fn fused_rank_with<S: RankSink + ?Sized>(
             sound[u] = (0.0..f64::INFINITY).contains(&t.alphas[u]);
         }
     }
-    let cut_of = |u: usize, sink: &S| prune_cut(sink.floor(u).filter(|_| sound[u]));
+    let (finite, sound) = (&finite[..], &sound[..]);
+    let cut_of = |u: usize, sink: &S| Cut::of(sink.floor(u).filter(|_| sound[u]));
     // The rule for one item of anchor `u`, by its f64 value `ni`: skip,
     // or finish and offer. True when offered.
     let consider = |sink: &mut S, u: usize, slot: usize, ni: f64, cut: f64| -> bool {
@@ -1284,16 +1481,9 @@ pub fn fused_rank_with<S: RankSink + ?Sized>(
     // A tag inner product that may be NaN or `+∞` needs every item's f64
     // value: such a block sweeps in f64.
     let screen = match sweep {
-        Sweep::Screened if finite.iter().all(|&f| f) => ScreenedBlock::new(ir, u_irs),
+        Sweep::Screened if finite.iter().all(|&f| f) => ScreenedBlock::new(ir, u_irs, screen_bufs),
         _ => None,
     };
-    let mut scratch = RANK_SCRATCH.take();
-    let RankScratch {
-        ni_ir,
-        ni_screen,
-        floors,
-        swept,
-    } = &mut scratch;
     let buf_len = b * (hi - lo).min(FUSED_ITEM_CHUNK);
     if ni_ir.len() < buf_len {
         ni_ir.resize(buf_len, 0.0);
@@ -1304,40 +1494,34 @@ pub fn fused_rank_with<S: RankSink + ?Sized>(
     // Items of the last run that met the rule on their f64 value: the
     // screen pays only while few do (`SCREEN_MAX_KEPT_BASE`).
     let mut kept = usize::MAX;
-    // Each anchor's cut, kept current: it moves only when an offer lands.
-    let mut cuts: Vec<f64> = (0..b).map(|u| cut_of(u, sink)).collect();
+    // Each anchor's cuts, kept current: they move only when an offer lands.
+    cuts.clear();
+    cuts.extend((0..b).map(|u| cut_of(u, sink)));
     // One run of rows `c0..c1`, at most a chunk long and split from its
     // strips only at the range's edges: swept for the whole block, each
     // item meeting the rule.
-    let mut sweep_run = |sink: &mut S, cuts: &mut [f64], c0: usize, c1: usize| {
+    let mut sweep_run = |sink: &mut S, cuts: &mut [Cut], c0: usize, c1: usize| {
         let m = c1 - c0;
         let screened = screen
             .as_ref()
-            .filter(|_| kept <= SCREEN_MAX_KEPT_BASE + b && cuts.iter().all(|c| c.is_finite()));
+            .filter(|_| kept <= SCREEN_MAX_KEPT_BASE + b && cuts.iter().all(|c| c.ni.is_finite()));
         kept = 0;
         let Some(scr) = screened else {
             ir.neg_inner_rows(isa, u_irs, c0, m, m, &mut ni_ir[..b * m]);
             for (u, cut) in cuts.iter_mut().enumerate() {
                 for (i, &ni) in ni_ir[u * m..(u + 1) * m].iter().enumerate() {
-                    if ni > *cut && finite[u] {
+                    if ni > cut.ni && finite[u] {
                         continue;
                     }
                     kept += 1;
-                    if consider(sink, u, c0 + i, ni, *cut) {
+                    if consider(sink, u, c0 + i, ni, cut.ni) {
                         *cut = cut_of(u, sink);
                     }
                 }
             }
             return;
         };
-        screen_strips(
-            isa,
-            scr.screen,
-            &scr.anchors,
-            c0,
-            m,
-            &mut ni_screen[..b * m],
-        );
+        screen_strips(isa, scr.screen, scr.anchors, c0, m, &mut ni_screen[..b * m]);
         for (u, cut) in cuts.iter_mut().enumerate() {
             let row = &ni_screen[u * m..(u + 1) * m];
             // One run per strip, the unit of the error bound.
@@ -1346,7 +1530,7 @@ pub fn fused_rank_with<S: RankSink + ?Sized>(
                 let strip = (c0 + i) / STRIP;
                 let run = i..((strip + 1) * STRIP - c0).min(m);
                 i = run.end;
-                let mut threshold = scr.threshold(u, strip, *cut);
+                let mut threshold = scr.threshold(u, strip, cut.ni);
                 // The common case as one vector compare: every item clears.
                 let clear = row[run.clone()].iter().map(|&s| usize::from(s > threshold));
                 if clear.sum::<usize>() == run.len() {
@@ -1359,9 +1543,9 @@ pub fn fused_rank_with<S: RankSink + ?Sized>(
                     }
                     let slot = c0 + i;
                     kept += 1;
-                    if consider(sink, u, slot, ir.neg_inner_one(u_irs[u], slot), *cut) {
+                    if consider(sink, u, slot, ir.neg_inner_one(u_irs[u], slot), cut.ni) {
                         *cut = cut_of(u, sink);
-                        threshold = scr.threshold(u, strip, *cut);
+                        threshold = scr.threshold(u, strip, cut.ni);
                     }
                 }
             }
@@ -1373,28 +1557,55 @@ pub fn fused_rank_with<S: RankSink + ?Sized>(
         let mut c0 = lo;
         while c0 < hi {
             let c1 = ((c0 / FUSED_ITEM_CHUNK + 1) * FUSED_ITEM_CHUNK).min(hi);
-            sweep_run(sink, &mut cuts, c0, c1);
+            sweep_run(sink, cuts, c0, c1);
             c0 = c1;
         }
         RANK_SCRATCH.set(scratch);
         return;
     };
     // The strip bounds: each anchor's nearest strips first, then every
-    // other strip in order, skipped when its bound proves every item
-    // above the cut of every anchor of the block. `floors` holds each
-    // anchor's `−⟨a, c⟩` to every centre.
+    // other strip in order, skipped when no anchor needs it. `floors`
+    // holds each anchor's `−⟨a, c⟩` to every centre, then — once the
+    // seeds are picked — its bound of every strip; `tag_floors` the same
+    // in the tag channel, when its cache carries bounds and an anchor can
+    // use them (strip `s` holds the same rows in both caches).
     let n_strips = bounds.cosh_r.len();
     let strips = lo / STRIP..hi.div_ceil(STRIP);
     floors.resize(b * n_strips, 0.0);
     bounds
         .centres
         .neg_inner_rows(isa, u_irs, 0, n_strips, n_strips, floors);
-    let mut seeds: Vec<usize> = Vec::with_capacity(SEED_STRIPS * b);
-    for floors in floors.chunks_exact_mut(n_strips) {
+    let tag_bounds = tag
+        .as_ref()
+        .filter(|_| (0..b).any(|u| finite[u] && sound[u]))
+        .and_then(|t| Some((t, t.cache.bounds.as_deref()?)));
+    let tag_strips = tag_bounds.map_or(0, |(_, tb)| tb.cosh_r.len());
+    if let Some((t, tb)) = tag_bounds {
+        tag_floors.resize(b * tag_strips, 0.0);
+        tb.centres
+            .neg_inner_rows(isa, t.anchors, 0, tag_strips, tag_strips, tag_floors);
+    }
+    // Each anchor's seeds: the strips whose centres score best, by
+    // `(y_ir − 1) + w·(y_tg − 1)`, half the upper bracket of Eq. 17 at
+    // the centres, or by `y_ir` alone without a usable tag bound.
+    seeds.clear();
+    for u in 0..b {
+        let ys = &floors[u * n_strips..(u + 1) * n_strips];
+        let w = tag_bounds.filter(|_| finite[u] && sound[u]).map(|(t, _)| {
+            (
+                t.alphas[u],
+                &tag_floors[u * tag_strips..(u + 1) * tag_strips],
+            )
+        });
+        let key = |s: usize| match w {
+            Some((w, tag_ys)) => ys[s] + w * (tag_ys[s] - 1.0),
+            None => ys[s],
+        };
         let mut nearest = [(f64::INFINITY, usize::MAX); SEED_STRIPS];
         for s in strips.clone().filter(|&s| bounds.cosh_r[s] < f64::INFINITY) {
-            if floors[s] < nearest[SEED_STRIPS - 1].0 {
-                nearest[SEED_STRIPS - 1] = (floors[s], s);
+            let key = key(s);
+            if key < nearest[SEED_STRIPS - 1].0 {
+                nearest[SEED_STRIPS - 1] = (key, s);
                 nearest.sort_by(|a, b| a.0.total_cmp(&b.0));
             }
         }
@@ -1404,33 +1615,58 @@ pub fn fused_rank_with<S: RankSink + ?Sized>(
             }
         }
     }
-    let terms: Vec<AnchorTerms> = u_irs.iter().map(|a| AnchorTerms::new(a)).collect();
+    terms.clear();
+    terms.extend(u_irs.iter().map(|a| AnchorTerms::new(a)));
+    for (ys, a) in floors.chunks_exact_mut(n_strips).zip(terms.iter()) {
+        strip_lower_bounds(isa, bounds, a, ys);
+    }
+    if let Some((t, tb)) = tag_bounds {
+        tag_terms.clear();
+        tag_terms.extend(t.anchors.iter().map(|a| AnchorTerms::new(a)));
+        for (ys, a) in tag_floors
+            .chunks_exact_mut(tag_strips)
+            .zip(tag_terms.iter())
+        {
+            strip_lower_bounds(isa, tb, a, ys);
+        }
+    }
     swept.clear();
     swept.resize(n_strips, false);
-    // Strip `s` is needed while some anchor's bound does not prove all
-    // its items above that anchor's cut — always for an anchor whose tag
-    // inner products may be NaN or `+∞`, which needs every item. The
+    // Strip `s` is needed while some anchor's bounds do not prove all its
+    // items out of that anchor's selection — always for an anchor whose
+    // tag inner products may be NaN or `+∞`, which needs every item. The
     // anchor that needed the last strip is asked first: near strips tend
     // to be needed by the same anchor.
     let mut needer = 0;
-    let mut live = |s: usize, cuts: &[f64]| {
+    let (floors, tag_floors) = (&floors[..], &tag_floors[..]);
+    let mut live = |s: usize, cuts: &[Cut]| {
         let needs = |u: usize| {
-            !(finite[u] && bounds.lower_bound(s, floors[u * n_strips + s], &terms[u]) > cuts[u])
+            if !finite[u] {
+                return true;
+            }
+            let b_ir = floors[u * n_strips + s];
+            if b_ir > cuts[u].ni {
+                return false;
+            }
+            tag_bounds.is_none_or(|(t, _)| {
+                let b_tg = tag_floors[u * tag_strips + s];
+                !two_channel_clears(b_ir, b_tg, t.alphas[u], cuts[u].score)
+            })
         };
         let found = (needer..b).chain(0..needer).find(|&u| needs(u));
         needer = found.unwrap_or(needer);
         found.is_some()
     };
     let rows_of = |s: usize| (s * STRIP).max(lo)..((s + 1) * STRIP).min(hi);
-    for s in seeds {
-        if live(s, &cuts) {
+    for &s in seeds.iter() {
+        if live(s, cuts) {
             swept[s] = true;
-            sweep_run(sink, &mut cuts, rows_of(s).start, rows_of(s).end);
+            sweep_run(sink, cuts, rows_of(s).start, rows_of(s).end);
         }
     }
     let mut s = strips.start;
     while s < strips.end {
-        if swept[s] || !live(s, &cuts) {
+        if swept[s] || !live(s, cuts) {
             s += 1;
             continue;
         }
@@ -1438,11 +1674,11 @@ pub fn fused_rank_with<S: RankSink + ?Sized>(
         while end < strips.end
             && (end - s) * STRIP < FUSED_ITEM_CHUNK
             && !swept[end]
-            && live(end, &cuts)
+            && live(end, cuts)
         {
             end += 1;
         }
-        sweep_run(sink, &mut cuts, rows_of(s).start, rows_of(end - 1).end);
+        sweep_run(sink, cuts, rows_of(s).start, rows_of(end - 1).end);
         s = end;
     }
     RANK_SCRATCH.set(scratch);
@@ -1663,9 +1899,11 @@ mod tests {
         lo: usize,
         hi: usize,
     ) -> Vec<f32> {
-        let block = ScreenedBlock::new(c, anchors).expect("screenable cache and anchors");
+        let mut bufs = ScreenBufs::default();
+        let block =
+            ScreenedBlock::new(c, anchors, &mut bufs).expect("screenable cache and anchors");
         let mut out = vec![7.0; anchors.len() * (hi - lo)];
-        screen_strips(isa, block.screen, &block.anchors, lo, hi - lo, &mut out);
+        screen_strips(isa, block.screen, block.anchors, lo, hi - lo, &mut out);
         out
     }
 
@@ -1829,7 +2067,8 @@ mod tests {
             let anchor_pts: Vec<Vec<f64>> = pts.iter().step_by(23).cloned().collect();
             let anchors: Vec<&[f64]> = anchor_pts.iter().map(Vec::as_slice).collect();
             let c = BlockCache::build(&flat(&pts), ambient);
-            let block = ScreenedBlock::new(&c, &anchors).expect("in bound");
+            let mut bufs = ScreenBufs::default();
+            let block = ScreenedBlock::new(&c, &anchors, &mut bufs).expect("in bound");
             let got = screen_sweep(&c, Isa::detected(), &anchors, 0, ROWS);
             for (u, a) in anchors.iter().enumerate() {
                 let a32: Vec<f32> = a.iter().map(|&v| v as f32).collect();
@@ -1877,7 +2116,8 @@ mod tests {
         }
         // An anchor past the bound, or an ambient past the limit, too.
         let anchor = [SCREEN_BOUND.next_up(), 0.0, 0.0, 0.0];
-        assert!(ScreenedBlock::new(&c, &[&[1.0, 0.0, 0.0, 0.0], &anchor]).is_none());
+        let anchors: [&[f64]; 2] = [&[1.0, 0.0, 0.0, 0.0], &anchor];
+        assert!(ScreenedBlock::new(&c, &anchors, &mut ScreenBufs::default()).is_none());
         let wide = BlockCache::build(
             &vec![0.5; 2 * (MAX_SCREEN_AMBIENT + 1)],
             MAX_SCREEN_AMBIENT + 1,
@@ -2090,10 +2330,13 @@ mod tests {
     }
 
     /// The claim the strip skip rests on, checked row by row: for every
-    /// strip and anchor, the bound is at most the computed f64 value of
-    /// each of the strip's rows, as the sweep computes it. Rows far out
-    /// on the hyperboloid cancel by orders of magnitude, and anchors sit
-    /// on rows, where the bound is tightest.
+    /// strip and anchor, the bound the all-strip pass computes is at most
+    /// the computed f64 value of each of the strip's rows, as the sweep
+    /// computes it. Rows far out on the hyperboloid cancel by orders of
+    /// magnitude, and anchors sit on rows, where the bound is tightest.
+    /// Each catalogue is checked in its own spatial order, as an
+    /// interaction cache is built, and in the order of another channel's
+    /// rows, as a tag cache is: its strips are looser balls.
     #[test]
     fn the_strip_bound_is_below_every_rows_computed_value() {
         let mut rng = StdRng::seed_from_u64(19);
@@ -2101,6 +2344,7 @@ mod tests {
             (2, 1.0),
             (3, 1.0),
             (9, 8.0),
+            (9, 1.0),
             (33, 1.0),
             (33, 40.0),
             (65, 4.0),
@@ -2114,31 +2358,163 @@ mod tests {
                 .map(far)
                 .collect();
             let data = flat(&pts);
+            let other = flat(&points(&mut rng, 700, 5, &[]));
+            let mut anchors: Vec<Vec<f64>> = pts.iter().step_by(37).cloned().collect();
+            anchors.extend(points(&mut rng, 8, ambient, &[]).into_iter().map(far));
+            for (channel, order) in [
+                ("own", spatial_order(&data, ambient)),
+                ("other", spatial_order(&other, 5)),
+            ] {
+                let c = BlockCache::build_permuted(&data, ambient, &order).with_strip_bounds();
+                let b = c.bounds.as_deref().expect("bounds");
+                let n_strips = b.cosh_r.len();
+                let mut proven = 0;
+                for a in &anchors {
+                    let mut bounds: Vec<f64> = (0..n_strips)
+                        .map(|s| b.centres.neg_inner_one(a, s))
+                        .collect();
+                    strip_lower_bounds(Isa::detected(), b, &AnchorTerms::new(a), &mut bounds);
+                    for (s, &bound) in bounds.iter().enumerate() {
+                        for i in s * STRIP..((s + 1) * STRIP).min(c.rows) {
+                            let y = c.neg_inner_one(a, i);
+                            assert!(
+                                bound <= y,
+                                "ambient {ambient}, scale {scale}, {channel} order: strip {s} \
+                                 row {i}: {bound} > {y}"
+                            );
+                        }
+                        proven += usize::from(bound > 1.0);
+                    }
+                }
+                assert!(
+                    proven > 0,
+                    "ambient {ambient}, scale {scale}, {channel} order: no bound above 1"
+                );
+            }
+        }
+    }
+
+    /// The slack is the two-channel test's margin: a strip whose bounds'
+    /// score exceeds the floor's by less than `10⁻⁹` of it is kept, one
+    /// past the slack cleared. No ranking shows the margin missing — a
+    /// bound sits below every computed score by its chains' rounding, so
+    /// it takes a libm `acosh` that is not monotone to lose an item — so
+    /// this check states it. A floor within `2⁻¹⁰²²` of 0, NaN or
+    /// positive, or no floor, sets no score cut at all.
+    #[test]
+    fn the_score_slack_keeps_a_strip_within_it_of_the_floor() {
+        let (b_ir, b_tg, w) = (1.3, 2.1, 0.7);
+        let (d_ir, d_tg) = (arcosh(b_ir), arcosh(b_tg));
+        let score = d_ir * d_ir + w * (d_tg * d_tg);
+        let inside = Cut::of(Some(-score / (1.0 + 5e-10)));
+        assert!(
+            !two_channel_clears(b_ir, b_tg, w, inside.score),
+            "{inside:?}"
+        );
+        let past = Cut::of(Some(-score / (1.0 + 2e-9)));
+        assert!(two_channel_clears(b_ir, b_tg, w, past.score), "{past:?}");
+        for floor in [None, Some(-1e-310), Some(-0.0), Some(0.5), Some(f64::NAN)] {
+            assert!(Cut::of(floor).score.is_nan(), "{floor:?}");
+        }
+        assert_eq!(Cut::of(Some(f64::NEG_INFINITY)).score, f64::INFINITY);
+    }
+
+    /// The all-strip pass on every clone has the bits of the per-strip
+    /// bound, for anchors on rows, off them, and hostile ones — values
+    /// NaN, infinite or past `2⁵⁰⁰`, or off the forward sheet — whose
+    /// bounds are `−∞` or NaN alike.
+    #[test]
+    fn every_clone_of_the_all_strip_pass_has_the_per_strip_bits() {
+        let mut rng = StdRng::seed_from_u64(29);
+        for (n, ambient) in [(ROWS, 2), (700, 3), (700, 9), (700, 33), (300, 65)] {
+            let data = flat(&points(&mut rng, n, ambient, &[]));
             let c = BlockCache::build_permuted(&data, ambient, &spatial_order(&data, ambient))
                 .with_strip_bounds();
             let b = c.bounds.as_deref().expect("bounds");
-            let mut anchors: Vec<Vec<f64>> = pts.iter().step_by(37).cloned().collect();
-            anchors.extend(points(&mut rng, 8, ambient, &[]).into_iter().map(far));
-            let mut proven = 0;
+            let n_strips = b.cosh_r.len();
+            let mut anchors = points(&mut rng, 6, ambient, &[]);
+            anchors.extend(points(&mut rng, 6, ambient, &EDGES));
+            anchors.push(data[..ambient].to_vec());
+            let mut flipped = anchors[0].clone();
+            flipped[0] = -flipped[0];
+            anchors.push(flipped);
             for a in &anchors {
                 let terms = AnchorTerms::new(a);
-                for s in 0..b.cosh_r.len() {
-                    let bound = b.lower_bound(s, b.centres.neg_inner_one(a, s), &terms);
-                    for i in s * STRIP..((s + 1) * STRIP).min(c.rows) {
-                        let y = c.neg_inner_one(a, i);
-                        assert!(
-                            bound <= y,
-                            "ambient {ambient}, scale {scale}: strip {s} row {i}: {bound} > {y}"
-                        );
-                    }
-                    proven += usize::from(bound > 1.0);
+                let ys: Vec<f64> = (0..n_strips)
+                    .map(|s| b.centres.neg_inner_one(a, s))
+                    .collect();
+                let want: Vec<u64> = (ys.iter().enumerate())
+                    .map(|(s, &y)| key(b.lower_bound(s, y, &terms)))
+                    .collect();
+                for isa in Isa::supported() {
+                    let mut got = ys.clone();
+                    strip_lower_bounds(isa, b, &terms, &mut got);
+                    let got: Vec<u64> = got.into_iter().map(key).collect();
+                    assert_eq!(
+                        got,
+                        want,
+                        "{} at ambient {ambient}, anchor {a:?}",
+                        isa.name()
+                    );
                 }
             }
-            assert!(
-                proven > 0,
-                "ambient {ambient}, scale {scale}: no bound above 1"
-            );
         }
+    }
+
+    /// The two-channel test never clears a strip whose bounds' score,
+    /// `arcosh(b_ir)² + w·arcosh(b_tg)²`, is at or below the cut, and
+    /// clears every one the brackets alone decide: on a grid of bounds
+    /// from below 1 to `10¹²`, weights from 0 to huge, and cuts around
+    /// each score, the exact one among them.
+    #[test]
+    fn the_two_channel_test_clears_only_scores_above_the_cut() {
+        let bounds = [
+            f64::NEG_INFINITY,
+            0.5,
+            1.0,
+            1.0 + f64::EPSILON,
+            1.0 + 1e-9,
+            1.001,
+            1.5,
+            3.0,
+            1e3,
+            1e12,
+        ];
+        let weights = [0.0, 5e-324, 1e-9, 0.3, 1.0, 7.0, 1e6];
+        let (mut cleared, mut kept) = (0, 0);
+        for &b_ir in &bounds {
+            for &b_tg in &bounds {
+                for &w in &weights {
+                    let (d_ir, d_tg) = (arcosh(b_ir), arcosh(b_tg));
+                    let score = d_ir * d_ir + w * (d_tg * d_tg);
+                    for cut in [
+                        score * 0.5,
+                        score.next_down(),
+                        score,
+                        score.next_up(),
+                        score * 2.0,
+                    ] {
+                        let clears = two_channel_clears(b_ir, b_tg, w, cut);
+                        if cut >= score {
+                            assert!(
+                                !clears,
+                                "{b_ir} {b_tg} {w}: clears the cut {cut} >= {score}"
+                            );
+                        }
+                        if cut == score * 0.5 && cut > 0.0 {
+                            assert!(clears, "{b_ir} {b_tg} {w}: keeps the cut {cut} < {score}");
+                        }
+                        cleared += usize::from(clears);
+                        kept += usize::from(!clears);
+                    }
+                }
+            }
+        }
+        assert!(cleared > 0 && kept > 0, "{cleared} cleared, {kept} kept");
+        // No cut, a NaN bound or a NaN weight clears nothing.
+        assert!(!two_channel_clears(3.0, 3.0, 1.0, f64::NAN));
+        assert!(!two_channel_clears(3.0, 3.0, f64::NAN, 0.1));
+        assert!(!two_channel_clears(f64::NAN, f64::NAN, 1.0, 0.0));
     }
 
     /// What the bound cannot vouch for is never skipped: a strip with a

@@ -321,22 +321,6 @@ pub fn stall_duration() -> std::time::Duration {
     )
 }
 
-/// Probes `site` and sleeps for [`stall_duration`] when a `stall` fault
-/// is armed for this invocation. Returns true when it stalled.
-pub fn inject_stall(site: &str) -> bool {
-    match probe(site) {
-        Some(FaultKind::Stall) => {
-            std::thread::sleep(stall_duration());
-            true
-        }
-        Some(other) => {
-            unsupported(site, other);
-            false
-        }
-        None => false,
-    }
-}
-
 /// Probes `site` once and handles both the kinds a pipeline stage can
 /// express: `panic` unwinds, `stall` sleeps, anything else is reported
 /// as unsupported. One probe means one counter increment, so ordinals
@@ -461,11 +445,11 @@ mod tests {
         assert_eq!(s.entries[0].kind, FaultKind::Stall);
         install(s);
         let t0 = std::time::Instant::now();
-        assert!(!inject_stall("t.stall"), "first probe clean");
+        inject_panic_or_stall("t.stall");
         assert!(t0.elapsed() < stall_duration(), "no sleep on a clean probe");
         let t1 = std::time::Instant::now();
-        assert!(inject_stall("t.stall"), "second probe stalls");
-        assert!(t1.elapsed() >= stall_duration());
+        inject_panic_or_stall("t.stall");
+        assert!(t1.elapsed() >= stall_duration(), "second probe stalls");
         disable();
     }
 

@@ -22,7 +22,7 @@ pub mod fault;
 pub mod retry;
 
 pub use fault::{
-    disable, inject_io, inject_nan_or_stall, inject_panic, inject_panic_or_stall, inject_stall,
-    install, probe, reset, stall_duration, FaultEntry, FaultKind, FaultSpec, FaultSpecError,
+    disable, inject_io, inject_nan_or_stall, inject_panic, inject_panic_or_stall, install, probe,
+    reset, stall_duration, FaultEntry, FaultKind, FaultSpec, FaultSpecError,
 };
 pub use retry::RetryPolicy;

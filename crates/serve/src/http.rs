@@ -602,6 +602,10 @@ fn update_tick(
     let building = Instant::now();
     let built = ServingModel::with_cache_capacity(Arc::clone(&next), old.cache_usage().1)
         .and_then(|m| m.with_retrieval(old.retrieval_mode()));
+    // An exact engine's scorer is part of its build, not of the swap.
+    if let Ok(model) = &built {
+        model.build_scorer();
+    }
     observe_ms("serve.ingest.build.ms", building);
     match built {
         Ok(model) => {

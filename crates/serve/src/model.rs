@@ -199,9 +199,10 @@ pub struct ServingModel {
     /// them). Empty in the common case; the shared checkpoint keeps its
     /// lists as they are, because its bytes are its identity.
     sorted_seen: BTreeMap<usize, Vec<u32>>,
-    /// The fused scorer of exact-mode misses, built by the first exact
-    /// ranking and kept: the model is immutable, so it is never
-    /// invalidated. A Beam engine never builds it (DESIGN.md §14).
+    /// The fused scorer of exact-mode misses, built when the engine is
+    /// published ([`ModelSlot`]) or by its first exact ranking, and
+    /// kept: the model is immutable, so it is never invalidated. A Beam
+    /// engine never builds it (DESIGN.md §14).
     exact: OnceLock<Scorer>,
     /// Retrieval index rebuilt from the artifact's [`IndexParts`]
     /// section (`None` when the artifact carries none).
@@ -562,6 +563,15 @@ impl ServingModel {
             .get_or_init(|| Scorer::build_ordered(&item_embeddings(&self.ckpt.state)))
     }
 
+    /// Builds an exact engine's scorer now, on the calling thread, so
+    /// that no request pays for it; a Beam engine builds none. Publishing
+    /// an engine through a [`ModelSlot`] calls it.
+    pub fn build_scorer(&self) {
+        if self.beam_width().is_none() {
+            self.exact_scorer();
+        }
+    }
+
     /// `user`'s side of Eq. 17, matching the item side's channels.
     fn anchor(&self, user: usize) -> Anchor<'_> {
         let s = &self.ckpt.state;
@@ -581,6 +591,9 @@ impl ServingModel {
         if queries.len() <= SERVE_BLOCK {
             return self.recommend_many(&queries);
         }
+        // Built here, not by the first block's pool job while the others
+        // wait on it.
+        self.build_scorer();
         let blocks: Vec<&[(u32, usize)]> = queries.chunks(SERVE_BLOCK).collect();
         taxorec_parallel::par_map("serve.batch", blocks.len(), |bi| {
             self.recommend_many(blocks[bi])
@@ -683,13 +696,17 @@ impl ServingModel {
 /// in-flight request finishes. That is what makes a shard checkpoint
 /// reload zero-downtime: old and new model serve side by side for the
 /// handover instant, and no request ever observes a half-loaded model.
+/// An engine is published only once its scorer is built
+/// ([`ServingModel::build_scorer`]), so neither the first request after
+/// start nor the first after a swap builds it.
 pub struct ModelSlot {
     inner: Mutex<Arc<ServingModel>>,
 }
 
 impl ModelSlot {
-    /// Wraps the initial engine.
+    /// Wraps the initial engine, its scorer built.
     pub fn new(model: Arc<ServingModel>) -> Self {
+        model.build_scorer();
         Self {
             inner: Mutex::new(model),
         }
@@ -700,9 +717,11 @@ impl ModelSlot {
         Arc::clone(&self.inner.lock().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Atomically replaces the engine, returning the previous one.
-    /// In-flight requests holding the old `Arc` finish on it.
+    /// Atomically replaces the engine, returning the previous one, once
+    /// the new engine's scorer is built. In-flight requests holding the
+    /// old `Arc` finish on it.
     pub fn swap(&self, model: Arc<ServingModel>) -> Arc<ServingModel> {
+        model.build_scorer();
         let mut slot = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         std::mem::replace(&mut *slot, model)
     }
@@ -914,6 +933,41 @@ mod tests {
             beam.exact.get().is_none(),
             "a Beam engine built the exact scorer"
         );
+    }
+
+    /// An engine is published with its scorer built: an exact engine has
+    /// it when a slot first serves it and when a swap installs it, so no
+    /// request builds it. A Beam engine, what every ingest tick of a beam
+    /// server swaps in, is published and swapped without one.
+    #[test]
+    fn an_exact_engine_is_published_with_its_scorer_and_a_beam_engine_without() {
+        let (m, d, s) = trained();
+        let exact = || Arc::new(ServingModel::from_model(&m, &d, &s).unwrap());
+        let first = exact();
+        assert!(first.exact.get().is_none(), "built at construction");
+        let slot = ModelSlot::new(Arc::clone(&first));
+        assert!(first.exact.get().is_some(), "started serving without it");
+        let next = exact();
+        slot.swap(Arc::clone(&next));
+        assert!(next.exact.get().is_some(), "swapped in without it");
+
+        let ckpt = Checkpoint::from_model(&m)
+            .with_dataset(&d)
+            .with_seen_items(&s.train)
+            .with_retrieval_index(&taxorec_retrieval::IndexConfig::default())
+            .unwrap();
+        let beam = || {
+            let engine = ServingModel::with_cache_capacity(ckpt.clone(), 16)
+                .and_then(|m| m.with_retrieval(RetrievalMode::Beam(0)))
+                .unwrap();
+            Arc::new(engine)
+        };
+        let (first, next) = (beam(), beam());
+        let slot = ModelSlot::new(Arc::clone(&first));
+        slot.swap(Arc::clone(&next));
+        for engine in [first, next] {
+            assert!(engine.exact.get().is_none(), "a Beam engine built it");
+        }
     }
 
     /// Past `SCREEN_MIN_BYTES` of interaction panel the ordered exact

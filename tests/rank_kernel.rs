@@ -30,11 +30,14 @@
 //! crossover through `Scorer::rank` itself.
 //!
 //! `Scorer::build_ordered` stores the catalogue in spatial order with a
-//! ball bound per 32-row strip, and the kernel skips a strip unswept
-//! when the bound proves every item in it below each anchor's cut. Its
-//! rankings are held to the same reference over clustered catalogues,
-//! blocks whose anchors need different strips, hostile strips and
-//! anchors, and a strip whose bound is tight to the chain's rounding.
+//! ball bound per 32-row strip in each channel, and the kernel skips a
+//! strip unswept when the interaction bound proves every item in it
+//! below each anchor's cut, or both channels' bounds prove every
+//! finished score below each anchor's floor. Its rankings are held to
+//! the same reference over clustered catalogues, blocks whose anchors
+//! need different strips, catalogues where the tag bound is what skips,
+//! hostile strips, anchors and weights in either channel, and strips
+//! whose bounds are tight to the chain's rounding and at the k-th score.
 
 use std::ops::Range;
 
@@ -44,7 +47,7 @@ use taxorec::data::{
     TopKAccumulator, TopKSink,
 };
 use taxorec::geometry::batch::{
-    fused_rank_with, fused_scores_block, spatial_order, BlockCache, Sweep, TagChannel,
+    fused_rank_with, fused_scores_block, spatial_order, BlockCache, RankSink, Sweep, TagChannel,
     TagChannelMulti, SCREEN_BOUND, SCREEN_MIN_BYTES,
 };
 use taxorec::geometry::convert::poincare_to_lorentz;
@@ -149,8 +152,26 @@ fn ordered(v_ir: &[f64], v_tg: Option<&[f64]>) -> Scorer {
     })
 }
 
+/// A sink that counts the offers it passes on: how much of the
+/// catalogue a pass finished.
+struct Counted<S> {
+    inner: S,
+    offers: usize,
+}
+
+impl<S: RankSink> RankSink for Counted<S> {
+    fn floor(&self, anchor: usize) -> Option<f64> {
+        self.inner.floor(anchor)
+    }
+
+    fn offer(&mut self, anchor: usize, slot: usize, score: f64) {
+        self.offers += 1;
+        self.inner.offer(anchor, slot, score);
+    }
+}
+
 /// The kernel under `Scorer::rank_range`, through `sweep` whatever the
-/// range's size: anchor `a` ranks into `accs[a]`.
+/// range's size: anchor `a` ranks into `accs[a]`. Returns the offers.
 #[allow(clippy::too_many_arguments)]
 fn rank_with(
     sweep: Sweep,
@@ -161,7 +182,7 @@ fn rank_with(
     item_ids: Option<&[u32]>,
     accs: &mut [TopKAccumulator],
     exclude: impl Fn(usize, u32) -> bool,
-) {
+) -> usize {
     let u_irs: Vec<&[f64]> = block.iter().map(|a| a.ir).collect();
     let (u_tgs, alphas): (Vec<&[f64]>, Vec<f64>) =
         block.iter().map(|a| a.tg.unwrap_or((&[], 0.0))).unzip();
@@ -170,13 +191,17 @@ fn rank_with(
         anchors: &u_tgs,
         alphas: &alphas,
     });
-    let mut sink = TopKSink {
-        accs,
-        acc_of: None,
-        item_ids,
-        exclude,
+    let mut sink = Counted {
+        inner: TopKSink {
+            accs,
+            acc_of: None,
+            item_ids,
+            exclude,
+        },
+        offers: 0,
     };
     fused_rank_with(Isa::detected(), sweep, ir, &u_irs, tag, range, &mut sink);
+    sink.offers
 }
 
 /// [`rank_with`] through the screen, over the whole of `range` in one
@@ -204,11 +229,12 @@ fn screened(
 }
 
 /// The ordered catalogue as bare kernel caches — rows in
-/// `spatial_order`, the interaction cache with strip bounds — ranked over
-/// `range` through each sweep, the screen forced whatever the size, with
-/// the order as the row → item map: the strip skip meets the screen's
-/// per-item rule and a range cut with no regard for strips. Each anchor
-/// must get the unpruned reference over the same rows.
+/// `spatial_order`, the interaction cache with strip bounds, the tag
+/// cache with and without them — ranked over `range` through each
+/// sweep, the screen forced whatever the size, with the order as the
+/// row → item map: the strip skip meets the screen's per-item rule and a
+/// range cut with no regard for strips. Each anchor must get the
+/// unpruned reference over the same rows.
 fn check_bounded_kernel(
     (v_ir, ambient_ir): (&[f64], usize),
     v_tg: Option<(&[f64], usize)>,
@@ -221,14 +247,23 @@ fn check_bounded_kernel(
     let ir = BlockCache::build_permuted(v_ir, ambient_ir, &order);
     let tg = v_tg.map(|(data, ambient)| BlockCache::build_permuted(data, ambient, &order));
     let bounded = ir.clone().with_strip_bounds();
-    for sweep in [Sweep::Screened, Sweep::Exact] {
+    let tag_bounded = tg.clone().map(BlockCache::with_strip_bounds);
+    let runs = [Sweep::Screened, Sweep::Exact]
+        .into_iter()
+        .flat_map(|sweep| {
+            [
+                (sweep, tg.as_ref(), false),
+                (sweep, tag_bounded.as_ref(), true),
+            ]
+        });
+    for (sweep, tag, tag_bounds) in runs {
         let n = order.len();
         let mut accs: Vec<TopKAccumulator> =
             ks.iter().map(|&k| TopKAccumulator::new(k.min(n))).collect();
         rank_with(
             sweep,
             &bounded,
-            tg.as_ref(),
+            tag,
             block,
             range.clone(),
             Some(&order),
@@ -248,7 +283,9 @@ fn check_bounded_kernel(
                 ks[pos],
                 |item| exclude(pos, item),
             );
-            let what = format!("{sweep:?} bounded kernel, anchor {pos}, rows {range:?}");
+            let what = format!(
+                "{sweep:?} bounded kernel, tag bounds {tag_bounds}, anchor {pos}, rows {range:?}"
+            );
             assert_same(&acc.into_sorted(), &want, &what)?;
         }
     }
@@ -591,6 +628,252 @@ fn the_chain_term_keeps_a_near_cut_strip_of_the_ordered_scorer() {
     let want = Scorer::build(&items).rank(&block, &[1], |_, _| false);
     assert_eq!(want[0][0].0, 0, "item 0 is the top-1");
     let got = Scorer::build_ordered(&items).rank(&block, &[1], |_, _| false);
+    assert_same(&got[0], &want[0], "ordered").unwrap();
+}
+
+/// Eight tight clusters on a short line in the interaction channel and
+/// around a circle in the tag channel. Against [`FAR_END_IR`] and
+/// [`FIRST_TAG`] — cluster 0 the farthest in the interaction channel and
+/// the nearest in the tag channel — with a large weight, cluster 0 holds
+/// the top `k`: every other strip is nearer in the interaction channel,
+/// so its bound proves nothing there, and far in the tag channel, so the
+/// tag bound proves it out.
+fn near_in_ir_far_in_tag(n: usize) -> (Vec<f64>, Vec<f64>) {
+    let centres: Vec<RowSpec> = (0..8)
+        .map(|c| {
+            let turn = std::f64::consts::TAU * c as f64 / 8.0;
+            (
+                5,
+                vec![0.3 + 0.03 * c as f64, 0.1, -0.2],
+                vec![turn.cos(), turn.sin()],
+            )
+        })
+        .collect();
+    matrices(&clustered(&centres, n, 0.005), &[(1, 0)])
+}
+
+/// The interaction anchor of [`near_in_ir_far_in_tag`]: past the line's
+/// far end from cluster 0.
+const FAR_END_IR: [f64; 3] = [0.9, 0.1, -0.2];
+/// The tag anchor of [`near_in_ir_far_in_tag`], beside cluster 0's.
+const FIRST_TAG: [f64; 2] = [1.0, 0.05];
+
+/// The tag bound is what skips: over [`near_in_ir_far_in_tag`] the
+/// ordered caches with tag bounds finish a small share of the rows that
+/// the same caches without them finish, and both rank as the unpruned
+/// path, as `Scorer::build_ordered` does.
+#[test]
+fn the_tag_bound_skips_strips_the_interaction_bound_keeps() {
+    let n = 1500;
+    let (v_ir, v_tg) = near_in_ir_far_in_tag(n);
+    let (u_ir, u_tg) = (lift(5, &FAR_END_IR), lift(5, &FIRST_TAG));
+    let block = [Anchor {
+        ir: &u_ir,
+        tg: Some((&u_tg, 50.0)),
+    }];
+    let order = spatial_order(&v_ir, DIM_IR + 1);
+    let ir = BlockCache::build_permuted(&v_ir, DIM_IR + 1, &order).with_strip_bounds();
+    let tg = BlockCache::build_permuted(&v_tg, DIM_TG + 1, &order);
+    let tag_bounded = tg.clone().with_strip_bounds();
+    let ids: Vec<u32> = (0..n as u32).collect();
+    let plain = (
+        BlockCache::build(&v_ir, DIM_IR + 1),
+        BlockCache::build(&v_tg, DIM_TG + 1),
+    );
+    let want = exhaustive(
+        &plain.0,
+        Some(&plain.1),
+        &u_ir,
+        &u_tg,
+        50.0,
+        (0, n),
+        &ids,
+        10,
+        |_| false,
+    );
+    let mut offers = [0; 2];
+    for (i, tag) in [&tg, &tag_bounded].into_iter().enumerate() {
+        for sweep in [Sweep::Exact, Sweep::Screened] {
+            let mut accs = vec![TopKAccumulator::new(10)];
+            let offered = rank_with(
+                sweep,
+                &ir,
+                Some(tag),
+                &block,
+                0..n,
+                Some(&order),
+                &mut accs,
+                |_, _| false,
+            );
+            let what = format!("{sweep:?}, tag bounds {}", i == 1);
+            assert_same(&accs.pop().unwrap().into_sorted(), &want, &what).unwrap();
+            offers[i] = offered;
+        }
+    }
+    let [without, with] = offers;
+    assert!(
+        without > n / 2,
+        "the interaction bound alone finished {without} of {n} rows"
+    );
+    assert!(
+        4 * with < without,
+        "with tag bounds {with} offers, without {without}"
+    );
+    let items = ItemEmbeddings {
+        v_ir: &v_ir,
+        ambient_ir: DIM_IR + 1,
+        v_tg: Some(&v_tg),
+        ambient_tg: DIM_TG + 1,
+    };
+    let got = Scorer::build_ordered(&items).rank(&block, &[10], |_, _| false);
+    assert_same(&got[0], &want, "ordered scorer").unwrap();
+}
+
+/// Tag strips and anchors the tag bound cannot vouch for, over
+/// [`near_in_ir_far_in_tag`], where it skips most strips: a NaN, an
+/// infinite and a past-`2⁵⁰⁰` tag row; tag anchors off the forward
+/// sheet, past `2⁵⁰⁰` and NaN; and `α` of 0, denormal, huge, negative and
+/// NaN beside ordinary anchors in one block. The block, each anchor
+/// alone, and the bare kernel over a range cut across strips rank as
+/// the unpruned path. (Against `α = 0` an infinite tag row scores
+/// `0·∞`, a NaN that ranks first.)
+#[test]
+fn hostile_tag_strips_anchors_and_alphas_rank_through_the_ordered_scorer_as_the_unpruned_path() {
+    let n = 1100;
+    let (v_ir, clean_tg) = near_in_ir_far_in_tag(n);
+    let at = DIM_TG + 1;
+    let hostile_row = |row: usize, dim: usize, v: f64| {
+        let mut tg = clean_tg.clone();
+        tg[row * at + dim] = v;
+        tg
+    };
+    let catalogues = [
+        clean_tg.clone(),
+        hostile_row(913, 1, f64::NAN),
+        hostile_row(640, 0, f64::INFINITY),
+        hostile_row(777, 2, 1e300),
+    ];
+    let u_ir = lift(5, &FAR_END_IR);
+    let near_tg = lift(5, &FIRST_TAG);
+    let mut off_sheet = near_tg.clone();
+    off_sheet[0] = -off_sheet[0];
+    let past = vec![1e300, 1e300, -1e300];
+    let nan_tg = vec![f64::NAN, 0.5, 0.5];
+    let cases: [(&[f64], f64); 10] = [
+        (&near_tg, 50.0),
+        (&near_tg, 0.0),
+        (&near_tg, 5e-324),
+        (&near_tg, 1e300),
+        (&near_tg, -0.5),
+        (&near_tg, f64::NAN),
+        (&off_sheet, 50.0),
+        (&past, 50.0),
+        (&nan_tg, 50.0),
+        (&near_tg, 3.0),
+    ];
+    let block: Vec<Anchor<'_>> = cases
+        .iter()
+        .map(|&(tg, alpha)| Anchor {
+            ir: &u_ir,
+            tg: Some((tg, alpha)),
+        })
+        .collect();
+    let ids: Vec<u32> = (0..n as u32).collect();
+    let ir = BlockCache::build(&v_ir, DIM_IR + 1);
+    for v_tg in &catalogues {
+        let tg = BlockCache::build(v_tg, at);
+        let scorer = ordered(&v_ir, Some(v_tg));
+        for k in [1, 10, 40] {
+            let ks = vec![k; block.len()];
+            let got = scorer.rank(&block, &ks, |_, _| false);
+            for (pos, &(u_tg, alpha)) in cases.iter().enumerate() {
+                let want = exhaustive(&ir, Some(&tg), &u_ir, u_tg, alpha, (0, n), &ids, k, |_| {
+                    false
+                });
+                assert_same(&got[pos], &want, &format!("case {pos} k {k}")).unwrap();
+                let alone = scorer.rank(&block[pos..=pos], &[k], |_, _| false);
+                assert_same(&alone[0], &want, &format!("case {pos} alone, k {k}")).unwrap();
+            }
+            // Ordinary anchors with each hostile one, two at a time.
+            for pos in 1..block.len() - 1 {
+                let pair = [block[0], block[pos]];
+                let got = scorer.rank(&pair, &[k, k], |_, _| false);
+                let want = exhaustive(
+                    &ir,
+                    Some(&tg),
+                    &u_ir,
+                    &near_tg,
+                    50.0,
+                    (0, n),
+                    &ids,
+                    k,
+                    |_| false,
+                );
+                assert_same(
+                    &got[0],
+                    &want,
+                    &format!("ordinary beside case {pos}, k {k}"),
+                )
+                .unwrap();
+            }
+            let tg_rows = Some((v_tg.as_slice(), at));
+            for rows in [0..n, 45..1011] {
+                check_bounded_kernel((&v_ir, DIM_IR + 1), tg_rows, &block, &ks, rows, &|_, _| {
+                    false
+                })
+                .unwrap();
+            }
+        }
+    }
+}
+
+/// A strip whose two-channel bound is tight at the `k`-th score. On one
+/// geodesic per channel, with both anchors at the origin: item 32's
+/// strip holds it and 31 rows nearer the anchors in both channels, so it
+/// is ranked first and, at `k = 32`, sets the floor at item 32's score.
+/// Item 0 ties it exactly — its interaction row mirrors item 32's
+/// through the origin, its tag row is item 32's — and wins the tie by
+/// id. Its strip's other 31 rows lie farther out on the same side in
+/// both channels, so each ball is tight at item 0: the two bounds
+/// together fall short of item 0's finished score by about `10⁻¹³` of
+/// it. Neither channel's bound skips the strip alone, and an estimate
+/// of `arcosh(x)²` from above — the upper bracket `2(x−1)`, which
+/// exceeds it here by about 1 % — would clear the floor and lose item 0.
+#[test]
+fn a_strip_whose_two_channel_bound_is_tight_at_the_kth_score_is_kept() {
+    let point = |v: f64| taxorec::geometry::lorentz::from_spatial(&[v]);
+    let (ir_rows, tg_rows): (Vec<Vec<f64>>, Vec<Vec<f64>>) = (0..64)
+        .map(|i| match i {
+            0 => (point(-0.3), point(0.6)),
+            1..=31 => (
+                point(-0.6 - 0.001 * i as f64),
+                point(0.9 + 0.001 * i as f64),
+            ),
+            32 => (point(0.3), point(0.6)),
+            _ => (
+                point(0.15 + 0.001 * i as f64),
+                point(0.3 + 0.001 * i as f64),
+            ),
+        })
+        .unzip();
+    let (v_ir, v_tg) = (ir_rows.concat(), tg_rows.concat());
+    let items = ItemEmbeddings {
+        v_ir: &v_ir,
+        ambient_ir: 2,
+        v_tg: Some(&v_tg),
+        ambient_tg: 2,
+    };
+    let origin = point(0.0);
+    let block = [Anchor {
+        ir: &origin,
+        tg: Some((&origin, 0.8)),
+    }];
+    let want = Scorer::build(&items).rank(&block, &[32], |_, _| false);
+    let last = want[0].last().copied().expect("32 items");
+    assert_eq!(last.0, 0, "item 0 wins the tie at the 32nd place");
+    let tie = block[0].score(items.row(32));
+    assert_eq!(last.1.to_bits(), tie.to_bits(), "item 0 ties item 32");
+    let got = Scorer::build_ordered(&items).rank(&block, &[32], |_, _| false);
     assert_same(&got[0], &want[0], "ordered").unwrap();
 }
 
